@@ -179,8 +179,30 @@ impl TransientResult {
 ///   the trapezoidal left-hand side `C + (h/2)·G` and the DC operating
 ///   point system;
 /// * **step** ([`FactoredSystem::run`], [`FactoredSystem::run_with_vsources`],
-///   [`FactoredSystem::run_nodes`]): sample the sources on the time grid
-///   and sweep the factored system across it.
+///   [`FactoredSystem::run_nodes`], [`FactoredSystem::run_node_pair`]):
+///   sample the sources on the time grid and sweep the factored system
+///   across it.
+///
+/// # The step loop
+///
+/// Each step computes `x_{n+1} = (C + (h/2)·G)⁻¹ ((C − (h/2)·G)·x_n + s_n)`
+/// with the source term
+/// `s_n = −C_UK Δvk − h G_UK v̄k + h (inj_n + inj_{n+1})/2`. Sources reach
+/// few free rows — a Thevenin driver touches exactly one — so a sweep
+/// tabulates `s_n` only for those *sourced rows*, from a compact per-row
+/// list of the non-zero couplers, into an `nt × sourced-rows` table, and
+/// adds it only there. Every other row's term is an exact `+0.0`, and the
+/// mat-vec result it would be added to is never `-0.0` (its accumulator
+/// starts at `+0.0`; see the `nsta_numeric::sparse` module docs), so the
+/// skipped additions change no bit.
+///
+/// [`FactoredSystem::run_node_pair`] sweeps two source sets — a victim's
+/// noiseless and noisy drive — at once. On the sparse backend they march
+/// as one two-column block through the column-blocked mat-vec and
+/// triangular solve, which keep each column's operations in the
+/// one-column order, so the pair is bit-identical to two
+/// [`FactoredSystem::run_nodes`] calls; a one-set sweep is the same loop
+/// with one column. The dense backend runs the sets one after the other.
 ///
 /// Because the factors depend only on topology, element values and `dt` —
 /// never on source waveforms — a `FactoredSystem` is parameterized purely
@@ -208,17 +230,84 @@ pub struct FactoredSystem {
     /// Node index -> vsource slot (`usize::MAX` for free nodes).
     driven_slot: Vec<usize>,
     is_driven: Vec<bool>,
-    g_uk: DenseMatrix,
-    c_uk: DenseMatrix,
+    /// The free rows a source reaches — the layout of every sweep's
+    /// compact source table.
+    sourced: SourcedRows,
     /// The factored step matrices in the selected backend's storage.
     factors: StepFactors,
     /// The source circuit's own vsource waveforms (construction order,
     /// shared with the circuit by refcount), so [`FactoredSystem::run`]
     /// works without the circuit.
     default_sources: Vec<Arc<Waveform>>,
-    /// Current injections captured at factor time: `(free row, waveform)`.
-    /// Injections into ideally driven nodes are absorbed and dropped here.
+    /// Current injections captured at factor time:
+    /// `(sourced slot, waveform)`. Injections into ideally driven nodes
+    /// are absorbed and dropped here.
     injections: Vec<(usize, Arc<Waveform>)>,
+}
+
+/// The free rows that carry a source term, with their couplers to the
+/// driven nodes — the compact replacement of the dense, almost-all-zero
+/// `nf × nd` blocks `G_UK`/`C_UK` (a Thevenin driver reaches exactly one
+/// free node). A sweep tabulates its source terms for these rows only,
+/// `nt × rows.len()` instead of `nt × nf`.
+#[derive(Debug)]
+struct SourcedRows {
+    /// Free row of each sourced slot, ascending: every row with a
+    /// non-zero coupler or a current injection.
+    rows: Vec<usize>,
+    /// Slot `s`'s couplers are `terms[ptr[s]..ptr[s + 1]]`.
+    ptr: Vec<usize>,
+    /// `(k, G_UK[row][k], C_UK[row][k])`, ascending in the vsource slot
+    /// `k`, for every `k` where either entry is non-zero.
+    terms: Vec<(usize, f64, f64)>,
+}
+
+impl SourcedRows {
+    /// Compacts the stamped `nf`-row coupler blocks, keeping every row that
+    /// carries an injection, and rewrites each injection's free row into
+    /// its sourced slot. Dropping an all-zero coupler changes no bit of any
+    /// sweep: the source accumulators start at `+0.0` and so never hold
+    /// `-0.0` (see the `nsta_numeric::sparse` module docs), and
+    /// subtracting the exact zero such a coupler contributes leaves them
+    /// unchanged.
+    fn compact(
+        g_uk: &DenseMatrix,
+        c_uk: &DenseMatrix,
+        nd: usize,
+        injections: &mut [(usize, Arc<Waveform>)],
+    ) -> Self {
+        let nf = g_uk.rows();
+        let mut injected = vec![false; nf];
+        for &(r, _) in injections.iter() {
+            injected[r] = true;
+        }
+        let mut slot_of = vec![0; nf];
+        let mut rows = Vec::new();
+        let mut ptr = vec![0];
+        let mut terms = Vec::new();
+        for r in 0..nf {
+            let couplers = g_uk.row(r)[..nd].iter().zip(&c_uk.row(r)[..nd]);
+            terms.extend(
+                couplers
+                    .enumerate()
+                    .filter(|(_, (&g, &c))| g != 0.0 || c != 0.0)
+                    .map(|(k, (&g, &c))| (k, g, c)),
+            );
+            if injected[r] || terms.len() > ptr[rows.len()] {
+                slot_of[r] = rows.len();
+                rows.push(r);
+                ptr.push(terms.len());
+            }
+        }
+        for (r, _) in injections.iter_mut() {
+            *r = slot_of[*r];
+        }
+        SourcedRows { rows, ptr, terms }
+    }
+
+    fn terms(&self, s: usize) -> &[(usize, f64, f64)] {
+        &self.terms[self.ptr[s]..self.ptr[s + 1]]
+    }
 }
 
 /// Backend-specific storage of the step matrix `C − (h/2)·G`, the factored
@@ -297,7 +386,8 @@ impl Circuit {
         // are bit-identical to stamping a dense matrix element by element).
         let mut g_uu = TripletMatrix::new(nf, nf);
         let mut c_uu = TripletMatrix::new(nf, nf);
-        // Dense free×driven couplers; the driven count is tiny.
+        // Free×driven couplers, stamped dense (the driven count is tiny)
+        // and compacted into `SourcedRows` below.
         let nd = self.vsources.len();
         let mut driven_slot = vec![usize::MAX; n];
         for (k, s) in self.vsources.iter().enumerate() {
@@ -389,12 +479,13 @@ impl Circuit {
 
         let default_sources: Vec<Arc<Waveform>> =
             self.vsources.iter().map(|s| s.waveform.clone()).collect();
-        let injections: Vec<(usize, Arc<Waveform>)> = self
+        let mut injections: Vec<(usize, Arc<Waveform>)> = self
             .isources
             .iter()
             .filter(|s| !is_driven[s.node]) // current into an ideally driven node is absorbed
             .map(|s| (position[s.node], s.waveform.clone()))
             .collect();
+        let sourced = SourcedRows::compact(&g_uk, &c_uk, nd, &mut injections);
 
         let system = FactoredSystem {
             opts,
@@ -405,8 +496,7 @@ impl Circuit {
             position,
             driven_slot,
             is_driven,
-            g_uk,
-            c_uk,
+            sourced,
             factors,
             default_sources,
             injections,
@@ -479,26 +569,18 @@ impl FactoredSystem {
     ///
     /// * [`CircuitError::InvalidOptions`] if `sources.len()` differs from
     ///   the circuit's voltage-source count.
+    /// * [`CircuitError::Numeric`] if the initial state is not finite.
     /// * Propagates numeric failures from the factored solves.
     pub fn run_with_vsources(
         &self,
         sources: &[&Waveform],
     ) -> Result<TransientResult, CircuitError> {
-        let n = self.n;
-        let mut data = Vec::with_capacity(n * self.times.len());
-        self.sweep(sources, |x, vk_now| {
-            for i in 0..n {
-                data.push(if self.is_driven[i] {
-                    vk_now[self.driven_slot[i]]
-                } else {
-                    x[self.position[i]]
-                });
-            }
-        })?;
+        let slots: Vec<Slot> = (0..self.n).map(|i| self.slot_of(i)).collect();
+        let [data] = self.sweep([sources], &slots)?;
         Ok(TransientResult {
             times: self.times.clone(),
             data,
-            nodes: n,
+            nodes: self.n,
         })
     }
 
@@ -517,18 +599,59 @@ impl FactoredSystem {
     /// * [`CircuitError::InvalidOptions`] on a source-count mismatch.
     /// * [`CircuitError::NotRecorded`] if `nodes` names ground.
     /// * [`CircuitError::UnknownNode`] for foreign node ids.
+    /// * [`CircuitError::Numeric`] if a recorded voltage is not finite.
     /// * Propagates numeric failures from the factored solves.
     pub fn run_nodes(
         &self,
         sources: &[&Waveform],
         nodes: &[NodeId],
     ) -> Result<Vec<Waveform>, CircuitError> {
-        // Resolve each requested node to its storage slot up front.
-        enum Slot {
-            Free(usize),
-            Driven(usize),
+        let slots = self.slots(nodes)?;
+        let [data] = self.sweep([sources], &slots)?;
+        self.traces(&data, slots.len())
+    }
+
+    /// Runs the integration for two source sets at once — a victim's
+    /// noiseless and noisy drive — recording only the requested nodes.
+    /// Returns each set's traces in request order.
+    ///
+    /// The result is bit-identical to two [`FactoredSystem::run_nodes`]
+    /// calls, one per set, and fails where they would fail first. On the
+    /// sparse backend both sets march as one two-column block: each step
+    /// makes one pass over the step matrix and the factors for both
+    /// columns, with each column's operations in the one-column order (see
+    /// the `nsta_numeric::sparse` module docs). The dense backend runs the
+    /// two sets one after the other.
+    ///
+    /// # Errors
+    ///
+    /// As [`FactoredSystem::run_nodes`], for either source set; the first
+    /// set's errors take precedence.
+    pub fn run_node_pair(
+        &self,
+        sources: [&[&Waveform]; 2],
+        nodes: &[NodeId],
+    ) -> Result<[Vec<Waveform>; 2], CircuitError> {
+        let slots = self.slots(nodes)?;
+        let [first, second] = self.sweep(sources, &slots)?;
+        Ok([
+            self.traces(&first, slots.len())?,
+            self.traces(&second, slots.len())?,
+        ])
+    }
+
+    /// Where node `i` lives during a sweep.
+    fn slot_of(&self, i: usize) -> Slot {
+        if self.is_driven[i] {
+            Slot::Driven(self.driven_slot[i])
+        } else {
+            Slot::Free(self.position[i])
         }
-        let slots: Vec<Slot> = nodes
+    }
+
+    /// Resolves requested nodes to their storage slots.
+    fn slots(&self, nodes: &[NodeId]) -> Result<Vec<Slot>, CircuitError> {
+        nodes
             .iter()
             .map(|&node| {
                 if node.is_ground() {
@@ -539,57 +662,41 @@ impl FactoredSystem {
                 if node.0 >= self.n {
                     return Err(CircuitError::UnknownNode { index: node.0 });
                 }
-                Ok(if self.is_driven[node.0] {
-                    Slot::Driven(self.driven_slot[node.0])
-                } else {
-                    Slot::Free(self.position[node.0])
-                })
+                Ok(self.slot_of(node.0))
             })
-            .collect::<Result<_, _>>()?;
-        let width = slots.len();
-        let mut data = Vec::with_capacity(width * self.times.len());
-        self.sweep(sources, |x, vk_now| {
-            for slot in &slots {
-                data.push(match *slot {
-                    Slot::Free(i) => x[i],
-                    Slot::Driven(k) => vk_now[k],
-                });
-            }
-        })?;
+            .collect()
+    }
+
+    /// Splits a sweep's time-major record (`width` values per time point)
+    /// into one waveform per recorded node.
+    fn traces(&self, data: &[f64], width: usize) -> Result<Vec<Waveform>, CircuitError> {
         (0..width)
             .map(|j| {
-                let trace: Vec<f64> = data.chunks_exact(width.max(1)).map(|row| row[j]).collect();
+                let trace: Vec<f64> = data.chunks_exact(width).map(|row| row[j]).collect();
                 // A solve that went NaN/inf is a *numeric* failure — the
                 // class the STA fallback chain retries on another backend —
                 // not a waveform validation error.
                 if trace.iter().any(|v| !v.is_finite()) {
-                    return Err(CircuitError::Numeric(
-                        nsta_numeric::NumericError::NonFinite("transient node voltages"),
-                    ));
+                    return Err(non_finite());
                 }
                 Ok(Waveform::new(self.times.to_vec(), trace)?)
             })
             .collect()
     }
 
-    /// The shared step loop: samples sources, solves the DC initial
-    /// condition, then marches the factored trapezoidal system across the
-    /// grid, handing `(x, vk_row)` to `record` at every time point
-    /// (including `t_start`).
-    fn sweep(
-        &self,
-        sources: &[&Waveform],
-        mut record: impl FnMut(&[f64], &[f64]),
-    ) -> Result<(), CircuitError> {
+    /// Samples one source set and prepares its column of a sweep: the
+    /// driven-node table, the compact source table and the initial state.
+    fn column(&self, sources: &[&Waveform]) -> Result<Column, CircuitError> {
         if sources.len() != self.nd {
             return Err(CircuitError::InvalidOptions(
                 "one waveform required per voltage source",
             ));
         }
         let (nf, nd) = (self.nf, self.nd);
+        let ns = self.sourced.rows.len();
         let nt = self.times.len();
-        // One bump per sweep, not per step — the disabled path stays a
-        // single branch outside the integration loop.
+        // One bump per source set, not per step — the disabled path stays
+        // a single branch outside the integration loop.
         nsta_obs::count!("circuit.transient.sweeps");
         nsta_obs::count!("circuit.transient.steps", nt);
         let h = self.opts.dt;
@@ -604,88 +711,109 @@ impl FactoredSystem {
                 vk[ti * nd + k] = v;
             }
         }
-        // Injected currents at every time point (time-major, `nf` wide);
-        // left empty when the system has no current injections, which skips
-        // both the table fill and the per-step reads.
+        // Injected currents on the sourced rows (time-major, `ns` wide);
+        // left empty when the system has no current injections, which
+        // skips both the table fill and the per-step reads.
         let mut inj = Vec::new();
         if !self.injections.is_empty() {
-            inj.resize(nt * nf, 0.0);
-            for (r, waveform) in &self.injections {
+            inj.resize(nt * ns, 0.0);
+            for (s, waveform) in &self.injections {
                 waveform.sample_on_grid(&self.times, &mut scratch);
                 for (ti, &v) in scratch.iter().enumerate() {
-                    inj[ti * nf + r] += v;
+                    inj[ti * ns + s] += v;
                 }
             }
         }
 
         // DC initial condition: G_UU x = inj(t0) − G_UK·vK(t0).
-        let dc_rhs = |has_dc: bool| -> Vec<f64> {
-            if !has_dc {
-                return vec![0.0; nf];
-            }
-            let mut rhs = if inj.is_empty() {
-                vec![0.0; nf]
-            } else {
-                inj[..nf].to_vec()
-            };
-            for r in 0..nf {
-                let gr = &self.g_uk.row(r)[..nd];
-                for (k, g) in gr.iter().enumerate() {
+        let dc_rhs = || -> Vec<f64> {
+            let mut rhs = vec![0.0; nf];
+            for (s, &r) in self.sourced.rows.iter().enumerate() {
+                if !inj.is_empty() {
+                    rhs[r] = inj[s];
+                }
+                for &(k, g, _) in self.sourced.terms(s) {
                     rhs[r] -= g * vk[k];
                 }
             }
             rhs
         };
-        let mut x = match &self.factors {
+        let mut x0 = match &self.factors {
             StepFactors::Dense {
                 dc_lu: Some(dc), ..
-            } => dc.solve(&dc_rhs(true))?,
+            } => dc.solve(&dc_rhs())?,
             StepFactors::Sparse {
                 dc_lu: Some(dc), ..
-            } => dc.solve(&dc_rhs(true))?,
-            _ => dc_rhs(false),
+            } => dc.solve(&dc_rhs())?,
+            _ => vec![0.0; nf],
         };
         // Fault-injection site: poison the initial-condition state with
-        // NaN, as a corrupted solve would. The NaN propagates through the
-        // trapezoidal step recurrence, so every recorded sample — and any
-        // waveform built from this sweep — turns non-finite. Inert (one
-        // relaxed load) unless a plan is armed.
+        // NaN, as a corrupted solve would. Inert (one relaxed load) unless
+        // a plan is armed.
         if nsta_obs::fault::should_fire(nsta_obs::fault::NAN_SOLVE) {
-            x.fill(f64::NAN);
+            x0.fill(f64::NAN);
+        }
+        // A non-finite initial state poisons every step after it, so the
+        // sweep fails here — before a later source set of the same sweep
+        // consults the fault site, exactly where separate one-set runs
+        // would have stopped.
+        if x0.iter().any(|v| !v.is_finite()) {
+            return Err(non_finite());
         }
 
-        // Source contributions of every step, tabulated up front so the
-        // step loop reads one contiguous row instead of slicing the
-        // coupler matrices per unknown per step:
-        //   src[ti][r] = −C_UK Δvk − h G_UK v̄k + h (inj_n + inj_{n+1})/2.
-        let mut src = vec![0.0; nt * nf];
+        // Source terms of every step on the sourced rows, tabulated up
+        // front so the step loop reads one short contiguous row:
+        //   src[ti][s] = −C_UK Δvk − h G_UK v̄k + h (inj_n + inj_{n+1})/2
+        // for free row `sourced.rows[s]`. Every other row's term is an
+        // exact +0.0 and is skipped (see `SourcedRows::compact`).
+        let mut src = vec![0.0; nt * ns];
         for ti in 1..nt {
             let vk_prev = &vk[(ti - 1) * nd..ti * nd];
             let vk_now = &vk[ti * nd..(ti + 1) * nd];
-            let row = &mut src[ti * nf..(ti + 1) * nf];
-            for r in 0..nf {
-                let gr = &self.g_uk.row(r)[..nd];
-                let cr = &self.c_uk.row(r)[..nd];
+            let row = &mut src[ti * ns..(ti + 1) * ns];
+            for (s, out) in row.iter_mut().enumerate() {
                 let mut acc = 0.0;
-                for k in 0..nd {
+                for &(k, g, c) in self.sourced.terms(s) {
                     let dv = vk_now[k] - vk_prev[k];
                     let vbar = 0.5 * (vk_now[k] + vk_prev[k]);
-                    acc -= cr[k] * dv + h * gr[k] * vbar;
+                    acc -= c * dv + h * g * vbar;
                 }
-                row[r] = acc;
+                *out = acc;
             }
             if !inj.is_empty() {
-                let inj_prev = &inj[(ti - 1) * nf..ti * nf];
-                let inj_now = &inj[ti * nf..(ti + 1) * nf];
-                for r in 0..nf {
-                    row[r] += h * 0.5 * (inj_now[r] + inj_prev[r]);
+                let inj_prev = &inj[(ti - 1) * ns..ti * ns];
+                let inj_now = &inj[ti * ns..(ti + 1) * ns];
+                for s in 0..ns {
+                    row[s] += h * 0.5 * (inj_now[s] + inj_prev[s]);
                 }
             }
         }
+        Ok(Column { vk, src, x0 })
+    }
 
-        record(&x, &vk[..nd]);
+    /// The shared step loop: prepares one [`Column`] per source set (in
+    /// order, each failing before the next is sampled), then marches the
+    /// factored trapezoidal system across the grid. Returns, per source
+    /// set, the recorded `slots` at every time point (including
+    /// `t_start`), time-major.
+    ///
+    /// The sparse backend marches all `W` sets as one block through the
+    /// column-blocked kernels; `W = 1` is the plain one-set sweep. The
+    /// dense backend marches the sets one after the other.
+    fn sweep<const W: usize>(
+        &self,
+        sources: [&[&Waveform]; W],
+        slots: &[Slot],
+    ) -> Result<[Vec<f64>; W], CircuitError> {
+        let mut cols = Vec::with_capacity(W);
+        for set in sources {
+            cols.push(self.column(set)?);
+        }
+        let (nf, nd) = (self.nf, self.nd);
+        let ns = self.sourced.rows.len();
+        let nt = self.times.len();
+        let mut data: [Vec<f64>; W] = std::array::from_fn(|_| Vec::with_capacity(slots.len() * nt));
 
-        let mut x_next = vec![0.0; nf];
         match &self.factors {
             // Dense: the right-hand side is assembled row by row anyway,
             // so write it directly in the LU's permuted row order and skip
@@ -694,42 +822,97 @@ impl FactoredSystem {
                 rhs_mat, lhs_lu, ..
             } => {
                 let perm = lhs_lu.perm();
-                for ti in 1..nt {
-                    let s_row = &src[ti * nf..(ti + 1) * nf];
-                    for (i, &r) in perm.iter().enumerate() {
-                        // rhs = (C − hG/2)·x_n + src, off the precomputed matrices.
-                        x_next[i] = nsta_numeric::dot(rhs_mat.row(r), &x) + s_row[r];
+                let mut s_row = vec![0.0; nf];
+                let mut x_next = vec![0.0; nf];
+                for (col, out) in cols.into_iter().zip(&mut data) {
+                    let mut x = col.x0;
+                    record(out, slots, &col.vk[..nd], |i| x[i]);
+                    for ti in 1..nt {
+                        for (s, &r) in self.sourced.rows.iter().enumerate() {
+                            s_row[r] = col.src[ti * ns + s];
+                        }
+                        for (i, &r) in perm.iter().enumerate() {
+                            // rhs = (C − hG/2)·x_n + src, off the precomputed matrices.
+                            x_next[i] = nsta_numeric::dot(rhs_mat.row(r), &x) + s_row[r];
+                        }
+                        lhs_lu.solve_prepermuted_in_place(&mut x_next)?;
+                        std::mem::swap(&mut x, &mut x_next);
+                        record(out, slots, &col.vk[ti * nd..(ti + 1) * nd], |i| x[i]);
                     }
-                    lhs_lu.solve_prepermuted_in_place(&mut x_next)?;
-                    std::mem::swap(&mut x, &mut x_next);
-                    record(&x, &vk[ti * nd..(ti + 1) * nd]);
                 }
             }
             // Sparse: CSR mat-vec touches only stored entries and the
             // no-pivot factors eliminate in natural order, so the step is
-            // O(nnz) with no permutation copy at all.
+            // O(nnz) with no permutation copy at all — and one pass over
+            // them serves every column of the block.
             StepFactors::Sparse {
                 rhs_mat, lhs_lu, ..
             } => {
+                let mut x: Vec<[f64; W]> = (0..nf)
+                    .map(|i| std::array::from_fn(|j| cols[j].x0[i]))
+                    .collect();
+                let mut x_next = vec![[0.0; W]; nf];
+                for (j, (col, out)) in cols.iter().zip(&mut data).enumerate() {
+                    record(out, slots, &col.vk[..nd], |i| x[i][j]);
+                }
                 for ti in 1..nt {
-                    let s_row = &src[ti * nf..(ti + 1) * nf];
-                    rhs_mat.mul_vec_into(&x, &mut x_next)?;
-                    for (xi, s) in x_next.iter_mut().zip(s_row) {
-                        *xi += s;
+                    rhs_mat.mul_block_into(&x, &mut x_next)?;
+                    for (s, &r) in self.sourced.rows.iter().enumerate() {
+                        for (xj, col) in x_next[r].iter_mut().zip(&cols) {
+                            *xj += col.src[ti * ns + s];
+                        }
                     }
-                    lhs_lu.solve_in_place(&mut x_next)?;
+                    lhs_lu.solve_block_in_place(&mut x_next)?;
                     std::mem::swap(&mut x, &mut x_next);
-                    record(&x, &vk[ti * nd..(ti + 1) * nd]);
+                    for (j, (col, out)) in cols.iter().zip(&mut data).enumerate() {
+                        record(out, slots, &col.vk[ti * nd..(ti + 1) * nd], |i| x[i][j]);
+                    }
                 }
             }
         }
-        Ok(())
+        Ok(data)
     }
+}
+
+/// Where one recorded node's voltage lives during a sweep.
+#[derive(Debug, Clone, Copy)]
+enum Slot {
+    /// A free unknown: its index in the state vector.
+    Free(usize),
+    /// A driven node: its voltage-source index.
+    Driven(usize),
+}
+
+/// One source set's share of a sweep.
+struct Column {
+    /// Driven-node voltages, time-major `nt × nd`.
+    vk: Vec<f64>,
+    /// Compact source table, time-major `nt × sourced rows` (row 0
+    /// unused).
+    src: Vec<f64>,
+    /// Initial state over the free unknowns.
+    x0: Vec<f64>,
+}
+
+/// Appends one time point of `slots` to a sweep's record: free unknowns
+/// through `free`, driven nodes from that time point's `vk` row.
+fn record(out: &mut Vec<f64>, slots: &[Slot], vk: &[f64], free: impl Fn(usize) -> f64) {
+    out.extend(slots.iter().map(|slot| match *slot {
+        Slot::Free(i) => free(i),
+        Slot::Driven(k) => vk[k],
+    }));
+}
+
+fn non_finite() -> CircuitError {
+    CircuitError::Numeric(nsta_numeric::NumericError::NonFinite(
+        "transient node voltages",
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{RcLineSpec, StarCoupledLines};
 
     fn step_at(t0: f64, rise: f64, v: f64, t_end: f64) -> Waveform {
         // Boundary values are held outside the record, so starting the
@@ -817,6 +1000,22 @@ mod tests {
         let v = res.voltage(out).unwrap();
         assert!((v.value_at(0.0) - 1.0).abs() < 1e-9);
         assert!((v.value_at(0.9e-9) - 1.0).abs() < 1e-9);
+
+        // A steady injection enters the DC point too: 2 µA into `far`,
+        // which reaches the 1 V source only through 500 Ω + 300 Ω, settles
+        // it 1.6 mV above the source (less ~1 nV of gmin leakage) and holds
+        // it there.
+        let far = ckt.node("far");
+        ckt.resistor(out, far, 300.0).unwrap();
+        ckt.capacitor(far, Circuit::GROUND, 1e-12).unwrap();
+        ckt.isource(far, Waveform::constant(2e-6, 0.0, 1e-9).unwrap())
+            .unwrap();
+        let res = ckt
+            .run_transient(TransientOptions::new(0.0, 1e-9, 1e-12).unwrap())
+            .unwrap();
+        let v = res.voltage(far).unwrap();
+        assert!((v.value_at(0.0) - 1.0016).abs() < 1e-8);
+        assert!((v.value_at(0.9e-9) - 1.0016).abs() < 1e-8);
     }
 
     #[test]
@@ -1007,6 +1206,134 @@ mod tests {
         assert!(matches!(
             system.run_nodes(&waves, &[NodeId(99)]),
             Err(CircuitError::UnknownNode { .. })
+        ));
+    }
+
+    fn bits(waves: &[Waveform]) -> Vec<Vec<u64>> {
+        waves
+            .iter()
+            .map(|w| w.values().iter().map(|v| v.to_bits()).collect())
+            .collect()
+    }
+
+    /// The fused pair must reproduce two one-set runs bit for bit.
+    fn assert_pair_matches_runs(
+        system: &FactoredSystem,
+        sets: [&[&Waveform]; 2],
+        nodes: &[NodeId],
+    ) {
+        let [first, second] = system.run_node_pair(sets, nodes).unwrap();
+        assert_eq!(
+            bits(&first),
+            bits(&system.run_nodes(sets[0], nodes).unwrap())
+        );
+        assert_eq!(
+            bits(&second),
+            bits(&system.run_nodes(sets[1], nodes).unwrap())
+        );
+        assert_eq!(first[0].times(), system.times());
+    }
+
+    #[test]
+    fn run_node_pair_is_bit_identical_to_two_runs() {
+        let opts = TransientOptions::new(0.0, 6e-9, 2e-12).unwrap();
+        let noisy_wave = step_at(1e-9, 50e-12, 1.0, 10e-9);
+        let quiet = Waveform::constant(0.0, 0.0, 6e-9).unwrap();
+        let victim = step_at(0.8e-9, 80e-12, 1.0, 10e-9);
+        let (ckt, vic) = coupled_pair(noisy_wave.clone());
+        let agg = NodeId(0); // driven probe: the aggressor's source node
+        for backend in [SolverBackend::Sparse, SolverBackend::Dense] {
+            let system = ckt.factor_transient(opts.with_backend(backend)).unwrap();
+            assert_pair_matches_runs(
+                &system,
+                [&[&quiet, &victim], &[&noisy_wave, &victim]],
+                &[vic, agg],
+            );
+        }
+
+        // A 48-segment victim star-coupled to two aggressors: a large,
+        // filled-in factorization with three sourced rows.
+        let mut ckt = Circuit::new();
+        let v_in = ckt.node("v_in");
+        let hold = Waveform::constant(0.0, 0.0, 6e-9).unwrap();
+        ckt.thevenin_driver(v_in, hold.clone(), 300.0).unwrap();
+        let agg_ins: Vec<NodeId> = (0..2)
+            .map(|_| {
+                let a = ckt.anon_node();
+                ckt.thevenin_driver(a, hold.clone(), 300.0).unwrap();
+                a
+            })
+            .collect();
+        let line = RcLineSpec::new(400.0, 60e-15, 48).unwrap();
+        let bundle = StarCoupledLines::new(line, vec![(line, 20e-15), (line, 35e-15)]).unwrap();
+        let (far, _) = bundle.build(&mut ckt, v_in, &agg_ins, "w").unwrap();
+        ckt.capacitor(far, Circuit::GROUND, 4e-15).unwrap();
+        let system = ckt.factor_transient(opts).unwrap();
+        assert!(system.nf > 100 && system.sourced.rows.len() == 3);
+        let late = step_at(1.3e-9, 120e-12, 1.0, 10e-9);
+        assert_pair_matches_runs(
+            &system,
+            [&[&victim, &quiet, &quiet], &[&victim, &noisy_wave, &late]],
+            &[far, v_in, agg_ins[1]],
+        );
+    }
+
+    #[test]
+    fn run_node_pair_carries_current_injections() {
+        // Injections from a zero initial state: row `q` has no coupler to
+        // the driven node, so only its injection puts it in the compact
+        // table; two injections into `q` sum; the one into the driven node
+        // is absorbed.
+        let mut ckt = Circuit::new();
+        let d = ckt.node("d");
+        let p = ckt.node("p");
+        let q = ckt.node("q");
+        ckt.vsource(d, step_at(0.5e-9, 40e-12, 1.0, 10e-9)).unwrap();
+        ckt.resistor(d, p, 500.0).unwrap();
+        ckt.resistor(p, q, 800.0).unwrap();
+        ckt.capacitor(p, Circuit::GROUND, 10e-15).unwrap();
+        ckt.capacitor(q, Circuit::GROUND, 15e-15).unwrap();
+        let pulse =
+            Waveform::new(vec![0.0, 1e-9, 1.2e-9, 1.4e-9], vec![0.0, 0.0, 2e-5, 0.0]).unwrap();
+        ckt.isource(q, pulse.clone()).unwrap();
+        ckt.isource(q, Waveform::constant(-3e-6, 0.0, 4e-9).unwrap())
+            .unwrap();
+        ckt.isource(d, pulse).unwrap();
+        let opts = TransientOptions::new(0.0, 4e-9, 5e-12)
+            .unwrap()
+            .with_zero_initial_state();
+        let system = ckt.factor_transient(opts).unwrap();
+        assert_eq!(system.sourced.rows.len(), 2);
+        assert_eq!(system.injections.len(), 2);
+        let other = step_at(1e-9, 200e-12, 0.7, 10e-9);
+        let default = system.default_sources[0].as_ref();
+        assert_pair_matches_runs(&system, [&[default], &[&other]], &[q, p, d]);
+        // The injections are felt: `q` moves without any coupler to `d`.
+        let full = system.run().unwrap().voltage(q).unwrap();
+        assert!(full.v_min() < -1e-3, "the steady -3 µA must pull q down");
+    }
+
+    #[test]
+    fn run_node_pair_rejects_what_run_nodes_rejects() {
+        let opts = TransientOptions::new(0.0, 6e-9, 2e-12).unwrap();
+        let (ckt, vic) = coupled_pair(step_at(1e-9, 50e-12, 1.0, 10e-9));
+        let system = ckt.factor_transient(opts).unwrap();
+        let hold = Waveform::constant(0.0, 0.0, 6e-9).unwrap();
+        let good: &[&Waveform] = &[&hold, &hold];
+        let short: &[&Waveform] = &[&hold];
+        for sets in [[short, good], [good, short]] {
+            assert!(matches!(
+                system.run_node_pair(sets, &[vic]),
+                Err(CircuitError::InvalidOptions(_))
+            ));
+        }
+        assert!(matches!(
+            system.run_node_pair([good, good], &[vic, Circuit::GROUND]),
+            Err(CircuitError::NotRecorded(_))
+        ));
+        assert!(matches!(
+            system.run_node_pair([good, good], &[NodeId(99)]),
+            Err(CircuitError::UnknownNode { index: 99 })
         ));
     }
 

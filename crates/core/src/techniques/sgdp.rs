@@ -14,9 +14,11 @@
 //!
 //! The minimization strategy is configurable via [`FitMode`]; the paper's
 //! reported runtime (≈ WLS5's) implies a closed-form weighted solve with at
-//! most light refinement, which [`FitMode::Taylor2`] (default) implements as
-//! iteratively reweighted least squares. A damped Gauss–Newton variant is
-//! provided for the ablation benches.
+//! most light refinement. The default, [`FitMode::Weighted`], keeps the
+//! first Taylor term as a closed-form `ρeff²`-weighted least-squares fit;
+//! [`FitMode::Taylor2`] adds the second term by iteratively reweighted
+//! least squares. A damped Gauss–Newton variant is provided for the
+//! ablation benches.
 //!
 //! For gates whose input/output transitions do not overlap (multi-stage
 //! cells, heavy fanout) the sensitivity is extracted after shifting the
@@ -28,11 +30,16 @@
 //! stalls near a rail for a long time (strong near-DC coupling) its global
 //! minimum can be a near-flat line whose mid-crossing lies far outside the
 //! waveform's own mid-crossing span — useless as an arrival. Γeff is
-//! accepted only if its mid-crossing lies within that span (± half the
-//! noiseless slew); otherwise the slope is re-fit from the samples around
-//! the **latest** mid-rail crossing and anchored there, the same anchoring
-//! convention P1/P2/E4 use. This guard is an engineering robustness
-//! addition documented in `EXPERIMENTS.md`.
+//! accepted only if its slope has the transition's sign and its
+//! mid-crossing lies within that span (± half the noiseless slew).
+//! Otherwise the slope is re-fit by the same weighted least squares,
+//! restricted to the samples within one noiseless slew of the **latest**
+//! mid-rail crossing, and the line is anchored at that crossing — the
+//! anchoring convention P1/P2/E4 use. If that re-fit fails or has the wrong
+//! sign, the noiseless slew sets the slope. When the fallback is needed
+//! but the noisy input never crosses mid-rail, the reduction fails with
+//! [`SgdpError::DegenerateFit`]. The guard is an engineering robustness
+//! addition, not part of the paper's method.
 
 use crate::context::PropagationContext;
 use crate::sensitivity::{effective_sensitivity, ShiftPolicy};

@@ -36,6 +36,27 @@
 //! reused: [`SparseLu::refactor`] re-eliminates new values into the existing
 //! pattern with zero allocation — the shape the circuit engines need, where
 //! one topology is factored once and then re-valued every Newton iteration.
+//!
+//! # Column blocks and bit-identity
+//!
+//! [`CsrMatrix::mul_block_into`] and [`SparseLu::solve_block_in_place`]
+//! run `W` right-hand sides at once, stored row by row as `[f64; W]` (the
+//! transient kernel sweeps a victim's noiseless and noisy source sets as
+//! one two-column block). Each column performs exactly the floating-point
+//! operations, in exactly the order, of the one-vector kernels
+//! [`CsrMatrix::mul_vec_into`] and [`SparseLu::solve_in_place`], so a block
+//! result is bit-identical to `W` separate calls — Rust never contracts
+//! `a * b + c` into a fused multiply-add on its own. What a block saves is
+//! the repeated loads of the pattern and the values.
+//!
+//! Both mat-vec kernels start every accumulator at `+0.0`. Under
+//! round-to-nearest a sum or difference is `-0.0` only when it adds two
+//! `-0.0`s (or subtracts `+0.0` from `-0.0`), and an exact cancellation of
+//! non-zero operands yields `+0.0`; so an accumulator that starts at `+0.0`
+//! never holds `-0.0`, and adding or subtracting an exact zero leaves it
+//! unchanged bit for bit. Callers rely on this to skip exactly-zero terms:
+//! the transient kernel adds source terms only on the rows a source
+//! reaches instead of adding `+0.0` to every other row.
 
 use crate::{DenseMatrix, NumericError};
 
@@ -263,6 +284,52 @@ impl CsrMatrix {
                 acc += v * x[c];
             }
             y[r] = acc;
+        }
+        Ok(())
+    }
+
+    /// `Y = A·X` for a block of `W` columns stored row by row (`x[c][j]`
+    /// is entry `c` of column `j`), into a caller-provided buffer without
+    /// allocating.
+    ///
+    /// Every column is accumulated exactly as [`CsrMatrix::mul_vec_into`]
+    /// accumulates its one vector — from `+0.0`, over the row's stored
+    /// entries in ascending column order — so column `j` of `y` is
+    /// bit-identical to `mul_vec_into` on column `j` alone. One pass over
+    /// the stored entries serves all `W` columns: the index and value
+    /// loads are shared, and the inner loop runs across the columns.
+    ///
+    /// # Errors
+    ///
+    /// [`NumericError::ShapeMismatch`] unless `x.len() == cols` and
+    /// `y.len() == rows`.
+    pub fn mul_block_into<const W: usize>(
+        &self,
+        x: &[[f64; W]],
+        y: &mut [[f64; W]],
+    ) -> Result<(), NumericError> {
+        if x.len() != self.cols {
+            return Err(NumericError::ShapeMismatch {
+                got: x.len(),
+                expected: self.cols,
+            });
+        }
+        if y.len() != self.rows {
+            return Err(NumericError::ShapeMismatch {
+                got: y.len(),
+                expected: self.rows,
+            });
+        }
+        for (r, out) in y.iter_mut().enumerate() {
+            let (cols, vals) = self.row(r);
+            let mut acc = [0.0; W];
+            for (&c, &v) in cols.iter().zip(vals) {
+                let xc = &x[c];
+                for j in 0..W {
+                    acc[j] += v * xc[j];
+                }
+            }
+            *out = acc;
         }
         Ok(())
     }
@@ -764,6 +831,56 @@ impl SparseLu {
         Ok(())
     }
 
+    /// Solves `A·X = B` in place for a block of `W` columns stored row by
+    /// row (`x[c][j]` is entry `c` of column `j`), on original-index rows
+    /// like [`SparseLu::solve_in_place`].
+    ///
+    /// Each column goes through exactly the substitutions
+    /// `solve_in_place` performs on it — same elimination order, same
+    /// factor entries in the same order — so column `j` of the result is
+    /// bit-identical to `solve_in_place` on column `j` alone. The factor
+    /// entries and their indices are loaded once per block instead of once
+    /// per column.
+    ///
+    /// # Errors
+    ///
+    /// [`NumericError::ShapeMismatch`] if `x.len() != self.dim()`.
+    pub fn solve_block_in_place<const W: usize>(
+        &self,
+        x: &mut [[f64; W]],
+    ) -> Result<(), NumericError> {
+        if x.len() != self.n {
+            return Err(NumericError::ShapeMismatch {
+                got: x.len(),
+                expected: self.n,
+            });
+        }
+        for i in 0..self.n {
+            let oi = self.perm[i];
+            let mut acc = x[oi];
+            for li in self.l_ptr[i]..self.l_ptr[i + 1] {
+                let (l, xc) = (self.l_vals[li], x[self.l_cols_orig[li]]);
+                for j in 0..W {
+                    acc[j] -= l * xc[j];
+                }
+            }
+            x[oi] = acc;
+        }
+        for i in (0..self.n).rev() {
+            let oi = self.perm[i];
+            let mut acc = x[oi];
+            for ui in self.u_ptr[i]..self.u_ptr[i + 1] {
+                let (u, xc) = (self.u_vals[ui], x[self.u_cols_orig[ui]]);
+                for j in 0..W {
+                    acc[j] -= u * xc[j];
+                }
+            }
+            let d = self.inv_diag[i];
+            x[oi] = acc.map(|a| a * d);
+        }
+        Ok(())
+    }
+
     /// Solves `A·x = b` into a fresh vector.
     ///
     /// # Errors
@@ -894,21 +1011,27 @@ mod tests {
         }
     }
 
+    /// Random diagonally dominant `n × n` system with ~20% off-diagonal
+    /// fill, drawn from `next`.
+    fn random_dominant(n: usize, next: &mut impl FnMut() -> f64) -> CsrMatrix {
+        let mut t = TripletMatrix::new(n, n);
+        for r in 0..n {
+            for c in 0..n {
+                if r != c && next() > 0.1 {
+                    continue; // ~20% off-diagonal fill
+                }
+                t.add(r, c, next());
+            }
+            t.add(r, r, 2.0 * n as f64);
+        }
+        t.to_csr()
+    }
+
     #[test]
     fn random_diagonally_dominant_systems_match_dense() {
         let mut next = rng(0x9e3779b97f4a7c15);
         for n in [1usize, 2, 5, 17, 40, 80] {
-            let mut t = TripletMatrix::new(n, n);
-            for r in 0..n {
-                for c in 0..n {
-                    if r != c && next() > 0.1 {
-                        continue; // ~20% off-diagonal fill
-                    }
-                    t.add(r, c, next());
-                }
-                t.add(r, r, 2.0 * n as f64);
-            }
-            let a = t.to_csr();
+            let a = random_dominant(n, &mut next);
             let b: Vec<f64> = (0..n).map(|_| next()).collect();
             let lu = SparseLu::factor(&a).unwrap();
             let x = lu.solve(&b).unwrap();
@@ -955,11 +1078,9 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn fill_in_is_handled() {
-        // Arrow matrix: dense last row/column forces fill into the last
-        // row during elimination of every leading column.
-        let n = 12;
+    /// Arrow matrix: a dense last row/column forces fill into the last
+    /// row during elimination of every leading column.
+    fn arrow(n: usize) -> CsrMatrix {
         let mut t = TripletMatrix::new(n, n);
         for i in 0..n {
             t.add(i, i, 10.0);
@@ -968,7 +1089,28 @@ mod tests {
                 t.add(n - 1, i, 1.0);
             }
         }
-        let a = t.to_csr();
+        t.to_csr()
+    }
+
+    /// Reverse arrow: a dense FIRST row/column — eliminating column 0
+    /// fills the entire trailing submatrix, the worst case for the
+    /// symbolic merge.
+    fn reverse_arrow(n: usize) -> CsrMatrix {
+        let mut t = TripletMatrix::new(n, n);
+        for i in 0..n {
+            t.add(i, i, 10.0);
+            if i > 0 {
+                t.add(0, i, 1.0);
+                t.add(i, 0, 1.0);
+            }
+        }
+        t.to_csr()
+    }
+
+    #[test]
+    fn fill_in_is_handled() {
+        let n = 12;
+        let a = arrow(n);
         let lu = SparseLu::factor(&a).unwrap();
         let dense = LuFactors::factor(&a.to_dense()).unwrap();
         let b: Vec<f64> = (0..n).map(|i| i as f64 - 3.0).collect();
@@ -981,18 +1123,8 @@ mod tests {
 
     #[test]
     fn reverse_arrow_fill_propagates() {
-        // Dense FIRST row/column: eliminating column 0 fills the entire
-        // trailing submatrix — the worst case for the symbolic merge.
         let n = 9;
-        let mut t = TripletMatrix::new(n, n);
-        for i in 0..n {
-            t.add(i, i, 10.0);
-            if i > 0 {
-                t.add(0, i, 1.0);
-                t.add(i, 0, 1.0);
-            }
-        }
-        let a = t.to_csr();
+        let a = reverse_arrow(n);
         let lu = SparseLu::factor(&a).unwrap();
         let dense = LuFactors::factor(&a.to_dense()).unwrap();
         let b: Vec<f64> = (0..n).map(|i| (i as f64).cos()).collect();
@@ -1087,6 +1219,59 @@ mod tests {
         // Shape mismatch is rejected.
         let other = TripletMatrix::new(2, 3).to_csr();
         assert!(c.add_scaled(&other, 1.0).is_err());
+    }
+
+    /// Runs the block kernels on `W` random columns and compares every
+    /// column, bit for bit, with the one-vector kernels on that column.
+    fn assert_block_matches_scalar<const W: usize>(a: &CsrMatrix, next: &mut impl FnMut() -> f64) {
+        let n = a.rows();
+        let x: Vec<[f64; W]> = (0..n).map(|_| std::array::from_fn(|_| next())).collect();
+        let mut y = vec![[f64::NAN; W]; n];
+        a.mul_block_into(&x, &mut y).unwrap();
+        let lu = SparseLu::factor(a).unwrap();
+        let mut solved = x.clone();
+        lu.solve_block_in_place(&mut solved).unwrap();
+        for j in 0..W {
+            let col: Vec<f64> = x.iter().map(|row| row[j]).collect();
+            let mut y_col = vec![f64::NAN; n];
+            a.mul_vec_into(&col, &mut y_col).unwrap();
+            let mut s_col = col.clone();
+            lu.solve_in_place(&mut s_col).unwrap();
+            for i in 0..n {
+                assert_eq!(
+                    y[i][j].to_bits(),
+                    y_col[i].to_bits(),
+                    "mat-vec n={n} col {j}"
+                );
+                assert_eq!(
+                    solved[i][j].to_bits(),
+                    s_col[i].to_bits(),
+                    "solve n={n} col {j}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn block_kernels_are_bit_identical_to_scalar_per_column() {
+        let mut next = rng(0x5eed_b10c);
+        let mut systems: Vec<CsrMatrix> = [1usize, 2, 5, 17, 40, 80]
+            .iter()
+            .map(|&n| random_dominant(n, &mut next))
+            .collect();
+        systems.extend([arrow(12), reverse_arrow(9), tridiagonal(40, 4.0, -1.0)]);
+        for a in &systems {
+            assert_block_matches_scalar::<1>(a, &mut next);
+            assert_block_matches_scalar::<2>(a, &mut next);
+            assert_block_matches_scalar::<3>(a, &mut next);
+        }
+        // Shape mismatches are rejected like the one-vector kernels'.
+        let a = &systems[3];
+        let mut y = vec![[0.0; 2]; 17];
+        assert!(a.mul_block_into(&[[0.0; 2]; 16], &mut y).is_err());
+        assert!(a.mul_block_into(&[[0.0; 2]; 17], &mut y[..16]).is_err());
+        let lu = SparseLu::factor(a).unwrap();
+        assert!(lu.solve_block_in_place(&mut [[0.0; 2]; 16]).is_err());
     }
 
     #[test]

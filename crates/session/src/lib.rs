@@ -37,6 +37,7 @@
 
 #![forbid(unsafe_code)]
 
+use std::borrow::Cow;
 use std::collections::HashSet;
 use std::fmt;
 
@@ -310,17 +311,27 @@ impl From<SpefError> for SessionError {
     }
 }
 
-/// Candidate state an edit builds beside the live session. Committing is
-/// swapping these in; rolling back is dropping them.
-struct Candidate {
-    bc: BoundaryConditions,
-    spef: SpefFile,
-    bound: BoundCouplings,
-    clusters: ConeClusters,
+/// Candidate state an edit builds beside the live session: the parts the
+/// edit changes are owned, the rest borrow the live state. Committing is
+/// swapping the owned parts in; rolling back is dropping them.
+struct Candidate<'a> {
+    bc: Cow<'a, BoundaryConditions>,
+    spef: Cow<'a, SpefFile>,
+    bound: Cow<'a, BoundCouplings>,
+    clusters: Cow<'a, ConeClusters>,
     /// Nets seeding the dirty closure (edited net + changed victims).
     seeds: Vec<NetId>,
     /// Victims whose cached factorizations the edit invalidates.
     invalidated: Vec<NetId>,
+}
+
+/// The owned value of a candidate part the edit changed; `None` when the
+/// part still borrows the live state.
+fn owned<T: Clone>(part: Cow<'_, T>) -> Option<T> {
+    match part {
+        Cow::Owned(value) => Some(value),
+        Cow::Borrowed(_) => None,
+    }
 }
 
 /// A long-lived incremental timing session. See the crate docs.
@@ -674,7 +685,7 @@ impl TimingSession {
         //    the dirty cones; everything outside them is discarded by the
         //    merge's dirty-net mask.
         let patch = match self.sta.session_analyze(
-            candidate.bc.clone(),
+            candidate.bc.as_ref().clone(),
             &dirty_specs,
             &self.options.si,
             &self.cache,
@@ -700,31 +711,39 @@ impl TimingSession {
                 cause: RollbackCause::NonConvergence,
             };
         }
-        // 5. Splice the patch into the retained state (bit-identical to a
-        //    batch run over the edited design — see nsta-sta's session
-        //    module docs).
+        // 5. Commit: swap the candidate's changed parts in, splice the
+        //    patch into the retained state (bit-identical to a batch run
+        //    over the edited design — see nsta-sta's session module
+        //    docs), release invalidated cache entries, bump epochs,
+        //    append the journal.
         let next_epoch = self.epoch + 1;
-        let merged = match self.sta.session_merge(
-            candidate.bc.clone(),
-            &self.retained,
-            &patch,
-            &dirty_mask,
-            next_epoch,
-        ) {
-            Ok(m) => m,
-            Err(e) => {
-                self.rollbacks += 1;
-                return EditOutcome::RolledBack {
-                    cause: RollbackCause::Analysis(e.to_string()),
-                };
-            }
-        };
-        // 6. Commit: swap the candidate in, release invalidated cache
-        //    entries, bump epochs, append the journal.
-        let released = self.cache.release_nets(&candidate.invalidated);
-        self.released_total += released as u64;
         let dirty_nets = dirty_mask.iter().filter(|&&d| d).count();
         let dirty_cones = candidate.clusters.dirty_cone_count(&dirty_clusters);
+        let Candidate {
+            bc,
+            spef,
+            bound,
+            clusters,
+            invalidated,
+            ..
+        } = candidate;
+        let (bc, spef, bound, clusters) = (owned(bc), owned(spef), owned(bound), owned(clusters));
+        if let Some(bc) = bc {
+            self.bc = bc;
+        }
+        if let Some(spef) = spef {
+            self.spef = spef;
+        }
+        if let Some(bound) = bound {
+            self.bound = bound;
+        }
+        if let Some(clusters) = clusters {
+            self.clusters = clusters;
+        }
+        self.sta
+            .session_merge(&mut self.retained, patch, &dirty_mask, next_epoch);
+        let released = self.cache.release_nets(&invalidated);
+        self.released_total += released as u64;
         let info = CommitInfo {
             epoch: next_epoch,
             dirty_clusters: dirty_clusters.iter().filter(|&&d| d).count(),
@@ -734,11 +753,6 @@ impl TimingSession {
             released_cache_entries: released,
             audit: None,
         };
-        self.bc = candidate.bc;
-        self.spef = candidate.spef;
-        self.bound = candidate.bound;
-        self.clusters = candidate.clusters;
-        self.retained = merged;
         self.epoch = next_epoch;
         // Cone counts can change when a re-annotation rewires clusters;
         // resize before stamping (new cones start at the current epoch).
@@ -757,7 +771,7 @@ impl TimingSession {
             self.lint_baseline = fps;
         }
         self.journal.push(edit.clone());
-        // 7. Shadow audit every N commits.
+        // 6. Shadow audit every N commits.
         if let Some(n) = self.options.audit_every_n {
             self.commits_since_audit += 1;
             if n > 0 && self.commits_since_audit >= n {
@@ -923,7 +937,7 @@ impl TimingSession {
         Ok(fresh)
     }
 
-    fn build_candidate(&self, edit: &Edit) -> Result<Candidate, EditOutcome> {
+    fn build_candidate(&self, edit: &Edit) -> Result<Candidate<'_>, EditOutcome> {
         let reject = |reason: String| EditOutcome::Rejected {
             reason,
             diagnostics: Vec::new(),
@@ -957,10 +971,10 @@ impl TimingSession {
                 // victims in the edited net's cluster.
                 let invalidated = self.victims_in_cluster_of(net);
                 Ok(Candidate {
-                    bc,
-                    spef: self.spef.clone(),
-                    bound: self.bound.clone(),
-                    clusters: self.clusters.clone(),
+                    bc: Cow::Owned(bc),
+                    spef: Cow::Borrowed(&self.spef),
+                    bound: Cow::Borrowed(&self.bound),
+                    clusters: Cow::Borrowed(&self.clusters),
                     seeds: vec![net],
                     invalidated,
                 })
@@ -982,10 +996,10 @@ impl TimingSession {
                 };
                 spec.driver_resistance = *ohms;
                 Ok(Candidate {
-                    bc: self.bc.clone(),
-                    spef: self.spef.clone(),
-                    bound,
-                    clusters: self.clusters.clone(),
+                    bc: Cow::Borrowed(&self.bc),
+                    spef: Cow::Borrowed(&self.spef),
+                    bound: Cow::Owned(bound),
+                    clusters: Cow::Borrowed(&self.clusters),
                     seeds: vec![victim],
                     invalidated: vec![victim],
                 })
@@ -1019,10 +1033,10 @@ impl TimingSession {
                 // dropped): rebuild the cluster partition.
                 let clusters = self.sta.cone_clusters(&bound.specs);
                 Ok(Candidate {
-                    bc: self.bc.clone(),
-                    spef,
-                    bound,
-                    clusters,
+                    bc: Cow::Borrowed(&self.bc),
+                    spef: Cow::Owned(spef),
+                    bound: Cow::Owned(bound),
+                    clusters: Cow::Owned(clusters),
                     seeds,
                     invalidated,
                 })

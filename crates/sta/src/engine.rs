@@ -526,10 +526,11 @@ impl Sta {
 
     /// [`Sta::finish_report`] restricted to a per-net scope mask: required
     /// times are only seeded/propagated and report rows only filled for
-    /// nets with `scope[net]` (others get empty [`NetTiming`] rows, and
-    /// the worst point / critical path consider scoped nets only). The
-    /// reverse sweep's per-edge table lookups dominate the report cost,
-    /// so a session's per-edit fixed point scopes them to the dirty
+    /// nets with `scope[net]` (others get placeholder [`NetTiming`] rows
+    /// with no timing and an empty name, and the worst point / critical
+    /// path consider scoped nets only). The reverse sweep's per-edge
+    /// table lookups and the per-row name copies dominate the report
+    /// cost, so a session's per-edit fixed point scopes them to the dirty
     /// clusters — sound because cones are weakly-connected components
     /// (no edge crosses the scope boundary) and the patch report is
     /// discarded in favor of the merged full one.
@@ -588,16 +589,21 @@ impl Sta {
         let mut worst_point: Option<(NetId, Polarity)> = None;
         for i in 0..n {
             let id = NetId(i);
+            if !in_scope(i) {
+                nets.push(NetTiming {
+                    net: id,
+                    name: String::new(),
+                    rise: None,
+                    fall: None,
+                });
+                continue;
+            }
             let mut timing = NetTiming {
                 net: id,
                 name: self.design.net_name(id).to_string(),
                 rise: None,
                 fall: None,
             };
-            if !in_scope(i) {
-                nets.push(timing);
-                continue;
-            }
             for pol in [Polarity::Rise, Polarity::Fall] {
                 let p = states[i].get(pol);
                 if !p.valid {

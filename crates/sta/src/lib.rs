@@ -80,10 +80,11 @@ pub use si::{
     PrunedAggressor, SiAdjustment, SiAnalysis, SiDiagnostics, SiIteration, SiOptions, TopoCache,
 };
 
-/// Serializes tests that enable the process-wide [`nsta_obs`] recorder:
-/// `si` and `par` tests share one test binary, and cargo runs them on
-/// concurrent threads, so toggling the global recorder without this lock
-/// would leak events between tests.
+/// Serializes tests that enable the process-wide [`nsta_obs`] recorder
+/// with every test that starts a multi-worker pool: `si` and `par` tests
+/// share one test binary, and cargo runs them on concurrent threads, so
+/// pool workers of one test would count into another test's enabled
+/// recorder without this lock.
 #[cfg(test)]
 pub(crate) fn obs_test_guard() -> std::sync::MutexGuard<'static, ()> {
     static GUARD: std::sync::Mutex<()> = std::sync::Mutex::new(());

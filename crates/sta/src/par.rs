@@ -220,6 +220,7 @@ mod tests {
 
     #[test]
     fn preserves_input_order_for_any_thread_count() {
+        let _guard = crate::obs_test_guard();
         let items: Vec<usize> = (0..97).collect();
         let expect: Vec<usize> = items.iter().map(|i| i * i).collect();
         for threads in [0, 1, 2, 3, 8, 200] {
@@ -229,6 +230,7 @@ mod tests {
 
     #[test]
     fn empty_and_singleton_inputs() {
+        let _guard = crate::obs_test_guard();
         let empty: Vec<u32> = Vec::new();
         assert!(par_map(4, &empty, |&x| x).is_empty());
         assert_eq!(par_map(4, &[7u32], |&x| x + 1), vec![8]);
@@ -246,6 +248,7 @@ mod tests {
 
     #[test]
     fn fewer_items_than_threads_is_correct_and_ordered() {
+        let _guard = crate::obs_test_guard();
         // items < threads: the clamp leaves one worker per item; results
         // must still come back complete and in input order.
         let items = [10usize, 20, 30];
@@ -281,6 +284,7 @@ mod tests {
 
     #[test]
     fn results_can_be_fallible() {
+        let _guard = crate::obs_test_guard();
         let items = [1i32, -2, 3];
         let out: Vec<Result<i32, String>> = par_map(2, &items, |&i| {
             if i < 0 {
@@ -296,6 +300,7 @@ mod tests {
 
     #[test]
     fn panicked_item_is_retried_inline_and_reported() {
+        let _guard = crate::obs_test_guard();
         use std::sync::atomic::AtomicBool;
         // Item 5 panics exactly once (on a worker); the coordinator's
         // inline retry then succeeds, so the output is complete and
@@ -340,6 +345,7 @@ mod tests {
 
     #[test]
     fn pre_expired_deadline_skips_every_item_without_calling_f() {
+        let _guard = crate::obs_test_guard();
         use nsta_obs::FakeClock;
         let deadline = Deadline::on_fake(FakeClock::new(0), 0);
         let items: Vec<usize> = (0..32).collect();
@@ -355,6 +361,7 @@ mod tests {
 
     #[test]
     fn no_deadline_behaves_exactly_like_recover() {
+        let _guard = crate::obs_test_guard();
         let items: Vec<usize> = (0..17).collect();
         let (out, retried) = par_map_govern(3, &items, None, |&i| i + 1);
         let expect: Vec<Option<usize>> = items.iter().map(|i| Some(i + 1)).collect();
@@ -364,6 +371,7 @@ mod tests {
 
     #[test]
     fn persistent_panic_propagates_from_the_retry() {
+        let _guard = crate::obs_test_guard();
         // A deterministic panic must not be swallowed: the inline retry
         // reproduces it on the coordinator.
         let items: Vec<usize> = (0..8).collect();

@@ -84,6 +84,12 @@ impl TimingReport {
         &self.nets
     }
 
+    /// Moves the per-net rows out, leaving the report without rows (for
+    /// splicing rows between reports without copying them).
+    pub(crate) fn take_rows(&mut self) -> Vec<NetTiming> {
+        std::mem::take(&mut self.nets)
+    }
+
     /// The worst (smallest) slack in the design.
     ///
     /// **Contract:** the value is `+inf` exactly when no constraint

@@ -20,12 +20,14 @@
 //!    edit are dropped with [`crate::si::TopoCache::release_nets`].
 //! 3. **State-level merge** ([`Sta::session_merge`]): the retained and the
 //!    patch analyses both carry their final per-net propagation states;
-//!    the merge splices them per net (patch inside dirty clusters,
-//!    retained outside) and re-runs the ordinary report finish on the
-//!    spliced states. Required times, slacks, the worst point tie-break
-//!    and the critical-path predecessor walk therefore all come from one
-//!    consistent state vector — the merged report is bit-identical to a
-//!    full batch re-analysis, not merely close to it.
+//!    the merge splices them, and their report rows, per net in place
+//!    (patch inside dirty clusters, retained outside) and re-derives the
+//!    worst point and critical path from the spliced states. Required
+//!    times and slacks never cross a cone boundary, so every row is
+//!    exact, and the worst point tie-break and the critical-path
+//!    predecessor walk come from one consistent state vector — the merged
+//!    report is bit-identical to a full batch re-analysis, not merely
+//!    close to it.
 //!
 //! Why the splice is exact: aggressor ramps are taken from the
 //! iteration-invariant nominal sweep, a net's windows depend only on its
@@ -211,100 +213,53 @@ impl Sta {
         Ok(RetainedAnalysis { analysis, states })
     }
 
-    /// Splices a dirty-cluster `patch` analysis into the `retained` one:
-    /// nets with `dirty_nets[net]` take the patch states, all others keep
-    /// the retained states, and the report (required times, slacks, worst
-    /// point, critical path) is re-finished from the spliced state vector
-    /// — bit-identical to a batch run over the edited design (module
-    /// docs). Adjustments and pruned records are swapped per dirty victim;
-    /// `epoch` stamps the merged diagnostics.
-    ///
-    /// # Errors
-    ///
-    /// Propagates report-finishing failures (unresolvable edge timing).
+    /// Splices a dirty-cluster `patch` analysis into `retained`, in
+    /// place: nets with `dirty_nets[net]` take the patch states and rows,
+    /// all others keep their own, and the report's worst point and
+    /// critical path are re-derived from the spliced state vector —
+    /// bit-identical to a batch run over the edited design (module docs).
+    /// Adjustments and pruned records are swapped per dirty victim;
+    /// `epoch` stamps the merged diagnostics. The retained rows are moved,
+    /// not copied, so the cost scales with the dirty nets plus one scan.
     pub fn session_merge(
         &self,
-        constraints: impl Into<BoundaryConditions>,
-        retained: &RetainedAnalysis,
-        patch: &RetainedAnalysis,
+        retained: &mut RetainedAnalysis,
+        patch: RetainedAnalysis,
         dirty_nets: &[bool],
         epoch: u64,
-    ) -> Result<RetainedAnalysis, StaError> {
-        // The boundary conditions shaped both input reports; the merge
-        // itself splices at the row level and re-derives only the worst
-        // point, so it never re-reads them (required times are exact in
-        // both sources — see [`Sta::report_from_rows`]).
-        let _bc: BoundaryConditions = constraints.into();
+    ) {
         let dirty = |net: NetId| dirty_nets.get(net.0).copied().unwrap_or(false);
-        let states: Vec<NetState> = retained
-            .states
-            .iter()
-            .zip(&patch.states)
-            .enumerate()
-            .map(|(i, (old, new))| if dirty(NetId(i)) { *new } else { *old })
-            .collect();
-        let rows: Vec<_> = retained
-            .analysis
-            .report
-            .nets()
-            .iter()
-            .zip(patch.analysis.report.nets())
-            .enumerate()
-            .map(|(i, (old, new))| {
-                if dirty(NetId(i)) {
-                    new.clone()
-                } else {
-                    old.clone()
-                }
-            })
-            .collect();
-        let report = self.report_from_rows(rows, &states);
+        let RetainedAnalysis {
+            analysis: mut patch,
+            states: patch_states,
+        } = patch;
+        for (i, (old, new)) in retained.states.iter_mut().zip(patch_states).enumerate() {
+            if dirty(NetId(i)) {
+                *old = new;
+            }
+        }
+        let mut rows = retained.analysis.report.take_rows();
+        for (i, (old, new)) in rows.iter_mut().zip(patch.report.take_rows()).enumerate() {
+            if dirty(NetId(i)) {
+                *old = new;
+            }
+        }
+        // Required times never cross a cone boundary, so every spliced
+        // row is already exact; only the report summary is re-derived.
+        retained.analysis.report = self.report_from_rows(rows, &retained.states);
 
-        let mut adjustments: Vec<_> = retained
-            .analysis
-            .adjustments
-            .iter()
-            .filter(|a| !dirty(a.net))
-            .copied()
-            .collect();
-        adjustments.extend(
-            patch
-                .analysis
-                .adjustments
-                .iter()
-                .filter(|a| dirty(a.net))
-                .copied(),
-        );
+        let adjustments = &mut retained.analysis.adjustments;
+        adjustments.retain(|a| !dirty(a.net));
+        adjustments.extend(patch.adjustments.into_iter().filter(|a| dirty(a.net)));
         adjustments.sort_by_key(|a| (a.net.0, !a.polarity.is_rise()));
 
-        let mut pruned: Vec<_> = retained
-            .analysis
-            .pruned
-            .iter()
-            .filter(|p| !dirty(p.victim))
-            .copied()
-            .collect();
-        pruned.extend(
-            patch
-                .analysis
-                .pruned
-                .iter()
-                .filter(|p| dirty(p.victim))
-                .copied(),
-        );
+        let pruned = &mut retained.analysis.pruned;
+        pruned.retain(|p| !dirty(p.victim));
+        pruned.extend(patch.pruned.into_iter().filter(|p| dirty(p.victim)));
         pruned.sort_by_key(|p| (p.victim.0, p.aggressor.0));
 
-        let mut diagnostics = patch.analysis.diagnostics.clone();
-        diagnostics.epoch = epoch;
-        Ok(RetainedAnalysis {
-            analysis: SiAnalysis {
-                report,
-                adjustments,
-                pruned,
-                diagnostics,
-            },
-            states,
-        })
+        retained.analysis.diagnostics = patch.diagnostics;
+        retained.analysis.diagnostics.epoch = epoch;
     }
 }
 
@@ -408,11 +363,11 @@ mod tests {
         let all = vec![true; d.net_count()];
         let nothing = vec![false; d.net_count()];
         for mask in [&all, &nothing] {
-            let merged = sta
-                .session_merge(bc.clone(), &full, &full, mask, 7)
-                .unwrap();
+            let mut merged = full.clone();
+            sta.session_merge(&mut merged, full.clone(), mask, 7);
             assert_eq!(merged.analysis.report, full.analysis.report);
             assert_eq!(merged.analysis.adjustments, full.analysis.adjustments);
+            assert_eq!(merged.analysis.pruned, full.analysis.pruned);
             assert_eq!(merged.analysis.diagnostics.epoch, 7);
         }
     }
@@ -442,10 +397,10 @@ mod tests {
             .session_analyze(bc.clone(), &specs, &opts, &cache, Some(&scope))
             .unwrap();
         let mask = clusters.net_mask(&dirty);
-        let merged = sta
-            .session_merge(bc.clone(), &full, &patch, &mask, 3)
-            .unwrap();
+        let mut merged = full.clone();
+        sta.session_merge(&mut merged, patch, &mask, 3);
         assert_eq!(merged.analysis.report, full.analysis.report);
         assert_eq!(merged.analysis.adjustments, full.analysis.adjustments);
+        assert_eq!(merged.analysis.pruned, full.analysis.pruned);
     }
 }

@@ -2027,7 +2027,10 @@ impl Sta {
         };
         let clean = self.finish_report_scoped(&bc, base.clone(), mask, net_scope)?;
         let mut windows = self.windows_from(&min_states, &clean);
-        let mut previous: Option<TimingReport> = Some(clean);
+        // The latest finished report: the clean one until an iteration
+        // runs, then each iteration's (moved in, never cloned — a report
+        // holds one named row per net).
+        let mut latest = clean;
 
         let max_iterations = options.max_iterations.max(1);
         let mut result = None;
@@ -2094,10 +2097,8 @@ impl Sta {
             let report = self.finish_report_scoped(&bc, states.clone(), mask, net_scope)?;
             let prev_windows =
                 std::mem::replace(&mut windows, self.windows_from(&min_states, &report));
-            let moved = previous
-                .as_ref()
-                .map_or(f64::INFINITY, |prev| worst_arrival_movement(prev, &report));
-            previous = Some(report.clone());
+            let moved = worst_arrival_movement(&latest, &report);
+            latest = report;
             iteration_trace.push(SiIteration {
                 victims_recomputed: stats.recomputed,
                 victims_cached: stats.cached,
@@ -2110,7 +2111,7 @@ impl Sta {
             iter_span.set_arg("max_window_delta", moved);
             drop(iter_span);
             prev_pruned = Some(pruned_key);
-            result = Some((report, adjustments, pruned, states));
+            result = Some((adjustments, pruned, states));
             // Deadline boundary: the iteration that just ran finished (it
             // may have skipped cones internally — those carry
             // DeadlineSkipped events); no further iteration starts.
@@ -2152,7 +2153,7 @@ impl Sta {
                 );
             }
         }
-        let Some((report, adjustments, pruned, states)) = result else {
+        let Some((adjustments, pruned, states)) = result else {
             return Err(StaError::Structure(
                 "crosstalk iteration loop completed zero iterations".into(),
             ));
@@ -2160,7 +2161,7 @@ impl Sta {
         phase_span.set_arg("iterations", iteration_trace.len() as f64);
         Ok((
             SiAnalysis {
-                report,
+                report: latest,
                 adjustments,
                 pruned,
                 // Cache statistics accumulate across iterations; snapshot
@@ -2364,11 +2365,13 @@ impl Sta {
 
         // Voltage source 0 is the victim driver; sources 1..=N follow
         // aggressor order — the factored system relies on this layout.
+        let waves_span = nsta_obs::span!("si.victim.waves");
         let victim_wave = victim_ramp.to_waveform(0.0, t_stop, dt)?;
         let agg_waves: Vec<Waveform> = agg_ramps
             .iter()
             .map(|ramp| ramp.to_waveform(0.0, t_stop, dt))
             .collect::<Result<_, _>>()?;
+        drop(waves_span);
 
         // One factorization serves the noisy/noiseless pair — and, via the
         // topology cache, every other reduction with the same signature:
@@ -2468,33 +2471,34 @@ impl Sta {
         let th = Thresholds::cmos(self.library().voltage);
         let vdd = th.vdd();
         let quiet_level = if agg_pol.is_rise() { 0.0 } else { vdd };
+        let transient_span = nsta_obs::span!("si.victim.transient");
         let quiet = Waveform::constant(quiet_level, 0.0, t_stop)?;
         let mut quiet_sources: Vec<&Waveform> = Vec::with_capacity(1 + agg_waves.len());
         quiet_sources.push(victim_wave);
         quiet_sources.extend(agg_waves.iter().map(|_| &quiet));
-        let noiseless = entry
-            .system
-            .run_nodes(&quiet_sources, &[entry.victim_far])?
-            .pop()
-            .ok_or_else(|| {
-                StaError::Structure("transient solver returned no trace for victim node".into())
-            })?;
         // With every aggressor pruned the "noisy" circuit is identical to
-        // the noiseless one: skip the second transient run.
-        let noisy = if agg_waves.is_empty() {
-            noiseless.clone()
+        // the noiseless one: one transient run serves both. Otherwise the
+        // pair runs as one two-column sweep of the factored system.
+        let [quiet_traces, noisy_traces] = if agg_waves.is_empty() {
+            let traces = entry
+                .system
+                .run_nodes(&quiet_sources, &[entry.victim_far])?;
+            [traces.clone(), traces]
         } else {
             let mut noisy_sources: Vec<&Waveform> = Vec::with_capacity(1 + agg_waves.len());
             noisy_sources.push(victim_wave);
             noisy_sources.extend(agg_waves.iter());
             entry
                 .system
-                .run_nodes(&noisy_sources, &[entry.victim_far])?
-                .pop()
-                .ok_or_else(|| {
-                    StaError::Structure("transient solver returned no trace for victim node".into())
-                })?
+                .run_node_pair([&quiet_sources, &noisy_sources], &[entry.victim_far])?
         };
+        drop(transient_span);
+        let victim_trace = |traces: Vec<Waveform>| {
+            traces.into_iter().next().ok_or_else(|| {
+                StaError::Structure("transient solver returned no trace for victim node".into())
+            })
+        };
+        let (noiseless, noisy) = (victim_trace(quiet_traces)?, victim_trace(noisy_traces)?);
         // A solve that went non-finite (NaN/inf node voltages) must not
         // leak into crossing searches and the report: classify it as a
         // numeric failure so the fallback chain can retry it.
@@ -2527,6 +2531,7 @@ impl Sta {
             .transpose()?;
         let noiseless_output = match receiver {
             Some((cell, out_net)) => {
+                let _gate_span = nsta_obs::span!("si.victim.gate");
                 let load = bc.output(out_net).load.max(1e-15);
                 let gate = TableGate::new(cell, load, th).map_err(StaError::from)?;
                 Some(gate.response(&noiseless).map_err(StaError::from)?)
@@ -2534,6 +2539,7 @@ impl Sta {
             None => None,
         };
 
+        let _reduce_span = nsta_obs::span!("si.victim.reduce");
         let ctx = PropagationContext::new(noiseless, noisy, noiseless_output, th)?;
         let gamma = method.equivalent(&ctx)?;
         Ok((gamma, base_arrival))
@@ -2974,6 +2980,7 @@ mod tests {
 
     #[test]
     fn threaded_analysis_is_bit_identical_to_sequential() {
+        let _guard = crate::obs_test_guard();
         let groups = 3;
         let sta = Sta::new(multi_group_design(groups), lib().clone()).unwrap();
         let c = Constraints::default();
@@ -3002,6 +3009,7 @@ mod tests {
         // The topology-keyed factorization cache shares LU factors across
         // victims, polarities and iterations; it must not change a single
         // bit of any result — at 1 thread and on the worker pool.
+        let _guard = crate::obs_test_guard();
         let groups = 3;
         let sta = Sta::new(multi_group_design(groups), lib().clone()).unwrap();
         let c = Constraints::default();
@@ -3064,6 +3072,7 @@ mod tests {
 
     #[test]
     fn single_cone_design_falls_back_to_level_scheduling_bit_identically() {
+        let _guard = crate::obs_test_guard();
         // With one cone and threads > 1 the pass must fall back to
         // level-synchronous scheduling (cone tasks would serialize) and
         // still reproduce the 1-thread (cone-scheduled) result bit for
@@ -3118,6 +3127,7 @@ mod tests {
             .unwrap();
         rec.disable();
         let events = rec.event_count();
+        let trace = rec.chrome_trace(1);
         let metrics = rec.metrics();
         rec.reset();
         assert_analyses_identical(&baseline, &instrumented);
@@ -3136,6 +3146,10 @@ mod tests {
         // The instrumented run actually recorded: phase + iteration +
         // per-cone spans, and the topology-cache counters.
         assert!(events > 0, "enabled run must record spans");
+        for layer in ["waves", "transient", "gate", "reduce"] {
+            let name = format!("\"si.victim.{layer}\"");
+            assert!(trace.contains(&name), "per-victim span {name} missing");
+        }
         assert!(metrics.get("sta.topo_cache.misses").unwrap_or(0.0) > 0.0);
     }
 
