@@ -7,11 +7,11 @@
 //! later groups get their far aggressor pruned — exercising both branches
 //! of the temporal-correlation filter at scale. The run reports binding
 //! statistics, pruning counts, fixed-point iterations and wall-clock time
-//! across five analysis configurations: windowed-incremental (the default
+//! across four analysis configurations: windowed-incremental (the default
 //! flow), windowed with a forced full recompute per iteration (isolates the
 //! incremental fixed point's benefit), windowed on a worker pool (when
-//! `--threads > 1`; results are asserted bit-identical to 1-thread),
-//! windowed without the topology cache (ditto), and unfiltered.
+//! `--threads > 1`; results are asserted bit-identical to 1-thread), and
+//! unfiltered.
 //!
 //! With `--sdc FILE` the run additionally binds an SDC constraint set
 //! onto the design and repeats the windowed analysis under the resulting
@@ -19,17 +19,14 @@
 //! arrival windows change aggressor pruning (the `pruning_delta` field)
 //! and the worst slack against the declared clock.
 //!
-//! The topology-keyed factorization cache (the near-clone far-aggressor
-//! groups share LU factors) is on by default; `--no-topo-cache` disables
-//! it everywhere for A/B comparisons. When enabled, the run repeats the
-//! windowed analysis with the cache off and asserts the reports are
-//! bit-identical, reporting hit/miss counts and the cone partition size
-//! in the JSON `cache` section.
+//! The JSON `cache` section reports how many victim reductions shared a
+//! factorization within the windowed analysis (the near-clone
+//! far-aggressor groups share LU factors) and the cone partition size.
 //!
 //! Alongside the text report it writes a machine-readable JSON summary
 //! (default `BENCH_spefbus.json`) so CI can archive the perf trajectory
 //! per PR. The in-binary parity checks (threaded ≡ sequential,
-//! incremental ≡ full recompute, cached ≡ uncached) gate that artifact:
+//! incremental ≡ full recompute) gate that artifact:
 //! on a parity failure the run deletes any stale JSON at the target path
 //! and exits nonzero **without** writing a new one, so CI cannot upload a
 //! green-looking report from a broken run.
@@ -63,16 +60,15 @@
 //!
 //! Fault injection: `--inject SPEC` (with `--inject-seed N`) repeats the
 //! windowed analysis with deterministic faults forced into named pipeline
-//! sites — `pivot-loss`, `nan-solve`, `worker-panic`, `cache-poison`,
-//! comma-separated, each optionally `name:count` — under
-//! `FaultPolicy::Isolate`. The run must recover every injected fault
-//! through the degradation machinery (dense retry, halved timestep, cone
-//! retry, lock recovery) and land within the 1e-6 ps parity tolerance of
-//! the clean run; the `faults` JSON section records the injected/recovered
-//! counts, per-site fire counts, degrade events and the parity delta, and
-//! any shortfall is a parity failure (exit 1). The clean analyses are
-//! never run with injection armed, so all non-`faults` sections stay
-//! bit-identical to an uninjected run.
+//! sites — `pivot-loss`, `nan-solve`, `worker-panic`, comma-separated,
+//! each optionally `name:count` — under `FaultPolicy::Isolate`. The run
+//! must recover every injected fault through the degradation machinery
+//! (dense retry, halved timestep, cone retry) and land within the 1e-6 ps
+//! parity tolerance of the clean run; the `faults` JSON section records
+//! the injected/recovered counts, per-site fire counts, degrade events
+//! and the parity delta, and any shortfall is a parity failure (exit 1).
+//! The clean analyses are never run with injection armed, so all
+//! non-`faults` sections stay bit-identical to an uninjected run.
 //!
 //! Pre-flight lint: `--lint` runs the `nsta-lint` rule registry over the
 //! bound design + SPEF + SDC before any solve and prints the diagnostics;
@@ -81,19 +77,16 @@
 //! sections of a `--lint` run are bit-identical to a run without it — and
 //! the report lands in the JSON artifact as a `lint` section CI validates.
 //!
-//! Resource governance: `--cache-budget BYTES` caps the topology cache's
-//! resident footprint (LRU eviction; eviction can only cost refactors,
-//! never change a bit — a custom budget arms an extra in-binary gate
-//! asserting the capped run is bit-identical to an unbounded-cache run).
-//! `--deadline-ms N` repeats the windowed analysis under a wall-clock
-//! deadline with cooperative cancellation: on expiry the current iteration
-//! finishes, remaining cones are skipped, and the partial result is marked
-//! `timed_out` with per-net staleness. A generous deadline must complete
+//! Resource governance: `--deadline-ms N` repeats the windowed analysis
+//! under a wall-clock deadline with cooperative cancellation: on expiry
+//! the current iteration finishes, remaining cones are skipped, and the
+//! partial result is marked `timed_out` with per-net staleness. A generous deadline must complete
 //! and be bit-identical to the production run (parity-gated); an expired
 //! one is reported as degraded operation, not a failure — unless
 //! `--strict-deadline` promotes it to exit code 5. The `memory` and
-//! `governance` JSON sections archive peak RSS, cache bytes/evictions,
-//! deadline outcome and convergence-governor interventions for CI.
+//! `governance` JSON sections archive peak RSS, the largest factored
+//! system, deadline outcome and convergence-governor interventions for
+//! CI.
 //!
 //! Incremental ECO sessions: `--eco N` opens a long-lived
 //! `nsta_session::TimingSession` over the same design and absorbs a
@@ -108,14 +101,13 @@
 //! session from the journal and asserts bit-identity (a mismatch is a
 //! parity failure, exit 1). The `eco` JSON section archives per-edit
 //! latency, the full-reanalysis latency, their ratio (the incremental
-//! speedup CI gates on), audit/rollback/replay outcomes and the
-//! topology-cache entries released by edits.
+//! speedup CI gates on) and audit/rollback/replay outcomes.
 //!
 //! Usage: `spefbus [--groups N] [--threads N] [--segments N] [--sdc FILE]
 //! [--json PATH] [--trace FILE] [--metrics] [--lint[=deny]]
-//! [--strict-converge] [--no-topo-cache] [--cache-budget BYTES]
-//! [--deadline-ms N] [--strict-deadline] [--dense-solver] [--inject SPEC]
-//! [--inject-seed N] [--eco N] [--eco-replay]`
+//! [--strict-converge] [--deadline-ms N] [--strict-deadline]
+//! [--dense-solver] [--inject SPEC] [--inject-seed N] [--eco N]
+//! [--eco-replay]`
 
 use nsta_bench::busgen::{netlist, spef};
 use nsta_bench::json::Json;
@@ -133,9 +125,8 @@ use std::time::{Duration, Instant};
 
 const USAGE: &str = "usage: spefbus [--groups N] [--threads N] [--segments N] \
 [--sdc FILE] [--json PATH] [--trace FILE] [--metrics] [--lint[=deny]] \
-[--strict-converge] [--no-topo-cache] [--cache-budget BYTES] \
-[--deadline-ms N] [--strict-deadline] [--dense-solver] [--inject SPEC] \
-[--inject-seed N] [--eco N] [--eco-replay] [--help]";
+[--strict-converge] [--deadline-ms N] [--strict-deadline] [--dense-solver] \
+[--inject SPEC] [--inject-seed N] [--eco N] [--eco-replay] [--help]";
 
 const HELP: &str = "SPEF-driven crosstalk STA workload with built-in parity gates.
 
@@ -152,12 +143,6 @@ flags:
   --lint=deny         as --lint, but promote warnings: any diagnostic
                       at all exits 4
   --strict-converge   treat fixed-point non-convergence as fatal (exit 3)
-  --no-topo-cache     disable the topology-keyed factorization cache
-  --cache-budget BYTES
-                      cap the topology cache's resident bytes (LRU
-                      eviction; default 67108864). A custom budget arms
-                      an extra parity gate: the capped run must be
-                      bit-identical to an unbounded-cache run
   --deadline-ms N     repeat the windowed analysis under an N ms
                       wall-clock deadline with cooperative cancellation;
                       an in-budget run must be bit-identical to the
@@ -167,7 +152,7 @@ flags:
   --dense-solver      use the dense partial-pivot transient backend
   --inject SPEC       force deterministic faults into a recovery run:
                       comma-separated site names (pivot-loss, nan-solve,
-                      worker-panic, cache-poison), each optionally name:count
+                      worker-panic), each optionally name:count
   --inject-seed N     PRNG seed for fault placement (default 1)
   --eco N             open an incremental timing session and stream N
                       deterministic transactional edits through it
@@ -201,7 +186,6 @@ fn action_name(a: DegradeAction) -> &'static str {
         DegradeAction::DenseRetry => "dense-retry",
         DegradeAction::HalvedTimestep => "halved-timestep",
         DegradeAction::ConeRetry => "cone-retry",
-        DegradeAction::LockRecovered => "lock-recovered",
         DegradeAction::VictimDropped => "victim-dropped",
         DegradeAction::DeadlineSkipped => "deadline-skipped",
     }
@@ -275,7 +259,6 @@ struct EcoSummary {
     speedup: f64,
     epoch: u64,
     dirty_nets_per_edit: f64,
-    released_cache_entries: u64,
     audits_run: u64,
     audit_max_divergence: f64,
     forced_rollback: bool,
@@ -295,10 +278,6 @@ fn main() {
     // Some(true): lint, gate on any diagnostic (--lint=deny).
     let mut lint_mode: Option<bool> = None;
     let mut strict_converge = false;
-    let mut topo_cache = true;
-    // None: the default budget. Some(n): a custom cap, which also arms
-    // the capped-vs-unbounded eviction-parity gate.
-    let mut cache_budget: Option<usize> = None;
     let mut deadline_ms: Option<usize> = None;
     let mut strict_deadline = false;
     let mut backend = SolverBackend::Sparse;
@@ -319,8 +298,6 @@ fn main() {
             "--lint" => lint_mode = Some(false),
             "--lint=deny" => lint_mode = Some(true),
             "--strict-converge" => strict_converge = true,
-            "--no-topo-cache" => topo_cache = false,
-            "--cache-budget" => cache_budget = Some(numeric_flag("--cache-budget", args.next())),
             "--deadline-ms" => deadline_ms = Some(numeric_flag("--deadline-ms", args.next())),
             "--strict-deadline" => strict_deadline = true,
             "--dense-solver" => backend = SolverBackend::Dense,
@@ -372,12 +349,9 @@ fn main() {
         rec.enable();
     }
     // Every analysis below starts from this base so one flag switches the
-    // whole run between cached and uncached operation (and another between
-    // the sparse and dense transient backends).
+    // whole run between the sparse and dense transient backends.
     let base_opts = SiOptions {
-        topo_cache,
         backend,
-        cache_budget_bytes: cache_budget.unwrap_or(SiOptions::DEFAULT_CACHE_BUDGET_BYTES),
         ..SiOptions::default()
     };
 
@@ -536,62 +510,6 @@ fn main() {
         if threaded.adjustments != filtered.adjustments {
             parity_failures
                 .push("threaded adjustments differ from the 1-thread adjustments".into());
-        }
-        elapsed
-    });
-    // Cached-vs-uncached A/B (skipped when the whole run is uncached):
-    // sharing a factorization across victims must not change a single bit
-    // of any report.
-    let no_cache_time = topo_cache.then(|| {
-        let t = Instant::now();
-        let uncached = sta
-            .analyze_with_crosstalk_windows(
-                c,
-                &bound.specs,
-                &SiOptions {
-                    topo_cache: false,
-                    ..base_opts.clone()
-                },
-            )
-            .expect("uncached analysis");
-        let elapsed = t.elapsed();
-        if uncached.report != filtered.report {
-            parity_failures.push("topo-cached report differs from the uncached report".into());
-        }
-        if uncached.adjustments != filtered.adjustments {
-            parity_failures
-                .push("topo-cached adjustments differ from the uncached adjustments".into());
-        }
-        elapsed
-    });
-    // Eviction-parity gate, armed by a custom --cache-budget: the capped
-    // run above (the production `filtered` run inherits the budget via
-    // base_opts) must be bit-identical to a run with the cap lifted.
-    // Eviction may only cost refactors — colliding cache keys are exact
-    // bit patterns, so a refactored system reproduces the evicted one's
-    // results exactly.
-    let budget_parity_run = (topo_cache && cache_budget.is_some()).then(|| {
-        let t = Instant::now();
-        let unbounded = sta
-            .analyze_with_crosstalk_windows(
-                c,
-                &bound.specs,
-                &SiOptions {
-                    cache_budget_bytes: usize::MAX,
-                    ..base_opts.clone()
-                },
-            )
-            .expect("unbounded-cache analysis");
-        let elapsed = t.elapsed();
-        if unbounded.report != filtered.report {
-            parity_failures
-                .push("budget-capped cache report differs from the unbounded-cache report".into());
-        }
-        if unbounded.adjustments != filtered.adjustments {
-            parity_failures.push(
-                "budget-capped cache adjustments differ from the unbounded-cache adjustments"
-                    .into(),
-            );
         }
         elapsed
     });
@@ -889,8 +807,7 @@ fn main() {
                 _ => {
                     // Re-extract the victim wire with caps scaled by a
                     // deterministic factor in [0.85, 1.15): the ECO that
-                    // changes the mesh itself, forcing a rebind and a
-                    // cache release for the affected topology keys.
+                    // changes the mesh itself, forcing a rebind.
                     let mut dnet = session
                         .spef()
                         .net(&format!("v{g}"))
@@ -1005,7 +922,6 @@ fn main() {
             speedup,
             epoch: session.epoch(),
             dirty_nets_per_edit: dirty_net_total as f64 / committed.max(1) as f64,
-            released_cache_entries: session.released_cache_entries(),
             audits_run: session.audits_run(),
             audit_max_divergence: session.max_audit_divergence(),
             forced_rollback,
@@ -1031,25 +947,12 @@ fn main() {
     if let Some(threaded) = threaded_time {
         println!("threads={threads}:       bit-identical result, {threaded:.2?}");
     }
-    if let Some(uncached) = no_cache_time {
-        let total = filtered.cache_hits() + filtered.cache_misses();
-        println!(
-            "topo cache:      {}/{} hits over {} cones, {} eviction(s), peak {} bytes, \
-             bit-identical to uncached ({uncached:.2?} without the cache)",
-            filtered.cache_hits(),
-            total,
-            filtered.cones(),
-            filtered.cache_evictions(),
-            filtered.cache_bytes(),
-        );
-    }
-    if let Some(unbounded) = budget_parity_run {
-        println!(
-            "cache budget:    {} bytes, bit-identical to the unbounded cache \
-             ({unbounded:.2?} without the cap)",
-            base_opts.cache_budget_bytes,
-        );
-    }
+    println!(
+        "shared factors:  {}/{} reductions reused a factorization, {} cones",
+        filtered.cache_hits(),
+        filtered.cache_hits() + filtered.cache_misses(),
+        filtered.cones(),
+    );
     if let Some((dense_time, delta)) = &dense_run {
         println!(
             "dense solver:    worst arrival matches within {:.3e} ps, {dense_time:.2?} \
@@ -1103,7 +1006,7 @@ fn main() {
         println!(
             "eco session:     {} edit(s) ({} committed, epoch {}), median {:.2?}/edit vs \
              {:.2?} full reanalysis ({:.1}x), {} audit(s) max div {:.3e} ps, \
-             {} cache entr(ies) released, rollback {}{}",
+             rollback {}{}",
             eco.edits,
             eco.committed,
             eco.epoch,
@@ -1112,7 +1015,6 @@ fn main() {
             eco.speedup,
             eco.audits_run,
             eco.audit_max_divergence * 1e12,
-            eco.released_cache_entries,
             if eco.forced_rollback && eco.serviceable_after_rollback {
                 "clean"
             } else {
@@ -1172,14 +1074,9 @@ fn main() {
                 ("windowed_incremental", ms(filtered_time)),
                 ("windowed_full_recompute", ms(full_recompute_time)),
                 ("windowed_threaded", threaded_time.map_or(Json::Null, ms)),
-                ("windowed_no_cache", no_cache_time.map_or(Json::Null, ms)),
                 (
                     "windowed_dense",
                     dense_run.as_ref().map_or(Json::Null, |&(d, _)| ms(d)),
-                ),
-                (
-                    "windowed_unbounded_cache",
-                    budget_parity_run.map_or(Json::Null, ms),
                 ),
                 (
                     "windowed_deadline",
@@ -1214,7 +1111,6 @@ fn main() {
         (
             "cache",
             Json::obj([
-                ("enabled", Json::from(topo_cache)),
                 ("hits", Json::from(filtered.cache_hits())),
                 ("misses", Json::from(filtered.cache_misses())),
                 (
@@ -1227,17 +1123,6 @@ fn main() {
                     },
                 ),
                 ("cones", Json::from(filtered.cones())),
-                ("budget_bytes", Json::from(base_opts.cache_budget_bytes)),
-                ("bytes", Json::from(filtered.cache_bytes())),
-                ("evictions", Json::from(filtered.cache_evictions())),
-                (
-                    "parity_vs_no_cache",
-                    if no_cache_time.is_some() {
-                        Json::from(true)
-                    } else {
-                        Json::Null
-                    },
-                ),
             ]),
         ),
         (
@@ -1376,9 +1261,8 @@ fn main() {
                 ),
             ]),
         ),
-        // Peak-footprint telemetry: process high-water mark plus the two
-        // in-process numbers that dominate it (resident factorizations
-        // and the largest single factored system).
+        // Peak-footprint telemetry: process high-water mark plus the
+        // largest single factored system.
         (
             "memory",
             Json::obj([
@@ -1386,31 +1270,16 @@ fn main() {
                     "peak_rss_bytes",
                     peak_rss_bytes().map_or(Json::Null, |b| Json::from(b as usize)),
                 ),
-                ("cache_peak_bytes", Json::from(filtered.cache_bytes())),
                 ("max_factored_nnz", Json::from(filtered.solver_nnz())),
             ]),
         ),
-        // Resource-governance outcome: cache budget/evictions, deadline
-        // disposition and convergence-governor interventions. The parity
-        // flags archive gates that already passed (a failed gate exits
-        // nonzero above without writing JSON); CI re-asserts them anyway.
+        // Resource-governance outcome: deadline disposition and
+        // convergence-governor interventions. The parity flags archive
+        // gates that already passed (a failed gate exits nonzero above
+        // without writing JSON); CI re-asserts them anyway.
         (
             "governance",
             Json::obj([
-                (
-                    "cache_budget_bytes",
-                    Json::from(base_opts.cache_budget_bytes),
-                ),
-                ("cache_evictions", Json::from(filtered.cache_evictions())),
-                ("cache_peak_bytes", Json::from(filtered.cache_bytes())),
-                (
-                    "eviction_parity",
-                    if budget_parity_run.is_some() {
-                        Json::from(true)
-                    } else {
-                        Json::Null
-                    },
-                ),
                 ("deadline_ms", deadline_ms.map_or(Json::Null, Json::from)),
                 (
                     "timed_out",
@@ -1551,10 +1420,6 @@ fn main() {
                     (
                         "dirty_nets_per_edit",
                         Json::Num((eco.dirty_nets_per_edit * 1e2).round() / 1e2),
-                    ),
-                    (
-                        "released_cache_entries",
-                        Json::from(eco.released_cache_entries as usize),
                     ),
                     (
                         "audit",

@@ -534,21 +534,6 @@ impl FactoredSystem {
         }
     }
 
-    /// Approximate resident size of this factored system in bytes, for
-    /// cache budgeting. nnz-weighted: each stored factor entry is counted
-    /// as a value plus an index (16 bytes), the RHS/DC factors as one more
-    /// nnz each, plus the per-node bookkeeping vectors and the time grid.
-    /// An estimate, not an allocator measurement — budgets compare it
-    /// against other estimates from the same formula, which is all LRU
-    /// eviction needs.
-    pub fn approx_bytes(&self) -> usize {
-        const ENTRY: usize = 16; // f64 value + column/row index
-        let factor_entries = 3 * self.nnz(); // LHS factors + RHS matrix + DC factors
-        let per_node = self.n * (3 * std::mem::size_of::<usize>());
-        let grid = self.times.len() * std::mem::size_of::<f64>();
-        factor_entries * ENTRY + per_node + grid + std::mem::size_of::<Self>()
-    }
-
     /// Runs the integration with the waveforms of the circuit this system
     /// was factored from.
     ///
@@ -1150,7 +1135,7 @@ mod tests {
         // Two *separately built* circuits with identical structure: the
         // system factored from the first must reproduce the second's run
         // bit for bit when fed the second's sources — the contract the
-        // SI topology cache relies on.
+        // SI pass relies on to share factorizations.
         let opts = TransientOptions::new(0.0, 6e-9, 2e-12).unwrap();
         let wave_a = step_at(1e-9, 50e-12, 1.0, 10e-9);
         let wave_b = step_at(2e-9, 80e-12, 1.0, 10e-9); // different timing, same topology

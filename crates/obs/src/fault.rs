@@ -15,8 +15,6 @@
 //! * [`NAN_SOLVE`] — a transient sweep's state vector is poisoned with
 //!   NaN after the initial-condition solve.
 //! * [`WORKER_PANIC`] — a crosstalk cone task panics at entry.
-//! * [`CACHE_POISON`] — a thread panics while holding the topo-cache
-//!   lock, leaving the mutex poisoned.
 //!
 //! # Determinism and overhead
 //!
@@ -44,11 +42,9 @@ pub const PIVOT_LOSS: usize = 0;
 pub const NAN_SOLVE: usize = 1;
 /// A crosstalk cone worker task panics.
 pub const WORKER_PANIC: usize = 2;
-/// The topo-cache mutex is poisoned by a panicking holder.
-pub const CACHE_POISON: usize = 3;
 
-const SITE_COUNT: usize = 4;
-const SITE_NAMES: [&str; SITE_COUNT] = ["pivot-loss", "nan-solve", "worker-panic", "cache-poison"];
+const SITE_COUNT: usize = 3;
+const SITE_NAMES: [&str; SITE_COUNT] = ["pivot-loss", "nan-solve", "worker-panic"];
 
 /// Fast path: is any fault plan armed at all?
 static ARMED: AtomicBool = AtomicBool::new(false);
@@ -56,20 +52,11 @@ static ARMED: AtomicBool = AtomicBool::new(false);
 /// Per-site opportunity counters (how many times the site has been
 /// consulted since arming) — global atomics so firing indices are
 /// meaningful across worker threads.
-static OPPORTUNITIES: [AtomicU64; SITE_COUNT] = [
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-];
+static OPPORTUNITIES: [AtomicU64; SITE_COUNT] =
+    [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)];
 
 /// Per-site fired counters.
-static FIRED: [AtomicU64; SITE_COUNT] = [
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-];
+static FIRED: [AtomicU64; SITE_COUNT] = [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)];
 
 /// The armed plan: for each site, the sorted opportunity indices at
 /// which it fires (empty = site not armed).
@@ -291,7 +278,6 @@ mod tests {
         assert_eq!(fired[PIVOT_LOSS], 1);
         assert_eq!(fired[NAN_SOLVE], 2);
         assert_eq!(fired[WORKER_PANIC], 0);
-        assert_eq!(fired[CACHE_POISON], 0);
         assert_eq!(total_fired(), 3);
         let counts = fired_counts();
         assert_eq!(counts[PIVOT_LOSS], ("pivot-loss", 1));
@@ -327,7 +313,7 @@ mod tests {
     #[test]
     fn spec_parsing_rejects_garbage() {
         assert!(parse_spec("pivot-loss").is_ok());
-        assert!(parse_spec("pivot-loss, cache-poison:4").is_ok());
+        assert!(parse_spec("pivot-loss, worker-panic:4").is_ok());
         assert!(parse_spec("").is_err());
         assert!(parse_spec("pivot-loss:0").is_err());
         assert!(parse_spec("pivot-loss:x").is_err());

@@ -8,8 +8,8 @@
 //! window-based crosstalk fixed point (Nazarian & Pedram, DATE 2005):
 //!
 //! * [`TimingSession`] loads netlist + SPEF + boundary conditions once
-//!   and retains the converged analysis, its propagation states, and a
-//!   persistent topology-keyed factorization cache across edits.
+//!   and retains the converged analysis and its propagation states
+//!   across edits.
 //! * Every edit ([`Edit::SetLoad`], [`Edit::SetDriveResistance`],
 //!   [`Edit::ReannotateNet`]) is a **transaction**: validate → preflight
 //!   lint the candidate → incrementally re-solve only the dirtied
@@ -45,7 +45,7 @@ use nsta_lint::{run_lint, LintConfig, LintDiagnostic, LintInput, Severity};
 use nsta_parasitics::{bind_couplings, BindOptions, BoundCouplings, DNet, SpefError, SpefFile};
 use nsta_sta::{
     BoundaryConditions, ConeClusters, CouplingSpec, NetId, OutputBoundary, RetainedAnalysis,
-    SiAnalysis, SiDiagnostics, SiOptions, Sta, StaError, TimingReport, TopoCache,
+    SiAnalysis, SiDiagnostics, SiOptions, Sta, StaError, TimingReport,
 };
 
 /// Lint rules whose *new* appearance in an edit's delta rejects the edit
@@ -210,8 +210,9 @@ pub struct CommitInfo {
     pub dirty_nets: usize,
     /// Coupling specs re-simulated.
     pub specs_resolved: usize,
-    /// Topology-cache entries (stored systems + quarantine records)
-    /// released because the edit invalidated their geometry.
+    /// Always 0: each re-solve shares factorizations only within itself,
+    /// so an edit has nothing to release. Kept only because the
+    /// `perfbench` benchmark reads it.
     pub released_cache_entries: usize,
     /// The shadow audit triggered by this commit, if one ran and passed.
     pub audit: Option<AuditReport>,
@@ -321,8 +322,6 @@ struct Candidate<'a> {
     clusters: Cow<'a, ConeClusters>,
     /// Nets seeding the dirty closure (edited net + changed victims).
     seeds: Vec<NetId>,
-    /// Victims whose cached factorizations the edit invalidates.
-    invalidated: Vec<NetId>,
 }
 
 /// The owned value of a candidate part the edit changed; `None` when the
@@ -348,7 +347,6 @@ pub struct TimingSession {
     bound: BoundCouplings,
     clusters: ConeClusters,
     retained: RetainedAnalysis,
-    cache: TopoCache,
     lint_baseline: HashSet<(String, String)>,
     journal: Vec<Edit>,
     epoch: u64,
@@ -362,7 +360,6 @@ pub struct TimingSession {
     rollbacks: u64,
     rejected: u64,
     audits_run: u64,
-    released_total: u64,
     max_audit_divergence: f64,
 }
 
@@ -396,8 +393,7 @@ impl TimingSession {
         }
         let lint_baseline = Self::fingerprints(&lint.diagnostics);
         let clusters = sta.cone_clusters(&bound.specs);
-        let cache = TopoCache::new(options.si.topo_cache, options.si.cache_budget_bytes);
-        let retained = sta.session_analyze(bc.clone(), &bound.specs, &options.si, &cache, None)?;
+        let retained = sta.session_analyze(bc.clone(), &bound.specs, &options.si, None)?;
         let cones = sta.graph().components().len();
         let nets = sta.design().net_count();
         span.set_arg("cones", cones as f64);
@@ -410,7 +406,6 @@ impl TimingSession {
             bound,
             clusters,
             retained,
-            cache,
             lint_baseline,
             journal: Vec::new(),
             epoch: 0,
@@ -421,7 +416,6 @@ impl TimingSession {
             rollbacks: 0,
             rejected: 0,
             audits_run: 0,
-            released_total: 0,
             max_audit_divergence: 0.0,
             sta,
             options,
@@ -544,11 +538,6 @@ impl TimingSession {
     /// Worst audit divergence observed so far (s).
     pub fn max_audit_divergence(&self) -> f64 {
         self.max_audit_divergence
-    }
-
-    /// Total topology-cache entries released by edits.
-    pub fn released_cache_entries(&self) -> u64 {
-        self.released_total
     }
 
     /// Current coupling specs (post-edit).
@@ -680,15 +669,13 @@ impl TimingSession {
             })
             .cloned()
             .collect();
-        // 4. Incremental re-solve of the dirty clusters only, against the
-        //    session's persistent topology cache. The sweeps are scoped to
-        //    the dirty cones; everything outside them is discarded by the
-        //    merge's dirty-net mask.
+        // 4. Incremental re-solve of the dirty clusters only. The sweeps
+        //    are scoped to the dirty cones; everything outside them is
+        //    discarded by the merge's dirty-net mask.
         let patch = match self.sta.session_analyze(
             candidate.bc.as_ref().clone(),
             &dirty_specs,
             &self.options.si,
-            &self.cache,
             Some(&cone_mask),
         ) {
             Ok(p) => p,
@@ -714,8 +701,7 @@ impl TimingSession {
         // 5. Commit: swap the candidate's changed parts in, splice the
         //    patch into the retained state (bit-identical to a batch run
         //    over the edited design — see nsta-sta's session module
-        //    docs), release invalidated cache entries, bump epochs,
-        //    append the journal.
+        //    docs), bump epochs, append the journal.
         let next_epoch = self.epoch + 1;
         let dirty_nets = dirty_mask.iter().filter(|&&d| d).count();
         let dirty_cones = candidate.clusters.dirty_cone_count(&dirty_clusters);
@@ -724,7 +710,6 @@ impl TimingSession {
             spef,
             bound,
             clusters,
-            invalidated,
             ..
         } = candidate;
         let (bc, spef, bound, clusters) = (owned(bc), owned(spef), owned(bound), owned(clusters));
@@ -742,15 +727,13 @@ impl TimingSession {
         }
         self.sta
             .session_merge(&mut self.retained, patch, &dirty_mask, next_epoch);
-        let released = self.cache.release_nets(&invalidated);
-        self.released_total += released as u64;
         let info = CommitInfo {
             epoch: next_epoch,
             dirty_clusters: dirty_clusters.iter().filter(|&&d| d).count(),
             dirty_cones,
             dirty_nets,
             specs_resolved: dirty_specs.len(),
-            released_cache_entries: released,
+            released_cache_entries: 0,
             audit: None,
         };
         self.epoch = next_epoch;
@@ -804,7 +787,7 @@ impl TimingSession {
         let _span = nsta_obs::span!("session.audit");
         self.audits_run += 1;
         nsta_obs::count!("session.audits");
-        // Fresh batch analysis: own cache, no deadline — the reference
+        // Fresh batch analysis with no deadline — the reference
         // answer must be complete and deterministic.
         let batch_opts = SiOptions {
             deadline: None,
@@ -966,17 +949,12 @@ impl TimingSession {
                         load: *farads,
                     },
                 );
-                // The receiver load is part of every affected victim's
-                // topology signature: invalidate cached systems of the
-                // victims in the edited net's cluster.
-                let invalidated = self.victims_in_cluster_of(net);
                 Ok(Candidate {
                     bc: Cow::Owned(bc),
                     spef: Cow::Borrowed(&self.spef),
                     bound: Cow::Borrowed(&self.bound),
                     clusters: Cow::Borrowed(&self.clusters),
                     seeds: vec![net],
-                    invalidated,
                 })
             }
             Edit::SetDriveResistance { net, ohms } => {
@@ -1001,7 +979,6 @@ impl TimingSession {
                     bound: Cow::Owned(bound),
                     clusters: Cow::Borrowed(&self.clusters),
                     seeds: vec![victim],
-                    invalidated: vec![victim],
                 })
             }
             Edit::ReannotateNet { dnet } => {
@@ -1024,11 +1001,8 @@ impl TimingSession {
                 // The edit can change more than the edited victim's spec:
                 // any spec using the edited wire as an aggressor line
                 // model changes too.
-                let changed = self.bound.changed_victims(&bound);
-                let mut seeds = changed.clone();
+                let mut seeds = self.bound.changed_victims(&bound);
                 seeds.push(edited);
-                let mut invalidated = changed;
-                invalidated.push(edited);
                 // Coupling topology may have changed (aggressors added or
                 // dropped): rebuild the cluster partition.
                 let clusters = self.sta.cone_clusters(&bound.specs);
@@ -1038,25 +1012,9 @@ impl TimingSession {
                     bound: Cow::Owned(bound),
                     clusters: Cow::Owned(clusters),
                     seeds,
-                    invalidated,
                 })
             }
         }
-    }
-
-    /// Victims whose spec lives in the same cluster as `net` — the set
-    /// whose cached factorizations a boundary edit on that cluster
-    /// invalidates.
-    fn victims_in_cluster_of(&self, net: NetId) -> Vec<NetId> {
-        let Some(cluster) = self.clusters.cluster_of_net(net) else {
-            return Vec::new();
-        };
-        self.bound
-            .specs
-            .iter()
-            .map(|s| s.victim)
-            .filter(|v| self.clusters.cluster_of_net(*v) == Some(cluster))
-            .collect()
     }
 }
 

@@ -77,7 +77,7 @@ pub use report::{NetTiming, TimingReport};
 pub use session::{ConeClusters, RetainedAnalysis};
 pub use si::{
     ArrivalWindow, ConvergenceAction, CouplingSpec, DegradeAction, DegradeEvent, FaultPolicy,
-    PrunedAggressor, SiAdjustment, SiAnalysis, SiDiagnostics, SiIteration, SiOptions, TopoCache,
+    PrunedAggressor, SiAdjustment, SiAnalysis, SiDiagnostics, SiIteration, SiOptions,
 };
 
 /// Serializes tests that enable the process-wide [`nsta_obs`] recorder

@@ -14,10 +14,11 @@
 //!    invalidation granule is the union of cones linked by any spec: a
 //!    *cluster*. Clusters are independent by construction — re-analyzing
 //!    one cluster's specs cannot change any net outside it.
-//! 2. **Caller-owned topology cache**
-//!    ([`Sta::session_analyze`] / [`crate::si::TopoCache`]): factored
-//!    transient systems survive across edits; entries invalidated by an
-//!    edit are dropped with [`crate::si::TopoCache::release_nets`].
+//! 2. **Scoped re-solve** ([`Sta::session_analyze`]): the dirty
+//!    clusters' specs are re-analyzed with the nominal and min sweeps
+//!    restricted to their cones. Like any analysis call, each re-solve
+//!    shares factorizations only within itself, so an edit leaves nothing
+//!    behind to invalidate.
 //! 3. **State-level merge** ([`Sta::session_merge`]): the retained and the
 //!    patch analyses both carry their final per-net propagation states;
 //!    the merge splices them, and their report rows, per net in place
@@ -45,7 +46,7 @@ use crate::boundary::BoundaryConditions;
 use crate::engine::{NetState, Sta};
 use crate::error::StaError;
 use crate::netlist::NetId;
-use crate::si::{CouplingSpec, SiAnalysis, SiOptions, TopoCache};
+use crate::si::{CouplingSpec, SiAnalysis, SiOptions};
 
 /// Invalidation granules of an incremental session: the design's cones
 /// (weakly connected components of the timing graph) merged across every
@@ -184,9 +185,8 @@ impl Sta {
         }
     }
 
-    /// [`Sta::analyze_with_crosstalk_windows`] against a caller-owned
-    /// topology cache, retaining the final propagation states for later
-    /// merging. The session layer's workhorse: the first call analyzes
+    /// [`Sta::analyze_with_crosstalk_windows`], retaining the final
+    /// propagation states for later merging. The session layer's workhorse: the first call analyzes
     /// the full spec set; each edit re-analyzes only the dirty clusters'
     /// specs and splices the result in with [`Sta::session_merge`].
     ///
@@ -205,11 +205,10 @@ impl Sta {
         constraints: impl Into<BoundaryConditions>,
         couplings: &[CouplingSpec],
         options: &SiOptions,
-        cache: &TopoCache,
         scope: Option<&[bool]>,
     ) -> Result<RetainedAnalysis, StaError> {
         let (analysis, states) =
-            self.analyze_windows_with_cache(constraints, couplings, options, cache, scope)?;
+            self.analyze_windows_scoped(constraints, couplings, options, scope)?;
         Ok(RetainedAnalysis { analysis, states })
     }
 
@@ -353,10 +352,9 @@ mod tests {
         let c = crate::Constraints::default();
         let bc = BoundaryConditions::uniform(&c);
         let opts = SiOptions::default();
-        let cache = TopoCache::new(true, usize::MAX);
         let specs = [spec(v, vec![g])];
         let full = sta
-            .session_analyze(bc.clone(), &specs, &opts, &cache, None)
+            .session_analyze(bc.clone(), &specs, &opts, None)
             .unwrap();
         // Merge the full analysis into itself with every net dirty / no
         // net dirty: both must reproduce the batch report bit-identically.
@@ -380,10 +378,9 @@ mod tests {
         let c = crate::Constraints::default();
         let bc = BoundaryConditions::uniform(&c);
         let opts = SiOptions::default();
-        let cache = TopoCache::new(true, usize::MAX);
         let specs = [spec(v, vec![g])];
         let full = sta
-            .session_analyze(bc.clone(), &specs, &opts, &cache, None)
+            .session_analyze(bc.clone(), &specs, &opts, None)
             .unwrap();
         // Re-solve only v's cluster with the sweeps scoped to its cones:
         // splicing the patch back over the cluster's nets must reproduce
@@ -394,7 +391,7 @@ mod tests {
         let scope = clusters.cone_mask(&dirty);
         assert!(scope.iter().any(|&s| !s), "h's cone must be out of scope");
         let patch = sta
-            .session_analyze(bc.clone(), &specs, &opts, &cache, Some(&scope))
+            .session_analyze(bc.clone(), &specs, &opts, Some(&scope))
             .unwrap();
         let mask = clusters.net_mask(&dirty);
         let mut merged = full.clone();

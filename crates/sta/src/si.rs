@@ -34,41 +34,20 @@
 //! order, so **N-thread results are bit-identical to 1-thread results**
 //! under either schedule.
 //!
-//! # Topology-keyed factorization cache
+//! # Shared factorizations
 //!
 //! Every victim reduction collapses to the same small circuit shape — a
-//! Thevenin driver into star-coupled RC lines — and the assembled/factored
-//! system ([`nsta_circuit::FactoredSystem`]) depends only on element
-//! values and the time grid, never on source waveforms. With
-//! [`SiOptions::topo_cache`] (default on) each reduction computes a
-//! canonical **topology signature** and reuses a previously factored
-//! system on a match — across victims, across rise/fall polarities, and
-//! across fixed-point iterations. The key holds the exact bit patterns of:
-//!
-//! * the quantized timestep `dt` and the step count of the grid,
-//! * the driver Thevenin resistance,
-//! * the victim line's `(R_total, C_total, segments)` — with
-//!   [`CouplingSpec::quiet_cm`] already folded into `C_total`,
-//! * the receiver load at the victim far end,
-//! * per kept aggressor, in order: its line's
-//!   `(R_total, C_total, segments)` and its coupling total.
-//!
-//! **Quantization rule for `dt`:** the raw heuristic step
-//! `clamp(victim_slew / 50, 0.5 ps, 5 ps)` is rounded **up** to the next
-//! bucket in `{0.5, 1, 2, 4, 5} ps`, and the simulation stop time (latest
-//! participant settle plus a 1 ns margin, >10τ of any realistic reduced
-//! stage) to the next multiple of 0.5 ns, so near-identical victims land
-//! on a shared grid. Both quantizations apply identically with the cache
-//! disabled — cached and uncached analyses are bit-identical, which
-//! `spefbus --no-topo-cache` asserts at scale.
-//!
-//! **Invalidation semantics:** there is none to get stale — the key *is*
-//! the complete electrical description of the factored system, so any
-//! change to a line R/C, a coupling total, the quiet-cap fold, the driver
-//! resistance, the receiver load, or the grid produces a different key and
-//! therefore a miss. Entries live for one analysis call; two circuits that
-//! collide on a key are structurally identical by construction, so which
-//! instance's factorization serves a hit cannot change any result bit.
+//! Thevenin driver into star-coupled RC lines — whose factored system
+//! ([`nsta_circuit::FactoredSystem`]) depends only on element values and
+//! the time grid, never on source waveforms. Each analysis call (and each
+//! session re-solve) builds one map from a topology signature to the
+//! factored system, so electrically identical stages share one LU
+//! factorization across victims, polarities, fixed-point iterations and
+//! worker threads. The map needs no invalidation and no quarantine: the
+//! key is the exact bit pattern of every value the system is built from,
+//! and a factored system is immutable, so a shared entry is
+//! bit-identical to a fresh factorization. The numeric fallback chain
+//! bypasses the map, since the key does not encode the solver backend.
 //!
 //! # Incremental fixed point
 //!
@@ -94,16 +73,9 @@
 //!
 //! # Resource governance
 //!
-//! Three governors bound the analysis's cost without changing what a
+//! Two governors bound the analysis's cost without changing what a
 //! healthy, in-budget run computes:
 //!
-//! * **Cache budget** — [`SiOptions::cache_budget_bytes`] caps the
-//!   topology cache's estimated resident size (nnz-weighted, see
-//!   [`nsta_circuit::FactoredSystem::approx_bytes`]); over-budget inserts
-//!   evict least-recently-used entries. Eviction can only cost refactors:
-//!   any entry the cache serves is bit-identical to the factorization the
-//!   victim would have built itself, so budgeted and unbounded runs are
-//!   bit-identical (asserted by tests and `spefbus --cache-budget`).
 //! * **Deadline** — [`SiOptions::deadline`] is polled cooperatively at
 //!   cone-task and iteration boundaries. On expiry, in-flight work
 //!   finishes, remaining cones keep their *nominal* (crosstalk-free)
@@ -120,7 +92,7 @@
 //!   the added pessimism is visible, never silent.
 
 use crate::boundary::BoundaryConditions;
-use crate::engine::Sta;
+use crate::engine::{NetState, Point, Sta};
 use crate::netlist::NetId;
 use crate::par::par_map;
 use crate::report::TimingReport;
@@ -135,7 +107,7 @@ use sgdp::gate::{GateModel, TableGate};
 use sgdp::{MethodKind, PropagationContext};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Coupling description of one victim net.
 #[derive(Debug, Clone, PartialEq)]
@@ -218,6 +190,15 @@ impl CouplingSpec {
     /// Wire spec of aggressor `i`.
     pub fn line_of(&self, i: usize) -> RcLineSpec {
         self.aggressor_lines.get(i).copied().unwrap_or(self.line)
+    }
+
+    /// Transition the aggressors make while the victim makes `victim`.
+    fn aggressor_polarity(&self, victim: Polarity) -> Polarity {
+        if self.aggressors_oppose {
+            victim.inverted()
+        } else {
+            victim
+        }
     }
 
     /// A copy of this spec restricted to the aggressor indices in `keep`
@@ -327,8 +308,6 @@ pub enum DegradeAction {
     /// A cone worker panicked; the cone was recomputed inline on the
     /// coordinator.
     ConeRetry,
-    /// A poisoned topo-cache lock was recovered instead of panicking.
-    LockRecovered,
     /// The fallback chain was exhausted (or the mesh is degenerate)
     /// under [`FaultPolicy::Isolate`]: the victim's adjustment was
     /// dropped and the net keeps its nominal timing.
@@ -345,7 +324,7 @@ pub enum DegradeAction {
 #[derive(Debug, Clone, PartialEq)]
 pub struct DegradeEvent {
     /// The affected victim net (`None` for events not attributable to
-    /// one net, e.g. a lock recovery).
+    /// one net).
     pub net: Option<NetId>,
     /// The affected victim transition, when one was being reduced.
     pub polarity: Option<Polarity>,
@@ -389,11 +368,6 @@ pub struct SiOptions {
     /// re-simulating. Disable to force a full recompute every iteration
     /// (the parity baseline).
     pub incremental: bool,
-    /// When `true` (default), victim stages with an identical topology
-    /// signature share one factored transient system (see the module docs)
-    /// instead of each assembling and LU-factoring its own. Disable for
-    /// the parity baseline — results are bit-identical either way.
-    pub topo_cache: bool,
     /// Linear-solver backend of every victim reduction (default
     /// [`SolverBackend::Sparse`]). [`SolverBackend::Dense`] is the parity
     /// escape hatch: both backends integrate the same trapezoidal system,
@@ -403,14 +377,6 @@ pub struct SiOptions {
     /// (default [`FaultPolicy::Fail`]): fail the whole call, or drop the
     /// victim and finish with partial results.
     pub fault_policy: FaultPolicy,
-    /// Byte budget of the topology-keyed factorization cache, compared
-    /// against nnz-weighted size estimates
-    /// ([`nsta_circuit::FactoredSystem::approx_bytes`]). Inserts that
-    /// push the cache over budget evict least-recently-used entries;
-    /// eviction only costs refactors — results are bit-identical at any
-    /// budget. Default [`SiOptions::DEFAULT_CACHE_BUDGET_BYTES`]
-    /// (generous but finite); `usize::MAX` disables the bound.
-    pub cache_budget_bytes: usize,
     /// Wall-clock budget of the analysis (default `None`: unbounded),
     /// polled cooperatively at cone-task and iteration boundaries. See
     /// the module docs ("Resource governance") for expiry semantics.
@@ -423,13 +389,6 @@ pub struct SiOptions {
     pub convergence_governor: bool,
 }
 
-impl SiOptions {
-    /// Default topology-cache budget: 64 MiB of estimated factor bytes —
-    /// far above any current bench (whose caches measure in the tens of
-    /// KB), so the bound only bites pathological key populations.
-    pub const DEFAULT_CACHE_BUDGET_BYTES: usize = 64 << 20;
-}
-
 impl Default for SiOptions {
     fn default() -> Self {
         SiOptions {
@@ -440,10 +399,8 @@ impl Default for SiOptions {
             convergence_tol: 0.1e-12,
             threads: 1,
             incremental: true,
-            topo_cache: true,
             backend: SolverBackend::Sparse,
             fault_policy: FaultPolicy::default(),
-            cache_budget_bytes: SiOptions::DEFAULT_CACHE_BUDGET_BYTES,
             deadline: None,
             convergence_governor: true,
         }
@@ -551,35 +508,26 @@ pub struct SiDiagnostics {
     pub converged: bool,
     /// Independent fanout cones the sweep was partitioned into.
     pub cones: usize,
-    /// Victim reductions served by the topology-keyed factorization cache,
-    /// summed over all iterations (0 with [`SiOptions::topo_cache`] off).
+    /// Victim reductions that reused a factorization shared within this
+    /// call (see the module docs), summed over all iterations.
     pub cache_hits: usize,
     /// Victim reductions that assembled and factored a fresh system.
     pub cache_misses: usize,
     /// Linear-solver backend the victim reductions ran on.
     pub solver_backend: SolverBackend,
     /// Largest factored-system nonzero count observed while assembling
-    /// victim stages, whether or not the topology cache stored them.
+    /// victim stages.
     pub solver_nnz: usize,
     /// Every action of the fault-tolerance layer during this call, in
     /// canonical `(net, polarity)` order: fallback-chain retries, cone
-    /// retries after worker panics, recovered locks, dropped victims,
-    /// and deadline-skipped victims. Empty on healthy runs.
+    /// retries after worker panics, dropped victims, and
+    /// deadline-skipped victims. Empty on healthy runs.
     pub degrade_events: Vec<DegradeEvent>,
     /// Whether [`SiOptions::deadline`] expired before the analysis
     /// finished: the result is partial — every skipped victim carries a
     /// [`DegradeAction::DeadlineSkipped`] event and kept its stale
     /// nominal timing.
     pub timed_out: bool,
-    /// Topology-cache entries evicted to honor
-    /// [`SiOptions::cache_budget_bytes`] (including inserts refused
-    /// because a single entry exceeded the whole budget). `0` when the
-    /// cache stayed within budget.
-    pub cache_evictions: usize,
-    /// Peak estimated resident size of the topology cache (bytes,
-    /// nnz-weighted estimate — see
-    /// [`nsta_circuit::FactoredSystem::approx_bytes`]).
-    pub cache_bytes: usize,
     /// Every widening the convergence governor applied (see
     /// [`ConvergenceAction`]). Empty whenever the fixed point converged
     /// on its own.
@@ -662,7 +610,8 @@ impl SiAnalysis {
         self.diagnostics.converged
     }
 
-    /// Victim reductions served by the topology-keyed factorization cache.
+    /// Victim reductions that reused a factorization shared within the
+    /// call.
     pub fn cache_hits(&self) -> usize {
         self.diagnostics.cache_hits
     }
@@ -698,16 +647,6 @@ impl SiAnalysis {
     /// result (see [`SiDiagnostics::timed_out`]).
     pub fn timed_out(&self) -> bool {
         self.diagnostics.timed_out
-    }
-
-    /// Topology-cache entries evicted to honor the cache byte budget.
-    pub fn cache_evictions(&self) -> usize {
-        self.diagnostics.cache_evictions
-    }
-
-    /// Peak estimated resident size of the topology cache (bytes).
-    pub fn cache_bytes(&self) -> usize {
-        self.diagnostics.cache_bytes
     }
 
     /// Every widening the convergence governor applied (empty whenever
@@ -799,10 +738,12 @@ struct VictimCache {
 }
 
 /// Canonical topology signature of one victim reduction: the exact bit
-/// patterns of every electrical value and grid parameter that enters the
-/// factored system (see the module docs for the field list). Two
-/// reductions with equal keys build bit-identical matrices, so they can
-/// share one factorization without changing any result bit.
+/// patterns of every value that enters the factored system — the grid
+/// (`dt`, step count), the driver resistance, the victim line with the
+/// quiet coupling folded into its ground cap, the receiver load, and per
+/// kept aggressor its line and coupling total. Two reductions with equal
+/// keys build bit-identical matrices, so they can share one factorization
+/// without changing any result bit.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct TopoKey(Vec<u64>);
 
@@ -835,312 +776,48 @@ struct CachedSystem {
     victim_far: CktNode,
 }
 
-/// One stored factorization plus its budget bookkeeping: the estimated
-/// byte cost charged against [`SiOptions::cache_budget_bytes`] and the
-/// logical timestamp of its last use (hit or insert) driving LRU
-/// eviction.
-#[derive(Debug, Clone)]
-struct CacheSlot {
-    cached: CachedSystem,
-    bytes: usize,
-    last_use: u64,
-    /// Victim net whose reduction first stored this entry. Other victims
-    /// sharing the topology signature are served the same slot; the owner
-    /// tag only scopes [`TopoCache::release_nets`] invalidation — evicting
-    /// a still-shared entry merely costs its next user a refactor.
-    owner: NetId,
-}
-
-/// The map half of the topology cache, guarded by one mutex so the byte
-/// total, the LRU clock, and the entries can never disagree.
+/// The factorizations one analysis call shares (see the module docs),
+/// plus its hit/miss/largest-nnz counters. The counters are statistics
+/// only: under `threads > 1` two workers may both miss one key and race
+/// the insert, which cannot change a result (the first insert wins, and
+/// both systems are bit-identical) but can move the hit/miss split.
 #[derive(Debug, Default)]
-struct CacheState {
-    entries: HashMap<TopoKey, CacheSlot>,
-    /// Estimated resident bytes of all current entries.
-    bytes: usize,
-    /// Logical LRU clock: bumped on every lookup/insert; an entry's
-    /// `last_use` is the tick of its most recent touch.
-    tick: u64,
-}
-
-/// The topology-keyed factorization cache: shared across victims,
-/// polarities, fixed-point iterations and worker threads of one analysis
-/// call — or, when a long-lived session supplies its own instance to
-/// [`Sta::analyze_windows_with_cache`], across every incremental re-solve
-/// of that session (entries invalidated by an edit are dropped via
-/// [`TopoCache::release_nets`]). Hit/miss/eviction counters are
-/// statistics only — under
-/// `threads > 1` two workers may both miss the same key and race the
-/// insert, which cannot change results (colliding systems are
-/// bit-identical by construction; the first insert wins) but can make the
-/// counters vary run to run.
-///
-/// The cache's estimated resident size is bounded by `budget_bytes`
-/// (nnz-weighted estimates, [`FactoredSystem::approx_bytes`]): inserts
-/// that push it over budget evict least-recently-used entries first. An
-/// evicted entry only costs its next user a refactor — every served entry
-/// is bit-identical to a freshly built one, so results are independent of
-/// the budget (gated by the eviction-parity tests and `spefbus`).
-#[derive(Debug)]
-pub struct TopoCache {
-    /// With `enabled` false the cache never stores or serves an entry
-    /// (and hit/miss counters stay at zero) but still collects solver
-    /// statistics — so `solver_nnz` is reported for uncached runs too.
-    enabled: bool,
-    /// Byte budget for `state.bytes`; `usize::MAX` means unbounded.
-    budget_bytes: usize,
-    state: Mutex<CacheState>,
-    /// `(key, is_rise)` pairs implicated in a numeric failure, mapped to
-    /// the victim net whose reduction failed on them: the key's entry is
-    /// evicted and that *polarity* refuses lookups and re-insertion for
-    /// the rest of the cache's lifetime, so a suspect factorization is
-    /// never served to the reduction path that failed on it — while the
-    /// other polarity (whose reduction may be perfectly healthy, e.g.
-    /// after a dense recovery on a different victim) keeps full cache
-    /// service. The recorded owner lets [`TopoCache::release_nets`] lift
-    /// the ban once an edit invalidates the offending geometry.
-    quarantined: Mutex<std::collections::HashMap<(TopoKey, bool), NetId>>,
+struct Factorizations {
+    map: Mutex<HashMap<TopoKey, CachedSystem>>,
     hits: AtomicUsize,
     misses: AtomicUsize,
-    /// Entries evicted to honor the budget, plus inserts refused because
-    /// one entry alone exceeded it.
-    evictions: AtomicUsize,
-    /// High-water mark of `state.bytes`.
-    peak_bytes: AtomicUsize,
-    /// Poisoned-mutex recoveries: a worker panicking while holding a
-    /// cache lock poisons it; readers take over the guard instead of
-    /// propagating, and each healing is surfaced as a
-    /// [`DegradeAction::LockRecovered`] event.
-    lock_recoveries: AtomicUsize,
-    /// Largest factored-system nonzero count observed so far — the mesh
-    /// size the solver section of bench reports is keyed on.
     max_nnz: AtomicUsize,
 }
 
-impl TopoCache {
-    /// A cache with `budget_bytes` of estimated capacity (`usize::MAX`
-    /// for unbounded); `enabled: false` builds a pass-through instance
-    /// that never stores or serves entries. Public so a long-lived
-    /// session can own one cache across many incremental analyses — see
-    /// [`Sta::analyze_windows_with_cache`].
-    pub fn new(enabled: bool, budget_bytes: usize) -> Self {
-        TopoCache {
-            enabled,
-            budget_bytes,
-            state: Mutex::default(),
-            quarantined: Mutex::default(),
-            hits: AtomicUsize::new(0),
-            misses: AtomicUsize::new(0),
-            evictions: AtomicUsize::new(0),
-            peak_bytes: AtomicUsize::new(0),
-            lock_recoveries: AtomicUsize::new(0),
-            max_nnz: AtomicUsize::new(0),
-        }
-    }
-
-    /// Locks `mutex`, recovering from poisoning instead of panicking: the
-    /// cache's maps are never left mid-mutation (every write is a single
-    /// `get`/`insert`/`remove` call on an already-consistent value), so a
-    /// panic while a guard was held cannot have corrupted them. The
-    /// poison flag is cleared so one poisoning is healed — and counted —
-    /// exactly once.
-    fn guard<'a, T>(&self, mutex: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
-        mutex.lock().unwrap_or_else(|poisoned| {
-            self.lock_recoveries.fetch_add(1, Ordering::Relaxed);
-            mutex.clear_poison();
-            poisoned.into_inner()
-        })
-    }
-
-    /// Whether `(key, polarity)` is quarantined — lock order is always
-    /// `quarantined` before `state`, matching `insert`/`quarantine`.
-    fn is_quarantined(&self, key: &TopoKey, polarity: Polarity) -> bool {
-        self.guard(&self.quarantined)
-            .contains_key(&(key.clone(), polarity.is_rise()))
-    }
-
-    fn lookup(&self, key: &TopoKey, polarity: Polarity) -> Option<CachedSystem> {
-        // Fault-injection site: panic while holding the cache lock, the
-        // way a buggy or OOM-killed worker would, leaving the mutex
-        // poisoned for every later access. The catch keeps *this* call
-        // alive; the recovery under test is in `guard`.
-        if nsta_obs::fault::should_fire(nsta_obs::fault::CACHE_POISON) {
-            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let _guard = self.state.lock();
-                panic!("injected: panic while holding the topo-cache lock");
-            }));
-        }
-        // A quarantined (key, polarity) must never be served — even if a
-        // healthy reduction of the *other* polarity re-inserted the key.
-        let found = if self.is_quarantined(key, polarity) {
-            None
+impl Factorizations {
+    fn get(&self, key: &TopoKey) -> Option<CachedSystem> {
+        // Only single `get`/`insert` calls run under the lock, so a
+        // poisoned map is never half-written.
+        let found = self
+            .map
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(key)
+            .cloned();
+        if found.is_some() {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            nsta_obs::count!("sta.topo_cache.hits");
         } else {
-            let mut state = self.guard(&self.state);
-            state.tick += 1;
-            let tick = state.tick;
-            state.entries.get_mut(key).map(|slot| {
-                slot.last_use = tick;
-                slot.cached.clone()
-            })
-        };
-        match found {
-            Some(ref entry) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                nsta_obs::count!("sta.topo_cache.hits");
-                // A hit skips refactoring roughly this many matrix bytes.
-                nsta_obs::count!(
-                    "sta.topo_cache.hit_bytes_saved",
-                    entry.system.nnz() * std::mem::size_of::<f64>()
-                );
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                nsta_obs::count!("sta.topo_cache.misses");
-            }
-        };
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            nsta_obs::count!("sta.topo_cache.misses");
+        }
         found
     }
 
-    /// Estimated bytes an entry charges against the budget: the factored
-    /// system's nnz-weighted estimate plus the key's signature words.
-    fn entry_bytes(key: &TopoKey, entry: &CachedSystem) -> usize {
-        entry.system.approx_bytes() + key.0.len() * std::mem::size_of::<u64>()
-    }
-
-    fn insert(&self, key: TopoKey, entry: CachedSystem, polarity: Polarity, owner: NetId) {
-        if self.is_quarantined(&key, polarity) {
-            return;
-        }
-        let bytes = Self::entry_bytes(&key, &entry);
-        if bytes > self.budget_bytes {
-            // One entry larger than the whole budget: storing it just to
-            // evict it immediately would churn; refuse the store and
-            // count it as an eviction so budget pressure stays visible.
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-            nsta_obs::count!("sta.topo_cache.evictions");
-            return;
-        }
-        nsta_obs::count!("sta.topo_cache.stored_bytes_est", bytes);
-        let mut state = self.guard(&self.state);
-        if state.entries.contains_key(&key) {
-            // First insert wins (racing workers built bit-identical
-            // systems anyway); don't double-charge the budget.
-            return;
-        }
-        state.tick += 1;
-        let slot = CacheSlot {
-            cached: entry,
-            bytes,
-            last_use: state.tick,
-            owner,
-        };
-        state.bytes += bytes;
-        state.entries.insert(key, slot);
-        // LRU eviction down to budget. The just-inserted entry holds the
-        // newest tick, so the scan always prefers older entries; it can
-        // only fall to the newcomer if nothing else is left, and a lone
-        // entry fits by the single-entry check above.
-        while state.bytes > self.budget_bytes {
-            let lru = state
-                .entries
-                .iter()
-                .min_by_key(|(_, s)| s.last_use)
-                .map(|(k, _)| k.clone());
-            let Some(victim) = lru else { break };
-            if let Some(evicted) = state.entries.remove(&victim) {
-                state.bytes -= evicted.bytes;
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-                nsta_obs::count!("sta.topo_cache.evictions");
-            }
-        }
-        self.peak_bytes.fetch_max(state.bytes, Ordering::Relaxed);
-    }
-
-    /// Evicts `key`'s entry and bans the implicated `(key, polarity)`
-    /// pair for the rest of the analysis: a cached factorization
-    /// implicated in a numeric failure must not be served to (or
-    /// re-inserted by) any other victim *of that polarity*. The other
-    /// polarity keeps cache service — its reductions drive the shared
-    /// system with independent waveforms, and banning it too starved
-    /// healthy victims after e.g. a successful dense recovery elsewhere.
-    /// `owner` records the victim whose reduction failed, so an edit
-    /// invalidating that victim's geometry can lift the ban again.
-    fn quarantine(&self, key: &TopoKey, polarity: Polarity, owner: NetId) {
-        self.guard(&self.quarantined)
-            .insert((key.clone(), polarity.is_rise()), owner);
-        let mut state = self.guard(&self.state);
-        if let Some(evicted) = state.entries.remove(key) {
-            state.bytes -= evicted.bytes;
-        }
-    }
-
-    /// Drops every cache entry and quarantine record owned by one of
-    /// `nets`, returning how many were released. A long-lived session
-    /// calls this when an edit invalidates a victim's geometry: the
-    /// victim's stored factorizations no longer match its new topology
-    /// signature (a new key simply misses), but its *quarantine* records
-    /// would otherwise pin the old `(key, polarity)` pairs forever —
-    /// after the offending geometry is edited away, an unrelated victim
-    /// landing on the same signature deserves cache service again.
-    /// Releasing a still-shared entry is parity-safe: it only costs the
-    /// next user a refactor.
-    pub fn release_nets(&self, nets: &[NetId]) -> usize {
-        if nets.is_empty() {
-            return 0;
-        }
-        let owned = |owner: NetId| nets.contains(&owner);
-        // Lock order matches `insert`/`quarantine`: quarantined, then state.
-        let mut released = 0usize;
-        {
-            let mut quarantined = self.guard(&self.quarantined);
-            let before = quarantined.len();
-            quarantined.retain(|_, owner| !owned(*owner));
-            released += before - quarantined.len();
-        }
-        let mut state = self.guard(&self.state);
-        let doomed: Vec<TopoKey> = state
-            .entries
-            .iter()
-            .filter(|(_, slot)| owned(slot.owner))
-            .map(|(k, _)| k.clone())
-            .collect();
-        for key in doomed {
-            if let Some(evicted) = state.entries.remove(&key) {
-                state.bytes -= evicted.bytes;
-                released += 1;
-            }
-        }
-        released
-    }
-
-    /// Records a freshly factored system's nonzero count; called on every
-    /// factorization, cached or not.
-    fn note_nnz(&self, nnz: usize) {
+    fn insert(&self, key: TopoKey, entry: CachedSystem) {
+        let nnz = entry.system.nnz();
         self.max_nnz.fetch_max(nnz, Ordering::Relaxed);
         nsta_obs::recorder().gauge_max("sta.solver.max_nnz", nnz as f64);
-    }
-
-    fn stats(&self) -> (usize, usize) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
-    }
-
-    fn evictions(&self) -> usize {
-        self.evictions.load(Ordering::Relaxed)
-    }
-
-    fn bytes_peak(&self) -> usize {
-        self.peak_bytes.load(Ordering::Relaxed)
-    }
-
-    fn nnz(&self) -> usize {
-        self.max_nnz.load(Ordering::Relaxed)
-    }
-
-    fn lock_recoveries(&self) -> usize {
-        self.lock_recoveries.load(Ordering::Relaxed)
+        self.map
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .entry(key)
+            .or_insert(entry);
     }
 }
 
@@ -1183,28 +860,27 @@ type VictimInsert = ((usize, bool), (VictimKey, SaturatedRamp, f64));
 /// adjustments, victim-cache effectiveness, and any fault-tolerance
 /// actions taken along the way.
 type PassResult = (
-    Vec<crate::engine::NetState>,
+    Vec<NetState>,
     Vec<SiAdjustment>,
     PassStats,
     Vec<DegradeEvent>,
 );
 
-/// Per-cone result of one crosstalk pass, merged deterministically in
-/// cone order by the scheduler.
-struct ConeOutcome {
-    /// Final state of every net of the cone, aligned with the cone's
-    /// net order.
-    states: Vec<crate::engine::NetState>,
-    adjustments: Vec<SiAdjustment>,
-    /// Freshly simulated victim results to install in the victim cache
-    /// after the parallel section (each `(net, polarity)` is visited once
-    /// per pass, so a deferred insert is never read within the same pass).
-    inserts: Vec<VictimInsert>,
-    /// Victim transitions this cone re-simulated vs served from the
-    /// victim cache.
-    stats: PassStats,
-    /// Fault-tolerance actions taken while reducing this cone's victims.
-    degrades: Vec<DegradeEvent>,
+/// The per-call invariants every function of a crosstalk pass reads.
+#[derive(Clone, Copy)]
+struct PassContext<'a> {
+    bc: &'a BoundaryConditions,
+    method: MethodKind,
+    backend: SolverBackend,
+    /// The nominal sweep's states: every aggressor ramp and victim-cache
+    /// key is built from them.
+    base: &'a [NetState],
+    threads: usize,
+    policy: FaultPolicy,
+    deadline: Option<&'a Deadline>,
+    /// The call's shared factorizations; `None` factors every reduction
+    /// afresh, the path the fallback chain takes.
+    factors: Option<&'a Factorizations>,
 }
 
 /// Victim-cache effectiveness of one crosstalk pass, summed over its
@@ -1215,6 +891,116 @@ struct PassStats {
     recomputed: usize,
     /// Victim transitions short-circuited by the incremental cache.
     cached: usize,
+}
+
+/// One valid victim transition met by a scheduler, probed against the
+/// victim cache.
+struct VictimTransition<'s> {
+    spec: &'s CouplingSpec,
+    polarity: Polarity,
+    arrival: f64,
+    slew: f64,
+    /// Victim-cache key, built only when a victim cache is active.
+    key: Option<VictimKey>,
+    /// `(Γeff, base arrival)` served by the victim cache.
+    hit: Option<(SaturatedRamp, f64)>,
+}
+
+/// What resolving the victims of a cone (or of a whole level-scheduled
+/// pass) produces, merged deterministically by the pass.
+#[derive(Default)]
+struct Resolved {
+    adjustments: Vec<SiAdjustment>,
+    /// Freshly simulated victim results to install in the victim cache
+    /// after the schedule (each `(net, polarity)` is visited once per
+    /// pass, so a deferred insert is never read within the same pass).
+    inserts: Vec<VictimInsert>,
+    stats: PassStats,
+    /// Fault-tolerance actions taken while reducing these victims.
+    degrades: Vec<DegradeEvent>,
+}
+
+impl Resolved {
+    /// Settles one victim transition and writes its `Γeff` into `point`.
+    /// `fresh` is the reduction run on a victim-cache miss (`None` on a
+    /// hit). A fresh result is queued for the victim cache, paired with
+    /// the exact key it was computed from; a failed one drops the victim
+    /// under [`FaultPolicy::Isolate`] — it keeps its nominal
+    /// (crosstalk-free) timing point — and propagates otherwise.
+    fn settle(
+        &mut self,
+        th: Thresholds,
+        policy: FaultPolicy,
+        unit: VictimTransition<'_>,
+        fresh: Option<Result<(SaturatedRamp, f64), StaError>>,
+        point: &mut Point,
+    ) -> Result<(), StaError> {
+        let net = unit.spec.victim;
+        let found = match fresh {
+            None => {
+                self.stats.cached += 1;
+                unit.hit
+            }
+            Some(result) => {
+                self.stats.recomputed += 1;
+                match result {
+                    Ok(found) => {
+                        if let Some(key) = unit.key {
+                            self.inserts
+                                .push(((net.0, unit.polarity.is_rise()), (key, found.0, found.1)));
+                        }
+                        Some(found)
+                    }
+                    Err(e) if policy == FaultPolicy::Isolate => {
+                        self.degrades.push(DegradeEvent {
+                            net: Some(net),
+                            polarity: Some(unit.polarity),
+                            action: DegradeAction::VictimDropped,
+                            cause: e.to_string(),
+                            recovered: false,
+                        });
+                        None
+                    }
+                    Err(e) => return Err(e),
+                }
+            }
+        };
+        if let Some((gamma, base_arrival)) = found {
+            point.arrival = gamma.arrival_mid();
+            point.slew = gamma.slew(th);
+            self.adjustments.push(SiAdjustment {
+                net,
+                polarity: unit.polarity,
+                base_arrival,
+                noisy_arrival: point.arrival,
+                noisy_slew: point.slew,
+            });
+        }
+        Ok(())
+    }
+
+    fn append(&mut self, mut other: Resolved) {
+        self.adjustments.append(&mut other.adjustments);
+        self.inserts.append(&mut other.inserts);
+        self.stats.recomputed += other.stats.recomputed;
+        self.stats.cached += other.stats.cached;
+        self.degrades.append(&mut other.degrades);
+    }
+}
+
+/// One victim transition's reduced stage: what each step of the fallback
+/// chain re-runs on its own `(dt, backend)` grid.
+struct VictimStage<'s> {
+    spec: &'s CouplingSpec,
+    polarity: Polarity,
+    victim_ramp: SaturatedRamp,
+    agg_ramps: Vec<SaturatedRamp>,
+    /// The victim wire, with the quiet coupling folded into its ground
+    /// capacitance.
+    victim_line: RcLineSpec,
+    /// Receiver load at the victim far end (F).
+    load: f64,
+    t_stop: f64,
 }
 
 impl Sta {
@@ -1236,15 +1022,10 @@ impl Sta {
         &self,
         spec: &CouplingSpec,
         victim_pol: Polarity,
-        arrival: f64,
-        slew: f64,
-        base: &[crate::engine::NetState],
+        point: &Point,
+        base: &[NetState],
     ) -> Result<VictimKey, StaError> {
-        let agg_pol = if spec.aggressors_oppose {
-            victim_pol.inverted()
-        } else {
-            victim_pol
-        };
+        let agg_pol = spec.aggressor_polarity(victim_pol);
         let mut aggressors = Vec::with_capacity(spec.aggressors.len());
         for (i, &agg) in spec.aggressors.iter().enumerate() {
             let p = base
@@ -1260,17 +1041,43 @@ impl Sta {
             aggressors.push((agg, p.arrival, p.slew, spec.cm_of(i)));
         }
         Ok(VictimKey {
-            arrival,
-            slew,
+            arrival: point.arrival,
+            slew: point.slew,
             aggressors,
             quiet_cm: spec.quiet_cm,
         })
     }
 
+    /// Meets one valid victim transition: builds its victim-cache key —
+    /// only with a victim cache active; without one it would never be
+    /// read — and probes the cache with it.
+    fn probe_victim<'s>(
+        &self,
+        cx: &PassContext<'_>,
+        cache: Option<(&VictimCache, f64)>,
+        spec: &'s CouplingSpec,
+        polarity: Polarity,
+        point: &Point,
+    ) -> Result<VictimTransition<'s>, StaError> {
+        let key = match cache {
+            Some(_) => Some(self.victim_key(spec, polarity, point, cx.base)?),
+            None => None,
+        };
+        let hit = Self::victim_cache_hit(cache, spec.victim, polarity, key.as_ref());
+        Ok(VictimTransition {
+            spec,
+            polarity,
+            arrival: point.arrival,
+            slew: point.slew,
+            key,
+            hit,
+        })
+    }
+
     /// One crosstalk-adjusted forward sweep. `cache` (with its staleness
     /// tolerance) short-circuits victims whose key is unchanged since an
-    /// earlier iteration; `topo` shares factored transient systems across
-    /// structurally identical victim stages.
+    /// earlier iteration; `cx.factors` shares factored transient systems
+    /// across structurally identical victim stages.
     ///
     /// Scheduling is hybrid: with at least one fanout cone per worker the
     /// pass is cone-partitioned (one task per weakly-connected component,
@@ -1281,19 +1088,11 @@ impl Sta {
     /// returned adjustments are sorted into `(net, rise-first)` order, so
     /// results are bit-identical across thread counts *and* across the
     /// two schedules.
-    #[allow(clippy::too_many_arguments)]
     fn crosstalk_pass(
         &self,
-        bc: &BoundaryConditions,
+        cx: &PassContext<'_>,
         couplings: &[CouplingSpec],
-        method: MethodKind,
-        backend: SolverBackend,
-        base: &[crate::engine::NetState],
-        threads: usize,
-        cache: Option<(&mut VictimCache, f64)>,
-        topo: Option<&TopoCache>,
-        policy: FaultPolicy,
-        deadline: Option<&Deadline>,
+        mut cache: Option<(&mut VictimCache, f64)>,
         scope: Option<&[bool]>,
     ) -> Result<PassResult, StaError> {
         let n = self.design().net_count();
@@ -1308,56 +1107,55 @@ impl Sta {
                 )));
             }
         }
+        // Immutable view of the victim cache for the schedule; fresh
+        // results are installed after it.
+        let read_cache = cache.as_ref().map(|(c, tol)| (&**c, *tol));
         // A scoped pass (a session's dirty-cluster re-solve) always takes
         // the cone schedule: the scope is a cone mask, and the handful of
         // scoped cones would gain nothing from level synchronization.
         let cones = self.graph().components().len();
-        let (states, mut adjustments, stats, mut degrades) = if scope.is_some()
-            || cones >= threads.max(1)
-        {
-            self.crosstalk_pass_cones(
-                bc, &spec_of, method, backend, base, threads, cache, topo, policy, deadline, scope,
-            )?
+        let (states, mut resolved) = if scope.is_some() || cones >= cx.threads.max(1) {
+            self.crosstalk_pass_cones(cx, &spec_of, read_cache, scope)?
         } else {
-            self.crosstalk_pass_levels(
-                bc, &spec_of, method, backend, base, threads, cache, topo, policy, deadline,
-            )?
+            self.crosstalk_pass_levels(cx, &spec_of, read_cache)?
         };
+        if let Some((c, _)) = cache.as_mut() {
+            c.entries.extend(resolved.inserts);
+        }
         // Canonical adjustment order, independent of the schedule: each
         // `(net, polarity)` appears at most once per pass. Degrade events
         // get the same ordering (stable, so a victim's fallback chain
         // keeps its step order); events with no net sort last.
-        adjustments.sort_unstable_by_key(|a| (a.net.0, !a.polarity.is_rise()));
-        degrades.sort_by_key(|e| {
+        resolved
+            .adjustments
+            .sort_unstable_by_key(|a| (a.net.0, !a.polarity.is_rise()));
+        resolved.degrades.sort_by_key(|e| {
             (
                 e.net.map_or(usize::MAX, |n| n.0),
                 e.polarity.map_or(2usize, |p| !p.is_rise() as usize),
             )
         });
-        Ok((states, adjustments, stats, degrades))
+        Ok((
+            states,
+            resolved.adjustments,
+            resolved.stats,
+            resolved.degrades,
+        ))
     }
 
     /// Cone-partitioned crosstalk sweep: every weakly-connected component
     /// of the graph is one task — fanin updates and victim reductions
     /// interleaved in topological order — evaluated on the worker pool
     /// and merged in cone order.
-    #[allow(clippy::too_many_arguments)]
     fn crosstalk_pass_cones(
         &self,
-        bc: &BoundaryConditions,
+        cx: &PassContext<'_>,
         spec_of: &[Option<&CouplingSpec>],
-        method: MethodKind,
-        backend: SolverBackend,
-        base: &[crate::engine::NetState],
-        threads: usize,
-        mut cache: Option<(&mut VictimCache, f64)>,
-        topo: Option<&TopoCache>,
-        policy: FaultPolicy,
-        deadline: Option<&Deadline>,
+        cache: Option<(&VictimCache, f64)>,
         scope: Option<&[bool]>,
-    ) -> Result<PassResult, StaError> {
+    ) -> Result<(Vec<NetState>, Resolved), StaError> {
         let th = Thresholds::cmos(self.library().voltage);
-        let seed = self.init_states(bc, false);
+        let seed = self.init_states(cx.bc, false);
         let components = self.graph().components();
         // Cone work list, filtered by the optional cone-scope mask but
         // keeping each cone's original index so merge order, retry
@@ -1371,138 +1169,56 @@ impl Sta {
             .filter(|(ci, _)| scope.is_none_or(|s| s.get(*ci).copied().unwrap_or(false)))
             .map(|(ci, cone)| (ci, cone.as_slice()))
             .collect();
-        let (outcomes, retried) = {
-            // Immutable view of the victim cache for the parallel section;
-            // fresh results are collected per cone and installed after.
-            let read_cache: Option<(&VictimCache, f64)> =
-                cache.as_ref().map(|(c, tol)| (&**c, *tol));
-            crate::par::par_map_govern(
-                threads,
-                &active,
-                deadline,
-                |&(_ci, cone)| -> Result<ConeOutcome, StaError> {
-                    // Fault-injection site: a cone task panics at entry,
-                    // exactly where an assertion or slice bug in the
-                    // per-cone work would. The pool catches it and the
-                    // coordinator retries the cone inline — this site only
-                    // fires once per opportunity index, so the retry runs
-                    // clean.
-                    if nsta_obs::fault::should_fire(nsta_obs::fault::WORKER_PANIC) {
-                        panic!("injected: cone worker panic");
-                    }
-                    let mut cone_span = nsta_obs::span!("si.cone");
-                    cone_span.set_arg("nets", cone.len() as f64);
-                    let mut local: Vec<crate::engine::NetState> =
-                        cone.iter().map(|&net| seed[net.0]).collect();
-                    let mut out = ConeOutcome {
-                        states: Vec::new(),
-                        adjustments: Vec::new(),
-                        inserts: Vec::new(),
-                        stats: PassStats::default(),
-                        degrades: Vec::new(),
-                    };
-                    for (j, &net) in cone.iter().enumerate() {
-                        // Cone-local state buffer: all fanin of a cone net is
-                        // in the same cone by construction.
-                        let updated = self.propagate_net_with(
-                            net,
-                            |i| local[self.graph().cone_slot(NetId(i))],
-                            bc,
-                            false,
-                        )?;
-                        local[j] = updated;
-                        let Some(spec) = spec_of[net.0] else { continue };
-                        for pol in [Polarity::Rise, Polarity::Fall] {
-                            let point = *local[j].get(pol);
-                            if !point.valid {
-                                continue;
-                            }
-                            // Keys are only built when a victim cache is active
-                            // — without one they would never be read.
-                            let key = match read_cache {
-                                Some(_) => Some(self.victim_key(
-                                    spec,
-                                    pol,
-                                    point.arrival,
-                                    point.slew,
-                                    base,
-                                )?),
-                                None => None,
-                            };
-                            let hit = Self::victim_cache_hit(read_cache, net, pol, key.as_ref());
-                            match hit {
-                                Some(_) => out.stats.cached += 1,
-                                None => out.stats.recomputed += 1,
-                            }
-                            let (gamma, base_arrival) = match hit {
-                                Some(found) => found,
-                                None => {
-                                    match self.victim_gamma(
-                                        bc,
-                                        spec,
-                                        pol,
-                                        point.arrival,
-                                        point.slew,
-                                        base,
-                                        method,
-                                        backend,
-                                        topo,
-                                        &mut out.degrades,
-                                    ) {
-                                        Ok(fresh) => {
-                                            // Only freshly simulated results
-                                            // enter the victim cache, paired
-                                            // with the exact key they were
-                                            // computed from.
-                                            if let Some(key) = key {
-                                                out.inserts.push((
-                                                    (net.0, pol.is_rise()),
-                                                    (key, fresh.0, fresh.1),
-                                                ));
-                                            }
-                                            fresh
-                                        }
-                                        Err(e) if policy == FaultPolicy::Isolate => {
-                                            out.degrades.push(DegradeEvent {
-                                                net: Some(net),
-                                                polarity: Some(pol),
-                                                action: DegradeAction::VictimDropped,
-                                                cause: e.to_string(),
-                                                recovered: false,
-                                            });
-                                            // The victim keeps its nominal
-                                            // (crosstalk-free) timing point.
-                                            continue;
-                                        }
-                                        Err(e) => return Err(e),
-                                    }
-                                }
-                            };
-                            let p = local[j].get_mut(pol);
-                            p.arrival = gamma.arrival_mid();
-                            p.slew = gamma.slew(th);
-                            out.adjustments.push(SiAdjustment {
-                                net,
-                                polarity: pol,
-                                base_arrival,
-                                noisy_arrival: p.arrival,
-                                noisy_slew: p.slew,
-                            });
+        let (outcomes, retried) = crate::par::par_map_govern(
+            cx.threads,
+            &active,
+            cx.deadline,
+            |&(_ci, cone)| -> Result<(Vec<NetState>, Resolved), StaError> {
+                // Fault-injection site: a cone task panics at entry,
+                // exactly where an assertion or slice bug in the per-cone
+                // work would. The pool catches it and the coordinator
+                // retries the cone inline — this site only fires once per
+                // opportunity index, so the retry runs clean.
+                if nsta_obs::fault::should_fire(nsta_obs::fault::WORKER_PANIC) {
+                    panic!("injected: cone worker panic");
+                }
+                let mut cone_span = nsta_obs::span!("si.cone");
+                cone_span.set_arg("nets", cone.len() as f64);
+                let mut local: Vec<NetState> = cone.iter().map(|&net| seed[net.0]).collect();
+                let mut out = Resolved::default();
+                for (j, &net) in cone.iter().enumerate() {
+                    // Cone-local state buffer: all fanin of a cone net is
+                    // in the same cone by construction.
+                    let updated = self.propagate_net_with(
+                        net,
+                        |i| local[self.graph().cone_slot(NetId(i))],
+                        cx.bc,
+                        false,
+                    )?;
+                    local[j] = updated;
+                    let Some(spec) = spec_of[net.0] else { continue };
+                    for pol in [Polarity::Rise, Polarity::Fall] {
+                        let point = *local[j].get(pol);
+                        if !point.valid {
+                            continue;
                         }
+                        let unit = self.probe_victim(cx, cache, spec, pol, &point)?;
+                        let fresh = unit
+                            .hit
+                            .is_none()
+                            .then(|| self.victim_gamma(cx, &unit, &mut out.degrades));
+                        out.settle(th, cx.policy, unit, fresh, local[j].get_mut(pol))?;
                     }
-                    cone_span.set_arg("recomputed", out.stats.recomputed as f64);
-                    cone_span.set_arg("cached", out.stats.cached as f64);
-                    out.states = local;
-                    Ok(out)
-                },
-            )
-        };
+                }
+                cone_span.set_arg("recomputed", out.stats.recomputed as f64);
+                cone_span.set_arg("cached", out.stats.cached as f64);
+                Ok((local, out))
+            },
+        );
         // Deterministic merge: cone order is fixed by the graph, the work
         // inside each cone by its topological order.
         let mut states = seed;
-        let mut adjustments = Vec::new();
-        let mut stats = PassStats::default();
-        let mut degrades = Vec::new();
+        let mut resolved = Resolved::default();
         for (&(_ci, cone), outcome) in active.iter().zip(outcomes) {
             let Some(outcome) = outcome else {
                 // Deadline-skipped cone: its nets keep the nominal
@@ -1510,9 +1226,9 @@ impl Sta {
                 // and every victim in it is recorded so the staleness is
                 // attributable per net.
                 for &net in cone {
-                    states[net.0] = base[net.0];
+                    states[net.0] = cx.base[net.0];
                     if spec_of[net.0].is_some() {
-                        degrades.push(DegradeEvent {
+                        resolved.degrades.push(DegradeEvent {
                             net: Some(net),
                             polarity: None,
                             action: DegradeAction::DeadlineSkipped,
@@ -1525,25 +1241,17 @@ impl Sta {
                 }
                 continue;
             };
-            let mut outcome = outcome?;
-            for (&net, st) in cone.iter().zip(outcome.states) {
+            let (cone_states, cone_resolved) = outcome?;
+            for (&net, st) in cone.iter().zip(cone_states) {
                 states[net.0] = st;
             }
-            adjustments.extend(outcome.adjustments);
-            stats.recomputed += outcome.stats.recomputed;
-            stats.cached += outcome.stats.cached;
-            degrades.append(&mut outcome.degrades);
-            if let Some((c, _)) = cache.as_mut() {
-                for (slot, entry) in outcome.inserts {
-                    c.entries.insert(slot, entry);
-                }
-            }
+            resolved.append(cone_resolved);
         }
         // Cones the pool had to recompute inline after a worker-side
         // panic: the retry already produced full results above; record
         // the recovery against the cone's first net.
         for idx in retried {
-            degrades.push(DegradeEvent {
+            resolved.degrades.push(DegradeEvent {
                 net: active.get(idx).and_then(|&(_, c)| c.first()).copied(),
                 polarity: None,
                 action: DegradeAction::ConeRetry,
@@ -1551,7 +1259,7 @@ impl Sta {
                 recovered: true,
             });
         }
-        Ok((states, adjustments, stats, degrades))
+        Ok((states, resolved))
     }
 
     /// Level-synchronous crosstalk sweep — the fallback for graphs with
@@ -1559,32 +1267,22 @@ impl Sta {
     /// component, where cone tasks would serialize everything): the fanin
     /// updates of each level fan across the pool, then the level's
     /// cache-missing victim reductions do.
-    #[allow(clippy::too_many_arguments)]
     fn crosstalk_pass_levels(
         &self,
-        bc: &BoundaryConditions,
+        cx: &PassContext<'_>,
         spec_of: &[Option<&CouplingSpec>],
-        method: MethodKind,
-        backend: SolverBackend,
-        base: &[crate::engine::NetState],
-        threads: usize,
-        mut cache: Option<(&mut VictimCache, f64)>,
-        topo: Option<&TopoCache>,
-        policy: FaultPolicy,
-        deadline: Option<&Deadline>,
-    ) -> Result<PassResult, StaError> {
+        cache: Option<(&VictimCache, f64)>,
+    ) -> Result<(Vec<NetState>, Resolved), StaError> {
         let th = Thresholds::cmos(self.library().voltage);
-        let mut states = self.init_states(bc, false);
-        let mut adjustments = Vec::new();
-        let mut stats = PassStats::default();
-        let mut degrades: Vec<DegradeEvent> = Vec::new();
+        let mut states = self.init_states(cx.bc, false);
+        let mut resolved = Resolved::default();
         // Once the deadline reads expired it stays expired (both clocks
         // are monotone): every later level skips its victim reductions.
         let mut expired = false;
         for level in self.graph().levels() {
             // Fanin updates of this level (parallel, merged in net order).
-            let updated = par_map(threads, level, |&net| {
-                self.propagate_net_with(net, |i| states[i], bc, false)
+            let updated = par_map(cx.threads, level, |&net| {
+                self.propagate_net_with(net, |i| states[i], cx.bc, false)
             });
             for (&net, result) in level.iter().zip(updated) {
                 states[net.0] = result?;
@@ -1593,11 +1291,11 @@ impl Sta {
             // propagation above still ran (downstream levels need valid
             // states — it is cheap, no transient solves), but this
             // level's victim reductions are skipped and recorded.
-            expired = expired || deadline.is_some_and(|d| d.expired());
+            expired = expired || cx.deadline.is_some_and(|d| d.expired());
             if expired {
                 for &net in level {
                     if spec_of[net.0].is_some() {
-                        degrades.push(DegradeEvent {
+                        resolved.degrades.push(DegradeEvent {
                             net: Some(net),
                             polarity: None,
                             action: DegradeAction::DeadlineSkipped,
@@ -1610,104 +1308,40 @@ impl Sta {
                 }
                 continue;
             }
-            // Victim transitions of this level: resolve each against the
-            // victim cache or queue it for parallel evaluation. Same-level
-            // victims only read `base` and earlier levels, so their
-            // reductions are independent.
-            let read_cache: Option<(&VictimCache, f64)> =
-                cache.as_ref().map(|(c, tol)| (&**c, *tol));
+            // Victim transitions of this level: probe each against the
+            // victim cache, then run the misses' reductions on the pool.
+            // Same-level victims only read `base` and earlier levels, so
+            // their reductions are independent.
             let mut units = Vec::new();
-            let mut jobs = Vec::new();
             for &net in level {
                 let Some(spec) = spec_of[net.0] else { continue };
                 for pol in [Polarity::Rise, Polarity::Fall] {
                     let point = *states[net.0].get(pol);
-                    if !point.valid {
-                        continue;
+                    if point.valid {
+                        units.push(self.probe_victim(cx, cache, spec, pol, &point)?);
                     }
-                    let key = match read_cache {
-                        Some(_) => {
-                            Some(self.victim_key(spec, pol, point.arrival, point.slew, base)?)
-                        }
-                        None => None,
-                    };
-                    let hit = Self::victim_cache_hit(read_cache, net, pol, key.as_ref());
-                    if hit.is_none() {
-                        jobs.push((spec, pol, point.arrival, point.slew));
-                    }
-                    units.push((net, pol, hit, key));
                 }
             }
-            stats.recomputed += jobs.len();
-            stats.cached += units.len() - jobs.len();
-            let results = par_map(threads, &jobs, |&(spec, pol, arrival, slew)| {
+            let jobs: Vec<&VictimTransition> = units.iter().filter(|u| u.hit.is_none()).collect();
+            let mut results = par_map(cx.threads, &jobs, |unit| {
                 let mut events = Vec::new();
-                let result = self.victim_gamma(
-                    bc,
-                    spec,
-                    pol,
-                    arrival,
-                    slew,
-                    base,
-                    method,
-                    backend,
-                    topo,
-                    &mut events,
-                );
+                let result = self.victim_gamma(cx, unit, &mut events);
                 (result, events)
-            });
-            let mut results = results.into_iter();
-            for (net, pol, hit, key) in units {
-                let resolved = match hit {
-                    Some(found) => Some(found),
-                    None => {
-                        let (result, mut events) = results.next().unwrap_or_else(|| {
-                            panic!("scheduler bug: missing result for queued job")
-                        });
-                        degrades.append(&mut events);
-                        match result {
-                            Ok(fresh) => {
-                                // Only freshly simulated results enter the
-                                // victim cache, paired with the exact key
-                                // they were computed from.
-                                if let (Some((c, _)), Some(key)) = (cache.as_mut(), key) {
-                                    c.entries
-                                        .insert((net.0, pol.is_rise()), (key, fresh.0, fresh.1));
-                                }
-                                Some(fresh)
-                            }
-                            Err(e) if policy == FaultPolicy::Isolate => {
-                                degrades.push(DegradeEvent {
-                                    net: Some(net),
-                                    polarity: Some(pol),
-                                    action: DegradeAction::VictimDropped,
-                                    cause: e.to_string(),
-                                    recovered: false,
-                                });
-                                None
-                            }
-                            Err(e) => return Err(e),
-                        }
-                    }
-                };
-                // A dropped victim keeps its nominal (crosstalk-free)
-                // timing point.
-                let Some((gamma, base_arrival)) = resolved else {
-                    continue;
-                };
-                let p = states[net.0].get_mut(pol);
-                p.arrival = gamma.arrival_mid();
-                p.slew = gamma.slew(th);
-                adjustments.push(SiAdjustment {
-                    net,
-                    polarity: pol,
-                    base_arrival,
-                    noisy_arrival: p.arrival,
-                    noisy_slew: p.slew,
+            })
+            .into_iter();
+            for unit in units {
+                let fresh = unit.hit.is_none().then(|| {
+                    let (result, mut events) = results
+                        .next()
+                        .unwrap_or_else(|| panic!("scheduler bug: missing result for queued job"));
+                    resolved.degrades.append(&mut events);
+                    result
                 });
+                let (net, pol) = (unit.spec.victim, unit.polarity);
+                resolved.settle(th, cx.policy, unit, fresh, states[net.0].get_mut(pol))?;
             }
         }
-        Ok((states, adjustments, stats, degrades))
+        Ok((states, resolved))
     }
 
     /// Probes the victim cache for `(net, pol)` against the freshly built
@@ -1755,22 +1389,19 @@ impl Sta {
         // Pass 1: nominal arrivals — aggressor ramps need them.
         let base = self.forward_sweep(&bc)?;
         // Pass 2: sweep again, overriding victim nets as they are reached.
-        // The topology cache is always on here (no options to disable it);
-        // it cannot change results, only skip redundant factorizations.
-        let topo = TopoCache::new(true, SiOptions::DEFAULT_CACHE_BUDGET_BYTES);
-        let (states, adjustments, _stats, _degrades) = self.crosstalk_pass(
-            &bc,
-            couplings,
+        let factors = Factorizations::default();
+        let cx = PassContext {
+            bc: &bc,
             method,
-            SolverBackend::default(),
-            &base,
-            1,
-            None,
-            Some(&topo),
-            FaultPolicy::Fail,
-            None,
-            None,
-        )?;
+            backend: SolverBackend::default(),
+            base: &base,
+            threads: 1,
+            policy: FaultPolicy::Fail,
+            deadline: None,
+            factors: Some(&factors),
+        };
+        let (states, adjustments, _stats, _degrades) =
+            self.crosstalk_pass(&cx, couplings, None, None)?;
         let mask = self.false_edge_mask(&bc);
         let report = self.finish_report(&bc, states, mask.as_ref())?;
         Ok((report, adjustments))
@@ -1878,22 +1509,14 @@ impl Sta {
         couplings: &[CouplingSpec],
         options: &SiOptions,
     ) -> Result<SiAnalysis, StaError> {
-        let topo = TopoCache::new(options.topo_cache, options.cache_budget_bytes);
-        self.analyze_windows_with_cache(constraints, couplings, options, &topo, None)
+        self.analyze_windows_scoped(constraints, couplings, options, None)
             .map(|(analysis, _states)| analysis)
     }
 
-    /// [`Sta::analyze_with_crosstalk_windows`] with a caller-owned
-    /// [`TopoCache`] (which then ignores [`SiOptions::topo_cache`] /
-    /// [`SiOptions::cache_budget_bytes`]), also returning the final
-    /// per-net propagation states. Both extras exist for the long-lived
-    /// session layer: the cache persists across incremental re-solves,
-    /// and the states let [`crate::session`] merge a dirty-cone patch
-    /// into retained results at the state level, reproducing the batch
-    /// report bit-identically. Results are unchanged by cache contents —
-    /// a warm cache only skips refactorizations — and the diagnostics'
-    /// cache counters are cumulative over the cache's lifetime, not this
-    /// call.
+    /// [`Sta::analyze_with_crosstalk_windows`], also returning the final
+    /// per-net propagation states: they let [`crate::session`] merge a
+    /// dirty-cone patch into retained results at the state level,
+    /// reproducing the batch report bit-identically.
     ///
     /// `scope` optionally restricts the two hoisted sweeps to a per-cone
     /// mask (see [`Sta::forward_sweep_scoped`]): the session layer passes
@@ -1902,14 +1525,13 @@ impl Sta {
     /// filter only ever read states of coupling participants, all of
     /// which live inside the scoped clusters; out-of-scope nets keep
     /// their seed states and the caller discards their report rows.
-    pub(crate) fn analyze_windows_with_cache(
+    pub(crate) fn analyze_windows_scoped(
         &self,
         constraints: impl Into<BoundaryConditions>,
         couplings: &[CouplingSpec],
         options: &SiOptions,
-        topo: &TopoCache,
         scope: Option<&[bool]>,
-    ) -> Result<(SiAnalysis, Vec<crate::engine::NetState>), StaError> {
+    ) -> Result<(SiAnalysis, Vec<NetState>), StaError> {
         let bc = constraints.into();
         self.check_unique_victims(couplings)?;
         let mut phase_span = nsta_obs::span!("si.windowed");
@@ -1948,58 +1570,43 @@ impl Sta {
         let deadline = options.deadline.as_ref();
         let cones = self.graph().components().len();
         phase_span.set_arg("cones", cones as f64);
-        let diagnostics = |iterations: Vec<SiIteration>,
-                           converged: bool,
-                           timed_out: bool,
-                           convergence_actions: Vec<ConvergenceAction>,
-                           mut degrade_events: Vec<DegradeEvent>| {
-            let (cache_hits, cache_misses) = topo.stats();
-            // Poisoned-lock healings have no single victim; surface each
-            // as its own recovered event after the per-victim ones.
-            for _ in 0..topo.lock_recoveries() {
-                degrade_events.push(DegradeEvent {
-                    net: None,
-                    polarity: None,
-                    action: DegradeAction::LockRecovered,
-                    cause: "poisoned topo-cache lock recovered".to_string(),
-                    recovered: true,
-                });
-            }
-            SiDiagnostics {
+        let factors = Factorizations::default();
+        let cx = PassContext {
+            bc: &bc,
+            method: options.method,
+            backend: options.backend,
+            base: &base,
+            threads,
+            policy: options.fault_policy,
+            deadline,
+            factors: Some(&factors),
+        };
+        let diagnostics =
+            |iterations: Vec<SiIteration>,
+             converged: bool,
+             timed_out: bool,
+             convergence_actions: Vec<ConvergenceAction>,
+             degrade_events: Vec<DegradeEvent>| SiDiagnostics {
                 iterations,
                 converged,
                 cones,
-                cache_hits,
-                cache_misses,
+                cache_hits: factors.hits.load(Ordering::Relaxed),
+                cache_misses: factors.misses.load(Ordering::Relaxed),
                 solver_backend: options.backend,
-                solver_nnz: topo.nnz(),
+                solver_nnz: factors.max_nnz.load(Ordering::Relaxed),
                 degrade_events,
                 timed_out,
-                cache_evictions: topo.evictions(),
-                cache_bytes: topo.bytes_peak(),
                 convergence_actions,
                 epoch: 0,
-            }
-        };
+            };
 
         if !options.use_windows {
             let mut cache = VictimCache::default();
             let cache_ref = options
                 .incremental
                 .then_some((&mut cache, options.convergence_tol));
-            let (states, adjustments, stats, degrades) = self.crosstalk_pass(
-                &bc,
-                couplings,
-                options.method,
-                options.backend,
-                &base,
-                threads,
-                cache_ref,
-                Some(topo),
-                options.fault_policy,
-                deadline,
-                scope,
-            )?;
+            let (states, adjustments, stats, degrades) =
+                self.crosstalk_pass(&cx, couplings, cache_ref, scope)?;
             let report = self.finish_report_scoped(&bc, states.clone(), mask, net_scope)?;
             let timed_out = degrades
                 .iter()
@@ -2080,19 +1687,8 @@ impl Sta {
             let cache_ref = options
                 .incremental
                 .then_some((&mut cache, options.convergence_tol));
-            let (states, adjustments, stats, mut degrades) = self.crosstalk_pass(
-                &bc,
-                &filtered,
-                options.method,
-                options.backend,
-                &base,
-                threads,
-                cache_ref,
-                Some(topo),
-                options.fault_policy,
-                deadline,
-                scope,
-            )?;
+            let (states, adjustments, stats, mut degrades) =
+                self.crosstalk_pass(&cx, &filtered, cache_ref, scope)?;
             degrade_events.append(&mut degrades);
             let report = self.finish_report_scoped(&bc, states.clone(), mask, net_scope)?;
             let prev_windows =
@@ -2164,8 +1760,8 @@ impl Sta {
                 report: latest,
                 adjustments,
                 pruned,
-                // Cache statistics accumulate across iterations; snapshot
-                // them once on the surviving analysis.
+                // Factorization counters accumulate across iterations;
+                // snapshot them once on the surviving analysis.
                 diagnostics: diagnostics(
                     iteration_trace,
                     converged,
@@ -2178,34 +1774,27 @@ impl Sta {
         ))
     }
 
-    /// Computes `Γeff` for one victim transition. With `topo` the factored
-    /// transient system is shared across every reduction whose topology
-    /// signature matches (see the module docs); the simulated waveforms
-    /// are bit-identical either way.
+    /// Computes `Γeff` for one victim transition. With `cx.factors` the
+    /// factored transient system is shared across every reduction whose
+    /// topology signature matches (see the module docs); the simulated
+    /// waveforms are bit-identical either way.
     ///
     /// # Numeric fallback chain
     ///
     /// A solver-level failure (singular/lost pivot, non-finite values) is
     /// retried with dense partial-pivot LU on the same grid, then once
     /// more with the timestep halved; each step appends a [`DegradeEvent`]
-    /// to `degrades` (marked recovered if any step succeeds), and a
-    /// topo-cache entry implicated in the failure is quarantined. The
-    /// chain only runs on the error path, so healthy reductions are
+    /// to `degrades` (marked recovered if any step succeeds). The chain
+    /// only runs on the error path, so healthy reductions are
     /// bit-identical to builds without it.
-    #[allow(clippy::too_many_arguments)]
     fn victim_gamma(
         &self,
-        bc: &BoundaryConditions,
-        spec: &CouplingSpec,
-        victim_pol: Polarity,
-        victim_arrival: f64,
-        victim_slew: f64,
-        base: &[crate::engine::NetState],
-        method: MethodKind,
-        backend: SolverBackend,
-        topo: Option<&TopoCache>,
+        cx: &PassContext<'_>,
+        unit: &VictimTransition<'_>,
         degrades: &mut Vec<DegradeEvent>,
     ) -> Result<(SaturatedRamp, f64), StaError> {
+        let spec = unit.spec;
+        let victim_pol = unit.polarity;
         if let Some(reason) = &spec.defect {
             return Err(StaError::DegenerateMesh {
                 net: self.design().net_name(spec.victim).to_string(),
@@ -2216,15 +1805,12 @@ impl Sta {
 
         // Simulation window: start at zero, end comfortably after the
         // latest participant settles.
-        let mut latest = victim_arrival + victim_slew;
-        let agg_pol = if spec.aggressors_oppose {
-            victim_pol.inverted()
-        } else {
-            victim_pol
-        };
+        let mut latest = unit.arrival + unit.slew;
+        let agg_pol = spec.aggressor_polarity(victim_pol);
         let mut agg_ramps = Vec::new();
         for &agg in &spec.aggressors {
-            let p = base
+            let p = cx
+                .base
                 .get(agg.0)
                 .map(|s| *s.get(agg_pol))
                 .filter(|p| p.valid)
@@ -2243,14 +1829,12 @@ impl Sta {
                 agg_pol.is_rise(),
             )?);
         }
-        // Quantized grid (see the module docs): the timestep heuristic is
-        // rounded up into a fixed bucket set and the stop time to a fixed
-        // quantum, so structurally identical victim stages land on a
-        // shared — and therefore cacheable — grid. The quantization is
-        // unconditional: cached and uncached analyses integrate the exact
-        // same system on the exact same grid.
+        // Quantized grid: the timestep heuristic is rounded up into a
+        // fixed bucket set and the stop time to a fixed quantum, so
+        // structurally identical victim stages land on a shared grid —
+        // and therefore share one factorization.
         let t_stop = quantize_t_stop(latest);
-        let dt = quantize_dt(victim_slew);
+        let dt = quantize_dt(unit.slew);
 
         // The victim stage is a Thevenin driver into star-coupled RC lines
         // — each aggressor couples to the victim individually with its own
@@ -2267,35 +1851,25 @@ impl Sta {
         } else {
             spec.line
         };
-        // Receiver loading at the victim far end.
-        let load = spec
-            .receiver_load
-            .unwrap_or_else(|| self.graph().load(spec.victim))
-            .max(1e-16);
-
-        let victim_ramp = SaturatedRamp::with_slew(
-            victim_arrival,
-            victim_slew.max(1e-12),
-            th,
-            victim_pol.is_rise(),
-        )?;
-
-        let attempt = |dt: f64, backend: SolverBackend, topo: Option<&TopoCache>| {
-            self.victim_attempt(
-                bc,
-                spec,
-                victim_pol,
-                &victim_ramp,
-                &agg_ramps,
-                victim_line,
-                load,
-                t_stop,
-                dt,
-                method,
-                backend,
-                topo,
-            )
+        let stage = VictimStage {
+            spec,
+            polarity: victim_pol,
+            victim_ramp: SaturatedRamp::with_slew(
+                unit.arrival,
+                unit.slew.max(1e-12),
+                th,
+                victim_pol.is_rise(),
+            )?,
+            agg_ramps,
+            victim_line,
+            // Receiver loading at the victim far end.
+            load: spec
+                .receiver_load
+                .unwrap_or_else(|| self.graph().load(spec.victim))
+                .max(1e-16),
+            t_stop,
         };
+
         let event = |action: DegradeAction, cause: &StaError| DegradeEvent {
             net: Some(spec.victim),
             polarity: Some(victim_pol),
@@ -2304,22 +1878,27 @@ impl Sta {
             recovered: false,
         };
         let chain_start = degrades.len();
-        let result = match attempt(dt, backend, topo) {
+        let result = match self.victim_attempt(cx, &stage, dt) {
             Ok(ok) => Ok(ok),
             Err(e) if is_numeric_failure(&e) => {
                 // Fallback 1: dense partial-pivot LU on the same grid —
-                // immune to the no-pivot elimination's pivot loss, and run
-                // outside the topo cache so a suspect entry is never
-                // consulted.
+                // immune to the no-pivot elimination's pivot loss. It
+                // factors its own system: the shared map's key does not
+                // encode the backend.
                 degrades.push(event(DegradeAction::DenseRetry, &e));
-                match attempt(dt, SolverBackend::Dense, None) {
+                let dense = PassContext {
+                    backend: SolverBackend::Dense,
+                    factors: None,
+                    ..*cx
+                };
+                match self.victim_attempt(&dense, &stage, dt) {
                     Ok(ok) => Ok(ok),
                     Err(e2) if is_numeric_failure(&e2) => {
                         // Fallback 2: halve the timestep — a stiff or
                         // marginally conditioned system integrates with a
                         // better-conditioned trapezoidal matrix.
                         degrades.push(event(DegradeAction::HalvedTimestep, &e2));
-                        attempt(dt * 0.5, SolverBackend::Dense, None)
+                        self.victim_attempt(&dense, &stage, dt * 0.5)
                     }
                     Err(e2) => Err(e2),
                 }
@@ -2334,55 +1913,36 @@ impl Sta {
         result
     }
 
-    /// One victim reduction on one `(dt, backend)` grid — the unit the
-    /// fallback chain in [`victim_gamma`](Self::victim_gamma) retries. A
-    /// failure after a topo-cache key was built quarantines the
-    /// `(key, polarity)` pair, so an implicated factorization is never
-    /// reused on the reduction path that failed — while the other
-    /// polarity keeps cache service.
-    #[allow(clippy::too_many_arguments)]
+    /// One victim reduction on one `(dt, cx.backend)` grid — the unit the
+    /// fallback chain in [`victim_gamma`](Self::victim_gamma) retries.
     fn victim_attempt(
         &self,
-        bc: &BoundaryConditions,
-        spec: &CouplingSpec,
-        victim_pol: Polarity,
-        victim_ramp: &SaturatedRamp,
-        agg_ramps: &[SaturatedRamp],
-        victim_line: RcLineSpec,
-        load: f64,
-        t_stop: f64,
+        cx: &PassContext<'_>,
+        stage: &VictimStage<'_>,
         dt: f64,
-        method: MethodKind,
-        backend: SolverBackend,
-        topo: Option<&TopoCache>,
     ) -> Result<(SaturatedRamp, f64), StaError> {
-        let agg_pol = if spec.aggressors_oppose {
-            victim_pol.inverted()
-        } else {
-            victim_pol
-        };
+        let spec = stage.spec;
+        let t_stop = stage.t_stop;
         let steps = (t_stop / dt).round() as u64;
 
         // Voltage source 0 is the victim driver; sources 1..=N follow
         // aggressor order — the factored system relies on this layout.
         let waves_span = nsta_obs::span!("si.victim.waves");
-        let victim_wave = victim_ramp.to_waveform(0.0, t_stop, dt)?;
-        let agg_waves: Vec<Waveform> = agg_ramps
+        let victim_wave = stage.victim_ramp.to_waveform(0.0, t_stop, dt)?;
+        let agg_waves: Vec<Waveform> = stage
+            .agg_ramps
             .iter()
             .map(|ramp| ramp.to_waveform(0.0, t_stop, dt))
             .collect::<Result<_, _>>()?;
         drop(waves_span);
 
         // One factorization serves the noisy/noiseless pair — and, via the
-        // topology cache, every other reduction with the same signature:
+        // shared map, every other reduction with the same signature:
         // assemble and LU-factor only on a miss.
-        let key = topo
-            .filter(|t| t.enabled)
-            .map(|_| TopoKey::new(dt, steps, spec, &victim_line, load));
-        let entry = match key
-            .as_ref()
-            .and_then(|k| topo.and_then(|t| t.lookup(k, victim_pol)))
-        {
+        let key = cx
+            .factors
+            .map(|_| TopoKey::new(dt, steps, spec, &stage.victim_line, stage.load));
+        let entry = match cx.factors.zip(key.as_ref()).and_then(|(f, k)| f.get(k)) {
             Some(entry) => entry,
             None => {
                 let mut ckt = Circuit::new();
@@ -2390,7 +1950,7 @@ impl Sta {
                 // Sources are registered with a cheap 2-point placeholder:
                 // the factored system is driven by explicit source vectors
                 // at run time, and keeping victim-specific dense grids out
-                // of the cached value stops the first victim's waveforms
+                // of the shared value stops the first victim's waveforms
                 // from being pinned for the whole analysis.
                 let placeholder = Waveform::constant(0.0, 0.0, t_stop)?;
                 ckt.thevenin_driver(v_in, placeholder.clone(), spec.driver_resistance)?;
@@ -2402,10 +1962,10 @@ impl Sta {
                 }
                 let victim_far = if agg_ins.is_empty() {
                     // All aggressors pruned: the victim still sees its wire.
-                    victim_line.build(&mut ckt, v_in, "w")?
+                    stage.victim_line.build(&mut ckt, v_in, "w")?
                 } else {
                     let bundle = StarCoupledLines::new(
-                        victim_line,
+                        stage.victim_line,
                         (0..agg_ins.len())
                             .map(|i| (spec.line_of(i), spec.cm_of(i)))
                             .collect(),
@@ -2413,66 +1973,41 @@ impl Sta {
                     let (far, _) = bundle.build(&mut ckt, v_in, &agg_ins, "w")?;
                     far
                 };
-                ckt.capacitor(victim_far, Circuit::GROUND, load)?;
+                ckt.capacitor(victim_far, Circuit::GROUND, stage.load)?;
                 let system = ckt.factor_transient(
-                    TransientOptions::new(0.0, t_stop, dt)?.with_backend(backend),
+                    TransientOptions::new(0.0, t_stop, dt)?.with_backend(cx.backend),
                 )?;
-                if let Some(t) = topo {
-                    t.note_nnz(system.nnz());
-                }
                 let entry = CachedSystem {
                     system: Arc::new(system),
                     victim_far,
                 };
-                if let (Some(t), Some(k)) = (topo, key.clone()) {
-                    t.insert(k, entry.clone(), victim_pol, spec.victim);
+                if let (Some(f), Some(k)) = (cx.factors, key) {
+                    f.insert(k, entry.clone());
                 }
                 entry
             }
         };
-
-        // Everything from here on exercises the (possibly cached)
-        // factorization: capture failures so the entry can be quarantined
-        // instead of being served to the next victim with the same key.
-        let outcome = self.victim_reduce(
-            bc,
-            spec,
-            &entry,
-            &victim_wave,
-            &agg_waves,
-            agg_pol,
-            t_stop,
-            method,
-        );
-        if outcome.is_err() {
-            if let (Some(t), Some(k)) = (topo, key.as_ref()) {
-                t.quarantine(k, victim_pol, spec.victim);
-            }
-        }
-        outcome
+        self.victim_reduce(cx, stage, &entry, &victim_wave, &agg_waves)
     }
 
     /// Runs the noiseless/noisy transient pair on a factored system and
     /// reduces the noisy waveform to `(Γeff, base arrival)`. Non-finite
     /// node voltages — a poisoned solve — surface as a recoverable
     /// numeric error rather than propagating NaN into the report.
-    #[allow(clippy::too_many_arguments)]
     fn victim_reduce(
         &self,
-        bc: &BoundaryConditions,
-        spec: &CouplingSpec,
+        cx: &PassContext<'_>,
+        stage: &VictimStage<'_>,
         entry: &CachedSystem,
         victim_wave: &Waveform,
         agg_waves: &[Waveform],
-        agg_pol: Polarity,
-        t_stop: f64,
-        method: MethodKind,
     ) -> Result<(SaturatedRamp, f64), StaError> {
         let th = Thresholds::cmos(self.library().voltage);
         let vdd = th.vdd();
+        let agg_pol = stage.spec.aggressor_polarity(stage.polarity);
         let quiet_level = if agg_pol.is_rise() { 0.0 } else { vdd };
         let transient_span = nsta_obs::span!("si.victim.transient");
-        let quiet = Waveform::constant(quiet_level, 0.0, t_stop)?;
+        let quiet = Waveform::constant(quiet_level, 0.0, stage.t_stop)?;
         let mut quiet_sources: Vec<&Waveform> = Vec::with_capacity(1 + agg_waves.len());
         quiet_sources.push(victim_wave);
         quiet_sources.extend(agg_waves.iter().map(|_| &quiet));
@@ -2518,7 +2053,7 @@ impl Sta {
         // default output load (the historical uniform behavior) otherwise.
         let receiver = self
             .graph()
-            .fanout_edges(spec.victim)
+            .fanout_edges(stage.spec.victim)
             .first()
             .map(|&k| {
                 let edge = &self.graph().edges()[k];
@@ -2532,7 +2067,7 @@ impl Sta {
         let noiseless_output = match receiver {
             Some((cell, out_net)) => {
                 let _gate_span = nsta_obs::span!("si.victim.gate");
-                let load = bc.output(out_net).load.max(1e-15);
+                let load = cx.bc.output(out_net).load.max(1e-15);
                 let gate = TableGate::new(cell, load, th).map_err(StaError::from)?;
                 Some(gate.response(&noiseless).map_err(StaError::from)?)
             }
@@ -2541,7 +2076,7 @@ impl Sta {
 
         let _reduce_span = nsta_obs::span!("si.victim.reduce");
         let ctx = PropagationContext::new(noiseless, noisy, noiseless_output, th)?;
-        let gamma = method.equivalent(&ctx)?;
+        let gamma = cx.method.equivalent(&ctx)?;
         Ok((gamma, base_arrival))
     }
 }
@@ -3002,58 +2537,65 @@ mod tests {
         // change a single ulp anywhere in the report.
         assert_analyses_identical(&sequential, &threaded);
         assert!(!sequential.adjustments.is_empty());
+        // Cones cover the whole design: every group contributes its three
+        // independent chains.
+        assert_eq!(sequential.cones(), sta.graph().components().len());
+        assert!(sequential.cones() >= 3 * groups);
     }
 
     #[test]
     fn topo_cache_is_bit_identical_to_uncached_across_threads() {
-        // The topology-keyed factorization cache shares LU factors across
-        // victims, polarities and iterations; it must not change a single
-        // bit of any result — at 1 thread and on the worker pool.
+        // One pass's victims share LU factors across groups and
+        // polarities; that must not change a single bit of any result —
+        // at 1 thread and on the worker pool. The reference is the
+        // unshared path the fallback chain takes: every reduction factors
+        // its own system.
         let _guard = crate::obs_test_guard();
         let groups = 3;
         let sta = Sta::new(multi_group_design(groups), lib().clone()).unwrap();
-        let c = Constraints::default();
-        let specs = multi_group_specs(&sta, groups);
-        let uncached = sta
-            .analyze_with_crosstalk_windows(
-                c,
-                &specs,
-                &SiOptions {
-                    topo_cache: false,
-                    ..SiOptions::default()
-                },
-            )
-            .unwrap();
-        assert_eq!(uncached.cache_hits(), 0);
-        assert_eq!(uncached.cache_misses(), 0);
+        let bc = BoundaryConditions::from(&Constraints::default());
+        // Group 1 loses its far aggressor and group 2 gains quiet coupling
+        // (folded into its wire's ground cap): a key blind to either
+        // change would serve them a wrong system.
+        let mut specs = multi_group_specs(&sta, groups);
+        specs[1] = specs[1].restricted(&[0]);
+        specs[2].quiet_cm = 20e-15;
+        let base = sta.forward_sweep(&bc).unwrap();
+        let pass = |threads: usize, factors: Option<&Factorizations>| {
+            let cx = PassContext {
+                bc: &bc,
+                method: MethodKind::Sgdp,
+                backend: SolverBackend::Sparse,
+                base: &base,
+                threads,
+                policy: FaultPolicy::Fail,
+                deadline: None,
+                factors,
+            };
+            let (states, adjustments, stats, degrades) =
+                sta.crosstalk_pass(&cx, &specs, None, None).unwrap();
+            assert!(degrades.is_empty());
+            let mask = sta.false_edge_mask(&bc);
+            let report = sta.finish_report(&bc, states, mask.as_ref()).unwrap();
+            (report, adjustments, stats)
+        };
+        let unshared = pass(1, None);
+        assert!(!unshared.1.is_empty());
         for threads in [1, 4] {
-            let cached = sta
-                .analyze_with_crosstalk_windows(
-                    c,
-                    &specs,
-                    &SiOptions {
-                        threads,
-                        ..SiOptions::default()
-                    },
-                )
-                .unwrap();
-            assert_analyses_identical(&uncached, &cached);
+            let factors = Factorizations::default();
+            let shared = pass(threads, Some(&factors));
+            assert_eq!(shared, unshared, "threads={threads}");
             // The fixture's identical groups must actually share systems.
+            let hits = factors.hits.load(Ordering::Relaxed);
+            let misses = factors.misses.load(Ordering::Relaxed);
             assert!(
-                cached.cache_hits() > 0,
-                "expected topology-cache hits at {threads} thread(s), got {}",
-                cached.cache_hits()
+                hits > 0,
+                "expected shared factorizations at {threads} thread(s), got {hits}"
             );
-            assert!(cached.cache_misses() > 0);
-            // Every simulated reduction consults the cache exactly once,
-            // and the final iteration's reductions are all present in the
-            // adjustment list, so the totals at least cover them.
-            assert!(cached.cache_hits() + cached.cache_misses() >= cached.adjustments.len());
+            assert!(misses > 0);
+            // Every reduction consults the map exactly once.
+            assert_eq!(hits + misses, shared.1.len());
         }
-        // Cones cover the whole design: every group contributes its three
-        // independent chains.
-        assert_eq!(uncached.cones(), sta.graph().components().len());
-        assert!(uncached.cones() >= 3 * groups);
     }
 
     /// One fully connected cone: input `a` fans out to both the victim
@@ -3144,7 +2686,7 @@ mod tests {
             instrumented.cache_hits() + instrumented.cache_misses()
         );
         // The instrumented run actually recorded: phase + iteration +
-        // per-cone spans, and the topology-cache counters.
+        // per-cone spans, and the shared-factorization counters.
         assert!(events > 0, "enabled run must record spans");
         for layer in ["waves", "transient", "gate", "reduce"] {
             let name = format!("\"si.victim.{layer}\"");
@@ -3245,98 +2787,6 @@ mod tests {
         ));
     }
 
-    /// A minimal factored system for cache bookkeeping tests: one driven
-    /// node with a grounded cap. Every call builds the same topology, so
-    /// entries differ only by key.
-    fn cached_system() -> CachedSystem {
-        let mut ckt = Circuit::new();
-        let n = ckt.node("n");
-        ckt.thevenin_driver(n, Waveform::constant(0.0, 0.0, 1e-9).unwrap(), 100.0)
-            .unwrap();
-        ckt.capacitor(n, Circuit::GROUND, 1e-15).unwrap();
-        let opts = TransientOptions::new(0.0, 1e-9, 1e-12).unwrap();
-        CachedSystem {
-            system: Arc::new(ckt.factor_transient(opts).unwrap()),
-            victim_far: n,
-        }
-    }
-
-    #[test]
-    fn topo_cache_lru_evicts_least_recently_used_first() {
-        let entry = cached_system();
-        let key = |tag: u64| TopoKey(vec![tag]);
-        let per_entry = TopoCache::entry_bytes(&key(0), &entry);
-        // Room for exactly two entries; the third insert must evict.
-        let cache = TopoCache::new(true, 2 * per_entry);
-        cache.insert(key(1), entry.clone(), Polarity::Rise, NetId(1));
-        cache.insert(key(2), entry.clone(), Polarity::Rise, NetId(2));
-        // Touch key 1 so key 2 becomes the least recently used.
-        assert!(cache.lookup(&key(1), Polarity::Rise).is_some());
-        cache.insert(key(3), entry.clone(), Polarity::Rise, NetId(3));
-        assert_eq!(cache.evictions(), 1);
-        assert!(cache.lookup(&key(1), Polarity::Rise).is_some());
-        assert!(cache.lookup(&key(2), Polarity::Rise).is_none());
-        assert!(cache.lookup(&key(3), Polarity::Rise).is_some());
-        // Peak tracks the high-water mark, and the resident total never
-        // exceeded the budget.
-        assert_eq!(cache.bytes_peak(), 2 * per_entry);
-    }
-
-    #[test]
-    fn topo_cache_refuses_single_entry_over_budget() {
-        // An entry larger than the whole budget is refused outright (and
-        // counted as an eviction, so budget pressure stays visible in the
-        // stats) rather than stored and immediately evicted.
-        let cache = TopoCache::new(true, 1);
-        let key = TopoKey(vec![7]);
-        cache.insert(key.clone(), cached_system(), Polarity::Rise, NetId(7));
-        assert_eq!(cache.evictions(), 1);
-        assert!(cache.lookup(&key, Polarity::Rise).is_none());
-        assert_eq!(cache.bytes_peak(), 0);
-    }
-
-    #[test]
-    fn topo_cache_unbounded_budget_never_evicts() {
-        let cache = TopoCache::new(true, usize::MAX);
-        for tag in 0..16 {
-            cache.insert(
-                TopoKey(vec![tag]),
-                cached_system(),
-                Polarity::Rise,
-                NetId(tag as usize),
-            );
-        }
-        assert_eq!(cache.evictions(), 0);
-        for tag in 0..16 {
-            assert!(cache.lookup(&TopoKey(vec![tag]), Polarity::Rise).is_some());
-        }
-    }
-
-    #[test]
-    fn topo_cache_quarantine_is_polarity_scoped() {
-        // PR 7 regression: a numeric failure on one polarity's reduction
-        // must ban exactly the (key, polarity) pair — not the key for
-        // both polarities, and not forever for the healthy polarity.
-        let cache = TopoCache::new(true, usize::MAX);
-        let key = TopoKey(vec![42]);
-        cache.insert(key.clone(), cached_system(), Polarity::Rise, NetId(0));
-        cache.quarantine(&key, Polarity::Rise, NetId(0));
-        // The implicated pair is refused...
-        assert!(cache.lookup(&key, Polarity::Rise).is_none());
-        // ...but the other polarity keeps full cache service: it may
-        // re-insert the key and be served from it.
-        cache.insert(key.clone(), cached_system(), Polarity::Fall, NetId(0));
-        assert!(cache.lookup(&key, Polarity::Fall).is_some());
-        // The Fall re-insert must NOT resurrect service for the
-        // quarantined Rise pair (the PR 7 bug quarantined whole keys, so
-        // a re-insert under any polarity reopened the banned one).
-        assert!(cache.lookup(&key, Polarity::Rise).is_none());
-        // And a direct Rise re-insert is refused while Fall still serves.
-        cache.insert(key.clone(), cached_system(), Polarity::Rise, NetId(0));
-        assert!(cache.lookup(&key, Polarity::Rise).is_none());
-        assert!(cache.lookup(&key, Polarity::Fall).is_some());
-    }
-
     #[test]
     fn governed_update_tames_a_two_victim_oscillation() {
         // Hand-built period-2 oscillation: two coupled victims whose
@@ -3399,47 +2849,5 @@ mod tests {
         assert_eq!(third[0], installed[0]);
         assert_eq!(third[1], installed[1]);
         assert_eq!(third[3], installed[3]);
-    }
-
-    #[test]
-    fn topo_cache_quarantine_releases_budget_bytes() {
-        let entry = cached_system();
-        let key = |tag: u64| TopoKey(vec![tag]);
-        let per_entry = TopoCache::entry_bytes(&key(0), &entry);
-        // Budget for one entry only.
-        let cache = TopoCache::new(true, per_entry);
-        cache.insert(key(1), entry.clone(), Polarity::Rise, NetId(1));
-        cache.quarantine(&key(1), Polarity::Rise, NetId(1));
-        // The quarantined entry's bytes were released, so a fresh key
-        // fits without any LRU eviction.
-        cache.insert(key(2), entry, Polarity::Rise, NetId(2));
-        assert!(cache.lookup(&key(2), Polarity::Rise).is_some());
-        assert_eq!(cache.evictions(), 0);
-    }
-
-    #[test]
-    fn topo_cache_release_nets_lifts_quarantine_and_drops_owned_entries() {
-        // A long-lived session invalidating a victim must release both the
-        // victim's stored entries and its quarantine records — without one,
-        // a transient fault would pin a (key, polarity) pair forever even
-        // after the offending geometry is edited away.
-        let entry = cached_system();
-        let key = |tag: u64| TopoKey(vec![tag]);
-        let cache = TopoCache::new(true, usize::MAX);
-        cache.insert(key(1), entry.clone(), Polarity::Rise, NetId(1));
-        cache.insert(key(2), entry.clone(), Polarity::Rise, NetId(2));
-        cache.quarantine(&key(3), Polarity::Rise, NetId(1));
-        // Releasing net 1 drops its entry and lifts its quarantine; net 2
-        // is untouched.
-        assert_eq!(cache.release_nets(&[NetId(1)]), 2);
-        assert!(cache.lookup(&key(1), Polarity::Rise).is_none());
-        assert!(cache.lookup(&key(2), Polarity::Rise).is_some());
-        assert!(!cache.is_quarantined(&key(3), Polarity::Rise));
-        // The released pair earns cache service again.
-        cache.insert(key(3), entry, Polarity::Rise, NetId(5));
-        assert!(cache.lookup(&key(3), Polarity::Rise).is_some());
-        // Releasing a net that owns nothing is a no-op.
-        assert_eq!(cache.release_nets(&[NetId(1)]), 0);
-        assert_eq!(cache.release_nets(&[]), 0);
     }
 }

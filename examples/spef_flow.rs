@@ -124,7 +124,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         analysis.converged()
     );
     println!(
-        "  topology cache: {} hit(s), {} miss(es) across {} fanout cone(s)",
+        "  shared factorizations: {} hit(s), {} miss(es) across {} fanout cone(s)",
         analysis.cache_hits(),
         analysis.cache_misses(),
         analysis.cones()

@@ -1,7 +1,7 @@
 //! Fault-tolerance integration tests: degenerate extractions flow into
 //! structured errors or degraded-but-complete results per the fault
 //! policy, and every deterministic injected fault (lost pivot, NaN solve,
-//! worker panic, poisoned lock) recovers through the fallback machinery
+//! worker panic) recovers through the fallback machinery
 //! with the recovered result landing within the dense-parity tolerance of
 //! a fault-free run.
 
@@ -41,8 +41,10 @@ fn lib() -> &'static Library {
 }
 
 /// `groups` independent victim/aggressor pairs: `a{g} → v{g} → y{g}`
-/// coupled to `b{g} → g{g} → z{g}`.
-fn grouped_sta(groups: usize) -> (noisy_sta::sta::Sta, Vec<CouplingSpec>) {
+/// coupled to `b{g} → g{g} → z{g}`. With `distinct_lines` every group's
+/// victim wire has its own length, so no two groups share a topology key
+/// (and with it a factorization); otherwise all groups are identical.
+fn grouped_sta(groups: usize, distinct_lines: bool) -> (noisy_sta::sta::Sta, Vec<CouplingSpec>) {
     let mut src = String::from("module m (");
     let ports: Vec<String> = (0..groups)
         .flat_map(|g| {
@@ -68,11 +70,16 @@ fn grouped_sta(groups: usize) -> (noisy_sta::sta::Sta, Vec<CouplingSpec>) {
     let sta = noisy_sta::sta::Sta::new(design, lib().clone()).expect("sta");
     let specs: Vec<CouplingSpec> = (0..groups)
         .map(|g| {
+            let microns = if distinct_lines {
+                1000.0 + 250.0 * g as f64
+            } else {
+                1000.0
+            };
             CouplingSpec::new(
                 sta.design().find_net(&format!("v{g}")).expect("victim"),
                 vec![sta.design().find_net(&format!("g{g}")).expect("aggressor")],
                 100e-15,
-                RcLineSpec::per_micron(1000.0).expect("line"),
+                RcLineSpec::per_micron(microns).expect("line"),
             )
         })
         .collect();
@@ -87,7 +94,9 @@ fn grouped_sta(groups: usize) -> (noisy_sta::sta::Sta, Vec<CouplingSpec>) {
 fn assert_recovers(site: &str, expect_action: DegradeAction, opts: &SiOptions) {
     let _g = fault_guard();
     let groups = if site == "worker-panic" { 4 } else { 2 };
-    let (sta, specs) = grouped_sta(groups);
+    // The pivot-loss site is consulted per sparse factorization, and
+    // identical groups share one: distinct lines give each group its own.
+    let (sta, specs) = grouped_sta(groups, site == "pivot-loss");
     let c = Constraints::default();
     let clean = sta
         .analyze_with_crosstalk_windows(c, &specs, opts)
@@ -135,15 +144,10 @@ fn assert_recovers(site: &str, expect_action: DegradeAction, opts: &SiOptions) {
 
 #[test]
 fn injected_pivot_loss_recovers_through_the_dense_fallback() {
-    // The cache would dedupe factorizations (and with them the injection
-    // site's opportunities); disable it so every victim attempt factors.
     assert_recovers(
         "pivot-loss",
         DegradeAction::DenseRetry,
-        &SiOptions {
-            topo_cache: false,
-            ..SiOptions::default()
-        },
+        &SiOptions::default(),
     );
 }
 
@@ -165,15 +169,6 @@ fn injected_worker_panic_is_retried_on_the_coordinator() {
             threads: 2,
             ..SiOptions::default()
         },
-    );
-}
-
-#[test]
-fn poisoned_topo_cache_lock_is_recovered() {
-    assert_recovers(
-        "cache-poison",
-        DegradeAction::LockRecovered,
-        &SiOptions::default(),
     );
 }
 

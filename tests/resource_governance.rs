@@ -1,7 +1,6 @@
-//! Resource-governance integration tests: bounded topo-cache eviction is
-//! bit-parity-safe, cooperative deadlines yield well-formed partial
-//! results with per-net staleness (deterministically, on a fake clock),
-//! and the convergence governor turns an unconverged fixed point into a
+//! Resource-governance integration tests: cooperative deadlines yield
+//! well-formed partial results with per-net staleness (deterministically,
+//! on a fake clock), and the convergence governor turns an unconverged fixed point into a
 //! certified-conservative converged one with every widening on record.
 
 // Integration tests panic on failure by design; the workspace's
@@ -194,54 +193,6 @@ fn generous_deadline_is_bit_identical_to_no_deadline() {
     assert!(governed.stale_nets().is_empty());
     assert_eq!(governed.report, unbounded.report);
     assert_eq!(governed.adjustments, unbounded.adjustments);
-}
-
-// ---------------------------------------------------------------------
-// Cache budget
-// ---------------------------------------------------------------------
-
-#[test]
-fn tiny_cache_budget_is_bit_identical_to_unbounded_at_1_and_4_threads() {
-    // Eviction may only cost refactors: colliding cache keys are exact
-    // bit patterns, so a starved cache (budget 1 byte: every insert
-    // refused) must reproduce the unbounded cache bit for bit — on the
-    // inline scheduler and on a worker pool.
-    let (sta, specs) = grouped_sta(8);
-    let c = Constraints::default();
-    for threads in [1usize, 4] {
-        let unbounded = sta
-            .analyze_with_crosstalk_windows(
-                c,
-                &specs,
-                &SiOptions {
-                    threads,
-                    cache_budget_bytes: usize::MAX,
-                    ..SiOptions::default()
-                },
-            )
-            .expect("unbounded-cache analysis");
-        let starved = sta
-            .analyze_with_crosstalk_windows(
-                c,
-                &specs,
-                &SiOptions {
-                    threads,
-                    cache_budget_bytes: 1,
-                    ..SiOptions::default()
-                },
-            )
-            .expect("starved-cache analysis");
-        assert!(
-            starved.cache_evictions() > 0,
-            "threads={threads}: a 1-byte budget must refuse stores"
-        );
-        assert_eq!(unbounded.cache_evictions(), 0);
-        assert_eq!(starved.report, unbounded.report, "threads={threads}");
-        assert_eq!(
-            starved.adjustments, unbounded.adjustments,
-            "threads={threads}"
-        );
-    }
 }
 
 // ---------------------------------------------------------------------
