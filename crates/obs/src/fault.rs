@@ -2,11 +2,11 @@
 //!
 //! The analysis pipeline carries a fault-tolerance layer (numeric
 //! fallback chain, per-victim isolation, panic-safe scheduling) whose
-//! error paths never run on healthy inputs. This module lets a harness
-//! (`spefbus --inject`, or a test) *force* those paths deterministically:
-//! each named [`site`](self#sites) in the pipeline asks [`should_fire`]
-//! whether to misbehave, and an armed plan answers `true` at
-//! seed-reproducible opportunity indices.
+//! error paths never run on healthy inputs. This module lets a test
+//! *force* those paths deterministically: each named
+//! [`site`](self#sites) in the pipeline asks [`should_fire`] whether to
+//! misbehave, and an armed plan answers `true` at seed-reproducible
+//! opportunity indices.
 //!
 //! # Sites
 //!
@@ -105,10 +105,9 @@ fn site_index(name: &str) -> Option<usize> {
     SITE_NAMES.iter().position(|s| *s == name)
 }
 
-/// Validates an `--inject` spec without arming it: comma-separated site
-/// names, each optionally `name:count`. Returns the per-site fire
-/// counts.
-pub fn parse_spec(spec: &str) -> Result<[u64; SITE_COUNT], String> {
+/// Parses a fault spec: comma-separated site names, each optionally
+/// `name:count`. Returns the per-site fire counts.
+fn parse_spec(spec: &str) -> Result<[u64; SITE_COUNT], String> {
     let mut counts = [0u64; SITE_COUNT];
     let mut any = false;
     for part in spec.split(',') {

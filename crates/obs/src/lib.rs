@@ -37,9 +37,9 @@
 //! load and an early return — no clock read, no allocation, no lock.
 //! Recording never feeds back into any computation, so instrumented and
 //! uninstrumented analyses are **bit-identical** (the `nsta-sta` parity
-//! test and the `spefbus` in-binary gate both assert this), and the
-//! enabled-path wall-clock overhead on the windowed spefbus phase is
-//! budgeted at 5% (enforced in-binary and in CI).
+//! test and `spefbus --trace` both assert this), and the enabled-path
+//! wall-clock overhead on the windowed spefbus phase is budgeted at 5%
+//! (enforced in-binary and in CI).
 //!
 //! Keep span/counter *names* `'static` string literals; dynamic context
 //! belongs in args (plain numbers, evaluated eagerly — keep them cheap).
@@ -96,7 +96,7 @@ use std::sync::OnceLock;
 
 /// The process-wide recorder every pipeline crate instruments against.
 ///
-/// Starts disabled; `spefbus --trace/--metrics` (or a test) enables it
+/// Starts disabled; `spefbus --trace` (or a test) enables it
 /// around the run it wants observed.
 pub fn recorder() -> &'static Recorder {
     static GLOBAL: OnceLock<Recorder> = OnceLock::new();

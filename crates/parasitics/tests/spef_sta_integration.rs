@@ -128,7 +128,7 @@ fn spef_driven_window_filtered_crosstalk_flow() {
         "expected gf pruned, got {:?}",
         analysis.pruned
     );
-    assert!(analysis.converged());
+    assert!(analysis.diagnostics.converged);
 
     // Window-filtered crosstalk delay is never better than clean delay:
     // the victim's fanout net sees wire delay plus surviving-aggressor

@@ -345,9 +345,6 @@ pub struct DegradeEvent {
 pub struct SiOptions {
     /// Equivalent-waveform reduction technique.
     pub method: MethodKind,
-    /// When `true` (default), aggressors whose switching windows cannot
-    /// overlap the victim's are pruned before any circuit simulation.
-    pub use_windows: bool,
     /// Extra guard band added around aggressor windows during the overlap
     /// test (s). Larger values prune less aggressively.
     pub window_guard: f64,
@@ -393,7 +390,6 @@ impl Default for SiOptions {
     fn default() -> Self {
         SiOptions {
             method: MethodKind::Sgdp,
-            use_windows: true,
             window_guard: 0.0,
             max_iterations: 4,
             convergence_tol: 0.1e-12,
@@ -496,8 +492,8 @@ fn governed_window_update(
     }
 }
 
-/// Structured convergence and cost diagnostics of one analysis call —
-/// the coherent layer behind [`SiAnalysis`]'s forwarding accessors.
+/// Structured convergence and cost diagnostics of one analysis call,
+/// read as [`SiAnalysis::diagnostics`].
 #[derive(Debug, Clone)]
 pub struct SiDiagnostics {
     /// One record per executed fixed-point pass, in order. A pass skipped
@@ -542,7 +538,7 @@ pub struct SiDiagnostics {
 
 impl SiDiagnostics {
     /// Final pass's worst arrival movement (s); `None` before any pass
-    /// recorded (unfiltered analyses record a single zero-delta pass).
+    /// recorded.
     pub fn final_window_delta(&self) -> Option<f64> {
         self.iterations.last().map(|it| it.max_window_delta)
     }
@@ -597,69 +593,6 @@ pub struct SiAnalysis {
     pub pruned: Vec<PrunedAggressor>,
     /// Per-iteration convergence trace plus cache/solver statistics.
     pub diagnostics: SiDiagnostics,
-}
-
-impl SiAnalysis {
-    /// Number of crosstalk iterations executed (≥ 1).
-    pub fn iterations(&self) -> usize {
-        self.diagnostics.iterations.len()
-    }
-
-    /// Whether the window fixed point converged within the iteration cap.
-    pub fn converged(&self) -> bool {
-        self.diagnostics.converged
-    }
-
-    /// Victim reductions that reused a factorization shared within the
-    /// call.
-    pub fn cache_hits(&self) -> usize {
-        self.diagnostics.cache_hits
-    }
-
-    /// Victim reductions that assembled and factored a fresh system.
-    pub fn cache_misses(&self) -> usize {
-        self.diagnostics.cache_misses
-    }
-
-    /// Independent fanout cones the sweep was partitioned into.
-    pub fn cones(&self) -> usize {
-        self.diagnostics.cones
-    }
-
-    /// Linear-solver backend the victim reductions ran on.
-    pub fn solver_backend(&self) -> SolverBackend {
-        self.diagnostics.solver_backend
-    }
-
-    /// Largest factored-system nonzero count observed while assembling
-    /// victim stages.
-    pub fn solver_nnz(&self) -> usize {
-        self.diagnostics.solver_nnz
-    }
-
-    /// Every action of the fault-tolerance layer during this call (empty
-    /// on healthy runs).
-    pub fn degrade_events(&self) -> &[DegradeEvent] {
-        &self.diagnostics.degrade_events
-    }
-
-    /// Whether the analysis deadline expired, making this a partial
-    /// result (see [`SiDiagnostics::timed_out`]).
-    pub fn timed_out(&self) -> bool {
-        self.diagnostics.timed_out
-    }
-
-    /// Every widening the convergence governor applied (empty whenever
-    /// the fixed point converged on its own).
-    pub fn convergence_actions(&self) -> &[ConvergenceAction] {
-        &self.diagnostics.convergence_actions
-    }
-
-    /// Nets left with stale nominal timing by deadline expiry (sorted,
-    /// deduplicated; empty unless [`timed_out`](Self::timed_out)).
-    pub fn stale_nets(&self) -> Vec<NetId> {
-        self.diagnostics.stale_nets()
-    }
 }
 
 /// Outcome of the SI reduction on one victim net.
@@ -1581,52 +1514,6 @@ impl Sta {
             deadline,
             factors: Some(&factors),
         };
-        let diagnostics =
-            |iterations: Vec<SiIteration>,
-             converged: bool,
-             timed_out: bool,
-             convergence_actions: Vec<ConvergenceAction>,
-             degrade_events: Vec<DegradeEvent>| SiDiagnostics {
-                iterations,
-                converged,
-                cones,
-                cache_hits: factors.hits.load(Ordering::Relaxed),
-                cache_misses: factors.misses.load(Ordering::Relaxed),
-                solver_backend: options.backend,
-                solver_nnz: factors.max_nnz.load(Ordering::Relaxed),
-                degrade_events,
-                timed_out,
-                convergence_actions,
-                epoch: 0,
-            };
-
-        if !options.use_windows {
-            let mut cache = VictimCache::default();
-            let cache_ref = options
-                .incremental
-                .then_some((&mut cache, options.convergence_tol));
-            let (states, adjustments, stats, degrades) =
-                self.crosstalk_pass(&cx, couplings, cache_ref, scope)?;
-            let report = self.finish_report_scoped(&bc, states.clone(), mask, net_scope)?;
-            let timed_out = degrades
-                .iter()
-                .any(|e| e.action == DegradeAction::DeadlineSkipped);
-            let pass = SiIteration {
-                victims_recomputed: stats.recomputed,
-                victims_cached: stats.cached,
-                aggressors_pruned: 0,
-                max_window_delta: 0.0,
-            };
-            return Ok((
-                SiAnalysis {
-                    report,
-                    adjustments,
-                    pruned: Vec::new(),
-                    diagnostics: diagnostics(vec![pass], true, timed_out, Vec::new(), degrades),
-                },
-                states,
-            ));
-        }
 
         let min_states = {
             let _sweep_span = nsta_obs::span!("si.min_sweep");
@@ -1762,13 +1649,19 @@ impl Sta {
                 pruned,
                 // Factorization counters accumulate across iterations;
                 // snapshot them once on the surviving analysis.
-                diagnostics: diagnostics(
-                    iteration_trace,
+                diagnostics: SiDiagnostics {
+                    iterations: iteration_trace,
                     converged,
+                    cones,
+                    cache_hits: factors.hits.load(Ordering::Relaxed),
+                    cache_misses: factors.misses.load(Ordering::Relaxed),
+                    solver_backend: options.backend,
+                    solver_nnz: factors.max_nnz.load(Ordering::Relaxed),
+                    degrade_events,
                     timed_out,
                     convergence_actions,
-                    degrade_events,
-                ),
+                    epoch: 0,
+                },
             },
             states,
         ))
@@ -2305,48 +2198,63 @@ mod tests {
             .arrival;
         assert!(si > nom, "si {si:e} vs nominal {nom:e}");
         assert!(!analysis.adjustments.is_empty());
-        assert!(analysis.iterations() >= 1);
-        assert!(analysis.converged(), "small designs reach the fixed point");
+        assert!(!analysis.diagnostics.iterations.is_empty());
+        assert!(
+            analysis.diagnostics.converged,
+            "small designs reach the fixed point"
+        );
     }
 
     #[test]
     fn dense_backend_matches_sparse_within_solver_roundoff() {
         // Both backends integrate the identical trapezoidal system; only
         // storage and elimination order differ, so every victim arrival
-        // must agree to solver round-off — the contract the spefbus
-        // `--dense-solver` parity gate enforces at scale (1e-6 ps).
+        // must agree to solver round-off (1e-6 ps). Checked on the
+        // default three-segment victim line and on the same line cut into
+        // 32 segments, a ~100-node coupled mesh.
         let sta = Sta::new(windowed_design(), lib().clone()).unwrap();
         let c = Constraints::default();
-        let spec = two_aggressor_spec(&sta);
-        let sparse = sta
-            .analyze_with_crosstalk_windows(c, std::slice::from_ref(&spec), &SiOptions::default())
-            .unwrap();
-        let dense = sta
-            .analyze_with_crosstalk_windows(
-                c,
-                &[spec],
-                &SiOptions {
-                    backend: SolverBackend::Dense,
-                    ..SiOptions::default()
-                },
-            )
-            .unwrap();
-        assert_eq!(sparse.solver_backend(), SolverBackend::Sparse);
-        assert_eq!(dense.solver_backend(), SolverBackend::Dense);
-        // The sparse run factored real victim stages: nnz is populated and
-        // far below the dense n² of the same mesh.
-        assert!(sparse.solver_nnz() > 0);
-        assert!(dense.solver_nnz() > sparse.solver_nnz());
-        for (a, b) in sparse.report.nets().iter().zip(dense.report.nets()) {
-            for (pa, pb) in [(&a.rise, &b.rise), (&a.fall, &b.fall)] {
-                if let (Some(pa), Some(pb)) = (pa.as_ref(), pb.as_ref()) {
-                    assert!(
-                        (pa.arrival - pb.arrival).abs() < 1e-18,
-                        "net {:?}: sparse {:e} vs dense {:e}",
-                        a.net,
-                        pa.arrival,
-                        pb.arrival
-                    );
+        let three = two_aggressor_spec(&sta);
+        let thirty_two = CouplingSpec {
+            line: RcLineSpec::new(three.line.r_total, three.line.c_total, 32).unwrap(),
+            ..three.clone()
+        };
+        for spec in [three, thirty_two] {
+            let segments = spec.line.segments;
+            let sparse = sta
+                .analyze_with_crosstalk_windows(
+                    c,
+                    std::slice::from_ref(&spec),
+                    &SiOptions::default(),
+                )
+                .unwrap();
+            let dense = sta
+                .analyze_with_crosstalk_windows(
+                    c,
+                    &[spec],
+                    &SiOptions {
+                        backend: SolverBackend::Dense,
+                        ..SiOptions::default()
+                    },
+                )
+                .unwrap();
+            assert_eq!(sparse.diagnostics.solver_backend, SolverBackend::Sparse);
+            assert_eq!(dense.diagnostics.solver_backend, SolverBackend::Dense);
+            // The sparse run factored real victim stages: nnz is populated
+            // and far below the dense n² of the same mesh.
+            assert!(sparse.diagnostics.solver_nnz > 0);
+            assert!(dense.diagnostics.solver_nnz > sparse.diagnostics.solver_nnz);
+            for (a, b) in sparse.report.nets().iter().zip(dense.report.nets()) {
+                for (pa, pb) in [(&a.rise, &b.rise), (&a.fall, &b.fall)] {
+                    if let (Some(pa), Some(pb)) = (pa.as_ref(), pb.as_ref()) {
+                        assert!(
+                            (pa.arrival - pb.arrival).abs() < 1e-18,
+                            "{segments} segments, net {:?}: sparse {:e} vs dense {:e}",
+                            a.net,
+                            pa.arrival,
+                            pb.arrival
+                        );
+                    }
                 }
             }
         }
@@ -2363,17 +2271,9 @@ mod tests {
         let filtered = sta
             .analyze_with_crosstalk_windows(c, std::slice::from_ref(&spec), &SiOptions::default())
             .unwrap();
-        let unfiltered = sta
-            .analyze_with_crosstalk_windows(
-                c,
-                &[spec],
-                &SiOptions {
-                    use_windows: false,
-                    ..SiOptions::default()
-                },
-            )
+        let (unfiltered, _) = sta
+            .analyze_with_crosstalk(c, &[spec], MethodKind::Sgdp)
             .unwrap();
-        assert!(unfiltered.pruned.is_empty());
         let y = sta.design().find_net("y").unwrap();
         let f = filtered
             .report
@@ -2383,14 +2283,7 @@ mod tests {
             .as_ref()
             .unwrap()
             .arrival;
-        let u = unfiltered
-            .report
-            .net(y)
-            .unwrap()
-            .rise
-            .as_ref()
-            .unwrap()
-            .arrival;
+        let u = unfiltered.net(y).unwrap().rise.as_ref().unwrap().arrival;
         // The far aggressor cannot overlap, so dropping it must not change
         // the victim's timing by more than the solver's tolerance.
         assert!((f - u).abs() < 5e-12, "filtered {f:e} vs unfiltered {u:e}");
@@ -2496,8 +2389,11 @@ mod tests {
         assert_eq!(a.report, b.report);
         assert_eq!(a.adjustments, b.adjustments);
         assert_eq!(a.pruned, b.pruned);
-        assert_eq!(a.iterations(), b.iterations());
-        assert_eq!(a.converged(), b.converged());
+        assert_eq!(
+            a.diagnostics.iterations.len(),
+            b.diagnostics.iterations.len()
+        );
+        assert_eq!(a.diagnostics.converged, b.diagnostics.converged);
         // The convergence trace must agree pass for pass wherever it
         // reflects the *solution* (pruning decisions, window movement).
         // Cost fields (victims recomputed vs cached) legitimately differ
@@ -2539,8 +2435,8 @@ mod tests {
         assert!(!sequential.adjustments.is_empty());
         // Cones cover the whole design: every group contributes its three
         // independent chains.
-        assert_eq!(sequential.cones(), sta.graph().components().len());
-        assert!(sequential.cones() >= 3 * groups);
+        assert_eq!(sequential.diagnostics.cones, sta.graph().components().len());
+        assert!(sequential.diagnostics.cones >= 3 * groups);
     }
 
     #[test]
@@ -2640,7 +2536,7 @@ mod tests {
             .unwrap();
         assert_analyses_identical(&sequential, &threaded);
         assert!(!sequential.adjustments.is_empty());
-        assert_eq!(sequential.cones(), 1);
+        assert_eq!(sequential.diagnostics.cones, 1);
     }
 
     #[test]
@@ -2648,7 +2544,7 @@ mod tests {
         // Recording must never feed back into the computation: running the
         // exact same analysis with the global recorder enabled has to
         // reproduce every report bit, adjustment and diagnostic record —
-        // the contract spefbus's in-binary overhead gate also enforces.
+        // the contract `spefbus --trace` also gates at scale.
         let _guard = crate::obs_test_guard();
         let groups = 3;
         let sta = Sta::new(multi_group_design(groups), lib().clone()).unwrap();
@@ -2682,8 +2578,8 @@ mod tests {
         // sharing a key may both miss concurrently), but the number of
         // lookups is a pure function of the victims recomputed.
         assert_eq!(
-            baseline.cache_hits() + baseline.cache_misses(),
-            instrumented.cache_hits() + instrumented.cache_misses()
+            baseline.diagnostics.cache_hits + baseline.diagnostics.cache_misses,
+            instrumented.diagnostics.cache_hits + instrumented.diagnostics.cache_misses
         );
         // The instrumented run actually recorded: phase + iteration +
         // per-cone spans, and the shared-factorization counters.
@@ -2715,9 +2611,9 @@ mod tests {
             )
             .unwrap();
         assert!(
-            incremental.iterations() >= 2,
+            incremental.diagnostics.iterations.len() >= 2,
             "fixture must exercise the fixed point, got {} iteration(s)",
-            incremental.iterations()
+            incremental.diagnostics.iterations.len()
         );
         assert_analyses_identical(&incremental, &full);
     }

@@ -120,14 +120,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         sta.analyze_with_crosstalk_windows(constraints, &bound.specs, &SiOptions::default())?;
     println!(
         "== window-filtered crosstalk (SGDP) == {} iteration(s), converged: {}",
-        analysis.iterations(),
-        analysis.converged()
+        analysis.diagnostics.iterations.len(),
+        analysis.diagnostics.converged
     );
     println!(
         "  shared factorizations: {} hit(s), {} miss(es) across {} fanout cone(s)",
-        analysis.cache_hits(),
-        analysis.cache_misses(),
-        analysis.cones()
+        analysis.diagnostics.cache_hits,
+        analysis.diagnostics.cache_misses,
+        analysis.diagnostics.cones
     );
     for p in &analysis.pruned {
         println!(

@@ -86,24 +86,24 @@ fn grouped_sta(groups: usize, distinct_lines: bool) -> (noisy_sta::sta::Sta, Vec
     (sta, specs)
 }
 
-/// Arms one site, runs the windowed analysis under `Isolate`, disarms,
-/// and asserts: the fault actually fired, everything recovered (no
-/// dropped victim), the expected degrade action is on record, and the
-/// worst arrival matches the fault-free run within the 1e-6 ps parity
-/// tolerance.
-fn assert_recovers(site: &str, expect_action: DegradeAction, opts: &SiOptions) {
+/// Arms `spec` (comma-separated sites), runs the windowed analysis under
+/// `Isolate`, disarms, and asserts: every armed site actually fired,
+/// everything recovered (no dropped victim), each expected degrade action
+/// is on record, and the worst arrival matches the fault-free run within
+/// the 1e-6 ps parity tolerance.
+fn assert_recovers(spec: &str, expect_actions: &[DegradeAction], opts: &SiOptions) {
     let _g = fault_guard();
-    let groups = if site == "worker-panic" { 4 } else { 2 };
+    let groups = if spec.contains("worker-panic") { 4 } else { 2 };
     // The pivot-loss site is consulted per sparse factorization, and
     // identical groups share one: distinct lines give each group its own.
-    let (sta, specs) = grouped_sta(groups, site == "pivot-loss");
+    let (sta, specs) = grouped_sta(groups, spec.contains("pivot-loss"));
     let c = Constraints::default();
     let clean = sta
         .analyze_with_crosstalk_windows(c, &specs, opts)
         .expect("clean analysis");
-    assert!(clean.degrade_events().is_empty());
+    assert!(clean.diagnostics.degrade_events.is_empty());
 
-    noisy_sta::obs::fault::arm(site, 7).expect("arm");
+    noisy_sta::obs::fault::arm(spec, 7).expect("arm");
     let injected = sta.analyze_with_crosstalk_windows(
         c,
         &specs,
@@ -112,23 +112,28 @@ fn assert_recovers(site: &str, expect_action: DegradeAction, opts: &SiOptions) {
             ..opts.clone()
         },
     );
-    let fired = noisy_sta::obs::fault::total_fired();
+    let fired = noisy_sta::obs::fault::fired_counts();
     noisy_sta::obs::fault::disarm();
     let injected = injected.expect("injected analysis completes under Isolate");
 
-    assert!(fired >= 1, "{site}: no fault fired; too few opportunities");
-    let events = injected.degrade_events();
-    assert!(
-        events
-            .iter()
-            .any(|e| e.action == expect_action && e.recovered),
-        "{site}: no recovered {expect_action:?} event in {events:?}"
-    );
+    for site in spec.split(',') {
+        assert!(
+            fired.iter().any(|&(name, n)| name == site && n >= 1),
+            "{site}: no fault fired; too few opportunities ({fired:?})"
+        );
+    }
+    let events = &injected.diagnostics.degrade_events;
+    for action in expect_actions {
+        assert!(
+            events.iter().any(|e| e.action == *action && e.recovered),
+            "{spec}: no recovered {action:?} event in {events:?}"
+        );
+    }
     assert!(
         !events
             .iter()
             .any(|e| e.action == DegradeAction::VictimDropped),
-        "{site}: a victim was dropped instead of recovered: {events:?}"
+        "{spec}: a victim was dropped instead of recovered: {events:?}"
     );
     let (wc, wi) = (
         clean.report.worst_arrival(),
@@ -137,7 +142,7 @@ fn assert_recovers(site: &str, expect_action: DegradeAction, opts: &SiOptions) {
     let delta = if wc == wi { 0.0 } else { (wi - wc).abs() };
     assert!(
         delta <= 1e-18,
-        "{site}: recovered arrival off by {:.3e} ps",
+        "{spec}: recovered arrival off by {:.3e} ps",
         delta * 1e12
     );
 }
@@ -146,7 +151,7 @@ fn assert_recovers(site: &str, expect_action: DegradeAction, opts: &SiOptions) {
 fn injected_pivot_loss_recovers_through_the_dense_fallback() {
     assert_recovers(
         "pivot-loss",
-        DegradeAction::DenseRetry,
+        &[DegradeAction::DenseRetry],
         &SiOptions::default(),
     );
 }
@@ -155,7 +160,7 @@ fn injected_pivot_loss_recovers_through_the_dense_fallback() {
 fn injected_nan_solve_recovers_through_the_dense_fallback() {
     assert_recovers(
         "nan-solve",
-        DegradeAction::DenseRetry,
+        &[DegradeAction::DenseRetry],
         &SiOptions::default(),
     );
 }
@@ -164,7 +169,19 @@ fn injected_nan_solve_recovers_through_the_dense_fallback() {
 fn injected_worker_panic_is_retried_on_the_coordinator() {
     assert_recovers(
         "worker-panic",
-        DegradeAction::ConeRetry,
+        &[DegradeAction::ConeRetry],
+        &SiOptions {
+            threads: 2,
+            ..SiOptions::default()
+        },
+    );
+}
+
+#[test]
+fn all_three_injected_sites_recover_in_one_run() {
+    assert_recovers(
+        "pivot-loss,nan-solve,worker-panic",
+        &[DegradeAction::DenseRetry, DegradeAction::ConeRetry],
         &SiOptions {
             threads: 2,
             ..SiOptions::default()
@@ -221,7 +238,7 @@ fn assert_degenerate(spef_text: &str, expect_reason: &str) {
         .expect("isolate completes with partial results");
     let v = sta.design().find_net("v").expect("net v");
     assert!(analysis.adjustments.iter().all(|a| a.net != v));
-    let events = analysis.degrade_events();
+    let events = &analysis.diagnostics.degrade_events;
     assert!(
         events
             .iter()

@@ -17,6 +17,7 @@ use noisy_sta::sta::{
 };
 use std::fmt::Write as _;
 use std::sync::OnceLock;
+use std::time::Duration;
 
 fn lib() -> &'static Library {
     static LIB: OnceLock<Library> = OnceLock::new();
@@ -111,8 +112,8 @@ fn pre_expired_fake_deadline_yields_well_formed_partial_result() {
             },
         )
         .expect("a deadline expiry degrades, it does not error");
-    assert!(analysis.timed_out());
-    let stale = analysis.stale_nets();
+    assert!(analysis.diagnostics.timed_out);
+    let stale = analysis.diagnostics.stale_nets();
     assert_eq!(stale.len(), specs.len(), "every victim is stale");
     for spec in &specs {
         assert!(stale.contains(&spec.victim));
@@ -121,7 +122,8 @@ fn pre_expired_fake_deadline_yields_well_formed_partial_result() {
     // degrade event — structured staleness, not silence.
     for &net in &stale {
         assert!(analysis
-            .degrade_events()
+            .diagnostics
+            .degrade_events
             .iter()
             .any(|e| e.action == DegradeAction::DeadlineSkipped
                 && e.net == Some(net)
@@ -157,15 +159,15 @@ fn mid_analysis_fake_deadline_expiry_is_deterministic_and_partial() {
     };
     let a = run();
     let b = run();
-    assert!(a.timed_out());
-    let stale = a.stale_nets();
+    assert!(a.diagnostics.timed_out);
+    let stale = a.diagnostics.stale_nets();
     assert!(!stale.is_empty(), "the deadline must have expired mid-run");
     assert!(
         stale.len() < specs.len(),
         "some cones must have finished before expiry (stale: {stale:?})"
     );
     // Deterministic: same stale set, bit-identical partial report.
-    assert_eq!(stale, b.stale_nets());
+    assert_eq!(stale, b.diagnostics.stale_nets());
     assert_eq!(a.report, b.report);
     assert_eq!(a.adjustments, b.adjustments);
 }
@@ -173,26 +175,32 @@ fn mid_analysis_fake_deadline_expiry_is_deterministic_and_partial() {
 #[test]
 fn generous_deadline_is_bit_identical_to_no_deadline() {
     // Deadline polling may never perturb a result: a budget the analysis
-    // cannot exhaust must reproduce the no-deadline run bit for bit.
+    // cannot exhaust must reproduce the no-deadline run bit for bit, on
+    // the fake clock and on the real monotonic one.
     let (sta, specs) = grouped_sta(4);
     let c = Constraints::default();
     let unbounded = sta
         .analyze_with_crosstalk_windows(c, &specs, &SiOptions::default())
         .expect("no-deadline analysis");
-    let governed = sta
-        .analyze_with_crosstalk_windows(
-            c,
-            &specs,
-            &SiOptions {
-                deadline: Some(Deadline::on_fake(FakeClock::new(1), u64::MAX)),
-                ..SiOptions::default()
-            },
-        )
-        .expect("in-budget analysis");
-    assert!(!governed.timed_out());
-    assert!(governed.stale_nets().is_empty());
-    assert_eq!(governed.report, unbounded.report);
-    assert_eq!(governed.adjustments, unbounded.adjustments);
+    for deadline in [
+        Deadline::on_fake(FakeClock::new(1), u64::MAX),
+        Deadline::within(Duration::from_secs(3600)),
+    ] {
+        let governed = sta
+            .analyze_with_crosstalk_windows(
+                c,
+                &specs,
+                &SiOptions {
+                    deadline: Some(deadline),
+                    ..SiOptions::default()
+                },
+            )
+            .expect("in-budget analysis");
+        assert!(!governed.diagnostics.timed_out);
+        assert!(governed.diagnostics.stale_nets().is_empty());
+        assert_eq!(governed.report, unbounded.report);
+        assert_eq!(governed.adjustments, unbounded.adjustments);
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -221,10 +229,10 @@ fn governor_converges_a_cap_starved_fixed_point_conservatively() {
         .analyze_with_crosstalk_windows(c, &specs, &starved)
         .expect("ungoverned analysis");
     assert!(
-        !ungoverned.converged(),
+        !ungoverned.diagnostics.converged,
         "fixture must not converge in one pass, or the governor has nothing to do"
     );
-    assert_eq!(ungoverned.iterations(), 1);
+    assert_eq!(ungoverned.diagnostics.iterations.len(), 1);
     let governed = sta
         .analyze_with_crosstalk_windows(
             c,
@@ -235,14 +243,17 @@ fn governor_converges_a_cap_starved_fixed_point_conservatively() {
             },
         )
         .expect("governed analysis");
-    assert!(governed.converged(), "widening certifies termination");
+    assert!(
+        governed.diagnostics.converged,
+        "widening certifies termination"
+    );
     // Termination bound: max_iterations + one governed iteration per
     // coupled pair + slack (see the governed_cap derivation in si.rs).
     let total_pairs: usize = specs.iter().map(|s| s.aggressors.len()).sum();
-    assert!(governed.iterations() <= 1 + total_pairs + 2);
+    assert!(governed.diagnostics.iterations.len() <= 1 + total_pairs + 2);
     // Any widening the governor did apply must be conservative: the
     // installed window covers the iterate the pass actually computed.
-    for a in governed.convergence_actions() {
+    for a in &governed.diagnostics.convergence_actions {
         assert!(a.widened.earliest <= a.fresh.earliest);
         assert!(a.widened.latest >= a.fresh.latest);
         assert!(a.iteration >= 1);
@@ -260,6 +271,7 @@ fn governor_default_on_preserves_converging_runs_bit_identical() {
     // The governor's triggers cannot fire on a run whose deltas shrink,
     // so enabling it (the default) must not change a converging analysis
     // by a single bit.
+    assert!(SiOptions::default().convergence_governor);
     let (sta, specs) = grouped_sta(4);
     let c = Constraints::default();
     let on = sta
@@ -275,8 +287,8 @@ fn governor_default_on_preserves_converging_runs_bit_identical() {
             },
         )
         .expect("ungoverned analysis");
-    assert!(on.converged() && off.converged());
-    assert!(on.convergence_actions().is_empty());
+    assert!(on.diagnostics.converged && off.diagnostics.converged);
+    assert!(on.diagnostics.convergence_actions.is_empty());
     assert_eq!(on.report, off.report);
     assert_eq!(on.adjustments, off.adjustments);
 }
