@@ -36,6 +36,24 @@ fn bench_methods(ctx: &PropagationContext) {
     }
 }
 
+/// SGDP as a pipeline runs it per noisy input: a fresh context, ρ, then
+/// the fit. The other cases reuse one context and so its cached ρ. This
+/// one also clones the three input waveforms the context takes by value.
+fn bench_sgdp_fresh_context(base: &PropagationContext) {
+    let output = base.noiseless_output().expect("noiseless output");
+    bench("techniques/SGDP_fresh_context", || {
+        let ctx = PropagationContext::new(
+            base.noiseless_input().clone(),
+            base.noisy_input().clone(),
+            Some(output.clone()),
+            base.thresholds(),
+        )
+        .expect("context");
+        ctx.sensitivity().expect("sensitivity");
+        MethodKind::Sgdp.equivalent(&ctx).expect("ok")
+    });
+}
+
 fn bench_sgdp_sampling(base: &PropagationContext) {
     for p in [9usize, 17, 35, 70, 140] {
         let ctx = base.clone().with_samples(p).expect("valid P");
@@ -48,5 +66,6 @@ fn bench_sgdp_sampling(base: &PropagationContext) {
 fn main() {
     let ctx = make_context();
     bench_methods(&ctx);
+    bench_sgdp_fresh_context(&ctx);
     bench_sgdp_sampling(&ctx);
 }

@@ -6,6 +6,14 @@
 //! *voltage* so it can be transferred onto the (possibly non-monotone) noisy
 //! waveform: `ρeff(tᵢ) = ρ(tⱼ)` where the noiseless input at `tⱼ` matches
 //! the noisy voltage at `tᵢ`.
+//!
+//! [`SensitivityCurve::from_noiseless`] takes both derivatives by central
+//! differences at 400 points across the noiseless critical region. It
+//! samples the waveforms with [`Waveform::sample_on_grid`]: one forward
+//! pass per waveform over each of the ascending grids `t − h` and `t + h`,
+//! plus one over `t` for the input voltage — five passes in all, where a
+//! `value_at` query per value would make 2000 binary searches. Each sample
+//! equals the `value_at` query bit for bit.
 
 use crate::context::PropagationContext;
 use crate::gate::{transition_gap, transitions_overlap};
@@ -55,9 +63,6 @@ impl SensitivityCurve {
         let (t0, t1) = region;
         let n = CURVE_POINTS;
         let h = (t1 - t0) / (n as f64) / 2.0;
-        let mut times = Vec::with_capacity(n);
-        let mut rho = Vec::with_capacity(n);
-        let mut volts = Vec::with_capacity(n);
         // Slope floor: 0.1% of the mean transition slope. Below it the
         // sensitivity is treated as zero (flat input cannot transmit noise).
         let mean_slope = (v_in.value_at(t1) - v_in.value_at(t0)).abs() / (t1 - t0);
@@ -67,19 +72,32 @@ impl SensitivityCurve {
             ));
         }
         let slope_floor = 1e-3 * mean_slope;
-        for k in 0..n {
-            let t = t0 + (t1 - t0) * k as f64 / (n - 1) as f64;
-            let din = (v_in.value_at(t + h) - v_in.value_at(t - h)) / (2.0 * h);
-            let dout = (v_out.value_at(t + h) - v_out.value_at(t - h)) / (2.0 * h);
-            let r = if din.abs() < slope_floor {
-                0.0
-            } else {
-                (dout / din).abs().min(RHO_CLAMP)
-            };
-            times.push(t);
-            rho.push(r);
-            volts.push(v_in.value_at(t));
-        }
+        // Both waveforms on the grids `t − h` and `t + h`, the input on `t`:
+        // the five forward passes of the module docs.
+        let times: Vec<f64> = (0..n)
+            .map(|k| t0 + (t1 - t0) * k as f64 / (n - 1) as f64)
+            .collect();
+        let before: Vec<f64> = times.iter().map(|&t| t - h).collect();
+        let after: Vec<f64> = times.iter().map(|&t| t + h).collect();
+        let sample = |w: &Waveform, grid: &[f64]| {
+            let mut out = Vec::with_capacity(n);
+            w.sample_on_grid(grid, &mut out);
+            out
+        };
+        let (in_before, in_after) = (sample(v_in, &before), sample(v_in, &after));
+        let (out_before, out_after) = (sample(v_out, &before), sample(v_out, &after));
+        let volts = sample(v_in, &times);
+        let rho: Vec<f64> = (0..n)
+            .map(|k| {
+                let din = (in_after[k] - in_before[k]) / (2.0 * h);
+                let dout = (out_after[k] - out_before[k]) / (2.0 * h);
+                if din.abs() < slope_floor {
+                    0.0
+                } else {
+                    (dout / din).abs().min(RHO_CLAMP)
+                }
+            })
+            .collect();
         // Voltage-indexed view: keep a strictly monotone voltage envelope
         // (noiseless inputs are monotone up to numerical wiggle).
         let mut map: Vec<(f64, f64)> = Vec::with_capacity(n);
@@ -379,6 +397,104 @@ mod tests {
                 "k={k}: mapped {} vs direct {direct}",
                 eff.rho[k]
             );
+        }
+    }
+
+    /// `from_noiseless` computed point by point, one `value_at` binary
+    /// search per sampled value: the reference the forward passes must
+    /// match. Returns `(times, rho, map_volts, map_rho)`.
+    fn per_point_reference(v_in: &Waveform, v_out: &Waveform, polarity: Polarity) -> [Vec<f64>; 4] {
+        let (t0, t1) = v_in.critical_region(th(), polarity).unwrap();
+        let n = CURVE_POINTS;
+        let h = (t1 - t0) / (n as f64) / 2.0;
+        let mean_slope = (v_in.value_at(t1) - v_in.value_at(t0)).abs() / (t1 - t0);
+        let slope_floor = 1e-3 * mean_slope;
+        let (mut times, mut rho, mut volts) = (Vec::new(), Vec::new(), Vec::new());
+        for k in 0..n {
+            let t = t0 + (t1 - t0) * k as f64 / (n - 1) as f64;
+            let din = (v_in.value_at(t + h) - v_in.value_at(t - h)) / (2.0 * h);
+            let dout = (v_out.value_at(t + h) - v_out.value_at(t - h)) / (2.0 * h);
+            let r = if din.abs() < slope_floor {
+                0.0
+            } else {
+                (dout / din).abs().min(RHO_CLAMP)
+            };
+            times.push(t);
+            rho.push(r);
+            volts.push(v_in.value_at(t));
+        }
+        let mut map: Vec<(f64, f64)> = Vec::new();
+        for (&v, &r) in volts.iter().zip(&rho) {
+            let keep = map.last().is_none_or(|&(lv, _)| match polarity {
+                Polarity::Rise => v > lv + 1e-12,
+                Polarity::Fall => v < lv - 1e-12,
+            });
+            if keep {
+                map.push((v, r));
+            }
+        }
+        if polarity == Polarity::Fall {
+            map.reverse();
+        }
+        let (map_volts, map_rho) = map.into_iter().unzip();
+        [times, rho, map_volts, map_rho]
+    }
+
+    fn assert_bits_eq(got: &[f64], want: &[f64], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (k, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "{what}[{k}]: {g:e} vs {w:e}");
+        }
+    }
+
+    #[test]
+    fn forward_pass_curve_equals_per_point_sampling() {
+        // Noisy inputs put kinks and wiggles inside the region, so the
+        // sampling grids land in many different segments.
+        let wiggly = |w: Waveform| {
+            w.with_triangular_pulse(1.0e-9, 90e-12, 0.15)
+                .unwrap()
+                .with_triangular_pulse(0.93e-9, 40e-12, -0.05)
+                .unwrap()
+        };
+        let cases = [
+            (
+                "rising",
+                wiggly(ramp_wave(1.0e-9, 200e-12, true)),
+                ramp_wave(1.02e-9, 100e-12, false),
+                Polarity::Rise,
+            ),
+            (
+                "falling",
+                wiggly(ramp_wave(1.0e-9, 200e-12, false)),
+                ramp_wave(1.03e-9, 80e-12, true),
+                Polarity::Fall,
+            ),
+        ];
+        for (name, v_in, v_out, polarity) in cases {
+            let c = SensitivityCurve::from_noiseless(&v_in, &v_out, th(), polarity).unwrap();
+            let [times, rho, map_volts, map_rho] = per_point_reference(&v_in, &v_out, polarity);
+            assert_bits_eq(&c.times, &times, &format!("{name} times"));
+            assert_bits_eq(&c.rho, &rho, &format!("{name} rho"));
+            assert_bits_eq(&c.map_volts, &map_volts, &format!("{name} map volts"));
+            assert_bits_eq(&c.map_rho, &map_rho, &format!("{name} map rho"));
+        }
+        // Non-overlapping pair: the curve comes from the δ-shifted output.
+        for rising in [true, false] {
+            let v_in = ramp_wave(1.0e-9, 150e-12, rising);
+            let v_out = ramp_wave(2.0e-9, 150e-12, !rising);
+            let ctx =
+                PropagationContext::new(v_in.clone(), v_in.clone(), Some(v_out.clone()), th())
+                    .unwrap();
+            let s = noiseless_sensitivity(&ctx).unwrap();
+            assert!(s.delta > 0.5e-9);
+            let aligned = v_out.shifted(-s.delta);
+            let [times, rho, map_volts, map_rho] =
+                per_point_reference(&v_in, &aligned, ctx.polarity());
+            assert_bits_eq(&s.curve.times, &times, "shifted times");
+            assert_bits_eq(&s.curve.rho, &rho, "shifted rho");
+            assert_bits_eq(&s.curve.map_volts, &map_volts, "shifted map volts");
+            assert_bits_eq(&s.curve.map_rho, &map_rho, "shifted map rho");
         }
     }
 

@@ -1885,8 +1885,9 @@ impl Sta {
 
     /// Runs the noiseless/noisy transient pair on a factored system and
     /// reduces the noisy waveform to `(Γeff, base arrival)`. Non-finite
-    /// node voltages — a poisoned solve — surface as a recoverable
-    /// numeric error rather than propagating NaN into the report.
+    /// node voltages — a poisoned solve — surface from the transient
+    /// solver as a recoverable numeric error rather than propagating NaN
+    /// into the report.
     fn victim_reduce(
         &self,
         cx: &PassContext<'_>,
@@ -1927,16 +1928,6 @@ impl Sta {
             })
         };
         let (noiseless, noisy) = (victim_trace(quiet_traces)?, victim_trace(noisy_traces)?);
-        // A solve that went non-finite (NaN/inf node voltages) must not
-        // leak into crossing searches and the report: classify it as a
-        // numeric failure so the fallback chain can retry it.
-        if noiseless.values().iter().any(|v| !v.is_finite())
-            || noisy.values().iter().any(|v| !v.is_finite())
-        {
-            return Err(StaError::Circuit(nsta_circuit::CircuitError::Numeric(
-                nsta_circuit::NumericError::NonFinite("transient node voltages"),
-            )));
-        }
         let base_arrival = noiseless.last_crossing_or_err(th.mid())?;
 
         // Noiseless receiver response through the library tables (the

@@ -1,3 +1,4 @@
+use crate::wave::{reserved, uniform_grid};
 use crate::{Polarity, Thresholds, Waveform, WaveformError};
 
 /// The *equivalent linear waveform* `Γ` of the paper: a line
@@ -162,14 +163,16 @@ impl SaturatedRamp {
     ///
     /// Breakpoints where the line meets the rails are included exactly, so
     /// the sampled waveform represents the ramp without discretization error.
+    /// The samples are [`Waveform::from_fn`]'s grid plus those breakpoints,
+    /// built and evaluated once.
     ///
     /// # Errors
     ///
-    /// [`WaveformError::InvalidParameter`] for a degenerate span or step.
+    /// [`WaveformError::InvalidParameter`] for a degenerate span or step, or
+    /// a grid with too many points to count or allocate.
     pub fn to_waveform(&self, t0: f64, t1: f64, dt: f64) -> Result<Waveform, WaveformError> {
-        let w = Waveform::from_fn(t0, t1, dt, |t| self.value_at(t))?;
+        let mut ts = uniform_grid(t0, t1, dt, 2)?;
         // Insert exact rail-departure/arrival breakpoints if inside range.
-        let mut ts: Vec<f64> = w.times().to_vec();
         for brk in [self.t_rail_departure(), self.t_rail_arrival()] {
             if brk > t0 && brk < t1 {
                 let pos = ts.partition_point(|&t| t < brk);
@@ -178,7 +181,8 @@ impl SaturatedRamp {
                 }
             }
         }
-        let vs: Vec<f64> = ts.iter().map(|&t| self.value_at(t)).collect();
+        let mut vs = reserved(ts.len())?;
+        vs.extend(ts.iter().map(|&t| self.value_at(t)));
         Waveform::new(ts, vs)
     }
 }
@@ -264,6 +268,16 @@ mod tests {
         // And the waveform's measured slew matches the ramp's.
         let measured = w.slew_first_to_first(th, Polarity::Rise).unwrap();
         assert!((measured - g.slew(th)).abs() < 1e-9);
+    }
+
+    #[test]
+    fn to_waveform_rejects_a_grid_it_cannot_allocate() {
+        // 1e14 samples: 800 TB, more than any allocator grants.
+        let g = SaturatedRamp::with_slew(1e-9, 100e-12, Thresholds::cmos(1.2), true).unwrap();
+        assert!(matches!(
+            g.to_waveform(0.0, 10.0, 1e-13),
+            Err(WaveformError::InvalidParameter(_))
+        ));
     }
 
     #[test]

@@ -65,34 +65,17 @@ impl Waveform {
     /// # Errors
     ///
     /// Returns [`WaveformError::InvalidParameter`] if `t1 <= t0` or
-    /// `dt <= 0`, and propagates construction errors if `f` returns
-    /// non-finite values.
+    /// `dt <= 0`, or if the grid has too many points to count or allocate,
+    /// and propagates construction errors if `f` returns non-finite values.
     pub fn from_fn(
         t0: f64,
         t1: f64,
         dt: f64,
         mut f: impl FnMut(f64) -> f64,
     ) -> Result<Self, WaveformError> {
-        if !(t1 > t0) || !(dt > 0.0) || !t0.is_finite() || !t1.is_finite() || !dt.is_finite() {
-            return Err(WaveformError::InvalidParameter(
-                "need t1 > t0 and dt > 0, all finite",
-            ));
-        }
-        let n = ((t1 - t0) / dt).ceil() as usize + 1;
-        let mut ts = Vec::with_capacity(n);
-        let mut vs = Vec::with_capacity(n);
-        for i in 0..n {
-            let t = (t0 + i as f64 * dt).min(t1);
-            ts.push(t);
-            vs.push(f(t));
-            if t >= t1 {
-                break;
-            }
-        }
-        if ts.last().is_some_and(|&t| t < t1) {
-            ts.push(t1);
-            vs.push(f(t1));
-        }
+        let ts = uniform_grid(t0, t1, dt, 0)?;
+        let mut vs = reserved(ts.len())?;
+        vs.extend(ts.iter().map(|&t| f(t)));
         Waveform::new(ts, vs)
     }
 
@@ -167,9 +150,10 @@ impl Waveform {
     }
 
     /// Samples the waveform at every point of an ascending time grid with
-    /// one forward pass — `O(grid + samples)` instead of one binary search
-    /// per grid point. The transient steppers use this to tabulate source
-    /// values over their whole time axis.
+    /// one binary search for the first point's segment and one forward
+    /// pass from there — `O(log samples + grid + covered samples)` instead
+    /// of one binary search per grid point. The transient steppers use
+    /// this to tabulate source values over their whole time axis.
     ///
     /// Grid points outside the recorded span hold the end values, exactly
     /// like [`Waveform::value_at`].
@@ -180,8 +164,10 @@ impl Waveform {
         );
         out.clear();
         out.reserve(grid.len());
-        let mut seg = 0usize;
         let last = self.ts.len() - 1;
+        let mut seg = grid
+            .first()
+            .map_or(0, |&t| interp::segment_index(&self.ts, t));
         for &t in grid {
             if t <= self.ts[0] {
                 out.push(self.vs[0]);
@@ -208,14 +194,71 @@ impl Waveform {
         interp::crossings(&self.ts, &self.vs, level)
     }
 
-    /// Earliest crossing of `level`, if any.
+    /// Earliest crossing of `level`, if any: `crossings(level).first()`.
+    ///
+    /// Scans forward from the first sample and stops at the first hit.
     pub fn first_crossing(&self, level: f64) -> Option<f64> {
-        self.crossings(level).into_iter().next()
+        self.first_crossing_from(level, f64::NEG_INFINITY)
     }
 
-    /// Latest crossing of `level`, if any.
+    /// Latest crossing of `level`, if any: `crossings(level).last()`.
+    ///
+    /// Scans backward from the last sample and stops at the first
+    /// interpolated crossing it meets. An exact sample hit met before that
+    /// is the answer unless the interpolated crossing does not precede it
+    /// — the rule by which [`Waveform::crossings`] drops such a hit.
     pub fn last_crossing(&self, level: f64) -> Option<f64> {
-        self.crossings(level).into_iter().last()
+        let n = self.vs.len();
+        let mut hit = (self.vs[n - 1] == level).then_some(self.ts[n - 1]);
+        let mut y1 = self.vs[n - 1] - level;
+        for (k, &v0) in self.vs[..n - 1].iter().enumerate().rev() {
+            let y0 = v0 - level;
+            if y0 == 0.0 {
+                hit = hit.or(Some(self.ts[k]));
+            } else if y0 * y1 < 0.0 {
+                let t = self.interpolated_crossing(k, y0, y1);
+                return Some(hit.filter(|&h| t < h).unwrap_or(t));
+            }
+            y1 = y0;
+        }
+        hit
+    }
+
+    /// The first entry of `crossings(level)` at or after `t_min`, found by
+    /// a forward scan that stops there. Exact sample hits dedupe against
+    /// the previous entry as in [`Waveform::crossings`].
+    fn first_crossing_from(&self, level: f64, t_min: f64) -> Option<f64> {
+        let n = self.vs.len();
+        let mut last: Option<f64> = None;
+        let mut y0 = self.vs[0] - level;
+        for (k, &v1) in self.vs[1..].iter().enumerate() {
+            let y1 = v1 - level;
+            let t = if y0 == 0.0 {
+                Some(self.ts[k]).filter(|&t| last.is_none_or(|l| l < t))
+            } else if y0 * y1 < 0.0 {
+                Some(self.interpolated_crossing(k, y0, y1))
+            } else {
+                None
+            };
+            if let Some(t) = t {
+                if t >= t_min {
+                    return Some(t);
+                }
+                last = Some(t);
+            }
+            y0 = y1;
+        }
+        // Trailing sample exactly on the level.
+        let t = self.ts[n - 1];
+        (self.vs[n - 1] == level && last.is_none_or(|l| l < t) && t >= t_min).then_some(t)
+    }
+
+    /// Where segment `k`, whose ends lie `y0` and `y1` from the level on
+    /// opposite sides, crosses it — `interp::crossings`' formula.
+    #[inline]
+    fn interpolated_crossing(&self, k: usize, y0: f64, y1: f64) -> f64 {
+        let t = y0 / (y0 - y1);
+        self.ts[k] + t * (self.ts[k + 1] - self.ts[k])
     }
 
     /// Earliest crossing of `level`, as an error if absent.
@@ -287,6 +330,10 @@ impl Waveform {
     /// **first** subsequent crossing of the end level (the noiseless
     /// convention used by P1).
     ///
+    /// Both crossings come from forward scans that stop at their hit; the
+    /// result equals the first `crossings(end)` entry at or after the
+    /// first `crossings(start)` entry, minus that entry.
+    ///
     /// # Errors
     ///
     /// [`WaveformError::IncompleteTransition`] if the transition never
@@ -301,9 +348,7 @@ impl Waveform {
             .first_crossing(start_level)
             .ok_or(WaveformError::IncompleteTransition)?;
         let t1 = self
-            .crossings(end_level)
-            .into_iter()
-            .find(|&t| t >= t0)
+            .first_crossing_from(end_level, t0)
             .ok_or(WaveformError::IncompleteTransition)?;
         Ok(t1 - t0)
     }
@@ -460,6 +505,58 @@ impl Waveform {
     }
 }
 
+/// The uniform grid of [`Waveform::from_fn`] — `t0 + i·dt`, clipped to
+/// `t1` and always ending on it — with room reserved for `extra` more
+/// points.
+///
+/// # Errors
+///
+/// [`WaveformError::InvalidParameter`] unless `t1 > t0` and `dt > 0`, all
+/// finite, or if the grid has too many points to count or allocate.
+pub(crate) fn uniform_grid(
+    t0: f64,
+    t1: f64,
+    dt: f64,
+    extra: usize,
+) -> Result<Vec<f64>, WaveformError> {
+    if !(t1 > t0) || !(dt > 0.0) || !t0.is_finite() || !t1.is_finite() || !dt.is_finite() {
+        return Err(WaveformError::InvalidParameter(
+            "need t1 > t0 and dt > 0, all finite",
+        ));
+    }
+    // `steps + 1` points, one more if the loop stops short of `t1`, and
+    // `extra`. The cast saturates, so a grid too fine to count overflows
+    // these checked sums.
+    let steps = ((t1 - t0) / dt).ceil() as usize;
+    let capacity = steps
+        .checked_add(2)
+        .and_then(|n| n.checked_add(extra))
+        .ok_or(WaveformError::InvalidParameter(
+            "grid has too many points to count",
+        ))?;
+    let mut ts = reserved(capacity)?;
+    for i in 0..=steps {
+        let t = (t0 + i as f64 * dt).min(t1);
+        ts.push(t);
+        if t >= t1 {
+            break;
+        }
+    }
+    if ts.last().is_some_and(|&t| t < t1) {
+        ts.push(t1);
+    }
+    Ok(ts)
+}
+
+/// An empty vector with room for `len` samples, or an error instead of an
+/// allocation failure.
+pub(crate) fn reserved(len: usize) -> Result<Vec<f64>, WaveformError> {
+    let mut v = Vec::new();
+    v.try_reserve_exact(len)
+        .map_err(|_| WaveformError::InvalidParameter("grid too large to allocate"))?;
+    Ok(v)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -508,6 +605,15 @@ mod tests {
         assert_eq!(w.t_start(), 0.0);
         assert_eq!(w.t_end(), 1.0);
         assert!(w.times().windows(2).all(|p| p[1] > p[0]));
+    }
+
+    #[test]
+    fn from_fn_rejects_a_grid_it_cannot_count() {
+        // 1e300 steps: more points than a usize can count.
+        assert!(matches!(
+            Waveform::from_fn(0.0, 1.0, 1e-300, |t| t),
+            Err(WaveformError::InvalidParameter(_))
+        ));
     }
 
     #[test]
