@@ -4,10 +4,11 @@
 //! Run with `cargo bench -p nsta-bench --bench substrate`.
 
 use nsta_bench::microbench::bench;
-use nsta_circuit::{Circuit, CoupledLines, RcLineSpec, TransientOptions};
+use nsta_circuit::{Circuit, CoupledLines, NodeId, RcLineSpec, StarCoupledLines, TransientOptions};
 use nsta_numeric::{DenseMatrix, LuFactors};
 use nsta_spice::{cells, Netlist, Process, SimOptions};
-use nsta_waveform::Waveform;
+use nsta_waveform::{SaturatedRamp, Thresholds, Waveform};
+use std::iter::{once, repeat_n};
 
 fn bench_lu() {
     for n in [8usize, 32, 64] {
@@ -54,6 +55,70 @@ fn bench_linear_transient() {
             .expect("run");
         res.voltage(far[1]).expect("trace")
     });
+}
+
+/// One four-set sweep against two two-set sweeps of the same factored
+/// system: both transitions of a victim net, each with its noiseless and
+/// noisy drive, as one block or as two. The stages are a 3-segment victim
+/// with one aggressor (the common bus-clones stage) and a 48-segment
+/// victim with two (the largest bus-varied stage), on the bus grid of
+/// 2 ps steps to 1.5 ns.
+fn bench_block_width() {
+    let (t_stop, dt) = (1.5e-9, 2e-12);
+    let th = Thresholds::cmos(1.2);
+    let wave = |arrival: f64, rising: bool| {
+        SaturatedRamp::with_slew(arrival, 70e-12, th, rising)
+            .and_then(|ramp| ramp.to_waveform(0.0, t_stop, dt))
+            .expect("ramp")
+    };
+    let quiet = |level: f64| Waveform::constant(level, 0.0, t_stop).expect("quiet");
+    for (segments, aggressors) in [(3usize, 1usize), (48, 2)] {
+        let mut ckt = Circuit::new();
+        let v_in = ckt.node("v_in");
+        ckt.thevenin_driver(v_in, quiet(0.0), 300.0)
+            .expect("driver");
+        let agg_ins: Vec<NodeId> = (0..aggressors)
+            .map(|_| {
+                let a = ckt.anon_node();
+                ckt.thevenin_driver(a, quiet(0.0), 300.0).expect("driver");
+                a
+            })
+            .collect();
+        let line = RcLineSpec::new(400.0, 60e-15, segments).expect("line");
+        let bundle = StarCoupledLines::new(line, vec![(line, 20e-15); aggressors]).expect("bundle");
+        let (far, _) = bundle.build(&mut ckt, v_in, &agg_ins, "w").expect("build");
+        ckt.capacitor(far, Circuit::GROUND, 4e-15).expect("load");
+        let system = ckt
+            .factor_transient(TransientOptions::new(0.0, t_stop, dt).expect("opts"))
+            .expect("factor");
+
+        // Aggressors switch against the victim: a rising victim's are
+        // quiet high or falling, a falling victim's quiet low or rising.
+        let (rise, fall) = (wave(50e-12, true), wave(45e-12, false));
+        let (high, low) = (quiet(1.2), quiet(0.0));
+        let agg_fall: Vec<Waveform> = (0..aggressors)
+            .map(|i| wave(60e-12 + 30e-12 * i as f64, false))
+            .collect();
+        let agg_rise: Vec<Waveform> = (0..aggressors)
+            .map(|i| wave(55e-12 + 30e-12 * i as f64, true))
+            .collect();
+        let sets: [Vec<&Waveform>; 4] = [
+            once(&rise).chain(repeat_n(&high, aggressors)).collect(),
+            once(&rise).chain(&agg_fall).collect(),
+            once(&fall).chain(repeat_n(&low, aggressors)).collect(),
+            once(&fall).chain(&agg_rise).collect(),
+        ];
+        let sets: Vec<&[&Waveform]> = sets.iter().map(Vec::as_slice).collect();
+        let name = format!("{segments}seg_{aggressors}agg");
+        bench(&format!("transient/sweep_4_sets_{name}"), || {
+            system.run_node_sets(&sets, &[far]).expect("sweep")
+        });
+        bench(&format!("transient/sweep_2x2_sets_{name}"), || {
+            let rise = system.run_node_sets(&sets[..2], &[far]).expect("sweep");
+            let fall = system.run_node_sets(&sets[2..], &[far]).expect("sweep");
+            (rise, fall)
+        });
+    }
 }
 
 fn bench_spice_inverter() {
@@ -125,6 +190,7 @@ fn main() {
     bench_lu();
     nsta_bench::microbench::bench_solver_backends();
     bench_linear_transient();
+    bench_block_width();
     bench_spice_inverter();
     bench_liberty_parse();
 }

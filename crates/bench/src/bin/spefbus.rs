@@ -498,7 +498,7 @@ fn main() {
         analysis.report.worst_arrival() * 1e12,
     );
     println!(
-        "shared factors:  {}/{} reductions reused a factorization, {} cones, \
+        "shared factors:  {}/{} reduction groups reused a factorization, {} cones, \
          {} backend nnz {}",
         diag.cache_hits,
         diag.cache_hits + diag.cache_misses,

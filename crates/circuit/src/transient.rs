@@ -179,7 +179,7 @@ impl TransientResult {
 ///   the trapezoidal left-hand side `C + (h/2)·G` and the DC operating
 ///   point system;
 /// * **step** ([`FactoredSystem::run`], [`FactoredSystem::run_with_vsources`],
-///   [`FactoredSystem::run_nodes`], [`FactoredSystem::run_node_pair`]):
+///   [`FactoredSystem::run_nodes`], [`FactoredSystem::run_node_sets`]):
 ///   sample the sources on the time grid and sweep the factored system
 ///   across it.
 ///
@@ -196,13 +196,18 @@ impl TransientResult {
 /// starts at `+0.0`; see the `nsta_numeric::sparse` module docs), so the
 /// skipped additions change no bit.
 ///
-/// [`FactoredSystem::run_node_pair`] sweeps two source sets — a victim's
-/// noiseless and noisy drive — at once. On the sparse backend they march
-/// as one two-column block through the column-blocked mat-vec and
+/// [`FactoredSystem::run_node_sets`] sweeps up to four source sets at
+/// once — the crosstalk flow passes the noiseless and noisy drive of both
+/// transitions of a victim. On the sparse backend they march as one block
+/// of up to four columns through the column-blocked mat-vec and
 /// triangular solve, which keep each column's operations in the
-/// one-column order, so the pair is bit-identical to two
-/// [`FactoredSystem::run_nodes`] calls; a one-set sweep is the same loop
-/// with one column. The dense backend runs the sets one after the other.
+/// one-column order, so the block is bit-identical to one
+/// [`FactoredSystem::run_nodes`] call per set; a one-set sweep is the same
+/// loop with one column. The dense backend runs the sets one after the
+/// other. Sets share waveforms (a victim's ramp drives both of its sets;
+/// a noiseless set repeats one quiet waveform for every aggressor), so a
+/// sweep samples each distinct waveform once, and the current injections
+/// once for all sets.
 ///
 /// Because the factors depend only on topology, element values and `dt` —
 /// never on source waveforms — a `FactoredSystem` is parameterized purely
@@ -210,8 +215,9 @@ impl TransientResult {
 /// from, can be stored in caches, shared across threads, and reused for
 /// **any structurally identical circuit** (same elements, same values, same
 /// construction order — node ids then line up by construction). The
-/// crosstalk flow exploits exactly that: one factorization serves a
-/// victim's noisy/noiseless pair, every fixed-point iteration, and every
+/// crosstalk flow exploits exactly that: one factorization and one sweep
+/// serve both transitions of a victim whose rise and fall share a grid,
+/// and one factorization serves every fixed-point iteration and every
 /// other victim whose reduced stage has the same topology signature.
 #[derive(Debug)]
 pub struct FactoredSystem {
@@ -360,9 +366,12 @@ impl Circuit {
     ///
     /// # Errors
     ///
+    /// * [`CircuitError::InvalidOptions`] if the time grid has too many
+    ///   points to count or allocate.
     /// * [`CircuitError::Numeric`] if the mesh is singular even with gmin
     ///   regularization.
     pub fn factor_transient(&self, opts: TransientOptions) -> Result<FactoredSystem, CircuitError> {
+        let times = time_grid(&opts)?;
         let n = self.node_count();
         // Partition nodes: driven nodes take known voltages, the rest are
         // unknowns. `position[i]` maps node -> unknown slot.
@@ -432,11 +441,6 @@ impl Circuit {
         let c_csr = c_uu.to_csr();
 
         let h = opts.dt;
-        let steps = ((opts.t_stop - opts.t_start) / h).round() as usize;
-        let times: Arc<[f64]> = (0..=steps)
-            .map(|k| opts.t_start + k as f64 * h)
-            .collect::<Vec<_>>()
-            .into();
 
         // Trapezoidal system, scaled by h: (C + hG/2) x_{n+1} =
         //   (C − hG/2) x_n − C_UK Δvk − h G_UK v̄k + h (inj_n + inj_{n+1})/2.
@@ -596,33 +600,43 @@ impl FactoredSystem {
         self.traces(&data, slots.len())
     }
 
-    /// Runs the integration for two source sets at once — a victim's
-    /// noiseless and noisy drive — recording only the requested nodes.
-    /// Returns each set's traces in request order.
+    /// Runs the integration for one to four source sets at once — such as
+    /// the noiseless and noisy drive of both transitions of a victim —
+    /// recording only the requested nodes. Returns each set's traces in
+    /// request order.
     ///
-    /// The result is bit-identical to two [`FactoredSystem::run_nodes`]
-    /// calls, one per set, and fails where they would fail first. On the
-    /// sparse backend both sets march as one two-column block: each step
-    /// makes one pass over the step matrix and the factors for both
-    /// columns, with each column's operations in the one-column order (see
+    /// The result is bit-identical to one [`FactoredSystem::run_nodes`]
+    /// call per set, and fails where they would fail first. On the sparse
+    /// backend the sets march as one block of up to four columns: each
+    /// step makes one pass over the step matrix and the factors for all of
+    /// them, with each column's operations in the one-column order (see
     /// the `nsta_numeric::sparse` module docs). The dense backend runs the
-    /// two sets one after the other.
+    /// sets one after the other.
     ///
     /// # Errors
     ///
-    /// As [`FactoredSystem::run_nodes`], for either source set; the first
-    /// set's errors take precedence.
-    pub fn run_node_pair(
+    /// * [`CircuitError::InvalidOptions`] unless there are one to four
+    ///   sets.
+    /// * As [`FactoredSystem::run_nodes`], for any source set; an earlier
+    ///   set's errors take precedence.
+    pub fn run_node_sets(
         &self,
-        sources: [&[&Waveform]; 2],
+        sets: &[&[&Waveform]],
         nodes: &[NodeId],
-    ) -> Result<[Vec<Waveform>; 2], CircuitError> {
+    ) -> Result<Vec<Vec<Waveform>>, CircuitError> {
         let slots = self.slots(nodes)?;
-        let [first, second] = self.sweep(sources, &slots)?;
-        Ok([
-            self.traces(&first, slots.len())?,
-            self.traces(&second, slots.len())?,
-        ])
+        let data = match *sets {
+            [a] => Vec::from(self.sweep([a], &slots)?),
+            [a, b] => Vec::from(self.sweep([a, b], &slots)?),
+            [a, b, c] => Vec::from(self.sweep([a, b, c], &slots)?),
+            [a, b, c, d] => Vec::from(self.sweep([a, b, c, d], &slots)?),
+            _ => {
+                return Err(CircuitError::InvalidOptions(
+                    "one to four source sets per sweep",
+                ))
+            }
+        };
+        data.iter().map(|d| self.traces(d, slots.len())).collect()
     }
 
     /// Where node `i` lives during a sweep.
@@ -669,15 +683,43 @@ impl FactoredSystem {
             .collect()
     }
 
-    /// Samples one source set and prepares its column of a sweep: the
-    /// driven-node table, the compact source table and the initial state.
-    fn column(&self, sources: &[&Waveform]) -> Result<Column, CircuitError> {
+    /// Injected currents on the sourced rows (time-major, `sourced rows`
+    /// wide). The injections are captured at factor time, so one table
+    /// serves every set of a sweep; it is left empty when the system has
+    /// no current injections, which skips both the table fill and the
+    /// per-step reads.
+    fn injection_table(&self) -> Vec<f64> {
+        let ns = self.sourced.rows.len();
+        let mut inj = Vec::new();
+        if !self.injections.is_empty() {
+            inj.resize(self.times.len() * ns, 0.0);
+            let mut scratch = Vec::new();
+            for (s, waveform) in &self.injections {
+                waveform.sample_on_grid(&self.times, &mut scratch);
+                for (ti, &v) in scratch.iter().enumerate() {
+                    inj[ti * ns + s] += v;
+                }
+            }
+        }
+        inj
+    }
+
+    /// Prepares one source set's column of a sweep: finds each source's
+    /// samples in the sweep's `samples` (sampling a waveform the sweep
+    /// has not met yet), then builds the compact source table and the
+    /// initial state.
+    fn column<'w>(
+        &self,
+        sources: &[&'w Waveform],
+        samples: &mut Samples<'w>,
+        inj: &[f64],
+    ) -> Result<Column, CircuitError> {
         if sources.len() != self.nd {
             return Err(CircuitError::InvalidOptions(
                 "one waveform required per voltage source",
             ));
         }
-        let (nf, nd) = (self.nf, self.nd);
+        let nf = self.nf;
         let ns = self.sourced.rows.len();
         let nt = self.times.len();
         // One bump per source set, not per step — the disabled path stays
@@ -686,29 +728,12 @@ impl FactoredSystem {
         nsta_obs::count!("circuit.transient.steps", nt);
         let h = self.opts.dt;
 
-        // Known node voltages at every time point (time-major: one row of
-        // `nd` values per time point).
-        let mut vk = vec![0.0; nt * nd];
-        let mut scratch = Vec::new();
-        for (k, w) in sources.iter().enumerate() {
-            w.sample_on_grid(&self.times, &mut scratch);
-            for (ti, &v) in scratch.iter().enumerate() {
-                vk[ti * nd + k] = v;
-            }
-        }
-        // Injected currents on the sourced rows (time-major, `ns` wide);
-        // left empty when the system has no current injections, which
-        // skips both the table fill and the per-step reads.
-        let mut inj = Vec::new();
-        if !self.injections.is_empty() {
-            inj.resize(nt * ns, 0.0);
-            for (s, waveform) in &self.injections {
-                waveform.sample_on_grid(&self.times, &mut scratch);
-                for (ti, &v) in scratch.iter().enumerate() {
-                    inj[ti * ns + s] += v;
-                }
-            }
-        }
+        // Known node voltages: `vk[k][ti]` is source `k` at time point `ti`.
+        let driven: Vec<usize> = sources
+            .iter()
+            .map(|w| samples.index(w, &self.times))
+            .collect();
+        let vk: Vec<&[f64]> = driven.iter().map(|&i| &samples.values[i][..]).collect();
 
         // DC initial condition: G_UU x = inj(t0) − G_UK·vK(t0).
         let dc_rhs = || -> Vec<f64> {
@@ -718,7 +743,7 @@ impl FactoredSystem {
                     rhs[r] = inj[s];
                 }
                 for &(k, g, _) in self.sourced.terms(s) {
-                    rhs[r] -= g * vk[k];
+                    rhs[r] -= g * vk[k][0];
                 }
             }
             rhs
@@ -753,14 +778,13 @@ impl FactoredSystem {
         // exact +0.0 and is skipped (see `SourcedRows::compact`).
         let mut src = vec![0.0; nt * ns];
         for ti in 1..nt {
-            let vk_prev = &vk[(ti - 1) * nd..ti * nd];
-            let vk_now = &vk[ti * nd..(ti + 1) * nd];
             let row = &mut src[ti * ns..(ti + 1) * ns];
             for (s, out) in row.iter_mut().enumerate() {
                 let mut acc = 0.0;
                 for &(k, g, c) in self.sourced.terms(s) {
-                    let dv = vk_now[k] - vk_prev[k];
-                    let vbar = 0.5 * (vk_now[k] + vk_prev[k]);
+                    let (now, prev) = (vk[k][ti], vk[k][ti - 1]);
+                    let dv = now - prev;
+                    let vbar = 0.5 * (now + prev);
                     acc -= c * dv + h * g * vbar;
                 }
                 *out = acc;
@@ -773,11 +797,11 @@ impl FactoredSystem {
                 }
             }
         }
-        Ok(Column { vk, src, x0 })
+        Ok(Column { driven, src, x0 })
     }
 
     /// The shared step loop: prepares one [`Column`] per source set (in
-    /// order, each failing before the next is sampled), then marches the
+    /// order, each failing before the next is prepared), then marches the
     /// factored trapezoidal system across the grid. Returns, per source
     /// set, the recorded `slots` at every time point (including
     /// `t_start`), time-major.
@@ -790,14 +814,18 @@ impl FactoredSystem {
         sources: [&[&Waveform]; W],
         slots: &[Slot],
     ) -> Result<[Vec<f64>; W], CircuitError> {
+        let mut samples = Samples::default();
+        let inj = self.injection_table();
         let mut cols = Vec::with_capacity(W);
         for set in sources {
-            cols.push(self.column(set)?);
+            cols.push(self.column(set, &mut samples, &inj)?);
         }
-        let (nf, nd) = (self.nf, self.nd);
+        let nf = self.nf;
         let ns = self.sourced.rows.len();
         let nt = self.times.len();
         let mut data: [Vec<f64>; W] = std::array::from_fn(|_| Vec::with_capacity(slots.len() * nt));
+        // Source `k` of column `col` at time point `ti`.
+        let vk = |col: &Column, k: usize, ti: usize| samples.values[col.driven[k]][ti];
 
         match &self.factors {
             // Dense: the right-hand side is assembled row by row anyway,
@@ -809,9 +837,9 @@ impl FactoredSystem {
                 let perm = lhs_lu.perm();
                 let mut s_row = vec![0.0; nf];
                 let mut x_next = vec![0.0; nf];
-                for (col, out) in cols.into_iter().zip(&mut data) {
-                    let mut x = col.x0;
-                    record(out, slots, &col.vk[..nd], |i| x[i]);
+                for (col, out) in cols.iter().zip(&mut data) {
+                    let mut x = col.x0.clone();
+                    record(out, slots, |k| vk(col, k, 0), |i| x[i]);
                     for ti in 1..nt {
                         for (s, &r) in self.sourced.rows.iter().enumerate() {
                             s_row[r] = col.src[ti * ns + s];
@@ -822,7 +850,7 @@ impl FactoredSystem {
                         }
                         lhs_lu.solve_prepermuted_in_place(&mut x_next)?;
                         std::mem::swap(&mut x, &mut x_next);
-                        record(out, slots, &col.vk[ti * nd..(ti + 1) * nd], |i| x[i]);
+                        record(out, slots, |k| vk(col, k, ti), |i| x[i]);
                     }
                 }
             }
@@ -838,7 +866,7 @@ impl FactoredSystem {
                     .collect();
                 let mut x_next = vec![[0.0; W]; nf];
                 for (j, (col, out)) in cols.iter().zip(&mut data).enumerate() {
-                    record(out, slots, &col.vk[..nd], |i| x[i][j]);
+                    record(out, slots, |k| vk(col, k, 0), |i| x[i][j]);
                 }
                 for ti in 1..nt {
                     rhs_mat.mul_block_into(&x, &mut x_next)?;
@@ -850,7 +878,7 @@ impl FactoredSystem {
                     lhs_lu.solve_block_in_place(&mut x_next)?;
                     std::mem::swap(&mut x, &mut x_next);
                     for (j, (col, out)) in cols.iter().zip(&mut data).enumerate() {
-                        record(out, slots, &col.vk[ti * nd..(ti + 1) * nd], |i| x[i][j]);
+                        record(out, slots, |k| vk(col, k, ti), |i| x[i][j]);
                     }
                 }
             }
@@ -868,10 +896,37 @@ enum Slot {
     Driven(usize),
 }
 
+/// The grid samples of every distinct source waveform of one sweep. The
+/// sets of a sweep share waveforms — a victim's ramp drives both its
+/// noiseless and its noisy set, and a noiseless set repeats one quiet
+/// waveform for every aggressor — so each waveform, told apart by
+/// address, is sampled once.
+#[derive(Default)]
+struct Samples<'w> {
+    waves: Vec<&'w Waveform>,
+    /// `values[i]`: `waves[i]` sampled on the sweep's time grid.
+    values: Vec<Vec<f64>>,
+}
+
+impl<'w> Samples<'w> {
+    /// The index of `w`'s samples on `grid`, sampling it on first sight.
+    fn index(&mut self, w: &'w Waveform, grid: &[f64]) -> usize {
+        if let Some(i) = self.waves.iter().position(|&seen| std::ptr::eq(seen, w)) {
+            return i;
+        }
+        let mut values = Vec::new();
+        w.sample_on_grid(grid, &mut values);
+        self.waves.push(w);
+        self.values.push(values);
+        self.values.len() - 1
+    }
+}
+
 /// One source set's share of a sweep.
 struct Column {
-    /// Driven-node voltages, time-major `nt × nd`.
-    vk: Vec<f64>,
+    /// Per voltage source, the index of its waveform's samples in the
+    /// sweep's [`Samples`].
+    driven: Vec<usize>,
     /// Compact source table, time-major `nt × sourced rows` (row 0
     /// unused).
     src: Vec<f64>,
@@ -880,11 +935,17 @@ struct Column {
 }
 
 /// Appends one time point of `slots` to a sweep's record: free unknowns
-/// through `free`, driven nodes from that time point's `vk` row.
-fn record(out: &mut Vec<f64>, slots: &[Slot], vk: &[f64], free: impl Fn(usize) -> f64) {
+/// through `free`, driven nodes through `driven` (by voltage-source
+/// index).
+fn record(
+    out: &mut Vec<f64>,
+    slots: &[Slot],
+    driven: impl Fn(usize) -> f64,
+    free: impl Fn(usize) -> f64,
+) {
     out.extend(slots.iter().map(|slot| match *slot {
         Slot::Free(i) => free(i),
-        Slot::Driven(k) => vk[k],
+        Slot::Driven(k) => driven(k),
     }));
 }
 
@@ -892,6 +953,24 @@ fn non_finite() -> CircuitError {
     CircuitError::Numeric(nsta_numeric::NumericError::NonFinite(
         "transient node voltages",
     ))
+}
+
+/// The time points `t_start + k·dt`, `k = 0..=steps`, of a run, or an
+/// error instead of a panic or an aborted allocation when there are too
+/// many of them.
+fn time_grid(opts: &TransientOptions) -> Result<Arc<[f64]>, CircuitError> {
+    // The cast saturates, so a grid too fine to count overflows the
+    // checked `+ 1`.
+    let steps = ((opts.t_stop - opts.t_start) / opts.dt).round() as usize;
+    let points = steps.checked_add(1).ok_or(CircuitError::InvalidOptions(
+        "time grid has too many points to count",
+    ))?;
+    let mut times = Vec::new();
+    times
+        .try_reserve_exact(points)
+        .map_err(|_| CircuitError::InvalidOptions("time grid too large to allocate"))?;
+    times.extend((0..=steps).map(|k| opts.t_start + k as f64 * opts.dt));
+    Ok(times.into())
 }
 
 #[cfg(test)]
@@ -1201,39 +1280,48 @@ mod tests {
             .collect()
     }
 
-    /// The fused pair must reproduce two one-set runs bit for bit.
-    fn assert_pair_matches_runs(
-        system: &FactoredSystem,
-        sets: [&[&Waveform]; 2],
-        nodes: &[NodeId],
-    ) {
-        let [first, second] = system.run_node_pair(sets, nodes).unwrap();
-        assert_eq!(
-            bits(&first),
-            bits(&system.run_nodes(sets[0], nodes).unwrap())
-        );
-        assert_eq!(
-            bits(&second),
-            bits(&system.run_nodes(sets[1], nodes).unwrap())
-        );
-        assert_eq!(first[0].times(), system.times());
+    /// A sweep of several sets must reproduce one one-set run per set, bit
+    /// for bit.
+    fn assert_sets_match_runs(system: &FactoredSystem, sets: &[&[&Waveform]], nodes: &[NodeId]) {
+        let swept = system.run_node_sets(sets, nodes).unwrap();
+        assert_eq!(swept.len(), sets.len());
+        for (traces, set) in swept.iter().zip(sets) {
+            assert_eq!(bits(traces), bits(&system.run_nodes(set, nodes).unwrap()));
+            assert_eq!(traces[0].times(), system.times());
+        }
+    }
+
+    /// A falling step: `v` until `t0`, down to 0 V over `fall` — the
+    /// falling transitions of the four-set fixtures.
+    fn fall_at(t0: f64, fall: f64, v: f64, t_end: f64) -> Waveform {
+        Waveform::new(vec![t0, t0 + fall, t_end], vec![v, 0.0, 0.0]).unwrap()
     }
 
     #[test]
-    fn run_node_pair_is_bit_identical_to_two_runs() {
+    fn run_node_sets_is_bit_identical_to_separate_runs() {
+        // Four sets shaped like a victim's two transitions, each with its
+        // noiseless and noisy drive: the victim ramp appears in both sets
+        // of its transition and the quiet level once per aggressor.
         let opts = TransientOptions::new(0.0, 6e-9, 2e-12).unwrap();
         let noisy_wave = step_at(1e-9, 50e-12, 1.0, 10e-9);
+        let noisy_fall = fall_at(1.1e-9, 60e-12, 1.0, 10e-9);
         let quiet = Waveform::constant(0.0, 0.0, 6e-9).unwrap();
+        let quiet_high = Waveform::constant(1.0, 0.0, 6e-9).unwrap();
         let victim = step_at(0.8e-9, 80e-12, 1.0, 10e-9);
+        let victim_fall = fall_at(0.9e-9, 70e-12, 1.0, 10e-9);
         let (ckt, vic) = coupled_pair(noisy_wave.clone());
         let agg = NodeId(0); // driven probe: the aggressor's source node
+        let sets: [&[&Waveform]; 4] = [
+            &[&quiet, &victim],
+            &[&noisy_wave, &victim],
+            &[&quiet_high, &victim_fall],
+            &[&noisy_fall, &victim_fall],
+        ];
         for backend in [SolverBackend::Sparse, SolverBackend::Dense] {
             let system = ckt.factor_transient(opts.with_backend(backend)).unwrap();
-            assert_pair_matches_runs(
-                &system,
-                [&[&quiet, &victim], &[&noisy_wave, &victim]],
-                &[vic, agg],
-            );
+            for width in 1..=4 {
+                assert_sets_match_runs(&system, &sets[..width], &[vic, agg]);
+            }
         }
 
         // A 48-segment victim star-coupled to two aggressors: a large,
@@ -1253,18 +1341,23 @@ mod tests {
         let bundle = StarCoupledLines::new(line, vec![(line, 20e-15), (line, 35e-15)]).unwrap();
         let (far, _) = bundle.build(&mut ckt, v_in, &agg_ins, "w").unwrap();
         ckt.capacitor(far, Circuit::GROUND, 4e-15).unwrap();
-        let system = ckt.factor_transient(opts).unwrap();
-        assert!(system.nf > 100 && system.sourced.rows.len() == 3);
         let late = step_at(1.3e-9, 120e-12, 1.0, 10e-9);
-        assert_pair_matches_runs(
-            &system,
-            [&[&victim, &quiet, &quiet], &[&victim, &noisy_wave, &late]],
-            &[far, v_in, agg_ins[1]],
-        );
+        let late_fall = fall_at(1.4e-9, 110e-12, 1.0, 10e-9);
+        let sets: [&[&Waveform]; 4] = [
+            &[&victim, &quiet, &quiet],
+            &[&victim, &noisy_wave, &late],
+            &[&victim_fall, &quiet_high, &quiet_high],
+            &[&victim_fall, &noisy_fall, &late_fall],
+        ];
+        for backend in [SolverBackend::Sparse, SolverBackend::Dense] {
+            let system = ckt.factor_transient(opts.with_backend(backend)).unwrap();
+            assert!(system.nf > 100 && system.sourced.rows.len() == 3);
+            assert_sets_match_runs(&system, &sets, &[far, v_in, agg_ins[1]]);
+        }
     }
 
     #[test]
-    fn run_node_pair_carries_current_injections() {
+    fn run_node_sets_carries_current_injections() {
         // Injections from a zero initial state: row `q` has no coupler to
         // the driven node, so only its injection puts it in the compact
         // table; two injections into `q` sum; the one into the driven node
@@ -1287,39 +1380,83 @@ mod tests {
         let opts = TransientOptions::new(0.0, 4e-9, 5e-12)
             .unwrap()
             .with_zero_initial_state();
-        let system = ckt.factor_transient(opts).unwrap();
-        assert_eq!(system.sourced.rows.len(), 2);
-        assert_eq!(system.injections.len(), 2);
-        let other = step_at(1e-9, 200e-12, 0.7, 10e-9);
-        let default = system.default_sources[0].as_ref();
-        assert_pair_matches_runs(&system, [&[default], &[&other]], &[q, p, d]);
+        for backend in [SolverBackend::Sparse, SolverBackend::Dense] {
+            let system = ckt.factor_transient(opts.with_backend(backend)).unwrap();
+            assert_eq!(system.sourced.rows.len(), 2);
+            assert_eq!(system.injections.len(), 2);
+            let other = step_at(1e-9, 200e-12, 0.7, 10e-9);
+            let falling = fall_at(1.5e-9, 150e-12, 0.9, 10e-9);
+            let default = system.default_sources[0].as_ref();
+            let sets: [&[&Waveform]; 4] = [&[default], &[&other], &[&falling], &[default]];
+            assert_sets_match_runs(&system, &sets, &[q, p, d]);
+        }
         // The injections are felt: `q` moves without any coupler to `d`.
+        let system = ckt.factor_transient(opts).unwrap();
         let full = system.run().unwrap().voltage(q).unwrap();
         assert!(full.v_min() < -1e-3, "the steady -3 µA must pull q down");
     }
 
     #[test]
-    fn run_node_pair_rejects_what_run_nodes_rejects() {
+    fn run_node_sets_rejects_what_run_nodes_rejects() {
         let opts = TransientOptions::new(0.0, 6e-9, 2e-12).unwrap();
         let (ckt, vic) = coupled_pair(step_at(1e-9, 50e-12, 1.0, 10e-9));
         let system = ckt.factor_transient(opts).unwrap();
         let hold = Waveform::constant(0.0, 0.0, 6e-9).unwrap();
         let good: &[&Waveform] = &[&hold, &hold];
         let short: &[&Waveform] = &[&hold];
-        for sets in [[short, good], [good, short]] {
+        // A set with the wrong source count, in each of four positions.
+        for bad in 0..4 {
+            let mut sets = [good; 4];
+            sets[bad] = short;
             assert!(matches!(
-                system.run_node_pair(sets, &[vic]),
+                system.run_node_sets(&sets, &[vic]),
+                Err(CircuitError::InvalidOptions(_))
+            ));
+        }
+        // No set, or more than four.
+        for count in [0, 5] {
+            assert!(matches!(
+                system.run_node_sets(&vec![good; count], &[vic]),
                 Err(CircuitError::InvalidOptions(_))
             ));
         }
         assert!(matches!(
-            system.run_node_pair([good, good], &[vic, Circuit::GROUND]),
+            system.run_node_sets(&[good, good], &[vic, Circuit::GROUND]),
             Err(CircuitError::NotRecorded(_))
         ));
         assert!(matches!(
-            system.run_node_pair([good, good], &[NodeId(99)]),
+            system.run_node_sets(&[good, good, good, good], &[NodeId(99)]),
             Err(CircuitError::UnknownNode { index: 99 })
         ));
+    }
+
+    #[test]
+    fn grids_too_fine_to_count_or_allocate_are_rejected() {
+        // A 100 Ω / 1 fF RC driven by a 1 V source, over one second: at
+        // 1e-300 s the step count saturates; at 1 fs its 1e15 + 1 time
+        // points (8 PB) cannot be allocated. Both are errors, not a panic
+        // or an aborted process.
+        let mut ckt = Circuit::new();
+        let inp = ckt.node("in");
+        let out = ckt.node("out");
+        ckt.resistor(inp, out, 100.0).unwrap();
+        ckt.capacitor(out, Circuit::GROUND, 1e-15).unwrap();
+        ckt.vsource(inp, Waveform::constant(1.0, 0.0, 1.0).unwrap())
+            .unwrap();
+        for dt in [1e-300, 1e-15] {
+            let opts = TransientOptions::new(0.0, 1.0, dt).unwrap();
+            assert!(
+                matches!(
+                    ckt.factor_transient(opts),
+                    Err(CircuitError::InvalidOptions(_))
+                ),
+                "dt = {dt:e}"
+            );
+            assert!(matches!(
+                ckt.run_transient(opts),
+                Err(CircuitError::InvalidOptions(_))
+            ));
+        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! The fused noiseless/noisy pair consults the `nan-solve` fault site
-//! exactly where two one-set runs did.
+//! A sweep of several source sets consults the `nan-solve` fault site
+//! exactly where one one-set run per set would.
 //!
 //! The fault plan is process-global, so this check lives in its own test
 //! binary: no other test's transient sweep can consult the site while the
@@ -21,6 +21,27 @@ fn nan_solve_fired() -> u64 {
         .unwrap()
 }
 
+/// A seed whose `spec` plan fires at exactly the listed consultations
+/// among the site's first eight.
+fn seed_firing_at(spec: &str, at: &[u64]) -> u64 {
+    (0..10_000u64)
+        .find(|&seed| {
+            fault::arm(spec, seed).unwrap();
+            let fired: Vec<u64> = (0..8u64)
+                .filter(|_| fault::should_fire(fault::NAN_SOLVE))
+                .collect();
+            fired == at
+        })
+        .unwrap_or_else(|| panic!("no seed fires {spec} at {at:?}"))
+}
+
+fn is_non_finite<T>(result: &Result<T, CircuitError>) -> bool {
+    matches!(
+        result,
+        Err(CircuitError::Numeric(NumericError::NonFinite(_)))
+    )
+}
+
 #[test]
 fn failing_pair_fires_the_nan_site_once_like_two_runs() {
     let mut ckt = Circuit::new();
@@ -39,38 +60,57 @@ fn failing_pair_fires_the_nan_site_once_like_two_runs() {
     let quiet: &[&Waveform] = &[&hold, &hold];
     let noisy: &[&Waveform] = &[&aggressor, &hold];
 
-    // A seed whose two-fault plan fires at the site's first two
+    // A two-fault plan that fires at the site's first two
     // consultations: the first set's and, if it were consulted, the
     // second set's.
-    let seed = (0..10_000u64)
-        .find(|&seed| {
-            fault::arm("nan-solve:2", seed).unwrap();
-            fault::should_fire(fault::NAN_SOLVE) && fault::should_fire(fault::NAN_SOLVE)
-        })
-        .expect("some seed fires at opportunities 0 and 1");
+    let seed = seed_firing_at("nan-solve:2", &[0, 1]);
 
     // Two one-set runs stop at the first failure: the second never runs.
     fault::arm("nan-solve:2", seed).unwrap();
-    let first = system.run_nodes(quiet, &[vic]);
-    assert!(matches!(
-        first,
-        Err(CircuitError::Numeric(NumericError::NonFinite(_)))
-    ));
+    assert!(is_non_finite(&system.run_nodes(quiet, &[vic])));
     assert_eq!(nan_solve_fired(), 1);
 
-    // The fused pair fails the same way, before the second set consults
-    // the site.
+    // The two-set sweep fails the same way, before the second set
+    // consults the site.
     fault::arm("nan-solve:2", seed).unwrap();
-    let pair = system.run_node_pair([quiet, noisy], &[vic]);
-    assert!(matches!(
-        pair,
-        Err(CircuitError::Numeric(NumericError::NonFinite(_)))
+    assert!(is_non_finite(
+        &system.run_node_sets(&[quiet, noisy], &[vic])
     ));
     assert_eq!(nan_solve_fired(), 1);
 
     // The plan's second fault is still pending and hits the next set.
     assert!(system.run_nodes(noisy, &[vic]).is_err());
     assert_eq!(nan_solve_fired(), 2);
+
+    // Four sets, as for both transitions of a victim: for a fault at
+    // each position `j`, four one-set runs fail first at set `j`; the
+    // sweep of the sets before `j` consults the site once per set and
+    // runs clean; the four-set sweep fails at `j` without consulting the
+    // site for a later set, so the plan's second fault (at `j + 1`) is
+    // still pending after it.
+    let victim = Waveform::new(vec![0.8e-9, 0.88e-9, 6e-9], vec![0.0, 1.0, 1.0]).unwrap();
+    let sets: [&[&Waveform]; 4] = [&[&hold, &victim], &[&aggressor, &victim], quiet, noisy];
+    for j in 0..4 {
+        let seed = seed_firing_at("nan-solve:2", &[j as u64, j as u64 + 1]);
+        fault::arm("nan-solve:2", seed).unwrap();
+        let first_failure = sets
+            .iter()
+            .position(|set| system.run_nodes(set, &[vic]).is_err());
+        assert_eq!(first_failure, Some(j));
+        assert_eq!(nan_solve_fired(), 1);
+
+        fault::arm("nan-solve:2", seed).unwrap();
+        if j > 0 {
+            assert!(system.run_node_sets(&sets[..j], &[vic]).is_ok());
+            assert_eq!(nan_solve_fired(), 0);
+        }
+
+        fault::arm("nan-solve:2", seed).unwrap();
+        assert!(is_non_finite(&system.run_node_sets(&sets, &[vic])));
+        assert_eq!(nan_solve_fired(), 1, "fault at set {j}");
+        assert!(system.run_nodes(noisy, &[vic]).is_err());
+        assert_eq!(nan_solve_fired(), 2);
+    }
     fault::disarm();
-    assert!(system.run_node_pair([quiet, noisy], &[vic]).is_ok());
+    assert!(system.run_node_sets(&sets, &[vic]).is_ok());
 }

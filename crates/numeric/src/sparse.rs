@@ -41,13 +41,16 @@
 //!
 //! [`CsrMatrix::mul_block_into`] and [`SparseLu::solve_block_in_place`]
 //! run `W` right-hand sides at once, stored row by row as `[f64; W]` (the
-//! transient kernel sweeps a victim's noiseless and noisy source sets as
-//! one two-column block). Each column performs exactly the floating-point
-//! operations, in exactly the order, of the one-vector kernels
-//! [`CsrMatrix::mul_vec_into`] and [`SparseLu::solve_in_place`], so a block
-//! result is bit-identical to `W` separate calls — Rust never contracts
-//! `a * b + c` into a fused multiply-add on its own. What a block saves is
-//! the repeated loads of the pattern and the values.
+//! transient kernel sweeps up to four source sets as one block: the
+//! noiseless and noisy drive of each transition of a victim whose rise and
+//! fall share a time grid). Each column performs exactly the
+//! floating-point operations, in exactly the order, of the one-vector
+//! kernels [`CsrMatrix::mul_vec_into`] and [`SparseLu::solve_in_place`], so
+//! a block result is bit-identical to `W` separate calls — Rust never
+//! contracts `a * b + c` into a fused multiply-add on its own. What a
+//! block saves is the repeated loads of the pattern and the values: each
+//! stored entry and factor entry is loaded once per block, not once per
+//! column.
 //!
 //! Both mat-vec kernels start every accumulator at `+0.0`. Under
 //! round-to-nearest a sum or difference is `-0.0` only when it adds two
@@ -1264,6 +1267,7 @@ mod tests {
             assert_block_matches_scalar::<1>(a, &mut next);
             assert_block_matches_scalar::<2>(a, &mut next);
             assert_block_matches_scalar::<3>(a, &mut next);
+            assert_block_matches_scalar::<4>(a, &mut next);
         }
         // Shape mismatches are rejected like the one-vector kernels'.
         let a = &systems[3];

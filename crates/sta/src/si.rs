@@ -39,15 +39,22 @@
 //! Every victim reduction collapses to the same small circuit shape — a
 //! Thevenin driver into star-coupled RC lines — whose factored system
 //! ([`nsta_circuit::FactoredSystem`]) depends only on element values and
-//! the time grid, never on source waveforms. Each analysis call (and each
-//! session re-solve) builds one map from a topology signature to the
-//! factored system, so electrically identical stages share one LU
-//! factorization across victims, polarities, fixed-point iterations and
-//! worker threads. The map needs no invalidation and no quarantine: the
-//! key is the exact bit pattern of every value the system is built from,
-//! and a factored system is immutable, so a shared entry is
-//! bit-identical to a fresh factorization. The numeric fallback chain
-//! bypasses the map, since the key does not encode the solver backend.
+//! the time grid, never on source waveforms. A victim net's rise and fall
+//! usually quantize to the same grid; they then form one reduction group
+//! and share one sweep, not only one factorization: the noiseless and
+//! noisy drive of both transitions march as one block of four columns,
+//! each column bit-identical to a sweep of its own. A transition whose
+//! grid differs from its sibling's is a group of one. Each analysis call
+//! (and each session re-solve) builds one map from a topology signature
+//! to the factored system, looked up once per group, so electrically
+//! identical stages share one LU factorization across victims,
+//! fixed-point iterations and worker threads. The map needs no
+//! invalidation and no quarantine: the key is the exact bit pattern of
+//! every value the system is built from, and a factored system is
+//! immutable, so a shared entry is bit-identical to a fresh
+//! factorization. The numeric fallback chain retries each transition of
+//! a failed group on its own and bypasses the map, since the key does
+//! not encode the solver backend.
 //!
 //! # Incremental fixed point
 //!
@@ -504,10 +511,12 @@ pub struct SiDiagnostics {
     pub converged: bool,
     /// Independent fanout cones the sweep was partitioned into.
     pub cones: usize,
-    /// Victim reductions that reused a factorization shared within this
-    /// call (see the module docs), summed over all iterations.
+    /// Reduction groups that reused a factorization shared within this
+    /// call, summed over all iterations. A group is a victim net's
+    /// recomputed transitions that share a time grid — usually its rise
+    /// and fall — and makes one lookup (see the module docs).
     pub cache_hits: usize,
-    /// Victim reductions that assembled and factored a fresh system.
+    /// Reduction groups that assembled and factored a fresh system.
     pub cache_misses: usize,
     /// Linear-solver backend the victim reductions ran on.
     pub solver_backend: SolverBackend,
@@ -865,7 +874,7 @@ impl Resolved {
         th: Thresholds,
         policy: FaultPolicy,
         unit: VictimTransition<'_>,
-        fresh: Option<Result<(SaturatedRamp, f64), StaError>>,
+        fresh: Option<VictimResult>,
         point: &mut Point,
     ) -> Result<(), StaError> {
         let net = unit.spec.victim;
@@ -912,6 +921,23 @@ impl Resolved {
         Ok(())
     }
 
+    /// Settles one victim net: each of its probed transitions, paired with
+    /// what [`Sta::victim_gammas`] returned for it, into `state`.
+    fn settle_net(
+        &mut self,
+        th: Thresholds,
+        policy: FaultPolicy,
+        units: Vec<VictimTransition<'_>>,
+        fresh: Vec<Option<VictimResult>>,
+        state: &mut NetState,
+    ) -> Result<(), StaError> {
+        for (unit, fresh) in units.into_iter().zip(fresh) {
+            let polarity = unit.polarity;
+            self.settle(th, policy, unit, fresh, state.get_mut(polarity))?;
+        }
+        Ok(())
+    }
+
     fn append(&mut self, mut other: Resolved) {
         self.adjustments.append(&mut other.adjustments);
         self.inserts.append(&mut other.inserts);
@@ -934,7 +960,59 @@ struct VictimStage<'s> {
     /// Receiver load at the victim far end (F).
     load: f64,
     t_stop: f64,
+    /// The quantized timestep of the first attempt.
+    dt: f64,
 }
+
+impl VictimStage<'_> {
+    /// Whether two transitions of one victim net run on the same grid. The
+    /// spec fixes every other field of their [`TopoKey`], so equal grids
+    /// mean equal keys: one factored system serves both.
+    fn same_grid(&self, other: &VictimStage<'_>) -> bool {
+        self.dt == other.dt && self.t_stop == other.t_stop
+    }
+
+    /// The reduced stage's circuit — a Thevenin victim driver into the
+    /// victim line, star-coupled to one Thevenin-driven line per kept
+    /// aggressor — and its victim far-end node. Voltage source 0 is the
+    /// victim driver; sources 1..=N follow aggressor order.
+    fn circuit(&self) -> Result<(Circuit, CktNode), StaError> {
+        let spec = self.spec;
+        let mut ckt = Circuit::new();
+        let v_in = ckt.node("victim_in");
+        // Sources are registered with a cheap 2-point placeholder: the
+        // factored system is driven by explicit source vectors at run
+        // time, and keeping victim-specific dense grids out of the shared
+        // value stops the first victim's waveforms from being pinned for
+        // the whole analysis.
+        let placeholder = Waveform::constant(0.0, 0.0, self.t_stop)?;
+        ckt.thevenin_driver(v_in, placeholder.clone(), spec.driver_resistance)?;
+        let mut agg_ins = Vec::with_capacity(self.agg_ramps.len());
+        for _ in &self.agg_ramps {
+            let a_in = ckt.anon_node();
+            ckt.thevenin_driver(a_in, placeholder.clone(), spec.driver_resistance)?;
+            agg_ins.push(a_in);
+        }
+        let victim_far = if agg_ins.is_empty() {
+            // All aggressors pruned: the victim still sees its wire.
+            self.victim_line.build(&mut ckt, v_in, "w")?
+        } else {
+            let bundle = StarCoupledLines::new(
+                self.victim_line,
+                (0..agg_ins.len())
+                    .map(|i| (spec.line_of(i), spec.cm_of(i)))
+                    .collect(),
+            )?;
+            let (far, _) = bundle.build(&mut ckt, v_in, &agg_ins, "w")?;
+            far
+        };
+        ckt.capacitor(victim_far, Circuit::GROUND, self.load)?;
+        Ok((ckt, victim_far))
+    }
+}
+
+/// A victim transition's fresh `(Γeff, base arrival)`, or why it failed.
+type VictimResult = Result<(SaturatedRamp, f64), StaError>;
 
 impl Sta {
     fn check_unique_victims(&self, couplings: &[CouplingSpec]) -> Result<(), StaError> {
@@ -981,30 +1059,37 @@ impl Sta {
         })
     }
 
-    /// Meets one valid victim transition: builds its victim-cache key —
-    /// only with a victim cache active; without one it would never be
-    /// read — and probes the cache with it.
-    fn probe_victim<'s>(
+    /// Meets the valid transitions of one victim net, rise first: builds
+    /// each one's victim-cache key — only with a victim cache active;
+    /// without one it would never be read — and probes the cache with it.
+    fn probe_net<'s>(
         &self,
         cx: &PassContext<'_>,
         cache: Option<(&VictimCache, f64)>,
         spec: &'s CouplingSpec,
-        polarity: Polarity,
-        point: &Point,
-    ) -> Result<VictimTransition<'s>, StaError> {
-        let key = match cache {
-            Some(_) => Some(self.victim_key(spec, polarity, point, cx.base)?),
-            None => None,
-        };
-        let hit = Self::victim_cache_hit(cache, spec.victim, polarity, key.as_ref());
-        Ok(VictimTransition {
-            spec,
-            polarity,
-            arrival: point.arrival,
-            slew: point.slew,
-            key,
-            hit,
-        })
+        state: &NetState,
+    ) -> Result<Vec<VictimTransition<'s>>, StaError> {
+        let mut units = Vec::with_capacity(2);
+        for polarity in [Polarity::Rise, Polarity::Fall] {
+            let point = state.get(polarity);
+            if !point.valid {
+                continue;
+            }
+            let key = match cache {
+                Some(_) => Some(self.victim_key(spec, polarity, point, cx.base)?),
+                None => None,
+            };
+            let hit = Self::victim_cache_hit(cache, spec.victim, polarity, key.as_ref());
+            units.push(VictimTransition {
+                spec,
+                polarity,
+                arrival: point.arrival,
+                slew: point.slew,
+                key,
+                hit,
+            });
+        }
+        Ok(units)
     }
 
     /// One crosstalk-adjusted forward sweep. `cache` (with its staleness
@@ -1130,18 +1215,9 @@ impl Sta {
                     )?;
                     local[j] = updated;
                     let Some(spec) = spec_of[net.0] else { continue };
-                    for pol in [Polarity::Rise, Polarity::Fall] {
-                        let point = *local[j].get(pol);
-                        if !point.valid {
-                            continue;
-                        }
-                        let unit = self.probe_victim(cx, cache, spec, pol, &point)?;
-                        let fresh = unit
-                            .hit
-                            .is_none()
-                            .then(|| self.victim_gamma(cx, &unit, &mut out.degrades));
-                        out.settle(th, cx.policy, unit, fresh, local[j].get_mut(pol))?;
-                    }
+                    let units = self.probe_net(cx, cache, spec, &local[j])?;
+                    let fresh = self.victim_gammas(cx, &units, &mut out.degrades);
+                    out.settle_net(th, cx.policy, units, fresh, &mut local[j])?;
                 }
                 cone_span.set_arg("recomputed", out.stats.recomputed as f64);
                 cone_span.set_arg("cached", out.stats.cached as f64);
@@ -1241,37 +1317,23 @@ impl Sta {
                 }
                 continue;
             }
-            // Victim transitions of this level: probe each against the
-            // victim cache, then run the misses' reductions on the pool.
+            // Victim nets of this level: probe each transition against the
+            // victim cache, then run each net's misses on the pool.
             // Same-level victims only read `base` and earlier levels, so
             // their reductions are independent.
-            let mut units = Vec::new();
+            let mut nets = Vec::new();
             for &net in level {
                 let Some(spec) = spec_of[net.0] else { continue };
-                for pol in [Polarity::Rise, Polarity::Fall] {
-                    let point = *states[net.0].get(pol);
-                    if point.valid {
-                        units.push(self.probe_victim(cx, cache, spec, pol, &point)?);
-                    }
-                }
+                nets.push((net, self.probe_net(cx, cache, spec, &states[net.0])?));
             }
-            let jobs: Vec<&VictimTransition> = units.iter().filter(|u| u.hit.is_none()).collect();
-            let mut results = par_map(cx.threads, &jobs, |unit| {
+            let results = par_map(cx.threads, &nets, |(_, units)| {
                 let mut events = Vec::new();
-                let result = self.victim_gamma(cx, unit, &mut events);
-                (result, events)
-            })
-            .into_iter();
-            for unit in units {
-                let fresh = unit.hit.is_none().then(|| {
-                    let (result, mut events) = results
-                        .next()
-                        .unwrap_or_else(|| panic!("scheduler bug: missing result for queued job"));
-                    resolved.degrades.append(&mut events);
-                    result
-                });
-                let (net, pol) = (unit.spec.victim, unit.polarity);
-                resolved.settle(th, cx.policy, unit, fresh, states[net.0].get_mut(pol))?;
+                let fresh = self.victim_gammas(cx, units, &mut events);
+                (fresh, events)
+            });
+            for ((net, units), (fresh, mut events)) in nets.into_iter().zip(results) {
+                resolved.degrades.append(&mut events);
+                resolved.settle_net(th, cx.policy, units, fresh, &mut states[net.0])?;
             }
         }
         Ok((states, resolved))
@@ -1667,25 +1729,79 @@ impl Sta {
         ))
     }
 
-    /// Computes `Γeff` for one victim transition. With `cx.factors` the
-    /// factored transient system is shared across every reduction whose
-    /// topology signature matches (see the module docs); the simulated
-    /// waveforms are bit-identical either way.
+    /// Computes `Γeff` for the victim-cache misses among one victim net's
+    /// transitions — the per-net entry point of both schedules. Returns
+    /// one entry per unit, in order: `None` for a victim-cache hit, the
+    /// fresh result for a miss.
+    ///
+    /// The misses that share a time grid form one reduction group: one
+    /// factorization lookup and one sweep of up to four columns, each
+    /// transition's noiseless and noisy drive (see
+    /// [`victim_attempt`](Self::victim_attempt)). A transition whose grid
+    /// differs from its sibling's is a group of one. With `cx.factors` the
+    /// factored system is shared across every group whose topology
+    /// signature matches (see the module docs); either way every column
+    /// keeps its one-column operation order, so the results are
+    /// bit-identical to reducing each transition on its own.
     ///
     /// # Numeric fallback chain
     ///
-    /// A solver-level failure (singular/lost pivot, non-finite values) is
-    /// retried with dense partial-pivot LU on the same grid, then once
-    /// more with the timestep halved; each step appends a [`DegradeEvent`]
-    /// to `degrades` (marked recovered if any step succeeds). The chain
-    /// only runs on the error path, so healthy reductions are
-    /// bit-identical to builds without it.
-    fn victim_gamma(
+    /// A solver-level failure (singular/lost pivot, non-finite values) of
+    /// a group's shared factorization or sweep gives each of its
+    /// transitions its own [`DegradeAction::DenseRetry`] event with that
+    /// cause. Each transition then retries alone with dense partial-pivot
+    /// LU on the same grid, then once more with the timestep halved; each
+    /// step appends a [`DegradeEvent`] to `degrades` (marked recovered if
+    /// any step of that transition's chain succeeds). The chain only runs
+    /// on the error path, so healthy reductions are bit-identical to
+    /// builds without it.
+    fn victim_gammas(
         &self,
         cx: &PassContext<'_>,
-        unit: &VictimTransition<'_>,
+        units: &[VictimTransition<'_>],
         degrades: &mut Vec<DegradeEvent>,
-    ) -> Result<(SaturatedRamp, f64), StaError> {
+    ) -> Vec<Option<VictimResult>> {
+        let mut results: Vec<Option<VictimResult>> = units.iter().map(|_| None).collect();
+        // Stage every miss (a transition that cannot be staged fails on
+        // its own) and group the staged ones by grid.
+        let mut groups: Vec<Vec<(usize, VictimStage<'_>)>> = Vec::new();
+        for (i, unit) in units.iter().enumerate() {
+            if unit.hit.is_some() {
+                continue;
+            }
+            match self.victim_stage(cx, unit) {
+                Ok(stage) => match groups.iter_mut().find(|g| g[0].1.same_grid(&stage)) {
+                    Some(group) => group.push((i, stage)),
+                    None => groups.push(vec![(i, stage)]),
+                },
+                Err(e) => results[i] = Some(Err(e)),
+            }
+        }
+        for group in &groups {
+            let stages: Vec<&VictimStage<'_>> = group.iter().map(|(_, stage)| stage).collect();
+            let outcomes = match self.victim_attempt(cx, &stages, stages[0].dt) {
+                Ok(outcomes) => outcomes,
+                Err(e) => stages.iter().map(|_| Err(e.clone())).collect(),
+            };
+            for ((i, stage), outcome) in group.iter().zip(outcomes) {
+                results[*i] = Some(match outcome {
+                    Err(e) if is_numeric_failure(&e) => {
+                        self.victim_fallback(cx, stage, &e, degrades)
+                    }
+                    outcome => outcome,
+                });
+            }
+        }
+        results
+    }
+
+    /// Stages one victim transition: its driver and aggressor ramps, its
+    /// quantized grid and the electrical values of its reduced stage.
+    fn victim_stage<'s>(
+        &self,
+        cx: &PassContext<'_>,
+        unit: &VictimTransition<'s>,
+    ) -> Result<VictimStage<'s>, StaError> {
         let spec = unit.spec;
         let victim_pol = unit.polarity;
         if let Some(reason) = &spec.defect {
@@ -1722,12 +1838,6 @@ impl Sta {
                 agg_pol.is_rise(),
             )?);
         }
-        // Quantized grid: the timestep heuristic is rounded up into a
-        // fixed bucket set and the stop time to a fixed quantum, so
-        // structurally identical victim stages land on a shared grid —
-        // and therefore share one factorization.
-        let t_stop = quantize_t_stop(latest);
-        let dt = quantize_dt(unit.slew);
 
         // The victim stage is a Thevenin driver into star-coupled RC lines
         // — each aggressor couples to the victim individually with its own
@@ -1744,7 +1854,7 @@ impl Sta {
         } else {
             spec.line
         };
-        let stage = VictimStage {
+        Ok(VictimStage {
             spec,
             polarity: victim_pol,
             victim_ramp: SaturatedRamp::with_slew(
@@ -1760,43 +1870,56 @@ impl Sta {
                 .receiver_load
                 .unwrap_or_else(|| self.graph().load(spec.victim))
                 .max(1e-16),
-            t_stop,
-        };
+            // Quantized grid: the timestep heuristic is rounded up into a
+            // fixed bucket set and the stop time to a fixed quantum, so
+            // structurally identical victim stages land on a shared grid —
+            // and therefore share one factorization.
+            t_stop: quantize_t_stop(latest),
+            dt: quantize_dt(unit.slew),
+        })
+    }
 
+    /// The numeric fallback chain of one transition whose reduction failed
+    /// with the solver-level error `cause` (see
+    /// [`victim_gammas`](Self::victim_gammas)).
+    fn victim_fallback(
+        &self,
+        cx: &PassContext<'_>,
+        stage: &VictimStage<'_>,
+        cause: &StaError,
+        degrades: &mut Vec<DegradeEvent>,
+    ) -> VictimResult {
         let event = |action: DegradeAction, cause: &StaError| DegradeEvent {
-            net: Some(spec.victim),
-            polarity: Some(victim_pol),
+            net: Some(stage.spec.victim),
+            polarity: Some(stage.polarity),
             action,
             cause: cause.to_string(),
             recovered: false,
         };
         let chain_start = degrades.len();
-        let result = match self.victim_attempt(cx, &stage, dt) {
-            Ok(ok) => Ok(ok),
+        // Fallback 1: dense partial-pivot LU on the same grid — immune to
+        // the no-pivot elimination's pivot loss. It factors its own
+        // system: the shared map's key does not encode the backend.
+        degrades.push(event(DegradeAction::DenseRetry, cause));
+        let dense = PassContext {
+            backend: SolverBackend::Dense,
+            factors: None,
+            ..*cx
+        };
+        let alone = |dt: f64| -> VictimResult {
+            self.victim_attempt(&dense, &[stage], dt)?
+                .pop()
+                .ok_or_else(|| StaError::Structure("reduction group returned no result".into()))?
+        };
+        let result = match alone(stage.dt) {
             Err(e) if is_numeric_failure(&e) => {
-                // Fallback 1: dense partial-pivot LU on the same grid —
-                // immune to the no-pivot elimination's pivot loss. It
-                // factors its own system: the shared map's key does not
-                // encode the backend.
-                degrades.push(event(DegradeAction::DenseRetry, &e));
-                let dense = PassContext {
-                    backend: SolverBackend::Dense,
-                    factors: None,
-                    ..*cx
-                };
-                match self.victim_attempt(&dense, &stage, dt) {
-                    Ok(ok) => Ok(ok),
-                    Err(e2) if is_numeric_failure(&e2) => {
-                        // Fallback 2: halve the timestep — a stiff or
-                        // marginally conditioned system integrates with a
-                        // better-conditioned trapezoidal matrix.
-                        degrades.push(event(DegradeAction::HalvedTimestep, &e2));
-                        self.victim_attempt(&dense, &stage, dt * 0.5)
-                    }
-                    Err(e2) => Err(e2),
-                }
+                // Fallback 2: halve the timestep — a stiff or marginally
+                // conditioned system integrates with a better-conditioned
+                // trapezoidal matrix.
+                degrades.push(event(DegradeAction::HalvedTimestep, &e));
+                alone(stage.dt * 0.5)
             }
-            Err(e) => Err(e),
+            result => result,
         };
         if result.is_ok() {
             for ev in &mut degrades[chain_start..] {
@@ -1806,67 +1929,51 @@ impl Sta {
         result
     }
 
-    /// One victim reduction on one `(dt, cx.backend)` grid — the unit the
-    /// fallback chain in [`victim_gamma`](Self::victim_gamma) retries.
+    /// One attempt of a reduction group on one `(dt, cx.backend)` grid —
+    /// the unit the fallback chain retries with a group of one. `stages`
+    /// are transitions of one victim net whose grids are equal, so one
+    /// factored system and one sweep serve them all. Returns each stage's
+    /// result in order; a failure of the shared work (waveforms,
+    /// factorization, sweep) fails the whole group.
     fn victim_attempt(
         &self,
         cx: &PassContext<'_>,
-        stage: &VictimStage<'_>,
+        stages: &[&VictimStage<'_>],
         dt: f64,
-    ) -> Result<(SaturatedRamp, f64), StaError> {
-        let spec = stage.spec;
-        let t_stop = stage.t_stop;
+    ) -> Result<Vec<VictimResult>, StaError> {
+        let Some(&first) = stages.first() else {
+            return Ok(Vec::new());
+        };
+        // One net: every stage shares the spec, and with it the circuit.
+        let spec = first.spec;
+        let t_stop = first.t_stop;
         let steps = (t_stop / dt).round() as u64;
 
-        // Voltage source 0 is the victim driver; sources 1..=N follow
-        // aggressor order — the factored system relies on this layout.
+        // Source waveforms in the circuit's order (see
+        // `VictimStage::circuit`).
         let waves_span = nsta_obs::span!("si.victim.waves");
-        let victim_wave = stage.victim_ramp.to_waveform(0.0, t_stop, dt)?;
-        let agg_waves: Vec<Waveform> = stage
-            .agg_ramps
-            .iter()
-            .map(|ramp| ramp.to_waveform(0.0, t_stop, dt))
-            .collect::<Result<_, _>>()?;
+        let mut waves = Vec::with_capacity(stages.len());
+        for stage in stages {
+            let victim = stage.victim_ramp.to_waveform(0.0, t_stop, dt)?;
+            let aggs: Vec<Waveform> = stage
+                .agg_ramps
+                .iter()
+                .map(|ramp| ramp.to_waveform(0.0, t_stop, dt))
+                .collect::<Result<_, _>>()?;
+            waves.push((victim, aggs));
+        }
         drop(waves_span);
 
-        // One factorization serves the noisy/noiseless pair — and, via the
-        // shared map, every other reduction with the same signature:
-        // assemble and LU-factor only on a miss.
+        // One factorization serves the group — and, via the shared map,
+        // every other group with the same signature: assemble and
+        // LU-factor only on a miss.
         let key = cx
             .factors
-            .map(|_| TopoKey::new(dt, steps, spec, &stage.victim_line, stage.load));
+            .map(|_| TopoKey::new(dt, steps, spec, &first.victim_line, first.load));
         let entry = match cx.factors.zip(key.as_ref()).and_then(|(f, k)| f.get(k)) {
             Some(entry) => entry,
             None => {
-                let mut ckt = Circuit::new();
-                let v_in = ckt.node("victim_in");
-                // Sources are registered with a cheap 2-point placeholder:
-                // the factored system is driven by explicit source vectors
-                // at run time, and keeping victim-specific dense grids out
-                // of the shared value stops the first victim's waveforms
-                // from being pinned for the whole analysis.
-                let placeholder = Waveform::constant(0.0, 0.0, t_stop)?;
-                ckt.thevenin_driver(v_in, placeholder.clone(), spec.driver_resistance)?;
-                let mut agg_ins = Vec::with_capacity(agg_waves.len());
-                for _ in &agg_waves {
-                    let a_in = ckt.anon_node();
-                    ckt.thevenin_driver(a_in, placeholder.clone(), spec.driver_resistance)?;
-                    agg_ins.push(a_in);
-                }
-                let victim_far = if agg_ins.is_empty() {
-                    // All aggressors pruned: the victim still sees its wire.
-                    stage.victim_line.build(&mut ckt, v_in, "w")?
-                } else {
-                    let bundle = StarCoupledLines::new(
-                        stage.victim_line,
-                        (0..agg_ins.len())
-                            .map(|i| (spec.line_of(i), spec.cm_of(i)))
-                            .collect(),
-                    )?;
-                    let (far, _) = bundle.build(&mut ckt, v_in, &agg_ins, "w")?;
-                    far
-                };
-                ckt.capacitor(victim_far, Circuit::GROUND, stage.load)?;
+                let (ckt, victim_far) = first.circuit()?;
                 let system = ckt.factor_transient(
                     TransientOptions::new(0.0, t_stop, dt)?.with_backend(cx.backend),
                 )?;
@@ -1880,54 +1987,69 @@ impl Sta {
                 entry
             }
         };
-        self.victim_reduce(cx, stage, &entry, &victim_wave, &agg_waves)
+
+        // One sweep runs every stage's noiseless drive (aggressors held
+        // at their quiet level) and noisy drive: up to four columns.
+        // Non-finite node voltages — a poisoned solve — surface from the
+        // transient solver as a recoverable numeric error rather than
+        // propagating NaN into the report.
+        let transient_span = nsta_obs::span!("si.victim.transient");
+        let vdd = Thresholds::cmos(self.library().voltage).vdd();
+        let quiets = stages
+            .iter()
+            .map(|stage| {
+                let agg_pol = spec.aggressor_polarity(stage.polarity);
+                Waveform::constant(if agg_pol.is_rise() { 0.0 } else { vdd }, 0.0, t_stop)
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        // With every aggressor pruned the "noisy" circuit is identical to
+        // the noiseless one: one column serves both.
+        let noisy_too = !first.agg_ramps.is_empty();
+        let mut sets: Vec<Vec<&Waveform>> = Vec::with_capacity(2 * stages.len());
+        for ((victim, aggs), quiet) in waves.iter().zip(&quiets) {
+            sets.push(
+                std::iter::once(victim)
+                    .chain(aggs.iter().map(|_| quiet))
+                    .collect(),
+            );
+            if noisy_too {
+                sets.push(std::iter::once(victim).chain(aggs).collect());
+            }
+        }
+        let sets: Vec<&[&Waveform]> = sets.iter().map(Vec::as_slice).collect();
+        let traces = entry.system.run_node_sets(&sets, &[entry.victim_far])?;
+        drop(transient_span);
+
+        // One recorded node: each set's traces are its victim trace.
+        let mut traces = traces.into_iter().flatten();
+        let mut next_trace = || {
+            traces.next().ok_or_else(|| {
+                StaError::Structure("transient solver returned no trace for victim node".into())
+            })
+        };
+        let mut results = Vec::with_capacity(stages.len());
+        for stage in stages {
+            let noiseless = next_trace()?;
+            let noisy = if noisy_too {
+                next_trace()?
+            } else {
+                noiseless.clone()
+            };
+            results.push(self.victim_reduce(cx, stage, noiseless, noisy));
+        }
+        Ok(results)
     }
 
-    /// Runs the noiseless/noisy transient pair on a factored system and
-    /// reduces the noisy waveform to `(Γeff, base arrival)`. Non-finite
-    /// node voltages — a poisoned solve — surface from the transient
-    /// solver as a recoverable numeric error rather than propagating NaN
-    /// into the report.
+    /// Reduces one transition's noisy far-end waveform to
+    /// `(Γeff, base arrival)`, given its noiseless twin.
     fn victim_reduce(
         &self,
         cx: &PassContext<'_>,
         stage: &VictimStage<'_>,
-        entry: &CachedSystem,
-        victim_wave: &Waveform,
-        agg_waves: &[Waveform],
-    ) -> Result<(SaturatedRamp, f64), StaError> {
+        noiseless: Waveform,
+        noisy: Waveform,
+    ) -> VictimResult {
         let th = Thresholds::cmos(self.library().voltage);
-        let vdd = th.vdd();
-        let agg_pol = stage.spec.aggressor_polarity(stage.polarity);
-        let quiet_level = if agg_pol.is_rise() { 0.0 } else { vdd };
-        let transient_span = nsta_obs::span!("si.victim.transient");
-        let quiet = Waveform::constant(quiet_level, 0.0, stage.t_stop)?;
-        let mut quiet_sources: Vec<&Waveform> = Vec::with_capacity(1 + agg_waves.len());
-        quiet_sources.push(victim_wave);
-        quiet_sources.extend(agg_waves.iter().map(|_| &quiet));
-        // With every aggressor pruned the "noisy" circuit is identical to
-        // the noiseless one: one transient run serves both. Otherwise the
-        // pair runs as one two-column sweep of the factored system.
-        let [quiet_traces, noisy_traces] = if agg_waves.is_empty() {
-            let traces = entry
-                .system
-                .run_nodes(&quiet_sources, &[entry.victim_far])?;
-            [traces.clone(), traces]
-        } else {
-            let mut noisy_sources: Vec<&Waveform> = Vec::with_capacity(1 + agg_waves.len());
-            noisy_sources.push(victim_wave);
-            noisy_sources.extend(agg_waves.iter());
-            entry
-                .system
-                .run_node_pair([&quiet_sources, &noisy_sources], &[entry.victim_far])?
-        };
-        drop(transient_span);
-        let victim_trace = |traces: Vec<Waveform>| {
-            traces.into_iter().next().ok_or_else(|| {
-                StaError::Structure("transient solver returned no trace for victim node".into())
-            })
-        };
-        let (noiseless, noisy) = (victim_trace(quiet_traces)?, victim_trace(noisy_traces)?);
         let base_arrival = noiseless.last_crossing_or_err(th.mid())?;
 
         // Noiseless receiver response through the library tables (the
@@ -2319,11 +2441,19 @@ mod tests {
         assert!(seen > 0);
     }
 
-    /// Three victim/aggressor groups in the spefbus pattern: group `g`'s
-    /// far aggressor sits behind a chain of `2g + 3` inverters, so some
-    /// groups keep both aggressors while later ones get window-pruned —
-    /// both cache paths of the incremental fixed point get exercised.
+    /// Victim/aggressor groups in the spefbus pattern: group `g`'s far
+    /// aggressor sits behind a chain of `2g + 3` inverters, so some groups
+    /// keep both aggressors while later ones get window-pruned — both
+    /// cache paths of the incremental fixed point get exercised.
     fn multi_group_design(groups: usize) -> crate::Design {
+        let stages: Vec<usize> = (0..groups).map(|g| 2 * g + 3).collect();
+        multi_group_design_with(&stages)
+    }
+
+    /// [`multi_group_design`] with group `g`'s far aggressor behind
+    /// `stages[g]` inverters.
+    fn multi_group_design_with(stages: &[usize]) -> crate::Design {
+        let groups = stages.len();
         let mut src = String::from("module m (");
         let ports: Vec<String> = (0..groups)
             .flat_map(|g| vec![format!("a{g}"), format!("b{g}"), format!("c{g}")])
@@ -2338,8 +2468,7 @@ mod tests {
                 "input a{g}, b{g}, c{g}; output y{g}, z{g}, w{g};\n"
             ));
         }
-        for g in 0..groups {
-            let stages = 2 * g + 3;
+        for (g, &stages) in stages.iter().enumerate() {
             src.push_str(&format!(
                 "wire v{g}, gn{g}, gf{g};\n\
                  INVX1 u{g}_1 (.A(a{g}), .Y(v{g})); INVX4 u{g}_2 (.A(v{g}), .Y(y{g}));\n\
@@ -2430,35 +2559,93 @@ mod tests {
         assert!(sequential.diagnostics.cones >= 3 * groups);
     }
 
+    /// The context of one crosstalk pass over the nominal states `base`.
+    fn pass_context<'a>(
+        bc: &'a BoundaryConditions,
+        base: &'a [NetState],
+        threads: usize,
+        factors: Option<&'a Factorizations>,
+    ) -> PassContext<'a> {
+        PassContext {
+            bc,
+            method: MethodKind::Sgdp,
+            backend: SolverBackend::Sparse,
+            base,
+            threads,
+            policy: FaultPolicy::Fail,
+            deadline: None,
+            factors,
+        }
+    }
+
+    /// Every victim transition of `specs`, staged from its nominal point
+    /// and grouped per net, rise first. The crosstalk pass meets each
+    /// victim at that point because every fixture victim is driven from a
+    /// primary input.
+    fn nominal_stages<'s>(
+        sta: &Sta,
+        cx: &PassContext<'_>,
+        specs: &'s [CouplingSpec],
+    ) -> Vec<Vec<VictimStage<'s>>> {
+        specs
+            .iter()
+            .map(|spec| {
+                [Polarity::Rise, Polarity::Fall]
+                    .into_iter()
+                    .map(|polarity| {
+                        let point = cx.base[spec.victim.0].get(polarity);
+                        assert!(point.valid);
+                        let unit = VictimTransition {
+                            spec,
+                            polarity,
+                            arrival: point.arrival,
+                            slew: point.slew,
+                            key: None,
+                            hit: None,
+                        };
+                        sta.victim_stage(cx, &unit).unwrap()
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Reduction groups of a pass over `stages`: one per net whose rise
+    /// and fall share a grid, two per net whose grids differ.
+    fn group_count(stages: &[Vec<VictimStage<'_>>]) -> usize {
+        stages
+            .iter()
+            .map(|net| match net.as_slice() {
+                [rise, fall] if rise.same_grid(fall) => 1,
+                net => net.len(),
+            })
+            .sum()
+    }
+
     #[test]
     fn topo_cache_is_bit_identical_to_uncached_across_threads() {
-        // One pass's victims share LU factors across groups and
-        // polarities; that must not change a single bit of any result —
-        // at 1 thread and on the worker pool. The reference is the
-        // unshared path the fallback chain takes: every reduction factors
-        // its own system.
+        // One pass's reduction groups share LU factors across victims;
+        // that must not change a single bit of any result — at 1 thread
+        // and on the worker pool. The reference is the unshared path the
+        // fallback chain takes: every group factors its own system.
         let _guard = crate::obs_test_guard();
-        let groups = 3;
-        let sta = Sta::new(multi_group_design(groups), lib().clone()).unwrap();
+        // Group 3 repeats group 0, so the two share one factorization.
+        let sta = Sta::new(multi_group_design_with(&[3, 5, 7, 3]), lib().clone()).unwrap();
         let bc = BoundaryConditions::from(&Constraints::default());
         // Group 1 loses its far aggressor and group 2 gains quiet coupling
         // (folded into its wire's ground cap): a key blind to either
         // change would serve them a wrong system.
-        let mut specs = multi_group_specs(&sta, groups);
+        let mut specs = multi_group_specs(&sta, 4);
         specs[1] = specs[1].restricted(&[0]);
         specs[2].quiet_cm = 20e-15;
         let base = sta.forward_sweep(&bc).unwrap();
+        let groups = group_count(&nominal_stages(
+            &sta,
+            &pass_context(&bc, &base, 1, None),
+            &specs,
+        ));
         let pass = |threads: usize, factors: Option<&Factorizations>| {
-            let cx = PassContext {
-                bc: &bc,
-                method: MethodKind::Sgdp,
-                backend: SolverBackend::Sparse,
-                base: &base,
-                threads,
-                policy: FaultPolicy::Fail,
-                deadline: None,
-                factors,
-            };
+            let cx = pass_context(&bc, &base, threads, factors);
             let (states, adjustments, stats, degrades) =
                 sta.crosstalk_pass(&cx, &specs, None, None).unwrap();
             assert!(degrades.is_empty());
@@ -2467,21 +2654,122 @@ mod tests {
             (report, adjustments, stats)
         };
         let unshared = pass(1, None);
-        assert!(!unshared.1.is_empty());
+        assert_eq!(unshared.1.len(), 8);
         for threads in [1, 4] {
             let factors = Factorizations::default();
             let shared = pass(threads, Some(&factors));
             assert_eq!(shared, unshared, "threads={threads}");
-            // The fixture's identical groups must actually share systems.
             let hits = factors.hits.load(Ordering::Relaxed);
             let misses = factors.misses.load(Ordering::Relaxed);
-            assert!(
-                hits > 0,
-                "expected shared factorizations at {threads} thread(s), got {hits}"
-            );
+            // Groups 0 and 3 share a system. On the worker pool both may
+            // miss it at once, so only the sequential pass must hit.
+            if threads == 1 {
+                assert_eq!(hits, 1, "expected one shared factorization");
+            }
             assert!(misses > 0);
-            // Every reduction consults the map exactly once.
-            assert_eq!(hits + misses, shared.1.len());
+            // Every reduction group consults the map exactly once.
+            assert_eq!(hits + misses, groups, "threads={threads}");
+        }
+    }
+
+    /// One transition reduced on its own, as the benchmark's stage probe
+    /// replays it (`perfbench/src/bus.rs`): a fresh factorization, one
+    /// `run_nodes` call per source set, then the receiver gate and the
+    /// reduction.
+    fn reduce_alone(sta: &Sta, cx: &PassContext<'_>, stage: &VictimStage<'_>) -> SiAdjustment {
+        let (ckt, far) = stage.circuit().unwrap();
+        let opts = TransientOptions::new(0.0, stage.t_stop, stage.dt).unwrap();
+        let system = ckt.factor_transient(opts).unwrap();
+        let wave = |ramp: &SaturatedRamp| ramp.to_waveform(0.0, stage.t_stop, stage.dt).unwrap();
+        let victim = wave(&stage.victim_ramp);
+        let aggs: Vec<Waveform> = stage.agg_ramps.iter().map(wave).collect();
+        let th = Thresholds::cmos(sta.library().voltage);
+        let agg_pol = stage.spec.aggressor_polarity(stage.polarity);
+        let quiet_level = if agg_pol.is_rise() { 0.0 } else { th.vdd() };
+        let quiet = Waveform::constant(quiet_level, 0.0, stage.t_stop).unwrap();
+        let mut quiet_set = vec![&victim];
+        quiet_set.extend(aggs.iter().map(|_| &quiet));
+        let mut noisy_set = vec![&victim];
+        noisy_set.extend(&aggs);
+        let run = |set: &[&Waveform]| system.run_nodes(set, &[far]).unwrap().remove(0);
+        let (gamma, base_arrival) = sta
+            .victim_reduce(cx, stage, run(&quiet_set), run(&noisy_set))
+            .unwrap();
+        SiAdjustment {
+            net: stage.spec.victim,
+            polarity: stage.polarity,
+            base_arrival,
+            noisy_arrival: gamma.arrival_mid(),
+            noisy_slew: gamma.slew(th),
+        }
+    }
+
+    fn adjustment_bits(adjustments: &[SiAdjustment]) -> Vec<(usize, bool, [u64; 3])> {
+        adjustments
+            .iter()
+            .map(|a| {
+                (
+                    a.net.0,
+                    a.polarity.is_rise(),
+                    [a.base_arrival, a.noisy_arrival, a.noisy_slew].map(f64::to_bits),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn grouped_reductions_match_one_transition_at_a_time() {
+        // A pass reduces both transitions of a victim in one sweep when
+        // they share a grid; every adjustment must still equal its
+        // transition reduced on its own, bit for bit, on both schedules.
+        let _guard = crate::obs_test_guard();
+        let sta = Sta::new(multi_group_design_with(&[3, 5, 7, 3]), lib().clone()).unwrap();
+        let bc = BoundaryConditions::from(&Constraints::default());
+        let base = sta.forward_sweep(&bc).unwrap();
+        let mut specs = multi_group_specs(&sta, 4);
+        // Group 1 loses every aggressor: one column per transition.
+        specs[1] = specs[1].restricted(&[]);
+        // Group 2's aggressors are skewed so that its far aggressor, the
+        // latest participant, ends 0.5 ns in, halfway between its rising
+        // and falling ends: with the 1 ns settle margin, its rise and fall
+        // stop times round up to different 0.5 ns quanta.
+        let far = specs[2].aggressors[1];
+        let end = |pol: Polarity| {
+            let p = base[far.0].get(pol);
+            p.arrival + p.slew
+        };
+        specs[2].aggressor_skew = 0.5e-9 - 0.5 * (end(Polarity::Rise) + end(Polarity::Fall));
+        let stages = nominal_stages(&sta, &pass_context(&bc, &base, 1, None), &specs);
+        for (g, net) in stages.iter().enumerate() {
+            assert_eq!(net[0].same_grid(&net[1]), g != 2, "group {g}");
+        }
+        let groups = group_count(&stages);
+        assert_eq!(groups, 5);
+
+        // One thread takes the cone schedule; more threads than cones take
+        // the level schedule.
+        let cones = sta.graph().components().len();
+        for threads in [1, cones + 1] {
+            let factors = Factorizations::default();
+            let cx = pass_context(&bc, &base, threads, Some(&factors));
+            let (_, adjustments, _, degrades) =
+                sta.crosstalk_pass(&cx, &specs, None, None).unwrap();
+            assert!(degrades.is_empty());
+            let mut alone: Vec<SiAdjustment> = stages
+                .iter()
+                .flatten()
+                .map(|stage| reduce_alone(&sta, &cx, stage))
+                .collect();
+            alone.sort_by_key(|a| (a.net.0, !a.polarity.is_rise()));
+            assert_eq!(
+                adjustment_bits(&adjustments),
+                adjustment_bits(&alone),
+                "threads={threads}"
+            );
+            // Group 2's transitions ran as two groups of one.
+            let lookups =
+                factors.hits.load(Ordering::Relaxed) + factors.misses.load(Ordering::Relaxed);
+            assert_eq!(lookups, groups, "threads={threads}");
         }
     }
 

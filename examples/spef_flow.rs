@@ -124,7 +124,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         analysis.diagnostics.converged
     );
     println!(
-        "  shared factorizations: {} hit(s), {} miss(es) across {} fanout cone(s)",
+        "  shared factorizations: {} hit(s), {} miss(es) (one lookup per victim net's \
+         same-grid transitions) across {} fanout cone(s)",
         analysis.diagnostics.cache_hits,
         analysis.diagnostics.cache_misses,
         analysis.diagnostics.cones
