@@ -74,7 +74,8 @@ const HELP: &str = "SPEF-driven crosstalk STA workload: one measured windowed an
 
 flags:
   --groups N          victim/aggressor groups to generate (default 8)
-  --threads N         worker threads of the analysis (default 1)
+  --threads N         worker threads of the analysis, at most one per
+                      fanout cone (cache.cones in the report; default 1)
   --segments N        RC segments per victim wire (default 3)
   --sdc FILE          analyze under an SDC constraint set instead of
                       uniform constraints

@@ -65,7 +65,8 @@ pub struct SessionOptions {
     /// [`TimingSession::audit_now`]).
     pub audit_every_n: Option<usize>,
     /// Preflight-lint the candidate state of every edit and reject edits
-    /// that introduce new deny-severity or [`REJECT_RULES`] diagnostics.
+    /// that introduce new deny-severity, `net.undriven` or
+    /// `spef.nonpositive-rc` diagnostics.
     pub preflight: bool,
     /// Shadow-audit tolerance on arrivals/slews/slacks (seconds).
     /// Default `1e-18` (= 1e-6 ps).

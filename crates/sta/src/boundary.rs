@@ -1,6 +1,6 @@
 //! Per-pin boundary conditions of a timing run.
 //!
-//! The original [`Constraints`](crate::Constraints) struct applies one
+//! The original [`Constraints`] struct applies one
 //! arrival, one slew and one required time to *every* port — adequate for
 //! method comparisons, but real constraint sets (SDC) give each port its
 //! own values: an input can arrive anywhere inside a `[min, max]` window,

@@ -209,12 +209,12 @@ impl Sta {
 
     /// One net's fanin update: folds every incoming arc into the net's
     /// current state and returns the result. Reads only predecessor
-    /// states, so nets without a dependency path between them can be
-    /// updated concurrently; the arithmetic is a fixed per-net operation
+    /// states, all inside the net's own cone, so distinct cones can be
+    /// swept concurrently; the arithmetic is a fixed per-net operation
     /// sequence, making the outcome independent of which thread runs it.
     ///
-    /// The state accessor (by net id) is a closure so cone-partitioned
-    /// sweeps can serve reads from a compact per-cone buffer instead of a
+    /// The state accessor (by net id) is a closure so the cone sweeps can
+    /// serve reads from a compact per-cone buffer instead of a
     /// full-design state vector — the fold performs the identical
     /// operation sequence regardless of the accessor.
     pub(crate) fn propagate_net_with(
@@ -254,79 +254,24 @@ impl Sta {
 
     /// The nominal (latest-arrival, single-thread) forward sweep.
     pub(crate) fn forward_sweep(&self, bc: &BoundaryConditions) -> Result<Vec<NetState>, StaError> {
-        self.forward_sweep_partitioned(bc, false, 1)
+        self.forward_sweep_scoped(bc, false, 1, None)
     }
 
-    /// Cone-partitioned forward sweep on a scoped worker pool: each
-    /// weakly-connected component of the graph is one task, swept
-    /// sequentially in topological order; tasks are merged back in the
-    /// fixed cone order. One pool serves the whole sweep (no per-level
-    /// barrier or re-spawn), and a long chain in one cone never waits for
-    /// another cone's widest level. A graph with fewer cones than workers
-    /// (e.g. one fully connected component) falls back to
-    /// level-synchronous scheduling so intra-level parallelism is not
-    /// lost. This is the only sweep loop — every caller (nominal, min,
-    /// threaded) goes through it, and each net's fanin fold is a fixed
-    /// operation sequence merged at a fixed position, so the result is
-    /// bit-identical for every `threads` value (including 1) and for both
-    /// schedules.
-    pub(crate) fn forward_sweep_partitioned(
-        &self,
-        bc: &BoundaryConditions,
-        minimize: bool,
-        threads: usize,
-    ) -> Result<Vec<NetState>, StaError> {
-        let components = self.graph.components();
-        let mut sweep_span = nsta_obs::span!("sta.forward_sweep");
-        sweep_span.set_arg("minimize", minimize as u8 as f64);
-        sweep_span.set_arg("threads", threads.max(1) as f64);
-        sweep_span.set_arg("cones", components.len() as f64);
-        if components.len() < threads.max(1) {
-            let mut states = self.init_states(bc, minimize);
-            for level in self.graph.levels() {
-                let updated = crate::par::par_map(threads, level, |&net| {
-                    self.propagate_net_with(net, |i| states[i], bc, minimize)
-                });
-                for (&net, result) in level.iter().zip(updated) {
-                    states[net.0] = result?;
-                }
-            }
-            return Ok(states);
-        }
-        let seed = self.init_states(bc, minimize);
-        let outcomes = crate::par::par_map(threads, components, |cone| {
-            let mut cone_span = nsta_obs::span!("sta.sweep_cone");
-            cone_span.set_arg("nets", cone.len() as f64);
-            let mut local: Vec<NetState> = cone.iter().map(|&net| seed[net.0]).collect();
-            for (j, &net) in cone.iter().enumerate() {
-                let updated = self.propagate_net_with(
-                    net,
-                    |i| local[self.graph.cone_slot(NetId(i))],
-                    bc,
-                    minimize,
-                )?;
-                local[j] = updated;
-            }
-            Ok::<_, StaError>(local)
-        });
-        let mut states = seed;
-        for (cone, outcome) in components.iter().zip(outcomes) {
-            for (&net, st) in cone.iter().zip(outcome?) {
-                states[net.0] = st;
-            }
-        }
-        Ok(states)
-    }
-
-    /// [`Sta::forward_sweep_partitioned`] restricted to a subset of cones:
-    /// `scope` is a per-cone mask indexed like
-    /// [`crate::TimingGraph::components`]; unscoped cones keep their
-    /// [`Sta::init_states`] seed and are never propagated. `None` means
-    /// every cone (the plain partitioned sweep). Within the scope the
-    /// per-net fold is the same fixed operation sequence as the full
-    /// sweep, so scoped states are bit-identical to the full sweep's for
-    /// every net inside a scoped cone — the contract the session layer's
-    /// dirty-cluster re-solve relies on (it discards everything else).
+    /// The forward sweep, partitioned by fanout cone: each weakly-connected
+    /// component of the graph is one task on a scoped worker pool (at most
+    /// one worker per cone), swept sequentially in topological order, and
+    /// the tasks are merged back in the fixed cone order. This is the only
+    /// sweep loop — the nominal, min, threaded and session sweeps all go
+    /// through it — and each net's fanin fold is a fixed operation
+    /// sequence merged at a fixed position, so the result is bit-identical
+    /// for every `threads` value (including 1).
+    ///
+    /// `scope` is an optional per-cone mask indexed like
+    /// [`crate::TimingGraph::components`]; `None` means every cone.
+    /// Unscoped cones keep their [`Sta::init_states`] seed and are never
+    /// propagated, while every net inside a scoped cone gets exactly the
+    /// full sweep's state — the contract the session layer's dirty-cluster
+    /// re-solve relies on (it discards everything else).
     pub(crate) fn forward_sweep_scoped(
         &self,
         bc: &BoundaryConditions,
@@ -334,20 +279,13 @@ impl Sta {
         threads: usize,
         scope: Option<&[bool]>,
     ) -> Result<Vec<NetState>, StaError> {
-        let Some(scope) = scope else {
-            return self.forward_sweep_partitioned(bc, minimize, threads);
-        };
-        let components = self.graph.components();
         let mut sweep_span = nsta_obs::span!("sta.forward_sweep");
         sweep_span.set_arg("minimize", minimize as u8 as f64);
         sweep_span.set_arg("threads", threads.max(1) as f64);
-        let active: Vec<usize> = (0..components.len())
-            .filter(|&i| scope.get(i).copied().unwrap_or(false))
-            .collect();
+        let active = self.graph.scoped_components(scope);
         sweep_span.set_arg("cones", active.len() as f64);
         let seed = self.init_states(bc, minimize);
-        let outcomes = crate::par::par_map(threads, &active, |&ci| {
-            let cone = &components[ci];
+        let outcomes = crate::par::par_map(threads, &active, |cone| {
             let mut cone_span = nsta_obs::span!("sta.sweep_cone");
             cone_span.set_arg("nets", cone.len() as f64);
             let mut local: Vec<NetState> = cone.iter().map(|&net| seed[net.0]).collect();
@@ -363,8 +301,8 @@ impl Sta {
             Ok::<_, StaError>(local)
         });
         let mut states = seed;
-        for (&ci, outcome) in active.iter().zip(outcomes) {
-            for (&net, st) in components[ci].iter().zip(outcome?) {
+        for (cone, outcome) in active.iter().zip(outcomes) {
+            for (&net, st) in cone.iter().zip(outcome?) {
                 states[net.0] = st;
             }
         }
@@ -407,7 +345,7 @@ impl Sta {
         constraints: impl Into<BoundaryConditions>,
     ) -> Result<TimingReport, StaError> {
         let bc = constraints.into();
-        let states = self.forward_sweep_partitioned(&bc, true, 1)?;
+        let states = self.forward_sweep_scoped(&bc, true, 1, None)?;
         let mask = self.false_edge_mask(&bc);
         self.finish_report(&bc, states, mask.as_ref())
     }
@@ -507,7 +445,7 @@ impl Sta {
     /// Builds required times, slacks and the critical path from a completed
     /// forward sweep.
     ///
-    /// Required times seed from each output's own [`OutputBoundary`]
+    /// Required times seed from each output's own [`OutputBoundary`](crate::OutputBoundary)
     /// (`+inf` keeps the endpoint unconstrained) and do not propagate
     /// through false-path-masked edges, so declared false paths never
     /// contribute to the worst slack.

@@ -1,8 +1,9 @@
-//! Levelized timing graph over nets.
+//! Timing graph over nets, partitioned into fanout cones.
 //!
 //! Vertices are nets; each cell arc contributes an edge from its input net
 //! to its output net. The graph is validated (single driver per net, no
-//! combinational cycles) and levelized for the forward arrival sweep.
+//! combinational cycles), ordered topologically, and split into
+//! weakly-connected components: the cones the forward sweeps schedule.
 
 use crate::netlist::{Design, NetId};
 use crate::StaError;
@@ -23,7 +24,7 @@ pub struct Edge {
     pub output_pin: String,
 }
 
-/// Levelized net-level timing graph.
+/// Net-level timing graph, partitioned into independent fanout cones.
 #[derive(Debug, Clone)]
 pub struct TimingGraph {
     edges: Vec<Edge>,
@@ -33,16 +34,12 @@ pub struct TimingGraph {
     fanout: Vec<Vec<usize>>,
     /// Nets in topological order (inputs first).
     order: Vec<NetId>,
-    /// Nets grouped by logic level (level = longest fanin path, in
-    /// stages); nets within a level are sorted by id. Levels partition the
-    /// forward sweep into batches with no intra-batch dependencies — the
-    /// unit of parallelism for the threaded sweeps.
-    levels: Vec<Vec<NetId>>,
     /// Nets grouped by weakly-connected component ("cone"), each component
-    /// in topological (level-major, then net-id) order. Two nets share a
-    /// component iff an undirected edge path connects them, so distinct
-    /// components have no timing dependency in either direction — the unit
-    /// of parallelism for cone-partitioned scheduling.
+    /// in topological (level-major, then net-id) order, where a net's level
+    /// is its longest fanin path in stages. Two nets share a component iff
+    /// an undirected edge path connects them, so distinct components have
+    /// no timing dependency in either direction — the unit of parallelism
+    /// of every sweep.
     components: Vec<Vec<NetId>>,
     /// Net id -> position of the net inside its component, so cone tasks
     /// can serve state reads from a compact per-cone buffer.
@@ -58,7 +55,8 @@ impl TimingGraph {
     ///
     /// * [`StaError::Unresolved`] for unknown cells or unconnected arcs.
     /// * [`StaError::Structure`] for nets with multiple drivers.
-    /// * [`StaError::CombinationalCycle`] if levelization fails.
+    /// * [`StaError::CombinationalCycle`] if the nets admit no
+    ///   topological order.
     pub fn build(design: &Design, library: &Library) -> Result<Self, StaError> {
         let n = design.net_count();
         let mut edges = Vec::new();
@@ -116,7 +114,7 @@ impl TimingGraph {
             fanout[e.from.0].push(k);
         }
 
-        // Kahn levelization over nets.
+        // Kahn topological ordering over nets.
         let mut indegree: Vec<usize> = fanin.iter().map(Vec::len).collect();
         let mut queue: Vec<NetId> = (0..n).filter(|&i| indegree[i] == 0).map(NetId).collect();
         let mut order = Vec::with_capacity(n);
@@ -139,24 +137,14 @@ impl TimingGraph {
             });
         }
 
-        // Levelization: level(net) = longest fanin path in stages. Walking
-        // the topological order makes every predecessor's level final
-        // before its successors read it.
+        // level(net) = longest fanin path in stages. Walking the
+        // topological order makes every predecessor's level final before
+        // its successors read it.
         let mut level = vec![0usize; n];
         for &net in &order {
             for &k in &fanin[net.0] {
                 level[net.0] = level[net.0].max(level[edges[k].from.0] + 1);
             }
-        }
-        let depth = level.iter().map(|&l| l + 1).max().unwrap_or(0);
-        let mut levels: Vec<Vec<NetId>> = vec![Vec::new(); depth];
-        for i in 0..n {
-            levels[level[i]].push(NetId(i));
-        }
-        // Net-id order within a level fixes the merge order of parallel
-        // sweeps, independent of thread count.
-        for l in &mut levels {
-            l.sort_unstable_by_key(|net| net.0);
         }
 
         // Weakly-connected components via union-find with path halving.
@@ -211,7 +199,6 @@ impl TimingGraph {
             fanin,
             fanout,
             order,
-            levels,
             components,
             cone_slot,
             loads,
@@ -228,24 +215,27 @@ impl TimingGraph {
         &self.order
     }
 
-    /// Nets grouped by logic level (ascending), each level sorted by net
-    /// id. All fanin of a net at level `l` sits strictly below `l`, so the
-    /// nets of one level can be processed in any order — or in parallel —
-    /// without changing results.
-    pub fn levels(&self) -> &[Vec<NetId>] {
-        &self.levels
-    }
-
     /// Nets grouped by weakly-connected component ("fanout cone"), each in
     /// topological order. Components are mutually independent — no edge
     /// crosses between two of them — so whole components can be swept
-    /// concurrently end to end, without level barriers: a long chain in one
-    /// cone never waits for the widest level of another. Components are
-    /// ordered by their smallest net id; within a component, nets are in
-    /// level-major (then net-id) order, so a sequential walk sees every
+    /// concurrently end to end, with no barrier between them. Components
+    /// are ordered by their smallest net id; within a component, nets are
+    /// in level-major (then net-id) order, so a sequential walk sees every
     /// fanin before its consumer.
     pub fn components(&self) -> &[Vec<NetId>] {
         &self.components
+    }
+
+    /// The components a sweep visits, in component order: all of them, or
+    /// those a per-component `scope` mask marks (indices past its end read
+    /// as unmarked).
+    pub(crate) fn scoped_components(&self, scope: Option<&[bool]>) -> Vec<&[NetId]> {
+        self.components
+            .iter()
+            .enumerate()
+            .filter(|(ci, _)| scope.is_none_or(|s| s.get(*ci).copied().unwrap_or(false)))
+            .map(|(_, cone)| cone.as_slice())
+            .collect()
     }
 
     /// Position of `net` inside its component (see
@@ -313,33 +303,6 @@ mod tests {
         assert_eq!(g.load(y), 0.0);
         assert_eq!(g.fanin_edges(y).len(), 1);
         assert_eq!(g.fanout_edges(a).len(), 1);
-    }
-
-    #[test]
-    fn levels_partition_nets_and_respect_edges() {
-        let d = parse_design(
-            "module m (a, b, y); input a, b; output y; wire w1, w2;\
-             INVX1 u1 (.A(a), .Y(w1)); INVX1 u2 (.A(b), .Y(w2));\
-             INVX4 u3 (.A(w1), .Y(y)); endmodule",
-        )
-        .unwrap();
-        let g = TimingGraph::build(&d, lib()).unwrap();
-        let levels = g.levels();
-        // Every net appears exactly once.
-        let total: usize = levels.iter().map(Vec::len).sum();
-        assert_eq!(total, d.net_count());
-        // Each level is sorted by net id.
-        assert!(levels.iter().all(|l| l.windows(2).all(|w| w[0].0 < w[1].0)));
-        // Every edge goes from a strictly lower level to a higher one.
-        let level_of = |n: NetId| levels.iter().position(|l| l.contains(&n)).unwrap();
-        for e in g.edges() {
-            assert!(level_of(e.from) < level_of(e.to));
-        }
-        // a and b are level 0; w1/w2 level 1; y level 2.
-        let a = d.find_net("a").unwrap();
-        let y = d.find_net("y").unwrap();
-        assert_eq!(level_of(a), 0);
-        assert_eq!(level_of(y), 2);
     }
 
     #[test]

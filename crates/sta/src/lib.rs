@@ -6,7 +6,8 @@
 //!
 //! * [`Design`] — gate-level netlist, built programmatically or parsed from
 //!   a structural-Verilog subset ([`verilog::parse_design`]),
-//! * [`TimingGraph`] — levelized net graph with cycle detection,
+//! * [`TimingGraph`] — net graph with cycle detection, split into
+//!   independent fanout cones,
 //! * [`Sta`] — rise/fall arrival, slew, required-time and slack
 //!   propagation over NLDM libraries, with critical-path extraction,
 //! * [`BoundaryConditions`] — per-pin run boundaries: input arrival

@@ -1,7 +1,7 @@
 //! A dependency-free scoped worker pool with deterministic merge.
 //!
-//! The crosstalk flow fans independent work items (per-victim transient
-//! reductions, per-net sweep updates) across `std::thread::scope` workers.
+//! The timing sweeps fan independent work items (whole fanout cones)
+//! across `std::thread::scope` workers.
 //! Workers pull indices from a shared atomic counter — dynamic load
 //! balancing without any work-stealing machinery — and tag every result
 //! with its input index, so the merged output vector is ordered exactly

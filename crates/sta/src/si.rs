@@ -14,25 +14,23 @@
 //!
 //! # Cone-partitioned scheduling and determinism
 //!
-//! The crosstalk sweep is partitioned by **fanout cone** — the
-//! weakly-connected components of the timing graph
+//! Every sweep has one schedule: the **fanout cone** — a weakly-connected
+//! component of the timing graph
 //! ([`TimingGraph::components`](crate::TimingGraph::components)). No edge
 //! crosses between two cones, and every aggressor ramp is taken from the
 //! iteration-invariant nominal sweep rather than from in-flight states, so
 //! whole cones are mutually independent: with [`SiOptions::threads`] ` > 1`
 //! each cone becomes one task on a `std::thread::scope` worker pool
 //! (workers pull cones from a shared counter — dynamic load balancing), and
-//! a long chain in one cone never waits on a level barrier for the widest
-//! level of another. Within a cone, nets are processed sequentially in
-//! topological order; results are merged back in the fixed cone order.
-//! A graph with fewer cones than workers (e.g. one fully connected
-//! component, where cone tasks would serialize) falls back to
-//! level-synchronous scheduling, keeping intra-level parallelism. Each
-//! work item performs a fixed sequence of floating-point operations that
-//! does not depend on which worker runs it or in what order items finish,
-//! and per-victim adjustments are emitted in canonical `(net, polarity)`
-//! order, so **N-thread results are bit-identical to 1-thread results**
-//! under either schedule.
+//! a long chain in one cone never waits for another cone. The pool starts
+//! at most one worker per cone, so a design with fewer cones than threads
+//! runs on fewer workers, and a one-cone design runs inline. Within a cone,
+//! nets are processed sequentially in topological order; results are
+//! merged back in the fixed cone order. Each cone task performs a fixed
+//! sequence of floating-point operations that does not depend on which
+//! worker runs it or in what order tasks finish, and per-victim
+//! adjustments are emitted in canonical `(net, polarity)` order, so
+//! **N-thread results are bit-identical to 1-thread results**.
 //!
 //! # Shared factorizations
 //!
@@ -101,7 +99,6 @@
 use crate::boundary::BoundaryConditions;
 use crate::engine::{NetState, Point, Sta};
 use crate::netlist::NetId;
-use crate::par::par_map;
 use crate::report::TimingReport;
 use crate::StaError;
 use nsta_circuit::{
@@ -319,10 +316,9 @@ pub enum DegradeAction {
     /// under [`FaultPolicy::Isolate`]: the victim's adjustment was
     /// dropped and the net keeps its nominal timing.
     VictimDropped,
-    /// The analysis deadline expired before this victim's cone (or
-    /// level slot) was scheduled: the net keeps its *stale* nominal
-    /// (crosstalk-free) timing and the run is marked
-    /// [`SiDiagnostics::timed_out`].
+    /// The analysis deadline expired before this victim's cone was
+    /// scheduled: the net keeps its *stale* nominal (crosstalk-free)
+    /// timing and the run is marked [`SiDiagnostics::timed_out`].
     DeadlineSkipped,
 }
 
@@ -363,7 +359,8 @@ pub struct SiOptions {
     /// iterations (s). Also bounds how far a cached victim's timing inputs
     /// may drift before the incremental fixed point re-simulates it.
     pub convergence_tol: f64,
-    /// Worker threads for the levelized sweep and the per-victim transient
+    /// Worker threads of the cone-partitioned sweeps, at most one per
+    /// fanout cone; a cone's task also runs its victims' transient
     /// reductions. `1` (default) runs inline; any value produces
     /// bit-identical results (see the module docs).
     pub threads: usize,
@@ -826,7 +823,7 @@ struct PassContext<'a> {
 }
 
 /// Victim-cache effectiveness of one crosstalk pass, summed over its
-/// cones or levels.
+/// cones.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct PassStats {
     /// Victim transitions that ran a fresh transient reduction.
@@ -835,7 +832,7 @@ struct PassStats {
     cached: usize,
 }
 
-/// One valid victim transition met by a scheduler, probed against the
+/// One valid victim transition met by a cone task, probed against the
 /// victim cache.
 struct VictimTransition<'s> {
     spec: &'s CouplingSpec,
@@ -848,13 +845,13 @@ struct VictimTransition<'s> {
     hit: Option<(SaturatedRamp, f64)>,
 }
 
-/// What resolving the victims of a cone (or of a whole level-scheduled
-/// pass) produces, merged deterministically by the pass.
+/// What resolving the victims of a cone produces, merged deterministically
+/// by the pass.
 #[derive(Default)]
 struct Resolved {
     adjustments: Vec<SiAdjustment>,
     /// Freshly simulated victim results to install in the victim cache
-    /// after the schedule (each `(net, polarity)` is visited once per
+    /// after the cone tasks (each `(net, polarity)` is visited once per
     /// pass, so a deferred insert is never read within the same pass).
     inserts: Vec<VictimInsert>,
     stats: PassStats,
@@ -1097,15 +1094,13 @@ impl Sta {
     /// earlier iteration; `cx.factors` shares factored transient systems
     /// across structurally identical victim stages.
     ///
-    /// Scheduling is hybrid: with at least one fanout cone per worker the
-    /// pass is cone-partitioned (one task per weakly-connected component,
-    /// no level barriers); a graph with fewer cones than workers — e.g. a
-    /// fully connected design — falls back to level-synchronous
-    /// scheduling so intra-level parallelism is not lost. Either way the
+    /// The pass is cone-partitioned: each weakly-connected component that
+    /// `scope` marks (`None`: every cone) is one task — fanin updates and
+    /// victim reductions interleaved in topological order — on a worker
+    /// pool with at most one worker per cone, merged in cone order. The
     /// per-victim arithmetic is a fixed operation sequence and the
     /// returned adjustments are sorted into `(net, rise-first)` order, so
-    /// results are bit-identical across thread counts *and* across the
-    /// two schedules.
+    /// results are bit-identical across thread counts.
     fn crosstalk_pass(
         &self,
         cx: &PassContext<'_>,
@@ -1125,73 +1120,20 @@ impl Sta {
                 )));
             }
         }
-        // Immutable view of the victim cache for the schedule; fresh
-        // results are installed after it.
+        // Immutable view of the victim cache for the cone tasks; fresh
+        // results are installed after them.
         let read_cache = cache.as_ref().map(|(c, tol)| (&**c, *tol));
-        // A scoped pass (a session's dirty-cluster re-solve) always takes
-        // the cone schedule: the scope is a cone mask, and the handful of
-        // scoped cones would gain nothing from level synchronization.
-        let cones = self.graph().components().len();
-        let (states, mut resolved) = if scope.is_some() || cones >= cx.threads.max(1) {
-            self.crosstalk_pass_cones(cx, &spec_of, read_cache, scope)?
-        } else {
-            self.crosstalk_pass_levels(cx, &spec_of, read_cache)?
-        };
-        if let Some((c, _)) = cache.as_mut() {
-            c.entries.extend(resolved.inserts);
-        }
-        // Canonical adjustment order, independent of the schedule: each
-        // `(net, polarity)` appears at most once per pass. Degrade events
-        // get the same ordering (stable, so a victim's fallback chain
-        // keeps its step order); events with no net sort last.
-        resolved
-            .adjustments
-            .sort_unstable_by_key(|a| (a.net.0, !a.polarity.is_rise()));
-        resolved.degrades.sort_by_key(|e| {
-            (
-                e.net.map_or(usize::MAX, |n| n.0),
-                e.polarity.map_or(2usize, |p| !p.is_rise() as usize),
-            )
-        });
-        Ok((
-            states,
-            resolved.adjustments,
-            resolved.stats,
-            resolved.degrades,
-        ))
-    }
-
-    /// Cone-partitioned crosstalk sweep: every weakly-connected component
-    /// of the graph is one task — fanin updates and victim reductions
-    /// interleaved in topological order — evaluated on the worker pool
-    /// and merged in cone order.
-    fn crosstalk_pass_cones(
-        &self,
-        cx: &PassContext<'_>,
-        spec_of: &[Option<&CouplingSpec>],
-        cache: Option<(&VictimCache, f64)>,
-        scope: Option<&[bool]>,
-    ) -> Result<(Vec<NetState>, Resolved), StaError> {
         let th = Thresholds::cmos(self.library().voltage);
         let seed = self.init_states(cx.bc, false);
-        let components = self.graph().components();
-        // Cone work list, filtered by the optional cone-scope mask but
-        // keeping each cone's original index so merge order, retry
-        // attribution and epoch bookkeeping stay schedule-independent.
         // Out-of-scope cones are never propagated: their states stay at
-        // the seed, exactly like the scoped forward sweeps' (the caller
+        // the seed, exactly like the scoped forward sweep's (the caller
         // discards them).
-        let active: Vec<(usize, &[NetId])> = components
-            .iter()
-            .enumerate()
-            .filter(|(ci, _)| scope.is_none_or(|s| s.get(*ci).copied().unwrap_or(false)))
-            .map(|(ci, cone)| (ci, cone.as_slice()))
-            .collect();
+        let active = self.graph().scoped_components(scope);
         let (outcomes, retried) = crate::par::par_map_govern(
             cx.threads,
             &active,
             cx.deadline,
-            |&(_ci, cone)| -> Result<(Vec<NetState>, Resolved), StaError> {
+            |&cone| -> Result<(Vec<NetState>, Resolved), StaError> {
                 // Fault-injection site: a cone task panics at entry,
                 // exactly where an assertion or slice bug in the per-cone
                 // work would. The pool catches it and the coordinator
@@ -1215,7 +1157,7 @@ impl Sta {
                     )?;
                     local[j] = updated;
                     let Some(spec) = spec_of[net.0] else { continue };
-                    let units = self.probe_net(cx, cache, spec, &local[j])?;
+                    let units = self.probe_net(cx, read_cache, spec, &local[j])?;
                     let fresh = self.victim_gammas(cx, &units, &mut out.degrades);
                     out.settle_net(th, cx.policy, units, fresh, &mut local[j])?;
                 }
@@ -1228,7 +1170,7 @@ impl Sta {
         // inside each cone by its topological order.
         let mut states = seed;
         let mut resolved = Resolved::default();
-        for (&(_ci, cone), outcome) in active.iter().zip(outcomes) {
+        for (&cone, outcome) in active.iter().zip(outcomes) {
             let Some(outcome) = outcome else {
                 // Deadline-skipped cone: its nets keep the nominal
                 // (crosstalk-free) sweep's states — valid, just stale —
@@ -1261,82 +1203,35 @@ impl Sta {
         // the recovery against the cone's first net.
         for idx in retried {
             resolved.degrades.push(DegradeEvent {
-                net: active.get(idx).and_then(|&(_, c)| c.first()).copied(),
+                net: active.get(idx).and_then(|c| c.first()).copied(),
                 polarity: None,
                 action: DegradeAction::ConeRetry,
                 cause: "cone worker panicked; recomputed inline on the coordinator".to_string(),
                 recovered: true,
             });
         }
-        Ok((states, resolved))
-    }
-
-    /// Level-synchronous crosstalk sweep — the fallback for graphs with
-    /// fewer fanout cones than workers (e.g. one fully connected
-    /// component, where cone tasks would serialize everything): the fanin
-    /// updates of each level fan across the pool, then the level's
-    /// cache-missing victim reductions do.
-    fn crosstalk_pass_levels(
-        &self,
-        cx: &PassContext<'_>,
-        spec_of: &[Option<&CouplingSpec>],
-        cache: Option<(&VictimCache, f64)>,
-    ) -> Result<(Vec<NetState>, Resolved), StaError> {
-        let th = Thresholds::cmos(self.library().voltage);
-        let mut states = self.init_states(cx.bc, false);
-        let mut resolved = Resolved::default();
-        // Once the deadline reads expired it stays expired (both clocks
-        // are monotone): every later level skips its victim reductions.
-        let mut expired = false;
-        for level in self.graph().levels() {
-            // Fanin updates of this level (parallel, merged in net order).
-            let updated = par_map(cx.threads, level, |&net| {
-                self.propagate_net_with(net, |i| states[i], cx.bc, false)
-            });
-            for (&net, result) in level.iter().zip(updated) {
-                states[net.0] = result?;
-            }
-            // Cooperative cancellation at the level boundary: fanin
-            // propagation above still ran (downstream levels need valid
-            // states — it is cheap, no transient solves), but this
-            // level's victim reductions are skipped and recorded.
-            expired = expired || cx.deadline.is_some_and(|d| d.expired());
-            if expired {
-                for &net in level {
-                    if spec_of[net.0].is_some() {
-                        resolved.degrades.push(DegradeEvent {
-                            net: Some(net),
-                            polarity: None,
-                            action: DegradeAction::DeadlineSkipped,
-                            cause: "analysis deadline expired before this level's victims \
-                                    were scheduled; victim keeps stale nominal timing"
-                                .to_string(),
-                            recovered: false,
-                        });
-                    }
-                }
-                continue;
-            }
-            // Victim nets of this level: probe each transition against the
-            // victim cache, then run each net's misses on the pool.
-            // Same-level victims only read `base` and earlier levels, so
-            // their reductions are independent.
-            let mut nets = Vec::new();
-            for &net in level {
-                let Some(spec) = spec_of[net.0] else { continue };
-                nets.push((net, self.probe_net(cx, cache, spec, &states[net.0])?));
-            }
-            let results = par_map(cx.threads, &nets, |(_, units)| {
-                let mut events = Vec::new();
-                let fresh = self.victim_gammas(cx, units, &mut events);
-                (fresh, events)
-            });
-            for ((net, units), (fresh, mut events)) in nets.into_iter().zip(results) {
-                resolved.degrades.append(&mut events);
-                resolved.settle_net(th, cx.policy, units, fresh, &mut states[net.0])?;
-            }
+        if let Some((c, _)) = cache.as_mut() {
+            c.entries.extend(resolved.inserts);
         }
-        Ok((states, resolved))
+        // Canonical adjustment order, independent of cone order: each
+        // `(net, polarity)` appears at most once per pass. Degrade events
+        // get the same ordering (stable, so a victim's fallback chain
+        // keeps its step order); events with no net sort last.
+        resolved
+            .adjustments
+            .sort_unstable_by_key(|a| (a.net.0, !a.polarity.is_rise()));
+        resolved.degrades.sort_by_key(|e| {
+            (
+                e.net.map_or(usize::MAX, |n| n.0),
+                e.polarity.map_or(2usize, |p| !p.is_rise() as usize),
+            )
+        });
+        Ok((
+            states,
+            resolved.adjustments,
+            resolved.stats,
+            resolved.degrades,
+        ))
     }
 
     /// Probes the victim cache for `(net, pol)` against the freshly built
@@ -1491,9 +1386,9 @@ impl Sta {
     /// The nominal sweep feeding aggressor ramps and earliest windows is
     /// computed once, outside the loop; with [`SiOptions::incremental`]
     /// only victims whose cache key changed between iterations are
-    /// re-simulated, and with [`SiOptions::threads`] the per-level work
-    /// runs on a worker pool (both without changing any result bit — see
-    /// the module docs).
+    /// re-simulated, and with [`SiOptions::threads`] the cones run on a
+    /// worker pool (both without changing any result bit — see the module
+    /// docs).
     ///
     /// # Errors
     ///
@@ -1540,13 +1435,11 @@ impl Sta {
         // Net-level projection of the cone scope, for the intermediate
         // reports the fixed point builds (their per-edge reverse-sweep
         // table lookups would otherwise dwarf a scoped re-solve).
-        let net_scope: Option<Vec<bool>> = scope.map(|s| {
+        let net_scope: Option<Vec<bool>> = scope.is_some().then(|| {
             let mut nets = vec![false; self.design().net_count()];
-            for (ci, cone) in self.graph().components().iter().enumerate() {
-                if s.get(ci).copied().unwrap_or(false) {
-                    for &net in cone {
-                        nets[net.0] = true;
-                    }
+            for cone in self.graph().scoped_components(scope) {
+                for &net in cone {
+                    nets[net.0] = true;
                 }
             }
             nets
@@ -1730,7 +1623,7 @@ impl Sta {
     }
 
     /// Computes `Γeff` for the victim-cache misses among one victim net's
-    /// transitions — the per-net entry point of both schedules. Returns
+    /// transitions — the per-net entry point of every cone task. Returns
     /// one entry per unit, in order: `None` for a victim-cache hit, the
     /// fresh result for a miss.
     ///
@@ -2429,7 +2322,7 @@ mod tests {
         let sta = Sta::new(windowed_design(), lib().clone()).unwrap();
         let c = Constraints::default();
         let min_states = sta
-            .forward_sweep_partitioned(&BoundaryConditions::from(&c), true, 1)
+            .forward_sweep_scoped(&BoundaryConditions::from(&c), true, 1, None)
             .unwrap();
         let report = sta.analyze(c).unwrap();
         let windows = sta.windows_from(&min_states, &report);
@@ -2721,7 +2614,8 @@ mod tests {
     fn grouped_reductions_match_one_transition_at_a_time() {
         // A pass reduces both transitions of a victim in one sweep when
         // they share a grid; every adjustment must still equal its
-        // transition reduced on its own, bit for bit, on both schedules.
+        // transition reduced on its own, bit for bit, inline and on the
+        // worker pool.
         let _guard = crate::obs_test_guard();
         let sta = Sta::new(multi_group_design_with(&[3, 5, 7, 3]), lib().clone()).unwrap();
         let bc = BoundaryConditions::from(&Constraints::default());
@@ -2746,8 +2640,8 @@ mod tests {
         let groups = group_count(&stages);
         assert_eq!(groups, 5);
 
-        // One thread takes the cone schedule; more threads than cones take
-        // the level schedule.
+        // Both runs take the cone schedule: one thread runs inline, and the
+        // pool clamps `cones + 1` workers to one per cone.
         let cones = sta.graph().components().len();
         for threads in [1, cones + 1] {
             let factors = Factorizations::default();
@@ -2787,19 +2681,24 @@ mod tests {
         .unwrap()
     }
 
+    /// The victim `v` of [`single_cone_design`], coupled to `g`.
+    fn single_cone_spec(sta: &Sta) -> CouplingSpec {
+        let v = sta.design().find_net("v").unwrap();
+        let g = sta.design().find_net("g").unwrap();
+        CouplingSpec::new(v, vec![g], 100e-15, RcLineSpec::per_micron(1000.0).unwrap())
+    }
+
     #[test]
-    fn single_cone_design_falls_back_to_level_scheduling_bit_identically() {
+    fn single_cone_design_is_bit_identical_across_threads() {
         let _guard = crate::obs_test_guard();
-        // With one cone and threads > 1 the pass must fall back to
-        // level-synchronous scheduling (cone tasks would serialize) and
-        // still reproduce the 1-thread (cone-scheduled) result bit for
-        // bit — including the canonical adjustment order.
+        // With one cone, threads > 1 get one worker (the pool starts at
+        // most one per cone), and the analysis must reproduce the
+        // 1-thread result bit for bit — including the canonical
+        // adjustment order.
         let sta = Sta::new(single_cone_design(), lib().clone()).unwrap();
         assert_eq!(sta.graph().components().len(), 1);
         let c = Constraints::default();
-        let v = sta.design().find_net("v").unwrap();
-        let g = sta.design().find_net("g").unwrap();
-        let spec = CouplingSpec::new(v, vec![g], 100e-15, RcLineSpec::per_micron(1000.0).unwrap());
+        let spec = single_cone_spec(&sta);
         let sequential = sta
             .analyze_with_crosstalk_windows(c, std::slice::from_ref(&spec), &SiOptions::default())
             .unwrap();
@@ -2816,6 +2715,51 @@ mod tests {
         assert_analyses_identical(&sequential, &threaded);
         assert!(!sequential.adjustments.is_empty());
         assert_eq!(sequential.diagnostics.cones, 1);
+    }
+
+    #[test]
+    fn single_cone_deadline_expiry_is_the_same_at_any_thread_count() {
+        let _guard = crate::obs_test_guard();
+        // A deadline's partial result must not depend on the thread count.
+        // One cone is one pool item, so 4 threads poll the deadline where
+        // 1 thread does: at the cone task and after each iteration. On a
+        // clock that ticks once per poll, budget 0 skips the victim's cone,
+        // budget 1 expires after the first iteration and budget 2 outlasts
+        // the analysis.
+        let sta = Sta::new(single_cone_design(), lib().clone()).unwrap();
+        let c = Constraints::default();
+        let spec = single_cone_spec(&sta);
+        for budget in 0..=2 {
+            let run = |threads: usize| {
+                let options = SiOptions {
+                    threads,
+                    deadline: Some(Deadline::on_fake(crate::FakeClock::new(1), budget)),
+                    ..SiOptions::default()
+                };
+                sta.analyze_with_crosstalk_windows(c, std::slice::from_ref(&spec), &options)
+                    .unwrap()
+            };
+            let (sequential, threaded) = (run(1), run(4));
+            assert_analyses_identical(&sequential, &threaded);
+            assert_eq!(
+                sequential.diagnostics.timed_out, threaded.diagnostics.timed_out,
+                "budget {budget}"
+            );
+            assert_eq!(
+                sequential.diagnostics.degrade_events, threaded.diagnostics.degrade_events,
+                "budget {budget}"
+            );
+            // (timed out, adjustments, skipped victims) each budget leaves.
+            let d = &sequential.diagnostics;
+            let skipped = d.degrade_events.iter().filter(|e| {
+                e.action == DegradeAction::DeadlineSkipped && e.net == Some(spec.victim)
+            });
+            assert_eq!(
+                (d.timed_out, sequential.adjustments.len(), skipped.count()),
+                [(true, 0, 1), (true, 2, 0), (false, 2, 0)][budget as usize],
+                "budget {budget}"
+            );
+        }
     }
 
     #[test]
