@@ -11,8 +11,9 @@
 //! arriving at and beyond the tail of the noiseless critical region — and
 //! compares WLS5 and SGDP for one and two aggressors.
 //!
-//! Usage: `aggressors [--cases N]`
+//! Usage: `aggressors [--cases N]` (N ≥ 2)
 
+use nsta_bench::cli::Cli;
 use nsta_bench::report::{ps, render_table};
 use nsta_bench::{run_accuracy, SkewCase};
 use nsta_spice::fig1::Fig1Config;
@@ -33,10 +34,11 @@ fn late_sweep(aggressors: usize, cases: usize) -> Vec<SkewCase> {
 
 fn main() {
     let mut cases = 15usize;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--cases" {
-            cases = args.next().and_then(|v| v.parse().ok()).unwrap_or(15);
+    let mut cli = Cli::from_env("aggressors [--cases N]");
+    while let Some(flag) = cli.next_flag() {
+        match flag.as_str() {
+            "--cases" => cases = cli.count("--cases", 2),
+            other => cli.unknown(other),
         }
     }
     let methods = [MethodKind::Wls5, MethodKind::Sgdp];

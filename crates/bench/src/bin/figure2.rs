@@ -8,6 +8,7 @@
 //!
 //! Usage: `figure2 [--skew ps] [--out dir]`
 
+use nsta_bench::cli::Cli;
 use nsta_spice::fig1::{self, Fig1Config};
 use nsta_waveform::Thresholds;
 use sgdp::sensitivity::{effective_sensitivity, noiseless_sensitivity};
@@ -18,23 +19,12 @@ use std::path::PathBuf;
 fn main() {
     let mut skew = 0.0f64;
     let mut out_dir = PathBuf::from(".");
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--skew" => {
-                let ps: f64 = args.next().and_then(|v| v.parse().ok()).unwrap_or(0.0);
-                skew = ps * 1e-12;
-            }
-            "--out" => {
-                out_dir = args
-                    .next()
-                    .map(PathBuf::from)
-                    .unwrap_or_else(|| PathBuf::from("."));
-            }
-            other => {
-                eprintln!("unknown argument {other}");
-                std::process::exit(2);
-            }
+    let mut cli = Cli::from_env("figure2 [--skew ps] [--out dir]");
+    while let Some(flag) = cli.next_flag() {
+        match flag.as_str() {
+            "--skew" => skew = cli.finite("--skew") * 1e-12,
+            "--out" => out_dir = cli.value("--out"),
+            other => cli.unknown(other),
         }
     }
 

@@ -10,8 +10,9 @@
 //! output transition trails the input by far more than one slew, so the
 //! noiseless input and output transitions genuinely do not overlap.
 //!
-//! Usage: `nonoverlap [--cases N]`
+//! Usage: `nonoverlap [--cases N]` (N ≥ 2)
 
+use nsta_bench::cli::Cli;
 use nsta_bench::report::{ps, render_table};
 use nsta_numeric::stats::Summary;
 use nsta_spice::fig1::{self, Fig1Config};
@@ -42,10 +43,11 @@ fn buffer_response(cfg: &Fig1Config, input: &Waveform) -> Waveform {
 
 fn main() {
     let mut cases = 9usize;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--cases" {
-            cases = args.next().and_then(|v| v.parse().ok()).unwrap_or(9);
+    let mut cli = Cli::from_env("nonoverlap [--cases N]");
+    while let Some(flag) = cli.next_flag() {
+        match flag.as_str() {
+            "--cases" => cases = cli.count("--cases", 2),
+            other => cli.unknown(other),
         }
     }
     let cfg = Fig1Config::config_i();

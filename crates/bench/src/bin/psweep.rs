@@ -4,8 +4,9 @@
 //! However small P tends to result in lower timing analysis accuracy."
 //! This sweep quantifies that trade-off on Configuration I.
 //!
-//! Usage: `psweep [--cases N]`
+//! Usage: `psweep [--cases N]` (N ≥ 2)
 
+use nsta_bench::cli::Cli;
 use nsta_bench::report::{ps, render_table};
 use nsta_bench::skew_sweep;
 use nsta_spice::fig1::Fig1Config;
@@ -13,10 +14,11 @@ use sgdp::MethodKind;
 
 fn main() {
     let mut cases = 21usize;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--cases" {
-            cases = args.next().and_then(|v| v.parse().ok()).unwrap_or(21);
+    let mut cli = Cli::from_env("psweep [--cases N]");
+    while let Some(flag) = cli.next_flag() {
+        match flag.as_str() {
+            "--cases" => cases = cli.count("--cases", 2),
+            other => cli.unknown(other),
         }
     }
     let workload = skew_sweep(1, cases, 0.5e-9);

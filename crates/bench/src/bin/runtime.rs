@@ -12,8 +12,9 @@
 //! The `SGDP (fresh context)` row times what a pipeline pays per noisy
 //! input instead: building the context, extracting ρ, then the fit.
 //!
-//! Usage: `runtime [--iterations N]`
+//! Usage: `runtime [--iterations N]` (N ≥ 1)
 
+use nsta_bench::cli::Cli;
 use nsta_bench::report::render_table;
 use nsta_spice::fig1::{self, Fig1Config};
 use nsta_waveform::Thresholds;
@@ -22,16 +23,11 @@ use std::time::{Duration, Instant};
 
 fn main() {
     let mut iterations = 2000usize;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--iterations" => {
-                iterations = args.next().and_then(|v| v.parse().ok()).unwrap_or(2000);
-            }
-            other => {
-                eprintln!("unknown argument {other}");
-                std::process::exit(2);
-            }
+    let mut cli = Cli::from_env("runtime [--iterations N]");
+    while let Some(flag) = cli.next_flag() {
+        match flag.as_str() {
+            "--iterations" => iterations = cli.count("--iterations", 1),
+            other => cli.unknown(other),
         }
     }
 

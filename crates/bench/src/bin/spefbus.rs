@@ -381,7 +381,6 @@ fn main() {
             // Shadow-audit cadence: at least one mid-stream audit on any
             // nontrivial run, plus the explicit final audit below.
             audit_every_n: Some(8),
-            ..SessionOptions::default()
         };
         let t = Instant::now();
         let mut session = TimingSession::open(

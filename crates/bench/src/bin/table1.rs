@@ -3,9 +3,10 @@
 //! transistor-level simulation, for Configuration I (one aggressor,
 //! 1000 µm lines) and Configuration II (two aggressors, 500 µm lines).
 //!
-//! Usage: `table1 [--cases N] [--config i|ii|both] [--csv]`
+//! Usage: `table1 [--cases N] [--config i|ii|both] [--csv]` (N ≥ 2)
 //! The paper uses 200 noise-injection cases over a 1 ns alignment window.
 
+use nsta_bench::cli::Cli;
 use nsta_bench::report::{ps, render_csv, render_table};
 use nsta_bench::{run_accuracy, skew_sweep};
 use nsta_spice::fig1::Fig1Config;
@@ -25,32 +26,21 @@ fn parse_args() -> Args {
         run_ii: true,
         csv: false,
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--cases" => {
-                args.cases = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--cases needs an integer"));
-            }
-            "--config" => match it.next().as_deref() {
-                Some("i") => args.run_ii = false,
-                Some("ii") => args.run_i = false,
-                Some("both") => {}
-                _ => usage("--config takes i, ii or both"),
+    let mut cli = Cli::from_env("table1 [--cases N] [--config i|ii|both] [--csv]");
+    while let Some(flag) = cli.next_flag() {
+        match flag.as_str() {
+            "--cases" => args.cases = cli.count("--cases", 2),
+            "--config" => match cli.value::<String>("--config").as_str() {
+                "i" => args.run_ii = false,
+                "ii" => args.run_i = false,
+                "both" => {}
+                _ => cli.fail("--config takes i, ii or both"),
             },
             "--csv" => args.csv = true,
-            other => usage(&format!("unknown argument {other}")),
+            other => cli.unknown(other),
         }
     }
     args
-}
-
-fn usage(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    eprintln!("usage: table1 [--cases N] [--config i|ii|both] [--csv]");
-    std::process::exit(2);
 }
 
 fn run_config(name: &str, cfg: &Fig1Config, cases: usize, csv: bool) {

@@ -1,13 +1,17 @@
 //! Experiment harness for the DATE'05 noisy-waveform reproduction.
 //!
 //! Each binary in `src/bin/` regenerates one table or figure of the paper
-//! (see `DESIGN.md`'s experiment index); this library holds the shared
-//! machinery: noise-injection workloads, per-case evaluation, accuracy
-//! aggregation and plain-text/CSV reporting.
+//! (`table1`, `figure1`, `figure2`, `runtime` for Section 4.2), runs one
+//! ablation (`psweep`, `aggressors`, `nonoverlap`) or drives the STA
+//! pipeline (`spefbus`); each binary's module docs say what it measures.
+//! This library holds the shared machinery: noise-injection workloads,
+//! per-case evaluation, accuracy aggregation, plain-text/CSV reporting and
+//! the experiment binaries' flag parsing.
 
 #![forbid(unsafe_code)]
 
 pub mod busgen;
+pub mod cli;
 pub mod experiments;
 pub mod json;
 pub mod microbench;

@@ -30,10 +30,10 @@ pub struct PropagationContext {
     samples: usize,
     /// Lazily computed noiseless sensitivity. In a production flow `ρ` is
     /// per-arc characterization data, computed once and reused across every
-    /// noise case; the cache reproduces that amortization. With `ρ` cached,
-    /// the `runtime` bin measures SGDP at 1.6× and WLS5 at 1.1× P1 on its
-    /// Config I case (the paper reports ≈1.5× for both); a fresh context,
-    /// `ρ` extraction included, costs 4.8× P1.
+    /// noise case; the cache reproduces that amortization. The `runtime`
+    /// bin reports SGDP's and WLS5's cost relative to P1 with `ρ` cached
+    /// (the paper reports ≈1.5× for both), and SGDP's with a fresh context
+    /// that extracts `ρ` too.
     sensitivity: OnceCell<Result<ShiftedSensitivity, SgdpError>>,
 }
 

@@ -47,6 +47,4 @@ pub mod techniques;
 
 pub use context::{PropagationContext, DEFAULT_SAMPLES};
 pub use error::SgdpError;
-pub use sensitivity::ShiftPolicy;
-pub use techniques::FitMode;
 pub use techniques::{EquivalentWaveform, MethodKind};

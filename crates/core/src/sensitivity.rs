@@ -162,47 +162,10 @@ impl SensitivityCurve {
         interp::interp1_clamped(&self.map_volts, &self.map_rho, v)
     }
 
-    /// `∂ρ/∂v_in` by central differencing of the voltage-indexed view;
-    /// zero outside the characterized span (where `ρ` is identically zero).
-    pub fn drho_dv(&self, v: f64) -> f64 {
-        let lo = self.map_volts[0];
-        let hi = self.map_volts[self.map_volts.len() - 1];
-        if v < lo || v > hi {
-            return 0.0;
-        }
-        let h = (hi - lo) / 200.0;
-        if h <= 0.0 {
-            return 0.0;
-        }
-        let va = (v - h).max(lo);
-        let vb = (v + h).min(hi);
-        let a = interp::interp1_clamped(&self.map_volts, &self.map_rho, va);
-        let b = interp::interp1_clamped(&self.map_volts, &self.map_rho, vb);
-        (b - a) / (vb - va).max(h)
-    }
-
     /// Largest sensitivity over the region.
     pub fn max_rho(&self) -> f64 {
         self.rho.iter().fold(0.0, |m, &r| m.max(r))
     }
-}
-
-/// How SGDP references `Γeff` when the non-overlap pre-shift was applied.
-///
-/// The paper's prose says to shift the equivalent line *forward* by the
-/// pre-shift amount `δ`; doing so re-expresses the line in the output time
-/// frame and double-counts the intrinsic delay when the line is used as a
-/// gate *input* (it breaks the identity `Γeff == input` for a noiseless
-/// ramp). The default keeps `Γeff` input-referred; the literal behaviour is
-/// provided for fidelity experiments.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShiftPolicy {
-    /// Keep `Γeff` in the input time frame (recommended; preserves the
-    /// noiseless-identity invariant).
-    #[default]
-    InputReferred,
-    /// Follow the paper text literally: shift `Γeff` forward by `δ`.
-    PaperLiteral,
 }
 
 /// Result of the sensitivity extraction including non-overlap handling:
@@ -247,9 +210,8 @@ pub(crate) fn compute_noiseless_sensitivity(
     }
 }
 
-/// SGDP step 2: `ρeff` and `∂ρ/∂v` sampled at `P` points across the *noisy*
-/// critical region, transferred from the noiseless curve through voltage
-/// matching.
+/// SGDP step 2: `ρeff` sampled at `P` points across the *noisy* critical
+/// region, transferred from the noiseless curve through voltage matching.
 #[derive(Debug, Clone)]
 pub struct EffectiveSensitivity {
     /// The `P` sample times across the noisy critical region.
@@ -258,8 +220,6 @@ pub struct EffectiveSensitivity {
     pub voltages: Vec<f64>,
     /// `ρeff` at each sample.
     pub rho: Vec<f64>,
-    /// `∂ρ/∂v_in` at each sample (for Eq. 3's second-order term).
-    pub drho_dv: Vec<f64>,
 }
 
 /// Computes [`EffectiveSensitivity`] for the context's noisy waveform.
@@ -276,18 +236,15 @@ pub fn effective_sensitivity(
     let noisy = ctx.noisy_input();
     let mut voltages = Vec::with_capacity(times.len());
     let mut rho = Vec::with_capacity(times.len());
-    let mut drho = Vec::with_capacity(times.len());
     for &t in &times {
         let v = noisy.value_at(t);
         voltages.push(v);
         rho.push(curve.rho_at_voltage(v));
-        drho.push(curve.drho_dv(v));
     }
     Ok(EffectiveSensitivity {
         times,
         voltages,
         rho,
-        drho_dv: drho,
     })
 }
 
@@ -349,16 +306,6 @@ mod tests {
             assert!(c.rho_at_voltage(v) >= 0.0);
         }
         assert!((c.rho_at_voltage(0.6) - 2.0).abs() < 0.2);
-    }
-
-    #[test]
-    fn drho_of_constant_ratio_is_small() {
-        let v_in = ramp_wave(1.0e-9, 200e-12, true);
-        let v_out = ramp_wave(1.0e-9, 100e-12, false);
-        let c = SensitivityCurve::from_noiseless(&v_in, &v_out, th(), Polarity::Rise).unwrap();
-        // Within the interior the ratio is constant ⇒ derivative ≈ 0.
-        let d = c.drho_dv(0.6);
-        assert!(d.abs() < 2.0, "drho/dv = {d}");
     }
 
     #[test]

@@ -15,7 +15,7 @@ mod wls;
 pub use energy::E4;
 pub use lsf::Lsf3;
 pub use point::{P1, P2};
-pub use sgdp::{FitMode, Sgdp};
+pub use sgdp::Sgdp;
 pub use wls::Wls5;
 
 use crate::context::PropagationContext;
@@ -92,7 +92,7 @@ impl MethodKind {
             MethodKind::Lsf3 => Lsf3.equivalent(ctx),
             MethodKind::E4 => E4.equivalent(ctx),
             MethodKind::Wls5 => Wls5.equivalent(ctx),
-            MethodKind::Sgdp => Sgdp::default().equivalent(ctx),
+            MethodKind::Sgdp => Sgdp.equivalent(ctx),
         }
     }
 }

@@ -8,30 +8,28 @@
 //!    `v_in_noiseless(tⱼ) = v_in_noisy(tᵢ)`. Distortion outside the
 //!    noiseless critical region is therefore **not** filtered away — the
 //!    fix for WLS5's first weakness.
-//! 3. **Step 3** — choose `(a, b)` minimizing the 2-term Taylor expansion
-//!    of the squared output error (Eq. 3):
-//!    `Σ [ρ_k·r_k + ½·(∂ρ/∂v)_k·r_k²]²` with `r_k = v_noisy(t_k) − Γ(t_k)`.
-//!
-//! The minimization strategy is configurable via [`FitMode`]; the paper's
-//! reported runtime (≈ WLS5's) implies a closed-form weighted solve with at
-//! most light refinement. The default, [`FitMode::Weighted`], keeps the
-//! first Taylor term as a closed-form `ρeff²`-weighted least-squares fit;
-//! [`FitMode::Taylor2`] adds the second term by iteratively reweighted
-//! least squares. A damped Gauss–Newton variant is provided for the
-//! ablation benches.
+//! 3. **Step 3** — choose `(a, b)` minimizing the first term of the Taylor
+//!    expansion of the squared output error (Eq. 3): the closed-form
+//!    `ρeff²`-weighted least-squares fit
+//!    `Σ ρeff(t_k)²·(v_noisy(t_k) − Γ(t_k))²`. Eq. 3's second term,
+//!    `½·(∂ρ/∂v)_k·r_k²`, is dropped; the paper's reported runtime
+//!    (≈ WLS5's) fits a closed-form solve.
 //!
 //! For gates whose input/output transitions do not overlap (multi-stage
 //! cells, heavy fanout) the sensitivity is extracted after shifting the
 //! output back by `δ = t50(out) − t50(in)` — WLS5's second weakness,
-//! addressed by the paper's additional pre/post-processing step. See
-//! [`ShiftPolicy`] for the post-shift interpretation.
+//! addressed by the paper's additional pre/post-processing step. `Γeff`
+//! stays in the input time frame: it is *not* shifted forward by `δ`
+//! afterwards, because it feeds the gate as an input, and a post-shift
+//! would count the gate's intrinsic delay twice (a noiseless ramp would
+//! no longer reduce to itself).
 //!
-//! **Degenerate-hang guard.** Eq. 3 is non-convex; when the noisy waveform
-//! stalls near a rail for a long time (strong near-DC coupling) its global
-//! minimum can be a near-flat line whose mid-crossing lies far outside the
-//! waveform's own mid-crossing span — useless as an arrival. Γeff is
-//! accepted only if its slope has the transition's sign and its
-//! mid-crossing lies within that span (± half the noiseless slew).
+//! **Degenerate-hang guard.** When the noisy waveform stalls near a rail
+//! for a long time (strong near-DC coupling), the weighted fit can return
+//! a near-flat line whose mid-crossing lies far outside the waveform's own
+//! mid-crossing span — useless as an arrival. Γeff is accepted only if its
+//! slope has the transition's sign and its mid-crossing lies within that
+//! span (± half the noiseless slew).
 //! Otherwise the slope is re-fit by the same weighted least squares,
 //! restricted to the samples within one noiseless slew of the **latest**
 //! mid-rail crossing, and the line is anchored at that crossing — the
@@ -42,52 +40,15 @@
 //! addition, not part of the paper's method.
 
 use crate::context::PropagationContext;
-use crate::sensitivity::{effective_sensitivity, ShiftPolicy};
+use crate::sensitivity::effective_sensitivity;
 use crate::techniques::{ramp_from_fit, EquivalentWaveform};
 use crate::SgdpError;
-use nsta_numeric::{GaussNewton, LineFit};
+use nsta_numeric::LineFit;
 use nsta_waveform::SaturatedRamp;
-
-/// How SGDP's step 3 minimizes Eq. 3.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FitMode {
-    /// First-order only: `ρeff²`-weighted least squares (closed form).
-    /// Default.
-    #[default]
-    Weighted,
-    /// Both Taylor terms via iteratively reweighted least squares
-    /// (2 refinement passes; runtime ≈ 3 weighted solves).
-    Taylor2,
-    /// Damped Gauss–Newton on the full nonlinear residual (ablation).
-    GaussNewton,
-}
 
 /// The SGDP technique.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Sgdp {
-    /// How `Γeff` is referenced after a non-overlap pre-shift.
-    pub shift_policy: ShiftPolicy,
-    /// Minimization strategy for step 3.
-    pub fit: FitMode,
-}
-
-impl Sgdp {
-    /// SGDP with an explicit shift policy.
-    pub fn with_policy(shift_policy: ShiftPolicy) -> Self {
-        Sgdp {
-            shift_policy,
-            ..Sgdp::default()
-        }
-    }
-
-    /// SGDP with an explicit step-3 fit mode.
-    pub fn with_fit(fit: FitMode) -> Self {
-        Sgdp {
-            fit,
-            ..Sgdp::default()
-        }
-    }
-}
+pub struct Sgdp;
 
 impl EquivalentWaveform for Sgdp {
     fn name(&self) -> &'static str {
@@ -97,8 +58,7 @@ impl EquivalentWaveform for Sgdp {
     fn equivalent(&self, ctx: &PropagationContext) -> Result<SaturatedRamp, SgdpError> {
         // Steps 1 (+ non-overlap pre-shift) and 2; ρ is cached on the
         // context, mirroring its per-arc nature in a production flow.
-        let shifted = ctx.sensitivity()?;
-        let eff = effective_sensitivity(&shifted.curve, ctx)?;
+        let eff = effective_sensitivity(&ctx.sensitivity()?.curve, ctx)?;
 
         // Normalize for conditioning: times to the unit interval across the
         // noisy critical region, voltages to units of Vdd.
@@ -110,71 +70,11 @@ impl EquivalentWaveform for Sgdp {
         }
         let tau: Vec<f64> = eff.times.iter().map(|&t| (t - t0) / width).collect();
         let u: Vec<f64> = eff.voltages.iter().map(|&v| v / vdd).collect();
-        let rho = &eff.rho;
-        // ∂ρ/∂v in normalized voltage units.
-        let drho: Vec<f64> = eff.drho_dv.iter().map(|&d| d * vdd).collect();
         let rising = ctx.polarity().is_rise();
 
-        // Saturated residual of Eq. 3 (Γeff is a saturated ramp: beyond the
-        // rails its value is the rail, not the extrapolated line).
-        let residuals = |p: [f64; 2], res: &mut Vec<f64>, jac: &mut Vec<[f64; 2]>| {
-            res.clear();
-            jac.clear();
-            for k in 0..tau.len() {
-                let line = p[0] * tau[k] + p[1];
-                let saturated = !(0.0..=1.0).contains(&line);
-                let r = u[k] - line.clamp(0.0, 1.0);
-                let w = rho[k] + drho[k] * r; // d(residual)/d(r)
-                res.push(rho[k] * r + 0.5 * drho[k] * r * r);
-                if saturated {
-                    jac.push([0.0, 0.0]);
-                } else {
-                    jac.push([-w * tau[k], -w]);
-                }
-            }
-        };
-
-        // First-order closed form: ρeff²-weighted least squares.
-        let weighted_fit = |weights: &[f64]| -> Result<[f64; 2], SgdpError> {
-            let fit = LineFit::weighted_least_squares(&tau, &u, weights)?;
-            Ok([fit.a, fit.b])
-        };
-        let w0: Vec<f64> = rho.iter().map(|&r| r * r).collect();
-
-        let fitted: Result<[f64; 2], SgdpError> = match self.fit {
-            FitMode::Weighted => weighted_fit(&w0),
-            FitMode::Taylor2 => {
-                // IRLS: effective weight (ρ + ½ρ'·r)² with r from the
-                // previous iterate — the exact Eq. 3 objective at its fixed
-                // point, at the cost of three closed-form solves.
-                let mut p = weighted_fit(&w0)?;
-                let mut w = w0.clone();
-                for _ in 0..2 {
-                    for k in 0..tau.len() {
-                        let line = (p[0] * tau[k] + p[1]).clamp(0.0, 1.0);
-                        let r = u[k] - line;
-                        let wk = rho[k] + 0.5 * drho[k] * r;
-                        w[k] = wk * wk;
-                    }
-                    match weighted_fit(&w) {
-                        Ok(next) => p = next,
-                        Err(_) => break,
-                    }
-                }
-                Ok(p)
-            }
-            FitMode::GaussNewton => {
-                let gn = GaussNewton::default();
-                let seed = weighted_fit(&w0).or_else(|_| {
-                    LineFit::least_squares(&tau, &u)
-                        .map(|f| [f.a, f.b])
-                        .map_err(SgdpError::from)
-                })?;
-                gn.minimize(seed, residuals)
-                    .map(|r| r.params)
-                    .map_err(SgdpError::from)
-            }
-        };
+        // Step 3: the ρeff²-weighted least-squares line.
+        let weights: Vec<f64> = eff.rho.iter().map(|&r| r * r).collect();
+        let fitted = LineFit::weighted_least_squares(&tau, &u, &weights);
 
         // Degenerate-hang guard (see module docs): Γeff's mid-crossing must
         // lie within the noisy waveform's mid-crossing span.
@@ -186,11 +86,11 @@ impl EquivalentWaveform for Sgdp {
             .slew_first_to_first(th, ctx.polarity())
             .unwrap_or(width)
             / 2.0;
-        let arrival_ok = |p: &[f64; 2]| -> bool {
-            if p[0] == 0.0 || (rising && p[0] < 0.0) || (!rising && p[0] > 0.0) {
+        let arrival_ok = |fit: &LineFit| -> bool {
+            if fit.a == 0.0 || (rising && fit.a < 0.0) || (!rising && fit.a > 0.0) {
                 return false;
             }
-            let t_mid = t0 + width * (0.5 - p[1]) / p[0];
+            let t_mid = t0 + width * (0.5 - fit.b) / fit.a;
             match (mid_first, mid_last) {
                 (Some(a), Some(b)) => t_mid >= a - margin && t_mid <= b + margin,
                 _ => true,
@@ -198,14 +98,14 @@ impl EquivalentWaveform for Sgdp {
         };
 
         let accepted = match fitted {
-            Ok(p) if arrival_ok(&p) => p,
+            Ok(fit) if arrival_ok(&fit) => fit,
             _ => {
                 // Anchored fallback: re-fit the slope from samples within
                 // one noiseless slew of the latest mid crossing, anchor the
                 // line there (the P1/P2/E4 anchoring convention).
                 let anchor = mid_last.ok_or(SgdpError::DegenerateFit("no mid-rail crossing"))?;
                 let near = 2.0 * margin; // one noiseless slew
-                let mut w = w0.clone();
+                let mut w = weights.clone();
                 for k in 0..tau.len() {
                     if (eff.times[k] - anchor).abs() > near {
                         w[k] = 0.0;
@@ -226,18 +126,17 @@ impl EquivalentWaveform for Sgdp {
                     }
                 };
                 let anchor_tau = (anchor - t0) / width;
-                [slope, 0.5 - slope * anchor_tau]
+                LineFit {
+                    a: slope,
+                    b: 0.5 - slope * anchor_tau,
+                }
             }
         };
 
         // De-normalize: v = a·t + b with a = â·Vdd/width.
-        let a = accepted[0] * vdd / width;
-        let b = (accepted[1] - accepted[0] * t0 / width) * vdd;
-        let gamma = ramp_from_fit(a, b, ctx)?;
-        Ok(match self.shift_policy {
-            ShiftPolicy::InputReferred => gamma,
-            ShiftPolicy::PaperLiteral => gamma.shifted(shifted.delta),
-        })
+        let a = accepted.a * vdd / width;
+        let b = (accepted.b - accepted.a * t0 / width) * vdd;
+        ramp_from_fit(a, b, ctx)
     }
 }
 
@@ -265,22 +164,16 @@ mod tests {
     }
 
     #[test]
-    fn clean_ramp_is_a_fixed_point_in_every_mode() {
+    fn clean_ramp_is_a_fixed_point() {
         let gate = AnalyticInverterGate::fast(th());
         let ctx = ctx_with_gate(clean(), &gate);
-        for fit in [FitMode::Weighted, FitMode::Taylor2, FitMode::GaussNewton] {
-            let g = Sgdp::with_fit(fit).equivalent(&ctx).unwrap();
-            assert!(
-                (g.arrival_mid() - 1.0e-9).abs() < 3e-12,
-                "{fit:?}: {:e}",
-                g.arrival_mid()
-            );
-            assert!(
-                (g.slew(th()) - 150e-12).abs() < 8e-12,
-                "{fit:?}: {:e}",
-                g.slew(th())
-            );
-        }
+        let g = Sgdp.equivalent(&ctx).unwrap();
+        assert!(
+            (g.arrival_mid() - 1.0e-9).abs() < 3e-12,
+            "{:e}",
+            g.arrival_mid()
+        );
+        assert!((g.slew(th()) - 150e-12).abs() < 8e-12, "{:e}", g.slew(th()));
     }
 
     #[test]
@@ -292,7 +185,7 @@ mod tests {
             .with_triangular_pulse(1.5e-9, 250e-12, -0.9)
             .unwrap();
         let ctx = ctx_with_gate(noisy, &gate);
-        let g_sgdp = Sgdp::default().equivalent(&ctx).unwrap();
+        let g_sgdp = Sgdp.equivalent(&ctx).unwrap();
         let g_wls = Wls5.equivalent(&ctx).unwrap();
         // WLS5 stays at the clean answer; SGDP moves late.
         assert!((g_wls.arrival_mid() - 1.0e-9).abs() < 5e-12);
@@ -313,17 +206,12 @@ mod tests {
             Wls5.equivalent(&ctx),
             Err(SgdpError::NonOverlapping { .. })
         ));
-        let g = Sgdp::default().equivalent(&ctx).unwrap();
+        let g = Sgdp.equivalent(&ctx).unwrap();
         assert!(
             (g.arrival_mid() - 1.0e-9).abs() < 10e-12,
             "input-referred identity: {:e}",
             g.arrival_mid()
         );
-        // The literal policy shifts the line by the gate's intrinsic delay.
-        let g_lit = Sgdp::with_policy(ShiftPolicy::PaperLiteral)
-            .equivalent(&ctx)
-            .unwrap();
-        assert!(g_lit.arrival_mid() > g.arrival_mid() + 0.5e-9);
     }
 
     #[test]
@@ -333,9 +221,9 @@ mod tests {
             .with_triangular_pulse(1.05e-9, 120e-12, -0.4)
             .unwrap();
         let ctx = ctx_with_gate(noisy, &gate);
-        let g0 = Sgdp::default().equivalent(&ctx).unwrap();
+        let g0 = Sgdp.equivalent(&ctx).unwrap();
         let dt = 0.37e-9;
-        let g1 = Sgdp::default().equivalent(&ctx.shifted(dt)).unwrap();
+        let g1 = Sgdp.equivalent(&ctx.shifted(dt)).unwrap();
         assert!(
             (g1.arrival_mid() - g0.arrival_mid() - dt).abs() < 2e-12,
             "shift equivariance: {:e} vs {:e}",
@@ -352,7 +240,7 @@ mod tests {
             .with_triangular_pulse(1.02e-9, 150e-12, -0.5)
             .unwrap();
         let ctx = ctx_with_gate(noisy, &gate);
-        let g = Sgdp::default().equivalent(&ctx).unwrap();
+        let g = Sgdp.equivalent(&ctx).unwrap();
         assert!(
             g.arrival_mid() > 1.0e-9,
             "glitch against the edge delays Γeff"
@@ -362,7 +250,7 @@ mod tests {
     #[test]
     fn hang_guard_keeps_arrival_inside_crossing_span() {
         // A long stall just below the high threshold after the transition:
-        // the raw Eq. 3 optimum is a useless near-flat line; the guard must
+        // the raw weighted fit is a useless near-flat line; the guard must
         // anchor Γeff near the real crossing.
         let gate = AnalyticInverterGate::fast(th());
         let base = clean();
@@ -371,7 +259,7 @@ mod tests {
             .with_trapezoidal_pulse(1.15e-9, 0.1e-9, 0.9e-9, -0.25)
             .unwrap();
         let ctx = ctx_with_gate(noisy.clone(), &gate);
-        let g = Sgdp::default().equivalent(&ctx).unwrap();
+        let g = Sgdp.equivalent(&ctx).unwrap();
         let first = noisy.first_crossing(th().mid()).unwrap();
         let last = noisy.last_crossing(th().mid()).unwrap();
         let margin = 100e-12;
@@ -391,7 +279,7 @@ mod tests {
             .with_triangular_pulse(1.0e-9, 100e-12, -0.3)
             .unwrap();
         let ctx = ctx_with_gate(noisy, &gate).with_samples(7).unwrap();
-        let g = Sgdp::default().equivalent(&ctx).unwrap();
+        let g = Sgdp.equivalent(&ctx).unwrap();
         assert!(g.slew(th()) > 0.0);
     }
 }

@@ -31,13 +31,6 @@ pub enum NumericError {
         /// Minimum required.
         required: usize,
     },
-    /// An iterative solver exhausted its iteration budget.
-    NoConvergence {
-        /// Iterations performed.
-        iterations: usize,
-        /// Residual norm at the last iterate.
-        residual: f64,
-    },
     /// A non-finite value (NaN/inf) reached a kernel input.
     NonFinite(&'static str),
 }
@@ -54,15 +47,6 @@ impl fmt::Display for NumericError {
             NumericError::InvalidGrid(what) => write!(f, "invalid grid: {what}"),
             NumericError::InsufficientData { got, required } => {
                 write!(f, "insufficient data: got {got} samples, need {required}")
-            }
-            NumericError::NoConvergence {
-                iterations,
-                residual,
-            } => {
-                write!(
-                    f,
-                    "no convergence after {iterations} iterations (residual {residual:.3e})"
-                )
             }
             NumericError::NonFinite(what) => write!(f, "non-finite value in {what}"),
         }
@@ -90,10 +74,6 @@ mod tests {
             NumericError::InsufficientData {
                 got: 0,
                 required: 2,
-            },
-            NumericError::NoConvergence {
-                iterations: 10,
-                residual: 1.0,
             },
             NumericError::NonFinite("rhs"),
         ];

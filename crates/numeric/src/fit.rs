@@ -1,9 +1,9 @@
-//! Line fitting and a small damped Gauss–Newton loop.
+//! Closed-form line fitting.
 //!
 //! Every equivalent-waveform technique in the paper reduces to choosing the
-//! two coefficients `(a, b)` of a line `v(t) = a·t + b`. LSF3 and WLS5 have
-//! closed forms captured by [`LineFit`]; SGDP's Eq. 3 is a genuinely
-//! nonlinear 2-parameter least-squares problem solved by [`GaussNewton`].
+//! two coefficients `(a, b)` of a line `v(t) = a·t + b`. LSF3, WLS5 and
+//! SGDP's step 3 each solve a (weighted) least-squares problem whose
+//! closed form is [`LineFit`].
 
 use crate::NumericError;
 
@@ -107,164 +107,6 @@ impl LineFit {
     }
 }
 
-/// Convergence report for [`GaussNewton::minimize`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GaussNewtonReport {
-    /// Final parameter vector `(a, b)`.
-    pub params: [f64; 2],
-    /// Sum of squared residuals at the final iterate.
-    pub cost: f64,
-    /// Iterations consumed.
-    pub iterations: usize,
-    /// Whether the step-size tolerance was met within the budget.
-    pub converged: bool,
-}
-
-/// Damped Gauss–Newton minimizer for 2-parameter nonlinear least squares.
-///
-/// The caller supplies a closure that fills residuals `f_k(a, b)` and the
-/// Jacobian rows `(∂f_k/∂a, ∂f_k/∂b)`. The solver performs Levenberg-style
-/// damping: if a step increases the cost, the damping factor grows and the
-/// step is retried.
-#[derive(Debug, Clone, Copy)]
-pub struct GaussNewton {
-    /// Maximum outer iterations.
-    pub max_iterations: usize,
-    /// Relative step-size tolerance for declaring convergence.
-    pub step_tolerance: f64,
-    /// Initial Levenberg damping added to the normal-equation diagonal.
-    pub initial_damping: f64,
-}
-
-impl Default for GaussNewton {
-    fn default() -> Self {
-        GaussNewton {
-            max_iterations: 40,
-            step_tolerance: 1e-10,
-            initial_damping: 1e-12,
-        }
-    }
-}
-
-impl GaussNewton {
-    /// Minimizes `Σ f_k²` starting from `start`.
-    ///
-    /// `model` writes residuals into its `&mut Vec<f64>` argument and
-    /// Jacobian rows `[∂f/∂a, ∂f/∂b]` into the second; both are cleared by
-    /// the solver before each call.
-    ///
-    /// # Errors
-    ///
-    /// * [`NumericError::InsufficientData`] if the model produces fewer than
-    ///   two residuals.
-    /// * [`NumericError::NonFinite`] if residuals or Jacobian go NaN/inf.
-    /// * [`NumericError::NoConvergence`] if damping cannot find a decreasing
-    ///   step (the last iterate is still returned inside the error-free path
-    ///   whenever any progress was made; this error means no step ever
-    ///   succeeded).
-    pub fn minimize<F>(
-        &self,
-        start: [f64; 2],
-        mut model: F,
-    ) -> Result<GaussNewtonReport, NumericError>
-    where
-        F: FnMut([f64; 2], &mut Vec<f64>, &mut Vec<[f64; 2]>),
-    {
-        let mut params = start;
-        let mut residuals = Vec::new();
-        let mut jacobian = Vec::new();
-
-        let eval_cost = |r: &[f64]| -> f64 { r.iter().map(|v| v * v).sum() };
-
-        model(params, &mut residuals, &mut jacobian);
-        if residuals.len() < 2 {
-            return Err(NumericError::InsufficientData {
-                got: residuals.len(),
-                required: 2,
-            });
-        }
-        if residuals.iter().any(|v| !v.is_finite()) {
-            return Err(NumericError::NonFinite("residuals"));
-        }
-        let mut cost = eval_cost(&residuals);
-        let mut damping = self.initial_damping;
-        let mut converged = false;
-        let mut iterations = 0;
-
-        while iterations < self.max_iterations {
-            iterations += 1;
-            // Normal equations J^T J Δ = -J^T f  (2×2, solved in closed form).
-            let (mut jtj00, mut jtj01, mut jtj11) = (0.0, 0.0, 0.0);
-            let (mut jtf0, mut jtf1) = (0.0, 0.0);
-            for (f, j) in residuals.iter().zip(&jacobian) {
-                jtj00 += j[0] * j[0];
-                jtj01 += j[0] * j[1];
-                jtj11 += j[1] * j[1];
-                jtf0 += j[0] * f;
-                jtf1 += j[1] * f;
-            }
-            if ![jtj00, jtj01, jtj11, jtf0, jtf1]
-                .iter()
-                .all(|v| v.is_finite())
-            {
-                return Err(NumericError::NonFinite("jacobian"));
-            }
-
-            // Scale-aware damping and step attempt loop.
-            let diag_scale = (jtj00.max(jtj11)).max(1e-300);
-            let mut stepped = false;
-            for _ in 0..12 {
-                let d00 = jtj00 + damping * diag_scale;
-                let d11 = jtj11 + damping * diag_scale;
-                let det = d00 * d11 - jtj01 * jtj01;
-                if det.abs() < 1e-300 {
-                    damping = (damping * 10.0).max(1e-9);
-                    continue;
-                }
-                let da = (-jtf0 * d11 + jtf1 * jtj01) / det;
-                let db = (-jtf1 * d00 + jtf0 * jtj01) / det;
-                let trial = [params[0] + da, params[1] + db];
-                model(trial, &mut residuals, &mut jacobian);
-                if residuals.iter().any(|v| !v.is_finite()) {
-                    damping = (damping * 10.0).max(1e-9);
-                    continue;
-                }
-                let trial_cost = eval_cost(&residuals);
-                if trial_cost <= cost * (1.0 + 1e-15) {
-                    // Accept; relax damping for the next iteration.
-                    let rel_step = (da.abs() / params[0].abs().max(1e-30))
-                        .max(db.abs() / params[1].abs().max(1e-30));
-                    params = trial;
-                    cost = trial_cost;
-                    damping = (damping * 0.25).max(self.initial_damping);
-                    stepped = true;
-                    if rel_step < self.step_tolerance {
-                        converged = true;
-                    }
-                    break;
-                }
-                damping = (damping * 10.0).max(1e-9);
-            }
-            if !stepped {
-                // Cost cannot be decreased further: treat the current point
-                // as the (local) minimum.
-                converged = true;
-            }
-            if converged {
-                break;
-            }
-        }
-        // Refresh residuals at the accepted parameters for the cost report.
-        model(params, &mut residuals, &mut jacobian);
-        Ok(GaussNewtonReport {
-            params,
-            cost: eval_cost(&residuals),
-            iterations,
-            converged,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -325,69 +167,5 @@ mod tests {
         ));
         assert!(LineFit::weighted_least_squares(&[0.0, 1.0], &[0.0, 1.0], &[1.0]).is_err());
         assert!(LineFit::least_squares(&[0.0, f64::NAN], &[0.0, 1.0]).is_err());
-    }
-
-    #[test]
-    fn gauss_newton_solves_linear_problem_in_one_step() {
-        // Linear residuals: f_k = y_k - (a x_k + b). GN == closed form.
-        let xs: Vec<f64> = (0..20).map(|i| i as f64 * 0.1).collect();
-        let ys: Vec<f64> = xs.iter().map(|x| -3.0 * x + 0.7).collect();
-        let gn = GaussNewton::default();
-        let report = gn
-            .minimize([0.0, 0.0], |p, r, j| {
-                r.clear();
-                j.clear();
-                for (&x, &y) in xs.iter().zip(&ys) {
-                    r.push(y - (p[0] * x + p[1]));
-                    j.push([-x, -1.0]);
-                }
-            })
-            .unwrap();
-        assert!(report.converged);
-        assert!((report.params[0] + 3.0).abs() < 1e-8);
-        assert!((report.params[1] - 0.7).abs() < 1e-8);
-        assert!(report.cost < 1e-16);
-    }
-
-    #[test]
-    fn gauss_newton_solves_quadratic_residuals() {
-        // f_k = (y_k - (a x_k + b))² — the same shape as SGDP's Eq. 3
-        // second-order term. Minimum still at the exact line.
-        let xs: Vec<f64> = (0..30).map(|i| i as f64 * 0.05).collect();
-        let ys: Vec<f64> = xs.iter().map(|x| 1.5 * x + 0.2).collect();
-        let gn = GaussNewton::default();
-        let report = gn
-            .minimize([1.0, 0.0], |p, r, j| {
-                r.clear();
-                j.clear();
-                for (&x, &y) in xs.iter().zip(&ys) {
-                    let e = y - (p[0] * x + p[1]);
-                    r.push(e * e);
-                    j.push([-2.0 * e * x, -2.0 * e]);
-                }
-            })
-            .unwrap();
-        assert!(
-            (report.params[0] - 1.5).abs() < 1e-5,
-            "a = {}",
-            report.params[0]
-        );
-        assert!(
-            (report.params[1] - 0.2).abs() < 1e-5,
-            "b = {}",
-            report.params[1]
-        );
-    }
-
-    #[test]
-    fn gauss_newton_rejects_tiny_models() {
-        let gn = GaussNewton::default();
-        let err = gn.minimize([0.0, 0.0], |_p, r, j| {
-            r.clear();
-            j.clear();
-            r.push(1.0);
-            j.push([1.0, 0.0]);
-        });
-        assert!(matches!(err, Err(NumericError::InsufficientData { .. })));
     }
 }

@@ -17,8 +17,8 @@
 //!   are small or not no-pivot factorable,
 //! * [`interp`] — monotone-grid linear and bilinear interpolation used by
 //!   waveform sampling and NLDM table lookup,
-//! * [`fit`] — closed-form (weighted) line fits and a damped Gauss–Newton
-//!   loop used by the equivalent-waveform techniques,
+//! * [`fit`] — closed-form (weighted) line fits used by the
+//!   equivalent-waveform techniques,
 //! * [`stats`] — tiny summary-statistics helpers for the experiment harness.
 //!
 //! ```
@@ -42,6 +42,6 @@ pub mod sparse;
 pub mod stats;
 
 pub use error::NumericError;
-pub use fit::{GaussNewton, GaussNewtonReport, LineFit};
+pub use fit::LineFit;
 pub use matrix::{dot, DenseMatrix, LuFactors};
 pub use sparse::{CsrMatrix, SparseLu, TripletMatrix};

@@ -26,10 +26,10 @@
 //!   the journal, and the result must match bit-for-bit.
 //! * Shadow audit ([`SessionOptions::audit_every_n`]): every N commits
 //!   the session re-runs the *full batch* analysis and verifies the
-//!   incremental state matches within [`SessionOptions::audit_tolerance`]
-//!   (default 1e-6 ps), with never-dirtied nets bit-identical. A
-//!   divergence is a first-class [`AuditFailure`] that quarantines the
-//!   session read-only — wrong timing is never served silently.
+//!   incremental state matches within 1e-6 ps, with never-dirtied nets
+//!   bit-identical. A divergence is a first-class [`AuditFailure`] that
+//!   quarantines the session read-only — wrong timing is never served
+//!   silently.
 //! * Epoch counters: each commit bumps the session epoch and the dirty
 //!   cones' epoch counters; analysis results carry their epoch in
 //!   `SiDiagnostics::epoch`, so a stale retained report is detectable
@@ -53,35 +53,24 @@ use nsta_sta::{
 /// analysis cannot produce meaningful timing for.
 const REJECT_RULES: [&str; 2] = ["net.undriven", "spef.nonpositive-rc"];
 
+/// Shadow-audit tolerance on arrivals, slews and slacks (s): 1e-6 ps.
+const AUDIT_TOLERANCE: f64 = 1e-18;
+
 /// Configuration of a [`TimingSession`].
-#[derive(Debug, Clone)]
+///
+/// Every edit's candidate state is preflight-linted: an edit that
+/// introduces new deny-severity, `net.undriven` or `spef.nonpositive-rc`
+/// diagnostics is rejected.
+#[derive(Debug, Clone, Default)]
 pub struct SessionOptions {
     /// Analysis options for the initial load and every incremental
     /// re-solve. `si.deadline` bounds each *edit's* re-solve (expiry
     /// rolls the edit back); the shadow audit always runs undeadlined.
     pub si: SiOptions,
     /// Run the full batch analysis and verify the incremental state
-    /// against it after every N commits (`None`: only on
-    /// [`TimingSession::audit_now`]).
+    /// against it, within 1e-6 ps on arrivals, slews and slacks, after
+    /// every N commits (`None`: only on [`TimingSession::audit_now`]).
     pub audit_every_n: Option<usize>,
-    /// Preflight-lint the candidate state of every edit and reject edits
-    /// that introduce new deny-severity, `net.undriven` or
-    /// `spef.nonpositive-rc` diagnostics.
-    pub preflight: bool,
-    /// Shadow-audit tolerance on arrivals/slews/slacks (seconds).
-    /// Default `1e-18` (= 1e-6 ps).
-    pub audit_tolerance: f64,
-}
-
-impl Default for SessionOptions {
-    fn default() -> Self {
-        SessionOptions {
-            si: SiOptions::default(),
-            audit_every_n: None,
-            preflight: true,
-            audit_tolerance: 1e-18,
-        }
-    }
 }
 
 /// One transactional edit. All variants name nets by design name so a
@@ -384,7 +373,7 @@ impl TimingSession {
         let mut span = nsta_obs::span!("session.open");
         let bound = bind_couplings(&spef, sta.design(), &bind)?;
         let lint = Self::lint(&sta, &spef, &bound.specs, &bc, &LintConfig::new());
-        if options.preflight && lint.deny_count() > 0 {
+        if lint.deny_count() > 0 {
             return Err(SessionError::Lint(
                 lint.diagnostics
                     .into_iter()
@@ -607,53 +596,49 @@ impl TimingSession {
         // 2. Preflight the candidate: an edit introducing new
         //    deny-severity or REJECT_RULES diagnostics is refused with
         //    the evidence embedded.
-        let mut candidate_lint: Option<HashSet<(String, String)>> = None;
-        if self.options.preflight {
-            let config = Self::edit_lint_config(edit);
-            let lint = Self::lint(
-                &self.sta,
-                &candidate.spef,
-                &candidate.bound.specs,
-                &candidate.bc,
-                &config,
-            );
-            let fresh: Vec<LintDiagnostic> = lint
-                .diagnostics
-                .iter()
-                .filter(|d| {
-                    !self
-                        .lint_baseline
-                        .contains(&(d.rule_id.to_string(), d.subject.clone()))
-                })
-                .filter(|d| d.severity == Severity::Deny || REJECT_RULES.contains(&d.rule_id))
-                .cloned()
-                .collect();
-            if !fresh.is_empty() {
-                self.rejected += 1;
-                return EditOutcome::Rejected {
-                    reason: format!(
-                        "preflight: edit would introduce {} new lint defect(s)",
-                        fresh.len()
-                    ),
-                    diagnostics: fresh,
-                };
-            }
-            // The re-evaluated rules' fingerprints replace their slice of
-            // the baseline; rules the config skipped keep their old
-            // fingerprints (their findings are unchanged by construction)
-            // — applied only once the edit commits.
-            let spef_rerun = matches!(edit, Edit::ReannotateNet { .. });
-            let mut next: HashSet<(String, String)> = self
-                .lint_baseline
-                .iter()
-                .filter(|(rule, _)| {
-                    rule.starts_with("net.") || (!spef_rerun && rule.starts_with("spef."))
-                })
-                .cloned()
-                .collect();
-            next.extend(Self::fingerprints(&lint.diagnostics));
-            candidate_lint = Some(next);
+        let config = Self::edit_lint_config(edit);
+        let lint = Self::lint(
+            &self.sta,
+            &candidate.spef,
+            &candidate.bound.specs,
+            &candidate.bc,
+            &config,
+        );
+        let fresh: Vec<LintDiagnostic> = lint
+            .diagnostics
+            .iter()
+            .filter(|d| {
+                !self
+                    .lint_baseline
+                    .contains(&(d.rule_id.to_string(), d.subject.clone()))
+            })
+            .filter(|d| d.severity == Severity::Deny || REJECT_RULES.contains(&d.rule_id))
+            .cloned()
+            .collect();
+        if !fresh.is_empty() {
+            self.rejected += 1;
+            return EditOutcome::Rejected {
+                reason: format!(
+                    "preflight: edit would introduce {} new lint defect(s)",
+                    fresh.len()
+                ),
+                diagnostics: fresh,
+            };
         }
+        // The re-evaluated rules' fingerprints replace their slice of
+        // the baseline; rules the config skipped keep their old
+        // fingerprints (their findings are unchanged by construction)
+        // — applied only once the edit commits.
+        let spef_rerun = matches!(edit, Edit::ReannotateNet { .. });
+        let mut next_lint_baseline: HashSet<(String, String)> = self
+            .lint_baseline
+            .iter()
+            .filter(|(rule, _)| {
+                rule.starts_with("net.") || (!spef_rerun && rule.starts_with("spef."))
+            })
+            .cloned()
+            .collect();
+        next_lint_baseline.extend(Self::fingerprints(&lint.diagnostics));
         // 3. Dirty closure: clusters reached by the edit.
         let dirty_clusters = candidate.clusters.dirty_clusters(&candidate.seeds);
         let dirty_mask = candidate.clusters.net_mask(&dirty_clusters);
@@ -751,9 +736,7 @@ impl TimingSession {
                 self.ever_dirty[net] = true;
             }
         }
-        if let Some(fps) = candidate_lint {
-            self.lint_baseline = fps;
-        }
+        self.lint_baseline = next_lint_baseline;
         self.journal.push(edit.clone());
         // 6. Shadow audit every N commits.
         if let Some(n) = self.options.audit_every_n {
@@ -811,7 +794,6 @@ impl TimingSession {
                 return Err(failure);
             }
         };
-        let tol = self.options.audit_tolerance;
         let incremental = &self.retained.analysis.report;
         let reference = &batch.report;
         let mut max_div = 0.0f64;
@@ -847,7 +829,7 @@ impl TimingSession {
                             });
                         if div > max_div {
                             max_div = div;
-                            if div > tol {
+                            if div > AUDIT_TOLERANCE {
                                 worst_net = Some(inc.name.clone());
                             }
                         }
@@ -864,7 +846,7 @@ impl TimingSession {
             }
         }
         self.max_audit_divergence = self.max_audit_divergence.max(max_div);
-        let within_tol = max_div <= tol;
+        let within_tol = max_div <= AUDIT_TOLERANCE;
         if within_tol && untouched_identical {
             return Ok(AuditReport {
                 epoch: self.epoch,
@@ -878,7 +860,7 @@ impl TimingSession {
             max_divergence: max_div,
             detail: detail.unwrap_or_else(|| {
                 format!(
-                    "incremental state diverges from batch by {max_div:.3e} s (tolerance {tol:.1e})"
+                    "incremental state diverges from batch by {max_div:.3e} s (tolerance {AUDIT_TOLERANCE:.1e})"
                 )
             }),
         };

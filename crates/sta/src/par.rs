@@ -30,7 +30,7 @@
 //! data and record exactly which items were skipped. A missing slot is
 //! classified after the join: deadline expired → skipped (left `None`);
 //! deadline still live → the item's worker panicked, so it is retried
-//! inline exactly like [`par_map_recover`] would.
+//! inline exactly like [`par_map`] would.
 
 use nsta_obs::Deadline;
 use std::panic::{self, AssertUnwindSafe};
@@ -55,32 +55,21 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    par_map_recover(threads, items, f).0
-}
-
-/// [`par_map`] variant that also reports which item indices had to be
-/// retried inline after a worker-side panic (empty on every healthy
-/// run). Callers that attribute faults to work items — the crosstalk
-/// cone scheduler — use the indices to record degrade events.
-pub(crate) fn par_map_recover<T, R, F>(threads: usize, items: &[T], f: F) -> (Vec<R>, Vec<usize>)
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let (slots, retried) = par_map_govern(threads, items, None, f);
     // Without a deadline no slot can be skipped: every missing result was
     // either recovered by the inline retry or propagated its panic there.
-    let results = slots
+    par_map_govern(threads, items, None, f)
+        .0
         .into_iter()
         .map(|s| s.unwrap_or_else(|| panic!("scheduler bug: slot neither filled nor retried")))
-        .collect();
-    (results, retried)
+        .collect()
 }
 
-/// Deadline-governed [`par_map_recover`]: item `i`'s slot is `None` iff
-/// the deadline expired before the pool could start (or retry) it. With
+/// Deadline-governed [`par_map`]: item `i`'s slot is `None` iff the
+/// deadline expired before the pool could start (or retry) it. With
 /// `deadline: None` every slot is `Some` (panic recovery still applies).
+/// Also reports which item indices had to be retried inline after a
+/// worker-side panic (empty on every healthy run); the crosstalk cone
+/// scheduler uses them to record degrade events.
 pub(crate) fn par_map_govern<T, R, F>(
     threads: usize,
     items: &[T],
@@ -307,13 +296,13 @@ mod tests {
         // ordered, and the retry is attributed to the right index.
         let tripped = AtomicBool::new(false);
         let items: Vec<usize> = (0..32).collect();
-        let (out, retried) = par_map_recover(4, &items, |&i| {
+        let (out, retried) = par_map_govern(4, &items, None, |&i| {
             if i == 5 && !tripped.swap(true, Ordering::SeqCst) {
                 panic!("transient worker failure");
             }
             i * 2
         });
-        let expect: Vec<usize> = items.iter().map(|i| i * 2).collect();
+        let expect: Vec<Option<usize>> = items.iter().map(|i| Some(i * 2)).collect();
         assert_eq!(out, expect);
         assert_eq!(retried, vec![5]);
     }

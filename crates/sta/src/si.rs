@@ -68,8 +68,8 @@
 //!   coupling total folded onto its line. With
 //!   [`SiOptions::incremental`] the `(Γeff, base arrival)` of every victim
 //!   is cached under that key, and a victim is re-simulated only when its
-//!   key moved beyond [`SiOptions::convergence_tol`] (structural changes —
-//!   a different kept-aggressor set or coupling value — always re-run).
+//!   key moved by more than 0.1 ps (structural changes — a different
+//!   kept-aggressor set or coupling value — always re-run).
 //!
 //! Later iterations therefore pay only for victims whose windows actually
 //! changed: the fixed point costs O(changed victims), not
@@ -249,8 +249,8 @@ impl ArrivalWindow {
         !(self.earliest <= self.latest)
     }
 
-    /// Whether an aggressor window, shifted by `skew` and padded by
-    /// `guard` on both sides, can overlap this (victim) window.
+    /// Whether an aggressor window, shifted by `skew`, can overlap this
+    /// (victim) window.
     ///
     /// Both windows are **closed** intervals `[earliest, latest]`:
     /// windows that merely touch at a boundary (`aggressor.latest + skew ==
@@ -261,12 +261,12 @@ impl ArrivalWindow {
     ///
     /// Inverted (empty) windows on either side never overlap: an empty
     /// set of candidate transition times cannot align with anything.
-    pub fn overlaps(&self, aggressor: &ArrivalWindow, skew: f64, guard: f64) -> bool {
+    pub fn overlaps(&self, aggressor: &ArrivalWindow, skew: f64) -> bool {
         if self.is_inverted() || aggressor.is_inverted() {
             return false;
         }
-        let a_lo = aggressor.earliest + skew - guard;
-        let a_hi = aggressor.latest + skew + guard;
+        let a_lo = aggressor.earliest + skew;
+        let a_hi = aggressor.latest + skew;
         a_lo <= self.latest && self.earliest <= a_hi
     }
 
@@ -348,17 +348,11 @@ pub struct DegradeEvent {
 pub struct SiOptions {
     /// Equivalent-waveform reduction technique.
     pub method: MethodKind,
-    /// Extra guard band added around aggressor windows during the overlap
-    /// test (s). Larger values prune less aggressively.
-    pub window_guard: f64,
     /// Upper bound on fixed-point iterations. Delay push-out moves victim
     /// windows, which can re-admit previously pruned aggressors, so the
-    /// analysis iterates until windows stop moving.
+    /// analysis iterates until windows stop moving (the worst per-net
+    /// arrival moves by at most 0.1 ps).
     pub max_iterations: usize,
-    /// Convergence threshold on the worst per-net arrival movement between
-    /// iterations (s). Also bounds how far a cached victim's timing inputs
-    /// may drift before the incremental fixed point re-simulates it.
-    pub convergence_tol: f64,
     /// Worker threads of the cone-partitioned sweeps, at most one per
     /// fanout cone; a cone's task also runs its victims' transient
     /// reductions. `1` (default) runs inline; any value produces
@@ -394,9 +388,7 @@ impl Default for SiOptions {
     fn default() -> Self {
         SiOptions {
             method: MethodKind::Sgdp,
-            window_guard: 0.0,
             max_iterations: 4,
-            convergence_tol: 0.1e-12,
             threads: 1,
             incremental: true,
             backend: SolverBackend::Sparse,
@@ -406,6 +398,12 @@ impl Default for SiOptions {
         }
     }
 }
+
+/// Convergence threshold of the window fixed point (s): the analysis stops
+/// once the worst per-net arrival moves by at most this much between
+/// iterations, and the incremental fixed point re-simulates a cached
+/// victim only when its timing inputs drift further than this.
+const CONVERGENCE_TOL: f64 = 0.1e-12;
 
 /// One aggressor discarded by the timing-window filter.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -432,8 +430,8 @@ pub struct SiIteration {
     /// Aggressors discarded by the window filter feeding this pass.
     pub aggressors_pruned: usize,
     /// Worst per-net arrival movement versus the previous pass's report
-    /// (s) — the quantity the convergence test compares against
-    /// [`SiOptions::convergence_tol`].
+    /// (s) — the quantity the convergence test compares against its
+    /// 0.1 ps tolerance.
     pub max_window_delta: f64,
 }
 
@@ -653,10 +651,11 @@ struct VictimKey {
 
 impl VictimKey {
     /// Whether `other` is close enough to this key that re-simulating
-    /// could not move the result beyond `tol`: structure (aggressor set,
-    /// coupling values) must match exactly, timing inputs within `tol`.
-    fn matches(&self, other: &VictimKey, tol: f64) -> bool {
-        let close = |a: f64, b: f64| (a - b).abs() <= tol;
+    /// could not move the result beyond [`CONVERGENCE_TOL`]: structure
+    /// (aggressor set, coupling values) must match exactly, timing inputs
+    /// within the tolerance.
+    fn matches(&self, other: &VictimKey) -> bool {
+        let close = |a: f64, b: f64| (a - b).abs() <= CONVERGENCE_TOL;
         self.aggressors.len() == other.aggressors.len()
             && self.quiet_cm == other.quiet_cm
             && close(self.arrival, other.arrival)
@@ -1062,7 +1061,7 @@ impl Sta {
     fn probe_net<'s>(
         &self,
         cx: &PassContext<'_>,
-        cache: Option<(&VictimCache, f64)>,
+        cache: Option<&VictimCache>,
         spec: &'s CouplingSpec,
         state: &NetState,
     ) -> Result<Vec<VictimTransition<'s>>, StaError> {
@@ -1089,9 +1088,9 @@ impl Sta {
         Ok(units)
     }
 
-    /// One crosstalk-adjusted forward sweep. `cache` (with its staleness
-    /// tolerance) short-circuits victims whose key is unchanged since an
-    /// earlier iteration; `cx.factors` shares factored transient systems
+    /// One crosstalk-adjusted forward sweep. `cache` short-circuits victims
+    /// whose key is unchanged (within [`CONVERGENCE_TOL`]) since an earlier
+    /// iteration; `cx.factors` shares factored transient systems
     /// across structurally identical victim stages.
     ///
     /// The pass is cone-partitioned: each weakly-connected component that
@@ -1105,7 +1104,7 @@ impl Sta {
         &self,
         cx: &PassContext<'_>,
         couplings: &[CouplingSpec],
-        mut cache: Option<(&mut VictimCache, f64)>,
+        mut cache: Option<&mut VictimCache>,
         scope: Option<&[bool]>,
     ) -> Result<PassResult, StaError> {
         let n = self.design().net_count();
@@ -1122,7 +1121,7 @@ impl Sta {
         }
         // Immutable view of the victim cache for the cone tasks; fresh
         // results are installed after them.
-        let read_cache = cache.as_ref().map(|(c, tol)| (&**c, *tol));
+        let read_cache = cache.as_deref();
         let th = Thresholds::cmos(self.library().voltage);
         let seed = self.init_states(cx.bc, false);
         // Out-of-scope cones are never propagated: their states stay at
@@ -1210,7 +1209,7 @@ impl Sta {
                 recovered: true,
             });
         }
-        if let Some((c, _)) = cache.as_mut() {
+        if let Some(c) = cache.as_mut() {
             c.entries.extend(resolved.inserts);
         }
         // Canonical adjustment order, independent of cone order: each
@@ -1240,16 +1239,16 @@ impl Sta {
     /// kept as is on a hit: refreshing the key would let sub-tol input
     /// drift accumulate across iterations without ever re-simulating.
     fn victim_cache_hit(
-        read_cache: Option<(&VictimCache, f64)>,
+        read_cache: Option<&VictimCache>,
         net: NetId,
         pol: Polarity,
         key: Option<&VictimKey>,
     ) -> Option<(SaturatedRamp, f64)> {
-        read_cache.and_then(|(c, tol)| {
+        read_cache.and_then(|c| {
             let key = key?;
             c.entries
                 .get(&(net.0, pol.is_rise()))
-                .filter(|(old, _, _)| old.matches(key, tol))
+                .filter(|(old, _, _)| old.matches(key))
                 .map(|&(_, gamma, base_arrival)| (gamma, base_arrival))
         })
     }
@@ -1338,7 +1337,6 @@ impl Sta {
     fn window_filter(
         couplings: &[CouplingSpec],
         windows: &[Option<ArrivalWindow>],
-        guard: f64,
     ) -> (Vec<CouplingSpec>, Vec<PrunedAggressor>) {
         let mut filtered = Vec::with_capacity(couplings.len());
         let mut pruned = Vec::new();
@@ -1350,7 +1348,7 @@ impl Sta {
             let mut keep = Vec::with_capacity(spec.aggressors.len());
             for (i, &agg) in spec.aggressors.iter().enumerate() {
                 match windows.get(agg.0).copied().flatten() {
-                    Some(aw) if !victim_window.overlaps(&aw, spec.aggressor_skew, guard) => {
+                    Some(aw) if !victim_window.overlaps(&aw, spec.aggressor_skew) => {
                         pruned.push(PrunedAggressor {
                             victim: spec.victim,
                             aggressor: agg,
@@ -1376,12 +1374,12 @@ impl Sta {
     /// iterated to a fixed point.
     ///
     /// Aggressors whose switching windows cannot overlap the victim's
-    /// (accounting for `aggressor_skew` and `options.window_guard`) are
-    /// pruned before any circuit simulation — the temporal-correlation
-    /// filter commercial SI flows apply before paying for noise analysis.
+    /// (accounting for `aggressor_skew`) are pruned before any circuit
+    /// simulation — the temporal-correlation filter commercial SI flows
+    /// apply before paying for noise analysis.
     /// Because crosstalk push-out moves arrival windows, the filter and
     /// analysis repeat until the worst per-net arrival movement drops
-    /// below `options.convergence_tol` (or the iteration cap is hit).
+    /// to 0.1 ps or less (or the iteration cap is hit).
     ///
     /// The nominal sweep feeding aggressor ramps and earliest windows is
     /// computed once, outside the loop; with [`SiOptions::incremental`]
@@ -1513,7 +1511,7 @@ impl Sta {
         let governed_cap = max_iterations + total_pairs + 2;
         let mut iteration_cap = max_iterations;
         while iteration_trace.len() < iteration_cap {
-            let (filtered, pruned) = Self::window_filter(couplings, &windows, options.window_guard);
+            let (filtered, pruned) = Self::window_filter(couplings, &windows);
             // The analysis result is a pure function of the filtered
             // aggressor sets (aggressor ramps come from the nominal
             // sweep): if pruning did not change, re-running it would
@@ -1526,9 +1524,7 @@ impl Sta {
             }
             let mut iter_span = nsta_obs::span!("si.iteration");
             iter_span.set_arg("iter", iteration_trace.len() as f64);
-            let cache_ref = options
-                .incremental
-                .then_some((&mut cache, options.convergence_tol));
+            let cache_ref = options.incremental.then_some(&mut cache);
             let (states, adjustments, stats, mut degrades) =
                 self.crosstalk_pass(&cx, &filtered, cache_ref, scope)?;
             degrade_events.append(&mut degrades);
@@ -1559,7 +1555,7 @@ impl Sta {
             }
             // Secondary stop: windows that barely moved cannot change the
             // overlap decisions by more than the tolerance.
-            if moved <= options.convergence_tol {
+            if moved <= CONVERGENCE_TOL {
                 converged = true;
                 break;
             }
@@ -2029,21 +2025,18 @@ mod tests {
     fn window_overlap_boundary_semantics() {
         let victim = win(100e-12, 200e-12);
         // Closed intervals: windows that merely touch DO overlap.
-        assert!(victim.overlaps(&win(200e-12, 300e-12), 0.0, 0.0));
-        assert!(victim.overlaps(&win(0.0, 100e-12), 0.0, 0.0));
+        assert!(victim.overlaps(&win(200e-12, 300e-12), 0.0));
+        assert!(victim.overlaps(&win(0.0, 100e-12), 0.0));
         // Strictly disjoint windows do not.
-        assert!(!victim.overlaps(&win(201e-12, 300e-12), 0.0, 0.0));
+        assert!(!victim.overlaps(&win(201e-12, 300e-12), 0.0));
         // Zero-width windows overlap anything containing their instant...
-        assert!(victim.overlaps(&win(150e-12, 150e-12), 0.0, 0.0));
-        assert!(win(150e-12, 150e-12).overlaps(&victim, 0.0, 0.0));
+        assert!(victim.overlaps(&win(150e-12, 150e-12), 0.0));
+        assert!(win(150e-12, 150e-12).overlaps(&victim, 0.0));
         // ...including exactly at a boundary.
-        assert!(victim.overlaps(&win(100e-12, 100e-12), 0.0, 0.0));
+        assert!(victim.overlaps(&win(100e-12, 100e-12), 0.0));
         // Negative skew slides the aggressor backwards over the victim.
-        assert!(victim.overlaps(&win(300e-12, 400e-12), -150e-12, 0.0));
-        assert!(!victim.overlaps(&win(300e-12, 400e-12), 150e-12, 0.0));
-        // Guard banding re-admits a near miss symmetrically.
-        assert!(victim.overlaps(&win(201e-12, 300e-12), 0.0, 2e-12));
-        assert!(victim.overlaps(&win(0.0, 99e-12), 0.0, 2e-12));
+        assert!(victim.overlaps(&win(300e-12, 400e-12), -150e-12));
+        assert!(!victim.overlaps(&win(300e-12, 400e-12), 150e-12));
     }
 
     #[test]
@@ -2053,20 +2046,18 @@ mod tests {
         // inverted (empty) window; it must not read as "covers everything".
         let sentinel = win(f64::INFINITY, f64::NEG_INFINITY);
         assert!(sentinel.is_inverted());
-        assert!(!victim.overlaps(&sentinel, 0.0, 0.0));
-        assert!(!sentinel.overlaps(&victim, 0.0, 0.0));
-        assert!(!sentinel.overlaps(&sentinel, 0.0, 0.0));
+        assert!(!victim.overlaps(&sentinel, 0.0));
+        assert!(!sentinel.overlaps(&victim, 0.0));
+        assert!(!sentinel.overlaps(&sentinel, 0.0));
         // Plain inverted windows (min sweep above max sweep) too.
         let inverted = win(300e-12, 250e-12);
         assert!(inverted.is_inverted());
-        assert!(!victim.overlaps(&inverted, 0.0, 0.0));
-        assert!(!inverted.overlaps(&victim, 0.0, 0.0));
-        // Even a huge guard band cannot resurrect an empty window.
-        assert!(!victim.overlaps(&inverted, 0.0, 1.0));
+        assert!(!victim.overlaps(&inverted, 0.0));
+        assert!(!inverted.overlaps(&victim, 0.0));
         // NaN edges are treated as empty, not as overlapping.
         let nan = win(f64::NAN, 200e-12);
         assert!(nan.is_inverted());
-        assert!(!victim.overlaps(&nan, 0.0, 0.0));
+        assert!(!victim.overlaps(&nan, 0.0));
         // Zero-width windows are NOT inverted.
         assert!(!win(1e-12, 1e-12).is_inverted());
     }

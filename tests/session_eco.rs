@@ -63,7 +63,6 @@ fn open_session(threads: usize) -> TimingSession {
         // `apply`, so an armed fault plan can only fire in the edit's
         // own re-solve — the batch reference stays fault-free.
         audit_every_n: None,
-        ..SessionOptions::default()
     };
     TimingSession::open(
         sta,
