@@ -12,7 +12,14 @@
 //! The `SGDP (fresh context)` row times what a pipeline pays per noisy
 //! input instead: building the context, extracting ρ, then the fit.
 //!
-//! Usage: `runtime [--iterations N]` (N ≥ 1)
+//! The rows are timed in [`ROUNDS`] interleaved rounds, every row once per
+//! round, so a change in the host's speed during the run lands on every
+//! row alike instead of on whichever row was running. Each row prints the
+//! median and quartiles of its per-round µs per propagation, and the ratio
+//! of its median to P1's.
+//!
+//! Usage: `runtime [--iterations N]` (N ≥ 1 calls per row, split over
+//! the rounds)
 
 use nsta_bench::cli::Cli;
 use nsta_bench::report::render_table;
@@ -46,78 +53,159 @@ fn main() {
     )
     .expect("context");
 
-    let mut rows: Vec<Vec<String>> = Vec::new();
-    let ratio_to_p1 = |rows: &[Vec<String>], micros: f64| {
-        micros
-            / rows
-                .first()
-                .map_or(micros, |r| r[1].parse().unwrap_or(micros))
-    };
+    let calls = iterations.div_ceil(ROUNDS);
+    let mut rows: Vec<Row<'_>> = Vec::new();
+    let mut failed = Vec::new();
     for method in MethodKind::all() {
         // Warm up and validate once.
         if method.equivalent(&ctx).is_err() {
-            rows.push(vec![method.name().to_string(), "failed".into(), "-".into()]);
+            failed.push(method.name());
             continue;
         }
-        let start = Instant::now();
-        let mut acc = 0.0f64;
-        for _ in 0..iterations {
-            let g = method.equivalent(&ctx).expect("validated above");
-            acc += g.arrival_mid();
-        }
-        let micros = start.elapsed().as_secs_f64() * 1e6 / iterations as f64;
-        std::hint::black_box(acc);
-        let ratio = ratio_to_p1(&rows, micros);
-        rows.push(vec![
+        let ctx = &ctx;
+        rows.push((
             method.name().to_string(),
-            format!("{micros:.2}"),
-            format!("{ratio:.2}"),
-        ]);
+            Box::new(move |calls| {
+                let start = Instant::now();
+                let mut acc = 0.0f64;
+                for _ in 0..calls {
+                    acc += method
+                        .equivalent(ctx)
+                        .expect("validated above")
+                        .arrival_mid();
+                }
+                let elapsed = start.elapsed();
+                std::hint::black_box(acc);
+                elapsed
+            }),
+        ));
     }
     // The rows above reuse the context, so SGDP and WLS5 find ρ cached.
     // A pipeline builds one context per noisy input and pays all three
     // steps: the context, ρ and the fit. The inputs are cloned outside
     // the clock, as a pipeline moves its own waveforms in.
-    let mut fresh = Duration::ZERO;
-    let mut acc = 0.0f64;
-    for _ in 0..iterations {
-        let inputs = (
-            quiet.in_u.clone(),
-            noisy.in_u.clone(),
-            Some(quiet.out_u.clone()),
-        );
-        let start = Instant::now();
-        let ctx = PropagationContext::new(inputs.0, inputs.1, inputs.2, th).expect("context");
-        ctx.sensitivity().expect("sensitivity");
-        let g = MethodKind::Sgdp.equivalent(&ctx).expect("sgdp");
-        fresh += start.elapsed();
-        acc += g.arrival_mid();
-    }
-    std::hint::black_box(acc);
-    let micros = fresh.as_secs_f64() * 1e6 / iterations as f64;
-    let ratio = ratio_to_p1(&rows, micros);
-    rows.push(vec![
+    rows.push((
         "SGDP (fresh context)".to_string(),
-        format!("{micros:.2}"),
-        format!("{ratio:.2}"),
-    ]);
-    println!("\nSection 4.2 — run-time per gate delay propagation ({iterations} iterations)");
+        Box::new(|calls| {
+            let mut timed = Duration::ZERO;
+            let mut acc = 0.0f64;
+            for _ in 0..calls {
+                let inputs = (
+                    quiet.in_u.clone(),
+                    noisy.in_u.clone(),
+                    Some(quiet.out_u.clone()),
+                );
+                let start = Instant::now();
+                let ctx =
+                    PropagationContext::new(inputs.0, inputs.1, inputs.2, th).expect("context");
+                ctx.sensitivity().expect("sensitivity");
+                let g = MethodKind::Sgdp.equivalent(&ctx).expect("sgdp");
+                timed += start.elapsed();
+                acc += g.arrival_mid();
+            }
+            std::hint::black_box(acc);
+            timed
+        }),
+    ));
+    let stats = time_rounds(&mut rows, calls);
+    let p1_median = stats.first().map_or(f64::NAN, |q| q[1]);
+    let mut table: Vec<Vec<String>> = rows
+        .iter()
+        .zip(&stats)
+        .map(|((name, _), [q1, median, q3])| {
+            vec![
+                name.clone(),
+                format!("{median:.2}"),
+                format!("{q1:.2}"),
+                format!("{q3:.2}"),
+                format!("{:.2}", median / p1_median),
+            ]
+        })
+        .collect();
+    table.extend(failed.into_iter().map(|name| {
+        let mut row = vec![name.to_string(), "failed".into()];
+        row.extend(["-".to_string(), "-".to_string(), "-".to_string()]);
+        row
+    }));
+    println!(
+        "\nSection 4.2 — run-time per gate delay propagation \
+         ({ROUNDS} interleaved rounds of {calls} calls per row)"
+    );
     print!(
         "{}",
-        render_table(&["Method", "us/propagation", "vs P1"], &rows)
+        render_table(&["Method", "median us", "q1 us", "q3 us", "vs P1"], &table)
     );
 
     // P-linearity: SGDP runtime vs sampling budget.
-    let mut prows = Vec::new();
-    for p in [9usize, 17, 35, 70, 140] {
-        let ctx_p = ctx.clone().with_samples(p).expect("valid P");
-        let start = Instant::now();
-        for _ in 0..iterations {
-            std::hint::black_box(MethodKind::Sgdp.equivalent(&ctx_p).expect("sgdp"));
-        }
-        let micros = start.elapsed().as_secs_f64() * 1e6 / iterations as f64;
-        prows.push(vec![p.to_string(), format!("{micros:.2}")]);
-    }
+    let budgets = [9usize, 17, 35, 70, 140];
+    let contexts: Vec<PropagationContext> = budgets
+        .iter()
+        .map(|&p| ctx.clone().with_samples(p).expect("valid P"))
+        .collect();
+    let mut rows: Vec<Row<'_>> = budgets
+        .iter()
+        .zip(&contexts)
+        .map(|(p, ctx_p)| -> Row<'_> {
+            (
+                p.to_string(),
+                Box::new(move |calls| {
+                    let start = Instant::now();
+                    for _ in 0..calls {
+                        std::hint::black_box(MethodKind::Sgdp.equivalent(ctx_p).expect("sgdp"));
+                    }
+                    start.elapsed()
+                }),
+            )
+        })
+        .collect();
+    let stats = time_rounds(&mut rows, calls);
+    let prows: Vec<Vec<String>> = rows
+        .iter()
+        .zip(&stats)
+        .map(|((p, _), [q1, median, q3])| {
+            vec![
+                p.clone(),
+                format!("{median:.2}"),
+                format!("{q1:.2}"),
+                format!("{q3:.2}"),
+            ]
+        })
+        .collect();
     println!("\nSGDP runtime vs sampling budget P (paper: linear order in P)");
-    print!("{}", render_table(&["P", "us/propagation"], &prows));
+    print!(
+        "{}",
+        render_table(&["P", "median us", "q1 us", "q3 us"], &prows)
+    );
+}
+
+/// Interleaved timing rounds per table.
+const ROUNDS: usize = 21;
+
+/// A timed table row: its label and a closure that makes `calls` calls
+/// and returns the time they took.
+type Row<'a> = (String, Box<dyn FnMut(usize) -> Duration + 'a>);
+
+/// Runs every row once per round for [`ROUNDS`] rounds, the rows
+/// interleaved within each round, and returns each row's quartiles
+/// `[q1, median, q3]` of µs per call over the rounds.
+fn time_rounds(rows: &mut [Row<'_>], calls: usize) -> Vec<[f64; 3]> {
+    let mut samples = vec![Vec::with_capacity(ROUNDS); rows.len()];
+    for _ in 0..ROUNDS {
+        for ((_, run), out) in rows.iter_mut().zip(&mut samples) {
+            out.push(run(calls).as_secs_f64() * 1e6 / calls as f64);
+        }
+    }
+    samples.into_iter().map(quartiles).collect()
+}
+
+/// `[q1, median, q3]` of `samples`, interpolating linearly between order
+/// statistics.
+fn quartiles(mut samples: Vec<f64>) -> [f64; 3] {
+    samples.sort_by(f64::total_cmp);
+    let at = |q: f64| {
+        let pos = q * (samples.len() - 1) as f64;
+        let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+        samples[lo] + (pos - lo as f64) * (samples[hi] - samples[lo])
+    };
+    [at(0.25), at(0.5), at(0.75)]
 }

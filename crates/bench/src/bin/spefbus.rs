@@ -165,6 +165,9 @@ struct EcoSummary {
     committed: usize,
     open_time: Duration,
     median_edit: Duration,
+    /// Median edit time per edit kind (`Edit::kind`); `None` for a kind
+    /// the stream did not reach.
+    median_edit_by_kind: Vec<(&'static str, Option<Duration>)>,
     max_edit: Duration,
     full_time: Duration,
     speedup: f64,
@@ -397,6 +400,11 @@ fn main() {
         let open_time = t.elapsed();
         let mut rng = nsta_obs::XorShift64::new(1);
         let mut edit_times: Vec<Duration> = Vec::new();
+        let mut kind_times: Vec<(&'static str, Vec<Duration>)> =
+            ["set_load", "set_drive_resistance", "reannotate_net"]
+                .into_iter()
+                .map(|kind| (kind, Vec::new()))
+                .collect();
         let mut committed = 0usize;
         let mut dirty_net_total = 0usize;
         for i in 0..edits {
@@ -426,9 +434,14 @@ fn main() {
                     Edit::ReannotateNet { dnet }
                 }
             };
+            let kind = edit.kind();
             let t = Instant::now();
             let outcome = session.apply(edit);
-            edit_times.push(t.elapsed());
+            let elapsed = t.elapsed();
+            edit_times.push(elapsed);
+            if let Some((_, times)) = kind_times.iter_mut().find(|(k, _)| *k == kind) {
+                times.push(elapsed);
+            }
             match outcome {
                 EditOutcome::Committed(info) => {
                     committed += 1;
@@ -467,11 +480,15 @@ fn main() {
                 "--eco retained report differs from a from-scratch batch of the same state".into(),
             );
         }
-        edit_times.sort();
-        let median_edit = edit_times
-            .get(edit_times.len() / 2)
-            .copied()
-            .unwrap_or_default();
+        let median = |times: &mut Vec<Duration>| {
+            times.sort();
+            times.get(times.len() / 2).copied()
+        };
+        let median_edit = median(&mut edit_times).unwrap_or_default();
+        let median_edit_by_kind = kind_times
+            .into_iter()
+            .map(|(kind, mut times)| (kind, median(&mut times)))
+            .collect();
         let max_edit = edit_times.last().copied().unwrap_or_default();
         let speedup = full_time.as_secs_f64() / median_edit.as_secs_f64().max(1e-12);
         EcoSummary {
@@ -479,6 +496,7 @@ fn main() {
             committed,
             open_time,
             median_edit,
+            median_edit_by_kind,
             max_edit,
             full_time,
             speedup,
@@ -742,6 +760,14 @@ fn main() {
                     ("epoch", Json::from(eco.epoch as usize)),
                     ("open_ms", ms(eco.open_time)),
                     ("median_edit_ms", ms(eco.median_edit)),
+                    (
+                        "median_edit_ms_by_kind",
+                        Json::obj(
+                            eco.median_edit_by_kind
+                                .iter()
+                                .map(|&(kind, median)| (kind, median.map_or(Json::Null, ms))),
+                        ),
+                    ),
                     ("max_edit_ms", ms(eco.max_edit)),
                     ("full_reanalysis_ms", ms(eco.full_time)),
                     ("speedup", Json::Num((eco.speedup * 1e2).round() / 1e2)),

@@ -28,9 +28,12 @@
 //! never runs a transient solve, so enabling it cannot perturb timing
 //! results. Entry points:
 //!
-//! * [`run_lint`] over a [`LintInput`] bundle, or
+//! * [`run_lint`] over a [`LintInput`] bundle,
 //! * [`Preflight::preflight`] as an extension method on
-//!   [`nsta_sta::Sta`] for incremental (ECO-server) use.
+//!   [`nsta_sta::Sta`] for incremental (ECO-server) use, or
+//! * [`lint_spef_section`] for a single `*D_NET` re-annotation: the SPEF
+//!   findings one section replacement adds and withdraws, without
+//!   re-linting the rest of the file.
 
 #![forbid(unsafe_code)]
 
@@ -42,4 +45,6 @@ pub mod rules;
 pub use config::{LintConfig, LintConfigError};
 pub use diag::{LintDiagnostic, LintReport, Severity};
 pub use preflight::Preflight;
-pub use rules::{rule, run_lint, LintInput, RuleDescriptor, RULES};
+pub use rules::{
+    lint_spef_section, rule, run_lint, LintInput, RuleDescriptor, SectionEdit, SectionLint, RULES,
+};

@@ -11,7 +11,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use nsta_constraints::{SdcCommand, SdcFile};
 use nsta_liberty::{Direction, Library};
-use nsta_parasitics::{reduce_spef, SpefFile};
+use nsta_parasitics::{reduce_spef, DNet, ReducedNet, SpefFile};
 use nsta_sta::{BoundaryConditions, CouplingSpec, Design, Edge, NetId, TimingGraph};
 
 use crate::config::LintConfig;
@@ -218,8 +218,7 @@ impl NetRoles {
 /// `lint.run` observability span, and each finding bumps its rule's
 /// `lint.rule.<id>` counter.
 pub fn run_lint(input: &LintInput<'_>, config: &LintConfig) -> LintReport {
-    let recorder = nsta_obs::recorder();
-    let mut span = recorder.span_cat("lint", "lint.run");
+    let mut span = nsta_obs::recorder().span_cat("lint", "lint.run");
     // Pin-role extraction walks every instance against the library; skip
     // it when every design-structure rule is configured `Allow` (e.g. a
     // session's per-edit preflight, where the netlist is immutable).
@@ -260,23 +259,146 @@ pub fn run_lint(input: &LintInput<'_>, config: &LintConfig) -> LintReport {
             "sdc.clock-period" => rule_clock_period(input),
             _ => Vec::new(),
         };
-        if !findings.is_empty() {
-            recorder.add(descriptor.counter, findings.len() as u64);
-        }
-        for f in findings {
-            report.diagnostics.push(LintDiagnostic {
-                rule_id: descriptor.id,
-                severity,
-                subject: f.subject,
-                message: f.message,
-                suggestion: f.suggestion,
-            });
-        }
+        stamp(descriptor, severity, findings, &mut report.diagnostics);
     }
     span.set_arg("rules_run", report.rules_run as f64);
     span.set_arg("diagnostics", report.diagnostics.len() as f64);
     nsta_obs::count!("lint.diagnostics", report.diagnostics.len() as u64);
     report
+}
+
+/// Stamps one rule's findings with its id and severity into `out`,
+/// bumping the rule's counter.
+fn stamp(
+    descriptor: &RuleDescriptor,
+    severity: Severity,
+    findings: Vec<Finding>,
+    out: &mut Vec<LintDiagnostic>,
+) {
+    if !findings.is_empty() {
+        nsta_obs::recorder().add(descriptor.counter, findings.len() as u64);
+    }
+    out.extend(findings.into_iter().map(|f| LintDiagnostic {
+        rule_id: descriptor.id,
+        severity,
+        subject: f.subject,
+        message: f.message,
+        suggestion: f.suggestion,
+    }));
+}
+
+/// One `*D_NET` replacement, as the section-scoped SPEF preflight
+/// ([`lint_spef_section`]) sees it.
+#[derive(Clone, Copy)]
+pub struct SectionEdit<'a> {
+    /// The design the file annotates.
+    pub design: &'a Design,
+    /// The file before the edit; `old` is one of its sections.
+    pub spef: &'a SpefFile,
+    /// The section being replaced.
+    pub old: &'a DNet,
+    /// Its replacement, under the same net name.
+    pub new: &'a DNet,
+    /// The replacement's reduction (e.g. `nsta_parasitics::Rebind::reduced`):
+    /// `spef.degenerate-extraction` reads its defects instead of reducing
+    /// the section again.
+    pub reduced: &'a ReducedNet,
+}
+
+/// How one section replacement changes a file's SPEF findings; see
+/// [`lint_spef_section`].
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct SectionLint {
+    /// Findings the edited file has that the replacement brings in, in
+    /// registry order, each exactly as [`run_lint`] over the edited file
+    /// reports it: every section-local finding of the new section, plus
+    /// `spef.missing-annotation` for each unannotated partner it gains.
+    pub diagnostics: Vec<LintDiagnostic>,
+    /// `(rule id, subject)` fingerprints the replacement withdraws: the
+    /// old section's section-local findings, plus `spef.missing-annotation`
+    /// for each partner it loses that no other section still names.
+    pub retired: Vec<(&'static str, String)>,
+}
+
+/// The section-scoped SPEF preflight of a single-net re-annotation.
+///
+/// If `F` is the fingerprint set of the file's findings before the edit,
+/// `F − retired + fingerprints(diagnostics)` is the edited file's set for
+/// every SPEF rule `config` enables. The section-local rules
+/// (`spef.unknown-coupling-net`, `spef.nonpositive-rc`,
+/// `spef.degenerate-extraction`) run on the two sections alone;
+/// `spef.missing-annotation` looks at the rest of the file only for the
+/// partners the section gains or loses. `spef.unknown-net` and
+/// `spef.duplicate-annotation` are not run: a same-name replacement of a
+/// design net's section cannot change their findings.
+pub fn lint_spef_section(edit: &SectionEdit<'_>, config: &LintConfig) -> SectionLint {
+    let mut span = nsta_obs::recorder().span_cat("lint", "lint.spef_section");
+    let name = edit.new.name.as_str();
+    let spef = edit.spef;
+    let is_old = |net: &DNet| std::ptr::eq(net, edit.old);
+    let names =
+        |net: &DNet, partner: &str| coupling_partners(edit.design, net).any(|p| p == partner);
+    let annotated = |partner: &str| spef.nets.iter().any(|n| n.name == partner);
+    let mut lint = SectionLint::default();
+    for descriptor in RULES {
+        let severity = config.severity_for(descriptor);
+        if severity == Severity::Allow {
+            continue;
+        }
+        // The old section's findings of a rule: all withdrawn, since the
+        // subjects of a section-local rule name the section's own net.
+        let mut old_findings = Vec::new();
+        let mut retired = Vec::new();
+        let mut findings = Vec::new();
+        match descriptor.id {
+            "spef.unknown-coupling-net" => {
+                unknown_coupling_findings(edit.design, edit.old, &mut old_findings);
+                unknown_coupling_findings(edit.design, edit.new, &mut findings);
+            }
+            "spef.missing-annotation" => {
+                let old: BTreeSet<&str> = coupling_partners(edit.design, edit.old).collect();
+                let new: BTreeSet<&str> = coupling_partners(edit.design, edit.new).collect();
+                for &partner in old.difference(&new) {
+                    if !annotated(partner)
+                        && !spef.nets.iter().any(|n| !is_old(n) && names(n, partner))
+                    {
+                        retired.push(partner.to_string());
+                    }
+                }
+                for &partner in new.difference(&old) {
+                    if annotated(partner) {
+                        continue;
+                    }
+                    // run_lint names the first section in file order that
+                    // couples to the partner.
+                    let victim = spef
+                        .nets
+                        .iter()
+                        .take_while(|n| !is_old(n))
+                        .find(|n| names(n, partner))
+                        .map_or(name, |n| n.name.as_str());
+                    findings.push(missing_annotation_finding(partner, victim));
+                }
+            }
+            "spef.nonpositive-rc" => {
+                nonpositive_findings(edit.old, &mut old_findings);
+                nonpositive_findings(edit.new, &mut findings);
+            }
+            "spef.degenerate-extraction" => {
+                // Withdrawn unconditionally: the subject is the net name,
+                // which no other section carries.
+                retired.push(name.to_string());
+                findings.extend(degenerate_finding(edit.reduced));
+            }
+            _ => continue,
+        }
+        retired.extend(old_findings.into_iter().map(|f| f.subject));
+        lint.retired
+            .extend(retired.into_iter().map(|subject| (descriptor.id, subject)));
+        stamp(descriptor, severity, findings, &mut lint.diagnostics);
+    }
+    span.set_arg("diagnostics", lint.diagnostics.len() as f64);
+    lint
 }
 
 fn rule_undriven(design: &Design, roles: &NetRoles) -> Vec<Finding> {
@@ -361,21 +483,26 @@ fn rule_spef_unknown_coupling_net(input: &LintInput<'_>) -> Vec<Finding> {
     };
     let mut findings = Vec::new();
     for net in &spef.nets {
-        for cap in net.caps.iter().filter(|c| c.is_coupling()) {
-            let Some(partner) = &cap.b else { continue };
-            if partner.base != net.name && input.design.find_net(&partner.base).is_none() {
-                findings.push(Finding::new(
-                    format!("{}:{}", net.name, cap.id),
-                    format!(
-                        "coupling cap {} on net {} references unknown net {}",
-                        cap.id, net.name, partner.base
-                    ),
-                    "re-extract from the current netlist revision or fix the SPEF name map",
-                ));
-            }
-        }
+        unknown_coupling_findings(input.design, net, &mut findings);
     }
     findings
+}
+
+/// `spef.unknown-coupling-net` over one section.
+fn unknown_coupling_findings(design: &Design, net: &DNet, findings: &mut Vec<Finding>) {
+    for cap in net.caps.iter().filter(|c| c.is_coupling()) {
+        let Some(partner) = &cap.b else { continue };
+        if partner.base != net.name && design.find_net(&partner.base).is_none() {
+            findings.push(Finding::new(
+                format!("{}:{}", net.name, cap.id),
+                format!(
+                    "coupling cap {} on net {} references unknown net {}",
+                    cap.id, net.name, partner.base
+                ),
+                "re-extract from the current netlist revision or fix the SPEF name map",
+            ));
+        }
+    }
 }
 
 fn rule_spef_missing_annotation(input: &LintInput<'_>) -> Vec<Finding> {
@@ -388,30 +515,35 @@ fn rule_spef_missing_annotation(input: &LintInput<'_>) -> Vec<Finding> {
     // for them, which hides the aggressor's real drive strength.
     let mut missing: BTreeMap<&str, &str> = BTreeMap::new();
     for net in &spef.nets {
-        for cap in net.caps.iter().filter(|c| c.is_coupling()) {
-            let Some(partner) = &cap.b else { continue };
-            let base = partner.base.as_str();
-            if base != net.name
-                && input.design.find_net(base).is_some()
-                && !annotated.contains(base)
-            {
+        for base in coupling_partners(input.design, net) {
+            if !annotated.contains(base) {
                 missing.entry(base).or_insert(net.name.as_str());
             }
         }
     }
     missing
         .into_iter()
-        .map(|(partner, victim)| {
-            Finding::new(
-                partner,
-                format!(
-                    "net {partner} is coupled to {victim} but has no D_NET annotation of its own"
-                ),
-                "extract the aggressor's RC network too; its wire model otherwise \
-                 falls back to the victim's",
-            )
-        })
+        .map(|(partner, victim)| missing_annotation_finding(partner, victim))
         .collect()
+}
+
+/// The design nets one section's coupling caps name as partners (the
+/// caps' second node), excluding the section's own net.
+fn coupling_partners<'a>(design: &'a Design, net: &'a DNet) -> impl Iterator<Item = &'a str> {
+    net.caps
+        .iter()
+        .filter_map(|c| c.b.as_ref())
+        .map(|b| b.base.as_str())
+        .filter(move |&base| base != net.name && design.find_net(base).is_some())
+}
+
+fn missing_annotation_finding(partner: &str, victim: &str) -> Finding {
+    Finding::new(
+        partner,
+        format!("net {partner} is coupled to {victim} but has no D_NET annotation of its own"),
+        "extract the aggressor's RC network too; its wire model otherwise \
+         falls back to the victim's",
+    )
 }
 
 fn rule_spef_nonpositive_rc(input: &LintInput<'_>) -> Vec<Finding> {
@@ -420,34 +552,39 @@ fn rule_spef_nonpositive_rc(input: &LintInput<'_>) -> Vec<Finding> {
     };
     let mut findings = Vec::new();
     for net in &spef.nets {
-        for cap in &net.caps {
-            if !(cap.value > 0.0) {
-                findings.push(Finding::new(
-                    format!("{}:{}", net.name, cap.id),
-                    format!(
-                        "capacitance {} on net {} is {} F (must be positive and finite)",
-                        cap.id, net.name, cap.value
-                    ),
-                    "fix the extractor output; non-positive or NaN elements have no \
-                     physical meaning",
-                ));
-            }
-        }
-        for res in &net.ress {
-            if !(res.value > 0.0) {
-                findings.push(Finding::new(
-                    format!("{}:{}", net.name, res.id),
-                    format!(
-                        "resistance {} on net {} is {} Ω (must be positive and finite)",
-                        res.id, net.name, res.value
-                    ),
-                    "fix the extractor output; non-positive or NaN elements have no \
-                     physical meaning",
-                ));
-            }
-        }
+        nonpositive_findings(net, &mut findings);
     }
     findings
+}
+
+/// `spef.nonpositive-rc` over one section.
+fn nonpositive_findings(net: &DNet, findings: &mut Vec<Finding>) {
+    for cap in &net.caps {
+        if !(cap.value > 0.0) {
+            findings.push(Finding::new(
+                format!("{}:{}", net.name, cap.id),
+                format!(
+                    "capacitance {} on net {} is {} F (must be positive and finite)",
+                    cap.id, net.name, cap.value
+                ),
+                "fix the extractor output; non-positive or NaN elements have no \
+                 physical meaning",
+            ));
+        }
+    }
+    for res in &net.ress {
+        if !(res.value > 0.0) {
+            findings.push(Finding::new(
+                format!("{}:{}", net.name, res.id),
+                format!(
+                    "resistance {} on net {} is {} Ω (must be positive and finite)",
+                    res.id, net.name, res.value
+                ),
+                "fix the extractor output; non-positive or NaN elements have no \
+                 physical meaning",
+            ));
+        }
+    }
 }
 
 fn rule_spef_degenerate(input: &LintInput<'_>) -> Vec<Finding> {
@@ -455,21 +592,26 @@ fn rule_spef_degenerate(input: &LintInput<'_>) -> Vec<Finding> {
         return Vec::new();
     };
     reduce_spef(spef)
-        .into_iter()
-        .filter(|net| !net.defects.is_empty())
-        .map(|net| {
-            Finding::new(
-                net.name.clone(),
-                format!(
-                    "extraction of net {} is electrically degenerate: {}",
-                    net.name,
-                    net.defects.join("; ")
-                ),
-                "re-extract the net; the solver refuses (or isolates) degenerate \
-                 meshes at analysis time",
-            )
-        })
+        .iter()
+        .filter_map(degenerate_finding)
         .collect()
+}
+
+/// `spef.degenerate-extraction` over one reduced section.
+fn degenerate_finding(net: &ReducedNet) -> Option<Finding> {
+    if net.defects.is_empty() {
+        return None;
+    }
+    Some(Finding::new(
+        net.name.clone(),
+        format!(
+            "extraction of net {} is electrically degenerate: {}",
+            net.name,
+            net.defects.join("; ")
+        ),
+        "re-extract the net; the solver refuses (or isolates) degenerate \
+         meshes at analysis time",
+    ))
 }
 
 fn rule_spef_duplicate(input: &LintInput<'_>) -> Vec<Finding> {

@@ -7,10 +7,11 @@
 //! the per-aggressor coupling totals. This is the glue that makes the flow
 //! drivable from a netlist + SPEF pair instead of hand-written specs.
 
-use crate::ast::SpefFile;
-use crate::reduce::{reduce_spef, ReducedNet};
+use crate::ast::{Conn, DNet, SpefFile};
+use crate::reduce::{pin_owners, pin_owners_of, reduce_spef, ReducedNet};
 use crate::SpefError;
-use nsta_sta::{CouplingSpec, Design};
+use nsta_circuit::RcLineSpec;
+use nsta_sta::{CouplingSpec, Design, NetId};
 use std::collections::HashMap;
 
 /// Knobs of the SPEF-to-design binder.
@@ -65,32 +66,6 @@ impl BoundCouplings {
         let id = design.find_net(name)?;
         self.specs.iter().find(|s| s.victim == id)
     }
-
-    /// Victims whose spec differs between `self` and `other` (field-wise,
-    /// including victims present in only one of the two), sorted and
-    /// deduplicated. A single-net re-annotation
-    /// ([`crate::SpefFile::replace_net`] + rebind) changes not just the
-    /// edited victim's spec but also any spec that used the edited wire
-    /// as an aggressor line model — this is the exact invalidation set an
-    /// incremental session must re-solve.
-    pub fn changed_victims(&self, other: &BoundCouplings) -> Vec<nsta_sta::NetId> {
-        fn by_victim(
-            b: &BoundCouplings,
-        ) -> std::collections::HashMap<nsta_sta::NetId, &CouplingSpec> {
-            b.specs.iter().map(|s| (s.victim, s)).collect()
-        }
-        let old = by_victim(self);
-        let new = by_victim(other);
-        let mut changed: Vec<nsta_sta::NetId> = old
-            .iter()
-            .filter(|(victim, spec)| new.get(victim) != Some(*spec))
-            .map(|(&victim, _)| victim)
-            .chain(new.keys().filter(|v| !old.contains_key(v)).copied())
-            .collect();
-        changed.sort_unstable();
-        changed.dedup();
-        changed
-    }
 }
 
 /// Matches reduced SPEF nets to design nets and derives coupling specs.
@@ -129,70 +104,297 @@ pub fn bind_couplings(
             skipped_victims.push((net.name.clone(), DropReason::UnknownNet));
             continue;
         };
-        let victim_line = net.to_line_spec()?;
-
-        let mut aggressors = Vec::new();
-        let mut aggressor_lines = Vec::new();
-        let mut cms = Vec::new();
-        // Couplings to dropped partners still load the victim: their
-        // quiet drivers ground the caps, exactly like window-pruned
-        // aggressors in the SI analysis.
-        let mut quiet_cm = 0.0;
-        for (partner, &cm) in &net.couplings {
-            if cm < opts.min_coupling {
-                quiet_cm += cm;
-                dropped_aggressors.push((
-                    net.name.clone(),
-                    partner.clone(),
-                    DropReason::BelowThreshold,
-                ));
-                continue;
-            }
-            let Some(agg) = design.find_net(partner) else {
-                quiet_cm += cm;
-                dropped_aggressors.push((
-                    net.name.clone(),
-                    partner.clone(),
-                    DropReason::UnknownNet,
-                ));
-                continue;
-            };
-            let line = match by_name.get(partner.as_str()) {
-                Some(r) => r.to_line_spec()?,
-                None => victim_line,
-            };
-            aggressors.push(agg);
-            aggressor_lines.push(line);
-            cms.push(cm);
+        let partner_line = |partner: &str| by_name.get(partner).map(|r| r.to_line_spec());
+        match bind_victim(
+            net,
+            victim,
+            design,
+            opts,
+            partner_line,
+            &mut dropped_aggressors,
+        )? {
+            Some(spec) => specs.push(spec),
+            None => skipped_victims.push((net.name.clone(), DropReason::BelowThreshold)),
         }
-        if aggressors.is_empty() {
-            skipped_victims.push((net.name.clone(), DropReason::BelowThreshold));
-            continue;
-        }
-
-        let cm_total: f64 = cms.iter().sum();
-        let mut spec = CouplingSpec::new(victim, aggressors, cm_total, victim_line);
-        // Extraction defects travel with the spec: the SI flow fails or
-        // degrades the victim per its fault policy instead of simulating
-        // the floored stand-in.
-        spec.defect = (!net.defects.is_empty()).then(|| net.defects.join("; "));
-        spec.cm_per_aggressor = cms;
-        spec.aggressor_lines = aggressor_lines;
-        spec.quiet_cm = quiet_cm;
-        // The extraction's own receiver pin load, when the *CONN section
-        // carried one, overrides the library-derived fanout load.
-        if net.pin_load > 0.0 {
-            spec.receiver_load = Some(net.pin_load);
-        }
-        spec.driver_resistance = opts.driver_resistance;
-        spec.aggressor_skew = opts.aggressor_skew;
-        spec.aggressors_oppose = opts.aggressors_oppose;
-        specs.push(spec);
     }
     Ok(BoundCouplings {
         specs,
         skipped_victims,
         dropped_aggressors,
+    })
+}
+
+/// Binds one coupled reduced net as the victim `victim`: `None` when no
+/// aggressor survives. `partner_line(name)` is a partner's own line model
+/// when it has a `*D_NET` section; dropped couplings are appended to
+/// `dropped`.
+fn bind_victim(
+    net: &ReducedNet,
+    victim: NetId,
+    design: &Design,
+    opts: &BindOptions,
+    partner_line: impl Fn(&str) -> Option<Result<RcLineSpec, SpefError>>,
+    dropped: &mut Vec<(String, String, DropReason)>,
+) -> Result<Option<CouplingSpec>, SpefError> {
+    let victim_line = net.to_line_spec()?;
+    let mut aggressors = Vec::new();
+    let mut aggressor_lines = Vec::new();
+    let mut cms = Vec::new();
+    // Couplings to dropped partners still load the victim: their quiet
+    // drivers ground the caps, exactly like window-pruned aggressors in
+    // the SI analysis.
+    let mut quiet_cm = 0.0;
+    for (partner, &cm) in &net.couplings {
+        if cm < opts.min_coupling {
+            quiet_cm += cm;
+            dropped.push((
+                net.name.clone(),
+                partner.clone(),
+                DropReason::BelowThreshold,
+            ));
+            continue;
+        }
+        let Some(agg) = design.find_net(partner) else {
+            quiet_cm += cm;
+            dropped.push((net.name.clone(), partner.clone(), DropReason::UnknownNet));
+            continue;
+        };
+        let line = match partner_line(partner) {
+            Some(line) => line?,
+            None => victim_line,
+        };
+        aggressors.push(agg);
+        aggressor_lines.push(line);
+        cms.push(cm);
+    }
+    if aggressors.is_empty() {
+        return Ok(None);
+    }
+    let cm_total: f64 = cms.iter().sum();
+    let mut spec = CouplingSpec::new(victim, aggressors, cm_total, victim_line);
+    // Extraction defects travel with the spec: the SI flow fails or
+    // degrades the victim per its fault policy instead of simulating the
+    // floored stand-in.
+    spec.defect = (!net.defects.is_empty()).then(|| net.defects.join("; "));
+    spec.cm_per_aggressor = cms;
+    spec.aggressor_lines = aggressor_lines;
+    spec.quiet_cm = quiet_cm;
+    // The extraction's own receiver pin load, when the *CONN section
+    // carried one, overrides the library-derived fanout load.
+    if net.pin_load > 0.0 {
+        spec.receiver_load = Some(net.pin_load);
+    }
+    spec.driver_resistance = opts.driver_resistance;
+    spec.aggressor_skew = opts.aggressor_skew;
+    spec.aggressors_oppose = opts.aggressors_oppose;
+    Ok(Some(spec))
+}
+
+/// What one `*D_NET` re-annotation does to a bound spec list: the result
+/// of [`rebind_net`].
+#[derive(Debug, Clone)]
+pub struct Rebind {
+    /// The spec list of the edited file, in SPEF file order.
+    pub specs: Vec<CouplingSpec>,
+    /// Victims whose spec changed (field-wise, including a spec the edit
+    /// adds or drops), sorted and deduplicated.
+    pub changed: Vec<NetId>,
+    /// Whether some changed victim's aggressor list changed too, so the
+    /// coupling topology (and any partition built on it) moved.
+    pub aggressors_changed: bool,
+    /// The replacement section's reduction, with pin-anchored coupling
+    /// endpoints attributed through the file's `*CONN` entries.
+    pub reduced: ReducedNet,
+}
+
+/// Re-binds one `*D_NET` re-annotation onto `specs`, the bound spec list
+/// of `spef`: the single-net rebind of an incremental ECO flow.
+///
+/// The result equals [`bind_couplings`] over `spef` with `dnet` replacing
+/// its same-named section ([`SpefFile::replace_net`]), except that every
+/// spec keeps the `driver_resistance` it has in `specs` (a caller's
+/// per-victim overrides survive; a spec the edit adds takes
+/// `opts.driver_resistance`). Only the replacement section is reduced.
+/// Its own spec is rebuilt from that reduction and one reduction per
+/// bound partner's section (for the partner's line model). Every spec that lists the edited net as
+/// an aggressor takes its new line. No other spec is touched. When the
+/// replacement changes the section's `*CONN` pins (whose owners
+/// attribute pin-anchored coupling caps in *other* sections) or the net
+/// has more than one section, the whole file is rebound instead.
+///
+/// # Errors
+///
+/// [`SpefError::Semantic`] when `spef` has no section named `dnet.name`;
+/// [`SpefError::Reduction`] when a rebuilt spec's line model is invalid.
+pub fn rebind_net(
+    spef: &SpefFile,
+    specs: &[CouplingSpec],
+    dnet: &DNet,
+    design: &Design,
+    opts: &BindOptions,
+) -> Result<Rebind, SpefError> {
+    let mut span = nsta_obs::span!("parasitics.rebind_net");
+    let mut sections = spef
+        .nets
+        .iter()
+        .enumerate()
+        .filter(|(_, net)| net.name == dnet.name);
+    let Some((index, old)) = sections.next() else {
+        return Err(SpefError::Semantic(format!(
+            "re-annotation names unknown net {:?}",
+            dnet.name
+        )));
+    };
+    let pins_moved = !old
+        .conns
+        .iter()
+        .filter_map(pin)
+        .eq(dnet.conns.iter().filter_map(pin));
+    if sections.next().is_some() || pins_moved {
+        span.set_arg("whole_file", 1.0);
+        return rebind_file(spef, specs, dnet, design, opts);
+    }
+    let reduced = ReducedNet::from_dnet_with_pins(dnet, &pin_owners_of(spef, dnet));
+    let line = reduced.to_line_spec();
+    let mut next = specs.to_vec();
+    let mut changed = Vec::new();
+    let mut aggressors_changed = false;
+    let Some(edited) = design.find_net(&dnet.name) else {
+        // Not a design net: it can neither be a victim nor an aggressor.
+        return Ok(Rebind {
+            specs: next,
+            changed,
+            aggressors_changed,
+            reduced,
+        });
+    };
+    // Specs that drive the edited wire as an aggressor take its new line.
+    for spec in next
+        .iter_mut()
+        .filter(|s| s.victim != edited && s.aggressors.contains(&edited))
+    {
+        let before = spec.clone();
+        for (agg, agg_line) in spec.aggressors.iter().zip(&mut spec.aggressor_lines) {
+            if *agg == edited {
+                *agg_line = line.clone()?;
+            }
+        }
+        if *spec != before {
+            changed.push(spec.victim);
+        }
+    }
+    // The edited net's own spec, from the new reduction and its partners'
+    // sections (the replacement itself for a self-coupling; otherwise the
+    // last section of the name, the one `bind_couplings`' map keeps).
+    let partner_line = |partner: &str| {
+        if partner == dnet.name {
+            Some(line.clone())
+        } else {
+            spef.nets
+                .iter()
+                .rev()
+                .find(|net| net.name == partner)
+                .map(|net| ReducedNet::from_dnet(net).to_line_spec())
+        }
+    };
+    let rebuilt = if reduced.couplings.is_empty() {
+        None
+    } else {
+        bind_victim(
+            &reduced,
+            edited,
+            design,
+            opts,
+            partner_line,
+            &mut Vec::new(),
+        )?
+    };
+    match (next.iter().position(|s| s.victim == edited), rebuilt) {
+        (Some(at), Some(mut spec)) => {
+            spec.driver_resistance = next[at].driver_resistance;
+            if spec != next[at] {
+                aggressors_changed |= spec.aggressors != next[at].aggressors;
+                changed.push(edited);
+                next[at] = spec;
+            }
+        }
+        (Some(at), None) => {
+            next.remove(at);
+            changed.push(edited);
+            aggressors_changed = true;
+        }
+        (None, Some(spec)) => {
+            // Specs follow file order: count those whose victim section
+            // precedes the edited one.
+            let mut at = 0;
+            for net in &spef.nets[..index] {
+                if next
+                    .get(at)
+                    .is_some_and(|s| design.find_net(&net.name) == Some(s.victim))
+                {
+                    at += 1;
+                }
+            }
+            next.insert(at, spec);
+            changed.push(edited);
+            aggressors_changed = true;
+        }
+        (None, None) => {}
+    }
+    changed.sort_unstable();
+    changed.dedup();
+    span.set_arg("changed", changed.len() as f64);
+    Ok(Rebind {
+        specs: next,
+        changed,
+        aggressors_changed,
+        reduced,
+    })
+}
+
+/// A `*CONN` entry's key in the file's pin-owner map, if it has one.
+fn pin(conn: &Conn) -> Option<(&str, &str)> {
+    let tail = conn.node.tail.as_deref()?;
+    Some((conn.node.base.as_str(), tail))
+}
+
+/// [`rebind_net`]'s whole-file path: binds the edited file from scratch,
+/// carries each surviving victim's `driver_resistance` over from `specs`
+/// and diffs the two spec lists.
+fn rebind_file(
+    spef: &SpefFile,
+    specs: &[CouplingSpec],
+    dnet: &DNet,
+    design: &Design,
+    opts: &BindOptions,
+) -> Result<Rebind, SpefError> {
+    let mut file = spef.clone();
+    file.replace_net(dnet.clone())?;
+    let mut bound = bind_couplings(&file, design, opts)?;
+    let old: HashMap<NetId, &CouplingSpec> = specs.iter().map(|s| (s.victim, s)).collect();
+    for spec in &mut bound.specs {
+        if let Some(before) = old.get(&spec.victim) {
+            spec.driver_resistance = before.driver_resistance;
+        }
+    }
+    let new: HashMap<NetId, &CouplingSpec> = bound.specs.iter().map(|s| (s.victim, s)).collect();
+    let mut changed: Vec<NetId> = old
+        .iter()
+        .filter(|(victim, spec)| new.get(victim) != Some(*spec))
+        .map(|(&victim, _)| victim)
+        .chain(new.keys().filter(|v| !old.contains_key(v)).copied())
+        .collect();
+    changed.sort_unstable();
+    changed.dedup();
+    let aggressors_changed = changed.iter().any(|victim| {
+        old.get(victim).map(|s| &s.aggressors) != new.get(victim).map(|s| &s.aggressors)
+    });
+    let reduced = ReducedNet::from_dnet_with_pins(dnet, &pin_owners(&file));
+    Ok(Rebind {
+        specs: bound.specs,
+        changed,
+        aggressors_changed,
+        reduced,
     })
 }
 

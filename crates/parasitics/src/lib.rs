@@ -23,6 +23,10 @@
 //!   `Sta::analyze_with_crosstalk` (and its timing-window variant) accept,
 //!   reporting every unmatched net and pruned coupling instead of silently
 //!   dropping them.
+//! * [`rebind_net`] — the single-net rebind of an incremental ECO flow:
+//!   one replaced `*D_NET` section updates a bound spec list by
+//!   reducing only that section and rebuilding only the specs naming
+//!   its net.
 //!
 //! ```
 //! use nsta_parasitics::{bind_couplings, parse_spef, BindOptions};
@@ -61,7 +65,7 @@ mod reduce;
 mod writer;
 
 pub use ast::{CapElem, Conn, ConnDirection, ConnKind, DNet, ResElem, SpefFile, SpefNode, Units};
-pub use bind::{bind_couplings, BindOptions, BoundCouplings, DropReason};
+pub use bind::{bind_couplings, rebind_net, BindOptions, BoundCouplings, DropReason, Rebind};
 pub use error::SpefError;
 pub use parser::parse_spef;
 pub use reduce::{reduce_spef, ReducedNet};

@@ -10,7 +10,7 @@
 use crate::ast::{DNet, SpefFile};
 use crate::SpefError;
 use nsta_circuit::RcLineSpec;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// Floor applied to degenerate (resistance-free) nets so the lumped line
 /// stays electrically valid (Ω).
@@ -57,6 +57,33 @@ pub(crate) fn pin_owners(spef: &SpefFile) -> PinOwners {
         for conn in &net.conns {
             if let Some(tail) = &conn.node.tail {
                 owners.insert((conn.node.base.clone(), tail.clone()), net.name.clone());
+            }
+        }
+    }
+    owners
+}
+
+/// The entries of [`pin_owners`] that `net`'s coupling caps can look up:
+/// one read-only pass over the file's `*CONN` entries that clones only
+/// the pins some coupling endpoint of `net` names.
+pub(crate) fn pin_owners_of(spef: &SpefFile, net: &DNet) -> PinOwners {
+    let wanted: HashSet<(&str, &str)> = net
+        .caps
+        .iter()
+        .filter_map(|c| c.b.as_ref().map(|b| [&c.a, b]))
+        .flatten()
+        .filter_map(|n| n.tail.as_deref().map(|tail| (n.base.as_str(), tail)))
+        .collect();
+    let mut owners = PinOwners::new();
+    if wanted.is_empty() {
+        return owners;
+    }
+    for section in &spef.nets {
+        for conn in &section.conns {
+            if let Some(tail) = &conn.node.tail {
+                if wanted.contains(&(conn.node.base.as_str(), tail.as_str())) {
+                    owners.insert((conn.node.base.clone(), tail.clone()), section.name.clone());
+                }
             }
         }
     }

@@ -23,7 +23,10 @@
 //! * The append-only [`TimingSession::journal`] makes any committed
 //!   state deterministically reproducible from the seed inputs:
 //!   [`TimingSession::replay`] rebuilds a fresh session and re-applies
-//!   the journal, and the result must match bit-for-bit.
+//!   the journal, and the result must match bit-for-bit. The journal
+//!   stores each edit compactly (a net id and a value, or a
+//!   re-annotation's interned node names and fixed-size element
+//!   records) and decodes it on demand.
 //! * Shadow audit ([`SessionOptions::audit_every_n`]): every N commits
 //!   the session re-runs the *full batch* analysis and verifies the
 //!   incremental state matches within 1e-6 ps, with never-dirtied nets
@@ -37,12 +40,20 @@
 
 #![forbid(unsafe_code)]
 
+mod journal;
+
 use std::borrow::Cow;
 use std::collections::HashSet;
 use std::fmt;
 
-use nsta_lint::{run_lint, LintConfig, LintDiagnostic, LintInput, Severity};
-use nsta_parasitics::{bind_couplings, BindOptions, BoundCouplings, DNet, SpefError, SpefFile};
+use journal::Journal;
+use nsta_lint::{
+    lint_spef_section, run_lint, LintConfig, LintDiagnostic, LintInput, SectionEdit, Severity,
+    RULES,
+};
+use nsta_parasitics::{
+    bind_couplings, rebind_net, BindOptions, DNet, ReducedNet, SpefError, SpefFile,
+};
 use nsta_sta::{
     BoundaryConditions, ConeClusters, CouplingSpec, NetId, OutputBoundary, RetainedAnalysis,
     SiAnalysis, SiDiagnostics, SiOptions, Sta, StaError, TimingReport,
@@ -55,6 +66,9 @@ const REJECT_RULES: [&str; 2] = ["net.undriven", "spef.nonpositive-rc"];
 
 /// Shadow-audit tolerance on arrivals, slews and slacks (s): 1e-6 ps.
 const AUDIT_TOLERANCE: f64 = 1e-18;
+
+/// A lint finding's identity across runs: `(rule id, subject)`.
+type Fingerprint = (&'static str, String);
 
 /// Configuration of a [`TimingSession`].
 ///
@@ -307,16 +321,41 @@ impl From<SpefError> for SessionError {
 /// swapping the owned parts in; rolling back is dropping them.
 struct Candidate<'a> {
     bc: Cow<'a, BoundaryConditions>,
-    spef: Cow<'a, SpefFile>,
-    bound: Cow<'a, BoundCouplings>,
+    specs: Cow<'a, [CouplingSpec]>,
     clusters: Cow<'a, ConeClusters>,
+    change: Change<'a>,
     /// Nets seeding the dirty closure (edited net + changed victims).
     seeds: Vec<NetId>,
 }
 
+/// The validated edit with its target resolved: what the journal records
+/// on commit and, for a re-annotation, the section swap the commit makes
+/// with [`SpefFile::replace_net`] on the live file.
+enum Change<'a> {
+    SetLoad(NetId, f64),
+    SetDriveResistance(NetId, f64),
+    ReannotateNet(Reannotation<'a>),
+}
+
+/// The `*D_NET` section a re-annotation replaces, its replacement, and
+/// the replacement's reduction (which the preflight's
+/// `spef.degenerate-extraction` rule reuses).
+struct Reannotation<'a> {
+    old: &'a DNet,
+    new: DNet,
+    reduced: ReducedNet,
+}
+
+/// How a committing edit changes the lint baseline: the fingerprints it
+/// withdraws, then the ones it adds.
+struct LintDelta {
+    retired: Vec<Fingerprint>,
+    added: Vec<Fingerprint>,
+}
+
 /// The owned value of a candidate part the edit changed; `None` when the
 /// part still borrows the live state.
-fn owned<T: Clone>(part: Cow<'_, T>) -> Option<T> {
+fn owned<T: ToOwned + ?Sized>(part: Cow<'_, T>) -> Option<T::Owned> {
     match part {
         Cow::Owned(value) => Some(value),
         Cow::Borrowed(_) => None,
@@ -334,11 +373,11 @@ pub struct TimingSession {
     // Live state (always the last consistent snapshot).
     spef: SpefFile,
     bc: BoundaryConditions,
-    bound: BoundCouplings,
+    specs: Vec<CouplingSpec>,
     clusters: ConeClusters,
     retained: RetainedAnalysis,
-    lint_baseline: HashSet<(String, String)>,
-    journal: Vec<Edit>,
+    lint_baseline: HashSet<Fingerprint>,
+    journal: Journal,
     epoch: u64,
     cone_epochs: Vec<u64>,
     /// Per-net: was this net's cone ever re-solved since load? The audit
@@ -371,8 +410,8 @@ impl TimingSession {
         options: SessionOptions,
     ) -> Result<Self, SessionError> {
         let mut span = nsta_obs::span!("session.open");
-        let bound = bind_couplings(&spef, sta.design(), &bind)?;
-        let lint = Self::lint(&sta, &spef, &bound.specs, &bc, &LintConfig::new());
+        let specs = bind_couplings(&spef, sta.design(), &bind)?.specs;
+        let lint = Self::lint(&sta, &spef, &specs, &bc, &LintConfig::new());
         if lint.deny_count() > 0 {
             return Err(SessionError::Lint(
                 lint.diagnostics
@@ -381,9 +420,9 @@ impl TimingSession {
                     .collect(),
             ));
         }
-        let lint_baseline = Self::fingerprints(&lint.diagnostics);
-        let clusters = sta.cone_clusters(&bound.specs);
-        let retained = sta.session_analyze(bc.clone(), &bound.specs, &options.si, None)?;
+        let lint_baseline = Self::fingerprints(&lint.diagnostics).into_iter().collect();
+        let clusters = sta.cone_clusters(&specs);
+        let retained = sta.session_analyze(bc.clone(), &specs, &options.si, None)?;
         let cones = sta.graph().components().len();
         let nets = sta.design().net_count();
         span.set_arg("cones", cones as f64);
@@ -393,11 +432,11 @@ impl TimingSession {
             seed_bc: bc.clone(),
             spef,
             bc,
-            bound,
+            specs,
             clusters,
             retained,
             lint_baseline,
-            journal: Vec::new(),
+            journal: Journal::default(),
             epoch: 0,
             cone_epochs: vec![0; cones],
             ever_dirty: vec![false; nets],
@@ -433,40 +472,24 @@ impl TimingSession {
         )
     }
 
-    /// The per-edit preflight lint configuration: rules whose inputs this
-    /// edit cannot change are set to `Allow` (skipped entirely). The
-    /// netlist and library are immutable for the session's lifetime, so
-    /// design-structure rules can never produce a *new* finding; SPEF
-    /// content rules only matter when the edit replaces an annotation.
-    /// The boundary-reading SDC rules always stay on — they are cheap and
-    /// `set_load` does move the boundary. The full-registry lint at
+    /// The lint configuration of a load edit's preflight: only the
+    /// boundary-reading SDC rules, the one part of the inputs a load moves.
+    /// The netlist and library never change in a session; a drive edit
+    /// changes nothing any rule reads, and a re-annotation is linted by
+    /// [`lint_spef_section`] instead. The full-registry lint at
     /// [`TimingSession::open`] is unaffected.
-    fn edit_lint_config(edit: &Edit) -> LintConfig {
-        const DESIGN_RULES: [&str; 3] = ["net.undriven", "net.multi-driven", "net.floating"];
-        const SPEF_RULES: [&str; 6] = [
-            "spef.unknown-net",
-            "spef.unknown-coupling-net",
-            "spef.missing-annotation",
-            "spef.nonpositive-rc",
-            "spef.degenerate-extraction",
-            "spef.duplicate-annotation",
-        ];
+    fn boundary_lint_config() -> LintConfig {
         let mut config = LintConfig::new();
-        for rule in DESIGN_RULES {
-            config.set(rule, Severity::Allow);
-        }
-        if !matches!(edit, Edit::ReannotateNet { .. }) {
-            for rule in SPEF_RULES {
-                config.set(rule, Severity::Allow);
-            }
+        for rule in RULES.iter().filter(|r| !r.id.starts_with("sdc.")) {
+            config.set(rule.id, Severity::Allow);
         }
         config
     }
 
-    fn fingerprints(diags: &[LintDiagnostic]) -> HashSet<(String, String)> {
+    fn fingerprints(diags: &[LintDiagnostic]) -> Vec<Fingerprint> {
         diags
             .iter()
-            .map(|d| (d.rule_id.to_string(), d.subject.clone()))
+            .map(|d| (d.rule_id, d.subject.clone()))
             .collect()
     }
 
@@ -500,9 +523,10 @@ impl TimingSession {
         self.cone_epochs.get(cone).copied()
     }
 
-    /// The append-only journal of committed edits, oldest first.
-    pub fn journal(&self) -> &[Edit] {
-        &self.journal
+    /// The append-only journal of committed edits, oldest first, decoded
+    /// from its compact form.
+    pub fn journal(&self) -> Vec<Edit> {
+        self.journal.edits(self.sta.design()).collect()
     }
 
     /// The quarantining audit failure, if the session is read-only.
@@ -532,7 +556,7 @@ impl TimingSession {
 
     /// Current coupling specs (post-edit).
     pub fn couplings(&self) -> &[CouplingSpec] {
-        &self.bound.specs
+        &self.specs
     }
 
     /// Current SPEF state (post-edit).
@@ -561,7 +585,7 @@ impl TimingSession {
     pub fn apply(&mut self, edit: Edit) -> EditOutcome {
         let mut span = nsta_obs::span!("session.edit");
         span.set_arg("epoch", self.epoch as f64);
-        let outcome = self.apply_inner(&edit);
+        let outcome = self.apply_inner(edit);
         match &outcome {
             EditOutcome::Committed(info) => {
                 span.set_arg("dirty_cones", info.dirty_cones as f64);
@@ -580,7 +604,7 @@ impl TimingSession {
         outcome
     }
 
-    fn apply_inner(&mut self, edit: &Edit) -> EditOutcome {
+    fn apply_inner(&mut self, edit: Edit) -> EditOutcome {
         if let Some(failure) = &self.quarantine {
             return EditOutcome::ReadOnly(failure.clone());
         }
@@ -596,55 +620,18 @@ impl TimingSession {
         // 2. Preflight the candidate: an edit introducing new
         //    deny-severity or REJECT_RULES diagnostics is refused with
         //    the evidence embedded.
-        let config = Self::edit_lint_config(edit);
-        let lint = Self::lint(
-            &self.sta,
-            &candidate.spef,
-            &candidate.bound.specs,
-            &candidate.bc,
-            &config,
-        );
-        let fresh: Vec<LintDiagnostic> = lint
-            .diagnostics
-            .iter()
-            .filter(|d| {
-                !self
-                    .lint_baseline
-                    .contains(&(d.rule_id.to_string(), d.subject.clone()))
-            })
-            .filter(|d| d.severity == Severity::Deny || REJECT_RULES.contains(&d.rule_id))
-            .cloned()
-            .collect();
-        if !fresh.is_empty() {
-            self.rejected += 1;
-            return EditOutcome::Rejected {
-                reason: format!(
-                    "preflight: edit would introduce {} new lint defect(s)",
-                    fresh.len()
-                ),
-                diagnostics: fresh,
-            };
-        }
-        // The re-evaluated rules' fingerprints replace their slice of
-        // the baseline; rules the config skipped keep their old
-        // fingerprints (their findings are unchanged by construction)
-        // — applied only once the edit commits.
-        let spef_rerun = matches!(edit, Edit::ReannotateNet { .. });
-        let mut next_lint_baseline: HashSet<(String, String)> = self
-            .lint_baseline
-            .iter()
-            .filter(|(rule, _)| {
-                rule.starts_with("net.") || (!spef_rerun && rule.starts_with("spef."))
-            })
-            .cloned()
-            .collect();
-        next_lint_baseline.extend(Self::fingerprints(&lint.diagnostics));
+        let lint_delta = match self.preflight(&candidate) {
+            Ok(delta) => delta,
+            Err(outcome) => {
+                self.rejected += 1;
+                return outcome;
+            }
+        };
         // 3. Dirty closure: clusters reached by the edit.
         let dirty_clusters = candidate.clusters.dirty_clusters(&candidate.seeds);
         let dirty_mask = candidate.clusters.net_mask(&dirty_clusters);
         let cone_mask = candidate.clusters.cone_mask(&dirty_clusters);
         let dirty_specs: Vec<CouplingSpec> = candidate
-            .bound
             .specs
             .iter()
             .filter(|s| {
@@ -693,23 +680,39 @@ impl TimingSession {
         let dirty_cones = candidate.clusters.dirty_cone_count(&dirty_clusters);
         let Candidate {
             bc,
-            spef,
-            bound,
+            specs,
             clusters,
+            change,
             ..
         } = candidate;
-        let (bc, spef, bound, clusters) = (owned(bc), owned(spef), owned(bound), owned(clusters));
+        let (bc, specs, clusters) = (owned(bc), owned(specs), owned(clusters));
+        let section = match change {
+            Change::SetLoad(net, farads) => {
+                self.journal.push_load(net, farads);
+                None
+            }
+            Change::SetDriveResistance(net, ohms) => {
+                self.journal.push_drive(net, ohms);
+                None
+            }
+            Change::ReannotateNet(Reannotation { new, .. }) => {
+                self.journal.push_reannotation(&new);
+                Some(new)
+            }
+        };
         if let Some(bc) = bc {
             self.bc = bc;
         }
-        if let Some(spef) = spef {
-            self.spef = spef;
-        }
-        if let Some(bound) = bound {
-            self.bound = bound;
+        if let Some(specs) = specs {
+            self.specs = specs;
         }
         if let Some(clusters) = clusters {
             self.clusters = clusters;
+        }
+        if let Some(section) = section {
+            // The candidate was built from this file's section of the
+            // same name, so the replacement cannot miss.
+            let _ = self.spef.replace_net(section);
         }
         self.sta
             .session_merge(&mut self.retained, patch, &dirty_mask, next_epoch);
@@ -736,8 +739,10 @@ impl TimingSession {
                 self.ever_dirty[net] = true;
             }
         }
-        self.lint_baseline = next_lint_baseline;
-        self.journal.push(edit.clone());
+        for fingerprint in &lint_delta.retired {
+            self.lint_baseline.remove(fingerprint);
+        }
+        self.lint_baseline.extend(lint_delta.added);
         // 6. Shadow audit every N commits.
         if let Some(n) = self.options.audit_every_n {
             self.commits_since_audit += 1;
@@ -753,6 +758,69 @@ impl TimingSession {
             }
         }
         EditOutcome::Committed(info)
+    }
+
+    /// The per-edit preflight: lints only what the edit changes and
+    /// refuses it when that introduces new deny-severity or
+    /// [`REJECT_RULES`] diagnostics. A load edit re-runs the boundary
+    /// rules ([`TimingSession::boundary_lint_config`]); a re-annotation
+    /// runs the section-scoped SPEF preflight ([`lint_spef_section`]); a
+    /// drive edit changes nothing any rule reads. On success, returns how
+    /// the lint baseline moves once the edit commits: the re-evaluated
+    /// findings replace exactly the fingerprints they can produce, and
+    /// every other fingerprint is unchanged by construction.
+    fn preflight(&self, candidate: &Candidate<'_>) -> Result<LintDelta, EditOutcome> {
+        let (diagnostics, retired) = match &candidate.change {
+            Change::SetLoad(..) => {
+                let lint = Self::lint(
+                    &self.sta,
+                    &self.spef,
+                    &candidate.specs,
+                    &candidate.bc,
+                    &Self::boundary_lint_config(),
+                );
+                let retired = self
+                    .lint_baseline
+                    .iter()
+                    .filter(|(rule, _)| rule.starts_with("sdc."))
+                    .cloned()
+                    .collect();
+                (lint.diagnostics, retired)
+            }
+            Change::SetDriveResistance(..) => (Vec::new(), Vec::new()),
+            Change::ReannotateNet(r) => {
+                let section = lint_spef_section(
+                    &SectionEdit {
+                        design: self.sta.design(),
+                        spef: &self.spef,
+                        old: r.old,
+                        new: &r.new,
+                        reduced: &r.reduced,
+                    },
+                    &LintConfig::new(),
+                );
+                (section.diagnostics, section.retired)
+            }
+        };
+        let fresh: Vec<LintDiagnostic> = diagnostics
+            .iter()
+            .filter(|d| !self.lint_baseline.contains(&(d.rule_id, d.subject.clone())))
+            .filter(|d| d.severity == Severity::Deny || REJECT_RULES.contains(&d.rule_id))
+            .cloned()
+            .collect();
+        if !fresh.is_empty() {
+            return Err(EditOutcome::Rejected {
+                reason: format!(
+                    "preflight: edit would introduce {} new lint defect(s)",
+                    fresh.len()
+                ),
+                diagnostics: fresh,
+            });
+        }
+        Ok(LintDelta {
+            retired,
+            added: Self::fingerprints(&diagnostics),
+        })
     }
 
     /// Runs the shadow audit now: a fresh full batch analysis compared
@@ -777,23 +845,23 @@ impl TimingSession {
             deadline: None,
             ..self.options.si.clone()
         };
-        let batch = match self.sta.analyze_with_crosstalk_windows(
-            self.bc.clone(),
-            &self.bound.specs,
-            &batch_opts,
-        ) {
-            Ok(b) => b,
-            Err(e) => {
-                let failure = AuditFailure {
-                    epoch: self.epoch,
-                    worst_net: None,
-                    max_divergence: f64::INFINITY,
-                    detail: format!("batch reference analysis failed: {e}"),
-                };
-                self.quarantine = Some(failure.clone());
-                return Err(failure);
-            }
-        };
+        let batch =
+            match self
+                .sta
+                .analyze_with_crosstalk_windows(self.bc.clone(), &self.specs, &batch_opts)
+            {
+                Ok(b) => b,
+                Err(e) => {
+                    let failure = AuditFailure {
+                        epoch: self.epoch,
+                        worst_net: None,
+                        max_divergence: f64::INFINITY,
+                        detail: format!("batch reference analysis failed: {e}"),
+                    };
+                    self.quarantine = Some(failure.clone());
+                    return Err(failure);
+                }
+            };
         let incremental = &self.retained.analysis.report;
         let reference = &batch.report;
         let mut max_div = 0.0f64;
@@ -891,8 +959,8 @@ impl TimingSession {
             self.seed_bc.clone(),
             options,
         )?;
-        for (index, edit) in self.journal.iter().enumerate() {
-            let outcome = fresh.apply(edit.clone());
+        for (index, edit) in self.journal.edits(self.sta.design()).enumerate() {
+            let outcome = fresh.apply(edit);
             if !outcome.is_committed() {
                 return Err(SessionError::Replay {
                     index,
@@ -903,22 +971,23 @@ impl TimingSession {
         Ok(fresh)
     }
 
-    fn build_candidate(&self, edit: &Edit) -> Result<Candidate<'_>, EditOutcome> {
+    fn build_candidate(&self, edit: Edit) -> Result<Candidate<'_>, EditOutcome> {
         let reject = |reason: String| EditOutcome::Rejected {
             reason,
             diagnostics: Vec::new(),
         };
+        let design = self.sta.design();
         match edit {
             Edit::SetLoad { port, farads } => {
-                let Some(net) = self.sta.design().find_net(port) else {
+                let Some(net) = design.find_net(&port) else {
                     return Err(reject(format!("set_load: unknown net {port:?}")));
                 };
-                if !self.sta.design().outputs().contains(&net) {
+                if !design.outputs().contains(&net) {
                     return Err(reject(format!(
                         "set_load: net {port:?} is not a primary output"
                     )));
                 }
-                if !farads.is_finite() || *farads < 0.0 {
+                if !farads.is_finite() || farads < 0.0 {
                     return Err(reject(format!(
                         "set_load: load must be finite and >= 0, got {farads:e}"
                     )));
@@ -929,54 +998,62 @@ impl TimingSession {
                     net,
                     OutputBoundary {
                         required: old.required,
-                        load: *farads,
+                        load: farads,
                     },
                 );
                 Ok(Candidate {
                     bc: Cow::Owned(bc),
-                    spef: Cow::Borrowed(&self.spef),
-                    bound: Cow::Borrowed(&self.bound),
+                    specs: Cow::Borrowed(&self.specs),
                     clusters: Cow::Borrowed(&self.clusters),
+                    change: Change::SetLoad(net, farads),
                     seeds: vec![net],
                 })
             }
             Edit::SetDriveResistance { net, ohms } => {
-                let Some(victim) = self.sta.design().find_net(net) else {
+                let Some(victim) = design.find_net(&net) else {
                     return Err(reject(format!("set_drive_resistance: unknown net {net:?}")));
                 };
-                if !ohms.is_finite() || *ohms <= 0.0 {
+                if !ohms.is_finite() || ohms <= 0.0 {
                     return Err(reject(format!(
                         "set_drive_resistance: resistance must be finite and > 0, got {ohms:e}"
                     )));
                 }
-                let mut bound = self.bound.clone();
-                let Some(spec) = bound.specs.iter_mut().find(|s| s.victim == victim) else {
+                let mut specs = self.specs.clone();
+                let Some(spec) = specs.iter_mut().find(|s| s.victim == victim) else {
                     return Err(reject(format!(
                         "set_drive_resistance: net {net:?} has no coupling spec"
                     )));
                 };
-                spec.driver_resistance = *ohms;
+                spec.driver_resistance = ohms;
                 Ok(Candidate {
                     bc: Cow::Borrowed(&self.bc),
-                    spef: Cow::Borrowed(&self.spef),
-                    bound: Cow::Owned(bound),
+                    specs: Cow::Owned(specs),
                     clusters: Cow::Borrowed(&self.clusters),
+                    change: Change::SetDriveResistance(victim, ohms),
                     seeds: vec![victim],
                 })
             }
             Edit::ReannotateNet { dnet } => {
-                let Some(edited) = self.sta.design().find_net(&dnet.name) else {
+                let Some(edited) = design.find_net(&dnet.name) else {
                     return Err(reject(format!(
                         "reannotate_net: unknown net {:?}",
                         dnet.name
                     )));
                 };
-                let mut spef = self.spef.clone();
-                if let Err(e) = spef.replace_net(dnet.clone()) {
-                    return Err(reject(format!("reannotate_net: {e}")));
+                let Some(old) = self.spef.net(&dnet.name) else {
+                    return Err(reject(format!(
+                        "reannotate_net: net {:?} has no *D_NET section",
+                        dnet.name
+                    )));
+                };
+                if !self.journal.fits(&dnet) {
+                    return Err(reject("reannotate_net: the session journal is full".into()));
                 }
-                let bound = match bind_couplings(&spef, self.sta.design(), &self.bind) {
-                    Ok(b) => b,
+                // Only the replacement section is reduced, and only the
+                // specs naming the edited net are rebuilt (keeping their
+                // session-set driver resistances).
+                let rebind = match rebind_net(&self.spef, &self.specs, &dnet, design, &self.bind) {
+                    Ok(r) => r,
                     Err(e) => {
                         return Err(reject(format!("reannotate_net: rebind failed: {e}")));
                     }
@@ -984,22 +1061,32 @@ impl TimingSession {
                 // The edit can change more than the edited victim's spec:
                 // any spec using the edited wire as an aggressor line
                 // model changes too.
-                let mut seeds = self.bound.changed_victims(&bound);
+                let mut seeds = rebind.changed;
                 seeds.push(edited);
-                // Coupling topology may have changed (aggressors added or
-                // dropped): rebuild the cluster partition.
-                let clusters = self.sta.cone_clusters(&bound.specs);
+                // The cluster partition follows the aggressor lists only.
+                let clusters = if rebind.aggressors_changed {
+                    Cow::Owned(self.sta.cone_clusters(&rebind.specs))
+                } else {
+                    Cow::Borrowed(&self.clusters)
+                };
                 Ok(Candidate {
                     bc: Cow::Borrowed(&self.bc),
-                    spef: Cow::Owned(spef),
-                    bound: Cow::Owned(bound),
-                    clusters: Cow::Owned(clusters),
+                    specs: Cow::Owned(rebind.specs),
+                    clusters,
+                    change: Change::ReannotateNet(Reannotation {
+                        old,
+                        new: dnet,
+                        reduced: rebind.reduced,
+                    }),
                     seeds,
                 })
             }
         }
     }
 }
+
+#[cfg(test)]
+mod bus_tests;
 
 #[cfg(test)]
 mod tests {
@@ -1144,6 +1231,18 @@ mod tests {
             Edit::SetDriveResistance {
                 net: "v0".into(),
                 ohms: f64::NAN,
+            },
+            Edit::ReannotateNet {
+                dnet: DNet {
+                    name: "nope".into(),
+                    ..s.spef().net("v0").expect("v0 section").clone()
+                },
+            },
+            Edit::ReannotateNet {
+                dnet: DNet {
+                    name: "y0".into(), // a design net with no *D_NET section
+                    ..s.spef().net("v0").expect("v0 section").clone()
+                },
             },
         ];
         let n = cases.len() as u64;

@@ -1,3 +1,8 @@
+use std::collections::hash_map::DefaultHasher;
+use std::collections::{HashMap, HashSet};
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
+
 use crate::StaError;
 
 /// Handle to a net within a [`Design`].
@@ -39,10 +44,17 @@ impl Instance {
 pub struct Design {
     /// Design (module) name.
     pub name: String,
-    nets: Vec<String>,
+    nets: Vec<Arc<str>>,
+    /// Name → id over `nets`, sharing their strings: keeps
+    /// [`Design::net`] and [`Design::find_net`] constant-time, so building
+    /// a design is linear in its net count.
+    by_name: HashMap<Arc<str>, NetId>,
     inputs: Vec<NetId>,
     outputs: Vec<NetId>,
     instances: Vec<Instance>,
+    /// Hashes of the instance names: a miss proves a new name unique
+    /// without scanning `instances` (a hit is confirmed by a scan).
+    instance_hashes: HashSet<u64>,
 }
 
 impl Design {
@@ -56,16 +68,19 @@ impl Design {
 
     /// Creates (or looks up) a named net.
     pub fn net(&mut self, name: &str) -> NetId {
-        if let Some(pos) = self.nets.iter().position(|n| n == name) {
-            return NetId(pos);
+        if let Some(id) = self.find_net(name) {
+            return id;
         }
-        self.nets.push(name.into());
-        NetId(self.nets.len() - 1)
+        let id = NetId(self.nets.len());
+        let name: Arc<str> = name.into();
+        self.by_name.insert(Arc::clone(&name), id);
+        self.nets.push(name);
+        id
     }
 
     /// Looks up an existing net by name.
     pub fn find_net(&self, name: &str) -> Option<NetId> {
-        self.nets.iter().position(|n| n == name).map(NetId)
+        self.by_name.get(name).copied()
     }
 
     /// Name of a net.
@@ -122,7 +137,11 @@ impl Design {
         cell: &str,
         connections: Vec<(String, NetId)>,
     ) -> Result<(), StaError> {
-        if self.instances.iter().any(|i| i.name == name) {
+        let mut hasher = DefaultHasher::new();
+        name.hash(&mut hasher);
+        if !self.instance_hashes.insert(hasher.finish())
+            && self.instances.iter().any(|i| i.name == name)
+        {
             return Err(StaError::Structure(format!(
                 "duplicate instance name {name}"
             )));
@@ -157,6 +176,22 @@ mod tests {
     }
 
     #[test]
+    fn thousands_of_nets_map_back_to_their_ids() {
+        let mut d = Design::new("top");
+        let names: Vec<String> = (0..6000).map(|k| format!("n{k}")).collect();
+        let ids: Vec<NetId> = names.iter().map(|n| d.net(n)).collect();
+        assert_eq!(d.net_count(), names.len());
+        for (name, &id) in names.iter().zip(&ids) {
+            assert_eq!(d.find_net(name), Some(id));
+            assert_eq!(d.net_name(id), name);
+            // Re-creating an existing name returns the first-created id.
+            assert_eq!(d.net(name), id);
+        }
+        assert_eq!(d.net_count(), names.len());
+        assert_eq!(d.find_net("n6000"), None);
+    }
+
+    #[test]
     fn io_marking_is_idempotent() {
         let mut d = Design::new("top");
         let a = d.net("a");
@@ -177,6 +212,11 @@ mod tests {
             .unwrap();
         assert!(d.add_instance("u1", "INVX1", vec![]).is_err());
         assert_eq!(d.instances().len(), 1);
+        for k in 2..3000 {
+            d.add_instance(&format!("u{k}"), "INVX1", vec![]).unwrap();
+        }
+        assert!(d.add_instance("u2999", "INVX1", vec![]).is_err());
+        assert_eq!(d.instances().len(), 2999);
         assert_eq!(d.instances()[0].net_on("A"), Some(a));
         assert_eq!(d.instances()[0].net_on("Z"), None);
     }

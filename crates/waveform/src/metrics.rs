@@ -34,20 +34,41 @@ pub fn band_area(
     }
     // Integrate the clamped waveform on a grid refined with the recorded
     // samples plus crossing points of both levels, so the piecewise-linear
-    // clamp is integrated exactly.
-    let mut knots: Vec<f64> = vec![t0, t1];
-    knots.extend(w.times().iter().copied().filter(|&t| t > t0 && t < t1));
-    for level in [v_lo, v_hi] {
-        knots.extend(w.crossings(level).into_iter().filter(|&t| t > t0 && t < t1));
+    // clamp is integrated exactly. One forward pass builds the grid in
+    // order: each sample, then its segment's crossings (the formula of
+    // `Waveform::crossings`; an exact hit is the sample itself).
+    let (ts, vs) = (w.times(), w.values());
+    let inside = |t: f64| t > t0 && t < t1;
+    let mut knots = Vec::with_capacity(ts.len() + 2);
+    knots.push(t0);
+    for k in 0..ts.len() {
+        if inside(ts[k]) {
+            knots.push(ts[k]);
+        }
+        let Some(&t_next) = ts.get(k + 1) else { break };
+        let mut cross = [v_lo, v_hi].map(|level| {
+            let (y0, y1) = (vs[k] - level, vs[k + 1] - level);
+            (y0 * y1 < 0.0).then(|| ts[k] + y0 / (y0 - y1) * (t_next - ts[k]))
+        });
+        if let [Some(a), Some(b)] = cross {
+            if b < a {
+                cross = [Some(b), Some(a)];
+            }
+        }
+        knots.extend(cross.into_iter().flatten().filter(|&t| inside(t)));
     }
+    knots.push(t1);
+    // Rounding can put a crossing a hair past its segment's end sample;
+    // on an ordered grid this sort is one linear check.
     knots.sort_by(f64::total_cmp);
     knots.dedup_by(|a, b| (*a - *b).abs() < f64::EPSILON * t1.abs().max(1.0));
 
-    let clamp = |t: f64| (w.value_at(t).clamp(v_lo, v_hi)) - v_lo;
+    let mut values = Vec::new();
+    w.sample_on_grid(&knots, &mut values);
+    let clamp = |v: f64| v.clamp(v_lo, v_hi) - v_lo;
     let mut area = 0.0;
-    for pair in knots.windows(2) {
-        let (ta, tb) = (pair[0], pair[1]);
-        area += 0.5 * (clamp(ta) + clamp(tb)) * (tb - ta);
+    for (t, v) in knots.windows(2).zip(values.windows(2)) {
+        area += 0.5 * (clamp(v[0]) + clamp(v[1])) * (t[1] - t[0]);
     }
     Ok(area)
 }
