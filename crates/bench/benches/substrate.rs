@@ -59,10 +59,11 @@ fn bench_linear_transient() {
 
 /// One four-set sweep against two two-set sweeps of the same factored
 /// system: both transitions of a victim net, each with its noiseless and
-/// noisy drive, as one block or as two. The stages are a 3-segment victim
-/// with one aggressor (the common bus-clones stage) and a 48-segment
-/// victim with two (the largest bus-varied stage), on the bus grid of
-/// 2 ps steps to 1.5 ns.
+/// noisy drive, as one block or as two, and as one block that stops once
+/// each column has settled within 1e-6·Vdd, as the crosstalk flow runs
+/// it. The stages are a 3-segment victim with one aggressor (the common
+/// bus-clones stage) and a 48-segment victim with two (the largest
+/// bus-varied stage), on the bus grid of 2 ps steps to 1.5 ns.
 fn bench_block_width() {
     let (t_stop, dt) = (1.5e-9, 2e-12);
     let th = Thresholds::cmos(1.2);
@@ -88,8 +89,10 @@ fn bench_block_width() {
         let bundle = StarCoupledLines::new(line, vec![(line, 20e-15); aggressors]).expect("bundle");
         let (far, _) = bundle.build(&mut ckt, v_in, &agg_ins, "w").expect("build");
         ckt.capacitor(far, Circuit::GROUND, 4e-15).expect("load");
-        let system = ckt
-            .factor_transient(TransientOptions::new(0.0, t_stop, dt).expect("opts"))
+        let opts = TransientOptions::new(0.0, t_stop, dt).expect("opts");
+        let system = ckt.factor_transient(opts).expect("factor");
+        let settled = ckt
+            .factor_transient(opts.until_settled(1e-6 * th.vdd()))
             .expect("factor");
 
         // Aggressors switch against the victim: a rising victim's are
@@ -117,6 +120,9 @@ fn bench_block_width() {
             let rise = system.run_node_sets(&sets[..2], &[far]).expect("sweep");
             let fall = system.run_node_sets(&sets[2..], &[far]).expect("sweep");
             (rise, fall)
+        });
+        bench(&format!("transient/sweep_4_sets_{name}_settled"), || {
+            settled.run_node_sets(&sets, &[far]).expect("sweep")
         });
     }
 }

@@ -35,7 +35,9 @@ impl SolverBackend {
     }
 }
 
-/// Options for a transient run: `[t_start, t_stop]` with fixed step `dt`.
+/// Options for a transient run: `[t_start, t_stop]` with fixed step `dt`,
+/// optionally cut short once the circuit has settled
+/// ([`TransientOptions::until_settled`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TransientOptions {
     t_start: f64,
@@ -44,6 +46,9 @@ pub struct TransientOptions {
     gmin: f64,
     zero_initial_state: bool,
     backend: SolverBackend,
+    /// Settle tolerance ε (V) of the early stop; `None` runs every source
+    /// set to `t_stop`.
+    settle: Option<f64>,
 }
 
 impl TransientOptions {
@@ -72,7 +77,34 @@ impl TransientOptions {
             gmin: 1e-12,
             zero_initial_state: false,
             backend: SolverBackend::default(),
+            settle: None,
         })
+    }
+
+    /// Stops each source set's run once it has settled, within `eps`
+    /// volts; `t_stop` then only caps the run.
+    ///
+    /// A source set (one *column* of a sweep) settles at the first step
+    /// `k ≥ 1` at or after its sources' final step — the first grid point
+    /// at or after the last change of value of every one of its voltage
+    /// sources and of every current injection, from which each holds its
+    /// last sample — at which every free node lies within `eps` of the DC
+    /// operating point of those final source values. Its record then ends with that step: the trace is exactly
+    /// the first `k + 1` samples of the same run taken to `t_stop`, bit
+    /// for bit, on the prefix `times()[..=k]` of the grid. After it every
+    /// source is constant, so the circuit only decays toward that DC point.
+    ///
+    /// Each column stops on its own test, so its trace depends only on its
+    /// own sources: [`FactoredSystem::run_node_sets`] stays bit-identical
+    /// to one [`FactoredSystem::run_nodes`] call per set, lengths
+    /// included. A column that never settles runs to `t_stop`. A run
+    /// [`with_zero_initial_state`](Self::with_zero_initial_state) has no
+    /// DC system to settle toward and never stops early; nor does one
+    /// whose `eps` is negative or NaN.
+    #[must_use]
+    pub fn until_settled(mut self, eps: f64) -> Self {
+        self.settle = Some(eps);
+        self
     }
 
     /// Selects the linear-solver backend (default [`SolverBackend::Sparse`]).
@@ -129,7 +161,9 @@ impl TransientOptions {
 pub struct TransientResult {
     /// Shared with the [`FactoredSystem`] that produced the run — cache-hit
     /// victims reuse one grid allocation instead of cloning it per run.
+    /// The run recorded its first `points` entries.
     times: Arc<[f64]>,
+    points: usize,
     /// Time-major flat buffer: `data[ti * nodes + node]`. The step loop
     /// appends one contiguous row per timestep (instead of touching one
     /// cache line per node), and [`TransientResult::voltage`] pays the
@@ -139,9 +173,10 @@ pub struct TransientResult {
 }
 
 impl TransientResult {
-    /// The simulation time points.
+    /// The simulation time points: the whole grid, or its prefix up to the
+    /// settle step of a run [`until_settled`](TransientOptions::until_settled).
     pub fn times(&self) -> &[f64] {
-        &self.times
+        &self.times[..self.points]
     }
 
     /// The voltage trace of `node` as a [`Waveform`].
@@ -164,7 +199,7 @@ impl TransientResult {
             .chunks_exact(self.nodes)
             .map(|row| row[node.0])
             .collect();
-        Ok(Waveform::new(self.times.to_vec(), trace)?)
+        Ok(Waveform::new(self.times().to_vec(), trace)?)
     }
 }
 
@@ -208,6 +243,22 @@ impl TransientResult {
 /// a noiseless set repeats one quiet waveform for every aggressor), so a
 /// sweep samples each distinct waveform once, and the current injections
 /// once for all sets.
+///
+/// # The settle stop
+///
+/// A system factored with [`TransientOptions::until_settled`] stops each
+/// column at its settle step instead of the grid's end, in every run
+/// method. The test reads only the column's own state, its own sources
+/// and the DC point of their final values (one more solve with the
+/// factored DC system per column), so it never changes a computed bit:
+/// each column records a prefix of the trace it would record to the cap.
+/// The dense backend stops each column's march on its own; the sparse
+/// block keeps marching until its last column has stopped, and a stopped
+/// column records nothing more. The step counter
+/// `circuit.transient.steps` adds the time points each column recorded,
+/// and `circuit.transient.settled` counts the columns that met the test
+/// — a column that runs out of grid unsettled is the one whose record
+/// the cap cut.
 ///
 /// Because the factors depend only on topology, element values and `dt` —
 /// never on source waveforms — a `FactoredSystem` is parameterized purely
@@ -512,7 +563,9 @@ impl Circuit {
 }
 
 impl FactoredSystem {
-    /// The simulation time points the system integrates over.
+    /// The simulation time points the system integrates over — the cap of
+    /// a run [`until_settled`](TransientOptions::until_settled), which
+    /// records a prefix of them.
     pub fn times(&self) -> &[f64] {
         &self.times
     }
@@ -565,10 +618,11 @@ impl FactoredSystem {
         sources: &[&Waveform],
     ) -> Result<TransientResult, CircuitError> {
         let slots: Vec<Slot> = (0..self.n).map(|i| self.slot_of(i)).collect();
-        let [data] = self.sweep([sources], &slots)?;
+        let [record] = self.sweep([sources], &slots)?;
         Ok(TransientResult {
             times: self.times.clone(),
-            data,
+            points: record.points,
+            data: record.data,
             nodes: self.n,
         })
     }
@@ -596,8 +650,8 @@ impl FactoredSystem {
         nodes: &[NodeId],
     ) -> Result<Vec<Waveform>, CircuitError> {
         let slots = self.slots(nodes)?;
-        let [data] = self.sweep([sources], &slots)?;
-        self.traces(&data, slots.len())
+        let [record] = self.sweep([sources], &slots)?;
+        self.traces(&record, slots.len())
     }
 
     /// Runs the integration for one to four source sets at once — such as
@@ -625,7 +679,7 @@ impl FactoredSystem {
         nodes: &[NodeId],
     ) -> Result<Vec<Vec<Waveform>>, CircuitError> {
         let slots = self.slots(nodes)?;
-        let data = match *sets {
+        let records = match *sets {
             [a] => Vec::from(self.sweep([a], &slots)?),
             [a, b] => Vec::from(self.sweep([a, b], &slots)?),
             [a, b, c] => Vec::from(self.sweep([a, b, c], &slots)?),
@@ -636,7 +690,10 @@ impl FactoredSystem {
                 ))
             }
         };
-        data.iter().map(|d| self.traces(d, slots.len())).collect()
+        records
+            .iter()
+            .map(|r| self.traces(r, slots.len()))
+            .collect()
     }
 
     /// Where node `i` lives during a sweep.
@@ -666,31 +723,35 @@ impl FactoredSystem {
             .collect()
     }
 
-    /// Splits a sweep's time-major record (`width` values per time point)
-    /// into one waveform per recorded node.
-    fn traces(&self, data: &[f64], width: usize) -> Result<Vec<Waveform>, CircuitError> {
+    /// Splits one column's time-major record (`width` values per time
+    /// point) into one waveform per recorded node, on the prefix of the
+    /// grid the column recorded.
+    fn traces(&self, record: &Record, width: usize) -> Result<Vec<Waveform>, CircuitError> {
+        let times = &self.times[..record.points];
         (0..width)
             .map(|j| {
-                let trace: Vec<f64> = data.chunks_exact(width).map(|row| row[j]).collect();
+                let trace: Vec<f64> = record.data.chunks_exact(width).map(|row| row[j]).collect();
                 // A solve that went NaN/inf is a *numeric* failure — the
                 // class the STA fallback chain retries on another backend —
                 // not a waveform validation error.
                 if trace.iter().any(|v| !v.is_finite()) {
                     return Err(non_finite());
                 }
-                Ok(Waveform::new(self.times.to_vec(), trace)?)
+                Ok(Waveform::new(times.to_vec(), trace)?)
             })
             .collect()
     }
 
     /// Injected currents on the sourced rows (time-major, `sourced rows`
-    /// wide). The injections are captured at factor time, so one table
-    /// serves every set of a sweep; it is left empty when the system has
-    /// no current injections, which skips both the table fill and the
+    /// wide), and the grid point from which every injection holds its
+    /// last sample. The injections are captured at factor time, so one
+    /// table serves every set of a sweep; it is left empty when the system
+    /// has no current injections, which skips both the table fill and the
     /// per-step reads.
-    fn injection_table(&self) -> Vec<f64> {
+    fn injection_table(&self) -> (Vec<f64>, usize) {
         let ns = self.sourced.rows.len();
         let mut inj = Vec::new();
+        let mut hold = 0;
         if !self.injections.is_empty() {
             inj.resize(self.times.len() * ns, 0.0);
             let mut scratch = Vec::new();
@@ -699,64 +760,89 @@ impl FactoredSystem {
                 for (ti, &v) in scratch.iter().enumerate() {
                     inj[ti * ns + s] += v;
                 }
+                hold = hold.max(hold_point(waveform, &self.times));
             }
         }
-        inj
+        (inj, hold)
+    }
+
+    /// The DC operating point of source values `vk` (source `k` at time
+    /// point `ti`) and injections `inj` at `ti` —
+    /// `G_UU x = inj(ti) − G_UK·vK(ti)` — or `None` when the system was
+    /// factored without a DC system.
+    fn dc_point(
+        &self,
+        vk: impl Fn(usize) -> f64,
+        inj: &[f64],
+        ti: usize,
+    ) -> Result<Option<Vec<f64>>, CircuitError> {
+        let ns = self.sourced.rows.len();
+        let rhs = || -> Vec<f64> {
+            let mut rhs = vec![0.0; self.nf];
+            for (s, &r) in self.sourced.rows.iter().enumerate() {
+                if !inj.is_empty() {
+                    rhs[r] = inj[ti * ns + s];
+                }
+                for &(k, g, _) in self.sourced.terms(s) {
+                    rhs[r] -= g * vk(k);
+                }
+            }
+            rhs
+        };
+        Ok(match &self.factors {
+            StepFactors::Dense {
+                dc_lu: Some(dc), ..
+            } => Some(dc.solve(&rhs())?),
+            StepFactors::Sparse {
+                dc_lu: Some(dc), ..
+            } => Some(dc.solve(&rhs())?),
+            _ => None,
+        })
     }
 
     /// Prepares one source set's column of a sweep: finds each source's
     /// samples in the sweep's `samples` (sampling a waveform the sweep
-    /// has not met yet), then builds the compact source table and the
-    /// initial state.
+    /// has not met yet), then builds the compact source table, the
+    /// initial state and, for a run until settled, the column's settle
+    /// test. `inj` is the sweep's injection table, whose every row from
+    /// `inj_hold` on equals its last.
     fn column<'w>(
         &self,
         sources: &[&'w Waveform],
         samples: &mut Samples<'w>,
         inj: &[f64],
+        inj_hold: usize,
     ) -> Result<Column, CircuitError> {
         if sources.len() != self.nd {
             return Err(CircuitError::InvalidOptions(
                 "one waveform required per voltage source",
             ));
         }
-        let nf = self.nf;
         let ns = self.sourced.rows.len();
         let nt = self.times.len();
         // One bump per source set, not per step — the disabled path stays
         // a single branch outside the integration loop.
         nsta_obs::count!("circuit.transient.sweeps");
-        nsta_obs::count!("circuit.transient.steps", nt);
         let h = self.opts.dt;
 
-        // Known node voltages: `vk[k][ti]` is source `k` at time point `ti`.
+        // Known node voltages: `vk(k, ti)` is source `k` at time point `ti`.
         let driven: Vec<usize> = sources
             .iter()
             .map(|w| samples.index(w, &self.times))
             .collect();
-        let vk: Vec<&[f64]> = driven.iter().map(|&i| &samples.values[i][..]).collect();
+        let vk = |k: usize, ti: usize| samples.at(driven[k], ti);
+        // From `steady` on, every source of the column holds its last
+        // sample, so the source terms of every step after `steady + 1`
+        // repeat that step's.
+        let steady = driven
+            .iter()
+            .map(|&i| samples.hold(i))
+            .fold(inj_hold, usize::max);
 
-        // DC initial condition: G_UU x = inj(t0) − G_UK·vK(t0).
-        let dc_rhs = || -> Vec<f64> {
-            let mut rhs = vec![0.0; nf];
-            for (s, &r) in self.sourced.rows.iter().enumerate() {
-                if !inj.is_empty() {
-                    rhs[r] = inj[s];
-                }
-                for &(k, g, _) in self.sourced.terms(s) {
-                    rhs[r] -= g * vk[k][0];
-                }
-            }
-            rhs
-        };
-        let mut x0 = match &self.factors {
-            StepFactors::Dense {
-                dc_lu: Some(dc), ..
-            } => dc.solve(&dc_rhs())?,
-            StepFactors::Sparse {
-                dc_lu: Some(dc), ..
-            } => dc.solve(&dc_rhs())?,
-            _ => vec![0.0; nf],
-        };
+        // DC initial condition (all zero without a DC system).
+        let mut x0 = self
+            .dc_point(|k| vk(k, 0), inj, 0)?
+            .unwrap_or_else(|| vec![0.0; self.nf]);
         // Fault-injection site: poison the initial-condition state with
         // NaN, as a corrupted solve would. Inert (one relaxed load) unless
         // a plan is armed.
@@ -771,18 +857,32 @@ impl FactoredSystem {
             return Err(non_finite());
         }
 
+        // The settle test: the DC point of the final source values.
+        let settle = match self.opts.settle {
+            Some(eps) => self
+                .dc_point(|k| vk(k, nt - 1), inj, nt - 1)?
+                .map(|x_inf| Settle {
+                    x_inf,
+                    eps,
+                    outside: 0,
+                }),
+            None => None,
+        };
+
         // Source terms of every step on the sourced rows, tabulated up
         // front so the step loop reads one short contiguous row:
         //   src[ti][s] = −C_UK Δvk − h G_UK v̄k + h (inj_n + inj_{n+1})/2
         // for free row `sourced.rows[s]`. Every other row's term is an
-        // exact +0.0 and is skipped (see `SourcedRows::compact`).
-        let mut src = vec![0.0; nt * ns];
-        for ti in 1..nt {
+        // exact +0.0 and is skipped (see `SourcedRows::compact`). Rows
+        // stop at `steady + 1`: every later row repeats it bit for bit.
+        let rows = (steady + 2).min(nt);
+        let mut src = vec![0.0; rows * ns];
+        for ti in 1..rows {
             let row = &mut src[ti * ns..(ti + 1) * ns];
             for (s, out) in row.iter_mut().enumerate() {
                 let mut acc = 0.0;
                 for &(k, g, c) in self.sourced.terms(s) {
-                    let (now, prev) = (vk[k][ti], vk[k][ti - 1]);
+                    let (now, prev) = (vk(k, ti), vk(k, ti - 1));
                     let dv = now - prev;
                     let vbar = 0.5 * (now + prev);
                     acc -= c * dv + h * g * vbar;
@@ -797,35 +897,47 @@ impl FactoredSystem {
                 }
             }
         }
-        Ok(Column { driven, src, x0 })
+        Ok(Column {
+            driven,
+            steady,
+            src,
+            x0,
+            settle,
+        })
     }
 
     /// The shared step loop: prepares one [`Column`] per source set (in
     /// order, each failing before the next is prepared), then marches the
     /// factored trapezoidal system across the grid. Returns, per source
-    /// set, the recorded `slots` at every time point (including
-    /// `t_start`), time-major.
+    /// set, the recorded `slots` at every time point from `t_start` up to
+    /// the column's settle step, or to the grid's end (see
+    /// [`TransientOptions::until_settled`]).
     ///
     /// The sparse backend marches all `W` sets as one block through the
-    /// column-blocked kernels; `W = 1` is the plain one-set sweep. The
-    /// dense backend marches the sets one after the other.
+    /// column-blocked kernels until the last of them has settled; `W = 1`
+    /// is the plain one-set sweep. The dense backend marches the sets one
+    /// after the other, each up to its own settle step.
     fn sweep<const W: usize>(
         &self,
         sources: [&[&Waveform]; W],
         slots: &[Slot],
-    ) -> Result<[Vec<f64>; W], CircuitError> {
+    ) -> Result<[Record; W], CircuitError> {
         let mut samples = Samples::default();
-        let inj = self.injection_table();
+        let (inj, inj_hold) = self.injection_table();
         let mut cols = Vec::with_capacity(W);
         for set in sources {
-            cols.push(self.column(set, &mut samples, &inj)?);
+            cols.push(self.column(set, &mut samples, &inj, inj_hold)?);
         }
         let nf = self.nf;
         let ns = self.sourced.rows.len();
         let nt = self.times.len();
-        let mut data: [Vec<f64>; W] = std::array::from_fn(|_| Vec::with_capacity(slots.len() * nt));
+        let mut records: [Record; W] = std::array::from_fn(|_| Record {
+            data: Vec::with_capacity(slots.len() * nt),
+            points: 0,
+            settled: false,
+        });
         // Source `k` of column `col` at time point `ti`.
-        let vk = |col: &Column, k: usize, ti: usize| samples.values[col.driven[k]][ti];
+        let vk = |col: &Column, k: usize, ti: usize| samples.at(col.driven[k], ti);
 
         match &self.factors {
             // Dense: the right-hand side is assembled row by row anyway,
@@ -837,12 +949,13 @@ impl FactoredSystem {
                 let perm = lhs_lu.perm();
                 let mut s_row = vec![0.0; nf];
                 let mut x_next = vec![0.0; nf];
-                for (col, out) in cols.iter().zip(&mut data) {
+                for (col, out) in cols.iter_mut().zip(&mut records) {
                     let mut x = col.x0.clone();
-                    record(out, slots, |k| vk(col, k, 0), |i| x[i]);
+                    out.push(slots, |k| vk(col, k, 0), |i| x[i]);
                     for ti in 1..nt {
-                        for (s, &r) in self.sourced.rows.iter().enumerate() {
-                            s_row[r] = col.src[ti * ns + s];
+                        let src = col.src_row(ti, ns);
+                        for (&r, &v) in self.sourced.rows.iter().zip(src) {
+                            s_row[r] = v;
                         }
                         for (i, &r) in perm.iter().enumerate() {
                             // rhs = (C − hG/2)·x_n + src, off the precomputed matrices.
@@ -850,7 +963,11 @@ impl FactoredSystem {
                         }
                         lhs_lu.solve_prepermuted_in_place(&mut x_next)?;
                         std::mem::swap(&mut x, &mut x_next);
-                        record(out, slots, |k| vk(col, k, ti), |i| x[i]);
+                        out.push(slots, |k| vk(col, k, ti), |i| x[i]);
+                        if col.settled(ti, |i| x[i]) {
+                            out.settled = true;
+                            break;
+                        }
                     }
                 }
             }
@@ -865,25 +982,37 @@ impl FactoredSystem {
                     .map(|i| std::array::from_fn(|j| cols[j].x0[i]))
                     .collect();
                 let mut x_next = vec![[0.0; W]; nf];
-                for (j, (col, out)) in cols.iter().zip(&mut data).enumerate() {
-                    record(out, slots, |k| vk(col, k, 0), |i| x[i][j]);
+                for (j, (col, out)) in cols.iter().zip(&mut records).enumerate() {
+                    out.push(slots, |k| vk(col, k, 0), |i| x[i][j]);
                 }
                 for ti in 1..nt {
+                    if records.iter().all(|r| r.settled) {
+                        break;
+                    }
                     rhs_mat.mul_block_into(&x, &mut x_next)?;
-                    for (s, &r) in self.sourced.rows.iter().enumerate() {
-                        for (xj, col) in x_next[r].iter_mut().zip(&cols) {
-                            *xj += col.src[ti * ns + s];
+                    for (j, col) in cols.iter().enumerate() {
+                        for (&r, &v) in self.sourced.rows.iter().zip(col.src_row(ti, ns)) {
+                            x_next[r][j] += v;
                         }
                     }
                     lhs_lu.solve_block_in_place(&mut x_next)?;
                     std::mem::swap(&mut x, &mut x_next);
-                    for (j, (col, out)) in cols.iter().zip(&mut data).enumerate() {
-                        record(out, slots, |k| vk(col, k, ti), |i| x[i][j]);
+                    for (j, (col, out)) in cols.iter_mut().zip(&mut records).enumerate() {
+                        if !out.settled {
+                            out.push(slots, |k| vk(col, k, ti), |i| x[i][j]);
+                            out.settled = col.settled(ti, |i| x[i][j]);
+                        }
                     }
                 }
             }
         }
-        Ok(data)
+        for record in &records {
+            nsta_obs::count!("circuit.transient.steps", record.points);
+            if record.settled {
+                nsta_obs::count!("circuit.transient.settled");
+            }
+        }
+        Ok(records)
     }
 }
 
@@ -900,11 +1029,14 @@ enum Slot {
 /// sets of a sweep share waveforms — a victim's ramp drives both its
 /// noiseless and its noisy set, and a noiseless set repeats one quiet
 /// waveform for every aggressor — so each waveform, told apart by
-/// address, is sampled once.
+/// address, is sampled once, and only up to its [`hold_point`]: the rest
+/// of the grid repeats its last sample.
 #[derive(Default)]
 struct Samples<'w> {
     waves: Vec<&'w Waveform>,
-    /// `values[i]`: `waves[i]` sampled on the sweep's time grid.
+    /// `values[i]`: `waves[i]` sampled on the sweep's time grid up to and
+    /// including its hold point; every later grid point repeats the last
+    /// entry bit for bit.
     values: Vec<Vec<f64>>,
 }
 
@@ -915,11 +1047,42 @@ impl<'w> Samples<'w> {
             return i;
         }
         let mut values = Vec::new();
-        w.sample_on_grid(grid, &mut values);
+        w.sample_on_grid(&grid[..=hold_point(w, grid)], &mut values);
         self.waves.push(w);
         self.values.push(values);
         self.values.len() - 1
     }
+
+    /// Waveform `i` at grid point `ti`.
+    fn at(&self, i: usize, ti: usize) -> f64 {
+        let values = &self.values[i];
+        values[ti.min(values.len() - 1)]
+    }
+
+    /// The grid point from which waveform `i` holds its last sample.
+    fn hold(&self, i: usize) -> usize {
+        self.values[i].len() - 1
+    }
+}
+
+/// The first point of `grid` from which `w`'s samples all equal its last
+/// value bit for bit — the first at or after its last change of value —
+/// or the grid's last point if `w` changes later.
+///
+/// A grid sample between two equal record values is that value plus an
+/// interpolated `+0.0`, which leaves every value but `-0.0` unchanged, so
+/// a record ending on `-0.0` holds only from its last time on.
+fn hold_point(w: &Waveform, grid: &[f64]) -> usize {
+    let (ts, vs) = (w.times(), w.values());
+    let last = vs[vs.len() - 1];
+    let from = if last == 0.0 && last.is_sign_negative() {
+        ts[ts.len() - 1]
+    } else {
+        vs.iter()
+            .rposition(|v| v.to_bits() != last.to_bits())
+            .map_or(f64::NEG_INFINITY, |m| ts[m + 1])
+    };
+    grid.partition_point(|&t| t < from).min(grid.len() - 1)
 }
 
 /// One source set's share of a sweep.
@@ -927,26 +1090,73 @@ struct Column {
     /// Per voltage source, the index of its waveform's samples in the
     /// sweep's [`Samples`].
     driven: Vec<usize>,
-    /// Compact source table, time-major `nt × sourced rows` (row 0
-    /// unused).
+    /// The grid point from which every source of the column (current
+    /// injections included) holds its last sample.
+    steady: usize,
+    /// Compact source table, time-major, `sourced rows` wide, up to row
+    /// `steady + 1` (row 0 unused): every later row equals that one.
     src: Vec<f64>,
     /// Initial state over the free unknowns.
     x0: Vec<f64>,
+    /// The settle test of a run until settled; `None` runs to the grid's
+    /// end.
+    settle: Option<Settle>,
 }
 
-/// Appends one time point of `slots` to a sweep's record: free unknowns
-/// through `free`, driven nodes through `driven` (by voltage-source
-/// index).
-fn record(
-    out: &mut Vec<f64>,
-    slots: &[Slot],
-    driven: impl Fn(usize) -> f64,
-    free: impl Fn(usize) -> f64,
-) {
-    out.extend(slots.iter().map(|slot| match *slot {
-        Slot::Free(i) => free(i),
-        Slot::Driven(k) => driven(k),
-    }));
+impl Column {
+    /// The source terms of step `ti`, `ns` sourced rows wide.
+    fn src_row(&self, ti: usize, ns: usize) -> &[f64] {
+        let ti = ti.min(self.steady + 1);
+        &self.src[ti * ns..(ti + 1) * ns]
+    }
+
+    /// Whether the column has settled at step `ti`, its free unknowns read
+    /// through `x` (see [`TransientOptions::until_settled`]).
+    fn settled(&mut self, ti: usize, x: impl Fn(usize) -> f64) -> bool {
+        let Some(s) = self.settle.as_mut().filter(|_| ti >= self.steady) else {
+            return false;
+        };
+        // Start at the unknown that was out of tolerance last time: it
+        // usually still is, so an unsettled step costs one comparison. A
+        // NaN is never within tolerance.
+        let n = s.x_inf.len();
+        let outside = (s.outside..n)
+            .chain(0..s.outside)
+            .find(|&i| !((x(i) - s.x_inf[i]).abs() <= s.eps));
+        s.outside = outside.unwrap_or(0);
+        outside.is_none()
+    }
+}
+
+/// A column's settle test: from its steady point on, every free unknown
+/// within `eps` of `x_inf`.
+struct Settle {
+    /// The DC operating point of the column's last source samples.
+    x_inf: Vec<f64>,
+    eps: f64,
+    /// The unknown found outside the tolerance at the last test.
+    outside: usize,
+}
+
+/// One column's record of a sweep: the recorded slots at each of its
+/// first `points` time points, time-major.
+struct Record {
+    data: Vec<f64>,
+    points: usize,
+    /// Set once the column has met its settle test; it records no more.
+    settled: bool,
+}
+
+impl Record {
+    /// Appends one time point of `slots`: free unknowns through `free`,
+    /// driven nodes through `driven` (by voltage-source index).
+    fn push(&mut self, slots: &[Slot], driven: impl Fn(usize) -> f64, free: impl Fn(usize) -> f64) {
+        self.data.extend(slots.iter().map(|slot| match *slot {
+            Slot::Free(i) => free(i),
+            Slot::Driven(k) => driven(k),
+        }));
+        self.points += 1;
+    }
 }
 
 fn non_finite() -> CircuitError {
@@ -1281,14 +1491,25 @@ mod tests {
     }
 
     /// A sweep of several sets must reproduce one one-set run per set, bit
-    /// for bit.
-    fn assert_sets_match_runs(system: &FactoredSystem, sets: &[&[&Waveform]], nodes: &[NodeId]) {
+    /// for bit and on the same prefix of the grid. Returns each set's
+    /// recorded point count.
+    fn assert_sets_match_runs(
+        system: &FactoredSystem,
+        sets: &[&[&Waveform]],
+        nodes: &[NodeId],
+    ) -> Vec<usize> {
         let swept = system.run_node_sets(sets, nodes).unwrap();
         assert_eq!(swept.len(), sets.len());
+        let mut points = Vec::new();
         for (traces, set) in swept.iter().zip(sets) {
-            assert_eq!(bits(traces), bits(&system.run_nodes(set, nodes).unwrap()));
-            assert_eq!(traces[0].times(), system.times());
+            let alone = system.run_nodes(set, nodes).unwrap();
+            assert_eq!(bits(traces), bits(&alone));
+            let times = traces[0].times();
+            assert_eq!(times, alone[0].times());
+            assert_eq!(times, &system.times()[..times.len()]);
+            points.push(times.len());
         }
+        points
     }
 
     /// A falling step: `v` until `t0`, down to 0 V over `fall` — the
@@ -1297,12 +1518,14 @@ mod tests {
         Waveform::new(vec![t0, t0 + fall, t_end], vec![v, 0.0, 0.0]).unwrap()
     }
 
-    #[test]
-    fn run_node_sets_is_bit_identical_to_separate_runs() {
-        // Four sets shaped like a victim's two transitions, each with its
-        // noiseless and noisy drive: the victim ramp appears in both sets
-        // of its transition and the quiet level once per aggressor.
-        let opts = TransientOptions::new(0.0, 6e-9, 2e-12).unwrap();
+    /// Runs `check` on the two four-set fixtures, each with its four sets
+    /// shaped like a victim's two transitions (the noiseless and noisy
+    /// drive of each) and the nodes to record: the coupled pair, where
+    /// the victim ramp appears in both sets of its transition and the
+    /// quiet level once per aggressor, and a 48-segment victim
+    /// star-coupled to two aggressors — a large, filled-in factorization
+    /// with three sourced rows. The sources end by 1.51 ns of a 6 ns grid.
+    fn four_set_fixtures(mut check: impl FnMut(&Circuit, [&[&Waveform]; 4], &[NodeId])) {
         let noisy_wave = step_at(1e-9, 50e-12, 1.0, 10e-9);
         let noisy_fall = fall_at(1.1e-9, 60e-12, 1.0, 10e-9);
         let quiet = Waveform::constant(0.0, 0.0, 6e-9).unwrap();
@@ -1317,15 +1540,8 @@ mod tests {
             &[&quiet_high, &victim_fall],
             &[&noisy_fall, &victim_fall],
         ];
-        for backend in [SolverBackend::Sparse, SolverBackend::Dense] {
-            let system = ckt.factor_transient(opts.with_backend(backend)).unwrap();
-            for width in 1..=4 {
-                assert_sets_match_runs(&system, &sets[..width], &[vic, agg]);
-            }
-        }
+        check(&ckt, sets, &[vic, agg]);
 
-        // A 48-segment victim star-coupled to two aggressors: a large,
-        // filled-in factorization with three sourced rows.
         let mut ckt = Circuit::new();
         let v_in = ckt.node("v_in");
         let hold = Waveform::constant(0.0, 0.0, 6e-9).unwrap();
@@ -1349,10 +1565,207 @@ mod tests {
             &[&victim_fall, &quiet_high, &quiet_high],
             &[&victim_fall, &noisy_fall, &late_fall],
         ];
+        let system = ckt.factor_transient(fixture_opts()).unwrap();
+        assert!(system.nf > 100 && system.sourced.rows.len() == 3);
+        check(&ckt, sets, &[far, v_in, agg_ins[1]]);
+    }
+
+    /// The grid of the four-set fixtures: 2 ps steps to 6 ns.
+    fn fixture_opts() -> TransientOptions {
+        TransientOptions::new(0.0, 6e-9, 2e-12).unwrap()
+    }
+
+    #[test]
+    fn run_node_sets_is_bit_identical_to_separate_runs() {
+        four_set_fixtures(|ckt, sets, nodes| {
+            for backend in [SolverBackend::Sparse, SolverBackend::Dense] {
+                let system = ckt
+                    .factor_transient(fixture_opts().with_backend(backend))
+                    .unwrap();
+                for width in 1..=4 {
+                    let points = assert_sets_match_runs(&system, &sets[..width], nodes);
+                    assert!(points.iter().all(|&p| p == system.times().len()));
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn held_samples_equal_full_grid_samples() {
+        // A sweep samples each source only up to its hold point; every
+        // grid sample, read through `Samples::at`, must equal sampling the
+        // whole grid bit for bit — for ramps, constants, a record ending
+        // on -0.0 and one still changing past the grid.
+        let grid: Vec<f64> = (0..=500).map(|k| k as f64 * 2e-12).collect();
+        let waves = [
+            step_at(0.2e-9, 50e-12, 1.0, 2e-9),
+            fall_at(0.3e-9, 37e-12, 1.2, 2e-9),
+            Waveform::constant(0.7, 0.0, 1e-9).unwrap(),
+            Waveform::new(vec![0.1e-9, 0.2e-9, 0.5e-9], vec![0.4, -0.0, -0.0]).unwrap(),
+            step_at(0.9e-9, 400e-12, 1.0, 2e-9),
+        ];
+        let mut samples = Samples::default();
+        for w in &waves {
+            let i = samples.index(w, &grid);
+            let mut full = Vec::new();
+            w.sample_on_grid(&grid, &mut full);
+            for (ti, v) in full.iter().enumerate() {
+                assert_eq!(
+                    samples.at(i, ti).to_bits(),
+                    v.to_bits(),
+                    "wave {i}, point {ti}"
+                );
+            }
+            assert!(samples.hold(i) < grid.len() - 1 || i == 4);
+        }
+        // The constant holds from the first point; the ramp from its end.
+        assert_eq!(samples.hold(2), 0);
+        assert_eq!(samples.hold(0), 125);
+    }
+
+    /// The settle tolerance of the settle-stop tests (V).
+    const EPS: f64 = 1e-6;
+
+    #[test]
+    fn settled_column_is_a_prefix_of_the_full_run() {
+        // A column run until settled records exactly the first k + 1
+        // samples of the same column run to the cap; after them, the full
+        // run stays within the tolerance of the held last value (the
+        // largest excursion on these fixtures measures 9.8e-7 V; the
+        // stop step is 479–1167 of 3001).
+        let mut worst = 0.0f64;
+        four_set_fixtures(|ckt, sets, nodes| {
+            for backend in [SolverBackend::Sparse, SolverBackend::Dense] {
+                let opts = fixture_opts().with_backend(backend);
+                let full = ckt.factor_transient(opts).unwrap();
+                let settled = ckt.factor_transient(opts.until_settled(EPS)).unwrap();
+                for set in sets {
+                    let cap = full.run_nodes(set, nodes).unwrap();
+                    let stopped = settled.run_nodes(set, nodes).unwrap();
+                    for (cap, stopped) in cap.iter().zip(&stopped) {
+                        let k = stopped.len() - 1;
+                        assert!(k < cap.len() / 2, "{backend:?}: stopped at {k}");
+                        assert_eq!(stopped.times(), &cap.times()[..=k]);
+                        assert_eq!(
+                            bits(std::slice::from_ref(stopped))[0],
+                            bits(std::slice::from_ref(cap))[0][..=k]
+                        );
+                        let held = stopped.values()[k];
+                        for &v in &cap.values()[k..] {
+                            worst = worst.max((v - held).abs());
+                        }
+                    }
+                }
+                // `run` honours the stop too, on the same prefix.
+                let waves: Vec<&Waveform> =
+                    settled.default_sources.iter().map(|w| w.as_ref()).collect();
+                let recorded = settled.run_nodes(&waves, &nodes[..1]).unwrap();
+                let result = settled.run().unwrap();
+                assert_eq!(result.times(), recorded[0].times());
+                assert_eq!(result.voltage(nodes[0]).unwrap(), recorded[0]);
+            }
+        });
+        assert!(
+            worst > 0.0 && worst <= EPS,
+            "excursion after the stop: {worst:e} V"
+        );
+    }
+
+    #[test]
+    fn settle_stop_waits_for_a_late_source() {
+        // The aggressor ramp ends 100 ps before the cap, long after the
+        // victim has settled: the stop comes at or after its final step,
+        // and still before the cap.
+        let (t_stop, dt): (f64, f64) = (3e-9, 2e-12);
+        let late = step_at(2.85e-9, 50e-12, 1.0, 10e-9);
+        let (ckt, vic) = coupled_pair(late.clone());
+        let k_final = (2.9e-9 / dt).round() as usize;
         for backend in [SolverBackend::Sparse, SolverBackend::Dense] {
-            let system = ckt.factor_transient(opts.with_backend(backend)).unwrap();
-            assert!(system.nf > 100 && system.sourced.rows.len() == 3);
-            assert_sets_match_runs(&system, &sets, &[far, v_in, agg_ins[1]]);
+            let opts = TransientOptions::new(0.0, t_stop, dt)
+                .unwrap()
+                .with_backend(backend);
+            let system = ckt.factor_transient(opts.until_settled(EPS)).unwrap();
+            let hold = Waveform::constant(0.0, 0.0, t_stop).unwrap();
+            let trace = system.run_nodes(&[&late, &hold], &[vic]).unwrap().remove(0);
+            let k = trace.len() - 1;
+            assert!(
+                k >= k_final && k < system.times().len() - 1,
+                "{backend:?}: {k}"
+            );
+            // The kick of the late aggressor is in the record.
+            assert!(trace.v_max() > 0.05);
+        }
+    }
+
+    #[test]
+    fn run_node_sets_until_settled_matches_separate_runs() {
+        // Each column stops on its own test, so a sweep of one to four
+        // sets reproduces one run per set, record lengths included, and a
+        // set's record does not depend on the sets it shares a block with.
+        four_set_fixtures(|ckt, sets, nodes| {
+            for backend in [SolverBackend::Sparse, SolverBackend::Dense] {
+                let opts = fixture_opts().with_backend(backend).until_settled(EPS);
+                let system = ckt.factor_transient(opts).unwrap();
+                let all = assert_sets_match_runs(&system, &sets, nodes);
+                for width in 1..=4 {
+                    for first in 0..=4 - width {
+                        let block = &sets[first..first + width];
+                        let points = assert_sets_match_runs(&system, block, nodes);
+                        assert_eq!(points, all[first..first + width]);
+                    }
+                }
+                // The sets settle at different steps, all before the cap.
+                assert!(all.iter().all(|&p| p < system.times().len()));
+                assert!(all.windows(2).any(|w| w[0] != w[1]), "{all:?}");
+            }
+        });
+    }
+
+    #[test]
+    fn unsettled_column_runs_to_the_cap() {
+        // τ = 1 ns against a 2 ns cap: the output is still ~10 mV from
+        // its final value at the cap, so the column never settles and
+        // records the whole grid, bit-identical to a run without the stop.
+        let mut ckt = Circuit::new();
+        let inp = ckt.node("in");
+        let out = ckt.node("out");
+        ckt.resistor(inp, out, 1_000.0).unwrap();
+        ckt.capacitor(out, Circuit::GROUND, 1e-12).unwrap();
+        ckt.vsource(inp, step_at(0.1e-9, 20e-12, 1.0, 10e-9))
+            .unwrap();
+        for backend in [SolverBackend::Sparse, SolverBackend::Dense] {
+            let opts = TransientOptions::new(0.0, 2e-9, 2e-12)
+                .unwrap()
+                .with_backend(backend);
+            let full = ckt.run_transient(opts).unwrap();
+            let settled = ckt.run_transient(opts.until_settled(EPS)).unwrap();
+            assert_eq!(settled.times().len(), full.times().len());
+            assert_eq!(settled.voltage(out).unwrap(), full.voltage(out).unwrap());
+        }
+    }
+
+    #[test]
+    fn zero_initial_state_never_stops_early() {
+        // Without a DC system there is no final point to settle toward: a
+        // quiet RC that never moves from 0 V still runs to the cap.
+        let mut ckt = Circuit::new();
+        let inp = ckt.node("in");
+        let out = ckt.node("out");
+        ckt.resistor(inp, out, 100.0).unwrap();
+        ckt.capacitor(out, Circuit::GROUND, 1e-15).unwrap();
+        ckt.vsource(inp, Waveform::constant(0.0, 0.0, 1e-9).unwrap())
+            .unwrap();
+        let opts = TransientOptions::new(0.0, 1e-9, 1e-12).unwrap();
+        for backend in [SolverBackend::Sparse, SolverBackend::Dense] {
+            let opts = opts.with_backend(backend);
+            // With a DC start the same circuit stops after one step.
+            let dc = ckt.run_transient(opts.until_settled(EPS)).unwrap();
+            assert_eq!(dc.times().len(), 2);
+            let zero = opts.with_zero_initial_state();
+            let full = ckt.run_transient(zero).unwrap();
+            let settled = ckt.run_transient(zero.until_settled(EPS)).unwrap();
+            assert_eq!(settled.times(), full.times());
+            assert_eq!(settled.voltage(out).unwrap(), full.voltage(out).unwrap());
         }
     }
 

@@ -37,12 +37,18 @@
 //! Every victim reduction collapses to the same small circuit shape — a
 //! Thevenin driver into star-coupled RC lines — whose factored system
 //! ([`nsta_circuit::FactoredSystem`]) depends only on element values and
-//! the time grid, never on source waveforms. A victim net's rise and fall
+//! the time grid, never on source waveforms. The grid is a cap: it starts
+//! at 0 (or at the quantum below a rail departure before 0) and ends a
+//! margin after the latest participant's transition, but every sweep
+//! stops each column once its stage has settled within
+//! `SETTLE_TOLERANCE · Vdd` of its final DC point, which leaves every
+//! Γeff bit-identical to a sweep to the cap. A victim net's rise and fall
 //! usually quantize to the same grid; they then form one reduction group
 //! and share one sweep, not only one factorization: the noiseless and
 //! noisy drive of both transitions march as one block of four columns,
-//! each column bit-identical to a sweep of its own. A transition whose
-//! grid differs from its sibling's is a group of one. Each analysis call
+//! each column bit-identical to a sweep of its own, until the last of
+//! them has settled. A transition whose grid differs from its sibling's
+//! is a group of one. Each analysis call
 //! (and each session re-solve) builds one map from a topology signature
 //! to the factored system, looked up once per group, so electrically
 //! identical stages share one LU factorization across victims,
@@ -677,18 +683,26 @@ struct VictimCache {
 
 /// Canonical topology signature of one victim reduction: the exact bit
 /// patterns of every value that enters the factored system — the grid
-/// (`dt`, step count), the driver resistance, the victim line with the
-/// quiet coupling folded into its ground cap, the receiver load, and per
-/// kept aggressor its line and coupling total. Two reductions with equal
+/// (`dt`, window start, step count), the driver resistance, the victim
+/// line with the quiet coupling folded into its ground cap, the receiver
+/// load, and per kept aggressor its line and coupling total. Two reductions with equal
 /// keys build bit-identical matrices, so they can share one factorization
 /// without changing any result bit.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct TopoKey(Vec<u64>);
 
 impl TopoKey {
-    fn new(dt: f64, steps: u64, spec: &CouplingSpec, victim_line: &RcLineSpec, load: f64) -> Self {
-        let mut v = Vec::with_capacity(7 + 4 * spec.aggressors.len());
+    fn new(
+        dt: f64,
+        t_start: f64,
+        steps: u64,
+        spec: &CouplingSpec,
+        victim_line: &RcLineSpec,
+        load: f64,
+    ) -> Self {
+        let mut v = Vec::with_capacity(8 + 4 * spec.aggressors.len());
         v.push(dt.to_bits());
+        v.push(t_start.to_bits());
         v.push(steps);
         v.push(spec.driver_resistance.to_bits());
         v.push(victim_line.r_total.to_bits());
@@ -764,15 +778,53 @@ impl Factorizations {
 /// bounds match the historical `clamp(0.5 ps, 5 ps)`.
 const DT_BUCKETS: [f64; 5] = [0.5e-12, 1e-12, 2e-12, 4e-12, 5e-12];
 
-/// Simulation stop times are rounded up to a multiple of this, so victims
-/// that settle at nearby times share one grid length.
+/// Simulation windows are rounded out to multiples of this — the cap up,
+/// a negative start down — so victims that settle at nearby times share
+/// one grid. A sweep stops on [`SETTLE_TOLERANCE`] before the cap.
 const T_STOP_QUANTUM: f64 = 0.5e-9;
 
-/// Settle margin appended after the latest participant's transition ends.
-/// The reduced stage's time constants are `R_drive · C_stage` — tens of
-/// picoseconds — so 1 ns is >10τ of decay for any realistic spec; the
-/// quantum above then rounds the window up further.
+/// Settle margin appended after the latest participant's transition ends
+/// to size the window's cap. The reduced stage's time constants are
+/// `R_drive · C_stage` — tens of picoseconds — so the margin is an upper
+/// bound, not the sweep's length: each sweep stops once its stage has
+/// settled, and a column that reaches the cap unsettled is counted
+/// (`circuit.transient.settled` falls short of `circuit.transient.sweeps`).
 const SETTLE_MARGIN: f64 = 1e-9;
+
+/// Settle tolerance of every victim sweep, as a fraction of Vdd: a column
+/// stops recording at the first step, at or after the one where its last
+/// source reaches its rail, at which every node of the stage lies within
+/// `SETTLE_TOLERANCE · Vdd` of the DC point of the final source values
+/// ([`TransientOptions::until_settled`]).
+///
+/// The stop cannot move Γeff. The reduction reads three things: the
+/// crossings of 10/50/90% of Vdd, found by scans; samples inside the
+/// critical regions, plus or minus half a sensitivity step; and the
+/// receiver ramp, whose record ends at max(input end, ramp end). Once
+/// every source is final, the RC stage decays passively toward that DC
+/// point, where each line sits at its own driver's final rail (coupling
+/// capacitors are open at DC); a node within 1e-6·Vdd of it would have to
+/// move about 10⁵ times the tolerance to reach a threshold.
+/// So nothing the reduction reads lies after the stop, and every Γeff is
+/// bit-identical to one reduced on the whole cap. That holds for every
+/// [`MethodKind`] but E4, whose area match integrates the noisy record's
+/// distance from its rail up to the record's end: the stop drops a tail
+/// of area ≈ tolerance × time constant, which moved E4's Γeff by at most
+/// 2.7e-4 ps on the four-group test bus.
+///
+/// The value follows that argument, not the benchmark. The mean points a
+/// column records at `spefbus --groups 64` (2 ps steps, a 751-point cap)
+/// against the tolerance, in units of Vdd: 1e-2 → 117, 1e-3 → 160,
+/// 1e-4 → 204, 1e-5 → 247, 1e-6 → 290, 1e-7 → 334, 1e-8 → 377,
+/// 1e-9 → 420 — ≈43 steps (87 ps) per decade, a dominant time constant of
+/// ≈38 ps. Every value from 1e-2 to 1e-9 left the bus's Γeff
+/// bit-identical, but a looser one buys speed on exactly the traces whose
+/// tails the argument protects. A tighter one buys margin the thresholds
+/// do not need and nears a floor: on the 16-group, 48-segment bus one
+/// column of 72 reaches its cap unsettled at 1e-8, and at 1e-9 all 72 do,
+/// although 1e-8 took them ≈400 of their 751 points — the march stops
+/// closing in on the DC point, it does not just decay slowly.
+const SETTLE_TOLERANCE: f64 = 1e-6;
 
 fn quantize_dt(victim_slew: f64) -> f64 {
     let raw = (victim_slew / 50.0).clamp(0.5e-12, 5e-12);
@@ -788,6 +840,18 @@ fn quantize_dt(victim_slew: f64) -> f64 {
 
 fn quantize_t_stop(latest: f64) -> f64 {
     ((latest + SETTLE_MARGIN) / T_STOP_QUANTUM).ceil() * T_STOP_QUANTUM
+}
+
+/// The window start of a stage whose participants leave their rails at
+/// `earliest` at the soonest: 0, or the quantum at or below a negative
+/// `earliest` (a negative input delay), so the DC start sits before every
+/// transition.
+fn quantize_t_start(earliest: f64) -> f64 {
+    if earliest < 0.0 {
+        (earliest / T_STOP_QUANTUM).floor() * T_STOP_QUANTUM
+    } else {
+        0.0
+    }
 }
 
 /// One deferred victim-cache install: the `(net, is_rise)` slot and the
@@ -955,6 +1019,8 @@ struct VictimStage<'s> {
     victim_line: RcLineSpec,
     /// Receiver load at the victim far end (F).
     load: f64,
+    /// The simulation window: its start and its cap.
+    t_start: f64,
     t_stop: f64,
     /// The quantized timestep of the first attempt.
     dt: f64,
@@ -965,7 +1031,7 @@ impl VictimStage<'_> {
     /// spec fixes every other field of their [`TopoKey`], so equal grids
     /// mean equal keys: one factored system serves both.
     fn same_grid(&self, other: &VictimStage<'_>) -> bool {
-        self.dt == other.dt && self.t_stop == other.t_stop
+        self.dt == other.dt && self.t_start == other.t_start && self.t_stop == other.t_stop
     }
 
     /// The reduced stage's circuit — a Thevenin victim driver into the
@@ -981,7 +1047,7 @@ impl VictimStage<'_> {
         // time, and keeping victim-specific dense grids out of the shared
         // value stops the first victim's waveforms from being pinned for
         // the whole analysis.
-        let placeholder = Waveform::constant(0.0, 0.0, self.t_stop)?;
+        let placeholder = Waveform::constant(0.0, self.t_start, self.t_stop)?;
         ckt.thevenin_driver(v_in, placeholder.clone(), spec.driver_resistance)?;
         let mut agg_ins = Vec::with_capacity(self.agg_ramps.len());
         for _ in &self.agg_ramps {
@@ -1701,7 +1767,8 @@ impl Sta {
         }
         let th = Thresholds::cmos(self.library().voltage);
 
-        // Simulation window: start at zero, end comfortably after the
+        // Simulation window: from zero (or from before the earliest rail
+        // departure, if that is negative) to a cap comfortably after the
         // latest participant settles.
         let mut latest = unit.arrival + unit.slew;
         let agg_pol = spec.aggressor_polarity(victim_pol);
@@ -1743,15 +1810,16 @@ impl Sta {
         } else {
             spec.line
         };
+        let victim_ramp =
+            SaturatedRamp::with_slew(unit.arrival, unit.slew.max(1e-12), th, victim_pol.is_rise())?;
+        let earliest = agg_ramps
+            .iter()
+            .map(SaturatedRamp::t_rail_departure)
+            .fold(victim_ramp.t_rail_departure(), f64::min);
         Ok(VictimStage {
             spec,
             polarity: victim_pol,
-            victim_ramp: SaturatedRamp::with_slew(
-                unit.arrival,
-                unit.slew.max(1e-12),
-                th,
-                victim_pol.is_rise(),
-            )?,
+            victim_ramp,
             agg_ramps,
             victim_line,
             // Receiver loading at the victim far end.
@@ -1760,9 +1828,10 @@ impl Sta {
                 .unwrap_or_else(|| self.graph().load(spec.victim))
                 .max(1e-16),
             // Quantized grid: the timestep heuristic is rounded up into a
-            // fixed bucket set and the stop time to a fixed quantum, so
+            // fixed bucket set and the window to a fixed quantum, so
             // structurally identical victim stages land on a shared grid —
             // and therefore share one factorization.
+            t_start: quantize_t_start(earliest),
             t_stop: quantize_t_stop(latest),
             dt: quantize_dt(unit.slew),
         })
@@ -1821,9 +1890,11 @@ impl Sta {
     /// One attempt of a reduction group on one `(dt, cx.backend)` grid —
     /// the unit the fallback chain retries with a group of one. `stages`
     /// are transitions of one victim net whose grids are equal, so one
-    /// factored system and one sweep serve them all. Returns each stage's
-    /// result in order; a failure of the shared work (waveforms,
-    /// factorization, sweep) fails the whole group.
+    /// factored system and one sweep serve them all. Every attempt, the
+    /// fallback chain's included, sweeps each column until its stage has
+    /// settled (see [`SETTLE_TOLERANCE`]). Returns each stage's result in
+    /// order; a failure of the shared work (waveforms, factorization,
+    /// sweep) fails the whole group.
     fn victim_attempt(
         &self,
         cx: &PassContext<'_>,
@@ -1835,19 +1906,20 @@ impl Sta {
         };
         // One net: every stage shares the spec, and with it the circuit.
         let spec = first.spec;
-        let t_stop = first.t_stop;
-        let steps = (t_stop / dt).round() as u64;
+        let (t_start, t_stop) = (first.t_start, first.t_stop);
+        let steps = ((t_stop - t_start) / dt).round() as u64;
+        let vdd = Thresholds::cmos(self.library().voltage).vdd();
 
         // Source waveforms in the circuit's order (see
         // `VictimStage::circuit`).
         let waves_span = nsta_obs::span!("si.victim.waves");
         let mut waves = Vec::with_capacity(stages.len());
         for stage in stages {
-            let victim = stage.victim_ramp.to_waveform(0.0, t_stop, dt)?;
+            let victim = stage.victim_ramp.to_waveform(t_start, t_stop, dt)?;
             let aggs: Vec<Waveform> = stage
                 .agg_ramps
                 .iter()
-                .map(|ramp| ramp.to_waveform(0.0, t_stop, dt))
+                .map(|ramp| ramp.to_waveform(t_start, t_stop, dt))
                 .collect::<Result<_, _>>()?;
             waves.push((victim, aggs));
         }
@@ -1858,13 +1930,17 @@ impl Sta {
         // LU-factor only on a miss.
         let key = cx
             .factors
-            .map(|_| TopoKey::new(dt, steps, spec, &first.victim_line, first.load));
+            .map(|_| TopoKey::new(dt, t_start, steps, spec, &first.victim_line, first.load));
         let entry = match cx.factors.zip(key.as_ref()).and_then(|(f, k)| f.get(k)) {
             Some(entry) => entry,
             None => {
                 let (ckt, victim_far) = first.circuit()?;
+                // Every sweep stops once its stage has settled; the
+                // window's end only caps it (see `SETTLE_TOLERANCE`).
                 let system = ckt.factor_transient(
-                    TransientOptions::new(0.0, t_stop, dt)?.with_backend(cx.backend),
+                    TransientOptions::new(t_start, t_stop, dt)?
+                        .with_backend(cx.backend)
+                        .until_settled(SETTLE_TOLERANCE * vdd),
                 )?;
                 let entry = CachedSystem {
                     system: Arc::new(system),
@@ -1883,12 +1959,12 @@ impl Sta {
         // transient solver as a recoverable numeric error rather than
         // propagating NaN into the report.
         let transient_span = nsta_obs::span!("si.victim.transient");
-        let vdd = Thresholds::cmos(self.library().voltage).vdd();
         let quiets = stages
             .iter()
             .map(|stage| {
                 let agg_pol = spec.aggressor_polarity(stage.polarity);
-                Waveform::constant(if agg_pol.is_rise() { 0.0 } else { vdd }, 0.0, t_stop)
+                let level = if agg_pol.is_rise() { 0.0 } else { vdd };
+                Waveform::constant(level, t_start, t_stop)
             })
             .collect::<Result<Vec<_>, _>>()?;
         // With every aggressor pruned the "noisy" circuit is identical to
@@ -2558,19 +2634,20 @@ mod tests {
 
     /// One transition reduced on its own, as the benchmark's stage probe
     /// replays it (`perfbench/src/bus.rs`): a fresh factorization, one
-    /// `run_nodes` call per source set, then the receiver gate and the
-    /// reduction.
+    /// `run_nodes` call per source set integrated to the window's cap
+    /// (no settle stop), then the receiver gate and the reduction.
     fn reduce_alone(sta: &Sta, cx: &PassContext<'_>, stage: &VictimStage<'_>) -> SiAdjustment {
         let (ckt, far) = stage.circuit().unwrap();
-        let opts = TransientOptions::new(0.0, stage.t_stop, stage.dt).unwrap();
+        let (t_start, t_stop) = (stage.t_start, stage.t_stop);
+        let opts = TransientOptions::new(t_start, t_stop, stage.dt).unwrap();
         let system = ckt.factor_transient(opts).unwrap();
-        let wave = |ramp: &SaturatedRamp| ramp.to_waveform(0.0, stage.t_stop, stage.dt).unwrap();
+        let wave = |ramp: &SaturatedRamp| ramp.to_waveform(t_start, t_stop, stage.dt).unwrap();
         let victim = wave(&stage.victim_ramp);
         let aggs: Vec<Waveform> = stage.agg_ramps.iter().map(wave).collect();
         let th = Thresholds::cmos(sta.library().voltage);
         let agg_pol = stage.spec.aggressor_polarity(stage.polarity);
         let quiet_level = if agg_pol.is_rise() { 0.0 } else { th.vdd() };
-        let quiet = Waveform::constant(quiet_level, 0.0, stage.t_stop).unwrap();
+        let quiet = Waveform::constant(quiet_level, t_start, t_stop).unwrap();
         let mut quiet_set = vec![&victim];
         quiet_set.extend(aggs.iter().map(|_| &quiet));
         let mut noisy_set = vec![&victim];
@@ -2616,8 +2693,9 @@ mod tests {
         specs[1] = specs[1].restricted(&[]);
         // Group 2's aggressors are skewed so that its far aggressor, the
         // latest participant, ends 0.5 ns in, halfway between its rising
-        // and falling ends: with the 1 ns settle margin, its rise and fall
-        // stop times round up to different 0.5 ns quanta.
+        // and falling ends: with the 1 ns settle margin that sizes each
+        // window's cap, its rise and fall caps round up to different
+        // 0.5 ns quanta.
         let far = specs[2].aggressors[1];
         let end = |pol: Polarity| {
             let p = base[far.0].get(pol);
@@ -2656,6 +2734,105 @@ mod tests {
                 factors.hits.load(Ordering::Relaxed) + factors.misses.load(Ordering::Relaxed);
             assert_eq!(lookups, groups, "threads={threads}");
         }
+    }
+
+    #[test]
+    fn settled_sweeps_reduce_like_the_full_cap() {
+        // A 48-segment victim with two 48-segment aggressors, skewed so
+        // that the far one switches 150 ps after the victim: every sweep
+        // of the pass stops once its stage has settled, after that late
+        // transition, and every adjustment must still equal its
+        // transition reduced on the whole cap, bit for bit.
+        let sta = Sta::new(multi_group_design_with(&[7]), lib().clone()).unwrap();
+        let bc = BoundaryConditions::from(&Constraints::default());
+        let base = sta.forward_sweep(&bc).unwrap();
+        let mut specs = multi_group_specs(&sta, 1);
+        let line = specs[0].line;
+        specs[0].line = RcLineSpec::new(line.r_total, line.c_total, 48).unwrap();
+        let mid = |net: NetId| {
+            let state = &base[net.0];
+            0.5 * (state.get(Polarity::Rise).arrival + state.get(Polarity::Fall).arrival)
+        };
+        specs[0].aggressor_skew = mid(specs[0].victim) + 150e-12 - mid(specs[0].aggressors[1]);
+        let factors = Factorizations::default();
+        let cx = pass_context(&bc, &base, 1, Some(&factors));
+        let (_, adjustments, _, degrades) = sta.crosstalk_pass(&cx, &specs, None, None).unwrap();
+        assert!(degrades.is_empty());
+        let stages = nominal_stages(&sta, &cx, &specs);
+        let alone: Vec<SiAdjustment> = stages[0]
+            .iter()
+            .map(|stage| reduce_alone(&sta, &cx, stage))
+            .collect();
+        assert_eq!(adjustment_bits(&adjustments), adjustment_bits(&alone));
+
+        // The fixture exercises the stop: each noisy sweep settles after
+        // the late aggressor has switched, and short of its cap.
+        let vdd = Thresholds::cmos(sta.library().voltage).vdd();
+        for stage in &stages[0] {
+            let (ckt, far) = stage.circuit().unwrap();
+            let opts = TransientOptions::new(stage.t_start, stage.t_stop, stage.dt)
+                .unwrap()
+                .until_settled(SETTLE_TOLERANCE * vdd);
+            let system = ckt.factor_transient(opts).unwrap();
+            let waves: Vec<Waveform> = std::iter::once(&stage.victim_ramp)
+                .chain(&stage.agg_ramps)
+                .map(|ramp| ramp.to_waveform(stage.t_start, stage.t_stop, stage.dt))
+                .collect::<Result<_, _>>()
+                .unwrap();
+            let set: Vec<&Waveform> = waves.iter().collect();
+            let noisy = system.run_nodes(&set, &[far]).unwrap().remove(0);
+            assert!(noisy.t_end() > stage.agg_ramps[1].t_rail_arrival());
+            assert!(noisy.len() < system.times().len() / 2);
+        }
+    }
+
+    #[test]
+    fn negative_input_arrival_translates_the_analysis() {
+        // An input delay of −0.3 ns makes participants leave their rails
+        // before 0, so each stage's window starts at −0.5 ns; the same
+        // design at +0.2 ns starts at 0 on a grid that is the exact
+        // translate of it (0.5 ns is one quantum and a multiple of every
+        // timestep bucket). Every adjustment must be the +0.2 ns one moved
+        // by 0.5 ns, to round-off: the largest deviation measures 4.5e-24 s
+        // in arrival and 1.6e-23 s in slew.
+        let groups = 3;
+        let sta = Sta::new(multi_group_design(groups), lib().clone()).unwrap();
+        let specs = multi_group_specs(&sta, groups);
+        let constraints = |input_arrival: f64| Constraints {
+            input_arrival,
+            ..Constraints::default()
+        };
+        let bc = BoundaryConditions::from(&constraints(-0.3e-9));
+        let base = sta.forward_sweep(&bc).unwrap();
+        let stages = nominal_stages(&sta, &pass_context(&bc, &base, 1, None), &specs);
+        assert!(stages.iter().flatten().all(|s| s.t_start == -0.5e-9));
+        let run = |input_arrival: f64| {
+            sta.analyze_with_crosstalk_windows(
+                constraints(input_arrival),
+                &specs,
+                &SiOptions::default(),
+            )
+            .unwrap()
+        };
+        let (early, late) = (run(-0.3e-9), run(0.2e-9));
+        assert_eq!(early.pruned, late.pruned);
+        assert_eq!(early.adjustments.len(), late.adjustments.len());
+        assert!(!early.adjustments.is_empty());
+        let (mut arrival, mut slew) = (0.0f64, 0.0f64);
+        for (e, l) in early.adjustments.iter().zip(&late.adjustments) {
+            assert_eq!((e.net, e.polarity), (l.net, l.polarity));
+            for (a, b) in [
+                (e.base_arrival, l.base_arrival),
+                (e.noisy_arrival, l.noisy_arrival),
+            ] {
+                arrival = arrival.max((a + 0.5e-9 - b).abs());
+            }
+            slew = slew.max((e.noisy_slew - l.noisy_slew).abs());
+        }
+        assert!(
+            arrival <= 1e-22 && slew <= 1e-22,
+            "{arrival:e} s, {slew:e} s"
+        );
     }
 
     /// One fully connected cone: input `a` fans out to both the victim
