@@ -322,7 +322,7 @@ fn main() {
         (promote, report)
     });
 
-    // The measured analysis: windows + incremental fixed point.
+    // The measured analysis: windows + cone-scoped fixed point.
     let t = Instant::now();
     let analysis = sta
         .analyze_with_crosstalk_windows(boundary, &bound.specs, &opts)

@@ -2,7 +2,7 @@
 //!
 //! [`bind_couplings`] matches every reduced SPEF net against the design's
 //! nets by name and auto-derives the [`CouplingSpec`]s that
-//! `Sta::analyze_with_crosstalk` consumes: the victim's distributed line
+//! `Sta::analyze_with_crosstalk_windows` consumes: the victim's distributed line
 //! from its own RC totals, each aggressor's line from *its* extraction, and
 //! the per-aggressor coupling totals. This is the glue that makes the flow
 //! drivable from a netlist + SPEF pair instead of hand-written specs.

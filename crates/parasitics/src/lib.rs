@@ -20,9 +20,8 @@
 //! * [`bind_couplings`] — matches SPEF nets to a timing
 //!   [`Design`](nsta_sta::Design) by name and emits the
 //!   [`CouplingSpec`](nsta_sta::CouplingSpec)s that
-//!   `Sta::analyze_with_crosstalk` (and its timing-window variant) accept,
-//!   reporting every unmatched net and pruned coupling instead of silently
-//!   dropping them.
+//!   `Sta::analyze_with_crosstalk_windows` accepts, reporting every
+//!   unmatched net and pruned coupling instead of silently dropping them.
 //! * [`rebind_net`] — the single-net rebind of an incremental ECO flow:
 //!   one replaced `*D_NET` section updates a bound spec list by
 //!   reducing only that section and rebuilding only the specs naming

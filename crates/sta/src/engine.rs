@@ -459,26 +459,26 @@ impl Sta {
         states: Vec<NetState>,
         mask: Option<&FalsePathMask>,
     ) -> Result<TimingReport, StaError> {
-        self.finish_report_scoped(bc, states, mask, None)
+        let rows = self.report_rows(bc, &states, mask, None)?;
+        Ok(self.report_from_rows(rows, &states))
     }
 
-    /// [`Sta::finish_report`] restricted to a per-net scope mask: required
-    /// times are only seeded/propagated and report rows only filled for
-    /// nets with `scope[net]` (others get placeholder [`NetTiming`] rows
-    /// with no timing and an empty name, and the worst point / critical
-    /// path consider scoped nets only). The reverse sweep's per-edge
-    /// table lookups and the per-row name copies dominate the report
-    /// cost, so a session's per-edit fixed point scopes them to the dirty
-    /// clusters — sound because cones are weakly-connected components
-    /// (no edge crosses the scope boundary) and the patch report is
-    /// discarded in favor of the merged full one.
-    pub(crate) fn finish_report_scoped(
+    /// The per-net rows of [`Sta::finish_report`], restricted to a per-net
+    /// scope mask: required times are only seeded/propagated and rows only
+    /// filled for nets with `scope[net]` (others get placeholder
+    /// [`NetTiming`] rows with no timing and an empty name). The reverse
+    /// sweep's per-edge table lookups and the per-row name copies dominate
+    /// the report cost, so the crosstalk fixed point scopes them to the
+    /// cones it re-solved — sound because cones are weakly-connected
+    /// components (no edge crosses the scope boundary), so every scoped
+    /// row equals the unscoped one.
+    pub(crate) fn report_rows(
         &self,
         bc: &BoundaryConditions,
-        states: Vec<NetState>,
+        states: &[NetState],
         mask: Option<&FalsePathMask>,
         scope: Option<&[bool]>,
-    ) -> Result<TimingReport, StaError> {
+    ) -> Result<Vec<NetTiming>, StaError> {
         let in_scope = |i: usize| scope.is_none_or(|s| s.get(i).copied().unwrap_or(false));
         let n = self.design.net_count();
         let mut required = vec![[f64::INFINITY; 2]; n];
@@ -522,9 +522,6 @@ impl Sta {
         }
 
         let mut nets = Vec::with_capacity(n);
-        let mut worst_arrival = f64::NEG_INFINITY;
-        let mut worst_slack = f64::INFINITY;
-        let mut worst_point: Option<(NetId, Polarity)> = None;
         for i in 0..n {
             let id = NetId(i);
             if !in_scope(i) {
@@ -563,66 +560,19 @@ impl Sta {
                     Polarity::Rise => timing.rise = Some(pt),
                     Polarity::Fall => timing.fall = Some(pt),
                 }
-                worst_arrival = worst_arrival.max(p.arrival);
-                // Prefer the latest-arriving point among equal slacks so the
-                // critical path is reported from its endpoint, not from an
-                // intermediate net sharing the same slack.
-                let better = slack < worst_slack - 1e-15
-                    || (slack <= worst_slack + 1e-15
-                        && worst_point
-                            .map(|(wid, wpol)| {
-                                let wp = states[wid.0].get(wpol);
-                                p.arrival > wp.arrival
-                            })
-                            .unwrap_or(true));
-                if better {
-                    worst_slack = worst_slack.min(slack);
-                    worst_point = Some((id, pol));
-                }
             }
             nets.push(timing);
         }
-
-        // Critical path: walk predecessors from the worst-slack endpoint.
-        let mut critical = Vec::new();
-        if let Some((mut net, mut pol)) = worst_point {
-            loop {
-                let p = *states[net.0].get(pol);
-                critical.push(PathPoint {
-                    net,
-                    name: self.design.net_name(net).to_string(),
-                    polarity: pol,
-                    arrival: p.arrival,
-                    slew: p.slew,
-                });
-                match p.pred {
-                    Some((k, from_pol)) => {
-                        net = self.graph.edges()[k].from;
-                        pol = from_pol;
-                    }
-                    None => break,
-                }
-            }
-            critical.reverse();
-        }
-        Ok(TimingReport::new(
-            nets,
-            critical,
-            worst_slack,
-            worst_arrival,
-        ))
+        Ok(nets)
     }
 
-    /// Rebuilds a [`TimingReport`] from already-finished per-net rows and
-    /// their propagation states: re-derives the worst arrival/slack, the
-    /// worst point and the critical path with byte-for-byte the same scan
-    /// as [`Sta::finish_report`], but without the reverse required-time
-    /// sweep (whose per-edge table lookups dominate the report cost).
-    /// For [`Sta::session_merge`], which splices rows from two reports
-    /// whose required times are already exact: required times never cross
-    /// cone boundaries (cones are weakly-connected components), so a
-    /// dirty cone's patch rows and a clean cone's retained rows are each
-    /// bit-identical to a batch run's.
+    /// Builds a [`TimingReport`] from finished per-net rows and their
+    /// propagation states: the worst arrival/slack, the worst point and the
+    /// critical path. Rows spliced from two analyses (a session merge, a
+    /// fixed-point pass over the cones that changed) need nothing more:
+    /// required times never cross cone boundaries (cones are
+    /// weakly-connected components), so a re-solved cone's rows and an
+    /// untouched cone's rows are each bit-identical to a full run's.
     pub(crate) fn report_from_rows(
         &self,
         nets: Vec<NetTiming>,
@@ -635,8 +585,9 @@ impl Sta {
             for (pol, pt) in [(Polarity::Rise, &t.rise), (Polarity::Fall, &t.fall)] {
                 let Some(p) = pt else { continue };
                 worst_arrival = worst_arrival.max(p.arrival);
-                // Same latest-arrival tie-break as finish_report, so the
-                // reported endpoint (hence critical path) is identical.
+                // Prefer the latest-arriving point among equal slacks so the
+                // critical path is reported from its endpoint, not from an
+                // intermediate net sharing the same slack.
                 let better = p.slack < worst_slack - 1e-15
                     || (p.slack <= worst_slack + 1e-15
                         && worst_point

@@ -41,6 +41,8 @@ pub struct TimingGraph {
     /// no timing dependency in either direction — the unit of parallelism
     /// of every sweep.
     components: Vec<Vec<NetId>>,
+    /// Net id -> index of its component in `components`.
+    cone_of: Vec<usize>,
     /// Net id -> position of the net inside its component, so cone tasks
     /// can serve state reads from a compact per-cone buffer.
     cone_slot: Vec<usize>,
@@ -187,9 +189,11 @@ impl TimingGraph {
         for c in &mut components {
             c.sort_by_key(|net| level[net.0]);
         }
+        let mut cone_of = vec![0usize; n];
         let mut cone_slot = vec![0usize; n];
-        for c in &components {
+        for (ci, c) in components.iter().enumerate() {
             for (j, &net) in c.iter().enumerate() {
+                cone_of[net.0] = ci;
                 cone_slot[net.0] = j;
             }
         }
@@ -200,6 +204,7 @@ impl TimingGraph {
             fanout,
             order,
             components,
+            cone_of,
             cone_slot,
             loads,
         })
@@ -236,6 +241,12 @@ impl TimingGraph {
             .filter(|(ci, _)| scope.is_none_or(|s| s.get(*ci).copied().unwrap_or(false)))
             .map(|(_, cone)| cone.as_slice())
             .collect()
+    }
+
+    /// Index of the component containing `net` (see
+    /// [`TimingGraph::components`]): `components()[cone_of(net)]` holds it.
+    pub fn cone_of(&self, net: NetId) -> usize {
+        self.cone_of[net.0]
     }
 
     /// Position of `net` inside its component (see

@@ -16,14 +16,13 @@
 //!   `impl Into<BoundaryConditions>`, so the legacy uniform
 //!   [`Constraints`] keeps working while SDC-bound sets
 //!   (`nsta-constraints`) drive genuine per-pin windows,
-//! * [`CouplingSpec`]/[`Sta::analyze_with_crosstalk`] — victim nets with
-//!   capacitive aggressors: the noisy waveform at the receiver is computed
-//!   on the linear RC substrate, reduced to an equivalent ramp `Γeff` by the
-//!   chosen [`MethodKind`](sgdp::MethodKind), and propagated downstream —
-//!   exactly how the paper proposes commercial STA adopt SGDP,
-//! * [`SiOptions`]/[`Sta::analyze_with_crosstalk_windows`] — the same
-//!   analysis behind a timing-window filter: aggressors whose switching
-//!   windows cannot overlap the victim's are pruned before any circuit
+//! * [`CouplingSpec`]/[`SiOptions`]/[`Sta::analyze_with_crosstalk_windows`]
+//!   — victim nets with capacitive aggressors: the noisy waveform at the
+//!   receiver is computed on the linear RC substrate, reduced to an
+//!   equivalent ramp `Γeff` by the chosen [`MethodKind`](sgdp::MethodKind),
+//!   and propagated downstream — exactly how the paper proposes commercial
+//!   STA adopt SGDP. A timing-window filter prunes aggressors whose
+//!   switching windows cannot overlap the victim's before any circuit
 //!   simulation (their coupling caps stay as quiet grounded load), and the
 //!   filter + analysis iterate to a fixed point because crosstalk push-out
 //!   moves the windows. Coupling specs can be hand-written or derived from

@@ -46,7 +46,8 @@ use crate::boundary::BoundaryConditions;
 use crate::engine::{NetState, Sta};
 use crate::error::StaError;
 use crate::netlist::NetId;
-use crate::si::{CouplingSpec, SiAnalysis, SiOptions};
+use crate::report::NetTiming;
+use crate::si::{CouplingSpec, SiAdjustment, SiAnalysis, SiOptions};
 
 /// Invalidation granules of an incremental session: the design's cones
 /// (weakly connected components of the timing graph) merged across every
@@ -136,13 +137,11 @@ impl Sta {
     /// aggressors' cones. Unknown nets in a spec are ignored here — the
     /// analysis itself reports them as errors.
     pub fn cone_clusters(&self, couplings: &[CouplingSpec]) -> ConeClusters {
-        let components = self.graph().components();
-        let mut cone_of_net = vec![0usize; self.design().net_count()];
-        for (cone, members) in components.iter().enumerate() {
-            for &net in members {
-                cone_of_net[net.0] = cone;
-            }
-        }
+        let graph = self.graph();
+        let components = graph.components();
+        let cone_of_net: Vec<usize> = (0..self.design().net_count())
+            .map(|i| graph.cone_of(NetId(i)))
+            .collect();
         // Union-find with path halving; union by arbitrary root order is
         // fine at cone counts (thousands at most).
         let mut parent: Vec<usize> = (0..components.len()).collect();
@@ -227,39 +226,73 @@ impl Sta {
         dirty_nets: &[bool],
         epoch: u64,
     ) {
-        let dirty = |net: NetId| dirty_nets.get(net.0).copied().unwrap_or(false);
         let RetainedAnalysis {
             analysis: mut patch,
             states: patch_states,
         } = patch;
-        for (i, (old, new)) in retained.states.iter_mut().zip(patch_states).enumerate() {
-            if dirty(NetId(i)) {
-                *old = new;
-            }
-        }
-        let mut rows = retained.analysis.report.take_rows();
-        for (i, (old, new)) in rows.iter_mut().zip(patch.report.take_rows()).enumerate() {
-            if dirty(NetId(i)) {
-                *old = new;
-            }
-        }
-        // Required times never cross a cone boundary, so every spliced
-        // row is already exact; only the report summary is re-derived.
-        retained.analysis.report = self.report_from_rows(rows, &retained.states);
+        let analysis = &mut retained.analysis;
+        let mut rows = analysis.report.take_rows();
+        splice_nets(
+            (&mut retained.states, &mut rows, &mut analysis.adjustments),
+            (patch_states, patch.report.take_rows(), patch.adjustments),
+            Some(dirty_nets),
+        );
+        analysis.report = self.report_from_rows(rows, &retained.states);
 
-        let adjustments = &mut retained.analysis.adjustments;
-        adjustments.retain(|a| !dirty(a.net));
-        adjustments.extend(patch.adjustments.into_iter().filter(|a| dirty(a.net)));
-        adjustments.sort_by_key(|a| (a.net.0, !a.polarity.is_rise()));
-
-        let pruned = &mut retained.analysis.pruned;
+        let dirty = |net: NetId| dirty_nets.get(net.0).copied().unwrap_or(false);
+        let pruned = &mut analysis.pruned;
         pruned.retain(|p| !dirty(p.victim));
         pruned.extend(patch.pruned.into_iter().filter(|p| dirty(p.victim)));
         pruned.sort_by_key(|p| (p.victim.0, p.aggressor.0));
 
-        retained.analysis.diagnostics = patch.diagnostics;
-        retained.analysis.diagnostics.epoch = epoch;
+        analysis.diagnostics = patch.diagnostics;
+        analysis.diagnostics.epoch = epoch;
     }
+}
+
+/// Splices a re-solve's per-net `(states, report rows, adjustments)` into
+/// an earlier result's, in place: every net `dirty` marks (`None`: every
+/// net) takes the patch's state and row, all others keep their own, and
+/// the adjustments of the marked victims are swapped for the patch's.
+/// Returns the worst arrival movement of a spliced row (s).
+///
+/// Required times never cross a cone boundary, so when `dirty` covers
+/// whole cones every spliced row is already exact: the caller re-derives
+/// only the report summary ([`Sta::report_from_rows`]). Both the session
+/// merge and every pass of the crosstalk fixed point splice this way.
+pub(crate) fn splice_nets(
+    (states, rows, adjustments): (&mut [NetState], &mut [NetTiming], &mut Vec<SiAdjustment>),
+    (patch_states, patch_rows, patch_adjustments): (
+        Vec<NetState>,
+        Vec<NetTiming>,
+        Vec<SiAdjustment>,
+    ),
+    dirty: Option<&[bool]>,
+) -> f64 {
+    let dirty = |net: NetId| dirty.is_none_or(|d| d.get(net.0).copied().unwrap_or(false));
+    let mut moved = 0.0f64;
+    let patch = patch_states.into_iter().zip(patch_rows);
+    for (i, ((state, row), (patch_state, patch_row))) in states
+        .iter_mut()
+        .zip(rows.iter_mut())
+        .zip(patch)
+        .enumerate()
+    {
+        if !dirty(NetId(i)) {
+            continue;
+        }
+        for (old, new) in [(&row.rise, &patch_row.rise), (&row.fall, &patch_row.fall)] {
+            if let (Some(old), Some(new)) = (old, new) {
+                moved = moved.max((old.arrival - new.arrival).abs());
+            }
+        }
+        *state = patch_state;
+        *row = patch_row;
+    }
+    adjustments.retain(|a| !dirty(a.net));
+    adjustments.extend(patch_adjustments.into_iter().filter(|a| dirty(a.net)));
+    adjustments.sort_by_key(|a| (a.net.0, !a.polarity.is_rise()));
+    moved
 }
 
 #[cfg(test)]

@@ -60,27 +60,25 @@
 //! a failed group on its own and bypasses the map, since the key does
 //! not encode the solver backend.
 //!
-//! # Incremental fixed point
+//! # Cone-scoped fixed point
 //!
 //! Crosstalk push-out moves switching windows, so
 //! [`Sta::analyze_with_crosstalk_windows`] iterates the window filter and
-//! the analysis to a fixed point. Two observations make that cheap:
+//! the analysis to a fixed point. The nominal forward sweep, which also
+//! supplies every aggressor ramp, is iteration-invariant and is computed
+//! once, outside the loop. A cone's pass therefore reads only that sweep,
+//! the boundary seeds and its own victims' filtered specs: a cone whose
+//! victims' filtered specs did not change would reproduce its previous
+//! states bit for bit.
 //!
-//! * the nominal forward sweep (which also supplies every aggressor ramp)
-//!   is iteration-invariant and is computed once, outside the loop;
-//! * a victim's reduction is a pure function of its *victim cache key*:
-//!   its own `(arrival, slew)`, the filtered aggressor set with each kept
-//!   aggressor's `(net, arrival, slew, coupling cap)`, and the quiet
-//!   coupling total folded onto its line. With
-//!   [`SiOptions::incremental`] the `(Γeff, base arrival)` of every victim
-//!   is cached under that key, and a victim is re-simulated only when its
-//!   key moved by more than 0.1 ps (structural changes — a different
-//!   kept-aggressor set or coupling value — always re-run).
-//!
-//! Later iterations therefore pay only for victims whose windows actually
-//! changed: the fixed point costs O(changed victims), not
-//! O(iterations × victims), and unchanged victims reproduce their cached
-//! result bit-for-bit.
+//! So every pass after the first re-solves only the cones holding a
+//! victim whose filtered [`CouplingSpec`] differs from the previous
+//! pass's, and splices their states, report rows and adjustments into the
+//! previous pass's result — the splice [`Sta::session_merge`] does for an
+//! edit. When no filtered spec changed, the fixed point has converged and
+//! the loop stops without another pass. The result equals one full pass
+//! over the final filtered specs bit for bit, and later passes cost
+//! O(changed cones), not O(cones).
 //!
 //! # Resource governance
 //!
@@ -89,10 +87,14 @@
 //!
 //! * **Deadline** — [`SiOptions::deadline`] is polled cooperatively at
 //!   cone-task and iteration boundaries. On expiry, in-flight work
-//!   finishes, remaining cones keep their *nominal* (crosstalk-free)
-//!   timing, each skipped victim is recorded as a
-//!   [`DegradeAction::DeadlineSkipped`] event, and the analysis returns a
-//!   well-formed partial result with [`SiDiagnostics::timed_out`] set.
+//!   finishes, the cones the pass has not scheduled yet keep their
+//!   *nominal* (crosstalk-free) timing, each of their victims is recorded
+//!   as a [`DegradeAction::DeadlineSkipped`] event, and the analysis
+//!   returns a well-formed partial result with
+//!   [`SiDiagnostics::timed_out`] set. A pass after the first schedules
+//!   only the cones it re-solves, so an expiry there leaves every other
+//!   cone at the previous pass's result: only the victims of the skipped
+//!   re-solved cones go stale.
 //! * **Convergence governor** — [`SiOptions::convergence_governor`]
 //!   watches the fixed point's `max_window_delta` sequence; on stagnation
 //!   (deltas not shrinking) or cap exhaustion it switches to a
@@ -103,9 +105,10 @@
 //!   the added pessimism is visible, never silent.
 
 use crate::boundary::BoundaryConditions;
-use crate::engine::{NetState, Point, Sta};
+use crate::engine::{NetState, Sta};
 use crate::netlist::NetId;
-use crate::report::TimingReport;
+use crate::report::{NetTiming, TimingReport};
+use crate::session::splice_nets;
 use crate::StaError;
 use nsta_circuit::{
     Circuit, FactoredSystem, NodeId as CktNode, RcLineSpec, SolverBackend, StarCoupledLines,
@@ -364,11 +367,6 @@ pub struct SiOptions {
     /// reductions. `1` (default) runs inline; any value produces
     /// bit-identical results (see the module docs).
     pub threads: usize,
-    /// When `true` (default), victims whose cache key is unchanged between
-    /// fixed-point iterations reuse their previous `Γeff` instead of
-    /// re-simulating. Disable to force a full recompute every iteration
-    /// (the parity baseline).
-    pub incremental: bool,
     /// Linear-solver backend of every victim reduction (default
     /// [`SolverBackend::Sparse`]). [`SolverBackend::Dense`] is the parity
     /// escape hatch: both backends integrate the same trapezoidal system,
@@ -396,7 +394,6 @@ impl Default for SiOptions {
             method: MethodKind::Sgdp,
             max_iterations: 4,
             threads: 1,
-            incremental: true,
             backend: SolverBackend::Sparse,
             fault_policy: FaultPolicy::default(),
             deadline: None,
@@ -407,8 +404,7 @@ impl Default for SiOptions {
 
 /// Convergence threshold of the window fixed point (s): the analysis stops
 /// once the worst per-net arrival moves by at most this much between
-/// iterations, and the incremental fixed point re-simulates a cached
-/// victim only when its timing inputs drift further than this.
+/// iterations.
 const CONVERGENCE_TOL: f64 = 0.1e-12;
 
 /// One aggressor discarded by the timing-window filter.
@@ -428,10 +424,12 @@ pub struct PrunedAggressor {
 /// how far it moved the solution.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SiIteration {
-    /// Victim transitions re-simulated in this pass (victim-cache misses,
-    /// or every valid transition with [`SiOptions::incremental`] off).
+    /// Victim transitions reduced in this pass: every valid one in the
+    /// cones the pass re-solved — every scoped cone in the first pass,
+    /// then the cones holding a victim whose filtered spec changed.
     pub victims_recomputed: usize,
-    /// Victim transitions served from the incremental victim cache.
+    /// Adjustments carried over unchanged from the previous pass, from the
+    /// cones this pass did not re-solve (0 in the first pass).
     pub victims_cached: usize,
     /// Aggressors discarded by the window filter feeding this pass.
     pub aggressors_pruned: usize,
@@ -504,9 +502,9 @@ fn governed_window_update(
 /// read as [`SiAnalysis::diagnostics`].
 #[derive(Debug, Clone)]
 pub struct SiDiagnostics {
-    /// One record per executed fixed-point pass, in order. A pass skipped
-    /// by the unchanged-pruning short-circuit records nothing, so
-    /// `iterations.len()` counts simulations actually paid for.
+    /// One record per executed fixed-point pass, in order. The loop stops
+    /// without a pass once no filtered spec changed, so
+    /// `iterations.len()` counts passes actually paid for.
     pub iterations: Vec<SiIteration>,
     /// Whether the window fixed point converged within the iteration cap.
     pub converged: bool,
@@ -620,65 +618,12 @@ pub struct SiAdjustment {
     pub noisy_slew: f64,
 }
 
-/// Worst absolute per-net, per-polarity arrival movement between two
-/// reports over the same design (s).
-fn worst_arrival_movement(a: &TimingReport, b: &TimingReport) -> f64 {
-    let mut worst = 0.0f64;
-    for (na, nb) in a.nets().iter().zip(b.nets()) {
-        for (pa, pb) in [(&na.rise, &nb.rise), (&na.fall, &nb.fall)] {
-            if let (Some(pa), Some(pb)) = (pa.as_ref(), pb.as_ref()) {
-                worst = worst.max((pa.arrival - pb.arrival).abs());
-            }
-        }
-    }
-    worst
-}
-
 /// Whether `e` is the kind of failure the numeric fallback chain can
 /// plausibly fix — a solver-level error (singular/lost pivot, non-finite
 /// values) — as opposed to a structural, library, or specification
 /// problem that would fail identically on any backend or grid.
 fn is_numeric_failure(e: &StaError) -> bool {
     matches!(e, StaError::Circuit(nsta_circuit::CircuitError::Numeric(_)))
-}
-
-/// Everything a victim reduction depends on besides the iteration-invariant
-/// design/library/constraints: the victim's own timing point, the kept
-/// aggressors with the inputs their ramps are built from, and the quiet
-/// coupling folded onto the victim line.
-#[derive(Debug, Clone)]
-struct VictimKey {
-    arrival: f64,
-    slew: f64,
-    /// Per kept aggressor: `(net, arrival, slew, coupling cap)`.
-    aggressors: Vec<(NetId, f64, f64, f64)>,
-    quiet_cm: f64,
-}
-
-impl VictimKey {
-    /// Whether `other` is close enough to this key that re-simulating
-    /// could not move the result beyond [`CONVERGENCE_TOL`]: structure
-    /// (aggressor set, coupling values) must match exactly, timing inputs
-    /// within the tolerance.
-    fn matches(&self, other: &VictimKey) -> bool {
-        let close = |a: f64, b: f64| (a - b).abs() <= CONVERGENCE_TOL;
-        self.aggressors.len() == other.aggressors.len()
-            && self.quiet_cm == other.quiet_cm
-            && close(self.arrival, other.arrival)
-            && close(self.slew, other.slew)
-            && self
-                .aggressors
-                .iter()
-                .zip(&other.aggressors)
-                .all(|(a, b)| a.0 == b.0 && a.3 == b.3 && close(a.1, b.1) && close(a.2, b.2))
-    }
-}
-
-/// Per-victim `(key, Γeff, base arrival)` memo carried across fixed-point
-/// iterations, keyed by `(victim net, polarity)`.
-#[derive(Debug, Default)]
-struct VictimCache {
-    entries: HashMap<(usize, bool), (VictimKey, SaturatedRamp, f64)>,
 }
 
 /// Canonical topology signature of one victim reduction: the exact bit
@@ -854,19 +799,10 @@ fn quantize_t_start(earliest: f64) -> f64 {
     }
 }
 
-/// One deferred victim-cache install: the `(net, is_rise)` slot and the
-/// `(key, Γeff, base arrival)` entry to store under it.
-type VictimInsert = ((usize, bool), (VictimKey, SaturatedRamp, f64));
-
 /// What one crosstalk pass produces: final per-net states, the applied
-/// adjustments, victim-cache effectiveness, and any fault-tolerance
-/// actions taken along the way.
-type PassResult = (
-    Vec<NetState>,
-    Vec<SiAdjustment>,
-    PassStats,
-    Vec<DegradeEvent>,
-);
+/// adjustments, the number of victim transitions it reduced, and any
+/// fault-tolerance actions taken along the way.
+type PassResult = (Vec<NetState>, Vec<SiAdjustment>, usize, Vec<DegradeEvent>);
 
 /// The per-call invariants every function of a crosstalk pass reads.
 #[derive(Clone, Copy)]
@@ -874,8 +810,8 @@ struct PassContext<'a> {
     bc: &'a BoundaryConditions,
     method: MethodKind,
     backend: SolverBackend,
-    /// The nominal sweep's states: every aggressor ramp and victim-cache
-    /// key is built from them.
+    /// The nominal sweep's states: every aggressor ramp is built from
+    /// them.
     base: &'a [NetState],
     threads: usize,
     policy: FaultPolicy,
@@ -885,27 +821,31 @@ struct PassContext<'a> {
     factors: Option<&'a Factorizations>,
 }
 
-/// Victim-cache effectiveness of one crosstalk pass, summed over its
-/// cones.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct PassStats {
-    /// Victim transitions that ran a fresh transient reduction.
-    recomputed: usize,
-    /// Victim transitions short-circuited by the incremental cache.
-    cached: usize,
-}
-
-/// One valid victim transition met by a cone task, probed against the
-/// victim cache.
+/// One valid victim transition met by a cone task.
 struct VictimTransition<'s> {
     spec: &'s CouplingSpec,
     polarity: Polarity,
     arrival: f64,
     slew: f64,
-    /// Victim-cache key, built only when a victim cache is active.
-    key: Option<VictimKey>,
-    /// `(Γeff, base arrival)` served by the victim cache.
-    hit: Option<(SaturatedRamp, f64)>,
+}
+
+impl<'s> VictimTransition<'s> {
+    /// The valid transitions of victim `spec` at its sweep `state`, rise
+    /// first.
+    fn of_net(spec: &'s CouplingSpec, state: &NetState) -> Vec<Self> {
+        [Polarity::Rise, Polarity::Fall]
+            .into_iter()
+            .filter_map(|polarity| {
+                let point = state.get(polarity);
+                point.valid.then_some(VictimTransition {
+                    spec,
+                    polarity,
+                    arrival: point.arrival,
+                    slew: point.slew,
+                })
+            })
+            .collect()
+    }
 }
 
 /// What resolving the victims of a cone produces, merged deterministically
@@ -913,61 +853,44 @@ struct VictimTransition<'s> {
 #[derive(Default)]
 struct Resolved {
     adjustments: Vec<SiAdjustment>,
-    /// Freshly simulated victim results to install in the victim cache
-    /// after the cone tasks (each `(net, polarity)` is visited once per
-    /// pass, so a deferred insert is never read within the same pass).
-    inserts: Vec<VictimInsert>,
-    stats: PassStats,
+    /// Victim transitions reduced, successfully or not.
+    recomputed: usize,
     /// Fault-tolerance actions taken while reducing these victims.
     degrades: Vec<DegradeEvent>,
 }
 
 impl Resolved {
-    /// Settles one victim transition and writes its `Γeff` into `point`.
-    /// `fresh` is the reduction run on a victim-cache miss (`None` on a
-    /// hit). A fresh result is queued for the victim cache, paired with
-    /// the exact key it was computed from; a failed one drops the victim
-    /// under [`FaultPolicy::Isolate`] — it keeps its nominal
-    /// (crosstalk-free) timing point — and propagates otherwise.
-    fn settle(
+    /// Settles one victim net: writes the `Γeff` of each of its
+    /// transitions, paired with what [`Sta::victim_gammas`] returned for
+    /// it, into `state`. A failed transition drops the victim under
+    /// [`FaultPolicy::Isolate`] — it keeps its nominal (crosstalk-free)
+    /// timing point — and propagates otherwise.
+    fn settle_net(
         &mut self,
         th: Thresholds,
         policy: FaultPolicy,
-        unit: VictimTransition<'_>,
-        fresh: Option<VictimResult>,
-        point: &mut Point,
+        units: &[VictimTransition<'_>],
+        results: Vec<VictimResult>,
+        state: &mut NetState,
     ) -> Result<(), StaError> {
-        let net = unit.spec.victim;
-        let found = match fresh {
-            None => {
-                self.stats.cached += 1;
-                unit.hit
-            }
-            Some(result) => {
-                self.stats.recomputed += 1;
-                match result {
-                    Ok(found) => {
-                        if let Some(key) = unit.key {
-                            self.inserts
-                                .push(((net.0, unit.polarity.is_rise()), (key, found.0, found.1)));
-                        }
-                        Some(found)
-                    }
-                    Err(e) if policy == FaultPolicy::Isolate => {
-                        self.degrades.push(DegradeEvent {
-                            net: Some(net),
-                            polarity: Some(unit.polarity),
-                            action: DegradeAction::VictimDropped,
-                            cause: e.to_string(),
-                            recovered: false,
-                        });
-                        None
-                    }
-                    Err(e) => return Err(e),
+        self.recomputed += units.len();
+        for (unit, result) in units.iter().zip(results) {
+            let net = unit.spec.victim;
+            let (gamma, base_arrival) = match result {
+                Ok(found) => found,
+                Err(e) if policy == FaultPolicy::Isolate => {
+                    self.degrades.push(DegradeEvent {
+                        net: Some(net),
+                        polarity: Some(unit.polarity),
+                        action: DegradeAction::VictimDropped,
+                        cause: e.to_string(),
+                        recovered: false,
+                    });
+                    continue;
                 }
-            }
-        };
-        if let Some((gamma, base_arrival)) = found {
+                Err(e) => return Err(e),
+            };
+            let point = state.get_mut(unit.polarity);
             point.arrival = gamma.arrival_mid();
             point.slew = gamma.slew(th);
             self.adjustments.push(SiAdjustment {
@@ -981,28 +904,9 @@ impl Resolved {
         Ok(())
     }
 
-    /// Settles one victim net: each of its probed transitions, paired with
-    /// what [`Sta::victim_gammas`] returned for it, into `state`.
-    fn settle_net(
-        &mut self,
-        th: Thresholds,
-        policy: FaultPolicy,
-        units: Vec<VictimTransition<'_>>,
-        fresh: Vec<Option<VictimResult>>,
-        state: &mut NetState,
-    ) -> Result<(), StaError> {
-        for (unit, fresh) in units.into_iter().zip(fresh) {
-            let polarity = unit.polarity;
-            self.settle(th, policy, unit, fresh, state.get_mut(polarity))?;
-        }
-        Ok(())
-    }
-
     fn append(&mut self, mut other: Resolved) {
         self.adjustments.append(&mut other.adjustments);
-        self.inserts.append(&mut other.inserts);
-        self.stats.recomputed += other.stats.recomputed;
-        self.stats.cached += other.stats.cached;
+        self.recomputed += other.recomputed;
         self.degrades.append(&mut other.degrades);
     }
 }
@@ -1089,75 +993,8 @@ impl Sta {
         Ok(())
     }
 
-    /// Builds the cache key of one victim transition from the current
-    /// sweep point and the nominal (`base`) aggressor arrivals.
-    fn victim_key(
-        &self,
-        spec: &CouplingSpec,
-        victim_pol: Polarity,
-        point: &Point,
-        base: &[NetState],
-    ) -> Result<VictimKey, StaError> {
-        let agg_pol = spec.aggressor_polarity(victim_pol);
-        let mut aggressors = Vec::with_capacity(spec.aggressors.len());
-        for (i, &agg) in spec.aggressors.iter().enumerate() {
-            let p = base
-                .get(agg.0)
-                .map(|s| *s.get(agg_pol))
-                .filter(|p| p.valid)
-                .ok_or_else(|| {
-                    StaError::Unresolved(format!(
-                        "aggressor net #{} has no computed arrival",
-                        agg.0
-                    ))
-                })?;
-            aggressors.push((agg, p.arrival, p.slew, spec.cm_of(i)));
-        }
-        Ok(VictimKey {
-            arrival: point.arrival,
-            slew: point.slew,
-            aggressors,
-            quiet_cm: spec.quiet_cm,
-        })
-    }
-
-    /// Meets the valid transitions of one victim net, rise first: builds
-    /// each one's victim-cache key — only with a victim cache active;
-    /// without one it would never be read — and probes the cache with it.
-    fn probe_net<'s>(
-        &self,
-        cx: &PassContext<'_>,
-        cache: Option<&VictimCache>,
-        spec: &'s CouplingSpec,
-        state: &NetState,
-    ) -> Result<Vec<VictimTransition<'s>>, StaError> {
-        let mut units = Vec::with_capacity(2);
-        for polarity in [Polarity::Rise, Polarity::Fall] {
-            let point = state.get(polarity);
-            if !point.valid {
-                continue;
-            }
-            let key = match cache {
-                Some(_) => Some(self.victim_key(spec, polarity, point, cx.base)?),
-                None => None,
-            };
-            let hit = Self::victim_cache_hit(cache, spec.victim, polarity, key.as_ref());
-            units.push(VictimTransition {
-                spec,
-                polarity,
-                arrival: point.arrival,
-                slew: point.slew,
-                key,
-                hit,
-            });
-        }
-        Ok(units)
-    }
-
-    /// One crosstalk-adjusted forward sweep. `cache` short-circuits victims
-    /// whose key is unchanged (within [`CONVERGENCE_TOL`]) since an earlier
-    /// iteration; `cx.factors` shares factored transient systems
-    /// across structurally identical victim stages.
+    /// One crosstalk-adjusted forward sweep. `cx.factors` shares factored
+    /// transient systems across structurally identical victim stages.
     ///
     /// The pass is cone-partitioned: each weakly-connected component that
     /// `scope` marks (`None`: every cone) is one task — fanin updates and
@@ -1170,7 +1007,6 @@ impl Sta {
         &self,
         cx: &PassContext<'_>,
         couplings: &[CouplingSpec],
-        mut cache: Option<&mut VictimCache>,
         scope: Option<&[bool]>,
     ) -> Result<PassResult, StaError> {
         let n = self.design().net_count();
@@ -1185,9 +1021,6 @@ impl Sta {
                 )));
             }
         }
-        // Immutable view of the victim cache for the cone tasks; fresh
-        // results are installed after them.
-        let read_cache = cache.as_deref();
         let th = Thresholds::cmos(self.library().voltage);
         let seed = self.init_states(cx.bc, false);
         // Out-of-scope cones are never propagated: their states stay at
@@ -1222,12 +1055,11 @@ impl Sta {
                     )?;
                     local[j] = updated;
                     let Some(spec) = spec_of[net.0] else { continue };
-                    let units = self.probe_net(cx, read_cache, spec, &local[j])?;
-                    let fresh = self.victim_gammas(cx, &units, &mut out.degrades);
-                    out.settle_net(th, cx.policy, units, fresh, &mut local[j])?;
+                    let units = VictimTransition::of_net(spec, &local[j]);
+                    let results = self.victim_gammas(cx, &units, &mut out.degrades);
+                    out.settle_net(th, cx.policy, &units, results, &mut local[j])?;
                 }
-                cone_span.set_arg("recomputed", out.stats.recomputed as f64);
-                cone_span.set_arg("cached", out.stats.cached as f64);
+                cone_span.set_arg("recomputed", out.recomputed as f64);
                 Ok((local, out))
             },
         );
@@ -1275,9 +1107,6 @@ impl Sta {
                 recovered: true,
             });
         }
-        if let Some(c) = cache.as_mut() {
-            c.entries.extend(resolved.inserts);
-        }
         // Canonical adjustment order, independent of cone order: each
         // `(net, polarity)` appears at most once per pass. Degrade events
         // get the same ordering (stable, so a victim's fallback chain
@@ -1294,81 +1123,18 @@ impl Sta {
         Ok((
             states,
             resolved.adjustments,
-            resolved.stats,
+            resolved.recomputed,
             resolved.degrades,
         ))
     }
 
-    /// Probes the victim cache for `(net, pol)` against the freshly built
-    /// `key`, returning the stored `(Γeff, base arrival)` when the old key
-    /// matches within tolerance. The stored entry (old key + result) is
-    /// kept as is on a hit: refreshing the key would let sub-tol input
-    /// drift accumulate across iterations without ever re-simulating.
-    fn victim_cache_hit(
-        read_cache: Option<&VictimCache>,
-        net: NetId,
-        pol: Polarity,
-        key: Option<&VictimKey>,
-    ) -> Option<(SaturatedRamp, f64)> {
-        read_cache.and_then(|c| {
-            let key = key?;
-            c.entries
-                .get(&(net.0, pol.is_rise()))
-                .filter(|(old, _, _)| old.matches(key))
-                .map(|&(_, gamma, base_arrival)| (gamma, base_arrival))
-        })
-    }
-
-    /// Runs the analysis with crosstalk-aware propagation on the nets named
-    /// in `couplings`, reducing noisy waveforms with `method`.
-    ///
-    /// Returns the report plus the per-victim adjustments that were applied
-    /// (useful for method comparisons).
-    ///
-    /// # Errors
-    ///
-    /// * [`StaError::Unresolved`] if a spec names an unknown net or an
-    ///   aggressor without a computed arrival.
-    /// * [`StaError::Structure`] if two specs name the same victim — only
-    ///   one spec per victim can be applied, so a duplicate would be
-    ///   silently ignored otherwise.
-    /// * Propagated circuit/reduction failures.
-    pub fn analyze_with_crosstalk(
-        &self,
-        constraints: impl Into<BoundaryConditions>,
-        couplings: &[CouplingSpec],
-        method: MethodKind,
-    ) -> Result<(TimingReport, Vec<SiAdjustment>), StaError> {
-        let bc = constraints.into();
-        self.check_unique_victims(couplings)?;
-        // Pass 1: nominal arrivals — aggressor ramps need them.
-        let base = self.forward_sweep(&bc)?;
-        // Pass 2: sweep again, overriding victim nets as they are reached.
-        let factors = Factorizations::default();
-        let cx = PassContext {
-            bc: &bc,
-            method,
-            backend: SolverBackend::default(),
-            base: &base,
-            threads: 1,
-            policy: FaultPolicy::Fail,
-            deadline: None,
-            factors: Some(&factors),
-        };
-        let (states, adjustments, _stats, _degrades) =
-            self.crosstalk_pass(&cx, couplings, None, None)?;
-        let mask = self.false_edge_mask(&bc);
-        let report = self.finish_report(&bc, states, mask.as_ref())?;
-        Ok((report, adjustments))
-    }
-
     /// Switching windows per net: earliest arrivals from the min sweep,
-    /// latest-arrival-plus-slew from `latest` (a completed report), both
+    /// latest-arrival-plus-slew from `latest` (finished report rows), both
     /// taken over rise and fall.
     fn windows_from(
         &self,
-        min_states: &[crate::engine::NetState],
-        latest: &TimingReport,
+        min_states: &[NetState],
+        latest: &[NetTiming],
     ) -> Vec<Option<ArrivalWindow>> {
         (0..self.design().net_count())
             .map(|i| {
@@ -1380,9 +1146,9 @@ impl Sta {
                     }
                 }
                 let mut end = f64::NEG_INFINITY;
-                // finish_report emits one NetTiming per net id, in order:
-                // index directly rather than scanning the report per net.
-                if let Some(t) = latest.nets().get(i) {
+                // Report rows hold one NetTiming per net id, in order:
+                // index directly rather than scanning the rows per net.
+                if let Some(t) = latest.get(i) {
                     debug_assert_eq!(t.net, NetId(i));
                     for pt in [&t.rise, &t.fall].into_iter().flatten() {
                         end = end.max(pt.arrival + pt.slew);
@@ -1448,15 +1214,23 @@ impl Sta {
     /// to 0.1 ps or less (or the iteration cap is hit).
     ///
     /// The nominal sweep feeding aggressor ramps and earliest windows is
-    /// computed once, outside the loop; with [`SiOptions::incremental`]
-    /// only victims whose cache key changed between iterations are
-    /// re-simulated, and with [`SiOptions::threads`] the cones run on a
-    /// worker pool (both without changing any result bit — see the module
-    /// docs).
+    /// computed once, outside the loop; every pass after the first
+    /// re-solves only the cones whose victims' filtered specs changed, and
+    /// with [`SiOptions::threads`] the cones run on a worker pool (both
+    /// without changing any result bit — see the module docs). A design
+    /// whose pruning never changes runs one pass: the plain crosstalk
+    /// analysis over the specs as filtered.
     ///
     /// # Errors
     ///
-    /// Same failure modes as [`Sta::analyze_with_crosstalk`].
+    /// * [`StaError::Unresolved`] if a spec names an unknown victim net, or
+    ///   an aggressor without a computed arrival.
+    /// * [`StaError::Structure`] if two specs name the same victim — only
+    ///   one spec per victim can be applied, so a duplicate would be
+    ///   silently ignored otherwise.
+    /// * Propagated circuit/reduction failures. Under
+    ///   [`FaultPolicy::Isolate`] a failing victim is dropped instead,
+    ///   aggressor lookups included.
     pub fn analyze_with_crosstalk_windows(
         &self,
         constraints: impl Into<BoundaryConditions>,
@@ -1496,18 +1270,10 @@ impl Sta {
         let mask = self.false_edge_mask(&bc);
         let mask = mask.as_ref();
         let threads = options.threads.max(1);
-        // Net-level projection of the cone scope, for the intermediate
-        // reports the fixed point builds (their per-edge reverse-sweep
-        // table lookups would otherwise dwarf a scoped re-solve).
-        let net_scope: Option<Vec<bool>> = scope.is_some().then(|| {
-            let mut nets = vec![false; self.design().net_count()];
-            for cone in self.graph().scoped_components(scope) {
-                for &net in cone {
-                    nets[net.0] = true;
-                }
-            }
-            nets
-        });
+        // Net-level projection of the cone scope, for the report rows the
+        // fixed point builds (their per-edge reverse-sweep table lookups
+        // would otherwise dwarf a scoped re-solve).
+        let net_scope = scope.map(|cones| self.nets_of_cones(cones));
         let net_scope = net_scope.as_deref();
         // Iteration-invariant work, hoisted out of the fixed point: the
         // nominal sweep (aggressor ramps + latest windows of iteration 0)
@@ -1538,20 +1304,21 @@ impl Sta {
             let _sweep_span = nsta_obs::span!("si.min_sweep");
             self.forward_sweep_scoped(&bc, true, threads, scope)?
         };
-        let clean = self.finish_report_scoped(&bc, base.clone(), mask, net_scope)?;
+        let clean = self.report_rows(&bc, &base, mask, net_scope)?;
         let mut windows = self.windows_from(&min_states, &clean);
-        // The latest finished report: the clean one until an iteration
-        // runs, then each iteration's (moved in, never cloned — a report
-        // holds one named row per net).
-        let mut latest = clean;
+        // The fixed point's running result, into which each pass splices
+        // the cones it re-solved: the nominal states and rows until the
+        // first pass lands.
+        let mut states = base.clone();
+        let mut rows = clean;
+        let mut adjustments = Vec::new();
+        let mut pruned = Vec::new();
 
         let max_iterations = options.max_iterations.max(1);
-        let mut result = None;
         let mut converged = false;
         let mut timed_out = false;
         let mut iteration_trace: Vec<SiIteration> = Vec::new();
-        let mut prev_pruned: Option<Vec<(NetId, NetId)>> = None;
-        let mut cache = VictimCache::default();
+        let mut prev_filtered: Option<Vec<CouplingSpec>> = None;
         let mut degrade_events: Vec<DegradeEvent> = Vec::new();
         // Convergence governance (see the module docs): nets that
         // participate in any coupling — the only windows the filter ever
@@ -1572,46 +1339,59 @@ impl Sta {
         // Termination bound of the governed phase: widened windows only
         // grow, so overlap decisions only flip towards "keep" — the
         // pruned set shrinks monotonically in a space of `total_pairs`
-        // pairs, hence goes stationary (triggering the unchanged-pruning
-        // stop) within `total_pairs + 1` governed iterations.
+        // pairs, hence goes stationary (triggering the unchanged-spec stop)
+        // within `total_pairs + 1` governed iterations.
         let governed_cap = max_iterations + total_pairs + 2;
         let mut iteration_cap = max_iterations;
         while iteration_trace.len() < iteration_cap {
-            let (filtered, pruned) = Self::window_filter(couplings, &windows);
-            // The analysis result is a pure function of the filtered
-            // aggressor sets (aggressor ramps come from the nominal
-            // sweep): if pruning did not change, re-running it would
-            // reproduce the previous report — skip the simulations.
-            let pruned_key: Vec<(NetId, NetId)> =
-                pruned.iter().map(|p| (p.victim, p.aggressor)).collect();
-            if prev_pruned.as_ref() == Some(&pruned_key) {
-                converged = true;
-                break;
-            }
+            let (filtered, pass_pruned) = Self::window_filter(couplings, &windows);
+            // The first pass runs over `scope`. Every later one re-solves
+            // only the cones holding a victim whose filtered spec changed
+            // (see the module docs), and none changing is convergence.
+            // Those cones lie inside `scope`: an out-of-scope victim has no
+            // window, so its spec never changes.
+            let dirty = match &prev_filtered {
+                None => None,
+                Some(prev) => {
+                    let Some(cones) = self.changed_cones(&filtered, prev) else {
+                        converged = true;
+                        break;
+                    };
+                    Some(cones)
+                }
+            };
+            let dirty_nets = dirty.as_deref().map(|cones| self.nets_of_cones(cones));
+            let pass_nets = dirty_nets.as_deref().or(net_scope);
             let mut iter_span = nsta_obs::span!("si.iteration");
             iter_span.set_arg("iter", iteration_trace.len() as f64);
-            let cache_ref = options.incremental.then_some(&mut cache);
-            let (states, adjustments, stats, mut degrades) =
-                self.crosstalk_pass(&cx, &filtered, cache_ref, scope)?;
+            let (pass_states, pass_adjustments, recomputed, mut degrades) =
+                self.crosstalk_pass(&cx, &filtered, dirty.as_deref().or(scope))?;
             degrade_events.append(&mut degrades);
-            let report = self.finish_report_scoped(&bc, states.clone(), mask, net_scope)?;
+            let pass_rows = self.report_rows(&bc, &pass_states, mask, pass_nets)?;
+            let fresh = pass_adjustments.len();
+            let moved = splice_nets(
+                (&mut states, &mut rows, &mut adjustments),
+                (pass_states, pass_rows, pass_adjustments),
+                pass_nets,
+            );
+            // Every fresh adjustment lies in a re-solved cone; the rest were
+            // carried over.
+            let cached = adjustments.len() - fresh;
             let prev_windows =
-                std::mem::replace(&mut windows, self.windows_from(&min_states, &report));
-            let moved = worst_arrival_movement(&latest, &report);
-            latest = report;
+                std::mem::replace(&mut windows, self.windows_from(&min_states, &rows));
             iteration_trace.push(SiIteration {
-                victims_recomputed: stats.recomputed,
-                victims_cached: stats.cached,
-                aggressors_pruned: pruned.len(),
+                victims_recomputed: recomputed,
+                victims_cached: cached,
+                aggressors_pruned: pass_pruned.len(),
                 max_window_delta: moved,
             });
-            iter_span.set_arg("victims_recomputed", stats.recomputed as f64);
-            iter_span.set_arg("victims_cached", stats.cached as f64);
-            iter_span.set_arg("aggressors_pruned", pruned.len() as f64);
+            iter_span.set_arg("victims_recomputed", recomputed as f64);
+            iter_span.set_arg("victims_cached", cached as f64);
+            iter_span.set_arg("aggressors_pruned", pass_pruned.len() as f64);
             iter_span.set_arg("max_window_delta", moved);
             drop(iter_span);
-            prev_pruned = Some(pruned_key);
-            result = Some((adjustments, pruned, states));
+            prev_filtered = Some(filtered);
+            pruned = pass_pruned;
             // Deadline boundary: the iteration that just ran finished (it
             // may have skipped cones internally — those carry
             // DeadlineSkipped events); no further iteration starts.
@@ -1653,15 +1433,10 @@ impl Sta {
                 );
             }
         }
-        let Some((adjustments, pruned, states)) = result else {
-            return Err(StaError::Structure(
-                "crosstalk iteration loop completed zero iterations".into(),
-            ));
-        };
         phase_span.set_arg("iterations", iteration_trace.len() as f64);
         Ok((
             SiAnalysis {
-                report: latest,
+                report: self.report_from_rows(rows, &states),
                 adjustments,
                 pruned,
                 // Factorization counters accumulate across iterations;
@@ -1684,12 +1459,37 @@ impl Sta {
         ))
     }
 
-    /// Computes `Γeff` for the victim-cache misses among one victim net's
-    /// transitions — the per-net entry point of every cone task. Returns
-    /// one entry per unit, in order: `None` for a victim-cache hit, the
-    /// fresh result for a miss.
+    /// Every net of the cones a per-cone mask marks, as a per-net mask.
+    fn nets_of_cones(&self, cones: &[bool]) -> Vec<bool> {
+        let mut nets = vec![false; self.design().net_count()];
+        for cone in self.graph().scoped_components(Some(cones)) {
+            for &net in cone {
+                nets[net.0] = true;
+            }
+        }
+        nets
+    }
+
+    /// The cones holding a victim whose spec differs between two window
+    /// filters' outputs over the same couplings, as a per-cone mask;
+    /// `None` when no spec changed.
+    fn changed_cones(&self, filtered: &[CouplingSpec], prev: &[CouplingSpec]) -> Option<Vec<bool>> {
+        let graph = self.graph();
+        let mut cones = None;
+        for (new, old) in filtered.iter().zip(prev) {
+            if new != old {
+                let mask = cones.get_or_insert_with(|| vec![false; graph.components().len()]);
+                mask[graph.cone_of(new.victim)] = true;
+            }
+        }
+        cones
+    }
+
+    /// Computes `Γeff` for each of one victim net's transitions — the
+    /// per-net entry point of every cone task. Returns one result per
+    /// unit, in order.
     ///
-    /// The misses that share a time grid form one reduction group: one
+    /// The transitions that share a time grid form one reduction group: one
     /// factorization lookup and one sweep of up to four columns, each
     /// transition's noiseless and noisy drive (see
     /// [`victim_attempt`](Self::victim_attempt)). A transition whose grid
@@ -1715,21 +1515,26 @@ impl Sta {
         cx: &PassContext<'_>,
         units: &[VictimTransition<'_>],
         degrades: &mut Vec<DegradeEvent>,
-    ) -> Vec<Option<VictimResult>> {
-        let mut results: Vec<Option<VictimResult>> = units.iter().map(|_| None).collect();
-        // Stage every miss (a transition that cannot be staged fails on
-        // its own) and group the staged ones by grid.
+    ) -> Vec<VictimResult> {
+        let no_result = || {
+            Err(StaError::Structure(
+                "reduction group returned no result".into(),
+            ))
+        };
+        // Stage every transition (one that cannot be staged fails on its
+        // own) and group the staged ones by grid.
+        let mut results: Vec<VictimResult> = Vec::with_capacity(units.len());
         let mut groups: Vec<Vec<(usize, VictimStage<'_>)>> = Vec::new();
         for (i, unit) in units.iter().enumerate() {
-            if unit.hit.is_some() {
-                continue;
-            }
             match self.victim_stage(cx, unit) {
-                Ok(stage) => match groups.iter_mut().find(|g| g[0].1.same_grid(&stage)) {
-                    Some(group) => group.push((i, stage)),
-                    None => groups.push(vec![(i, stage)]),
-                },
-                Err(e) => results[i] = Some(Err(e)),
+                Ok(stage) => {
+                    results.push(no_result());
+                    match groups.iter_mut().find(|g| g[0].1.same_grid(&stage)) {
+                        Some(group) => group.push((i, stage)),
+                        None => groups.push(vec![(i, stage)]),
+                    }
+                }
+                Err(e) => results.push(Err(e)),
             }
         }
         for group in &groups {
@@ -1739,12 +1544,12 @@ impl Sta {
                 Err(e) => stages.iter().map(|_| Err(e.clone())).collect(),
             };
             for ((i, stage), outcome) in group.iter().zip(outcomes) {
-                results[*i] = Some(match outcome {
+                results[*i] = match outcome {
                     Err(e) if is_numeric_failure(&e) => {
                         self.victim_fallback(cx, stage, &e, degrades)
                     }
                     outcome => outcome,
-                });
+                };
             }
         }
         results
@@ -1911,15 +1716,26 @@ impl Sta {
         let vdd = Thresholds::cmos(self.library().voltage).vdd();
 
         // Source waveforms in the circuit's order (see
-        // `VictimStage::circuit`).
+        // `VictimStage::circuit`). A sweep samples each source only up to
+        // its hold point — the first grid point at or after its last
+        // change, for a ramp its rail arrival — and repeats that sample
+        // from there on. So each ramp is recorded only up to the grid
+        // point after that one, capped at the window's end. The record's
+        // points are the sweep grid's own `t_start + k·dt`, so every sample
+        // and hold point equals the full record's; the spare point covers
+        // the rounding of `k·dt`.
         let waves_span = nsta_obs::span!("si.victim.waves");
+        let ramp_wave = |ramp: &SaturatedRamp| {
+            let k = ((ramp.t_rail_arrival() - t_start) / dt).ceil().max(0.0) + 1.0;
+            ramp.to_waveform(t_start, (t_start + k * dt).min(t_stop), dt)
+        };
         let mut waves = Vec::with_capacity(stages.len());
         for stage in stages {
-            let victim = stage.victim_ramp.to_waveform(t_start, t_stop, dt)?;
+            let victim = ramp_wave(&stage.victim_ramp)?;
             let aggs: Vec<Waveform> = stage
                 .agg_ramps
                 .iter()
-                .map(|ramp| ramp.to_waveform(t_start, t_stop, dt))
+                .map(ramp_wave)
                 .collect::<Result<_, _>>()?;
             waves.push((victim, aggs));
         }
@@ -2097,6 +1913,28 @@ mod tests {
         ArrivalWindow { earliest, latest }
     }
 
+    /// One crosstalk pass over `couplings` as given — no window filter, no
+    /// fixed point — and its full report: the unfiltered reference of the
+    /// window tests, and what the fixed point must equal over its final
+    /// filtered specs.
+    fn one_pass(
+        sta: &Sta,
+        constraints: impl Into<BoundaryConditions>,
+        couplings: &[CouplingSpec],
+        method: MethodKind,
+    ) -> Result<(TimingReport, Vec<SiAdjustment>), StaError> {
+        let bc = constraints.into();
+        let base = sta.forward_sweep(&bc)?;
+        let factors = Factorizations::default();
+        let cx = PassContext {
+            method,
+            ..pass_context(&bc, &base, 1, Some(&factors))
+        };
+        let (states, adjustments, _, _) = sta.crosstalk_pass(&cx, couplings, None)?;
+        let mask = sta.false_edge_mask(&bc);
+        Ok((sta.finish_report(&bc, states, mask.as_ref())?, adjustments))
+    }
+
     #[test]
     fn window_overlap_boundary_semantics() {
         let victim = win(100e-12, 200e-12);
@@ -2143,9 +1981,7 @@ mod tests {
         let sta = Sta::new(coupled_design(), lib().clone()).unwrap();
         let c = Constraints::default();
         let nominal = sta.analyze(c).unwrap();
-        let (noisy, adj) = sta
-            .analyze_with_crosstalk(c, &[spec(&sta)], MethodKind::Sgdp)
-            .unwrap();
+        let (noisy, adj) = one_pass(&sta, c, &[spec(&sta)], MethodKind::Sgdp).unwrap();
         assert_eq!(adj.len(), 2, "rise and fall adjustments recorded");
         // The coupled line adds wire delay plus noise: the victim's fanout
         // (net y) must arrive later than in the nominal ideal-wire run.
@@ -2169,9 +2005,7 @@ mod tests {
         let mut far = spec(&sta);
         far.aggressor_skew = -1.0e-9;
         let arr = |s: &CouplingSpec| {
-            let (report, _) = sta
-                .analyze_with_crosstalk(c, std::slice::from_ref(s), MethodKind::P2)
-                .unwrap();
+            let (report, _) = one_pass(&sta, c, std::slice::from_ref(s), MethodKind::P2).unwrap();
             let y = sta.design().find_net("y").unwrap();
             report.net(y).unwrap().rise.as_ref().unwrap().arrival
         };
@@ -2184,7 +2018,7 @@ mod tests {
         let c = Constraints::default();
         let mut results = Vec::new();
         for method in MethodKind::all() {
-            match sta.analyze_with_crosstalk(c, &[spec(&sta)], method) {
+            match one_pass(&sta, c, &[spec(&sta)], method) {
                 Ok((report, _)) => results.push((method, report.worst_arrival())),
                 Err(StaError::Sgdp(_)) => {} // WLS5 may legitimately refuse
                 Err(other) => panic!("unexpected failure for {method}: {other}"),
@@ -2344,9 +2178,7 @@ mod tests {
         let filtered = sta
             .analyze_with_crosstalk_windows(c, std::slice::from_ref(&spec), &SiOptions::default())
             .unwrap();
-        let (unfiltered, _) = sta
-            .analyze_with_crosstalk(c, &[spec], MethodKind::Sgdp)
-            .unwrap();
+        let (unfiltered, _) = one_pass(&sta, c, &[spec], MethodKind::Sgdp).unwrap();
         let y = sta.design().find_net("y").unwrap();
         let f = filtered
             .report
@@ -2392,7 +2224,7 @@ mod tests {
             .forward_sweep_scoped(&BoundaryConditions::from(&c), true, 1, None)
             .unwrap();
         let report = sta.analyze(c).unwrap();
-        let windows = sta.windows_from(&min_states, &report);
+        let windows = sta.windows_from(&min_states, report.nets());
         let mut seen = 0;
         for w in windows.into_iter().flatten() {
             assert!(w.earliest <= w.latest);
@@ -2403,8 +2235,8 @@ mod tests {
 
     /// Victim/aggressor groups in the spefbus pattern: group `g`'s far
     /// aggressor sits behind a chain of `2g + 3` inverters, so some groups
-    /// keep both aggressors while later ones get window-pruned — both
-    /// cache paths of the incremental fixed point get exercised.
+    /// keep both aggressors while later ones get window-pruned, and the
+    /// fixed point's second pass re-solves some cones but not others.
     fn multi_group_design(groups: usize) -> crate::Design {
         let stages: Vec<usize> = (0..groups).map(|g| 2 * g + 3).collect();
         multi_group_design_with(&stages)
@@ -2476,8 +2308,8 @@ mod tests {
         assert_eq!(a.diagnostics.converged, b.diagnostics.converged);
         // The convergence trace must agree pass for pass wherever it
         // reflects the *solution* (pruning decisions, window movement).
-        // Cost fields (victims recomputed vs cached) legitimately differ
-        // between incremental and full-recompute variants.
+        // Cost fields (victims recomputed vs cached) are checked where the
+        // variants run the same passes.
         for (ia, ib) in a
             .diagnostics
             .iterations
@@ -2560,8 +2392,6 @@ mod tests {
                             polarity,
                             arrival: point.arrival,
                             slew: point.slew,
-                            key: None,
-                            hit: None,
                         };
                         sta.victim_stage(cx, &unit).unwrap()
                     })
@@ -2607,7 +2437,7 @@ mod tests {
         let pass = |threads: usize, factors: Option<&Factorizations>| {
             let cx = pass_context(&bc, &base, threads, factors);
             let (states, adjustments, stats, degrades) =
-                sta.crosstalk_pass(&cx, &specs, None, None).unwrap();
+                sta.crosstalk_pass(&cx, &specs, None).unwrap();
             assert!(degrades.is_empty());
             let mask = sta.false_edge_mask(&bc);
             let report = sta.finish_report(&bc, states, mask.as_ref()).unwrap();
@@ -2715,8 +2545,7 @@ mod tests {
         for threads in [1, cones + 1] {
             let factors = Factorizations::default();
             let cx = pass_context(&bc, &base, threads, Some(&factors));
-            let (_, adjustments, _, degrades) =
-                sta.crosstalk_pass(&cx, &specs, None, None).unwrap();
+            let (_, adjustments, _, degrades) = sta.crosstalk_pass(&cx, &specs, None).unwrap();
             assert!(degrades.is_empty());
             let mut alone: Vec<SiAdjustment> = stages
                 .iter()
@@ -2756,7 +2585,7 @@ mod tests {
         specs[0].aggressor_skew = mid(specs[0].victim) + 150e-12 - mid(specs[0].aggressors[1]);
         let factors = Factorizations::default();
         let cx = pass_context(&bc, &base, 1, Some(&factors));
-        let (_, adjustments, _, degrades) = sta.crosstalk_pass(&cx, &specs, None, None).unwrap();
+        let (_, adjustments, _, degrades) = sta.crosstalk_pass(&cx, &specs, None).unwrap();
         assert!(degrades.is_empty());
         let stages = nominal_stages(&sta, &cx, &specs);
         let alone: Vec<SiAdjustment> = stages[0]
@@ -2982,31 +2811,125 @@ mod tests {
         assert!(metrics.get("sta.topo_cache.misses").unwrap_or(0.0) > 0.0);
     }
 
+    /// The specs `analysis` filtered `couplings` to in its last pass:
+    /// each victim's aggressors minus those its `pruned` records name.
+    fn final_specs(couplings: &[CouplingSpec], analysis: &SiAnalysis) -> Vec<CouplingSpec> {
+        couplings
+            .iter()
+            .map(|spec| {
+                let keep: Vec<usize> = (0..spec.aggressors.len())
+                    .filter(|&i| {
+                        !analysis
+                            .pruned
+                            .iter()
+                            .any(|p| p.victim == spec.victim && p.aggressor == spec.aggressors[i])
+                    })
+                    .collect();
+                if keep.len() == spec.aggressors.len() {
+                    spec.clone()
+                } else {
+                    spec.restricted(&keep)
+                }
+            })
+            .collect()
+    }
+
+    /// Asserts that `analysis` equals one unscoped pass over its final
+    /// filtered specs, bit for bit: every later pass re-solved exactly the
+    /// cones whose specs changed and left the others as they were.
+    fn assert_equals_one_pass_over_final_specs(
+        sta: &Sta,
+        couplings: &[CouplingSpec],
+        analysis: &SiAnalysis,
+    ) {
+        let specs = final_specs(couplings, analysis);
+        let (report, adjustments) =
+            one_pass(sta, Constraints::default(), &specs, MethodKind::Sgdp).unwrap();
+        assert_eq!(analysis.report, report);
+        assert_eq!(
+            adjustment_bits(&analysis.adjustments),
+            adjustment_bits(&adjustments)
+        );
+    }
+
     #[test]
-    fn incremental_fixed_point_matches_full_recompute() {
+    fn fixed_point_equals_one_pass_over_its_final_specs() {
         let groups = 3;
         let sta = Sta::new(multi_group_design(groups), lib().clone()).unwrap();
-        let c = Constraints::default();
         let specs = multi_group_specs(&sta, groups);
-        let incremental = sta
-            .analyze_with_crosstalk_windows(c, &specs, &SiOptions::default())
-            .unwrap();
-        let full = sta
-            .analyze_with_crosstalk_windows(
-                c,
-                &specs,
-                &SiOptions {
-                    incremental: false,
-                    ..SiOptions::default()
-                },
-            )
+        let analysis = sta
+            .analyze_with_crosstalk_windows(Constraints::default(), &specs, &SiOptions::default())
             .unwrap();
         assert!(
-            incremental.diagnostics.iterations.len() >= 2,
+            analysis.diagnostics.iterations.len() >= 2,
             "fixture must exercise the fixed point, got {} iteration(s)",
-            incremental.diagnostics.iterations.len()
+            analysis.diagnostics.iterations.len()
         );
-        assert_analyses_identical(&incremental, &full);
+        assert_equals_one_pass_over_final_specs(&sta, &specs, &analysis);
+    }
+
+    /// Victims `v1` and `v2` in one cone (`a → v1 → v2 → y`), coupled to
+    /// a near aggressor each; `v1` also to a far aggressor `gf1` behind a
+    /// chain of `far` inverters. Victim `v3` sits in a cone of its own
+    /// with one near aggressor.
+    fn two_victim_cone_design(far: usize) -> crate::Design {
+        let mut src = String::from(
+            "module m (a, b1, c1, b2, a3, b3, y, z1, w1, z2, y3, z3);\n\
+             input a, b1, c1, b2, a3, b3; output y, z1, w1, z2, y3, z3;\n\
+             wire v1, v2, gn1, gf1, m2, gn2, v3, gn3;\n\
+             INVX1 u1 (.A(a), .Y(v1)); INVX1 u2 (.A(v1), .Y(v2)); INVX4 u3 (.A(v2), .Y(y));\n\
+             INVX1 n1 (.A(b1), .Y(gn1)); INVX4 n1o (.A(gn1), .Y(z1));\n\
+             INVX1 n2a (.A(b2), .Y(m2)); INVX1 n2 (.A(m2), .Y(gn2)); INVX4 n2o (.A(gn2), .Y(z2));\n\
+             INVX1 u4 (.A(a3), .Y(v3)); INVX4 u5 (.A(v3), .Y(y3));\n\
+             INVX1 n3 (.A(b3), .Y(gn3)); INVX4 n3o (.A(gn3), .Y(z3));\n",
+        );
+        let mut prev = String::from("c1");
+        for s in 1..far {
+            src.push_str(&format!("wire f{s};\nINVX1 c{s} (.A({prev}), .Y(f{s}));\n"));
+            prev = format!("f{s}");
+        }
+        src.push_str(&format!(
+            "INVX1 c{far} (.A({prev}), .Y(gf1)); INVX4 w (.A(gf1), .Y(w1));\nendmodule"
+        ));
+        parse_design(&src).unwrap()
+    }
+
+    fn two_victim_cone_specs(sta: &Sta) -> Vec<CouplingSpec> {
+        let net = |name: &str| sta.design().find_net(name).unwrap();
+        let line = RcLineSpec::per_micron(1000.0).unwrap();
+        vec![
+            CouplingSpec::new(net("v1"), vec![net("gn1"), net("gf1")], 50e-15, line),
+            CouplingSpec::new(net("v2"), vec![net("gn2")], 50e-15, line),
+            CouplingSpec::new(net("v3"), vec![net("gn3")], 50e-15, line),
+        ]
+    }
+
+    #[test]
+    fn two_victim_cone_is_re_solved_whole_and_alone() {
+        // Pass 1 prunes `gf1` from `v1`, and `v1`'s push-out re-admits it
+        // in pass 2. Pass 2 re-solves `v1`'s cone — both of its victims,
+        // four transitions — and carries the two adjustments of `v3`'s
+        // cone over; pass 3 finds no spec changed and does not run.
+        let sta = Sta::new(two_victim_cone_design(3), lib().clone()).unwrap();
+        let specs = two_victim_cone_specs(&sta);
+        let analysis = sta
+            .analyze_with_crosstalk_windows(Constraints::default(), &specs, &SiOptions::default())
+            .unwrap();
+        let d = &analysis.diagnostics;
+        let passes: Vec<(usize, usize, usize)> = d
+            .iterations
+            .iter()
+            .map(|it| {
+                (
+                    it.aggressors_pruned,
+                    it.victims_recomputed,
+                    it.victims_cached,
+                )
+            })
+            .collect();
+        assert_eq!(passes, [(1, 6, 0), (0, 4, 2)]);
+        assert!(d.converged);
+        assert_equals_one_pass_over_final_specs(&sta, &specs, &analysis);
     }
 
     #[test]
@@ -3022,12 +2945,8 @@ mod tests {
         let mut ob = heavy.output(y);
         ob.load *= 20.0;
         heavy.set_output(y, ob);
-        let (_, base) = sta
-            .analyze_with_crosstalk(c, &[spec(&sta)], MethodKind::Sgdp)
-            .unwrap();
-        let (_, loaded) = sta
-            .analyze_with_crosstalk(heavy, &[spec(&sta)], MethodKind::Sgdp)
-            .unwrap();
+        let (_, base) = one_pass(&sta, c, &[spec(&sta)], MethodKind::Sgdp).unwrap();
+        let (_, loaded) = one_pass(&sta, heavy, &[spec(&sta)], MethodKind::Sgdp).unwrap();
         assert_eq!(base.len(), loaded.len());
         assert!(
             base.iter()
@@ -3058,7 +2977,14 @@ mod tests {
         let c = Constraints::default();
         let mut s = spec(&sta);
         s.aggressors = vec![NetId(usize::MAX - 1)];
-        assert!(sta.analyze_with_crosstalk(c, &[s], MethodKind::P1).is_err());
+        let p1 = SiOptions {
+            method: MethodKind::P1,
+            ..SiOptions::default()
+        };
+        assert!(matches!(
+            sta.analyze_with_crosstalk_windows(c, &[s], &p1),
+            Err(StaError::Unresolved(_))
+        ));
     }
 
     #[test]
@@ -3069,7 +2995,7 @@ mod tests {
         let c = Constraints::default();
         let s = spec(&sta);
         assert!(matches!(
-            sta.analyze_with_crosstalk(c, &[s.clone(), s], MethodKind::P1),
+            sta.analyze_with_crosstalk_windows(c, &[s.clone(), s], &SiOptions::default()),
             Err(StaError::Structure(_))
         ));
     }
@@ -3120,8 +3046,8 @@ mod tests {
         assert_eq!(windows[3], a[3]);
         // Termination: unions only grow, so feeding the next oscillation
         // phase back in leaves the installed windows stationary — with
-        // stationary windows the filter's pruning decisions repeat and
-        // the loop's unchanged-pruning stop fires.
+        // stationary windows the filter's specs repeat and the loop's
+        // unchanged-spec stop fires.
         let installed = windows.clone();
         let mut next = a.clone();
         let mut more = Vec::new();

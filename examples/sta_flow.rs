@@ -9,7 +9,7 @@ use noisy_sta::circuit::RcLineSpec;
 use noisy_sta::core::MethodKind;
 use noisy_sta::liberty::characterize::{inverter_family, Options};
 use noisy_sta::spice::Process;
-use noisy_sta::sta::{verilog, Constraints, CouplingSpec, Sta};
+use noisy_sta::sta::{verilog, Constraints, CouplingSpec, SiOptions, Sta};
 
 const NETLIST: &str = r#"
     // Two parallel inverter chains whose middle wires run side by side.
@@ -54,10 +54,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     for method in [MethodKind::P1, MethodKind::Wls5, MethodKind::Sgdp] {
-        match sta.analyze_with_crosstalk(constraints, std::slice::from_ref(&spec), method) {
-            Ok((report, adjustments)) => {
+        let options = SiOptions {
+            method,
+            ..SiOptions::default()
+        };
+        match sta.analyze_with_crosstalk_windows(constraints, std::slice::from_ref(&spec), &options)
+        {
+            Ok(analysis) => {
+                let report = &analysis.report;
                 println!("== with crosstalk, {} ==", method.name());
-                for adj in &adjustments {
+                for adj in &analysis.adjustments {
                     println!(
                         "  victim {} {}: {:.1} ps -> {:.1} ps (slew {:.1} ps)",
                         sta.design().net_name(adj.net),

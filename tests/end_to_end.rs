@@ -135,7 +135,7 @@ fn sta_crosstalk_uses_equivalent_waveforms() {
     use noisy_sta::circuit::RcLineSpec;
     use noisy_sta::liberty::characterize::{inverter_family, Options};
     use noisy_sta::spice::Process;
-    use noisy_sta::sta::{verilog, Constraints, CouplingSpec, Sta};
+    use noisy_sta::sta::{verilog, Constraints, CouplingSpec, SiOptions, Sta};
 
     let lib = inverter_family(
         &Process::c013(),
@@ -159,10 +159,15 @@ fn sta_crosstalk_uses_equivalent_waveforms() {
         100e-15,
         RcLineSpec::per_micron(1000.0).expect("line"),
     );
-    let (with_si, adjustments) = sta
-        .analyze_with_crosstalk(c, &[spec], MethodKind::Sgdp)
+    let options = SiOptions {
+        method: MethodKind::Sgdp,
+        ..SiOptions::default()
+    };
+    let analysis = sta
+        .analyze_with_crosstalk_windows(c, &[spec], &options)
         .expect("si analysis");
-    assert_eq!(adjustments.len(), 2);
+    let with_si = analysis.report;
+    assert_eq!(analysis.adjustments.len(), 2);
     // Crosstalk cannot make the worst slack better.
     assert!(with_si.worst_slack() <= nominal.worst_slack() + 1e-15);
     // The victim's fanout arrives later than over an ideal wire.
