@@ -15,9 +15,9 @@
 //! It reports binding statistics, pruning counts, fixed-point iterations,
 //! shared-factorization statistics and wall-clock time, as text and as a
 //! JSON report (default `BENCH_spefbus.json`) that CI archives per PR.
-//! How that analysis compares with its variants (threaded, full
-//! recompute, dense, unfiltered, deadline-governed, fault-injected) is
-//! checked by `cargo test`, not here.
+//! How that analysis compares with its variants (threaded, dense,
+//! deadline-governed, fault-injected, and one pass over the final
+//! filtered specs) is checked by `cargo test`, not here.
 //!
 //! Pre-flight lint: `--lint` runs the `nsta-lint` rule registry over the
 //! bound design + SPEF + SDC before any solve and prints the diagnostics;
@@ -39,7 +39,7 @@
 //!   same design and absorbs a deterministic stream of N transactional
 //!   edits (output-load changes, driver-resistance changes, single-net
 //!   re-annotations, cycled over the groups by a seeded PRNG), each
-//!   re-solving only the dirtied coupling clusters. The session is
+//!   re-solving only the cones its coupling specs reach. The session is
 //!   shadow-audited every 8 commits and once at the end against a
 //!   from-scratch batch analysis; a divergence quarantines it and exits
 //!   6. A full reanalysis of the final state is the denominator of the
@@ -91,7 +91,7 @@ flags:
   --eco N             open an incremental timing session and stream N
                       deterministic transactional edits through it (needs
                       --groups >= 1); each edit re-solves only the
-                      dirtied coupling clusters, and the session is
+                      cones its coupling specs reach, and the session is
                       shadow-audited against a from-scratch batch
                       analysis (divergence exits 6)
   --help, -h          print this help and exit
@@ -172,6 +172,7 @@ struct EcoSummary {
     full_time: Duration,
     speedup: f64,
     epoch: u64,
+    dirty_cones_per_edit: f64,
     dirty_nets_per_edit: f64,
     audits_run: u64,
     audit_max_divergence: f64,
@@ -374,8 +375,8 @@ fn main() {
     });
 
     // Incremental ECO session: a long-lived TimingSession absorbing a
-    // deterministic edit stream. Each edit re-solves only the dirtied
-    // coupling clusters; the speedup over `full_time` is what the
+    // deterministic edit stream. Each edit re-solves only the cones its
+    // coupling specs reach; the speedup over `full_time` is what the
     // retained-state machinery buys and is gated in CI. The stream's
     // PRNG seed is fixed, so a run is reproducible bit-for-bit.
     let eco_run = eco_edits.map(|edits| {
@@ -406,6 +407,7 @@ fn main() {
                 .map(|kind| (kind, Vec::new()))
                 .collect();
         let mut committed = 0usize;
+        let mut dirty_cone_total = 0usize;
         let mut dirty_net_total = 0usize;
         for i in 0..edits {
             let g = rng.next_below(groups as u64) as usize;
@@ -445,6 +447,7 @@ fn main() {
             match outcome {
                 EditOutcome::Committed(info) => {
                     committed += 1;
+                    dirty_cone_total += info.dirty_cones;
                     dirty_net_total += info.dirty_nets;
                 }
                 EditOutcome::AuditFailed(f) | EditOutcome::ReadOnly(f) => {
@@ -501,6 +504,7 @@ fn main() {
             full_time,
             speedup,
             epoch: session.epoch(),
+            dirty_cones_per_edit: dirty_cone_total as f64 / committed.max(1) as f64,
             dirty_nets_per_edit: dirty_net_total as f64 / committed.max(1) as f64,
             audits_run: session.audits_run(),
             audit_max_divergence: session.max_audit_divergence(),
@@ -771,6 +775,10 @@ fn main() {
                     ("max_edit_ms", ms(eco.max_edit)),
                     ("full_reanalysis_ms", ms(eco.full_time)),
                     ("speedup", Json::Num((eco.speedup * 1e2).round() / 1e2)),
+                    (
+                        "dirty_cones_per_edit",
+                        Json::Num((eco.dirty_cones_per_edit * 1e2).round() / 1e2),
+                    ),
                     (
                         "dirty_nets_per_edit",
                         Json::Num((eco.dirty_nets_per_edit * 1e2).round() / 1e2),

@@ -144,24 +144,6 @@ impl DenseMatrix {
         self.data.iter_mut().for_each(|v| *v = 0.0);
     }
 
-    /// Overwrites this matrix with `other`'s contents, keeping the
-    /// allocation — the Newton loops reset their Jacobian to a precomputed
-    /// base this way instead of re-deriving it element by element.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NumericError::ShapeMismatch`] on dimension mismatch.
-    pub fn copy_from(&mut self, other: &DenseMatrix) -> Result<(), NumericError> {
-        if self.rows != other.rows || self.cols != other.cols {
-            return Err(NumericError::ShapeMismatch {
-                got: other.rows * other.cols,
-                expected: self.rows * self.cols,
-            });
-        }
-        self.data.copy_from_slice(&other.data);
-        Ok(())
-    }
-
     /// Contiguous row `r` as a slice — lets hot loops dot rows against a
     /// vector without per-element bounds checks.
     ///

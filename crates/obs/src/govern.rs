@@ -130,11 +130,6 @@ impl Deadline {
         self
     }
 
-    /// The attached cancel token, if any.
-    pub fn cancel_token(&self) -> Option<&CancelToken> {
-        self.cancel.as_ref()
-    }
-
     /// Whether the budget is spent or cancellation was requested.
     ///
     /// On a fake clock this reading advances the clock by its step.

@@ -156,11 +156,6 @@ impl Recorder {
         self.clock_mode.store(CLOCK_FAKE, Ordering::Release);
     }
 
-    /// Switches back to the monotonic clock (the default).
-    pub fn use_monotonic_clock(&self) {
-        self.clock_mode.store(CLOCK_MONOTONIC, Ordering::Release);
-    }
-
     #[cfg(test)]
     pub(crate) fn now_ns_for_test(&self) -> u64 {
         self.now_ns()

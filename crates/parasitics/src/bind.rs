@@ -199,9 +199,6 @@ pub struct Rebind {
     /// Victims whose spec changed (field-wise, including a spec the edit
     /// adds or drops), sorted and deduplicated.
     pub changed: Vec<NetId>,
-    /// Whether some changed victim's aggressor list changed too, so the
-    /// coupling topology (and any partition built on it) moved.
-    pub aggressors_changed: bool,
     /// The replacement section's reduction, with pin-anchored coupling
     /// endpoints attributed through the file's `*CONN` entries.
     pub reduced: ReducedNet,
@@ -258,13 +255,11 @@ pub fn rebind_net(
     let line = reduced.to_line_spec();
     let mut next = specs.to_vec();
     let mut changed = Vec::new();
-    let mut aggressors_changed = false;
     let Some(edited) = design.find_net(&dnet.name) else {
         // Not a design net: it can neither be a victim nor an aggressor.
         return Ok(Rebind {
             specs: next,
             changed,
-            aggressors_changed,
             reduced,
         });
     };
@@ -313,7 +308,6 @@ pub fn rebind_net(
         (Some(at), Some(mut spec)) => {
             spec.driver_resistance = next[at].driver_resistance;
             if spec != next[at] {
-                aggressors_changed |= spec.aggressors != next[at].aggressors;
                 changed.push(edited);
                 next[at] = spec;
             }
@@ -321,7 +315,6 @@ pub fn rebind_net(
         (Some(at), None) => {
             next.remove(at);
             changed.push(edited);
-            aggressors_changed = true;
         }
         (None, Some(spec)) => {
             // Specs follow file order: count those whose victim section
@@ -337,7 +330,6 @@ pub fn rebind_net(
             }
             next.insert(at, spec);
             changed.push(edited);
-            aggressors_changed = true;
         }
         (None, None) => {}
     }
@@ -347,7 +339,6 @@ pub fn rebind_net(
     Ok(Rebind {
         specs: next,
         changed,
-        aggressors_changed,
         reduced,
     })
 }
@@ -386,14 +377,10 @@ fn rebind_file(
         .collect();
     changed.sort_unstable();
     changed.dedup();
-    let aggressors_changed = changed.iter().any(|victim| {
-        old.get(victim).map(|s| &s.aggressors) != new.get(victim).map(|s| &s.aggressors)
-    });
     let reduced = ReducedNet::from_dnet_with_pins(dnet, &pin_owners(&file));
     Ok(Rebind {
         specs: bound.specs,
         changed,
-        aggressors_changed,
         reduced,
     })
 }

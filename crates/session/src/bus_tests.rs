@@ -69,10 +69,11 @@ fn drive_resistance_edits_survive_a_reannotation() {
         net: "v5".into(),
         ohms: 300.0,
     }));
-    // v2's own, unchanged section: nothing but v2's cluster is reached.
+    // v2's own, unchanged section: nothing but v2's group is reached (its
+    // victim cone and its two aggressor chains).
     let dnet = section(&s, "v2");
     let info = committed(s.apply(Edit::ReannotateNet { dnet }));
-    assert_eq!(info.dirty_clusters, 1);
+    assert_eq!(info.dirty_cones, 3);
     assert_eq!(info.specs_resolved, 1);
     assert_eq!(spec(&s, "v5").expect("v5 spec").driver_resistance, 300.0);
     // Re-annotating v5 itself keeps its resistance too.
@@ -81,7 +82,7 @@ fn drive_resistance_edits_survive_a_reannotation() {
         cap.value *= 1.1;
     }
     let info = committed(s.apply(Edit::ReannotateNet { dnet }));
-    assert_eq!(info.dirty_clusters, 1);
+    assert_eq!(info.dirty_cones, 3);
     assert_eq!(spec(&s, "v5").expect("v5 spec").driver_resistance, 300.0);
     let audit = s.audit_now().expect("audit");
     assert_eq!(audit.max_divergence, 0.0);
@@ -155,8 +156,12 @@ fn coupling(id: u64, a: SpefNode, b: SpefNode, value: f64) -> CapElem {
     }
 }
 
-/// Edits that move the coupling topology, each with whether it commits.
-fn topology_edits(s: &TimingSession) -> Vec<(&'static str, DNet, bool)> {
+/// Edits that move the coupling topology. A committing edit carries the
+/// (`dirty_cones`, `specs_resolved`) of its closure over the new topology;
+/// `None` marks an edit the preflight refuses.
+type TopologyEdit = (&'static str, DNet, Option<(usize, usize)>);
+
+fn topology_edits(s: &TimingSession) -> Vec<TopologyEdit> {
     let mut edits = Vec::new();
     let mut dnet = section(s, "v1");
     dnet.caps.push(coupling(
@@ -165,13 +170,13 @@ fn topology_edits(s: &TimingSession) -> Vec<(&'static str, DNet, bool)> {
         SpefNode::sub("gn2", "1"),
         20e-15,
     ));
-    edits.push(("coupling to a new partner", dnet, true));
+    edits.push(("coupling to a new partner", dnet, Some((6, 2))));
     let mut dnet = section(s, "v3");
     dnet.caps.retain(|c| c.id != 5);
-    edits.push(("partner dropped", dnet, true));
+    edits.push(("partner dropped", dnet, Some((2, 1))));
     let mut dnet = section(s, "v4");
     dnet.caps.retain(|c| !c.is_coupling());
-    edits.push(("all couplings dropped", dnet, true));
+    edits.push(("all couplings dropped", dnet, Some((1, 0))));
     let mut dnet = section(s, "v5");
     dnet.caps.push(coupling(
         6,
@@ -179,8 +184,12 @@ fn topology_edits(s: &TimingSession) -> Vec<(&'static str, DNet, bool)> {
         SpefNode::sub("f5_1", "1"),
         15e-15,
     ));
-    edits.push(("coupling to an unannotated design net", dnet, true));
-    edits.push(("unannotated partner dropped again", section(s, "v5"), true));
+    edits.push(("coupling to an unannotated design net", dnet, Some((3, 1))));
+    edits.push((
+        "unannotated partner dropped again",
+        section(s, "v5"),
+        Some((3, 1)),
+    ));
     let mut dnet = section(s, "v6");
     dnet.caps.push(CapElem {
         id: 6,
@@ -194,7 +203,7 @@ fn topology_edits(s: &TimingSession) -> Vec<(&'static str, DNet, bool)> {
         b: SpefNode::sub("v6", "4"),
         value: 6.0,
     });
-    edits.push(("new internal node", dnet, true));
+    edits.push(("new internal node", dnet, Some((3, 1))));
     let mut dnet = section(s, "v7");
     dnet.conns.push(Conn {
         kind: ConnKind::Internal,
@@ -203,12 +212,12 @@ fn topology_edits(s: &TimingSession) -> Vec<(&'static str, DNet, bool)> {
         load: Some(3e-15),
         driver_cell: None,
     });
-    edits.push(("changed *CONN pin", dnet, true));
+    edits.push(("changed *CONN pin", dnet, Some((3, 1))));
     let mut dnet = section(s, "gn0");
     for cap in &mut dnet.caps {
         cap.value *= 1.2;
     }
-    edits.push(("aggressor wire re-extracted", dnet, true));
+    edits.push(("aggressor wire re-extracted", dnet, Some((3, 1))));
     let mut dnet = section(s, "gf0");
     dnet.caps.push(coupling(
         4,
@@ -216,7 +225,7 @@ fn topology_edits(s: &TimingSession) -> Vec<(&'static str, DNet, bool)> {
         SpefNode::sub("gn1", "2"),
         30e-15,
     ));
-    edits.push(("aggressor wire becomes a victim", dnet, true));
+    edits.push(("aggressor wire becomes a victim", dnet, Some((9, 4))));
     let mut dnet = section(s, "v2");
     dnet.caps.push(coupling(
         6,
@@ -224,7 +233,7 @@ fn topology_edits(s: &TimingSession) -> Vec<(&'static str, DNet, bool)> {
         SpefNode::sub("ghost", "1"),
         10e-15,
     ));
-    edits.push(("coupling to a net the design lacks", dnet, true));
+    edits.push(("coupling to a net the design lacks", dnet, Some((9, 4))));
     let mut dnet = section(s, "v0");
     dnet.caps.push(CapElem {
         id: 6,
@@ -232,10 +241,10 @@ fn topology_edits(s: &TimingSession) -> Vec<(&'static str, DNet, bool)> {
         b: None,
         value: 5e-15,
     });
-    edits.push(("disconnected ground-cap node", dnet, false));
+    edits.push(("disconnected ground-cap node", dnet, None));
     let mut dnet = section(s, "v0");
     dnet.ress[1].value = 0.0;
-    edits.push(("zero resistance", dnet, false));
+    edits.push(("zero resistance", dnet, None));
     edits
 }
 
@@ -249,7 +258,8 @@ fn scoped_reannotation_matches_the_whole_file_path() {
         }));
     }
     let mut journal = s.journal();
-    for (what, dnet, commits) in topology_edits(&s) {
+    for (what, dnet, closure) in topology_edits(&s) {
+        let commits = closure.is_some();
         let want = reference(&s, &dnet);
         let edited = s.sta().design().find_net(&dnet.name).expect("design net");
         let candidate = s
@@ -280,7 +290,11 @@ fn scoped_reannotation_matches_the_whole_file_path() {
         let edit = Edit::ReannotateNet { dnet };
         let outcome = s.apply(edit.clone());
         assert_eq!(outcome.is_committed(), commits, "{what}: {outcome:?}");
-        if commits {
+        if let Some(closure) = closure {
+            // The closure follows the new topology: no cone more or less.
+            let info = committed(outcome);
+            let resolved = (info.dirty_cones, info.specs_resolved);
+            assert_eq!(resolved, closure, "{what}: dirty cones, specs");
             journal.push(edit);
             assert_eq!(s.couplings(), &want.specs[..], "{what}: committed specs");
             assert_eq!(s.lint_baseline, want.baseline, "{what}: committed baseline");

@@ -12,14 +12,14 @@
 //!   across edits.
 //! * Every edit ([`Edit::SetLoad`], [`Edit::SetDriveResistance`],
 //!   [`Edit::ReannotateNet`]) is a **transaction**: validate → preflight
-//!   lint the candidate → incrementally re-solve only the dirtied
-//!   coupling clusters → splice into the retained state → commit. *Any*
-//!   failure — degenerate mesh, injected fault, non-convergence,
-//!   deadline expiry — rolls the session back to the last consistent
-//!   snapshot and reports a structured [`EditOutcome`] instead of
-//!   leaving a torn state. (Candidate state is built beside the live
-//!   state and only swapped in on success, so "rollback" is literally
-//!   "don't swap".)
+//!   lint the candidate → compute the cones the edit can reach from the
+//!   candidate's own coupling specs → re-solve only those cones → splice
+//!   them into the retained state → commit. *Any* failure — degenerate
+//!   mesh, injected fault, non-convergence, deadline expiry — rolls the
+//!   session back to the last consistent snapshot and reports a
+//!   structured [`EditOutcome`] instead of leaving a torn state.
+//!   (Candidate state is built beside the live state and only swapped in
+//!   on success, so "rollback" is literally "don't swap".)
 //! * The append-only [`TimingSession::journal`] makes any committed
 //!   state deterministically reproducible from the seed inputs:
 //!   [`TimingSession::replay`] rebuilds a fresh session and re-applies
@@ -34,9 +34,10 @@
 //!   quarantines the session read-only — wrong timing is never served
 //!   silently.
 //! * Epoch counters: each commit bumps the session epoch and the dirty
-//!   cones' epoch counters; analysis results carry their epoch in
-//!   `SiDiagnostics::epoch`, so a stale retained report is detectable
-//!   with [`TimingSession::is_stale`].
+//!   cones' epoch counters (a cone still at epoch 0 was never re-solved,
+//!   so the audit requires its nets bit-identical); analysis results
+//!   carry their epoch in `SiDiagnostics::epoch`, so a stale retained
+//!   report is detectable with [`TimingSession::is_stale`].
 
 #![forbid(unsafe_code)]
 
@@ -55,8 +56,8 @@ use nsta_parasitics::{
     bind_couplings, rebind_net, BindOptions, DNet, ReducedNet, SpefError, SpefFile,
 };
 use nsta_sta::{
-    BoundaryConditions, ConeClusters, CouplingSpec, NetId, OutputBoundary, RetainedAnalysis,
-    SiAnalysis, SiDiagnostics, SiOptions, Sta, StaError, TimingReport,
+    BoundaryConditions, CouplingSpec, NetId, OutputBoundary, RetainedAnalysis, SiAnalysis,
+    SiDiagnostics, SiOptions, Sta, StaError, TimingReport,
 };
 
 /// Lint rules whose *new* appearance in an edit's delta rejects the edit
@@ -140,7 +141,7 @@ pub enum RollbackCause {
     /// exhausted numeric fallback chain, injected fault under
     /// `FaultPolicy::Fail`, …).
     Analysis(String),
-    /// The window fixed point did not converge on the dirty clusters.
+    /// The window fixed point did not converge on the dirty cones.
     NonConvergence,
     /// The per-edit deadline expired mid-solve; committing would have
     /// retained stale nominal timing for the skipped victims.
@@ -206,13 +207,13 @@ pub struct CommitInfo {
     /// Session epoch after the commit (starts at 0 on load; each commit
     /// increments it).
     pub epoch: u64,
-    /// Coupling clusters re-solved.
-    pub dirty_clusters: usize,
-    /// Cones those clusters span.
+    /// Cones re-solved: every cone linked to an edited net's cone by a
+    /// chain of the edited design's coupling specs
+    /// ([`Sta::coupled_cones`]).
     pub dirty_cones: usize,
-    /// Nets whose retained state was replaced.
+    /// Nets whose retained state was replaced: the nets of those cones.
     pub dirty_nets: usize,
-    /// Coupling specs re-simulated.
+    /// Coupling specs re-simulated: those of the victims in those cones.
     pub specs_resolved: usize,
     /// Always 0: each re-solve shares factorizations only within itself,
     /// so an edit has nothing to release. Kept only because the
@@ -322,7 +323,6 @@ impl From<SpefError> for SessionError {
 struct Candidate<'a> {
     bc: Cow<'a, BoundaryConditions>,
     specs: Cow<'a, [CouplingSpec]>,
-    clusters: Cow<'a, ConeClusters>,
     change: Change<'a>,
     /// Nets seeding the dirty closure (edited net + changed victims).
     seeds: Vec<NetId>,
@@ -374,15 +374,13 @@ pub struct TimingSession {
     spef: SpefFile,
     bc: BoundaryConditions,
     specs: Vec<CouplingSpec>,
-    clusters: ConeClusters,
     retained: RetainedAnalysis,
     lint_baseline: HashSet<Fingerprint>,
     journal: Journal,
     epoch: u64,
+    /// Per cone (indexed like `TimingGraph::components`): the epoch that
+    /// last re-solved it, 0 if none has.
     cone_epochs: Vec<u64>,
-    /// Per-net: was this net's cone ever re-solved since load? The audit
-    /// requires bit-identity for nets where this is still false.
-    ever_dirty: Vec<bool>,
     commits_since_audit: usize,
     quarantine: Option<AuditFailure>,
     // Counters surfaced to bench/CI.
@@ -421,25 +419,20 @@ impl TimingSession {
             ));
         }
         let lint_baseline = Self::fingerprints(&lint.diagnostics).into_iter().collect();
-        let clusters = sta.cone_clusters(&specs);
         let retained = sta.session_analyze(bc.clone(), &specs, &options.si, None)?;
         let cones = sta.graph().components().len();
-        let nets = sta.design().net_count();
         span.set_arg("cones", cones as f64);
-        span.set_arg("clusters", clusters.clusters() as f64);
         Ok(TimingSession {
             seed_spef: spef.clone(),
             seed_bc: bc.clone(),
             spef,
             bc,
             specs,
-            clusters,
             retained,
             lint_baseline,
             journal: Journal::default(),
             epoch: 0,
             cone_epochs: vec![0; cones],
-            ever_dirty: vec![false; nets],
             commits_since_audit: 0,
             quarantine: None,
             rollbacks: 0,
@@ -516,10 +509,11 @@ impl TimingSession {
         diagnostics.epoch != self.epoch
     }
 
-    /// Epoch counter of `net`'s cone: the session epoch at which that
-    /// cone's retained state was last re-solved.
+    /// Epoch counter of `net`'s cone: the session epoch of the last
+    /// commit whose dirty closure held that cone, 0 if none did; `None`
+    /// for a net the design lacks.
     pub fn cone_epoch(&self, net: NetId) -> Option<u64> {
-        let cone = self.clusters.cone_of_net(net)?;
+        let cone = self.sta.graph().cone_of(net)?;
         self.cone_epochs.get(cone).copied()
     }
 
@@ -627,29 +621,23 @@ impl TimingSession {
                 return outcome;
             }
         };
-        // 3. Dirty closure: clusters reached by the edit.
-        let dirty_clusters = candidate.clusters.dirty_clusters(&candidate.seeds);
-        let dirty_mask = candidate.clusters.net_mask(&dirty_clusters);
-        let cone_mask = candidate.clusters.cone_mask(&dirty_clusters);
+        // 3. Dirty closure: the cones the edit reaches through the
+        //    candidate's own specs, and the specs of their victims.
+        let graph = self.sta.graph();
+        let dirty = self.sta.coupled_cones(&candidate.specs, &candidate.seeds);
         let dirty_specs: Vec<CouplingSpec> = candidate
             .specs
             .iter()
-            .filter(|s| {
-                candidate
-                    .clusters
-                    .cluster_of_net(s.victim)
-                    .is_some_and(|c| dirty_clusters[c])
-            })
+            .filter(|s| graph.in_cones(&dirty, s.victim))
             .cloned()
             .collect();
-        // 4. Incremental re-solve of the dirty clusters only. The sweeps
-        //    are scoped to the dirty cones; everything outside them is
-        //    discarded by the merge's dirty-net mask.
+        // 4. Incremental re-solve of the dirty cones only; the merge
+        //    discards everything outside them.
         let patch = match self.sta.session_analyze(
             candidate.bc.as_ref().clone(),
             &dirty_specs,
             &self.options.si,
-            Some(&cone_mask),
+            Some(&dirty),
         ) {
             Ok(p) => p,
             Err(e) => {
@@ -676,16 +664,13 @@ impl TimingSession {
         //    over the edited design — see nsta-sta's session module
         //    docs), bump epochs, append the journal.
         let next_epoch = self.epoch + 1;
-        let dirty_nets = dirty_mask.iter().filter(|&&d| d).count();
-        let dirty_cones = candidate.clusters.dirty_cone_count(&dirty_clusters);
+        let marked = || graph.components().iter().zip(&dirty).filter(|(_, &d)| d);
+        let dirty_cones = marked().count();
+        let dirty_nets = marked().map(|(cone, _)| cone.len()).sum();
         let Candidate {
-            bc,
-            specs,
-            clusters,
-            change,
-            ..
+            bc, specs, change, ..
         } = candidate;
-        let (bc, specs, clusters) = (owned(bc), owned(specs), owned(clusters));
+        let (bc, specs) = (owned(bc), owned(specs));
         let section = match change {
             Change::SetLoad(net, farads) => {
                 self.journal.push_load(net, farads);
@@ -706,19 +691,15 @@ impl TimingSession {
         if let Some(specs) = specs {
             self.specs = specs;
         }
-        if let Some(clusters) = clusters {
-            self.clusters = clusters;
-        }
         if let Some(section) = section {
             // The candidate was built from this file's section of the
             // same name, so the replacement cannot miss.
             let _ = self.spef.replace_net(section);
         }
         self.sta
-            .session_merge(&mut self.retained, patch, &dirty_mask, next_epoch);
+            .session_merge(&mut self.retained, patch, &dirty, next_epoch);
         let info = CommitInfo {
             epoch: next_epoch,
-            dirty_clusters: dirty_clusters.iter().filter(|&&d| d).count(),
             dirty_cones,
             dirty_nets,
             specs_resolved: dirty_specs.len(),
@@ -726,18 +707,8 @@ impl TimingSession {
             audit: None,
         };
         self.epoch = next_epoch;
-        // Cone counts can change when a re-annotation rewires clusters;
-        // resize before stamping (new cones start at the current epoch).
-        self.cone_epochs.resize(cone_mask.len(), next_epoch);
-        for (cone, dirty) in cone_mask.iter().enumerate() {
-            if *dirty {
-                self.cone_epochs[cone] = next_epoch;
-            }
-        }
-        for (net, dirty) in dirty_mask.iter().enumerate() {
-            if *dirty {
-                self.ever_dirty[net] = true;
-            }
+        for (epoch, _) in self.cone_epochs.iter_mut().zip(&dirty).filter(|(_, &d)| d) {
+            *epoch = next_epoch;
         }
         for fingerprint in &lint_delta.retired {
             self.lint_baseline.remove(fingerprint);
@@ -869,11 +840,7 @@ impl TimingSession {
         let mut untouched_identical = true;
         let mut detail: Option<String> = None;
         for (inc, re) in incremental.nets().iter().zip(reference.nets()) {
-            let untouched = !self
-                .ever_dirty
-                .get(inc.net.index())
-                .copied()
-                .unwrap_or(true);
+            let untouched = self.cone_epoch(inc.net) == Some(0);
             if untouched && inc != re {
                 untouched_identical = false;
                 detail.get_or_insert_with(|| {
@@ -1004,7 +971,6 @@ impl TimingSession {
                 Ok(Candidate {
                     bc: Cow::Owned(bc),
                     specs: Cow::Borrowed(&self.specs),
-                    clusters: Cow::Borrowed(&self.clusters),
                     change: Change::SetLoad(net, farads),
                     seeds: vec![net],
                 })
@@ -1028,7 +994,6 @@ impl TimingSession {
                 Ok(Candidate {
                     bc: Cow::Borrowed(&self.bc),
                     specs: Cow::Owned(specs),
-                    clusters: Cow::Borrowed(&self.clusters),
                     change: Change::SetDriveResistance(victim, ohms),
                     seeds: vec![victim],
                 })
@@ -1063,16 +1028,9 @@ impl TimingSession {
                 // model changes too.
                 let mut seeds = rebind.changed;
                 seeds.push(edited);
-                // The cluster partition follows the aggressor lists only.
-                let clusters = if rebind.aggressors_changed {
-                    Cow::Owned(self.sta.cone_clusters(&rebind.specs))
-                } else {
-                    Cow::Borrowed(&self.clusters)
-                };
                 Ok(Candidate {
                     bc: Cow::Borrowed(&self.bc),
                     specs: Cow::Owned(rebind.specs),
-                    clusters,
                     change: Change::ReannotateNet(Reannotation {
                         old,
                         new: dnet,
@@ -1107,8 +1065,8 @@ mod tests {
     }
 
     /// Two independent coupled groups: `a0→v0→y0` × `b0→g0→z0` and the
-    /// same for group 1. Each group is one coupling cluster, so an edit
-    /// in group 0 must never re-solve (or perturb) group 1.
+    /// same for group 1. Each group's two cones are linked by its coupling
+    /// spec, so an edit in group 0 must never re-solve (or perturb) group 1.
     const SPEF: &str = "*C_UNIT 1 FF\n*R_UNIT 1 OHM\n*NAME_MAP\n*1 v0\n*2 g0\n*3 v1\n*4 g1\n\
         *D_NET *1 80.0\n*CAP\n1 *1:1 15.0\n2 *1:2 15.0\n3 *1:2 *2:2 50.0\n\
         *RES\n1 *1 *1:1 10.0\n2 *1:1 *1:2 10.0\n*END\n\
@@ -1170,7 +1128,7 @@ mod tests {
             panic!("expected commit, got {outcome:?}");
         };
         assert_eq!(info.epoch, 1);
-        assert_eq!(info.dirty_clusters, 1);
+        assert_eq!(info.dirty_cones, 2);
         assert_eq!(info.specs_resolved, 1);
         // Only group 0's six nets are re-solved.
         assert_eq!(info.dirty_nets, 6);

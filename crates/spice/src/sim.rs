@@ -3,16 +3,21 @@ use crate::SpiceError;
 use nsta_numeric::{CsrMatrix, DenseMatrix, LuFactors, NumericError, SparseLu, TripletMatrix};
 use nsta_waveform::Waveform;
 
+/// Node-to-ground leakage conductance of a transient run (S): 1 pS.
+const GMIN: f64 = 1e-12;
+/// Newton voltage tolerance of a transient step (V): 0.1 µV.
+const NEWTON_TOL: f64 = 1e-7;
+/// Newton iterations a transient step may take before it diverges.
+const MAX_NEWTON: usize = 50;
+/// Largest voltage update of one transient Newton iteration (V).
+const DV_CLAMP: f64 = 0.4;
+
 /// Options for a nonlinear transient run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimOptions {
     t_start: f64,
     t_stop: f64,
     dt: f64,
-    gmin: f64,
-    newton_tol: f64,
-    max_newton: usize,
-    dv_clamp: f64,
 }
 
 impl SimOptions {
@@ -37,25 +42,7 @@ impl SimOptions {
             t_start,
             t_stop,
             dt,
-            gmin: 1e-12,
-            newton_tol: 1e-7,
-            max_newton: 50,
-            dv_clamp: 0.4,
         })
-    }
-
-    /// Overrides the node-to-ground leakage conductance (default 1 pS).
-    #[must_use]
-    pub fn with_gmin(mut self, gmin: f64) -> Self {
-        self.gmin = gmin;
-        self
-    }
-
-    /// Overrides the Newton voltage tolerance (default 0.1 µV).
-    #[must_use]
-    pub fn with_newton_tolerance(mut self, tol: f64) -> Self {
-        self.newton_tol = tol;
-        self
     }
 
     /// Start of the window (s).
@@ -468,7 +455,7 @@ impl Netlist {
     ///   cannot converge (reduce `dt`).
     /// * [`SpiceError::Numeric`] on singular Jacobians.
     pub fn run_transient(&self, opts: SimOptions) -> Result<SimResult, SpiceError> {
-        let asm = self.assemble(opts.gmin);
+        let asm = self.assemble(GMIN);
         let nf = asm.nf;
         let h = opts.dt;
         let steps = ((opts.t_stop - opts.t_start) / h).round() as usize;
@@ -544,7 +531,7 @@ impl Netlist {
             let mut converged = false;
             let mut worst = f64::INFINITY;
             let mut iters = 0;
-            while iters < opts.max_newton {
+            while iters < MAX_NEWTON {
                 iters += 1;
                 eval_static(&x_new, w_now, &inj_at[ti], &mut i_new);
                 for r in 0..nf {
@@ -571,11 +558,11 @@ impl Netlist {
                 jac.solve_into(&f, &mut delta)?;
                 worst = 0.0;
                 for i in 0..nf {
-                    let step = (-delta[i]).clamp(-opts.dv_clamp, opts.dv_clamp);
+                    let step = (-delta[i]).clamp(-DV_CLAMP, DV_CLAMP);
                     x_new[i] += step;
                     worst = worst.max(step.abs());
                 }
-                if worst < opts.newton_tol {
+                if worst < NEWTON_TOL {
                     converged = true;
                     break;
                 }

@@ -270,8 +270,9 @@ impl Sta {
     /// [`crate::TimingGraph::components`]; `None` means every cone.
     /// Unscoped cones keep their [`Sta::init_states`] seed and are never
     /// propagated, while every net inside a scoped cone gets exactly the
-    /// full sweep's state — the contract the session layer's dirty-cluster
-    /// re-solve relies on (it discards everything else).
+    /// full sweep's state — the contract the scoped re-solves of the
+    /// crosstalk fixed point and of a session edit rely on (they discard
+    /// everything else).
     pub(crate) fn forward_sweep_scoped(
         &self,
         bc: &BoundaryConditions,
@@ -463,15 +464,15 @@ impl Sta {
         Ok(self.report_from_rows(rows, &states))
     }
 
-    /// The per-net rows of [`Sta::finish_report`], restricted to a per-net
-    /// scope mask: required times are only seeded/propagated and rows only
-    /// filled for nets with `scope[net]` (others get placeholder
-    /// [`NetTiming`] rows with no timing and an empty name). The reverse
-    /// sweep's per-edge table lookups and the per-row name copies dominate
-    /// the report cost, so the crosstalk fixed point scopes them to the
-    /// cones it re-solved — sound because cones are weakly-connected
-    /// components (no edge crosses the scope boundary), so every scoped
-    /// row equals the unscoped one.
+    /// The per-net rows of [`Sta::finish_report`], restricted to the cones
+    /// a per-cone `scope` mask marks (`None`: every cone): required times
+    /// are only seeded/propagated and rows only filled for their nets
+    /// (others get placeholder [`NetTiming`] rows with no timing and an
+    /// empty name). The reverse sweep's per-edge table lookups and the
+    /// per-row name copies dominate the report cost, so the crosstalk
+    /// fixed point scopes them to the cones it re-solved — sound because
+    /// cones are weakly-connected components (no edge crosses the scope
+    /// boundary), so every scoped row equals the unscoped one.
     pub(crate) fn report_rows(
         &self,
         bc: &BoundaryConditions,
@@ -479,7 +480,7 @@ impl Sta {
         mask: Option<&FalsePathMask>,
         scope: Option<&[bool]>,
     ) -> Result<Vec<NetTiming>, StaError> {
-        let in_scope = |i: usize| scope.is_none_or(|s| s.get(i).copied().unwrap_or(false));
+        let in_scope = |i: usize| scope.is_none_or(|s| self.graph.in_cones(s, NetId(i)));
         let n = self.design.net_count();
         let mut required = vec![[f64::INFINITY; 2]; n];
         let idx = |p: Polarity| match p {

@@ -149,20 +149,13 @@ impl TimingGraph {
             }
         }
 
-        // Weakly-connected components via union-find with path halving.
-        // Every edge joins its endpoints, so each resulting group is a
-        // self-contained cone: all fanin and fanout of its nets stay inside
-        // the group.
+        // Weakly-connected components via union-find. Every edge joins its
+        // endpoints, so each resulting group is a self-contained cone: all
+        // fanin and fanout of its nets stay inside the group.
         let mut parent: Vec<usize> = (0..n).collect();
-        fn find(parent: &mut [usize], mut i: usize) -> usize {
-            while parent[i] != i {
-                parent[i] = parent[parent[i]]; // path halving
-                i = parent[i];
-            }
-            i
-        }
         for e in &edges {
-            let (a, b) = (find(&mut parent, e.from.0), find(&mut parent, e.to.0));
+            let a = find_root(&mut parent, e.from.0);
+            let b = find_root(&mut parent, e.to.0);
             if a != b {
                 parent[a.max(b)] = a.min(b);
             }
@@ -173,7 +166,7 @@ impl TimingGraph {
         let mut comp_index = vec![usize::MAX; n];
         let mut components: Vec<Vec<NetId>> = Vec::new();
         for i in 0..n {
-            let root = find(&mut parent, i);
+            let root = find_root(&mut parent, i);
             let c = if comp_index[root] == usize::MAX {
                 comp_index[root] = components.len();
                 components.push(Vec::new());
@@ -244,9 +237,18 @@ impl TimingGraph {
     }
 
     /// Index of the component containing `net` (see
-    /// [`TimingGraph::components`]): `components()[cone_of(net)]` holds it.
-    pub fn cone_of(&self, net: NetId) -> usize {
-        self.cone_of[net.0]
+    /// [`TimingGraph::components`]): `components()[c]` holds it for
+    /// `Some(c)`; `None` for a net the graph lacks.
+    pub fn cone_of(&self, net: NetId) -> Option<usize> {
+        self.cone_of.get(net.0).copied()
+    }
+
+    /// Whether a per-component mask (indexed like
+    /// [`TimingGraph::components`]) marks the component of `net`. A net
+    /// the graph lacks, or a component past the mask's end, is unmarked.
+    pub fn in_cones(&self, cones: &[bool], net: NetId) -> bool {
+        self.cone_of(net)
+            .is_some_and(|c| cones.get(c).copied().unwrap_or(false))
     }
 
     /// Position of `net` inside its component (see
@@ -270,6 +272,16 @@ impl TimingGraph {
     pub fn load(&self, net: NetId) -> f64 {
         self.loads[net.0]
     }
+}
+
+/// Root of `x` in a union-find `parent` forest, halving the path on the
+/// way.
+pub(crate) fn find_root(parent: &mut [usize], mut x: usize) -> usize {
+    while parent[x] != x {
+        parent[x] = parent[parent[x]];
+        x = parent[x];
+    }
+    x
 }
 
 #[cfg(test)]

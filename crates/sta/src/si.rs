@@ -108,7 +108,7 @@ use crate::boundary::BoundaryConditions;
 use crate::engine::{NetState, Sta};
 use crate::netlist::NetId;
 use crate::report::{NetTiming, TimingReport};
-use crate::session::splice_nets;
+use crate::session::RetainedAnalysis;
 use crate::StaError;
 use nsta_circuit::{
     Circuit, FactoredSystem, NodeId as CktNode, RcLineSpec, SolverBackend, StarCoupledLines,
@@ -1237,29 +1237,37 @@ impl Sta {
         couplings: &[CouplingSpec],
         options: &SiOptions,
     ) -> Result<SiAnalysis, StaError> {
-        self.analyze_windows_scoped(constraints, couplings, options, None)
-            .map(|(analysis, _states)| analysis)
+        self.session_analyze(constraints, couplings, options, None)
+            .map(|retained| retained.analysis)
     }
 
-    /// [`Sta::analyze_with_crosstalk_windows`], also returning the final
-    /// per-net propagation states: they let [`crate::session`] merge a
-    /// dirty-cone patch into retained results at the state level,
-    /// reproducing the batch report bit-identically.
+    /// [`Sta::analyze_with_crosstalk_windows`], retaining the final per-net
+    /// propagation states so that [`Sta::session_merge`] can splice a
+    /// later re-solve into the result at the state level (see
+    /// [`crate::session`]). The session layer's workhorse: the first call
+    /// analyzes the full spec set; each edit re-analyzes only the specs of
+    /// the victims in its dirty closure ([`Sta::coupled_cones`]).
     ///
-    /// `scope` optionally restricts the two hoisted sweeps to a per-cone
-    /// mask (see [`Sta::forward_sweep_scoped`]): the session layer passes
-    /// the dirty-cluster cone mask so a per-edit re-solve never sweeps
-    /// untouched cones. Sound because the fixed point and the window
-    /// filter only ever read states of coupling participants, all of
-    /// which live inside the scoped clusters; out-of-scope nets keep
-    /// their seed states and the caller discards their report rows.
-    pub(crate) fn analyze_windows_scoped(
+    /// `scope` optionally restricts every sweep, pass and report row to
+    /// the cones a per-cone mask marks (indexed like
+    /// [`crate::TimingGraph::components`]); `None` covers every cone, as
+    /// the initial full analysis requires. Sound when `scope` is closed
+    /// under the specs it holds, as the edit's closure is: the fixed point
+    /// and the window filter only ever read states of coupling
+    /// participants, all inside the scope. Nets of unscoped cones keep
+    /// their seed states and placeholder rows, which the merge never
+    /// reads when it is given the same mask.
+    ///
+    /// # Errors
+    ///
+    /// Same failure modes as [`Sta::analyze_with_crosstalk_windows`].
+    pub fn session_analyze(
         &self,
         constraints: impl Into<BoundaryConditions>,
         couplings: &[CouplingSpec],
         options: &SiOptions,
         scope: Option<&[bool]>,
-    ) -> Result<(SiAnalysis, Vec<NetState>), StaError> {
+    ) -> Result<RetainedAnalysis, StaError> {
         let bc = constraints.into();
         self.check_unique_victims(couplings)?;
         let mut phase_span = nsta_obs::span!("si.windowed");
@@ -1270,11 +1278,6 @@ impl Sta {
         let mask = self.false_edge_mask(&bc);
         let mask = mask.as_ref();
         let threads = options.threads.max(1);
-        // Net-level projection of the cone scope, for the report rows the
-        // fixed point builds (their per-edge reverse-sweep table lookups
-        // would otherwise dwarf a scoped re-solve).
-        let net_scope = scope.map(|cones| self.nets_of_cones(cones));
-        let net_scope = net_scope.as_deref();
         // Iteration-invariant work, hoisted out of the fixed point: the
         // nominal sweep (aggressor ramps + latest windows of iteration 0)
         // and the min sweep (earliest window edges, which worst-case
@@ -1304,7 +1307,7 @@ impl Sta {
             let _sweep_span = nsta_obs::span!("si.min_sweep");
             self.forward_sweep_scoped(&bc, true, threads, scope)?
         };
-        let clean = self.report_rows(&bc, &base, mask, net_scope)?;
+        let clean = self.report_rows(&bc, &base, mask, scope)?;
         let mut windows = self.windows_from(&min_states, &clean);
         // The fixed point's running result, into which each pass splices
         // the cones it re-solved: the nominal states and rows until the
@@ -1360,19 +1363,18 @@ impl Sta {
                     Some(cones)
                 }
             };
-            let dirty_nets = dirty.as_deref().map(|cones| self.nets_of_cones(cones));
-            let pass_nets = dirty_nets.as_deref().or(net_scope);
+            let pass_cones = dirty.as_deref().or(scope);
             let mut iter_span = nsta_obs::span!("si.iteration");
             iter_span.set_arg("iter", iteration_trace.len() as f64);
             let (pass_states, pass_adjustments, recomputed, mut degrades) =
-                self.crosstalk_pass(&cx, &filtered, dirty.as_deref().or(scope))?;
+                self.crosstalk_pass(&cx, &filtered, pass_cones)?;
             degrade_events.append(&mut degrades);
-            let pass_rows = self.report_rows(&bc, &pass_states, mask, pass_nets)?;
+            let pass_rows = self.report_rows(&bc, &pass_states, mask, pass_cones)?;
             let fresh = pass_adjustments.len();
-            let moved = splice_nets(
+            let moved = self.splice_nets(
                 (&mut states, &mut rows, &mut adjustments),
                 (pass_states, pass_rows, pass_adjustments),
-                pass_nets,
+                pass_cones,
             );
             // Every fresh adjustment lies in a re-solved cone; the rest were
             // carried over.
@@ -1434,8 +1436,8 @@ impl Sta {
             }
         }
         phase_span.set_arg("iterations", iteration_trace.len() as f64);
-        Ok((
-            SiAnalysis {
+        Ok(RetainedAnalysis {
+            analysis: SiAnalysis {
                 report: self.report_from_rows(rows, &states),
                 adjustments,
                 pruned,
@@ -1456,18 +1458,7 @@ impl Sta {
                 },
             },
             states,
-        ))
-    }
-
-    /// Every net of the cones a per-cone mask marks, as a per-net mask.
-    fn nets_of_cones(&self, cones: &[bool]) -> Vec<bool> {
-        let mut nets = vec![false; self.design().net_count()];
-        for cone in self.graph().scoped_components(Some(cones)) {
-            for &net in cone {
-                nets[net.0] = true;
-            }
-        }
-        nets
+        })
     }
 
     /// The cones holding a victim whose spec differs between two window
@@ -1476,11 +1467,9 @@ impl Sta {
     fn changed_cones(&self, filtered: &[CouplingSpec], prev: &[CouplingSpec]) -> Option<Vec<bool>> {
         let graph = self.graph();
         let mut cones = None;
-        for (new, old) in filtered.iter().zip(prev) {
-            if new != old {
-                let mask = cones.get_or_insert_with(|| vec![false; graph.components().len()]);
-                mask[graph.cone_of(new.victim)] = true;
-            }
+        let changed = filtered.iter().zip(prev).filter(|(new, old)| new != old);
+        for cone in changed.filter_map(|(new, _)| graph.cone_of(new.victim)) {
+            cones.get_or_insert_with(|| vec![false; graph.components().len()])[cone] = true;
         }
         cones
     }

@@ -123,11 +123,6 @@ impl SaturatedRamp {
         self.crossing_time(0.5 * self.vdd)
     }
 
-    /// Arrival time at an arbitrary fraction of Vdd.
-    pub fn arrival_at_frac(&self, frac: f64) -> f64 {
-        self.crossing_time(frac * self.vdd)
-    }
-
     /// Slew between the low and high thresholds (always positive).
     pub fn slew(&self, th: Thresholds) -> f64 {
         ((th.high() - th.low()) / self.a).abs()

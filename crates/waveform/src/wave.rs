@@ -389,15 +389,6 @@ impl Waveform {
         Waveform::new(self.ts.clone(), vs)
     }
 
-    /// Resamples onto a uniform grid covering `[t0, t1]` with step `dt`.
-    ///
-    /// # Errors
-    ///
-    /// [`WaveformError::InvalidParameter`] for a degenerate grid request.
-    pub fn resampled(&self, t0: f64, t1: f64, dt: f64) -> Result<Waveform, WaveformError> {
-        Waveform::from_fn(t0, t1, dt, |t| self.value_at(t))
-    }
-
     /// Restricts to `[t0, t1]`, inserting interpolated boundary samples.
     ///
     /// # Errors
