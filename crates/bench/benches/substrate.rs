@@ -4,7 +4,7 @@
 //! Run with `cargo bench -p nsta-bench --bench substrate`.
 
 use nsta_bench::microbench::bench;
-use nsta_circuit::{Circuit, CoupledLines, NodeId, RcLineSpec, StarCoupledLines, TransientOptions};
+use nsta_circuit::{Circuit, NodeId, RcLineSpec, StarCoupledLines, TransientOptions};
 use nsta_numeric::{DenseMatrix, LuFactors};
 use nsta_spice::{cells, Netlist, Process, SimOptions};
 use nsta_waveform::{SaturatedRamp, Thresholds, Waveform};
@@ -48,12 +48,13 @@ fn bench_linear_transient() {
             200.0,
         )
         .expect("driver");
-        let bundle = CoupledLines::new(RcLineSpec::figure1(), 2, 100e-15).expect("bundle");
-        let far = bundle.build(&mut ckt, &[a_in, v_in], "w").expect("build");
+        let line = RcLineSpec::figure1();
+        let bundle = StarCoupledLines::new(line, vec![(line, 100e-15)]).expect("bundle");
+        let (far, _) = bundle.build(&mut ckt, v_in, &[a_in], "w").expect("build");
         let res = ckt
             .run_transient(TransientOptions::new(0.0, 2e-9, 2e-12).expect("opts"))
             .expect("run");
-        res.voltage(far[1]).expect("trace")
+        res.voltage(far).expect("trace")
     });
 }
 

@@ -1,5 +1,6 @@
 //! Flag parsing shared by the paper-experiment binaries (`table1`,
-//! `psweep`, `aggressors`, `nonoverlap`, `runtime` and `figure2`).
+//! `psweep`, `aggressors`, `nonoverlap`, `runtime` and `figure2`) and the
+//! `spefbus` workload.
 //!
 //! A missing or unparsable value, a value out of range and an unknown
 //! flag are all usage errors: the binary prints the message and its usage
@@ -8,7 +9,7 @@
 
 use std::str::FromStr;
 
-/// The command line of one experiment binary.
+/// The command line of one bench binary.
 pub struct Cli {
     usage: &'static str,
     args: std::iter::Skip<std::env::Args>,

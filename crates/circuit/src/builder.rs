@@ -41,14 +41,8 @@ pub(crate) struct VSource {
     pub waveform: Arc<Waveform>,
 }
 
-#[derive(Debug, Clone)]
-pub(crate) struct ISource {
-    pub node: usize,
-    pub waveform: Arc<Waveform>,
-}
-
-/// A linear circuit under construction: named nodes plus R, C, coupling-C,
-/// ideal voltage-source and current-source elements.
+/// A linear circuit under construction: named nodes plus R, C, coupling-C
+/// and ideal voltage-source elements.
 ///
 /// Ideal voltage sources pin their node to a [`Waveform`]; such *driven*
 /// nodes are eliminated from the MNA unknowns, which keeps the solve small
@@ -61,7 +55,6 @@ pub struct Circuit {
     pub(crate) resistors: Vec<Resistor>,
     pub(crate) capacitors: Vec<Capacitor>,
     pub(crate) vsources: Vec<VSource>,
-    pub(crate) isources: Vec<ISource>,
 }
 
 impl Circuit {
@@ -207,26 +200,6 @@ impl Circuit {
         Ok(())
     }
 
-    /// Injects the current `waveform` (amperes, positive into the node).
-    ///
-    /// # Errors
-    ///
-    /// * [`CircuitError::DegenerateElement`] when injecting into ground.
-    /// * [`CircuitError::UnknownNode`] for foreign node ids.
-    pub fn isource(&mut self, node: NodeId, waveform: Waveform) -> Result<(), CircuitError> {
-        let idx = self.check(node)?;
-        if node.is_ground() {
-            return Err(CircuitError::DegenerateElement(
-                "cannot inject into the ground node",
-            ));
-        }
-        self.isources.push(ISource {
-            node: idx,
-            waveform: Arc::new(waveform),
-        });
-        Ok(())
-    }
-
     /// Adds a Thevenin driver: an ideal source with `waveform` behind
     /// `r_drive` ohms, attached to `node`. Returns the internal source node.
     ///
@@ -265,14 +238,12 @@ impl Circuit {
             .sum())
     }
 
-    /// Element counts `(resistors, capacitors, vsources, isources)` — used
-    /// by the Figure-1 topology audit.
-    pub fn element_counts(&self) -> (usize, usize, usize, usize) {
+    /// Element counts `(resistors, capacitors, vsources)`.
+    pub fn element_counts(&self) -> (usize, usize, usize) {
         (
             self.resistors.len(),
             self.capacitors.len(),
             self.vsources.len(),
-            self.isources.len(),
         )
     }
 }
@@ -325,7 +296,6 @@ mod tests {
             Err(CircuitError::AlreadyDriven { .. })
         ));
         assert!(c.vsource(Circuit::GROUND, step()).is_err());
-        assert!(c.isource(Circuit::GROUND, step()).is_err());
     }
 
     #[test]
@@ -334,8 +304,7 @@ mod tests {
         let load = c.node("load");
         let src = c.thevenin_driver(load, step(), 120.0).unwrap();
         assert!(!src.is_ground());
-        let (r, cap, v, i) = c.element_counts();
-        assert_eq!((r, cap, v, i), (1, 0, 1, 0));
+        assert_eq!(c.element_counts(), (1, 0, 1));
     }
 
     #[test]

@@ -1,15 +1,18 @@
 //! Linear circuit engine for interconnect analysis.
 //!
 //! This crate provides the *linear* half of the simulation substrate: RC
-//! networks (including coupled lines), ideal and Thevenin drivers, and a
-//! trapezoidal transient solver built on modified nodal analysis. It is used
-//! for
+//! networks (including star-coupled lines), ideal voltage sources and
+//! Thevenin drivers, and a trapezoidal transient solver built on modified
+//! nodal analysis. It is used for
 //!
-//! * constructing the coupled-interconnect topologies of the paper's Figure 1,
-//! * STA-side crosstalk noise estimation (superposition of a victim
-//!   transition and aggressor-induced noise), and
-//! * as the linear-element backbone reused by the nonlinear simulator in
-//!   `nsta-spice`.
+//! * the coupled-interconnect wire models of the paper's Figure 1
+//!   ([`RcLineSpec`]), and
+//! * STA-side crosstalk noise estimation: the noisy far-end waveform of a
+//!   victim line driven through a Thevenin resistor, with its aggressors
+//!   switching through theirs ([`StarCoupledLines`]).
+//!
+//! Every run starts from the DC operating point of its sources' first
+//! values.
 //!
 //! Node voltages are solved with the trapezoidal rule, which integrates the
 //! piecewise-linear sources used throughout this workspace exactly in their
@@ -46,5 +49,5 @@ pub use error::CircuitError;
 // Callers classifying solver failures (the STA fallback chain) need the
 // wrapped numeric error without taking their own nsta-numeric dependency.
 pub use nsta_numeric::NumericError;
-pub use rcline::{CoupledLines, RcLineSpec, StarCoupledLines};
+pub use rcline::{RcLineSpec, StarCoupledLines};
 pub use transient::{FactoredSystem, SolverBackend, TransientOptions, TransientResult};

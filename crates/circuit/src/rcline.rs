@@ -108,8 +108,8 @@ impl RcLineSpec {
     }
 
     /// Like [`build`](Self::build), but returns *every* segment-boundary
-    /// node (the last entry is the far end). The coupled-bundle builders
-    /// use the full list to place coupling capacitors.
+    /// node (the last entry is the far end). [`StarCoupledLines`] uses the
+    /// full list to place coupling capacitors.
     ///
     /// # Errors
     ///
@@ -135,93 +135,12 @@ impl RcLineSpec {
     }
 }
 
-/// A bundle of parallel RC lines with capacitive coupling between adjacent
-/// neighbours — the victim/aggressor structure of the paper's testbench.
-#[derive(Debug, Clone)]
-pub struct CoupledLines {
-    /// Per-line electrical spec (all lines share the segment count).
-    pub line: RcLineSpec,
-    /// Number of parallel lines (≥ 2: one victim plus aggressors).
-    pub lines: usize,
-    /// Total coupling capacitance between each adjacent pair (F). The
-    /// paper's configurations use 100 fF.
-    pub cm_total: f64,
-}
-
-impl CoupledLines {
-    /// Creates a coupled bundle.
-    ///
-    /// # Errors
-    ///
-    /// [`CircuitError::InvalidElement`] if `lines < 2` or `cm_total <= 0`.
-    pub fn new(line: RcLineSpec, lines: usize, cm_total: f64) -> Result<Self, CircuitError> {
-        if lines < 2 {
-            return Err(CircuitError::InvalidElement(
-                "coupled bundle needs at least two lines",
-            ));
-        }
-        if !(cm_total > 0.0 && cm_total.is_finite()) {
-            return Err(CircuitError::InvalidElement(
-                "coupling capacitance must be positive",
-            ));
-        }
-        Ok(CoupledLines {
-            line,
-            lines,
-            cm_total,
-        })
-    }
-
-    /// Builds the bundle into `ckt`. `inputs` supplies the near-end node of
-    /// each line (length must equal `self.lines`); internal nodes are named
-    /// `{prefix}{i}_s{k}`. Returns the far-end node of each line.
-    ///
-    /// Coupling capacitors of `cm_total / segments` are placed between
-    /// matching segment-boundary nodes of adjacent lines, as drawn in
-    /// Figure 1.
-    ///
-    /// # Errors
-    ///
-    /// * [`CircuitError::InvalidElement`] if `inputs.len() != self.lines`.
-    /// * Propagates element-construction failures.
-    pub fn build(
-        &self,
-        ckt: &mut Circuit,
-        inputs: &[NodeId],
-        prefix: &str,
-    ) -> Result<Vec<NodeId>, CircuitError> {
-        if inputs.len() != self.lines {
-            return Err(CircuitError::InvalidElement(
-                "one input node required per line",
-            ));
-        }
-        let mut far = Vec::with_capacity(self.lines);
-        // Build each line, remembering every segment-boundary node.
-        let mut boundaries: Vec<Vec<NodeId>> = Vec::with_capacity(self.lines);
-        for (i, &input) in inputs.iter().enumerate() {
-            let nodes = self.line.build_nodes(ckt, input, &format!("{prefix}{i}"))?;
-            far.push(nodes.last().copied().unwrap_or(input));
-            boundaries.push(nodes);
-        }
-        // Coupling between adjacent lines at each segment boundary.
-        let cm_each = self.cm_total / self.line.segments as f64;
-        for pair in boundaries.windows(2) {
-            for (na, nb) in pair[0].iter().zip(&pair[1]) {
-                ckt.capacitor(*na, *nb, cm_each)?;
-            }
-        }
-        Ok(far)
-    }
-}
-
 /// A victim line coupled individually to each aggressor line — the star
 /// topology that extracted parasitics (SPEF) describe: every coupling
 /// capacitance names the victim and one specific aggressor, with its own
-/// total and its own wire model.
-///
-/// Unlike [`CoupledLines`] (which chains *adjacent* lines, as drawn in the
-/// paper's Figure 1), each aggressor here couples directly to the victim
-/// and aggressors do not couple to each other.
+/// total and its own wire model. Each aggressor couples directly to the
+/// victim, and aggressors do not couple to each other; with one aggressor
+/// this is the coupled pair of the paper's Figure 1.
 #[derive(Debug, Clone)]
 pub struct StarCoupledLines {
     /// The victim wire.
@@ -339,7 +258,7 @@ mod tests {
         let spec = RcLineSpec::new(30.0, 30e-15, 3).unwrap();
         let out = spec.build(&mut ckt, inp, "w").unwrap();
         assert_ne!(inp, out);
-        let (r, c, _, _) = ckt.element_counts();
+        let (r, c, _) = ckt.element_counts();
         assert_eq!(r, 3);
         assert_eq!(c, 6); // two half-caps per segment
                           // Total capacitance check: sum of all caps = c_total.
@@ -350,26 +269,6 @@ mod tests {
                    // Grounded caps touch exactly one non-ground node, so the sum over
                    // nodes counts each exactly once:
         let _ = total;
-    }
-
-    #[test]
-    fn coupled_build_places_cm_at_boundaries() {
-        let mut ckt = Circuit::new();
-        let a = ckt.node("a_in");
-        let b = ckt.node("b_in");
-        let spec = RcLineSpec::figure1();
-        let bundle = CoupledLines::new(spec, 2, 100e-15).unwrap();
-        let far = bundle.build(&mut ckt, &[a, b], "ln").unwrap();
-        assert_eq!(far.len(), 2);
-        let (r, c, _, _) = ckt.element_counts();
-        assert_eq!(r, 6); // 3 per line
-                          // 6 ground caps per line × 2 lines + 3 coupling caps.
-        assert_eq!(c, 15);
-        assert!(CoupledLines::new(spec, 1, 100e-15).is_err());
-        assert!(CoupledLines::new(spec, 2, 0.0).is_err());
-        let mut ckt2 = Circuit::new();
-        let only = ckt2.node("x");
-        assert!(bundle.build(&mut ckt2, &[only], "ln").is_err());
     }
 
     #[test]
@@ -384,7 +283,7 @@ mod tests {
         let (far_v, fars) = star.build(&mut ckt, v, &[a0, a1], "ln").unwrap();
         assert_eq!(fars.len(), 2);
         assert_ne!(far_v, v);
-        let (r, c, _, _) = ckt.element_counts();
+        let (r, c, _) = ckt.element_counts();
         // 3 + 3 + 2 resistors.
         assert_eq!(r, 8);
         // Ground caps: 6 + 6 + 4; coupling: 3 (full overlap) + 2 (short).
@@ -395,42 +294,6 @@ mod tests {
         assert!(star.build(&mut ckt2, x, &[x], "ln").is_err());
         // Invalid coupling totals are rejected.
         assert!(StarCoupledLines::new(victim, vec![(victim, 0.0)]).is_err());
-    }
-
-    #[test]
-    fn star_and_chain_agree_for_a_single_aggressor() {
-        // With one aggressor the two topologies are the same circuit; the
-        // victim's far-end noise must match.
-        let run = |star: bool| {
-            let mut ckt = Circuit::new();
-            let a_in = ckt.node("a_in");
-            let v_in = ckt.node("v_in");
-            let edge =
-                Waveform::new(vec![0.0, 1e-9, 1.15e-9, 5e-9], vec![0.0, 0.0, 1.2, 1.2]).unwrap();
-            ckt.thevenin_driver(a_in, edge, 50.0).unwrap();
-            ckt.thevenin_driver(v_in, Waveform::constant(0.0, 0.0, 5e-9).unwrap(), 200.0)
-                .unwrap();
-            let spec = RcLineSpec::figure1();
-            let far_v = if star {
-                let bundle = StarCoupledLines::new(spec, vec![(spec, 100e-15)]).unwrap();
-                let (fv, _) = bundle.build(&mut ckt, v_in, &[a_in], "ln").unwrap();
-                fv
-            } else {
-                let bundle = CoupledLines::new(spec, 2, 100e-15).unwrap();
-                let far = bundle.build(&mut ckt, &[a_in, v_in], "ln").unwrap();
-                far[1]
-            };
-            let res = ckt
-                .run_transient(TransientOptions::new(0.0, 5e-9, 1e-12).unwrap())
-                .unwrap();
-            res.voltage(far_v).unwrap()
-        };
-        let star = run(true);
-        let chain = run(false);
-        for k in 0..50 {
-            let t = 5e-9 * k as f64 / 49.0;
-            assert!((star.value_at(t) - chain.value_at(t)).abs() < 1e-9);
-        }
     }
 
     #[test]
@@ -445,12 +308,13 @@ mod tests {
         ckt.thevenin_driver(a_in, edge, 50.0).unwrap();
         ckt.thevenin_driver(v_in, Waveform::constant(0.0, 0.0, 5e-9).unwrap(), 200.0)
             .unwrap();
-        let bundle = CoupledLines::new(RcLineSpec::figure1(), 2, 100e-15).unwrap();
-        let far = bundle.build(&mut ckt, &[a_in, v_in], "ln").unwrap();
+        let spec = RcLineSpec::figure1();
+        let bundle = StarCoupledLines::new(spec, vec![(spec, 100e-15)]).unwrap();
+        let (far_v, _) = bundle.build(&mut ckt, v_in, &[a_in], "ln").unwrap();
         let res = ckt
             .run_transient(TransientOptions::new(0.0, 5e-9, 1e-12).unwrap())
             .unwrap();
-        let noise = res.voltage(far[1]).unwrap();
+        let noise = res.voltage(far_v).unwrap();
         let peak = noise.v_max();
         assert!(peak > 0.1, "coupling noise too small: {peak}");
         assert!(peak < 1.2, "noise exceeding the rail is unphysical");

@@ -35,6 +35,11 @@ impl SolverBackend {
     }
 }
 
+/// The leakage conductance (S) added from every free node to ground: it
+/// regularizes meshes with capacitor-only nodes without measurably loading
+/// realistic RC interconnect.
+const GMIN: f64 = 1e-12;
+
 /// Options for a transient run: `[t_start, t_stop]` with fixed step `dt`,
 /// optionally cut short once the circuit has settled
 /// ([`TransientOptions::until_settled`]).
@@ -43,8 +48,6 @@ pub struct TransientOptions {
     t_start: f64,
     t_stop: f64,
     dt: f64,
-    gmin: f64,
-    zero_initial_state: bool,
     backend: SolverBackend,
     /// Settle tolerance ε (V) of the early stop; `None` runs every source
     /// set to `t_stop`.
@@ -74,8 +77,6 @@ impl TransientOptions {
             t_start,
             t_stop,
             dt,
-            gmin: 1e-12,
-            zero_initial_state: false,
             backend: SolverBackend::default(),
             settle: None,
         })
@@ -87,20 +88,19 @@ impl TransientOptions {
     /// A source set (one *column* of a sweep) settles at the first step
     /// `k ≥ 1` at or after its sources' final step — the first grid point
     /// at or after the last change of value of every one of its voltage
-    /// sources and of every current injection, from which each holds its
-    /// last sample — at which every free node lies within `eps` of the DC
-    /// operating point of those final source values. Its record then ends with that step: the trace is exactly
-    /// the first `k + 1` samples of the same run taken to `t_stop`, bit
-    /// for bit, on the prefix `times()[..=k]` of the grid. After it every
-    /// source is constant, so the circuit only decays toward that DC point.
+    /// sources, from which each holds its last sample — at which every
+    /// free node lies within `eps` of the DC operating point of those final
+    /// source values. Its record then ends with that step: the trace is
+    /// exactly the first `k + 1` samples of the same run taken to
+    /// `t_stop`, bit for bit, on the prefix `times()[..=k]` of the grid.
+    /// After it every source is constant, so the circuit only decays
+    /// toward that DC point.
     ///
     /// Each column stops on its own test, so its trace depends only on its
     /// own sources: [`FactoredSystem::run_node_sets`] stays bit-identical
     /// to one [`FactoredSystem::run_nodes`] call per set, lengths
-    /// included. A column that never settles runs to `t_stop`. A run
-    /// [`with_zero_initial_state`](Self::with_zero_initial_state) has no
-    /// DC system to settle toward and never stops early; nor does one
-    /// whose `eps` is negative or NaN.
+    /// included. A column that never settles runs to `t_stop`, and so
+    /// does every column when `eps` is negative or NaN.
     #[must_use]
     pub fn until_settled(mut self, eps: f64) -> Self {
         self.settle = Some(eps);
@@ -112,47 +112,6 @@ impl TransientOptions {
     pub fn with_backend(mut self, backend: SolverBackend) -> Self {
         self.backend = backend;
         self
-    }
-
-    /// Starts the run from all-zero node voltages instead of the DC
-    /// operating point at `t_start`.
-    ///
-    /// Use this for charge-injection scenarios (pure current sources into
-    /// capacitive meshes) where a resistive DC solution does not exist.
-    #[must_use]
-    pub fn with_zero_initial_state(mut self) -> Self {
-        self.zero_initial_state = true;
-        self
-    }
-
-    /// Overrides the leakage conductance added from every node to ground.
-    ///
-    /// The default of 1 pS regularizes meshes with capacitor-only nodes
-    /// without measurably loading realistic RC interconnect.
-    #[must_use]
-    pub fn with_gmin(mut self, gmin: f64) -> Self {
-        self.gmin = gmin;
-        self
-    }
-
-    /// Start of the simulation window (seconds).
-    pub fn t_start(&self) -> f64 {
-        self.t_start
-    }
-
-    /// End of the simulation window (seconds).
-    pub fn t_stop(&self) -> f64 {
-        self.t_stop
-    }
-
-    /// Fixed timestep (seconds).
-    pub fn dt(&self) -> f64 {
-        self.dt
-    }
-
-    /// The selected linear-solver backend.
-    pub fn backend(&self) -> SolverBackend {
-        self.backend
     }
 }
 
@@ -212,7 +171,7 @@ impl TransientResult {
 /// * **assemble/factor** (done once here): stamp `G`/`C`, eliminate driven
 ///   nodes, precompute the step matrix `C − (h/2)·G`, and LU-factor both
 ///   the trapezoidal left-hand side `C + (h/2)·G` and the DC operating
-///   point system;
+///   point system `G`, which gives every run its initial state;
 /// * **step** ([`FactoredSystem::run`], [`FactoredSystem::run_with_vsources`],
 ///   [`FactoredSystem::run_nodes`], [`FactoredSystem::run_node_sets`]):
 ///   sample the sources on the time grid and sweep the factored system
@@ -221,8 +180,7 @@ impl TransientResult {
 /// # The step loop
 ///
 /// Each step computes `x_{n+1} = (C + (h/2)·G)⁻¹ ((C − (h/2)·G)·x_n + s_n)`
-/// with the source term
-/// `s_n = −C_UK Δvk − h G_UK v̄k + h (inj_n + inj_{n+1})/2`. Sources reach
+/// with the source term `s_n = −C_UK Δvk − h G_UK v̄k`. Sources reach
 /// few free rows — a Thevenin driver touches exactly one — so a sweep
 /// tabulates `s_n` only for those *sourced rows*, from a compact per-row
 /// list of the non-zero couplers, into an `nt × sourced-rows` table, and
@@ -241,8 +199,7 @@ impl TransientResult {
 /// loop with one column. The dense backend runs the sets one after the
 /// other. Sets share waveforms (a victim's ramp drives both of its sets;
 /// a noiseless set repeats one quiet waveform for every aggressor), so a
-/// sweep samples each distinct waveform once, and the current injections
-/// once for all sets.
+/// sweep samples each distinct waveform once.
 ///
 /// # The settle stop
 ///
@@ -296,10 +253,6 @@ pub struct FactoredSystem {
     /// shared with the circuit by refcount), so [`FactoredSystem::run`]
     /// works without the circuit.
     default_sources: Vec<Arc<Waveform>>,
-    /// Current injections captured at factor time:
-    /// `(sourced slot, waveform)`. Injections into ideally driven nodes
-    /// are absorbed and dropped here.
-    injections: Vec<(usize, Arc<Waveform>)>,
 }
 
 /// The free rows that carry a source term, with their couplers to the
@@ -310,7 +263,7 @@ pub struct FactoredSystem {
 #[derive(Debug)]
 struct SourcedRows {
     /// Free row of each sourced slot, ascending: every row with a
-    /// non-zero coupler or a current injection.
+    /// non-zero coupler.
     rows: Vec<usize>,
     /// Slot `s`'s couplers are `terms[ptr[s]..ptr[s + 1]]`.
     ptr: Vec<usize>,
@@ -320,29 +273,16 @@ struct SourcedRows {
 }
 
 impl SourcedRows {
-    /// Compacts the stamped `nf`-row coupler blocks, keeping every row that
-    /// carries an injection, and rewrites each injection's free row into
-    /// its sourced slot. Dropping an all-zero coupler changes no bit of any
-    /// sweep: the source accumulators start at `+0.0` and so never hold
-    /// `-0.0` (see the `nsta_numeric::sparse` module docs), and
-    /// subtracting the exact zero such a coupler contributes leaves them
-    /// unchanged.
-    fn compact(
-        g_uk: &DenseMatrix,
-        c_uk: &DenseMatrix,
-        nd: usize,
-        injections: &mut [(usize, Arc<Waveform>)],
-    ) -> Self {
-        let nf = g_uk.rows();
-        let mut injected = vec![false; nf];
-        for &(r, _) in injections.iter() {
-            injected[r] = true;
-        }
-        let mut slot_of = vec![0; nf];
+    /// Compacts the stamped `nf`-row coupler blocks. Dropping an all-zero
+    /// coupler changes no bit of any sweep: the source accumulators start
+    /// at `+0.0` and so never hold `-0.0` (see the `nsta_numeric::sparse`
+    /// module docs), and subtracting the exact zero such a coupler
+    /// contributes leaves them unchanged.
+    fn compact(g_uk: &DenseMatrix, c_uk: &DenseMatrix, nd: usize) -> Self {
         let mut rows = Vec::new();
         let mut ptr = vec![0];
         let mut terms = Vec::new();
-        for r in 0..nf {
+        for r in 0..g_uk.rows() {
             let couplers = g_uk.row(r)[..nd].iter().zip(&c_uk.row(r)[..nd]);
             terms.extend(
                 couplers
@@ -350,14 +290,10 @@ impl SourcedRows {
                     .filter(|(_, (&g, &c))| g != 0.0 || c != 0.0)
                     .map(|(k, (&g, &c))| (k, g, c)),
             );
-            if injected[r] || terms.len() > ptr[rows.len()] {
-                slot_of[r] = rows.len();
+            if terms.len() > ptr[rows.len()] {
                 rows.push(r);
                 ptr.push(terms.len());
             }
-        }
-        for (r, _) in injections.iter_mut() {
-            *r = slot_of[*r];
         }
         SourcedRows { rows, ptr, terms }
     }
@@ -368,8 +304,7 @@ impl SourcedRows {
 }
 
 /// Backend-specific storage of the step matrix `C − (h/2)·G`, the factored
-/// trapezoidal LHS `C + (h/2)·G`, and the DC system `G` (absent when the
-/// run starts from an all-zero state).
+/// trapezoidal LHS `C + (h/2)·G`, and the factored DC system `G`.
 // One instance lives per factored system and both variants are dominated
 // by their heap-side buffers, so boxing the larger variant would only add
 // an indirection to the per-step hot loop.
@@ -379,12 +314,12 @@ enum StepFactors {
     Dense {
         rhs_mat: DenseMatrix,
         lhs_lu: LuFactors,
-        dc_lu: Option<LuFactors>,
+        dc_lu: LuFactors,
     },
     Sparse {
         rhs_mat: CsrMatrix,
         lhs_lu: SparseLu,
-        dc_lu: Option<SparseLu>,
+        dc_lu: SparseLu,
     },
 }
 
@@ -486,7 +421,7 @@ impl Circuit {
             stamp2(&mut c_uu, &mut c_uk, c.a, c.b, c.farads);
         }
         for r in 0..nf {
-            g_uu.add(r, r, opts.gmin);
+            g_uu.add(r, r, GMIN);
         }
         let g_csr = g_uu.to_csr();
         let c_csr = c_uu.to_csr();
@@ -494,7 +429,7 @@ impl Circuit {
         let h = opts.dt;
 
         // Trapezoidal system, scaled by h: (C + hG/2) x_{n+1} =
-        //   (C − hG/2) x_n − C_UK Δvk − h G_UK v̄k + h (inj_n + inj_{n+1})/2.
+        //   (C − hG/2) x_n − C_UK Δvk − h G_UK v̄k.
         // Both backends combine the exact same stamped values; they differ
         // only in storage and elimination order.
         let factors = match opts.backend {
@@ -502,11 +437,7 @@ impl Circuit {
                 let lhs = c_csr.add_scaled(&g_csr, h / 2.0)?;
                 let lhs_lu = SparseLu::factor(&lhs)?;
                 let rhs_mat = c_csr.add_scaled(&g_csr, -h / 2.0)?;
-                let dc_lu = if opts.zero_initial_state {
-                    None
-                } else {
-                    Some(SparseLu::factor(&g_csr)?)
-                };
+                let dc_lu = SparseLu::factor(&g_csr)?;
                 StepFactors::Sparse {
                     rhs_mat,
                     lhs_lu,
@@ -519,11 +450,7 @@ impl Circuit {
                 let lhs = c_dense.add_scaled(&g_dense, h / 2.0)?;
                 let lhs_lu = LuFactors::factor(&lhs)?;
                 let rhs_mat = c_dense.add_scaled(&g_dense, -h / 2.0)?;
-                let dc_lu = if opts.zero_initial_state {
-                    None
-                } else {
-                    Some(LuFactors::factor(&g_dense)?)
-                };
+                let dc_lu = LuFactors::factor(&g_dense)?;
                 StepFactors::Dense {
                     rhs_mat,
                     lhs_lu,
@@ -534,13 +461,7 @@ impl Circuit {
 
         let default_sources: Vec<Arc<Waveform>> =
             self.vsources.iter().map(|s| s.waveform.clone()).collect();
-        let mut injections: Vec<(usize, Arc<Waveform>)> = self
-            .isources
-            .iter()
-            .filter(|s| !is_driven[s.node]) // current into an ideally driven node is absorbed
-            .map(|s| (position[s.node], s.waveform.clone()))
-            .collect();
-        let sourced = SourcedRows::compact(&g_uk, &c_uk, nd, &mut injections);
+        let sourced = SourcedRows::compact(&g_uk, &c_uk, nd);
 
         let system = FactoredSystem {
             opts,
@@ -554,7 +475,6 @@ impl Circuit {
             sourced,
             factors,
             default_sources,
-            injections,
         };
         nsta_obs::count!("circuit.transient.factorizations");
         nsta_obs::recorder().gauge_max("circuit.transient.max_nnz", system.nnz() as f64);
@@ -742,61 +662,18 @@ impl FactoredSystem {
             .collect()
     }
 
-    /// Injected currents on the sourced rows (time-major, `sourced rows`
-    /// wide), and the grid point from which every injection holds its
-    /// last sample. The injections are captured at factor time, so one
-    /// table serves every set of a sweep; it is left empty when the system
-    /// has no current injections, which skips both the table fill and the
-    /// per-step reads.
-    fn injection_table(&self) -> (Vec<f64>, usize) {
-        let ns = self.sourced.rows.len();
-        let mut inj = Vec::new();
-        let mut hold = 0;
-        if !self.injections.is_empty() {
-            inj.resize(self.times.len() * ns, 0.0);
-            let mut scratch = Vec::new();
-            for (s, waveform) in &self.injections {
-                waveform.sample_on_grid(&self.times, &mut scratch);
-                for (ti, &v) in scratch.iter().enumerate() {
-                    inj[ti * ns + s] += v;
-                }
-                hold = hold.max(hold_point(waveform, &self.times));
+    /// The DC operating point `G_UU x = −G_UK·vK` of the source values
+    /// `vk` (source `k`'s value).
+    fn dc_point(&self, vk: impl Fn(usize) -> f64) -> Result<Vec<f64>, CircuitError> {
+        let mut rhs = vec![0.0; self.nf];
+        for (s, &r) in self.sourced.rows.iter().enumerate() {
+            for &(k, g, _) in self.sourced.terms(s) {
+                rhs[r] -= g * vk(k);
             }
         }
-        (inj, hold)
-    }
-
-    /// The DC operating point of source values `vk` (source `k` at time
-    /// point `ti`) and injections `inj` at `ti` —
-    /// `G_UU x = inj(ti) − G_UK·vK(ti)` — or `None` when the system was
-    /// factored without a DC system.
-    fn dc_point(
-        &self,
-        vk: impl Fn(usize) -> f64,
-        inj: &[f64],
-        ti: usize,
-    ) -> Result<Option<Vec<f64>>, CircuitError> {
-        let ns = self.sourced.rows.len();
-        let rhs = || -> Vec<f64> {
-            let mut rhs = vec![0.0; self.nf];
-            for (s, &r) in self.sourced.rows.iter().enumerate() {
-                if !inj.is_empty() {
-                    rhs[r] = inj[ti * ns + s];
-                }
-                for &(k, g, _) in self.sourced.terms(s) {
-                    rhs[r] -= g * vk(k);
-                }
-            }
-            rhs
-        };
         Ok(match &self.factors {
-            StepFactors::Dense {
-                dc_lu: Some(dc), ..
-            } => Some(dc.solve(&rhs())?),
-            StepFactors::Sparse {
-                dc_lu: Some(dc), ..
-            } => Some(dc.solve(&rhs())?),
-            _ => None,
+            StepFactors::Dense { dc_lu, .. } => dc_lu.solve(&rhs)?,
+            StepFactors::Sparse { dc_lu, .. } => dc_lu.solve(&rhs)?,
         })
     }
 
@@ -804,14 +681,11 @@ impl FactoredSystem {
     /// samples in the sweep's `samples` (sampling a waveform the sweep
     /// has not met yet), then builds the compact source table, the
     /// initial state and, for a run until settled, the column's settle
-    /// test. `inj` is the sweep's injection table, whose every row from
-    /// `inj_hold` on equals its last.
+    /// test.
     fn column<'w>(
         &self,
         sources: &[&'w Waveform],
         samples: &mut Samples<'w>,
-        inj: &[f64],
-        inj_hold: usize,
     ) -> Result<Column, CircuitError> {
         if sources.len() != self.nd {
             return Err(CircuitError::InvalidOptions(
@@ -834,15 +708,10 @@ impl FactoredSystem {
         // From `steady` on, every source of the column holds its last
         // sample, so the source terms of every step after `steady + 1`
         // repeat that step's.
-        let steady = driven
-            .iter()
-            .map(|&i| samples.hold(i))
-            .fold(inj_hold, usize::max);
+        let steady = driven.iter().map(|&i| samples.hold(i)).fold(0, usize::max);
 
-        // DC initial condition (all zero without a DC system).
-        let mut x0 = self
-            .dc_point(|k| vk(k, 0), inj, 0)?
-            .unwrap_or_else(|| vec![0.0; self.nf]);
+        // DC initial condition.
+        let mut x0 = self.dc_point(|k| vk(k, 0))?;
         // Fault-injection site: poison the initial-condition state with
         // NaN, as a corrupted solve would. Inert (one relaxed load) unless
         // a plan is armed.
@@ -859,19 +728,17 @@ impl FactoredSystem {
 
         // The settle test: the DC point of the final source values.
         let settle = match self.opts.settle {
-            Some(eps) => self
-                .dc_point(|k| vk(k, nt - 1), inj, nt - 1)?
-                .map(|x_inf| Settle {
-                    x_inf,
-                    eps,
-                    outside: 0,
-                }),
+            Some(eps) => Some(Settle {
+                x_inf: self.dc_point(|k| vk(k, nt - 1))?,
+                eps,
+                outside: 0,
+            }),
             None => None,
         };
 
         // Source terms of every step on the sourced rows, tabulated up
         // front so the step loop reads one short contiguous row:
-        //   src[ti][s] = −C_UK Δvk − h G_UK v̄k + h (inj_n + inj_{n+1})/2
+        //   src[ti][s] = −C_UK Δvk − h G_UK v̄k
         // for free row `sourced.rows[s]`. Every other row's term is an
         // exact +0.0 and is skipped (see `SourcedRows::compact`). Rows
         // stop at `steady + 1`: every later row repeats it bit for bit.
@@ -888,13 +755,6 @@ impl FactoredSystem {
                     acc -= c * dv + h * g * vbar;
                 }
                 *out = acc;
-            }
-            if !inj.is_empty() {
-                let inj_prev = &inj[(ti - 1) * ns..ti * ns];
-                let inj_now = &inj[ti * ns..(ti + 1) * ns];
-                for s in 0..ns {
-                    row[s] += h * 0.5 * (inj_now[s] + inj_prev[s]);
-                }
             }
         }
         Ok(Column {
@@ -923,10 +783,9 @@ impl FactoredSystem {
         slots: &[Slot],
     ) -> Result<[Record; W], CircuitError> {
         let mut samples = Samples::default();
-        let (inj, inj_hold) = self.injection_table();
         let mut cols = Vec::with_capacity(W);
         for set in sources {
-            cols.push(self.column(set, &mut samples, &inj, inj_hold)?);
+            cols.push(self.column(set, &mut samples)?);
         }
         let nf = self.nf;
         let ns = self.sourced.rows.len();
@@ -1090,8 +949,8 @@ struct Column {
     /// Per voltage source, the index of its waveform's samples in the
     /// sweep's [`Samples`].
     driven: Vec<usize>,
-    /// The grid point from which every source of the column (current
-    /// injections included) holds its last sample.
+    /// The grid point from which every source of the column holds its
+    /// last sample.
     steady: usize,
     /// Compact source table, time-major, `sourced rows` wide, up to row
     /// `steady + 1` (row 0 unused): every later row equals that one.
@@ -1274,22 +1133,15 @@ mod tests {
         let v = res.voltage(out).unwrap();
         assert!((v.value_at(0.0) - 1.0).abs() < 1e-9);
         assert!((v.value_at(0.9e-9) - 1.0).abs() < 1e-9);
-
-        // A steady injection enters the DC point too: 2 µA into `far`,
-        // which reaches the 1 V source only through 500 Ω + 300 Ω, settles
-        // it 1.6 mV above the source (less ~1 nV of gmin leakage) and holds
-        // it there.
-        let far = ckt.node("far");
-        ckt.resistor(out, far, 300.0).unwrap();
-        ckt.capacitor(far, Circuit::GROUND, 1e-12).unwrap();
-        ckt.isource(far, Waveform::constant(2e-6, 0.0, 1e-9).unwrap())
-            .unwrap();
-        let res = ckt
-            .run_transient(TransientOptions::new(0.0, 1e-9, 1e-12).unwrap())
-            .unwrap();
-        let v = res.voltage(far).unwrap();
-        assert!((v.value_at(0.0) - 1.0016).abs() < 1e-8);
-        assert!((v.value_at(0.9e-9) - 1.0016).abs() < 1e-8);
+        // Started at the DC point of constant sources, a run until settled
+        // stops at its first step.
+        for backend in [SolverBackend::Sparse, SolverBackend::Dense] {
+            let opts = TransientOptions::new(0.0, 1e-9, 1e-12)
+                .unwrap()
+                .with_backend(backend);
+            let settled = ckt.run_transient(opts.until_settled(EPS)).unwrap();
+            assert_eq!(settled.times().len(), 2, "{backend:?}");
+        }
     }
 
     #[test]
@@ -1320,26 +1172,6 @@ mod tests {
         assert!(v.value_at(5.9e-9).abs() < 0.01);
         // Quiet before the aggressor moves.
         assert!(v.value_at(0.9e-9).abs() < 1e-6);
-    }
-
-    #[test]
-    fn isource_charges_capacitor_linearly() {
-        // 1 µA into 1 pF: dv/dt = 1 V/µs → 1 mV/ns.
-        let mut ckt = Circuit::new();
-        let n1 = ckt.node("n1");
-        ckt.capacitor(n1, Circuit::GROUND, 1e-12).unwrap();
-        ckt.isource(n1, Waveform::constant(1e-6, 0.0, 10e-9).unwrap())
-            .unwrap();
-        let res = ckt
-            .run_transient(
-                TransientOptions::new(0.0, 10e-9, 10e-12)
-                    .unwrap()
-                    .with_gmin(1e-15)
-                    .with_zero_initial_state(),
-            )
-            .unwrap();
-        let v = res.voltage(n1).unwrap();
-        assert!((v.value_at(10e-9) - 0.01).abs() < 1e-4);
     }
 
     #[test]
@@ -1742,71 +1574,6 @@ mod tests {
             assert_eq!(settled.times().len(), full.times().len());
             assert_eq!(settled.voltage(out).unwrap(), full.voltage(out).unwrap());
         }
-    }
-
-    #[test]
-    fn zero_initial_state_never_stops_early() {
-        // Without a DC system there is no final point to settle toward: a
-        // quiet RC that never moves from 0 V still runs to the cap.
-        let mut ckt = Circuit::new();
-        let inp = ckt.node("in");
-        let out = ckt.node("out");
-        ckt.resistor(inp, out, 100.0).unwrap();
-        ckt.capacitor(out, Circuit::GROUND, 1e-15).unwrap();
-        ckt.vsource(inp, Waveform::constant(0.0, 0.0, 1e-9).unwrap())
-            .unwrap();
-        let opts = TransientOptions::new(0.0, 1e-9, 1e-12).unwrap();
-        for backend in [SolverBackend::Sparse, SolverBackend::Dense] {
-            let opts = opts.with_backend(backend);
-            // With a DC start the same circuit stops after one step.
-            let dc = ckt.run_transient(opts.until_settled(EPS)).unwrap();
-            assert_eq!(dc.times().len(), 2);
-            let zero = opts.with_zero_initial_state();
-            let full = ckt.run_transient(zero).unwrap();
-            let settled = ckt.run_transient(zero.until_settled(EPS)).unwrap();
-            assert_eq!(settled.times(), full.times());
-            assert_eq!(settled.voltage(out).unwrap(), full.voltage(out).unwrap());
-        }
-    }
-
-    #[test]
-    fn run_node_sets_carries_current_injections() {
-        // Injections from a zero initial state: row `q` has no coupler to
-        // the driven node, so only its injection puts it in the compact
-        // table; two injections into `q` sum; the one into the driven node
-        // is absorbed.
-        let mut ckt = Circuit::new();
-        let d = ckt.node("d");
-        let p = ckt.node("p");
-        let q = ckt.node("q");
-        ckt.vsource(d, step_at(0.5e-9, 40e-12, 1.0, 10e-9)).unwrap();
-        ckt.resistor(d, p, 500.0).unwrap();
-        ckt.resistor(p, q, 800.0).unwrap();
-        ckt.capacitor(p, Circuit::GROUND, 10e-15).unwrap();
-        ckt.capacitor(q, Circuit::GROUND, 15e-15).unwrap();
-        let pulse =
-            Waveform::new(vec![0.0, 1e-9, 1.2e-9, 1.4e-9], vec![0.0, 0.0, 2e-5, 0.0]).unwrap();
-        ckt.isource(q, pulse.clone()).unwrap();
-        ckt.isource(q, Waveform::constant(-3e-6, 0.0, 4e-9).unwrap())
-            .unwrap();
-        ckt.isource(d, pulse).unwrap();
-        let opts = TransientOptions::new(0.0, 4e-9, 5e-12)
-            .unwrap()
-            .with_zero_initial_state();
-        for backend in [SolverBackend::Sparse, SolverBackend::Dense] {
-            let system = ckt.factor_transient(opts.with_backend(backend)).unwrap();
-            assert_eq!(system.sourced.rows.len(), 2);
-            assert_eq!(system.injections.len(), 2);
-            let other = step_at(1e-9, 200e-12, 0.7, 10e-9);
-            let falling = fall_at(1.5e-9, 150e-12, 0.9, 10e-9);
-            let default = system.default_sources[0].as_ref();
-            let sets: [&[&Waveform]; 4] = [&[default], &[&other], &[&falling], &[default]];
-            assert_sets_match_runs(&system, &sets, &[q, p, d]);
-        }
-        // The injections are felt: `q` moves without any coupler to `d`.
-        let system = ckt.factor_transient(opts).unwrap();
-        let full = system.run().unwrap().voltage(q).unwrap();
-        assert!(full.v_min() < -1e-3, "the steady -3 µA must pull q down");
     }
 
     #[test]

@@ -160,29 +160,6 @@ fn random_star_coupled_bundles_agree_across_backends() {
 }
 
 #[test]
-fn charge_injection_parity_with_zero_initial_state() {
-    // Current source into a capacitive mesh (no DC solution): the
-    // zero-initial-state path must agree across backends too.
-    assert_backend_parity(
-        |ckt| {
-            let a = ckt.node("a");
-            let b = ckt.node("b");
-            ckt.capacitor(a, Circuit::GROUND, 1e-12).unwrap();
-            ckt.capacitor(a, b, 0.5e-12).unwrap();
-            ckt.capacitor(b, Circuit::GROUND, 2e-12).unwrap();
-            ckt.resistor(a, b, 5_000.0).unwrap();
-            ckt.isource(a, Waveform::constant(1e-6, 0.0, 10e-9).unwrap())
-                .unwrap();
-            vec![a, b]
-        },
-        TransientOptions::new(0.0, 10e-9, 10e-12)
-            .unwrap()
-            .with_gmin(1e-15)
-            .with_zero_initial_state(),
-    );
-}
-
-#[test]
 fn factored_system_reports_backend_and_nnz() {
     let mut ckt = Circuit::new();
     let inp = ckt.node("in");

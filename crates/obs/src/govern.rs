@@ -1,4 +1,4 @@
-//! Resource-governance primitives: deadlines and cooperative cancellation.
+//! Resource-governance primitives: cooperative deadlines.
 //!
 //! The STA pipeline's window fixed point has no natural wall-clock bound;
 //! a [`Deadline`] gives it one without preemption. Work units (cone tasks,
@@ -13,7 +13,7 @@
 //! reading, so tests can force "expiry after exactly N polls" without
 //! timing races.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -50,35 +50,6 @@ impl FakeClock {
     }
 }
 
-/// A shared cancellation flag: cloned into workers, flipped once from
-/// anywhere, polled cooperatively (directly or via an attached
-/// [`Deadline`]).
-#[derive(Debug, Clone, Default)]
-pub struct CancelToken(Arc<AtomicBool>);
-
-impl CancelToken {
-    /// A fresh, un-cancelled token.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Requests cancellation; idempotent.
-    pub fn cancel(&self) {
-        self.0.store(true, Ordering::Relaxed);
-    }
-
-    /// Whether cancellation has been requested.
-    pub fn is_cancelled(&self) -> bool {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-impl PartialEq for CancelToken {
-    fn eq(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.0, &other.0)
-    }
-}
-
 #[derive(Debug, Clone)]
 enum ClockSource {
     /// Real monotonic time measured from `start`.
@@ -89,13 +60,12 @@ enum ClockSource {
 
 /// A wall-clock budget polled cooperatively at work-unit boundaries.
 ///
-/// Cloning shares the underlying clock and cancel token, so one deadline
-/// handed to N workers expires (or is cancelled) for all of them at once.
+/// Cloning shares the underlying clock, so one deadline handed to N
+/// workers expires for all of them at once.
 #[derive(Debug, Clone)]
 pub struct Deadline {
     clock: ClockSource,
     budget_ns: u64,
-    cancel: Option<CancelToken>,
 }
 
 impl Deadline {
@@ -107,7 +77,6 @@ impl Deadline {
                 start: Instant::now(),
             },
             budget_ns,
-            cancel: None,
         }
     }
 
@@ -118,27 +87,13 @@ impl Deadline {
         Self {
             clock: ClockSource::Fake(clock),
             budget_ns,
-            cancel: None,
         }
     }
 
-    /// Attaches a cancel token: the deadline also reads as expired once
-    /// the token is cancelled, whatever the clock says.
-    #[must_use]
-    pub fn with_cancel(mut self, token: CancelToken) -> Self {
-        self.cancel = Some(token);
-        self
-    }
-
-    /// Whether the budget is spent or cancellation was requested.
+    /// Whether the budget is spent.
     ///
     /// On a fake clock this reading advances the clock by its step.
     pub fn expired(&self) -> bool {
-        if let Some(token) = &self.cancel {
-            if token.is_cancelled() {
-                return true;
-            }
-        }
         let elapsed_ns = match &self.clock {
             ClockSource::Monotonic { start } => {
                 u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
@@ -147,20 +102,15 @@ impl Deadline {
         };
         elapsed_ns >= self.budget_ns
     }
-
-    /// The total budget in nanoseconds.
-    pub fn budget_ns(&self) -> u64 {
-        self.budget_ns
-    }
 }
 
 impl PartialEq for Deadline {
-    /// Identity-flavoured equality (budget, clock source, shared token):
-    /// lets containers like `SiOptions` keep deriving `PartialEq` without
+    /// Identity-flavoured equality (budget, clock source): lets
+    /// containers like `SiOptions` keep deriving `PartialEq` without
     /// pretending two independently started monotonic deadlines are
     /// interchangeable.
     fn eq(&self, other: &Self) -> bool {
-        if self.budget_ns != other.budget_ns || self.cancel != other.cancel {
+        if self.budget_ns != other.budget_ns {
             return false;
         }
         match (&self.clock, &other.clock) {
@@ -207,16 +157,6 @@ mod tests {
         assert!(a.expired());
         assert!(b.expired());
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn cancel_token_trips_the_deadline_immediately() {
-        let token = CancelToken::new();
-        let deadline = Deadline::on_fake(FakeClock::new(0), u64::MAX).with_cancel(token.clone());
-        assert!(!deadline.expired());
-        token.cancel();
-        assert!(deadline.expired());
-        assert!(token.is_cancelled());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Zero-dependency instrumentation for the noisy-sta pipeline: scoped
 //! spans, counters/gauges, and exporters (Chrome trace-event JSON, flat
 //! metrics snapshots), plus the resource-governance primitives
-//! ([`govern`]: deadlines, cooperative cancellation, fake clocks) the
+//! ([`govern`]: cooperative deadlines and fake clocks) the
 //! pipeline polls to bound its own wall-clock cost.
 //!
 //! The workspace builds fully offline, so this crate replaces the
@@ -89,7 +89,7 @@ pub mod govern;
 mod recorder;
 
 pub use fault::XorShift64;
-pub use govern::{CancelToken, Deadline, FakeClock};
+pub use govern::{Deadline, FakeClock};
 pub use recorder::{EventKind, MetricsSnapshot, Recorder, Span, TraceEvent};
 
 use std::sync::OnceLock;

@@ -115,15 +115,6 @@ pub enum Edit {
 }
 
 impl Edit {
-    /// The design net name the edit targets.
-    pub fn target(&self) -> &str {
-        match self {
-            Edit::SetLoad { port, .. } => port,
-            Edit::SetDriveResistance { net, .. } => net,
-            Edit::ReannotateNet { dnet } => &dnet.name,
-        }
-    }
-
     /// Short machine-readable edit kind (for logs and bench output).
     pub fn kind(&self) -> &'static str {
         match self {

@@ -72,7 +72,7 @@ pub use error::StaError;
 pub use graph::{Edge, TimingGraph};
 pub use netlist::{Design, Instance, NetId};
 pub use nsta_circuit::SolverBackend;
-pub use nsta_obs::{CancelToken, Deadline, FakeClock};
+pub use nsta_obs::{Deadline, FakeClock};
 pub use report::{NetTiming, TimingReport};
 pub use session::RetainedAnalysis;
 pub use si::{

@@ -551,14 +551,6 @@ impl SiDiagnostics {
         self.iterations.last().map(|it| it.max_window_delta)
     }
 
-    /// Nets touched by any degrade event, sorted and deduplicated.
-    pub fn degraded_nets(&self) -> Vec<NetId> {
-        let mut nets: Vec<NetId> = self.degrade_events.iter().filter_map(|e| e.net).collect();
-        nets.sort_unstable();
-        nets.dedup();
-        nets
-    }
-
     /// Nets whose crosstalk reduction was skipped by deadline expiry —
     /// their reported timing is the stale nominal value — sorted and
     /// deduplicated. Empty iff the run did not time out mid-sweep.
@@ -576,7 +568,8 @@ impl SiDiagnostics {
 
     /// Nets whose result is actually degraded — a degrade event that did
     /// not recover (the victim's adjustment was dropped) — sorted and
-    /// deduplicated. A subset of [`degraded_nets`](Self::degraded_nets).
+    /// deduplicated. A subset of the nets of
+    /// [`degrade_events`](Self::degrade_events).
     pub fn unrecovered_nets(&self) -> Vec<NetId> {
         let mut nets: Vec<NetId> = self
             .degrade_events

@@ -85,11 +85,6 @@ impl SaturatedRamp {
         self.a
     }
 
-    /// Line intercept in volts.
-    pub fn intercept(&self) -> f64 {
-        self.b
-    }
-
     /// Supply voltage the ramp saturates to.
     pub fn vdd(&self) -> f64 {
         self.vdd
