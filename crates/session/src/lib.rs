@@ -214,8 +214,8 @@ pub struct CommitInfo {
     pub audit: Option<AuditReport>,
 }
 
-/// Structured outcome of [`TimingSession::apply`]. Never a panic and
-/// never a torn state: anything but [`EditOutcome::Committed`] (or
+/// Structured outcome of [`TimingSession::apply`]. Never a torn state:
+/// anything but [`EditOutcome::Committed`] (or
 /// [`EditOutcome::AuditFailed`], which commits and then quarantines)
 /// leaves the session exactly as it was before the call.
 #[derive(Debug, Clone)]
@@ -565,8 +565,14 @@ impl TimingSession {
         self.options.si.deadline = deadline;
     }
 
-    /// Applies one transactional edit. Never panics and never leaves a
-    /// torn state; see [`EditOutcome`] for the contract of each variant.
+    /// Applies one transactional edit. Never leaves a torn state; see
+    /// [`EditOutcome`] for the contract of each variant. A cone task that
+    /// panics is retried once on the coordinator
+    /// ([`nsta_sta::DegradeAction::ConeRetry`]). A panic that recurs on
+    /// that retry propagates out of this call: raised by the edit's
+    /// re-solve, it leaves the session untouched, because the candidate
+    /// was never swapped in; raised by a shadow audit, it leaves the edit
+    /// committed.
     pub fn apply(&mut self, edit: Edit) -> EditOutcome {
         let mut span = nsta_obs::span!("session.edit");
         span.set_arg("epoch", self.epoch as f64);

@@ -672,6 +672,7 @@ mod tests {
 
     #[test]
     fn chain_delay_is_sum_of_stage_delays() {
+        let _guard = crate::obs_test_guard();
         let sta = Sta::new(chain(4), lib().clone()).unwrap();
         let c = Constraints::default();
         let report = sta.analyze(c).unwrap();
@@ -712,6 +713,7 @@ mod tests {
 
     #[test]
     fn longer_chains_are_slower() {
+        let _guard = crate::obs_test_guard();
         let c = Constraints::default();
         let t3 = Sta::new(chain(3), lib().clone())
             .unwrap()
@@ -728,6 +730,7 @@ mod tests {
 
     #[test]
     fn slack_and_critical_path() {
+        let _guard = crate::obs_test_guard();
         let sta = Sta::new(chain(3), lib().clone()).unwrap();
         let mut c = Constraints {
             required_at_outputs: 1e-9,
@@ -755,6 +758,7 @@ mod tests {
 
     #[test]
     fn per_pin_boundaries_shift_arrivals() {
+        let _guard = crate::obs_test_guard();
         // Two independent paths a→y, b→z; delaying only b's arrival must
         // move z and leave y untouched.
         let design = parse_design(
@@ -796,6 +800,7 @@ mod tests {
 
     #[test]
     fn false_path_relieves_only_its_pair() {
+        let _guard = crate::obs_test_guard();
         // a → w → {y, z}: falsifying (a, y) must unconstrain y while z
         // keeps a finite requirement, and the shared edge a→w (which also
         // serves the true pair (a, z)) must keep propagating required time.
@@ -834,6 +839,7 @@ mod tests {
 
     #[test]
     fn false_path_everything_reports_unconstrained() {
+        let _guard = crate::obs_test_guard();
         let sta = Sta::new(chain(3), lib().clone()).unwrap();
         let mut bc = BoundaryConditions::from(&Constraints::default());
         bc.add_false_path(crate::boundary::FalsePath {
@@ -847,6 +853,7 @@ mod tests {
 
     #[test]
     fn fanout_increases_delay() {
+        let _guard = crate::obs_test_guard();
         // One driver, two receivers: the driver's stage delay must exceed
         // the single-receiver case because its load doubles.
         let single = parse_design(

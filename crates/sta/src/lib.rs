@@ -81,10 +81,11 @@ pub use si::{
 };
 
 /// Serializes tests that enable the process-wide [`nsta_obs`] recorder
-/// with every test that starts a multi-worker pool: `si` and `par` tests
-/// share one test binary, and cargo runs them on concurrent threads, so
-/// pool workers of one test would count into another test's enabled
-/// recorder without this lock.
+/// with every test that starts a pool: the crate's tests share one test
+/// binary, and cargo runs them on concurrent threads, so the pool loops
+/// of one test — spawned workers, or the coordinator running the loop
+/// itself — would count into another test's enabled recorder without
+/// this lock.
 #[cfg(test)]
 pub(crate) fn obs_test_guard() -> std::sync::MutexGuard<'static, ()> {
     static GUARD: std::sync::Mutex<()> = std::sync::Mutex::new(());

@@ -10,31 +10,37 @@
 //! of floating-point operations on any thread, N-thread results are
 //! bit-identical to 1-thread results.
 //!
+//! Every run has one per-item loop: pull an index, poll the deadline, run
+//! the item under `catch_unwind`. When one worker suffices (one thread,
+//! or at most one item) the coordinator runs that loop itself and spawns
+//! nothing; otherwise each spawned worker runs it.
+//!
 //! # Panic containment
 //!
-//! A panicking item must not abort the whole analysis: each worker wraps
-//! every `f(item)` in `catch_unwind`, and any item whose result went
-//! missing (its call panicked, or its worker died) is retried **once,
-//! inline on the coordinator** after the pool joins. The retry runs the
-//! identical computation on the identical input, so a transient panic
-//! (an injected fault, a poisoned lock another thread has since healed)
-//! recovers bit-identically, while a deterministic panic reproduces on
-//! the coordinator with its original message and full backtrace.
+//! A panicking item must not abort the whole analysis, at any worker
+//! count: the loop catches it, and any item whose result went missing
+//! (its call panicked, or its worker died) is retried **once, on the
+//! coordinator** after the loop. The retry runs the identical computation
+//! on the identical input, so a transient panic (an injected fault, a
+//! poisoned lock another thread has since healed) recovers
+//! bit-identically, while a deterministic panic reproduces on the
+//! coordinator with its original message and full backtrace.
 //!
 //! # Cooperative deadlines
 //!
-//! [`par_map_govern`] additionally polls an [`nsta_obs::Deadline`] at
-//! item boundaries: once it reads expired, workers stop pulling new
-//! items (in-flight items always finish) and every un-started item's
-//! slot comes back `None` so the caller can substitute stale fallback
-//! data and record exactly which items were skipped. A missing slot is
-//! classified after the join: deadline expired → skipped (left `None`);
-//! deadline still live → the item's worker panicked, so it is retried
-//! inline exactly like [`par_map`] would.
+//! [`par_map_govern`] additionally polls an [`nsta_obs::Deadline`] once
+//! per pulled item: once it reads expired, the loop stops (in-flight items
+//! always finish) and every un-started item's slot comes back `None` so
+//! the caller can substitute stale fallback data and record exactly which
+//! items were skipped. A missing slot is classified after the loop, with
+//! one more poll made only when a slot is missing: deadline expired →
+//! skipped (left `None`); deadline still live → the item panicked, so it
+//! is retried on the coordinator exactly like [`par_map`] would.
 
 use nsta_obs::Deadline;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Instant;
 
 /// Worker threads actually spawned for `items` work items: never more
 /// than there are items, so small batches do not pay the spawn cost of
@@ -47,8 +53,8 @@ pub(crate) fn effective_workers(threads: usize, items: usize) -> usize {
 /// Maps `f` over `items`, using up to `threads` scoped worker threads,
 /// returning results in input order.
 ///
-/// `threads <= 1` (or a single item) runs inline with no thread overhead;
-/// the output is identical either way.
+/// `threads <= 1` (or a single item) runs on the caller's thread without
+/// spawning; the output is identical either way.
 pub(crate) fn par_map<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -56,7 +62,8 @@ where
     F: Fn(&T) -> R + Sync,
 {
     // Without a deadline no slot can be skipped: every missing result was
-    // either recovered by the inline retry or propagated its panic there.
+    // either recovered by the coordinator's retry or propagated its panic
+    // there.
     par_map_govern(threads, items, None, f)
         .0
         .into_iter()
@@ -67,8 +74,8 @@ where
 /// Deadline-governed [`par_map`]: item `i`'s slot is `None` iff the
 /// deadline expired before the pool could start (or retry) it. With
 /// `deadline: None` every slot is `Some` (panic recovery still applies).
-/// Also reports which item indices had to be retried inline after a
-/// worker-side panic (empty on every healthy run); the crosstalk cone
+/// Also reports which item indices had to be retried on the coordinator
+/// after a panic (empty on every healthy run); the crosstalk cone
 /// scheduler uses them to record degrade events.
 pub(crate) fn par_map_govern<T, R, F>(
     threads: usize,
@@ -82,105 +89,79 @@ where
     F: Fn(&T) -> R + Sync,
 {
     let workers = effective_workers(threads, items.len());
-    if workers <= 1 {
-        // Inline path: panics propagate to the caller unchanged, exactly
-        // as the computation would without the pool. The deadline is
-        // polled once per item boundary; expiry is monotone, so the first
-        // expired reading skips everything after it without re-polling.
-        let mut out: Vec<Option<R>> = Vec::with_capacity(items.len());
-        let mut expired = false;
-        for item in items {
-            expired = expired || deadline.is_some_and(|d| d.expired());
-            out.push(if expired { None } else { Some(f(item)) });
-        }
-        if out.iter().any(|s| s.is_none()) {
-            nsta_obs::count!(
-                "par.items_deadline_skipped",
-                out.iter().filter(|s| s.is_none()).count()
-            );
-        }
-        return (out, Vec::new());
-    }
     let next = AtomicUsize::new(0);
     let mut slots: Vec<Option<R>> = Vec::with_capacity(items.len());
     slots.resize_with(items.len(), || None);
     // Observability: one span per worker lifetime with busy/idle args.
-    // `observe` is sampled once per pool so the hot pull loop pays zero
-    // extra branches when recording is off.
+    // `observe` is sampled once per pool, not once per item.
     let observe = nsta_obs::recorder().is_enabled();
     let mut pool_span = nsta_obs::span!("par.pool");
     pool_span.set_arg("workers", workers as f64);
     pool_span.set_arg("items", items.len() as f64);
-    std::thread::scope(|scope| {
-        let f = &f;
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut worker_span = nsta_obs::span!("par.worker");
-                    let spawned = observe.then(std::time::Instant::now);
-                    let mut busy_ns = 0u128;
-                    let mut local = Vec::new();
-                    loop {
-                        // Cooperative cancellation at the item boundary:
-                        // an expired deadline stops this worker from
-                        // pulling further items; whatever it already
-                        // started has finished by construction.
-                        if deadline.is_some_and(|d| d.expired()) {
-                            break;
-                        }
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(item) = items.get(i) else { break };
-                        // Contain a panicking item: drop the payload (the
-                        // panic hook already reported it) and move on; the
-                        // coordinator retries the missing index inline.
-                        let caught = if observe {
-                            let t0 = std::time::Instant::now();
-                            let caught = panic::catch_unwind(AssertUnwindSafe(|| f(item)));
-                            busy_ns += t0.elapsed().as_nanos();
-                            caught
-                        } else {
-                            panic::catch_unwind(AssertUnwindSafe(|| f(item)))
-                        };
-                        if let Ok(r) = caught {
-                            local.push((i, r));
-                        }
-                    }
-                    if let Some(spawned) = spawned {
-                        let lifetime_ns = spawned.elapsed().as_nanos();
-                        worker_span.set_arg("items", local.len() as f64);
-                        worker_span.set_arg("busy_us", busy_ns as f64 / 1_000.0);
-                        // Time the worker spent outside `f`: queue pulls,
-                        // allocation, and (dominantly) waiting to be
-                        // scheduled while other workers drained the queue.
-                        worker_span
-                            .set_arg("idle_us", lifetime_ns.saturating_sub(busy_ns) as f64 / 1e3);
-                        nsta_obs::count!("par.items_processed", local.len());
-                    }
-                    local
-                })
-            })
-            .collect();
-        for h in handles {
-            // A worker that died outside the per-item catch (it cannot,
-            // today, but defend anyway) just loses its results; the
-            // missing-slot scan below recovers them.
-            if let Ok(local) = h.join() {
-                for (i, r) in local {
-                    slots[i] = Some(r);
-                }
+    // The one per-item loop, run by the coordinator when one worker
+    // suffices and by each spawned worker otherwise.
+    let work = || {
+        let mut worker_span = nsta_obs::span!("par.worker");
+        let spawned = observe.then(Instant::now);
+        let mut busy_ns = 0u128;
+        let mut local = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(i) else { break };
+            // Cooperative cancellation, polled once per pulled item: an
+            // expired deadline leaves this item and every later one
+            // unstarted; whatever already started has finished.
+            if deadline.is_some_and(|d| d.expired()) {
+                break;
+            }
+            // Contain a panicking item: drop the payload (the panic hook
+            // already reported it) and move on; the missing-slot pass
+            // below retries the index on the coordinator.
+            let t0 = observe.then(Instant::now);
+            let caught = panic::catch_unwind(AssertUnwindSafe(|| f(item)));
+            if let Some(t0) = t0 {
+                busy_ns += t0.elapsed().as_nanos();
+            }
+            if let Ok(r) = caught {
+                local.push((i, r));
             }
         }
-    });
+        if let Some(spawned) = spawned {
+            let lifetime_ns = spawned.elapsed().as_nanos();
+            worker_span.set_arg("items", local.len() as f64);
+            worker_span.set_arg("busy_us", busy_ns as f64 / 1_000.0);
+            // Time the worker spent outside `f`: queue pulls, allocation,
+            // and (dominantly) waiting to be scheduled while other
+            // workers drained the queue.
+            worker_span.set_arg("idle_us", lifetime_ns.saturating_sub(busy_ns) as f64 / 1e3);
+            nsta_obs::count!("par.items_processed", local.len());
+        }
+        local
+    };
+    let locals = if workers <= 1 {
+        vec![work()]
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(work)).collect();
+            // A worker that died outside the per-item catch (it cannot,
+            // today, but defend anyway) just loses its results; the
+            // missing-slot pass below recovers them.
+            handles.into_iter().filter_map(|h| h.join().ok()).collect()
+        })
+    };
+    for (i, r) in locals.into_iter().flatten() {
+        slots[i] = Some(r);
+    }
     // Classify-and-recover pass, in input order. A missing slot means
-    // either "its worker panicked" or "the deadline expired before any
-    // worker started it" — expiry is monotone, so one poll here decides:
-    // expired → every missing slot is (or may as well be) a skip, and
-    // retrying would only burn more over-budget time; still live → no
-    // worker can have skipped anything, so the miss was a panic and the
-    // inline retry recomputes it bit-identically (a persistent panic
-    // propagates here with its original message).
+    // either "its item panicked" or "the deadline expired before the item
+    // started" — expiry is monotone, so one poll, made only when a slot
+    // is missing, decides: expired → every missing slot is (or may as
+    // well be) a skip, and retrying would only burn more over-budget
+    // time; still live → nothing was skipped, so the miss was a panic and
+    // the coordinator's retry recomputes it bit-identically (a persistent
+    // panic propagates here with its original message).
     let mut retried = Vec::new();
-    let expired = deadline.is_some_and(|d| d.expired());
+    let expired = slots.iter().any(Option::is_none) && deadline.is_some_and(|d| d.expired());
     let mut skipped = 0usize;
     for (i, slot) in slots.iter_mut().enumerate() {
         if slot.is_some() {
@@ -291,24 +272,28 @@ mod tests {
     fn panicked_item_is_retried_inline_and_reported() {
         let _guard = crate::obs_test_guard();
         use std::sync::atomic::AtomicBool;
-        // Item 5 panics exactly once (on a worker); the coordinator's
-        // inline retry then succeeds, so the output is complete and
-        // ordered, and the retry is attributed to the right index.
-        let tripped = AtomicBool::new(false);
+        // Item 5 panics exactly once (in the per-item loop, whether the
+        // coordinator or a spawned worker runs it); the coordinator's
+        // retry then succeeds, so the output is complete and ordered, and
+        // the retry is attributed to the right index.
         let items: Vec<usize> = (0..32).collect();
-        let (out, retried) = par_map_govern(4, &items, None, |&i| {
-            if i == 5 && !tripped.swap(true, Ordering::SeqCst) {
-                panic!("transient worker failure");
-            }
-            i * 2
-        });
-        let expect: Vec<Option<usize>> = items.iter().map(|i| Some(i * 2)).collect();
-        assert_eq!(out, expect);
-        assert_eq!(retried, vec![5]);
+        for threads in [1, 4] {
+            let tripped = AtomicBool::new(false);
+            let (out, retried) = par_map_govern(threads, &items, None, |&i| {
+                if i == 5 && !tripped.swap(true, Ordering::SeqCst) {
+                    panic!("transient worker failure");
+                }
+                i * 2
+            });
+            let expect: Vec<Option<usize>> = items.iter().map(|i| Some(i * 2)).collect();
+            assert_eq!(out, expect, "{threads} threads");
+            assert_eq!(retried, vec![5], "{threads} threads");
+        }
     }
 
     #[test]
     fn deadline_expiry_skips_remaining_items_inline_deterministically() {
+        let _guard = crate::obs_test_guard();
         use nsta_obs::FakeClock;
         use std::sync::Arc;
         // Manual fake clock (step 0): the third item's work trips the
@@ -361,8 +346,8 @@ mod tests {
     #[test]
     fn persistent_panic_propagates_from_the_retry() {
         let _guard = crate::obs_test_guard();
-        // A deterministic panic must not be swallowed: the inline retry
-        // reproduces it on the coordinator.
+        // A deterministic panic must not be swallowed: the coordinator's
+        // retry reproduces it.
         let items: Vec<usize> = (0..8).collect();
         let caught = panic::catch_unwind(AssertUnwindSafe(|| {
             par_map(4, &items, |&i| {

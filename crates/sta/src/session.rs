@@ -258,6 +258,7 @@ mod tests {
 
     #[test]
     fn session_merge_splices_dirty_nets_and_refinishes() {
+        let _guard = crate::obs_test_guard();
         let sta = three_cones();
         let d = sta.design();
         let (v, g) = (d.find_net("v").unwrap(), d.find_net("g").unwrap());
@@ -285,6 +286,7 @@ mod tests {
 
     #[test]
     fn scoped_resolve_merges_bit_identically() {
+        let _guard = crate::obs_test_guard();
         let sta = three_cones();
         let d = sta.design();
         let (v, g) = (d.find_net("v").unwrap(), d.find_net("g").unwrap());

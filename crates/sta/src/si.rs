@@ -24,13 +24,14 @@
 //! (workers pull cones from a shared counter — dynamic load balancing), and
 //! a long chain in one cone never waits for another cone. The pool starts
 //! at most one worker per cone, so a design with fewer cones than threads
-//! runs on fewer workers, and a one-cone design runs inline. Within a cone,
-//! nets are processed sequentially in topological order; results are
-//! merged back in the fixed cone order. Each cone task performs a fixed
-//! sequence of floating-point operations that does not depend on which
-//! worker runs it or in what order tasks finish, and per-victim
-//! adjustments are emitted in canonical `(net, polarity)` order, so
-//! **N-thread results are bit-identical to 1-thread results**.
+//! runs on fewer workers, and a pass that schedules one cone runs it on
+//! the caller's thread, through the same loop and panic containment.
+//! Within a cone, nets are processed sequentially in topological order;
+//! results are merged back in the fixed cone order. Each cone task
+//! performs a fixed sequence of floating-point operations that does not
+//! depend on which worker runs it or in what order tasks finish, and
+//! per-victim adjustments are emitted in canonical `(net, polarity)`
+//! order, so **N-thread results are bit-identical to 1-thread results**.
 //!
 //! # Shared factorizations
 //!
@@ -69,16 +70,19 @@
 //! once, outside the loop. A cone's pass therefore reads only that sweep,
 //! the boundary seeds and its own victims' filtered specs: a cone whose
 //! victims' filtered specs did not change would reproduce its previous
-//! states bit for bit.
+//! states bit for bit, and a cone holding no victim would reproduce the
+//! nominal sweep's.
 //!
-//! So every pass after the first re-solves only the cones holding a
-//! victim whose filtered [`CouplingSpec`] differs from the previous
-//! pass's, and splices their states, report rows and adjustments into the
-//! previous pass's result — the splice [`Sta::session_merge`] does for an
-//! edit. When no filtered spec changed, the fixed point has converged and
-//! the loop stops without another pass. The result equals one full pass
-//! over the final filtered specs bit for bit, and later passes cost
-//! O(changed cones), not O(cones).
+//! So every pass, the first included, re-solves only the cones holding a
+//! victim whose filtered [`CouplingSpec`] is new or differs from the
+//! previous pass's (before the first pass every victim is new), and
+//! splices their states, report rows and adjustments into the running
+//! result, which starts as the nominal sweep's — the splice
+//! [`Sta::session_merge`] does for an edit. A cone holding no victim is
+//! never re-propagated. When no filtered spec changed, the fixed point has
+//! converged and the loop stops without another pass. The result equals
+//! one full pass over the final filtered specs bit for bit, and every
+//! pass costs O(changed victim cones), not O(cones).
 //!
 //! # Resource governance
 //!
@@ -91,10 +95,10 @@
 //!   *nominal* (crosstalk-free) timing, each of their victims is recorded
 //!   as a [`DegradeAction::DeadlineSkipped`] event, and the analysis
 //!   returns a well-formed partial result with
-//!   [`SiDiagnostics::timed_out`] set. A pass after the first schedules
-//!   only the cones it re-solves, so an expiry there leaves every other
-//!   cone at the previous pass's result: only the victims of the skipped
-//!   re-solved cones go stale.
+//!   [`SiDiagnostics::timed_out`] set. A pass schedules only the cones it
+//!   re-solves, so an expiry leaves every other cone at the previous
+//!   pass's result (the nominal sweep's before the first pass lands):
+//!   only the victims of the skipped cones go stale.
 //! * **Convergence governor** — [`SiOptions::convergence_governor`]
 //!   watches the fixed point's `max_window_delta` sequence; on stagnation
 //!   (deltas not shrinking) or cap exhaustion it switches to a
@@ -318,8 +322,8 @@ pub enum DegradeAction {
     /// The dense retry failed too; retried once more with the timestep
     /// halved.
     HalvedTimestep,
-    /// A cone worker panicked; the cone was recomputed inline on the
-    /// coordinator.
+    /// A cone task panicked, at any worker count; the cone was recomputed
+    /// once on the coordinator. Recorded once per victim of the cone.
     ConeRetry,
     /// The fallback chain was exhausted (or the mesh is degenerate)
     /// under [`FaultPolicy::Isolate`]: the victim's adjustment was
@@ -364,8 +368,8 @@ pub struct SiOptions {
     pub max_iterations: usize,
     /// Worker threads of the cone-partitioned sweeps, at most one per
     /// fanout cone; a cone's task also runs its victims' transient
-    /// reductions. `1` (default) runs inline; any value produces
-    /// bit-identical results (see the module docs).
+    /// reductions. `1` (default) runs every cone on the caller's thread;
+    /// any value produces bit-identical results (see the module docs).
     pub threads: usize,
     /// Linear-solver backend of every victim reduction (default
     /// [`SolverBackend::Sparse`]). [`SolverBackend::Dense`] is the parity
@@ -425,8 +429,9 @@ pub struct PrunedAggressor {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SiIteration {
     /// Victim transitions reduced in this pass: every valid one in the
-    /// cones the pass re-solved — every scoped cone in the first pass,
-    /// then the cones holding a victim whose filtered spec changed.
+    /// cones the pass re-solved, which are the cones holding a victim
+    /// whose filtered spec is new or changed — every victim's cone in the
+    /// first pass.
     pub victims_recomputed: usize,
     /// Adjustments carried over unchanged from the previous pass, from the
     /// cones this pass did not re-solve (0 in the first pass).
@@ -974,7 +979,16 @@ impl VictimStage<'_> {
 type VictimResult = Result<(SaturatedRamp, f64), StaError>;
 
 impl Sta {
-    fn check_unique_victims(&self, couplings: &[CouplingSpec]) -> Result<(), StaError> {
+    /// Rejects a spec whose victim the design lacks, and two specs naming
+    /// the same victim.
+    fn check_victims(&self, couplings: &[CouplingSpec]) -> Result<(), StaError> {
+        let n = self.design().net_count();
+        if let Some(s) = couplings.iter().find(|s| s.victim.0 >= n) {
+            return Err(StaError::Unresolved(format!(
+                "coupling spec names unknown victim net #{}",
+                s.victim.0
+            )));
+        }
         let mut victims: Vec<NetId> = couplings.iter().map(|s| s.victim).collect();
         victims.sort_unstable();
         if let Some(dup) = victims.windows(2).find(|w| w[0] == w[1]) {
@@ -995,24 +1009,17 @@ impl Sta {
     /// pool with at most one worker per cone, merged in cone order. The
     /// per-victim arithmetic is a fixed operation sequence and the
     /// returned adjustments are sorted into `(net, rise-first)` order, so
-    /// results are bit-identical across thread counts.
+    /// results are bit-identical across thread counts. Every victim of
+    /// `couplings` is a net of the design ([`Sta::check_victims`]).
     fn crosstalk_pass(
         &self,
         cx: &PassContext<'_>,
         couplings: &[CouplingSpec],
         scope: Option<&[bool]>,
     ) -> Result<PassResult, StaError> {
-        let n = self.design().net_count();
-        let mut spec_of: Vec<Option<&CouplingSpec>> = vec![None; n];
+        let mut spec_of: Vec<Option<&CouplingSpec>> = vec![None; self.design().net_count()];
         for s in couplings {
-            if let Some(slot) = spec_of.get_mut(s.victim.0) {
-                *slot = Some(s);
-            } else {
-                return Err(StaError::Unresolved(format!(
-                    "coupling spec names unknown victim net #{}",
-                    s.victim.0
-                )));
-            }
+            spec_of[s.victim.0] = Some(s);
         }
         let th = Thresholds::cmos(self.library().voltage);
         let seed = self.init_states(cx.bc, false);
@@ -1028,7 +1035,7 @@ impl Sta {
                 // Fault-injection site: a cone task panics at entry,
                 // exactly where an assertion or slice bug in the per-cone
                 // work would. The pool catches it and the coordinator
-                // retries the cone inline — this site only fires once per
+                // retries the cone — this site only fires once per
                 // opportunity index, so the retry runs clean.
                 if nsta_obs::fault::should_fire(nsta_obs::fault::WORKER_PANIC) {
                     panic!("injected: cone worker panic");
@@ -1060,45 +1067,48 @@ impl Sta {
         // inside each cone by its topological order.
         let mut states = seed;
         let mut resolved = Resolved::default();
-        for (&cone, outcome) in active.iter().zip(outcomes) {
-            let Some(outcome) = outcome else {
+        for (ci, (&cone, outcome)) in active.iter().zip(outcomes).enumerate() {
+            let (action, cause) = match outcome {
                 // Deadline-skipped cone: its nets keep the nominal
                 // (crosstalk-free) sweep's states — valid, just stale —
                 // and every victim in it is recorded so the staleness is
                 // attributable per net.
-                for &net in cone {
-                    states[net.0] = cx.base[net.0];
-                    if spec_of[net.0].is_some() {
-                        resolved.degrades.push(DegradeEvent {
-                            net: Some(net),
-                            polarity: None,
-                            action: DegradeAction::DeadlineSkipped,
-                            cause: "analysis deadline expired before this cone was scheduled; \
-                                    victim keeps stale nominal timing"
-                                .to_string(),
-                            recovered: false,
-                        });
+                None => {
+                    for &net in cone {
+                        states[net.0] = cx.base[net.0];
                     }
+                    (
+                        DegradeAction::DeadlineSkipped,
+                        "analysis deadline expired before this cone was scheduled; \
+                         victim keeps stale nominal timing",
+                    )
                 }
-                continue;
+                Some(outcome) => {
+                    let (cone_states, cone_resolved) = outcome?;
+                    for (&net, st) in cone.iter().zip(cone_states) {
+                        states[net.0] = st;
+                    }
+                    resolved.append(cone_resolved);
+                    // A cone the pool recomputed on the coordinator after
+                    // a panic: the retry already produced full results.
+                    if !retried.contains(&ci) {
+                        continue;
+                    }
+                    (
+                        DegradeAction::ConeRetry,
+                        "cone task panicked; recomputed on the coordinator",
+                    )
+                }
             };
-            let (cone_states, cone_resolved) = outcome?;
-            for (&net, st) in cone.iter().zip(cone_states) {
-                states[net.0] = st;
+            for &net in cone.iter().filter(|net| spec_of[net.0].is_some()) {
+                resolved.degrades.push(DegradeEvent {
+                    net: Some(net),
+                    polarity: None,
+                    action,
+                    cause: cause.to_string(),
+                    recovered: action == DegradeAction::ConeRetry,
+                });
             }
-            resolved.append(cone_resolved);
-        }
-        // Cones the pool had to recompute inline after a worker-side
-        // panic: the retry already produced full results above; record
-        // the recovery against the cone's first net.
-        for idx in retried {
-            resolved.degrades.push(DegradeEvent {
-                net: active.get(idx).and_then(|c| c.first()).copied(),
-                polarity: None,
-                action: DegradeAction::ConeRetry,
-                cause: "cone worker panicked; recomputed inline on the coordinator".to_string(),
-                recovered: true,
-            });
         }
         // Canonical adjustment order, independent of cone order: each
         // `(net, polarity)` appears at most once per pass. Degrade events
@@ -1207,12 +1217,12 @@ impl Sta {
     /// to 0.1 ps or less (or the iteration cap is hit).
     ///
     /// The nominal sweep feeding aggressor ramps and earliest windows is
-    /// computed once, outside the loop; every pass after the first
-    /// re-solves only the cones whose victims' filtered specs changed, and
-    /// with [`SiOptions::threads`] the cones run on a worker pool (both
-    /// without changing any result bit — see the module docs). A design
-    /// whose pruning never changes runs one pass: the plain crosstalk
-    /// analysis over the specs as filtered.
+    /// computed once, outside the loop; every pass, the first included,
+    /// re-solves only the cones holding a victim whose filtered spec is
+    /// new or changed, and with [`SiOptions::threads`] the cones run on a
+    /// worker pool (both without changing any result bit — see the module
+    /// docs). A design whose pruning never changes runs one pass: the
+    /// plain crosstalk analysis over the specs as filtered.
     ///
     /// # Errors
     ///
@@ -1262,7 +1272,7 @@ impl Sta {
         scope: Option<&[bool]>,
     ) -> Result<RetainedAnalysis, StaError> {
         let bc = constraints.into();
-        self.check_unique_victims(couplings)?;
+        self.check_victims(couplings)?;
         let mut phase_span = nsta_obs::span!("si.windowed");
         phase_span.set_arg("victims", couplings.len() as f64);
         phase_span.set_arg("threads", options.threads.max(1) as f64);
@@ -1303,8 +1313,8 @@ impl Sta {
         let clean = self.report_rows(&bc, &base, mask, scope)?;
         let mut windows = self.windows_from(&min_states, &clean);
         // The fixed point's running result, into which each pass splices
-        // the cones it re-solved: the nominal states and rows until the
-        // first pass lands.
+        // the cones it re-solved: the nominal states and rows, which a cone
+        // holding no victim keeps for good.
         let mut states = base.clone();
         let mut rows = clean;
         let mut adjustments = Vec::new();
@@ -1341,33 +1351,25 @@ impl Sta {
         let mut iteration_cap = max_iterations;
         while iteration_trace.len() < iteration_cap {
             let (filtered, pass_pruned) = Self::window_filter(couplings, &windows);
-            // The first pass runs over `scope`. Every later one re-solves
-            // only the cones holding a victim whose filtered spec changed
-            // (see the module docs), and none changing is convergence.
-            // Those cones lie inside `scope`: an out-of-scope victim has no
-            // window, so its spec never changes.
-            let dirty = match &prev_filtered {
-                None => None,
-                Some(prev) => {
-                    let Some(cones) = self.changed_cones(&filtered, prev) else {
-                        converged = true;
-                        break;
-                    };
-                    Some(cones)
-                }
-            };
-            let pass_cones = dirty.as_deref().or(scope);
+            // Every pass re-solves only the cones holding a victim whose
+            // filtered spec is new or changed (see the module docs). The
+            // first pass always runs; after it, no change is convergence.
+            let pass_cones = self.changed_cones(&filtered, prev_filtered.as_deref(), scope);
+            if !iteration_trace.is_empty() && !pass_cones.contains(&true) {
+                converged = true;
+                break;
+            }
             let mut iter_span = nsta_obs::span!("si.iteration");
             iter_span.set_arg("iter", iteration_trace.len() as f64);
             let (pass_states, pass_adjustments, recomputed, mut degrades) =
-                self.crosstalk_pass(&cx, &filtered, pass_cones)?;
+                self.crosstalk_pass(&cx, &filtered, Some(&pass_cones))?;
             degrade_events.append(&mut degrades);
-            let pass_rows = self.report_rows(&bc, &pass_states, mask, pass_cones)?;
+            let pass_rows = self.report_rows(&bc, &pass_states, mask, Some(&pass_cones))?;
             let fresh = pass_adjustments.len();
             let moved = self.splice_nets(
                 (&mut states, &mut rows, &mut adjustments),
                 (pass_states, pass_rows, pass_adjustments),
-                pass_cones,
+                Some(&pass_cones),
             );
             // Every fresh adjustment lies in a re-solved cone; the rest were
             // carried over.
@@ -1454,15 +1456,24 @@ impl Sta {
         })
     }
 
-    /// The cones holding a victim whose spec differs between two window
-    /// filters' outputs over the same couplings, as a per-cone mask;
-    /// `None` when no spec changed.
-    fn changed_cones(&self, filtered: &[CouplingSpec], prev: &[CouplingSpec]) -> Option<Vec<bool>> {
+    /// The cones of `scope` (`None`: every cone) holding a victim whose
+    /// spec in `filtered` is new or differs from `prev`, the previous
+    /// window filter's output over the same couplings (`None` before the
+    /// first pass: every victim counts), as a per-cone mask.
+    fn changed_cones(
+        &self,
+        filtered: &[CouplingSpec],
+        prev: Option<&[CouplingSpec]>,
+        scope: Option<&[bool]>,
+    ) -> Vec<bool> {
         let graph = self.graph();
-        let mut cones = None;
-        let changed = filtered.iter().zip(prev).filter(|(new, old)| new != old);
-        for cone in changed.filter_map(|(new, _)| graph.cone_of(new.victim)) {
-            cones.get_or_insert_with(|| vec![false; graph.components().len()])[cone] = true;
+        let mut cones = vec![false; graph.components().len()];
+        let changed = filtered
+            .iter()
+            .enumerate()
+            .filter(|&(i, new)| prev.is_none_or(|p| p[i] != *new));
+        for cone in changed.filter_map(|(_, new)| graph.cone_of(new.victim)) {
+            cones[cone] = scope.is_none_or(|s| s.get(cone).copied().unwrap_or(false));
         }
         cones
     }
@@ -1960,6 +1971,7 @@ mod tests {
 
     #[test]
     fn crosstalk_pushes_victim_arrival_out() {
+        let _guard = crate::obs_test_guard();
         let sta = Sta::new(coupled_design(), lib().clone()).unwrap();
         let c = Constraints::default();
         let nominal = sta.analyze(c).unwrap();
@@ -1980,6 +1992,7 @@ mod tests {
 
     #[test]
     fn aligned_aggressor_hurts_more_than_far_one() {
+        let _guard = crate::obs_test_guard();
         let sta = Sta::new(coupled_design(), lib().clone()).unwrap();
         let c = Constraints::default();
         let mut near = spec(&sta);
@@ -1996,6 +2009,7 @@ mod tests {
 
     #[test]
     fn methods_disagree_on_noisy_nets() {
+        let _guard = crate::obs_test_guard();
         let sta = Sta::new(coupled_design(), lib().clone()).unwrap();
         let c = Constraints::default();
         let mut results = Vec::new();
@@ -2057,6 +2071,7 @@ mod tests {
 
     #[test]
     fn window_filter_prunes_far_aggressor_and_keeps_pushout() {
+        let _guard = crate::obs_test_guard();
         let sta = Sta::new(windowed_design(), lib().clone()).unwrap();
         let c = Constraints::default();
         let nominal = sta.analyze(c).unwrap();
@@ -2096,6 +2111,7 @@ mod tests {
 
     #[test]
     fn dense_backend_matches_sparse_within_solver_roundoff() {
+        let _guard = crate::obs_test_guard();
         // Both backends integrate the identical trapezoidal system; only
         // storage and elimination order differ, so every victim arrival
         // must agree to solver round-off (1e-6 ps). Checked on the
@@ -2151,6 +2167,7 @@ mod tests {
 
     #[test]
     fn window_filtered_delay_not_below_unfiltered() {
+        let _guard = crate::obs_test_guard();
         // Pruning only removes aggressors that cannot align, so the
         // filtered analysis must agree with the unfiltered one on this
         // design (where the far aggressor genuinely cannot overlap).
@@ -2178,6 +2195,7 @@ mod tests {
 
     #[test]
     fn skew_rescues_a_pruned_aggressor() {
+        let _guard = crate::obs_test_guard();
         let sta = Sta::new(windowed_design(), lib().clone()).unwrap();
         let c = Constraints::default();
         let clean = sta.analyze(c).unwrap();
@@ -2200,6 +2218,7 @@ mod tests {
 
     #[test]
     fn windows_from_min_and_max_sweeps_are_ordered() {
+        let _guard = crate::obs_test_guard();
         let sta = Sta::new(windowed_design(), lib().clone()).unwrap();
         let c = Constraints::default();
         let min_states = sta
@@ -2549,6 +2568,7 @@ mod tests {
 
     #[test]
     fn settled_sweeps_reduce_like_the_full_cap() {
+        let _guard = crate::obs_test_guard();
         // A 48-segment victim with two 48-segment aggressors, skewed so
         // that the far one switches 150 ps after the victim: every sweep
         // of the pass stops once its stage has settled, after that late
@@ -2599,6 +2619,7 @@ mod tests {
 
     #[test]
     fn negative_input_arrival_translates_the_analysis() {
+        let _guard = crate::obs_test_guard();
         // An input delay of −0.3 ns makes participants leave their rails
         // before 0, so each stage's window starts at −0.5 ns; the same
         // design at +0.2 ns starts at 0 on a grid that is the exact
@@ -2836,6 +2857,7 @@ mod tests {
 
     #[test]
     fn fixed_point_equals_one_pass_over_its_final_specs() {
+        let _guard = crate::obs_test_guard();
         let groups = 3;
         let sta = Sta::new(multi_group_design(groups), lib().clone()).unwrap();
         let specs = multi_group_specs(&sta, groups);
@@ -2847,6 +2869,48 @@ mod tests {
             "fixture must exercise the fixed point, got {} iteration(s)",
             analysis.diagnostics.iterations.len()
         );
+        assert_equals_one_pass_over_final_specs(&sta, &specs, &analysis);
+    }
+
+    #[test]
+    fn first_pass_schedules_only_victim_cones() {
+        // Three of the fixture's nine cones hold a victim; the other six,
+        // the aggressor chains, would reproduce the nominal sweep, so even
+        // the first pass leaves them unscheduled and still equals a pass
+        // over every cone.
+        let _guard = crate::obs_test_guard();
+        let groups = 3;
+        let sta = Sta::new(multi_group_design(groups), lib().clone()).unwrap();
+        assert_eq!(sta.graph().components().len(), 9);
+        let specs = multi_group_specs(&sta, groups);
+        let first_pass_only = SiOptions {
+            max_iterations: 1,
+            convergence_governor: false,
+            ..SiOptions::default()
+        };
+        let rec = nsta_obs::recorder();
+        rec.reset();
+        rec.enable();
+        drop(nsta_obs::span!("test.own_thread"));
+        let analysis =
+            sta.analyze_with_crosstalk_windows(Constraints::default(), &specs, &first_pass_only);
+        rec.disable();
+        let trace = rec.chrome_trace(1);
+        rec.reset();
+        let analysis = analysis.unwrap();
+        assert_eq!(analysis.diagnostics.iterations.len(), 1);
+        // One thread: the coordinator, this test's thread, runs every cone.
+        // Tests running beside this one record into the same process-wide
+        // recorder, but on threads of their own.
+        fn tid(line: &str) -> Option<&str> {
+            line.split("\"tid\":").nth(1)?.split([',', '}']).next()
+        }
+        let event = |name: &str| format!("{{\"name\":\"{name}\"");
+        let lines = || trace.lines().map(str::trim_start);
+        let own = lines().find(|l| l.starts_with(&event("test.own_thread")));
+        let own = own.and_then(tid);
+        let cones = lines().filter(|l| l.starts_with(&event("si.cone")) && tid(l) == own);
+        assert_eq!(cones.count(), groups);
         assert_equals_one_pass_over_final_specs(&sta, &specs, &analysis);
     }
 
@@ -2888,6 +2952,7 @@ mod tests {
 
     #[test]
     fn two_victim_cone_is_re_solved_whole_and_alone() {
+        let _guard = crate::obs_test_guard();
         // Pass 1 prunes `gf1` from `v1`, and `v1`'s push-out re-admits it
         // in pass 2. Pass 2 re-solves `v1`'s cone — both of its victims,
         // four transitions — and carries the two adjustments of `v3`'s
@@ -2916,6 +2981,7 @@ mod tests {
 
     #[test]
     fn per_pin_output_load_reaches_the_receiver_reduction() {
+        let _guard = crate::obs_test_guard();
         // The SGDP reduction models the victim's receiver through the
         // library tables; its output load must honor a per-pin override
         // on the net that receiver drives (regression: it used to read
@@ -2955,6 +3021,7 @@ mod tests {
 
     #[test]
     fn unknown_aggressor_is_reported() {
+        let _guard = crate::obs_test_guard();
         let sta = Sta::new(coupled_design(), lib().clone()).unwrap();
         let c = Constraints::default();
         let mut s = spec(&sta);
@@ -2965,6 +3032,20 @@ mod tests {
         };
         assert!(matches!(
             sta.analyze_with_crosstalk_windows(c, &[s], &p1),
+            Err(StaError::Unresolved(_))
+        ));
+    }
+
+    #[test]
+    fn unknown_victim_is_reported() {
+        // Checked up front with the duplicate check, before any per-net
+        // table is indexed by the victim.
+        let sta = Sta::new(coupled_design(), lib().clone()).unwrap();
+        let c = Constraints::default();
+        let mut s = spec(&sta);
+        s.victim = NetId(usize::MAX - 1);
+        assert!(matches!(
+            sta.analyze_with_crosstalk_windows(c, &[s], &SiOptions::default()),
             Err(StaError::Unresolved(_))
         ));
     }

@@ -89,8 +89,8 @@ fn grouped_sta(groups: usize, distinct_lines: bool) -> (noisy_sta::sta::Sta, Vec
 /// Arms `spec` (comma-separated sites), runs the windowed analysis under
 /// `Isolate`, disarms, and asserts: every armed site actually fired,
 /// everything recovered (no dropped victim), each expected degrade action
-/// is on record, and the worst arrival matches the fault-free run within
-/// the 1e-6 ps parity tolerance.
+/// is on record, every cone retry names a victim, and the worst arrival
+/// matches the fault-free run within the 1e-6 ps parity tolerance.
 fn assert_recovers(spec: &str, expect_actions: &[DegradeAction], opts: &SiOptions) {
     let _g = fault_guard();
     let groups = if spec.contains("worker-panic") { 4 } else { 2 };
@@ -135,6 +135,15 @@ fn assert_recovers(spec: &str, expect_actions: &[DegradeAction], opts: &SiOption
             .any(|e| e.action == DegradeAction::VictimDropped),
         "{spec}: a victim was dropped instead of recovered: {events:?}"
     );
+    for retry in events
+        .iter()
+        .filter(|e| e.action == DegradeAction::ConeRetry)
+    {
+        assert!(
+            specs.iter().any(|s| retry.net == Some(s.victim)),
+            "{spec}: cone retry names no victim: {retry:?}"
+        );
+    }
     let (wc, wi) = (
         clean.report.worst_arrival(),
         injected.report.worst_arrival(),
@@ -167,14 +176,18 @@ fn injected_nan_solve_recovers_through_the_dense_fallback() {
 
 #[test]
 fn injected_worker_panic_is_retried_on_the_coordinator() {
-    assert_recovers(
-        "worker-panic",
-        &[DegradeAction::ConeRetry],
-        &SiOptions {
-            threads: 2,
-            ..SiOptions::default()
-        },
-    );
+    // One thread runs the cones on the coordinator itself, two on spawned
+    // workers: either way the panic is contained and the cone retried.
+    for threads in [1, 2] {
+        assert_recovers(
+            "worker-panic",
+            &[DegradeAction::ConeRetry],
+            &SiOptions {
+                threads,
+                ..SiOptions::default()
+            },
+        );
+    }
 }
 
 #[test]

@@ -112,9 +112,12 @@ enum Perturb {
     /// [`RollbackCause::DeadlineExpired`] and the session must stay
     /// serviceable.
     ExpiredDeadline,
-    /// A worker-panic plan: the cone pool retries the panicked task, so
-    /// the edit still commits with bit-identical numerics (or the plan
-    /// never reaches a firing opportunity — also a clean commit).
+    /// A one-panic worker-panic plan: the cone pool retries the panicked
+    /// task, so the edit still commits with bit-identical numerics (or the
+    /// plan never reaches a firing opportunity — also a clean commit). One
+    /// panic, not more: an edit's pass may schedule a single cone, and a
+    /// second firing could land on that cone's own retry, which the pool
+    /// propagates by design.
     WorkerPanic,
     /// A numeric-failure plan (poisoned solve / lost pivot). Three legal
     /// outcomes: the plan doesn't fire (clean commit); the fallback
@@ -127,13 +130,13 @@ enum Perturb {
 /// The per-edit perturbation schedule: deterministic rollbacks and
 /// bit-identical recoveries early, the possibly-degrading numeric fault
 /// only on the final edit so every earlier committed state can be
-/// audited against a fresh batch at full tolerance. Worker-panic
-/// recovery is a *pool* feature (the coordinator catches the panic and
-/// retries the cone inline), so it is only scheduled on threaded runs.
-fn perturb_for(i: usize, seed: u64, threads: usize) -> Perturb {
+/// audited against a fresh batch at full tolerance. The cone pool
+/// contains a worker panic at any thread count (the coordinator retries
+/// the cone), so the panic is scheduled on every run.
+fn perturb_for(i: usize, seed: u64) -> Perturb {
     match i {
         2 | 5 => Perturb::ExpiredDeadline,
-        3 if threads > 1 => Perturb::WorkerPanic,
+        3 => Perturb::WorkerPanic,
         _ if i + 1 == EDITS_PER_SEQUENCE => Perturb::Numeric(if seed.is_multiple_of(2) {
             "nan-solve:2"
         } else {
@@ -163,7 +166,7 @@ fn fuzz_sequence(seed: u64, threads: usize, inject: bool) -> (TimingSession, boo
         let epoch_before = session.epoch();
         let journal_before = session.journal().len();
         let perturb = if inject {
-            perturb_for(i, seed, threads)
+            perturb_for(i, seed)
         } else {
             Perturb::Clean
         };
@@ -172,7 +175,7 @@ fn fuzz_sequence(seed: u64, threads: usize, inject: bool) -> (TimingSession, boo
             Perturb::ExpiredDeadline => {
                 session.set_edit_deadline(Some(Deadline::on_fake(FakeClock::new(0), 0)));
             }
-            Perturb::WorkerPanic => fault::arm("worker-panic:2", seed ^ i as u64).expect("arm"),
+            Perturb::WorkerPanic => fault::arm("worker-panic", seed ^ i as u64).expect("arm"),
             Perturb::Numeric(site) => fault::arm(site, seed ^ i as u64).expect("arm"),
         }
         let outcome = session.apply(edit);
