@@ -70,7 +70,7 @@ impl fmt::Display for SpefNode {
 }
 
 /// Direction of a port or internal connection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ConnDirection {
     /// Input.
     Input,
@@ -92,7 +92,7 @@ impl ConnDirection {
 }
 
 /// Kind of a `*CONN` entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ConnKind {
     /// `*P` — a top-level port.
     Port,

@@ -5,11 +5,14 @@
 //! journal the one part of a session that grows without bound. Stored as
 //! [`Edit`] values, a load or drive edit costs a heap string and a
 //! re-annotation about two dozen (one per node name). Here a load or drive
-//! edit is a [`NetId`] and an `f64` inside a fixed-size entry, and a
-//! re-annotation is a fixed-size section record plus one fixed-size record
-//! per `*CONN`, `*CAP` and `*RES` element, with every node and cell name
-//! interned once per session. Decoding gives back the exact edits:
-//! names, ids and values (bit patterns included) are stored as given.
+//! edit is a [`NetId`] and an `f64` inside a fixed-size entry. A
+//! re-annotation is a fixed-size section record plus its values (each
+//! `*CAP` and `*RES` value and each `*CONN` load); everything else about
+//! the section — its connections and each element's id and nodes, its
+//! *shape* — is interned once per session, like every node and cell name,
+//! since a session re-annotates a net with the same shape again and again.
+//! Decoding gives back the exact edits: names, ids and values (bit
+//! patterns included) are stored as given.
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -31,32 +34,35 @@ enum Entry {
     ReannotateNet(u32),
 }
 
-/// A re-annotated `*D_NET` section. Its elements are the records between
-/// the previous section's end offsets and these.
+/// A re-annotated `*D_NET` section. Its values are those between the
+/// previous section's `values_end` and its own.
 #[derive(Debug, Clone, Copy)]
 struct SectionRecord {
     name: u32,
+    shape: u32,
     total_cap: f64,
-    conns_end: u32,
-    caps_end: u32,
-    ress_end: u32,
+    values_end: u32,
 }
 
-/// One `*CAP` or `*RES` element; `b` is [`NONE`] for a ground cap.
-#[derive(Debug, Clone, Copy)]
-struct ElementRecord {
-    id: u64,
-    a: u32,
-    b: u32,
-    value: f64,
+/// A section without its values: its `*CONN` entries and the
+/// `(id, a, b)` of each `*CAP` and `*RES` element, nodes interned (`b` is
+/// [`NONE`] for a ground cap). Its values follow it in the journal in
+/// this order: every cap, every resistor, then the load of each
+/// connection that has one.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct Shape {
+    conns: Vec<ConnShape>,
+    caps: Vec<(u64, u32, u32)>,
+    ress: Vec<(u64, u32, u32)>,
 }
 
-/// One `*CONN` entry; `driver_cell` is [`NONE`] when absent.
-#[derive(Debug, Clone, Copy)]
-struct ConnRecord {
+/// One `*CONN` entry without its load; `driver_cell` is [`NONE`] when
+/// absent.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct ConnShape {
     node: u32,
     driver_cell: u32,
-    load: Option<f64>,
+    has_load: bool,
     kind: ConnKind,
     direction: ConnDirection,
 }
@@ -100,9 +106,8 @@ impl<T: Clone + Eq + Hash> Interner<T> {
 pub(crate) struct Journal {
     entries: Vec<Entry>,
     sections: Vec<SectionRecord>,
-    conns: Vec<ConnRecord>,
-    caps: Vec<ElementRecord>,
-    ress: Vec<ElementRecord>,
+    values: Vec<f64>,
+    shapes: Interner<Shape>,
     nodes: Interner<SpefNode>,
     names: Interner<String>,
 }
@@ -117,9 +122,8 @@ impl Journal {
         // connection one cell.
         [
             self.sections.len() + 1,
-            self.conns.len() + dnet.conns.len(),
-            self.caps.len() + dnet.caps.len(),
-            self.ress.len() + dnet.ress.len(),
+            self.values.len() + elements,
+            self.shapes.values.len() + 1,
             self.nodes.values.len() + 2 * elements,
             self.names.values.len() + 1 + dnet.conns.len(),
         ]
@@ -140,45 +144,43 @@ impl Journal {
     /// Records a committed re-annotation with replacement section `dnet`,
     /// which must [`Journal::fits`].
     pub(crate) fn push_reannotation(&mut self, dnet: &DNet) {
+        let mut shape = Shape {
+            conns: Vec::with_capacity(dnet.conns.len()),
+            caps: Vec::with_capacity(dnet.caps.len()),
+            ress: Vec::with_capacity(dnet.ress.len()),
+        };
         for conn in &dnet.conns {
-            let record = ConnRecord {
+            shape.conns.push(ConnShape {
                 node: self.nodes.intern(&conn.node),
                 driver_cell: conn
                     .driver_cell
                     .as_ref()
                     .map_or(NONE, |cell| self.names.intern(cell)),
-                load: conn.load,
+                has_load: conn.load.is_some(),
                 kind: conn.kind,
                 direction: conn.direction,
-            };
-            self.conns.push(record);
+            });
         }
         for cap in &dnet.caps {
-            let record = ElementRecord {
-                id: cap.id,
-                a: self.nodes.intern(&cap.a),
-                b: cap.b.as_ref().map_or(NONE, |b| self.nodes.intern(b)),
-                value: cap.value,
-            };
-            self.caps.push(record);
+            let a = self.nodes.intern(&cap.a);
+            let b = cap.b.as_ref().map_or(NONE, |b| self.nodes.intern(b));
+            shape.caps.push((cap.id, a, b));
         }
         for res in &dnet.ress {
-            let record = ElementRecord {
-                id: res.id,
-                a: self.nodes.intern(&res.a),
-                b: self.nodes.intern(&res.b),
-                value: res.value,
-            };
-            self.ress.push(record);
+            let a = self.nodes.intern(&res.a);
+            shape.ress.push((res.id, a, self.nodes.intern(&res.b)));
         }
+        self.values.extend(dnet.caps.iter().map(|cap| cap.value));
+        self.values.extend(dnet.ress.iter().map(|res| res.value));
+        self.values
+            .extend(dnet.conns.iter().filter_map(|conn| conn.load));
         self.entries
             .push(Entry::ReannotateNet(self.sections.len() as u32));
         let record = SectionRecord {
             name: self.names.intern(&dnet.name),
+            shape: self.shapes.intern(&shape),
             total_cap: dnet.total_cap,
-            conns_end: self.conns.len() as u32,
-            caps_end: self.caps.len() as u32,
-            ress_end: self.ress.len() as u32,
+            values_end: self.values.len() as u32,
         };
         self.sections.push(record);
     }
@@ -203,48 +205,50 @@ impl Journal {
 
     fn section(&self, index: usize) -> DNet {
         let record = &self.sections[index];
-        let start = match index.checked_sub(1) {
-            Some(previous) => self.sections[previous],
-            None => SectionRecord {
-                name: NONE,
-                total_cap: 0.0,
-                conns_end: 0,
-                caps_end: 0,
-                ress_end: 0,
-            },
-        };
+        let start = index
+            .checked_sub(1)
+            .map_or(0, |previous| self.sections[previous].values_end);
+        let values = &self.values[start as usize..record.values_end as usize];
+        let shape = self.shapes.get(record.shape);
+        let (caps, rest) = values.split_at(shape.caps.len());
+        let (ress, loads) = rest.split_at(shape.ress.len());
+        let mut loads = loads.iter().copied();
         let node = |id: u32| self.nodes.get(id).clone();
-        let range = |start: u32, end: u32| start as usize..end as usize;
         DNet {
             name: self.names.get(record.name).clone(),
             total_cap: record.total_cap,
-            conns: self.conns[range(start.conns_end, record.conns_end)]
+            conns: shape
+                .conns
                 .iter()
                 .map(|c| Conn {
                     kind: c.kind,
                     node: node(c.node),
                     direction: c.direction,
-                    load: c.load,
+                    load: if c.has_load { loads.next() } else { None },
                     driver_cell: (c.driver_cell != NONE)
                         .then(|| self.names.get(c.driver_cell).clone()),
                 })
                 .collect(),
-            caps: self.caps[range(start.caps_end, record.caps_end)]
+            caps: shape
+                .caps
                 .iter()
-                .map(|c| CapElem {
-                    id: c.id,
-                    a: node(c.a),
-                    b: (c.b != NONE).then(|| node(c.b)),
-                    value: c.value,
+                .zip(caps)
+                .map(|(&(id, a, b), &value)| CapElem {
+                    id,
+                    a: node(a),
+                    b: (b != NONE).then(|| node(b)),
+                    value,
                 })
                 .collect(),
-            ress: self.ress[range(start.ress_end, record.ress_end)]
+            ress: shape
+                .ress
                 .iter()
-                .map(|r| ResElem {
-                    id: r.id,
-                    a: node(r.a),
-                    b: node(r.b),
-                    value: r.value,
+                .zip(ress)
+                .map(|(&(id, a, b), &value)| ResElem {
+                    id,
+                    a: node(a),
+                    b: node(b),
+                    value,
                 })
                 .collect(),
         }

@@ -410,7 +410,7 @@ impl TimingSession {
             ));
         }
         let lint_baseline = Self::fingerprints(&lint.diagnostics).into_iter().collect();
-        let retained = sta.session_analyze(bc.clone(), &specs, &options.si, None)?;
+        let retained = sta.session_analyze(bc.clone(), &specs, &options.si)?;
         let cones = sta.graph().components().len();
         span.set_arg("cones", cones as f64);
         Ok(TimingSession {
@@ -630,7 +630,7 @@ impl TimingSession {
             .collect();
         // 4. Incremental re-solve of the dirty cones only; the merge
         //    discards everything outside them.
-        let patch = match self.sta.session_analyze(
+        let patch = match self.sta.session_resolve(
             candidate.bc.as_ref().clone(),
             &dirty_specs,
             &self.options.si,
@@ -644,13 +644,13 @@ impl TimingSession {
                 };
             }
         };
-        if patch.analysis.diagnostics.timed_out {
+        if patch.diagnostics.timed_out {
             self.rollbacks += 1;
             return EditOutcome::RolledBack {
                 cause: RollbackCause::DeadlineExpired,
             };
         }
-        if !patch.analysis.diagnostics.converged {
+        if !patch.diagnostics.converged {
             self.rollbacks += 1;
             return EditOutcome::RolledBack {
                 cause: RollbackCause::NonConvergence,
@@ -694,7 +694,7 @@ impl TimingSession {
             let _ = self.spef.replace_net(section);
         }
         self.sta
-            .session_merge(&mut self.retained, patch, &dirty, next_epoch);
+            .session_merge(&mut self.retained, patch, next_epoch);
         let info = CommitInfo {
             epoch: next_epoch,
             dirty_cones,

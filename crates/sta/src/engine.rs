@@ -5,7 +5,7 @@ use crate::graph::TimingGraph;
 use crate::netlist::{Design, NetId};
 use crate::report::{NetTiming, PathPoint, PointTiming, TimingReport};
 use crate::StaError;
-use nsta_liberty::{Library, NldmTable, TimingSense};
+use nsta_liberty::{Library, TimingSense};
 use nsta_waveform::Polarity;
 
 /// Uniform analysis constraints: one arrival/slew/required/load applied to
@@ -41,14 +41,14 @@ impl Default for Constraints {
     }
 }
 
-/// Per-edge resolved arc tables.
-#[derive(Debug, Clone)]
-pub(crate) struct EdgeArc {
-    pub sense: TimingSense,
-    pub cell_rise: NldmTable,
-    pub rise_transition: NldmTable,
-    pub cell_fall: NldmTable,
-    pub fall_transition: NldmTable,
+/// Where an edge's timing arc sits in the library: cell, output pin and
+/// arc indices. Edges of one cell type share its tables instead of each
+/// holding a copy.
+#[derive(Debug, Clone, Copy)]
+struct EdgeArc {
+    cell: usize,
+    pin: usize,
+    arc: usize,
 }
 
 /// One computed timing point (arrival + slew) during the sweep.
@@ -67,6 +67,12 @@ pub(crate) struct NetState {
     pub rise: Point,
     pub fall: Point,
 }
+
+/// Per-net values stored cone by cone: `values[c][j]` belongs to net
+/// `components()[c][j]` ([`crate::TimingGraph::components`]; look a net up
+/// with [`crate::TimingGraph::at`]). A cone an analysis does not cover
+/// holds no values, so scoped work allocates and scans only its own cones.
+pub(crate) type PerCone<T> = Vec<Vec<T>>;
 
 impl NetState {
     pub(crate) fn get(&self, pol: Polarity) -> &Point {
@@ -107,28 +113,26 @@ impl Sta {
         for e in graph.edges() {
             let inst = &design.instances()[e.instance];
             let cell = library
-                .cell(&inst.cell)
+                .cells()
+                .iter()
+                .position(|c| c.name == inst.cell)
                 .ok_or_else(|| StaError::Unresolved(format!("cell {}", inst.cell)))?;
-            let pin = cell
-                .pin(&e.output_pin)
+            let pins = &library.cells()[cell].pins;
+            let pin = pins
+                .iter()
+                .position(|p| p.name == e.output_pin)
                 .ok_or_else(|| StaError::Unresolved(format!("pin {}", e.output_pin)))?;
-            let arc = pin
+            let arc = pins[pin]
                 .timing
                 .iter()
-                .find(|a| a.related_pin == e.input_pin)
+                .position(|a| a.related_pin == e.input_pin)
                 .ok_or_else(|| {
                     StaError::Library(format!(
                         "no arc {} -> {} on cell {}",
                         e.input_pin, e.output_pin, inst.cell
                     ))
                 })?;
-            arcs.push(EdgeArc {
-                sense: arc.sense,
-                cell_rise: arc.cell_rise.clone(),
-                rise_transition: arc.rise_transition.clone(),
-                cell_fall: arc.cell_fall.clone(),
-                fall_transition: arc.fall_transition.clone(),
-            });
+            arcs.push(EdgeArc { cell, pin, arc });
         }
         Ok(Sta {
             design,
@@ -171,7 +175,8 @@ impl Sta {
         from_slew: f64,
         load: f64,
     ) -> Result<(Polarity, f64, f64), StaError> {
-        let arc = &self.arcs[k];
+        let EdgeArc { cell, pin, arc } = self.arcs[k];
+        let arc = &self.library.cells()[cell].pins[pin].timing[arc];
         let out_pol = match arc.sense {
             TimingSense::NegativeUnate => from_pol.inverted(),
             TimingSense::PositiveUnate => from_pol,
@@ -190,15 +195,20 @@ impl Sta {
         Ok((out_pol, delay, slew))
     }
 
-    /// Initial sweep states: primary inputs seeded from their per-pin
-    /// boundaries (`min_arrival` for the min sweep, `max_arrival`
-    /// otherwise), everything else invalid.
-    pub(crate) fn init_states(&self, bc: &BoundaryConditions, minimize: bool) -> Vec<NetState> {
-        let mut states = vec![NetState::default(); self.design.net_count()];
-        for &input in self.design.inputs() {
+    /// The initial sweep states of cone `cone`, in cone order: its primary
+    /// inputs seeded from their per-pin boundaries (`min_arrival` for the
+    /// min sweep, `max_arrival` otherwise), everything else invalid.
+    pub(crate) fn seed_cone(
+        &self,
+        bc: &BoundaryConditions,
+        minimize: bool,
+        cone: usize,
+    ) -> Vec<NetState> {
+        let mut states = vec![NetState::default(); self.graph.components()[cone].len()];
+        for &input in self.graph.cone_inputs(cone) {
             let boundary = bc.input(input);
             for pol in [Polarity::Rise, Polarity::Fall] {
-                let p = states[input.0].get_mut(pol);
+                let p = states[self.graph.cone_slot(input)].get_mut(pol);
                 p.arrival = boundary.arrival(minimize);
                 p.slew = boundary.slew;
                 p.valid = true;
@@ -253,44 +263,44 @@ impl Sta {
     }
 
     /// The nominal (latest-arrival, single-thread) forward sweep.
-    pub(crate) fn forward_sweep(&self, bc: &BoundaryConditions) -> Result<Vec<NetState>, StaError> {
+    pub(crate) fn forward_sweep(
+        &self,
+        bc: &BoundaryConditions,
+    ) -> Result<PerCone<NetState>, StaError> {
         self.forward_sweep_scoped(bc, false, 1, None)
     }
 
     /// The forward sweep, partitioned by fanout cone: each weakly-connected
     /// component of the graph is one task on a scoped worker pool (at most
-    /// one worker per cone), swept sequentially in topological order, and
-    /// the tasks are merged back in the fixed cone order. This is the only
-    /// sweep loop — the nominal, min, threaded and session sweeps all go
-    /// through it — and each net's fanin fold is a fixed operation
-    /// sequence merged at a fixed position, so the result is bit-identical
-    /// for every `threads` value (including 1).
+    /// one worker per cone), swept sequentially in topological order from
+    /// its [`Sta::seed_cone`] states. This is the only sweep loop — the
+    /// nominal, min, threaded and session sweeps all go through it — and
+    /// each net's fanin fold is a fixed operation sequence, so the result
+    /// is bit-identical for every `threads` value (including 1).
     ///
     /// `scope` is an optional per-cone mask indexed like
-    /// [`crate::TimingGraph::components`]; `None` means every cone.
-    /// Unscoped cones keep their [`Sta::init_states`] seed and are never
-    /// propagated, while every net inside a scoped cone gets exactly the
-    /// full sweep's state — the contract the scoped re-solves of the
-    /// crosstalk fixed point and of a session edit rely on (they discard
-    /// everything else).
+    /// [`crate::TimingGraph::components`]; `None` means every cone. The
+    /// states come back per cone ([`PerCone`]): every scoped cone's nets
+    /// get exactly the full sweep's states, and an unscoped cone holds
+    /// none, so a scoped sweep allocates and visits only its own cones.
     pub(crate) fn forward_sweep_scoped(
         &self,
         bc: &BoundaryConditions,
         minimize: bool,
         threads: usize,
         scope: Option<&[bool]>,
-    ) -> Result<Vec<NetState>, StaError> {
+    ) -> Result<PerCone<NetState>, StaError> {
         let mut sweep_span = nsta_obs::span!("sta.forward_sweep");
         sweep_span.set_arg("minimize", minimize as u8 as f64);
         sweep_span.set_arg("threads", threads.max(1) as f64);
-        let active = self.graph.scoped_components(scope);
+        let active = self.graph.scoped_cones(scope);
         sweep_span.set_arg("cones", active.len() as f64);
-        let seed = self.init_states(bc, minimize);
-        let outcomes = crate::par::par_map(threads, &active, |cone| {
+        let outcomes = crate::par::par_map(threads, &active, |&cone| {
+            let nets = &self.graph.components()[cone];
             let mut cone_span = nsta_obs::span!("sta.sweep_cone");
-            cone_span.set_arg("nets", cone.len() as f64);
-            let mut local: Vec<NetState> = cone.iter().map(|&net| seed[net.0]).collect();
-            for (j, &net) in cone.iter().enumerate() {
+            cone_span.set_arg("nets", nets.len() as f64);
+            let mut local = self.seed_cone(bc, minimize, cone);
+            for (j, &net) in nets.iter().enumerate() {
                 let updated = self.propagate_net_with(
                     net,
                     |i| local[self.graph.cone_slot(NetId(i))],
@@ -301,11 +311,9 @@ impl Sta {
             }
             Ok::<_, StaError>(local)
         });
-        let mut states = seed;
-        for (cone, outcome) in active.iter().zip(outcomes) {
-            for (&net, st) in cone.iter().zip(outcome?) {
-                states[net.0] = st;
-            }
+        let mut states = vec![Vec::new(); self.graph.components().len()];
+        for (&cone, outcome) in active.iter().zip(outcomes) {
+            states[cone] = outcome?;
         }
         Ok(states)
     }
@@ -457,50 +465,59 @@ impl Sta {
     pub(crate) fn finish_report(
         &self,
         bc: &BoundaryConditions,
-        states: Vec<NetState>,
+        states: PerCone<NetState>,
         mask: Option<&FalsePathMask>,
     ) -> Result<TimingReport, StaError> {
         let rows = self.report_rows(bc, &states, mask, None)?;
-        Ok(self.report_from_rows(rows, &states))
+        Ok(self.report_from_rows(self.net_rows(rows), &states))
     }
 
-    /// The per-net rows of [`Sta::finish_report`], restricted to the cones
-    /// a per-cone `scope` mask marks (`None`: every cone): required times
-    /// are only seeded/propagated and rows only filled for their nets
-    /// (others get placeholder [`NetTiming`] rows with no timing and an
-    /// empty name). The reverse sweep's per-edge table lookups and the
-    /// per-row name copies dominate the report cost, so the crosstalk
-    /// fixed point scopes them to the cones it re-solved — sound because
+    /// The per-cone rows of [`Sta::finish_report`] for the cones a
+    /// per-cone `scope` mask marks (`None`: every cone); an unscoped cone
+    /// gets no rows. Each cone seeds its outputs' required times and
+    /// propagates them back through its own nets only — sound because
     /// cones are weakly-connected components (no edge crosses the scope
-    /// boundary), so every scoped row equals the unscoped one.
+    /// boundary), so every scoped row equals the unscoped one, and the
+    /// fixed point and a session edit pay only for the cones they
+    /// re-solved.
     pub(crate) fn report_rows(
         &self,
         bc: &BoundaryConditions,
-        states: &[NetState],
+        states: &[Vec<NetState>],
         mask: Option<&FalsePathMask>,
         scope: Option<&[bool]>,
+    ) -> Result<PerCone<NetTiming>, StaError> {
+        let mut rows = vec![Vec::new(); self.graph.components().len()];
+        for cone in self.graph.scoped_cones(scope) {
+            rows[cone] = self.cone_rows(bc, cone, &states[cone], mask)?;
+        }
+        Ok(rows)
+    }
+
+    /// The report rows of cone `cone` from its sweep `states` (in cone
+    /// order): required times seeded at its outputs and swept back in
+    /// reverse cone order, which visits every net after all of its fanout.
+    fn cone_rows(
+        &self,
+        bc: &BoundaryConditions,
+        cone: usize,
+        states: &[NetState],
+        mask: Option<&FalsePathMask>,
     ) -> Result<Vec<NetTiming>, StaError> {
-        let in_scope = |i: usize| scope.is_none_or(|s| self.graph.in_cones(s, NetId(i)));
-        let n = self.design.net_count();
-        let mut required = vec![[f64::INFINITY; 2]; n];
+        let nets = &self.graph.components()[cone];
+        let slot = |net: NetId| self.graph.cone_slot(net);
+        let mut required = vec![[f64::INFINITY; 2]; nets.len()];
         let idx = |p: Polarity| match p {
             Polarity::Rise => 0usize,
             Polarity::Fall => 1usize,
         };
-        for &out in self.design.outputs() {
-            if !in_scope(out.0) {
-                continue;
-            }
+        for &out in self.graph.cone_outputs(cone) {
             if mask.is_some_and(|m| m.output_false[out.0]) {
                 continue; // every startpoint falsified: no requirement
             }
-            required[out.0] = [bc.output(out).required; 2];
+            required[slot(out)] = [bc.output(out).required; 2];
         }
-        // Reverse sweep over the topological order.
-        for &net in self.graph.topological_order().iter().rev() {
-            if !in_scope(net.0) {
-                continue;
-            }
+        for &net in nets.iter().rev() {
             for &k in self.graph.fanin_edges(net) {
                 if mask.is_some_and(|m| m.edges[k]) {
                     continue; // edge lies exclusively on false paths
@@ -508,44 +525,34 @@ impl Sta {
                 let edge = &self.graph.edges()[k];
                 let load = self.net_load(net, bc);
                 for from_pol in [Polarity::Rise, Polarity::Fall] {
-                    let from = *states[edge.from.0].get(from_pol);
+                    let from = *states[slot(edge.from)].get(from_pol);
                     if !from.valid {
                         continue;
                     }
                     let (out_pol, delay, _) = self.edge_timing(k, from_pol, from.slew, load)?;
-                    let req = required[net.0][idx(out_pol)] - delay;
-                    let slot = &mut required[edge.from.0][idx(from_pol)];
-                    if req < *slot {
-                        *slot = req;
+                    let req = required[slot(net)][idx(out_pol)] - delay;
+                    let entry = &mut required[slot(edge.from)][idx(from_pol)];
+                    if req < *entry {
+                        *entry = req;
                     }
                 }
             }
         }
 
-        let mut nets = Vec::with_capacity(n);
-        for i in 0..n {
-            let id = NetId(i);
-            if !in_scope(i) {
-                nets.push(NetTiming {
-                    net: id,
-                    name: String::new(),
-                    rise: None,
-                    fall: None,
-                });
-                continue;
-            }
+        let mut rows = Vec::with_capacity(nets.len());
+        for ((&net, state), required) in nets.iter().zip(states).zip(&required) {
             let mut timing = NetTiming {
-                net: id,
-                name: self.design.net_name(id).to_string(),
+                net,
+                name: self.design.net_name(net).to_string(),
                 rise: None,
                 fall: None,
             };
             for pol in [Polarity::Rise, Polarity::Fall] {
-                let p = states[i].get(pol);
+                let p = state.get(pol);
                 if !p.valid {
                     continue;
                 }
-                let req = required[i][idx(pol)];
+                let req = required[idx(pol)];
                 let slack = if req.is_finite() {
                     req - p.arrival
                 } else {
@@ -562,9 +569,22 @@ impl Sta {
                     Polarity::Fall => timing.fall = Some(pt),
                 }
             }
-            nets.push(timing);
+            rows.push(timing);
         }
-        Ok(nets)
+        Ok(rows)
+    }
+
+    /// Per-cone rows covering every cone, rearranged into net-id order —
+    /// the order [`TimingReport`] keeps its rows in. The cones partition
+    /// the nets, so every net id gets exactly one row.
+    pub(crate) fn net_rows(&self, rows: PerCone<NetTiming>) -> Vec<NetTiming> {
+        let mut nets: Vec<Option<NetTiming>> = vec![None; self.design.net_count()];
+        for (cone, cone_rows) in self.graph.components().iter().zip(rows) {
+            for (&net, row) in cone.iter().zip(cone_rows) {
+                nets[net.0] = Some(row);
+            }
+        }
+        nets.into_iter().flatten().collect()
     }
 
     /// Builds a [`TimingReport`] from finished per-net rows and their
@@ -577,11 +597,12 @@ impl Sta {
     pub(crate) fn report_from_rows(
         &self,
         nets: Vec<NetTiming>,
-        states: &[NetState],
+        states: &[Vec<NetState>],
     ) -> TimingReport {
         let mut worst_arrival = f64::NEG_INFINITY;
         let mut worst_slack = f64::INFINITY;
-        let mut worst_point: Option<(NetId, Polarity)> = None;
+        // The worst point and its arrival (a row's arrival is its state's).
+        let mut worst_point: Option<(NetId, Polarity, f64)> = None;
         for t in &nets {
             for (pol, pt) in [(Polarity::Rise, &t.rise), (Polarity::Fall, &t.fall)] {
                 let Some(p) = pt else { continue };
@@ -591,22 +612,17 @@ impl Sta {
                 // intermediate net sharing the same slack.
                 let better = p.slack < worst_slack - 1e-15
                     || (p.slack <= worst_slack + 1e-15
-                        && worst_point
-                            .map(|(wid, wpol)| {
-                                let wp = states[wid.0].get(wpol);
-                                p.arrival > wp.arrival
-                            })
-                            .unwrap_or(true));
+                        && worst_point.is_none_or(|(_, _, arrival)| p.arrival > arrival));
                 if better {
                     worst_slack = worst_slack.min(p.slack);
-                    worst_point = Some((t.net, pol));
+                    worst_point = Some((t.net, pol, p.arrival));
                 }
             }
         }
         let mut critical = Vec::new();
-        if let Some((mut net, mut pol)) = worst_point {
-            loop {
-                let p = *states[net.0].get(pol);
+        if let Some((mut net, mut pol, _)) = worst_point {
+            while let Some(state) = self.graph.at(states, net) {
+                let p = *state.get(pol);
                 critical.push(PathPoint {
                     net,
                     name: self.design.net_name(net).to_string(),

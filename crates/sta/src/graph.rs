@@ -46,6 +46,12 @@ pub struct TimingGraph {
     /// Net id -> position of the net inside its component, so cone tasks
     /// can serve state reads from a compact per-cone buffer.
     cone_slot: Vec<usize>,
+    /// Primary inputs of each component, in design order: the nets a
+    /// cone's forward sweep seeds.
+    cone_inputs: Vec<Vec<NetId>>,
+    /// Primary outputs of each component, in design order: the nets a
+    /// cone's required times seed from.
+    cone_outputs: Vec<Vec<NetId>>,
     /// Capacitive load on each net: Σ input-pin capacitances of fanout.
     loads: Vec<f64>,
 }
@@ -190,6 +196,14 @@ impl TimingGraph {
                 cone_slot[net.0] = j;
             }
         }
+        let by_cone = |ports: &[NetId]| {
+            let mut grouped = vec![Vec::new(); components.len()];
+            for &port in ports {
+                grouped[cone_of[port.0]].push(port);
+            }
+            grouped
+        };
+        let (cone_inputs, cone_outputs) = (by_cone(design.inputs()), by_cone(design.outputs()));
 
         Ok(TimingGraph {
             edges,
@@ -199,6 +213,8 @@ impl TimingGraph {
             components,
             cone_of,
             cone_slot,
+            cone_inputs,
+            cone_outputs,
             loads,
         })
     }
@@ -224,16 +240,37 @@ impl TimingGraph {
         &self.components
     }
 
-    /// The components a sweep visits, in component order: all of them, or
-    /// those a per-component `scope` mask marks (indices past its end read
-    /// as unmarked).
-    pub(crate) fn scoped_components(&self, scope: Option<&[bool]>) -> Vec<&[NetId]> {
-        self.components
-            .iter()
-            .enumerate()
-            .filter(|(ci, _)| scope.is_none_or(|s| s.get(*ci).copied().unwrap_or(false)))
-            .map(|(_, cone)| cone.as_slice())
+    /// The indices of the components a sweep visits, in component order:
+    /// all of them, or those a per-component `scope` mask marks (indices
+    /// past its end read as unmarked).
+    pub(crate) fn scoped_cones(&self, scope: Option<&[bool]>) -> Vec<usize> {
+        (0..self.components.len())
+            .filter(|&c| scope.is_none_or(|s| s.get(c).copied().unwrap_or(false)))
             .collect()
+    }
+
+    /// The value of `net` in per-cone storage, where `values[c][j]`
+    /// belongs to `components()[c][j]`: `None` for a net the graph lacks
+    /// or a net of a cone `values` holds nothing for.
+    pub(crate) fn at<'v, T>(&self, values: &'v [Vec<T>], net: NetId) -> Option<&'v T> {
+        values.get(self.cone_of(net)?)?.get(self.cone_slot(net))
+    }
+
+    /// [`TimingGraph::at`], mutably.
+    pub(crate) fn at_mut<'v, T>(&self, values: &'v mut [Vec<T>], net: NetId) -> Option<&'v mut T> {
+        values
+            .get_mut(self.cone_of(net)?)?
+            .get_mut(self.cone_slot(net))
+    }
+
+    /// Primary inputs of component `cone`, in design order.
+    pub(crate) fn cone_inputs(&self, cone: usize) -> &[NetId] {
+        &self.cone_inputs[cone]
+    }
+
+    /// Primary outputs of component `cone`, in design order.
+    pub(crate) fn cone_outputs(&self, cone: usize) -> &[NetId] {
+        &self.cone_outputs[cone]
     }
 
     /// Index of the component containing `net` (see

@@ -14,14 +14,15 @@
 //!    an edit reaches every cone linked to an edited net's cone by a chain
 //!    of specs. Each edit computes that closure from its candidate's own
 //!    specs, as one per-cone mask; cones outside it cannot change.
-//! 2. **Scoped re-solve** ([`Sta::session_analyze`]): the specs of the
+//! 2. **Scoped re-solve** ([`Sta::session_resolve`]): the specs of the
 //!    closure's victims are re-analyzed with every sweep restricted to
-//!    its cones. Like any analysis call, each re-solve shares
+//!    its cones, into a [`ConePatch`] that holds states and report rows
+//!    for those cones only. Like any analysis call, each re-solve shares
 //!    factorizations only within itself, so an edit leaves nothing behind
 //!    to invalidate.
-//! 3. **Per-cone merge** ([`Sta::session_merge`]): the retained and the
-//!    patch analyses both carry their final per-net propagation states;
-//!    the merge splices them, and their report rows, cone by cone in place
+//! 3. **Per-cone merge** ([`Sta::session_merge`]): the retained analysis
+//!    keeps its final propagation states cone by cone; the merge moves the
+//!    patch's states and report rows into it, cone by cone in place
 //!    (patch inside the closure, retained outside) and re-derives the
 //!    worst point and critical path from the spliced states. Required
 //!    times and slacks never cross a cone boundary, so every row is
@@ -42,21 +43,40 @@
 //! differently under a subset run — the session's shadow audit exists to
 //! catch exactly such divergence.
 
-use crate::engine::{NetState, Sta};
+use crate::engine::{NetState, PerCone, Sta};
 use crate::graph::find_root;
 use crate::netlist::NetId;
 use crate::report::NetTiming;
-use crate::si::{CouplingSpec, SiAdjustment, SiAnalysis};
+use crate::si::{CouplingSpec, PrunedAggressor, SiAdjustment, SiAnalysis, SiDiagnostics};
 
-/// A converged analysis plus the final per-net propagation states it was
-/// reported from — the retained value of one session epoch. The states
-/// are engine-internal; they exist so [`Sta::session_merge`] can splice
-/// results at the state level (see the module docs).
+/// A converged analysis plus the final propagation states it was reported
+/// from, cone by cone — the retained value of one session epoch. The
+/// states are engine-internal; they exist so [`Sta::session_merge`] can
+/// splice results at the state level (see the module docs).
 #[derive(Debug, Clone)]
 pub struct RetainedAnalysis {
     /// The analysis result (report, adjustments, pruned, diagnostics).
     pub analysis: SiAnalysis,
-    pub(crate) states: Vec<NetState>,
+    pub(crate) states: PerCone<NetState>,
+}
+
+/// A scoped re-solve's result ([`Sta::session_resolve`]): the final
+/// states and report rows of the cones it covered, and the adjustments
+/// and pruned records of their victims, ready to be spliced into a
+/// [`RetainedAnalysis`] by [`Sta::session_merge`]. It holds nothing for
+/// the cones outside its scope, so building and merging it costs the
+/// scoped cones' nets, not the design's.
+#[derive(Debug, Clone)]
+pub struct ConePatch {
+    /// The re-solve's diagnostics: a session commits the patch only if it
+    /// converged in time.
+    pub diagnostics: SiDiagnostics,
+    /// The per-cone mask the re-solve covered.
+    pub(crate) cones: Vec<bool>,
+    pub(crate) states: PerCone<NetState>,
+    pub(crate) rows: PerCone<NetTiming>,
+    pub(crate) adjustments: Vec<SiAdjustment>,
+    pub(crate) pruned: Vec<PrunedAggressor>,
 }
 
 impl Sta {
@@ -91,85 +111,100 @@ impl Sta {
             .collect()
     }
 
-    /// Splices a re-solve's `patch` into `retained`, in place: every net
-    /// of the cones `dirty_cones` marks (an edit's [`Sta::coupled_cones`])
-    /// takes the patch's state and row, all others keep their own, and
-    /// the report's worst point and critical path are re-derived from the
-    /// spliced state vector — bit-identical to a batch run over the edited
+    /// Splices a re-solve's `patch` into `retained`, in place: every cone
+    /// the patch covers (an edit's [`Sta::coupled_cones`]) takes the
+    /// patch's states and rows, all others keep their own, and the
+    /// report's worst point and critical path are re-derived from the
+    /// spliced states — bit-identical to a batch run over the edited
     /// design (module docs). Adjustments and pruned records are swapped
-    /// per marked victim; `epoch` stamps the merged diagnostics. The
-    /// retained rows are moved, not copied, so the cost scales with the
-    /// marked cones' nets plus one scan.
-    pub fn session_merge(
-        &self,
-        retained: &mut RetainedAnalysis,
-        patch: RetainedAnalysis,
-        dirty_cones: &[bool],
-        epoch: u64,
-    ) {
-        let RetainedAnalysis {
-            analysis: mut patch,
-            states: patch_states,
+    /// per covered victim; `epoch` stamps the merged diagnostics. States
+    /// and rows are moved, not copied, so the cost scales with the covered
+    /// cones' nets plus one scan of the report for its worst point.
+    pub fn session_merge(&self, retained: &mut RetainedAnalysis, patch: ConePatch, epoch: u64) {
+        let graph = self.graph();
+        let ConePatch {
+            mut diagnostics,
+            cones,
+            mut states,
+            mut rows,
+            adjustments,
+            pruned,
         } = patch;
         let analysis = &mut retained.analysis;
-        let mut rows = analysis.report.take_rows();
-        self.splice_nets(
-            (&mut retained.states, &mut rows, &mut analysis.adjustments),
-            (patch_states, patch.report.take_rows(), patch.adjustments),
-            Some(dirty_cones),
-        );
-        analysis.report = self.report_from_rows(rows, &retained.states);
+        let mut report_rows = analysis.report.take_rows();
+        for cone in graph.scoped_cones(Some(&cones)) {
+            let nets = &graph.components()[cone];
+            for (&net, row) in nets.iter().zip(std::mem::take(&mut rows[cone])) {
+                report_rows[net.0] = row;
+            }
+            retained.states[cone] = std::mem::take(&mut states[cone]);
+        }
+        self.splice_adjustments(&mut analysis.adjustments, adjustments, &cones);
+        analysis.report = self.report_from_rows(report_rows, &retained.states);
 
-        let dirty = |net: NetId| self.graph().in_cones(dirty_cones, net);
-        let pruned = &mut analysis.pruned;
-        pruned.retain(|p| !dirty(p.victim));
-        pruned.extend(patch.pruned.into_iter().filter(|p| dirty(p.victim)));
-        pruned.sort_by_key(|p| (p.victim.0, p.aggressor.0));
+        let dirty = |net: NetId| graph.in_cones(&cones, net);
+        let retained_pruned = &mut analysis.pruned;
+        retained_pruned.retain(|p| !dirty(p.victim));
+        retained_pruned.extend(pruned.into_iter().filter(|p| dirty(p.victim)));
+        retained_pruned.sort_by_key(|p| (p.victim.0, p.aggressor.0));
 
-        analysis.diagnostics = patch.diagnostics;
-        analysis.diagnostics.epoch = epoch;
+        diagnostics.epoch = epoch;
+        analysis.diagnostics = diagnostics;
     }
 
-    /// Splices a re-solve's per-net `(states, report rows, adjustments)`
-    /// into an earlier result's, in place: every net of the cones `cones`
-    /// marks (`None`: every cone) takes the patch's state and row, all
-    /// others keep their own, and the adjustments of the marked victims
-    /// are swapped for the patch's. Returns the worst arrival movement of
-    /// a spliced row (s).
+    /// Splices a re-solve's per-cone `(states, report rows, adjustments)`
+    /// into an earlier result's, in place: every cone `cones` marks takes
+    /// the patch's states and rows (moved, not copied), all others keep
+    /// their own, and the adjustments of the marked victims are swapped
+    /// for the patch's. Returns the worst arrival movement of a spliced
+    /// row (s).
     ///
     /// Required times never cross a cone boundary, so every spliced row is
     /// already exact: the caller re-derives only the report summary
-    /// ([`Sta::report_from_rows`]). Both the session merge and every pass
-    /// of the crosstalk fixed point splice this way.
-    pub(crate) fn splice_nets(
+    /// ([`Sta::report_from_rows`]). Every pass of the crosstalk fixed point
+    /// splices this way, as [`Sta::session_merge`] does for an edit.
+    pub(crate) fn splice_cones(
         &self,
-        (states, rows, adjustments): (&mut [NetState], &mut [NetTiming], &mut Vec<SiAdjustment>),
-        (patch_states, mut patch_rows, patch_adjustments): (
-            Vec<NetState>,
-            Vec<NetTiming>,
+        (states, rows, adjustments): (
+            &mut PerCone<NetState>,
+            &mut PerCone<NetTiming>,
+            &mut Vec<SiAdjustment>,
+        ),
+        (mut patch_states, mut patch_rows, patch_adjustments): (
+            PerCone<NetState>,
+            PerCone<NetTiming>,
             Vec<SiAdjustment>,
         ),
-        cones: Option<&[bool]>,
+        cones: &[bool],
     ) -> f64 {
-        let graph = self.graph();
         let mut moved = 0.0f64;
-        for cone in graph.scoped_components(cones) {
-            for &net in cone {
-                let (row, patch_row) = (&mut rows[net.0], &mut patch_rows[net.0]);
+        for cone in self.graph().scoped_cones(Some(cones)) {
+            for (row, patch_row) in rows[cone].iter().zip(&patch_rows[cone]) {
                 for (old, new) in [(&row.rise, &patch_row.rise), (&row.fall, &patch_row.fall)] {
                     if let (Some(old), Some(new)) = (old, new) {
                         moved = moved.max((old.arrival - new.arrival).abs());
                     }
                 }
-                std::mem::swap(row, patch_row);
-                states[net.0] = patch_states[net.0];
             }
+            rows[cone] = std::mem::take(&mut patch_rows[cone]);
+            states[cone] = std::mem::take(&mut patch_states[cone]);
         }
-        let marked = |net: NetId| cones.is_none_or(|c| graph.in_cones(c, net));
-        adjustments.retain(|a| !marked(a.net));
-        adjustments.extend(patch_adjustments.into_iter().filter(|a| marked(a.net)));
-        adjustments.sort_by_key(|a| (a.net.0, !a.polarity.is_rise()));
+        self.splice_adjustments(adjustments, patch_adjustments, cones);
         moved
+    }
+
+    /// Swaps the adjustments of the victims in the cones `cones` marks for
+    /// `patch`'s, keeping the canonical `(net, rise-first)` order.
+    fn splice_adjustments(
+        &self,
+        adjustments: &mut Vec<SiAdjustment>,
+        patch: Vec<SiAdjustment>,
+        cones: &[bool],
+    ) {
+        let marked = |net: NetId| self.graph().in_cones(cones, net);
+        adjustments.retain(|a| !marked(a.net));
+        adjustments.extend(patch.into_iter().filter(|a| marked(a.net)));
+        adjustments.sort_by_key(|a| (a.net.0, !a.polarity.is_rise()));
     }
 }
 
@@ -266,17 +301,16 @@ mod tests {
         let bc = BoundaryConditions::uniform(&c);
         let opts = SiOptions::default();
         let specs = [spec(v, vec![g])];
-        let full = sta
-            .session_analyze(bc.clone(), &specs, &opts, None)
-            .unwrap();
-        // Merge the full analysis into itself with every cone dirty / no
-        // cone dirty: both must reproduce the batch report bit-identically.
+        let full = sta.session_analyze(bc.clone(), &specs, &opts).unwrap();
+        // Re-solve every cone / no cone and merge the patch into the full
+        // analysis: both must reproduce the batch report bit-identically.
         let cones = sta.graph().components().len();
-        let all = vec![true; cones];
-        let nothing = vec![false; cones];
-        for mask in [&all, &nothing] {
+        for mask in [vec![true; cones], vec![false; cones]] {
+            let patch = sta
+                .session_resolve(bc.clone(), &specs, &opts, Some(&mask))
+                .unwrap();
             let mut merged = full.clone();
-            sta.session_merge(&mut merged, full.clone(), mask, 7);
+            sta.session_merge(&mut merged, patch, 7);
             assert_eq!(merged.analysis.report, full.analysis.report);
             assert_eq!(merged.analysis.adjustments, full.analysis.adjustments);
             assert_eq!(merged.analysis.pruned, full.analysis.pruned);
@@ -294,9 +328,7 @@ mod tests {
         let bc = BoundaryConditions::uniform(&c);
         let opts = SiOptions::default();
         let specs = [spec(v, vec![g])];
-        let full = sta
-            .session_analyze(bc.clone(), &specs, &opts, None)
-            .unwrap();
+        let full = sta.session_analyze(bc.clone(), &specs, &opts).unwrap();
         // Re-solve only the cones v's edit reaches, with the sweeps scoped
         // to them: splicing the patch back over those cones must reproduce
         // the batch report bit-for-bit, even though the patch never swept
@@ -304,10 +336,10 @@ mod tests {
         let scope = sta.coupled_cones(&specs, &[v]);
         assert!(scope.iter().any(|&s| !s), "h's cone must be out of scope");
         let patch = sta
-            .session_analyze(bc.clone(), &specs, &opts, Some(&scope))
+            .session_resolve(bc.clone(), &specs, &opts, Some(&scope))
             .unwrap();
         let mut merged = full.clone();
-        sta.session_merge(&mut merged, patch, &scope, 3);
+        sta.session_merge(&mut merged, patch, 3);
         assert_eq!(merged.analysis.report, full.analysis.report);
         assert_eq!(merged.analysis.adjustments, full.analysis.adjustments);
         assert_eq!(merged.analysis.pruned, full.analysis.pruned);

@@ -109,10 +109,11 @@
 //!   the added pessimism is visible, never silent.
 
 use crate::boundary::BoundaryConditions;
-use crate::engine::{NetState, Sta};
+use crate::engine::{NetState, PerCone, Sta};
+use crate::graph::TimingGraph;
 use crate::netlist::NetId;
 use crate::report::{NetTiming, TimingReport};
-use crate::session::RetainedAnalysis;
+use crate::session::{ConePatch, RetainedAnalysis};
 use crate::StaError;
 use nsta_circuit::{
     Circuit, FactoredSystem, NodeId as CktNode, RcLineSpec, SolverBackend, StarCoupledLines,
@@ -470,24 +471,25 @@ pub struct ConvergenceAction {
 /// further updates change nothing — the termination argument behind the
 /// governed iteration cap.
 fn governed_window_update(
-    windows: &mut [Option<ArrivalWindow>],
-    prev_windows: &[Option<ArrivalWindow>],
-    participant: &[bool],
+    graph: &TimingGraph,
+    windows: &mut [Vec<Option<ArrivalWindow>>],
+    prev_windows: &[Vec<Option<ArrivalWindow>>],
+    participants: &[NetId],
     iteration: usize,
     convergence_actions: &mut Vec<ConvergenceAction>,
 ) {
-    for (i, slot) in windows.iter_mut().enumerate() {
-        if !participant[i] {
+    for &net in participants {
+        let Some(slot) = graph.at_mut(windows, net) else {
             continue;
-        }
-        let prev = prev_windows.get(i).copied().flatten();
+        };
+        let prev = graph.at(prev_windows, net).copied().flatten();
         *slot = match (prev, *slot) {
             (Some(p), Some(f)) => {
                 let widened = f.union(&p);
                 if widened != f {
                     convergence_actions.push(ConvergenceAction {
                         iteration,
-                        net: NetId(i),
+                        net,
                         fresh: f,
                         widened,
                     });
@@ -797,10 +799,15 @@ fn quantize_t_start(earliest: f64) -> f64 {
     }
 }
 
-/// What one crosstalk pass produces: final per-net states, the applied
-/// adjustments, the number of victim transitions it reduced, and any
-/// fault-tolerance actions taken along the way.
-type PassResult = (Vec<NetState>, Vec<SiAdjustment>, usize, Vec<DegradeEvent>);
+/// What one crosstalk pass produces: the final states of the cones it
+/// scheduled, the applied adjustments, the number of victim transitions it
+/// reduced, and any fault-tolerance actions taken along the way.
+type PassResult = (
+    PerCone<NetState>,
+    Vec<SiAdjustment>,
+    usize,
+    Vec<DegradeEvent>,
+);
 
 /// The per-call invariants every function of a crosstalk pass reads.
 #[derive(Clone, Copy)]
@@ -810,7 +817,7 @@ struct PassContext<'a> {
     backend: SolverBackend,
     /// The nominal sweep's states: every aggressor ramp is built from
     /// them.
-    base: &'a [NetState],
+    base: &'a [Vec<NetState>],
     threads: usize,
     policy: FaultPolicy,
     deadline: Option<&'a Deadline>,
@@ -1017,16 +1024,18 @@ impl Sta {
         couplings: &[CouplingSpec],
         scope: Option<&[bool]>,
     ) -> Result<PassResult, StaError> {
-        let mut spec_of: Vec<Option<&CouplingSpec>> = vec![None; self.design().net_count()];
+        let graph = self.graph();
+        // The victims of each cone; a cone task looks its nets' specs up
+        // by slot.
+        let mut victims: Vec<Vec<&CouplingSpec>> = vec![Vec::new(); graph.components().len()];
         for s in couplings {
-            spec_of[s.victim.0] = Some(s);
+            if let Some(cone) = graph.cone_of(s.victim) {
+                victims[cone].push(s);
+            }
         }
         let th = Thresholds::cmos(self.library().voltage);
-        let seed = self.init_states(cx.bc, false);
-        // Out-of-scope cones are never propagated: their states stay at
-        // the seed, exactly like the scoped forward sweep's (the caller
-        // discards them).
-        let active = self.graph().scoped_components(scope);
+        // Out-of-scope cones are never propagated and hold no states.
+        let active = graph.scoped_cones(scope);
         let (outcomes, retried) = crate::par::par_map_govern(
             cx.threads,
             &active,
@@ -1040,21 +1049,26 @@ impl Sta {
                 if nsta_obs::fault::should_fire(nsta_obs::fault::WORKER_PANIC) {
                     panic!("injected: cone worker panic");
                 }
+                let nets = &graph.components()[cone];
                 let mut cone_span = nsta_obs::span!("si.cone");
-                cone_span.set_arg("nets", cone.len() as f64);
-                let mut local: Vec<NetState> = cone.iter().map(|&net| seed[net.0]).collect();
+                cone_span.set_arg("nets", nets.len() as f64);
+                let mut spec_at: Vec<Option<&CouplingSpec>> = vec![None; nets.len()];
+                for &s in &victims[cone] {
+                    spec_at[graph.cone_slot(s.victim)] = Some(s);
+                }
+                let mut local = self.seed_cone(cx.bc, false, cone);
                 let mut out = Resolved::default();
-                for (j, &net) in cone.iter().enumerate() {
+                for (j, &net) in nets.iter().enumerate() {
                     // Cone-local state buffer: all fanin of a cone net is
                     // in the same cone by construction.
                     let updated = self.propagate_net_with(
                         net,
-                        |i| local[self.graph().cone_slot(NetId(i))],
+                        |i| local[graph.cone_slot(NetId(i))],
                         cx.bc,
                         false,
                     )?;
                     local[j] = updated;
-                    let Some(spec) = spec_of[net.0] else { continue };
+                    let Some(spec) = spec_at[j] else { continue };
                     let units = VictimTransition::of_net(spec, &local[j]);
                     let results = self.victim_gammas(cx, &units, &mut out.degrades);
                     out.settle_net(th, cx.policy, &units, results, &mut local[j])?;
@@ -1065,7 +1079,7 @@ impl Sta {
         );
         // Deterministic merge: cone order is fixed by the graph, the work
         // inside each cone by its topological order.
-        let mut states = seed;
+        let mut states = vec![Vec::new(); graph.components().len()];
         let mut resolved = Resolved::default();
         for (ci, (&cone, outcome)) in active.iter().zip(outcomes).enumerate() {
             let (action, cause) = match outcome {
@@ -1074,9 +1088,7 @@ impl Sta {
                 // and every victim in it is recorded so the staleness is
                 // attributable per net.
                 None => {
-                    for &net in cone {
-                        states[net.0] = cx.base[net.0];
-                    }
+                    states[cone] = cx.base[cone].clone();
                     (
                         DegradeAction::DeadlineSkipped,
                         "analysis deadline expired before this cone was scheduled; \
@@ -1085,9 +1097,7 @@ impl Sta {
                 }
                 Some(outcome) => {
                     let (cone_states, cone_resolved) = outcome?;
-                    for (&net, st) in cone.iter().zip(cone_states) {
-                        states[net.0] = st;
-                    }
+                    states[cone] = cone_states;
                     resolved.append(cone_resolved);
                     // A cone the pool recomputed on the coordinator after
                     // a panic: the retry already produced full results.
@@ -1100,9 +1110,9 @@ impl Sta {
                     )
                 }
             };
-            for &net in cone.iter().filter(|net| spec_of[net.0].is_some()) {
+            for s in &victims[cone] {
                 resolved.degrades.push(DegradeEvent {
-                    net: Some(net),
+                    net: Some(s.victim),
                     polarity: None,
                     action,
                     cause: cause.to_string(),
@@ -1131,36 +1141,38 @@ impl Sta {
         ))
     }
 
-    /// Switching windows per net: earliest arrivals from the min sweep,
-    /// latest-arrival-plus-slew from `latest` (finished report rows), both
-    /// taken over rise and fall.
+    /// Switching windows of the nets of the cones `latest` holds rows for:
+    /// earliest arrivals from the min sweep, latest-arrival-plus-slew from
+    /// `latest` (finished report rows), both taken over rise and fall.
     fn windows_from(
-        &self,
-        min_states: &[NetState],
-        latest: &[NetTiming],
-    ) -> Vec<Option<ArrivalWindow>> {
-        (0..self.design().net_count())
-            .map(|i| {
-                let mut earliest = f64::INFINITY;
-                for pol in [Polarity::Rise, Polarity::Fall] {
-                    let p = min_states[i].get(pol);
-                    if p.valid {
-                        earliest = earliest.min(p.arrival);
-                    }
+        min_states: &[Vec<NetState>],
+        latest: &[Vec<NetTiming>],
+    ) -> PerCone<Option<ArrivalWindow>> {
+        let window = |min: &NetState, row: &NetTiming| {
+            let mut earliest = f64::INFINITY;
+            for pol in [Polarity::Rise, Polarity::Fall] {
+                let p = min.get(pol);
+                if p.valid {
+                    earliest = earliest.min(p.arrival);
                 }
-                let mut end = f64::NEG_INFINITY;
-                // Report rows hold one NetTiming per net id, in order:
-                // index directly rather than scanning the rows per net.
-                if let Some(t) = latest.get(i) {
-                    debug_assert_eq!(t.net, NetId(i));
-                    for pt in [&t.rise, &t.fall].into_iter().flatten() {
-                        end = end.max(pt.arrival + pt.slew);
-                    }
-                }
-                (earliest.is_finite() && end.is_finite()).then_some(ArrivalWindow {
-                    earliest,
-                    latest: end,
-                })
+            }
+            let mut end = f64::NEG_INFINITY;
+            for pt in [&row.rise, &row.fall].into_iter().flatten() {
+                end = end.max(pt.arrival + pt.slew);
+            }
+            (earliest.is_finite() && end.is_finite()).then_some(ArrivalWindow {
+                earliest,
+                latest: end,
+            })
+        };
+        min_states
+            .iter()
+            .zip(latest)
+            .map(|(min, rows)| {
+                rows.iter()
+                    .zip(min)
+                    .map(|(row, min)| window(min, row))
+                    .collect()
             })
             .collect()
     }
@@ -1170,19 +1182,21 @@ impl Sta {
     /// window (unreachable in the sweep) are conservatively kept so the
     /// analysis itself can report them as errors.
     fn window_filter(
+        &self,
         couplings: &[CouplingSpec],
-        windows: &[Option<ArrivalWindow>],
+        windows: &[Vec<Option<ArrivalWindow>>],
     ) -> (Vec<CouplingSpec>, Vec<PrunedAggressor>) {
+        let window = |net: NetId| self.graph().at(windows, net).copied().flatten();
         let mut filtered = Vec::with_capacity(couplings.len());
         let mut pruned = Vec::new();
         for spec in couplings {
-            let Some(victim_window) = windows.get(spec.victim.0).copied().flatten() else {
+            let Some(victim_window) = window(spec.victim) else {
                 filtered.push(spec.clone());
                 continue;
             };
             let mut keep = Vec::with_capacity(spec.aggressors.len());
             for (i, &agg) in spec.aggressors.iter().enumerate() {
-                match windows.get(agg.0).copied().flatten() {
+                match window(agg) {
                     Some(aw) if !victim_window.overlaps(&aw, spec.aggressor_skew) => {
                         pruned.push(PrunedAggressor {
                             victim: spec.victim,
@@ -1240,26 +1254,14 @@ impl Sta {
         couplings: &[CouplingSpec],
         options: &SiOptions,
     ) -> Result<SiAnalysis, StaError> {
-        self.session_analyze(constraints, couplings, options, None)
+        self.session_analyze(constraints, couplings, options)
             .map(|retained| retained.analysis)
     }
 
-    /// [`Sta::analyze_with_crosstalk_windows`], retaining the final per-net
+    /// [`Sta::analyze_with_crosstalk_windows`], retaining the final
     /// propagation states so that [`Sta::session_merge`] can splice a
-    /// later re-solve into the result at the state level (see
-    /// [`crate::session`]). The session layer's workhorse: the first call
-    /// analyzes the full spec set; each edit re-analyzes only the specs of
-    /// the victims in its dirty closure ([`Sta::coupled_cones`]).
-    ///
-    /// `scope` optionally restricts every sweep, pass and report row to
-    /// the cones a per-cone mask marks (indexed like
-    /// [`crate::TimingGraph::components`]); `None` covers every cone, as
-    /// the initial full analysis requires. Sound when `scope` is closed
-    /// under the specs it holds, as the edit's closure is: the fixed point
-    /// and the window filter only ever read states of coupling
-    /// participants, all inside the scope. Nets of unscoped cones keep
-    /// their seed states and placeholder rows, which the merge never
-    /// reads when it is given the same mask.
+    /// later re-solve ([`Sta::session_resolve`]) into the result at the
+    /// state level (see [`crate::session`]). A session opens with it.
     ///
     /// # Errors
     ///
@@ -1269,16 +1271,57 @@ impl Sta {
         constraints: impl Into<BoundaryConditions>,
         couplings: &[CouplingSpec],
         options: &SiOptions,
-        scope: Option<&[bool]>,
     ) -> Result<RetainedAnalysis, StaError> {
-        let bc = constraints.into();
+        let ConePatch {
+            diagnostics,
+            states,
+            rows,
+            adjustments,
+            pruned,
+            ..
+        } = self.session_resolve(constraints, couplings, options, None)?;
+        Ok(RetainedAnalysis {
+            analysis: SiAnalysis {
+                report: self.report_from_rows(self.net_rows(rows), &states),
+                adjustments,
+                pruned,
+                diagnostics,
+            },
+            states,
+        })
+    }
+
+    /// The crosstalk fixed point itself, returned as a patch for
+    /// [`Sta::session_merge`]: every sweep, pass and report row is
+    /// restricted to the cones the per-cone mask `scope` marks (indexed
+    /// like [`crate::TimingGraph::components`]; `None`: every cone). A
+    /// session edit passes its dirty closure ([`Sta::coupled_cones`]) and
+    /// the specs of the victims in it.
+    ///
+    /// Sound when `scope` is closed under the specs it holds, as the
+    /// edit's closure is: the fixed point and the window filter only ever
+    /// read states of coupling participants, all inside the scope. Every
+    /// per-net buffer of the re-solve holds the scoped cones' nets only,
+    /// so its cost follows the closure, not the design.
+    ///
+    /// # Errors
+    ///
+    /// Same failure modes as [`Sta::analyze_with_crosstalk_windows`].
+    pub fn session_resolve(
+        &self,
+        constraints: impl Into<BoundaryConditions>,
+        couplings: &[CouplingSpec],
+        options: &SiOptions,
+        scope: Option<&[bool]>,
+    ) -> Result<ConePatch, StaError> {
+        let bc = &constraints.into();
         self.check_victims(couplings)?;
         let mut phase_span = nsta_obs::span!("si.windowed");
         phase_span.set_arg("victims", couplings.len() as f64);
         phase_span.set_arg("threads", options.threads.max(1) as f64);
         // The false-path mask depends only on the graph and the boundary
         // conditions: compute it once, outside the fixed point.
-        let mask = self.false_edge_mask(&bc);
+        let mask = self.false_edge_mask(bc);
         let mask = mask.as_ref();
         let threads = options.threads.max(1);
         // Iteration-invariant work, hoisted out of the fixed point: the
@@ -1289,14 +1332,14 @@ impl Sta {
         // constraint-set arrival ranges instead of a single point.
         let base = {
             let _sweep_span = nsta_obs::span!("si.nominal_sweep");
-            self.forward_sweep_scoped(&bc, false, threads, scope)?
+            self.forward_sweep_scoped(bc, false, threads, scope)?
         };
         let deadline = options.deadline.as_ref();
         let cones = self.graph().components().len();
         phase_span.set_arg("cones", cones as f64);
         let factors = Factorizations::default();
         let cx = PassContext {
-            bc: &bc,
+            bc,
             method: options.method,
             backend: options.backend,
             base: &base,
@@ -1308,10 +1351,10 @@ impl Sta {
 
         let min_states = {
             let _sweep_span = nsta_obs::span!("si.min_sweep");
-            self.forward_sweep_scoped(&bc, true, threads, scope)?
+            self.forward_sweep_scoped(bc, true, threads, scope)?
         };
-        let clean = self.report_rows(&bc, &base, mask, scope)?;
-        let mut windows = self.windows_from(&min_states, &clean);
+        let clean = self.report_rows(bc, &base, mask, scope)?;
+        let mut windows = Self::windows_from(&min_states, &clean);
         // The fixed point's running result, into which each pass splices
         // the cones it re-solved: the nominal states and rows, which a cone
         // holding no victim keeps for good.
@@ -1332,15 +1375,12 @@ impl Sta {
         // delta sequence stagnates or the cap runs out unconverged.
         let mut convergence_actions: Vec<ConvergenceAction> = Vec::new();
         let mut governed = false;
-        let mut participant = vec![false; self.design().net_count()];
-        for s in couplings {
-            participant[s.victim.0] = true;
-            for &a in &s.aggressors {
-                if let Some(p) = participant.get_mut(a.0) {
-                    *p = true;
-                }
-            }
-        }
+        let mut participants: Vec<NetId> = couplings
+            .iter()
+            .flat_map(|s| std::iter::once(s.victim).chain(s.aggressors.iter().copied()))
+            .collect();
+        participants.sort_unstable();
+        participants.dedup();
         let total_pairs: usize = couplings.iter().map(|s| s.aggressors.len()).sum();
         // Termination bound of the governed phase: widened windows only
         // grow, so overlap decisions only flip towards "keep" — the
@@ -1350,7 +1390,7 @@ impl Sta {
         let governed_cap = max_iterations + total_pairs + 2;
         let mut iteration_cap = max_iterations;
         while iteration_trace.len() < iteration_cap {
-            let (filtered, pass_pruned) = Self::window_filter(couplings, &windows);
+            let (filtered, pass_pruned) = self.window_filter(couplings, &windows);
             // Every pass re-solves only the cones holding a victim whose
             // filtered spec is new or changed (see the module docs). The
             // first pass always runs; after it, no change is convergence.
@@ -1364,18 +1404,18 @@ impl Sta {
             let (pass_states, pass_adjustments, recomputed, mut degrades) =
                 self.crosstalk_pass(&cx, &filtered, Some(&pass_cones))?;
             degrade_events.append(&mut degrades);
-            let pass_rows = self.report_rows(&bc, &pass_states, mask, Some(&pass_cones))?;
+            let pass_rows = self.report_rows(bc, &pass_states, mask, Some(&pass_cones))?;
             let fresh = pass_adjustments.len();
-            let moved = self.splice_nets(
+            let moved = self.splice_cones(
                 (&mut states, &mut rows, &mut adjustments),
                 (pass_states, pass_rows, pass_adjustments),
-                Some(&pass_cones),
+                &pass_cones,
             );
             // Every fresh adjustment lies in a re-solved cone; the rest were
             // carried over.
             let cached = adjustments.len() - fresh;
             let prev_windows =
-                std::mem::replace(&mut windows, self.windows_from(&min_states, &rows));
+                std::mem::replace(&mut windows, Self::windows_from(&min_states, &rows));
             iteration_trace.push(SiIteration {
                 victims_recomputed: recomputed,
                 victims_cached: cached,
@@ -1422,37 +1462,37 @@ impl Sta {
             }
             if governed {
                 governed_window_update(
+                    self.graph(),
                     &mut windows,
                     &prev_windows,
-                    &participant,
+                    &participants,
                     iteration_trace.len(),
                     &mut convergence_actions,
                 );
             }
         }
         phase_span.set_arg("iterations", iteration_trace.len() as f64);
-        Ok(RetainedAnalysis {
-            analysis: SiAnalysis {
-                report: self.report_from_rows(rows, &states),
-                adjustments,
-                pruned,
-                // Factorization counters accumulate across iterations;
-                // snapshot them once on the surviving analysis.
-                diagnostics: SiDiagnostics {
-                    iterations: iteration_trace,
-                    converged,
-                    cones,
-                    cache_hits: factors.hits.load(Ordering::Relaxed),
-                    cache_misses: factors.misses.load(Ordering::Relaxed),
-                    solver_backend: options.backend,
-                    solver_nnz: factors.max_nnz.load(Ordering::Relaxed),
-                    degrade_events,
-                    timed_out,
-                    convergence_actions,
-                    epoch: 0,
-                },
+        Ok(ConePatch {
+            // Factorization counters accumulate across iterations;
+            // snapshot them once on the surviving analysis.
+            diagnostics: SiDiagnostics {
+                iterations: iteration_trace,
+                converged,
+                cones,
+                cache_hits: factors.hits.load(Ordering::Relaxed),
+                cache_misses: factors.misses.load(Ordering::Relaxed),
+                solver_backend: options.backend,
+                solver_nnz: factors.max_nnz.load(Ordering::Relaxed),
+                degrade_events,
+                timed_out,
+                convergence_actions,
+                epoch: 0,
             },
+            cones: scope.map_or_else(|| vec![true; cones], <[bool]>::to_vec),
             states,
+            rows,
+            adjustments,
+            pruned,
         })
     }
 
@@ -1572,9 +1612,9 @@ impl Sta {
         let agg_pol = spec.aggressor_polarity(victim_pol);
         let mut agg_ramps = Vec::new();
         for &agg in &spec.aggressors {
-            let p = cx
-                .base
-                .get(agg.0)
+            let p = self
+                .graph()
+                .at(cx.base, agg)
                 .map(|s| *s.get(agg_pol))
                 .filter(|p| p.valid)
                 .ok_or_else(|| {
@@ -2225,9 +2265,19 @@ mod tests {
             .forward_sweep_scoped(&BoundaryConditions::from(&c), true, 1, None)
             .unwrap();
         let report = sta.analyze(c).unwrap();
-        let windows = sta.windows_from(&min_states, report.nets());
+        let rows = sta
+            .graph()
+            .components()
+            .iter()
+            .map(|cone| {
+                cone.iter()
+                    .map(|&net| report.nets()[net.0].clone())
+                    .collect()
+            })
+            .collect::<Vec<Vec<_>>>();
+        let windows = Sta::windows_from(&min_states, &rows);
         let mut seen = 0;
-        for w in windows.into_iter().flatten() {
+        for w in windows.into_iter().flatten().flatten() {
             assert!(w.earliest <= w.latest);
             seen += 1;
         }
@@ -2355,7 +2405,7 @@ mod tests {
     /// The context of one crosstalk pass over the nominal states `base`.
     fn pass_context<'a>(
         bc: &'a BoundaryConditions,
-        base: &'a [NetState],
+        base: &'a [Vec<NetState>],
         threads: usize,
         factors: Option<&'a Factorizations>,
     ) -> PassContext<'a> {
@@ -2386,7 +2436,7 @@ mod tests {
                 [Polarity::Rise, Polarity::Fall]
                     .into_iter()
                     .map(|polarity| {
-                        let point = cx.base[spec.victim.0].get(polarity);
+                        let point = sta.graph().at(cx.base, spec.victim).unwrap().get(polarity);
                         assert!(point.valid);
                         let unit = VictimTransition {
                             spec,
@@ -2529,7 +2579,7 @@ mod tests {
         // 0.5 ns quanta.
         let far = specs[2].aggressors[1];
         let end = |pol: Polarity| {
-            let p = base[far.0].get(pol);
+            let p = sta.graph().at(&base, far).unwrap().get(pol);
             p.arrival + p.slew
         };
         specs[2].aggressor_skew = 0.5e-9 - 0.5 * (end(Polarity::Rise) + end(Polarity::Fall));
@@ -2581,7 +2631,7 @@ mod tests {
         let line = specs[0].line;
         specs[0].line = RcLineSpec::new(line.r_total, line.c_total, 48).unwrap();
         let mid = |net: NetId| {
-            let state = &base[net.0];
+            let state = sta.graph().at(&base, net).unwrap();
             0.5 * (state.get(Polarity::Rise).arrival + state.get(Polarity::Fall).arrival)
         };
         specs[0].aggressor_skew = mid(specs[0].victim) + 150e-12 - mid(specs[0].aggressors[1]);
@@ -2891,26 +2941,16 @@ mod tests {
         let rec = nsta_obs::recorder();
         rec.reset();
         rec.enable();
-        drop(nsta_obs::span!("test.own_thread"));
         let analysis =
             sta.analyze_with_crosstalk_windows(Constraints::default(), &specs, &first_pass_only);
         rec.disable();
-        let trace = rec.chrome_trace(1);
+        let processed = rec.metrics().get("par.items_processed");
         rec.reset();
         let analysis = analysis.unwrap();
         assert_eq!(analysis.diagnostics.iterations.len(), 1);
-        // One thread: the coordinator, this test's thread, runs every cone.
-        // Tests running beside this one record into the same process-wide
-        // recorder, but on threads of their own.
-        fn tid(line: &str) -> Option<&str> {
-            line.split("\"tid\":").nth(1)?.split([',', '}']).next()
-        }
-        let event = |name: &str| format!("{{\"name\":\"{name}\"");
-        let lines = || trace.lines().map(str::trim_start);
-        let own = lines().find(|l| l.starts_with(&event("test.own_thread")));
-        let own = own.and_then(tid);
-        let cones = lines().filter(|l| l.starts_with(&event("si.cone")) && tid(l) == own);
-        assert_eq!(cones.count(), groups);
+        // The pool counts every item it runs: each of the nine cones in the
+        // nominal and the min sweep, then the first pass's victim cones.
+        assert_eq!(processed, Some((2 * 9 + groups) as f64));
         assert_equals_one_pass_over_final_specs(&sta, &specs, &analysis);
     }
 
@@ -3083,11 +3123,40 @@ mod tests {
             w(7e-12, 9e-12),
         ];
         let b = vec![w(30e-12, 40e-12), w(0.0, 8e-12), w(3e-12, 4e-12), None];
-        let participant = vec![true, true, false, true];
+        let participants = [NetId(0), NetId(1), NetId(3)];
+        // The windows of nets 0-3 of a design, stored per cone and read
+        // back per net.
+        let sta = Sta::new(coupled_design(), lib().clone()).unwrap();
+        let graph = sta.graph();
+        let per_cone = |windows: &[Option<ArrivalWindow>]| -> PerCone<Option<ArrivalWindow>> {
+            let at = |net: &NetId| windows.get(net.0).copied().flatten();
+            graph
+                .components()
+                .iter()
+                .map(|cone| cone.iter().map(at).collect())
+                .collect()
+        };
+        let update = |fresh: &[Option<ArrivalWindow>],
+                      prev: &[Option<ArrivalWindow>],
+                      iteration: usize,
+                      actions: &mut Vec<ConvergenceAction>| {
+            let mut windows = per_cone(fresh);
+            let prev = per_cone(prev);
+            governed_window_update(
+                graph,
+                &mut windows,
+                &prev,
+                &participants,
+                iteration,
+                actions,
+            );
+            (0..4)
+                .map(|i| graph.at(&windows, NetId(i)).copied().flatten())
+                .collect::<Vec<_>>()
+        };
         // The loop's governed step: prev iterate A, fresh iterate B.
-        let mut windows = b.clone();
         let mut actions = Vec::new();
-        governed_window_update(&mut windows, &a, &participant, 1, &mut actions);
+        let windows = update(&b, &a, 1, &mut actions);
         // Conservative: every installed window contains BOTH iterates.
         for i in [0usize, 1] {
             let u = windows[i].unwrap();
@@ -3112,16 +3181,12 @@ mod tests {
         // stationary windows the filter's specs repeat and the loop's
         // unchanged-spec stop fires.
         let installed = windows.clone();
-        let mut next = a.clone();
-        let mut more = Vec::new();
-        governed_window_update(&mut next, &installed, &participant, 2, &mut more);
+        let next = update(&a, &installed, 2, &mut Vec::new());
         assert_eq!(next[0], installed[0]);
         assert_eq!(next[1], installed[1]);
         assert_eq!(next[3], installed[3]);
         // And once more from the other phase: still stationary.
-        let mut third = b.clone();
-        let mut last = Vec::new();
-        governed_window_update(&mut third, &installed, &participant, 3, &mut last);
+        let third = update(&b, &installed, 3, &mut Vec::new());
         assert_eq!(third[0], installed[0]);
         assert_eq!(third[1], installed[1]);
         assert_eq!(third[3], installed[3]);

@@ -151,15 +151,17 @@ fn perturb_for(i: usize, seed: u64) -> Perturb {
 /// epoch/journal and (until a degraded recovery lands) match a fresh
 /// batch analysis within the audit tolerance; a rollback may only happen
 /// under a perturbation and must leave the session bit-identical to the
-/// pre-edit snapshot. Returns the session plus whether a numeric fault
-/// fired and recovered (the caller must then compare replay by tolerance
-/// instead of bit-identity).
-fn fuzz_sequence(seed: u64, threads: usize, inject: bool) -> (TimingSession, bool) {
+/// pre-edit snapshot. Returns the session, whether a numeric fault fired
+/// and recovered (the caller must then compare replay by tolerance
+/// instead of bit-identity), and whether the worker panic fired (and was
+/// therefore contained: its edit still committed).
+fn fuzz_sequence(seed: u64, threads: usize, inject: bool) -> (TimingSession, bool, bool) {
     fault::disarm();
     let mut session = open_session(threads);
     let mut rng = XorShift64::new(seed);
     let mut rollbacks = 0u32;
     let mut degraded = false;
+    let mut panicked = false;
     for i in 0..EDITS_PER_SEQUENCE {
         let edit = gen_edit(&mut rng, &session, i);
         let before = session.report().clone();
@@ -199,6 +201,7 @@ fn fuzz_sequence(seed: u64, threads: usize, inject: bool) -> (TimingSession, boo
                     "edit {i}: committed with no dirty nets"
                 );
                 degraded |= matches!(perturb, Perturb::Numeric(_)) && fired;
+                panicked |= perturb == Perturb::WorkerPanic && fired;
                 // A degraded recovery legitimately diverges from a fresh
                 // batch (dense-fallback numerics); the shadow audit's job
                 // is to flag exactly that, so it only gates clean states.
@@ -251,7 +254,7 @@ fn fuzz_sequence(seed: u64, threads: usize, inject: bool) -> (TimingSession, boo
     }
     assert_eq!(session.rollbacks(), u64::from(rollbacks));
     assert!(session.quarantined().is_none(), "session quarantined");
-    (session, degraded)
+    (session, degraded, panicked)
 }
 
 /// Replay rebuilds the committed state from the seed inputs plus the
@@ -300,18 +303,25 @@ fn assert_replay_matches(session: &TimingSession, seed: u64, degraded: bool) {
 #[test]
 fn randomized_edit_rollback_fuzz_single_thread() {
     let _guard = fault_guard();
+    let mut panics = 0;
     for seed in [0x5EED_0001u64, 0x5EED_0002, 0x5EED_0003] {
-        let (session, degraded) = fuzz_sequence(seed, 1, true);
+        let (session, degraded, panicked) = fuzz_sequence(seed, 1, true);
         assert_replay_matches(&session, seed, degraded);
+        panics += usize::from(panicked);
     }
+    // The one-thread pool runs its cone on the coordinator: at least one
+    // seed must reach the armed panic there, or this test no longer covers
+    // its containment.
+    assert!(panics > 0, "no seed fired the worker panic at one thread");
 }
 
 #[test]
 fn randomized_edit_rollback_fuzz_four_threads() {
     let _guard = fault_guard();
     let seed = 0x5EED_0004u64;
-    let (session, degraded) = fuzz_sequence(seed, 4, true);
+    let (session, degraded, panicked) = fuzz_sequence(seed, 4, true);
     assert_replay_matches(&session, seed, degraded);
+    assert!(panicked, "the worker panic never fired (seed {seed:#x})");
 }
 
 /// With no faults armed the edit stream is pure and deterministic, so
@@ -323,8 +333,8 @@ fn thread_schedule_does_not_change_committed_state() {
     let _guard = fault_guard();
     fault::disarm();
     let seed = 0x5EED_0005u64;
-    let (one, _) = fuzz_sequence(seed, 1, false);
-    let (four, _) = fuzz_sequence(seed, 4, false);
+    let (one, ..) = fuzz_sequence(seed, 1, false);
+    let (four, ..) = fuzz_sequence(seed, 4, false);
     assert_eq!(
         one.report(),
         four.report(),
