@@ -218,28 +218,25 @@ impl Sta {
     }
 
     /// One net's fanin update: folds every incoming arc into the net's
-    /// current state and returns the result. Reads only predecessor
-    /// states, all inside the net's own cone, so distinct cones can be
-    /// swept concurrently; the arithmetic is a fixed per-net operation
-    /// sequence, making the outcome independent of which thread runs it.
-    ///
-    /// The state accessor (by net id) is a closure so the cone sweeps can
-    /// serve reads from a compact per-cone buffer instead of a
-    /// full-design state vector — the fold performs the identical
-    /// operation sequence regardless of the accessor.
-    pub(crate) fn propagate_net_with(
+    /// state in `cone` (the states of its cone, in cone order) and returns
+    /// the result. Reads only predecessor states, all inside the net's own
+    /// cone, so distinct cones can be swept concurrently; the arithmetic is
+    /// a fixed per-net operation sequence, making the outcome independent
+    /// of which thread runs it.
+    pub(crate) fn propagate_net(
         &self,
         net: NetId,
-        get: impl Fn(usize) -> NetState,
+        cone: &[NetState],
         bc: &BoundaryConditions,
         minimize: bool,
     ) -> Result<NetState, StaError> {
-        let mut state = get(net.0);
+        let at = |net: NetId| cone[self.graph.cone_slot(net)];
+        let mut state = at(net);
         let load = self.net_load(net, bc);
         for &k in self.graph.fanin_edges(net) {
             let edge = &self.graph.edges()[k];
             for from_pol in [Polarity::Rise, Polarity::Fall] {
-                let from = *get(edge.from.0).get(from_pol);
+                let from = *at(edge.from).get(from_pol);
                 if !from.valid {
                     continue;
                 }
@@ -301,13 +298,7 @@ impl Sta {
             cone_span.set_arg("nets", nets.len() as f64);
             let mut local = self.seed_cone(bc, minimize, cone);
             for (j, &net) in nets.iter().enumerate() {
-                let updated = self.propagate_net_with(
-                    net,
-                    |i| local[self.graph.cone_slot(NetId(i))],
-                    bc,
-                    minimize,
-                )?;
-                local[j] = updated;
+                local[j] = self.propagate_net(net, &local, bc, minimize)?;
             }
             Ok::<_, StaError>(local)
         });

@@ -1059,15 +1059,7 @@ impl Sta {
                 let mut local = self.seed_cone(cx.bc, false, cone);
                 let mut out = Resolved::default();
                 for (j, &net) in nets.iter().enumerate() {
-                    // Cone-local state buffer: all fanin of a cone net is
-                    // in the same cone by construction.
-                    let updated = self.propagate_net_with(
-                        net,
-                        |i| local[graph.cone_slot(NetId(i))],
-                        cx.bc,
-                        false,
-                    )?;
-                    local[j] = updated;
+                    local[j] = self.propagate_net(net, &local, cx.bc, false)?;
                     let Some(spec) = spec_at[j] else { continue };
                     let units = VictimTransition::of_net(spec, &local[j]);
                     let results = self.victim_gammas(cx, &units, &mut out.degrades);
@@ -1291,12 +1283,12 @@ impl Sta {
         })
     }
 
-    /// The crosstalk fixed point itself, returned as a patch for
-    /// [`Sta::session_merge`]: every sweep, pass and report row is
-    /// restricted to the cones the per-cone mask `scope` marks (indexed
-    /// like [`crate::TimingGraph::components`]; `None`: every cone). A
-    /// session edit passes its dirty closure ([`Sta::coupled_cones`]) and
-    /// the specs of the victims in it.
+    /// The fixed point of [`Sta::analyze_with_crosstalk_windows`], returned
+    /// as a patch for [`Sta::session_merge`], with every sweep, pass and
+    /// report row restricted to the cones the per-cone mask `scope` marks
+    /// (indexed like [`crate::TimingGraph::components`]; `None`: every
+    /// cone). A session edit passes its dirty closure
+    /// ([`Sta::coupled_cones`]) and the specs of the victims in it.
     ///
     /// Sound when `scope` is closed under the specs it holds, as the
     /// edit's closure is: the fixed point and the window filter only ever
