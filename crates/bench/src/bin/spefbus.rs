@@ -39,7 +39,8 @@
 //!   same design and absorbs a deterministic stream of N transactional
 //!   edits (output-load changes, driver-resistance changes, single-net
 //!   re-annotations, cycled over the groups by a seeded PRNG), each
-//!   re-solving only the cones its coupling specs reach. The session is
+//!   re-solving only the cones its coupling specs reach and sweeping only
+//!   the victim cone among them. The session is
 //!   shadow-audited every 8 commits and once at the end against a
 //!   from-scratch batch analysis; a divergence quarantines it and exits
 //!   6. The final state is then reanalysed from scratch five times: each
@@ -160,6 +161,7 @@ struct EcoSummary {
     epoch: u64,
     dirty_cones_per_edit: f64,
     dirty_nets_per_edit: f64,
+    swept_cones_per_edit: f64,
     audits_run: u64,
     audit_max_divergence: f64,
 }
@@ -395,6 +397,7 @@ fn main() {
         let mut committed = 0usize;
         let mut dirty_cone_total = 0usize;
         let mut dirty_net_total = 0usize;
+        let mut swept_cone_total = 0usize;
         for i in 0..edits {
             let g = rng.next_below(groups as u64) as usize;
             let edit = match i % 3 {
@@ -435,6 +438,7 @@ fn main() {
                     committed += 1;
                     dirty_cone_total += info.dirty_cones;
                     dirty_net_total += info.dirty_nets;
+                    swept_cone_total += info.swept_cones;
                 }
                 EditOutcome::AuditFailed(f) | EditOutcome::ReadOnly(f) => {
                     eprintln!("spefbus: shadow audit diverged mid-stream: {f}");
@@ -503,6 +507,7 @@ fn main() {
             epoch: session.epoch(),
             dirty_cones_per_edit: dirty_cone_total as f64 / committed.max(1) as f64,
             dirty_nets_per_edit: dirty_net_total as f64 / committed.max(1) as f64,
+            swept_cones_per_edit: swept_cone_total as f64 / committed.max(1) as f64,
             audits_run: session.audits_run(),
             audit_max_divergence: session.max_audit_divergence(),
         }
@@ -781,6 +786,10 @@ fn main() {
                     (
                         "dirty_nets_per_edit",
                         Json::Num((eco.dirty_nets_per_edit * 1e2).round() / 1e2),
+                    ),
+                    (
+                        "swept_cones_per_edit",
+                        Json::Num((eco.swept_cones_per_edit * 1e2).round() / 1e2),
                     ),
                     (
                         "audit",

@@ -43,23 +43,24 @@ pub struct SensitivityCurve {
 }
 
 impl SensitivityCurve {
-    /// Extracts `ρ` from a noiseless input/output waveform pair (Eq. 1).
+    /// Extracts `ρ` from a noiseless input/output waveform pair (Eq. 1)
+    /// across `region`, the input's critical region
+    /// ([`Waveform::critical_region`], which a [`PropagationContext`]
+    /// measures once).
     ///
     /// `polarity` is the *input* transition direction. The magnitude of the
     /// derivative ratio is used, so the output may transition either way.
     ///
     /// # Errors
     ///
-    /// * [`SgdpError::Waveform`] if the input has no critical region.
-    /// * [`SgdpError::DegenerateFit`] if the input is flat across its
-    ///   entire critical region.
+    /// [`SgdpError::DegenerateFit`] if the input is flat across its
+    /// entire critical region.
     pub fn from_noiseless(
         v_in: &Waveform,
         v_out: &Waveform,
-        thresholds: nsta_waveform::Thresholds,
+        region: (f64, f64),
         polarity: Polarity,
     ) -> Result<Self, SgdpError> {
-        let region = v_in.critical_region(thresholds, polarity)?;
         let (t0, t1) = region;
         let n = CURVE_POINTS;
         let h = (t1 - t0) / (n as f64) / 2.0;
@@ -199,13 +200,14 @@ pub(crate) fn compute_noiseless_sensitivity(
     let v_in = ctx.noiseless_input();
     let v_out = ctx.noiseless_output_or_err()?;
     let th = ctx.thresholds();
-    if transitions_overlap(v_in, v_out, th)? {
-        let curve = SensitivityCurve::from_noiseless(v_in, v_out, th, ctx.polarity())?;
+    let region = ctx.noiseless_critical_region()?;
+    if transitions_overlap(region, v_out, th)? {
+        let curve = SensitivityCurve::from_noiseless(v_in, v_out, region, ctx.polarity())?;
         Ok(ShiftedSensitivity { curve, delta: 0.0 })
     } else {
         let delta = transition_gap(v_in, v_out, th)?;
         let aligned = v_out.shifted(-delta);
-        let curve = SensitivityCurve::from_noiseless(v_in, &aligned, th, ctx.polarity())?;
+        let curve = SensitivityCurve::from_noiseless(v_in, &aligned, region, ctx.polarity())?;
         Ok(ShiftedSensitivity { curve, delta })
     }
 }
@@ -265,13 +267,19 @@ mod tests {
             .unwrap()
     }
 
+    /// The curve over `v_in`'s own critical region.
+    fn curve(v_in: &Waveform, v_out: &Waveform, polarity: Polarity) -> SensitivityCurve {
+        let region = v_in.critical_region(th(), polarity).unwrap();
+        SensitivityCurve::from_noiseless(v_in, v_out, region, polarity).unwrap()
+    }
+
     #[test]
     fn slew_ratio_is_recovered() {
         // Input slew 200 ps, output slew 100 ps, overlapping mid-crossings:
         // ρ ≈ 2 wherever both ramps are active.
         let v_in = ramp_wave(1.0e-9, 200e-12, true);
         let v_out = ramp_wave(1.02e-9, 100e-12, false);
-        let c = SensitivityCurve::from_noiseless(&v_in, &v_out, th(), Polarity::Rise).unwrap();
+        let c = curve(&v_in, &v_out, Polarity::Rise);
         // At mid-region both are in transition.
         let mid = 1.0e-9;
         let got = c.rho_at_time(mid);
@@ -285,7 +293,7 @@ mod tests {
     fn voltage_and_time_views_agree_for_monotone_input() {
         let v_in = ramp_wave(1.0e-9, 200e-12, true);
         let v_out = ramp_wave(1.0e-9, 120e-12, false);
-        let c = SensitivityCurve::from_noiseless(&v_in, &v_out, th(), Polarity::Rise).unwrap();
+        let c = curve(&v_in, &v_out, Polarity::Rise);
         let (t0, t1) = c.region();
         for frac in [0.2, 0.4, 0.6, 0.8] {
             let t = t0 + (t1 - t0) * frac;
@@ -300,7 +308,7 @@ mod tests {
     fn falling_input_builds_ascending_voltage_map() {
         let v_in = ramp_wave(1.0e-9, 200e-12, false);
         let v_out = ramp_wave(1.02e-9, 100e-12, true);
-        let c = SensitivityCurve::from_noiseless(&v_in, &v_out, th(), Polarity::Fall).unwrap();
+        let c = curve(&v_in, &v_out, Polarity::Fall);
         // Lookup works across the swing.
         for v in [0.2, 0.6, 1.0] {
             assert!(c.rho_at_voltage(v) >= 0.0);
@@ -419,7 +427,7 @@ mod tests {
             ),
         ];
         for (name, v_in, v_out, polarity) in cases {
-            let c = SensitivityCurve::from_noiseless(&v_in, &v_out, th(), polarity).unwrap();
+            let c = curve(&v_in, &v_out, polarity);
             let [times, rho, map_volts, map_rho] = per_point_reference(&v_in, &v_out, polarity);
             assert_bits_eq(&c.times, &times, &format!("{name} times"));
             assert_bits_eq(&c.rho, &rho, &format!("{name} rho"));

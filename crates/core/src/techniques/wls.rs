@@ -32,7 +32,7 @@ impl EquivalentWaveform for Wls5 {
         let th = ctx.thresholds();
         let v_in = ctx.noiseless_input();
         let v_out = ctx.noiseless_output_or_err()?;
-        if !transitions_overlap(v_in, v_out, th)? {
+        if !transitions_overlap(ctx.noiseless_critical_region()?, v_out, th)? {
             let gap = transition_gap(v_in, v_out, th)?;
             return Err(SgdpError::NonOverlapping { gap });
         }

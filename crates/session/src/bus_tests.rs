@@ -88,6 +88,49 @@ fn drive_resistance_edits_survive_a_reannotation() {
     assert_eq!(audit.max_divergence, 0.0);
 }
 
+#[test]
+fn each_edit_sweeps_only_its_victim_cone_and_changed_boundaries() {
+    let mut s = open_bus();
+    let mut dnet = section(&s, "v5");
+    for cap in &mut dnet.caps {
+        cap.value *= 0.9;
+    }
+    // Every edit's closure is group 5's three cones. A load on the
+    // victim's port, a drive edit and a re-annotation sweep the victim
+    // cone alone and read both aggressor chains from the retained
+    // analysis.
+    let victim_edits = [
+        Edit::SetLoad {
+            port: "y5".into(),
+            farads: 20e-15,
+        },
+        Edit::SetDriveResistance {
+            net: "v5".into(),
+            ohms: 310.0,
+        },
+        Edit::ReannotateNet { dnet },
+    ];
+    for edit in victim_edits {
+        let kind = edit.kind();
+        let info = committed(s.apply(edit));
+        assert_eq!((info.dirty_cones, info.swept_cones), (3, 1), "{kind}");
+    }
+    // A load on the far chain's port changes that cone's boundary: it is
+    // swept beside the victim cone, and the near chain is still read.
+    let info = committed(s.apply(Edit::SetLoad {
+        port: "w5".into(),
+        farads: 30e-15,
+    }));
+    assert_eq!((info.dirty_cones, info.swept_cones), (3, 2));
+    let batch = s
+        .sta()
+        .analyze_with_crosstalk_windows(s.boundary().clone(), s.couplings(), &s.options.si)
+        .expect("batch");
+    assert_eq!(s.report(), &batch.report);
+    assert_eq!(s.analysis().adjustments, batch.adjustments);
+    assert_eq!(s.analysis().pruned, batch.pruned);
+}
+
 /// What the whole-file path decides for one re-annotation: rebind the
 /// edited file with `bind_couplings` (driver resistances carried over)
 /// and lint it with every SPEF and SDC rule.
@@ -157,9 +200,9 @@ fn coupling(id: u64, a: SpefNode, b: SpefNode, value: f64) -> CapElem {
 }
 
 /// Edits that move the coupling topology. A committing edit carries the
-/// (`dirty_cones`, `specs_resolved`) of its closure over the new topology;
-/// `None` marks an edit the preflight refuses.
-type TopologyEdit = (&'static str, DNet, Option<(usize, usize)>);
+/// (`dirty_cones`, `swept_cones`, `specs_resolved`) of its closure over the
+/// new topology; `None` marks an edit the preflight refuses.
+type TopologyEdit = (&'static str, DNet, Option<(usize, usize, usize)>);
 
 fn topology_edits(s: &TimingSession) -> Vec<TopologyEdit> {
     let mut edits = Vec::new();
@@ -170,13 +213,15 @@ fn topology_edits(s: &TimingSession) -> Vec<TopologyEdit> {
         SpefNode::sub("gn2", "1"),
         20e-15,
     ));
-    edits.push(("coupling to a new partner", dnet, Some((6, 2))));
+    edits.push(("coupling to a new partner", dnet, Some((6, 2, 2))));
     let mut dnet = section(s, "v3");
     dnet.caps.retain(|c| c.id != 5);
-    edits.push(("partner dropped", dnet, Some((2, 1))));
+    edits.push(("partner dropped", dnet, Some((2, 1, 1))));
     let mut dnet = section(s, "v4");
     dnet.caps.retain(|c| !c.is_coupling());
-    edits.push(("all couplings dropped", dnet, Some((1, 0))));
+    // v4's cone holds no victim any more, but its retained states are
+    // noisy: it is swept.
+    edits.push(("all couplings dropped", dnet, Some((1, 1, 0))));
     let mut dnet = section(s, "v5");
     dnet.caps.push(coupling(
         6,
@@ -184,11 +229,15 @@ fn topology_edits(s: &TimingSession) -> Vec<TopologyEdit> {
         SpefNode::sub("f5_1", "1"),
         15e-15,
     ));
-    edits.push(("coupling to an unannotated design net", dnet, Some((3, 1))));
+    edits.push((
+        "coupling to an unannotated design net",
+        dnet,
+        Some((3, 1, 1)),
+    ));
     edits.push((
         "unannotated partner dropped again",
         section(s, "v5"),
-        Some((3, 1)),
+        Some((3, 1, 1)),
     ));
     let mut dnet = section(s, "v6");
     dnet.caps.push(CapElem {
@@ -203,7 +252,7 @@ fn topology_edits(s: &TimingSession) -> Vec<TopologyEdit> {
         b: SpefNode::sub("v6", "4"),
         value: 6.0,
     });
-    edits.push(("new internal node", dnet, Some((3, 1))));
+    edits.push(("new internal node", dnet, Some((3, 1, 1))));
     let mut dnet = section(s, "v7");
     dnet.conns.push(Conn {
         kind: ConnKind::Internal,
@@ -212,12 +261,14 @@ fn topology_edits(s: &TimingSession) -> Vec<TopologyEdit> {
         load: Some(3e-15),
         driver_cell: None,
     });
-    edits.push(("changed *CONN pin", dnet, Some((3, 1))));
+    edits.push(("changed *CONN pin", dnet, Some((3, 1, 1))));
     let mut dnet = section(s, "gn0");
     for cap in &mut dnet.caps {
         cap.value *= 1.2;
     }
-    edits.push(("aggressor wire re-extracted", dnet, Some((3, 1))));
+    // The edited wire's cone holds no victim and keeps its boundary: only
+    // v0's cone is swept.
+    edits.push(("aggressor wire re-extracted", dnet, Some((3, 1, 1))));
     let mut dnet = section(s, "gf0");
     dnet.caps.push(coupling(
         4,
@@ -225,7 +276,7 @@ fn topology_edits(s: &TimingSession) -> Vec<TopologyEdit> {
         SpefNode::sub("gn1", "2"),
         30e-15,
     ));
-    edits.push(("aggressor wire becomes a victim", dnet, Some((9, 4))));
+    edits.push(("aggressor wire becomes a victim", dnet, Some((9, 4, 4))));
     let mut dnet = section(s, "v2");
     dnet.caps.push(coupling(
         6,
@@ -233,7 +284,7 @@ fn topology_edits(s: &TimingSession) -> Vec<TopologyEdit> {
         SpefNode::sub("ghost", "1"),
         10e-15,
     ));
-    edits.push(("coupling to a net the design lacks", dnet, Some((9, 4))));
+    edits.push(("coupling to a net the design lacks", dnet, Some((9, 4, 4))));
     let mut dnet = section(s, "v0");
     dnet.caps.push(CapElem {
         id: 6,
@@ -293,8 +344,8 @@ fn scoped_reannotation_matches_the_whole_file_path() {
         if let Some(closure) = closure {
             // The closure follows the new topology: no cone more or less.
             let info = committed(outcome);
-            let resolved = (info.dirty_cones, info.specs_resolved);
-            assert_eq!(resolved, closure, "{what}: dirty cones, specs");
+            let resolved = (info.dirty_cones, info.swept_cones, info.specs_resolved);
+            assert_eq!(resolved, closure, "{what}: dirty cones, swept, specs");
             journal.push(edit);
             assert_eq!(s.couplings(), &want.specs[..], "{what}: committed specs");
             assert_eq!(s.lint_baseline, want.baseline, "{what}: committed baseline");

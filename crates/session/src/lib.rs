@@ -13,8 +13,10 @@
 //! * Every edit ([`Edit::SetLoad`], [`Edit::SetDriveResistance`],
 //!   [`Edit::ReannotateNet`]) is a **transaction**: validate → preflight
 //!   lint the candidate → compute the cones the edit can reach from the
-//!   candidate's own coupling specs → re-solve only those cones → splice
-//!   them into the retained state → commit. *Any* failure — degenerate
+//!   candidate's own coupling specs → re-solve only those cones, sweeping
+//!   just the ones holding a victim or the edited port and reading the
+//!   aggressor chains from the retained analysis → splice the swept cones
+//!   into the retained state → commit. *Any* failure — degenerate
 //!   mesh, injected fault, non-convergence, deadline expiry — rolls the
 //!   session back to the last consistent snapshot and reports a
 //!   structured [`EditOutcome`] instead of leaving a torn state.
@@ -34,10 +36,11 @@
 //!   quarantines the session read-only — wrong timing is never served
 //!   silently.
 //! * Epoch counters: each commit bumps the session epoch and the dirty
-//!   cones' epoch counters (a cone still at epoch 0 was never re-solved,
-//!   so the audit requires its nets bit-identical); analysis results
-//!   carry their epoch in `SiDiagnostics::epoch`, so a stale retained
-//!   report is detectable with [`TimingSession::is_stale`].
+//!   cones' epoch counters (a cone still at epoch 0 was never in an
+//!   edit's closure, so the audit requires its nets bit-identical);
+//!   analysis results carry their epoch in `SiDiagnostics::epoch`, so a
+//!   stale retained report is detectable with
+//!   [`TimingSession::is_stale`].
 
 #![forbid(unsafe_code)]
 
@@ -56,8 +59,8 @@ use nsta_parasitics::{
     bind_couplings, rebind_net, BindOptions, DNet, ReducedNet, SpefError, SpefFile,
 };
 use nsta_sta::{
-    BoundaryConditions, CouplingSpec, NetId, OutputBoundary, RetainedAnalysis, SiAnalysis,
-    SiDiagnostics, SiOptions, Sta, StaError, TimingReport,
+    BoundaryConditions, CouplingSpec, EditScope, NetId, OutputBoundary, RetainedAnalysis,
+    SiAnalysis, SiDiagnostics, SiOptions, Sta, StaError, TimingReport,
 };
 
 /// Lint rules whose *new* appearance in an edit's delta rejects the edit
@@ -198,13 +201,19 @@ pub struct CommitInfo {
     /// Session epoch after the commit (starts at 0 on load; each commit
     /// increments it).
     pub epoch: u64,
-    /// Cones re-solved: every cone linked to an edited net's cone by a
-    /// chain of the edited design's coupling specs
+    /// Cones in the edit's dirty closure: every cone linked to an edited
+    /// net's cone by a chain of the edited design's coupling specs
     /// ([`Sta::coupled_cones`]).
     pub dirty_cones: usize,
-    /// Nets whose retained state was replaced: the nets of those cones.
+    /// The nets of those cones.
     pub dirty_nets: usize,
-    /// Coupling specs re-simulated: those of the victims in those cones.
+    /// Closure cones the re-solve swept and the merge replaced: those
+    /// holding a victim (of the edited specs, or one the retained analysis
+    /// holds records for) and the cone of a port whose load the edit set.
+    /// The others (aggressor chains) were read from the retained analysis,
+    /// which holds their nominal sweep ([`nsta_sta::session`]).
+    pub swept_cones: usize,
+    /// Coupling specs re-simulated: those of the victims in the closure.
     pub specs_resolved: usize,
     /// Always 0: each re-solve shares factorizations only within itself,
     /// so an edit has nothing to release. Kept only because the
@@ -628,13 +637,23 @@ impl TimingSession {
             .filter(|s| graph.in_cones(&dirty, s.victim))
             .cloned()
             .collect();
-        // 4. Incremental re-solve of the dirty cones only; the merge
-        //    discards everything outside them.
+        // 4. Incremental re-solve of the dirty cones only: it sweeps the
+        //    closure's victim cones and the cone of a port whose load the
+        //    edit changed, and reads every other closure cone from the
+        //    retained analysis (nsta-sta's session module docs).
+        let boundary_nets = match &candidate.change {
+            Change::SetLoad(net, _) => std::slice::from_ref(net),
+            _ => &[],
+        };
         let patch = match self.sta.session_resolve(
             candidate.bc.as_ref().clone(),
             &dirty_specs,
             &self.options.si,
-            Some(&dirty),
+            Some(EditScope {
+                cones: &dirty,
+                retained: &self.retained,
+                boundary_nets,
+            }),
         ) {
             Ok(p) => p,
             Err(e) => {
@@ -664,6 +683,7 @@ impl TimingSession {
         let marked = || graph.components().iter().zip(&dirty).filter(|(_, &d)| d);
         let dirty_cones = marked().count();
         let dirty_nets = marked().map(|(cone, _)| cone.len()).sum();
+        let swept_cones = patch.swept_cones();
         let Candidate {
             bc, specs, change, ..
         } = candidate;
@@ -699,6 +719,7 @@ impl TimingSession {
             epoch: next_epoch,
             dirty_cones,
             dirty_nets,
+            swept_cones,
             specs_resolved: dirty_specs.len(),
             released_cache_entries: 0,
             audit: None,
@@ -946,7 +967,7 @@ impl TimingSession {
                 let Some(net) = design.find_net(&port) else {
                     return Err(reject(format!("set_load: unknown net {port:?}")));
                 };
-                if !design.outputs().contains(&net) {
+                if !design.is_output(net) {
                     return Err(reject(format!(
                         "set_load: net {port:?} is not a primary output"
                     )));

@@ -161,7 +161,7 @@ impl Sta {
     /// primary outputs.
     pub(crate) fn net_load(&self, net: NetId, bc: &BoundaryConditions) -> f64 {
         let mut load = self.graph.load(net);
-        if self.design.outputs().contains(&net) {
+        if self.design.is_output(net) {
             load += bc.output(net).load;
         }
         load
@@ -434,7 +434,9 @@ impl Sta {
             .map(|e| all_pairs_false(&reach_in[e.from.0], &reach_out[e.to.0]))
             .collect();
         let output_false = (0..n)
-            .map(|i| outputs.contains(&NetId(i)) && all_pairs_false(&reach_in[i], &reach_out[i]))
+            .map(|i| {
+                self.design.is_output(NetId(i)) && all_pairs_false(&reach_in[i], &reach_out[i])
+            })
             .collect();
         Some(FalsePathMask {
             edges,

@@ -74,7 +74,7 @@ pub use netlist::{Design, Instance, NetId};
 pub use nsta_circuit::SolverBackend;
 pub use nsta_obs::{Deadline, FakeClock};
 pub use report::{NetTiming, TimingReport};
-pub use session::{ConePatch, RetainedAnalysis};
+pub use session::{ConePatch, EditScope, RetainedAnalysis};
 pub use si::{
     ArrivalWindow, ConvergenceAction, CouplingSpec, DegradeAction, DegradeEvent, FaultPolicy,
     PrunedAggressor, SiAdjustment, SiAnalysis, SiDiagnostics, SiIteration, SiOptions,

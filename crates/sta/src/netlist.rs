@@ -51,6 +51,9 @@ pub struct Design {
     by_name: HashMap<Arc<str>, NetId>,
     inputs: Vec<NetId>,
     outputs: Vec<NetId>,
+    /// Per net id, whether `outputs` holds it: [`Design::is_output`] in
+    /// constant time.
+    output_flags: Vec<bool>,
     instances: Vec<Instance>,
     /// Hashes of the instance names: a miss proves a new name unique
     /// without scanning `instances` (a hit is confirmed by a scan).
@@ -75,6 +78,7 @@ impl Design {
         let name: Arc<str> = name.into();
         self.by_name.insert(Arc::clone(&name), id);
         self.nets.push(name);
+        self.output_flags.push(false);
         id
     }
 
@@ -109,9 +113,10 @@ impl Design {
         }
     }
 
-    /// Declares a net as a primary output.
+    /// Declares a net of this design as a primary output.
     pub fn mark_output(&mut self, net: NetId) {
-        if !self.outputs.contains(&net) {
+        if let Some(flag) = self.output_flags.get_mut(net.0).filter(|flag| !**flag) {
+            *flag = true;
             self.outputs.push(net);
         }
     }
@@ -124,6 +129,12 @@ impl Design {
     /// Primary outputs.
     pub fn outputs(&self) -> &[NetId] {
         &self.outputs
+    }
+
+    /// Whether `net` is a primary output, in constant time (`false` for a
+    /// net the design lacks).
+    pub fn is_output(&self, net: NetId) -> bool {
+        self.output_flags.get(net.0).copied().unwrap_or(false)
     }
 
     /// Adds a cell instance.
@@ -200,7 +211,11 @@ mod tests {
         assert_eq!(d.inputs(), &[a]);
         let y = d.net("y");
         d.mark_output(y);
+        d.mark_output(y);
         assert_eq!(d.outputs(), &[y]);
+        assert!(d.is_output(y));
+        assert!(!d.is_output(a));
+        assert!(!d.is_output(NetId(usize::MAX)));
     }
 
     #[test]

@@ -113,7 +113,7 @@ use crate::engine::{NetState, PerCone, Sta};
 use crate::graph::TimingGraph;
 use crate::netlist::NetId;
 use crate::report::{NetTiming, TimingReport};
-use crate::session::{ConePatch, RetainedAnalysis};
+use crate::session::{ConePatch, EditScope, RetainedAnalysis};
 use crate::StaError;
 use nsta_circuit::{
     Circuit, FactoredSystem, NodeId as CktNode, RcLineSpec, SolverBackend, StarCoupledLines,
@@ -815,15 +815,30 @@ struct PassContext<'a> {
     bc: &'a BoundaryConditions,
     method: MethodKind,
     backend: SolverBackend,
-    /// The nominal sweep's states: every aggressor ramp is built from
-    /// them.
+    /// The nominal sweep's states of the cones this call swept: every
+    /// aggressor ramp is built from them ([`PassContext::nominal_state`]).
     base: &'a [Vec<NetState>],
+    /// The analysis an edit applies to, whose states are the nominal
+    /// sweep's for every closure cone the edit did not sweep; `None` for a
+    /// batch analysis, which sweeps every cone.
+    retained: Option<&'a RetainedAnalysis>,
     threads: usize,
     policy: FaultPolicy,
     deadline: Option<&'a Deadline>,
     /// The call's shared factorizations; `None` factors every reduction
     /// afresh, the path the fallback chain takes.
     factors: Option<&'a Factorizations>,
+}
+
+impl<'a> PassContext<'a> {
+    /// The nominal sweep's state of `net`: this call's sweep, or the
+    /// retained analysis's for a cone the call did not sweep (see
+    /// [`crate::session`]).
+    fn nominal_state(&self, graph: &TimingGraph, net: NetId) -> Option<&'a NetState> {
+        graph
+            .at(self.base, net)
+            .or_else(|| graph.at(&self.retained?.states, net))
+    }
 }
 
 /// One valid victim transition met by a cone task.
@@ -1170,15 +1185,25 @@ impl Sta {
     }
 
     /// Applies the window filter to `couplings`, returning the surviving
-    /// specs plus a record of every pruned aggressor. Nets without a
-    /// window (unreachable in the sweep) are conservatively kept so the
-    /// analysis itself can report them as errors.
+    /// specs plus a record of every pruned aggressor. A net of a cone
+    /// `windows` holds nothing for takes its nominal window from
+    /// `retained` (see [`crate::session`]). Nets without a window
+    /// (unreachable in the sweep) are conservatively kept so the analysis
+    /// itself can report them as errors.
     fn window_filter(
         &self,
         couplings: &[CouplingSpec],
         windows: &[Vec<Option<ArrivalWindow>>],
+        retained: Option<&RetainedAnalysis>,
     ) -> (Vec<CouplingSpec>, Vec<PrunedAggressor>) {
-        let window = |net: NetId| self.graph().at(windows, net).copied().flatten();
+        let graph = self.graph();
+        let window = |net: NetId| {
+            graph
+                .at(windows, net)
+                .or_else(|| graph.at(&retained?.windows, net))
+                .copied()
+                .flatten()
+        };
         let mut filtered = Vec::with_capacity(couplings.len());
         let mut pruned = Vec::new();
         for spec in couplings {
@@ -1251,9 +1276,10 @@ impl Sta {
     }
 
     /// [`Sta::analyze_with_crosstalk_windows`], retaining the final
-    /// propagation states so that [`Sta::session_merge`] can splice a
-    /// later re-solve ([`Sta::session_resolve`]) into the result at the
-    /// state level (see [`crate::session`]). A session opens with it.
+    /// propagation states and every net's nominal window, so that a later
+    /// re-solve ([`Sta::session_resolve`]) can read the cones it does not
+    /// sweep and [`Sta::session_merge`] can splice it into the result at
+    /// the state level (see [`crate::session`]). A session opens with it.
     ///
     /// # Errors
     ///
@@ -1268,6 +1294,7 @@ impl Sta {
             diagnostics,
             states,
             rows,
+            windows,
             adjustments,
             pruned,
             ..
@@ -1280,21 +1307,26 @@ impl Sta {
                 diagnostics,
             },
             states,
+            windows,
         })
     }
 
     /// The fixed point of [`Sta::analyze_with_crosstalk_windows`], returned
-    /// as a patch for [`Sta::session_merge`], with every sweep, pass and
-    /// report row restricted to the cones the per-cone mask `scope` marks
-    /// (indexed like [`crate::TimingGraph::components`]; `None`: every
-    /// cone). A session edit passes its dirty closure
-    /// ([`Sta::coupled_cones`]) and the specs of the victims in it.
+    /// as a patch for [`Sta::session_merge`]. `edit: None` is the batch
+    /// analysis: every cone is swept. A session edit passes
+    /// its [`EditScope`]: its dirty closure ([`Sta::coupled_cones`]), the
+    /// specs of the victims in it, and the analysis it applies to.
     ///
-    /// Sound when `scope` is closed under the specs it holds, as the
+    /// Sound when the closure is closed under the specs it holds, as the
     /// edit's closure is: the fixed point and the window filter only ever
-    /// read states of coupling participants, all inside the scope. Every
-    /// per-net buffer of the re-solve holds the scoped cones' nets only,
-    /// so its cost follows the closure, not the design.
+    /// read states of coupling participants, all inside it. An edit's
+    /// re-solve sweeps only the closure cones holding a victim, a victim
+    /// the retained analysis holds records for, or a changed boundary
+    /// ([`crate::session`] module docs), and reads the nominal states and
+    /// windows of every other closure cone from the retained analysis.
+    /// Every per-net buffer of the re-solve holds the swept cones' nets
+    /// only, so its cost follows the edit's victim cones, not the closure
+    /// or the design.
     ///
     /// # Errors
     ///
@@ -1304,7 +1336,7 @@ impl Sta {
         constraints: impl Into<BoundaryConditions>,
         couplings: &[CouplingSpec],
         options: &SiOptions,
-        scope: Option<&[bool]>,
+        edit: Option<EditScope<'_>>,
     ) -> Result<ConePatch, StaError> {
         let bc = &constraints.into();
         self.check_victims(couplings)?;
@@ -1316,6 +1348,10 @@ impl Sta {
         let mask = self.false_edge_mask(bc);
         let mask = mask.as_ref();
         let threads = options.threads.max(1);
+        // Every sweep, pass and row below covers the swept cones only.
+        let swept = edit.map(|e| self.swept_cones(couplings, &e));
+        let scope = swept.as_deref();
+        let retained = edit.map(|e| e.retained);
         // Iteration-invariant work, hoisted out of the fixed point: the
         // nominal sweep (aggressor ramps + latest windows of iteration 0)
         // and the min sweep (earliest window edges, which worst-case
@@ -1335,6 +1371,7 @@ impl Sta {
             method: options.method,
             backend: options.backend,
             base: &base,
+            retained,
             threads,
             policy: options.fault_policy,
             deadline,
@@ -1346,7 +1383,8 @@ impl Sta {
             self.forward_sweep_scoped(bc, true, threads, scope)?
         };
         let clean = self.report_rows(bc, &base, mask, scope)?;
-        let mut windows = Self::windows_from(&min_states, &clean);
+        let nominal_windows = Self::windows_from(&min_states, &clean);
+        let mut windows = nominal_windows.clone();
         // The fixed point's running result, into which each pass splices
         // the cones it re-solved: the nominal states and rows, which a cone
         // holding no victim keeps for good.
@@ -1382,7 +1420,7 @@ impl Sta {
         let governed_cap = max_iterations + total_pairs + 2;
         let mut iteration_cap = max_iterations;
         while iteration_trace.len() < iteration_cap {
-            let (filtered, pass_pruned) = self.window_filter(couplings, &windows);
+            let (filtered, pass_pruned) = self.window_filter(couplings, &windows, retained);
             // Every pass re-solves only the cones holding a victim whose
             // filtered spec is new or changed (see the module docs). The
             // first pass always runs; after it, no change is convergence.
@@ -1480,9 +1518,10 @@ impl Sta {
                 convergence_actions,
                 epoch: 0,
             },
-            cones: scope.map_or_else(|| vec![true; cones], <[bool]>::to_vec),
+            cones: swept.unwrap_or_else(|| vec![true; cones]),
             states,
             rows,
+            windows: nominal_windows,
             adjustments,
             pruned,
         })
@@ -1604,9 +1643,8 @@ impl Sta {
         let agg_pol = spec.aggressor_polarity(victim_pol);
         let mut agg_ramps = Vec::new();
         for &agg in &spec.aggressors {
-            let p = self
-                .graph()
-                .at(cx.base, agg)
+            let p = cx
+                .nominal_state(self.graph(), agg)
                 .map(|s| *s.get(agg_pol))
                 .filter(|p| p.valid)
                 .ok_or_else(|| {
@@ -2406,6 +2444,7 @@ mod tests {
             method: MethodKind::Sgdp,
             backend: SolverBackend::Sparse,
             base,
+            retained: None,
             threads,
             policy: FaultPolicy::Fail,
             deadline: None,
