@@ -520,7 +520,7 @@ impl TimingSession {
     /// The append-only journal of committed edits, oldest first, decoded
     /// from its compact form.
     pub fn journal(&self) -> Vec<Edit> {
-        self.journal.edits(self.sta.design()).collect()
+        self.journal.edits().collect()
     }
 
     /// The quarantining audit failure, if the session is read-only.
@@ -690,11 +690,13 @@ impl TimingSession {
         let (bc, specs) = (owned(bc), owned(specs));
         let section = match change {
             Change::SetLoad(net, farads) => {
-                self.journal.push_load(net, farads);
+                self.journal
+                    .push_load(self.sta.design().net_name(net), farads);
                 None
             }
             Change::SetDriveResistance(net, ohms) => {
-                self.journal.push_drive(net, ohms);
+                self.journal
+                    .push_drive(self.sta.design().net_name(net), ohms);
                 None
             }
             Change::ReannotateNet(Reannotation { new, .. }) => {
@@ -944,7 +946,7 @@ impl TimingSession {
             self.seed_bc.clone(),
             options,
         )?;
-        for (index, edit) in self.journal.edits(self.sta.design()).enumerate() {
+        for (index, edit) in self.journal.edits().enumerate() {
             let outcome = fresh.apply(edit);
             if !outcome.is_committed() {
                 return Err(SessionError::Replay {
@@ -961,6 +963,9 @@ impl TimingSession {
             reason,
             diagnostics: Vec::new(),
         };
+        if !self.journal.fits(&edit) {
+            return Err(reject("the session journal is full".into()));
+        }
         let design = self.sta.design();
         match edit {
             Edit::SetLoad { port, farads } => {
@@ -1029,9 +1034,6 @@ impl TimingSession {
                         dnet.name
                     )));
                 };
-                if !self.journal.fits(&dnet) {
-                    return Err(reject("reannotate_net: the session journal is full".into()));
-                }
                 // Only the replacement section is reduced, and only the
                 // specs naming the edited net are rebuilt (keeping their
                 // session-set driver resistances).

@@ -57,7 +57,9 @@ unsafe impl GlobalAlloc for Counting {
 static ALLOCATOR: Counting = Counting;
 
 const GROUPS: usize = 8;
-const EDITS: usize = 128;
+/// Edits per measured window. The journal allocates in 4 KiB blocks, so
+/// a window's reading is exact to within 4 KiB / `EDITS` = 8 B per edit.
+const EDITS: usize = 512;
 
 /// The `i`-th edit of one kind, cycling through the groups; a
 /// re-annotation rescales the victim's seed section, like the benchmark's
