@@ -94,12 +94,13 @@ impl Circuit {
         self.names.len()
     }
 
-    /// Name of a node; anonymous nodes report as `"<anon>"`.
+    /// Name of a node; anonymous nodes report as `"<anon>"`. A test helper.
     ///
     /// # Errors
     ///
     /// [`CircuitError::UnknownNode`] for ids from another circuit.
-    pub fn node_name(&self, id: NodeId) -> Result<&str, CircuitError> {
+    #[cfg(test)]
+    pub(crate) fn node_name(&self, id: NodeId) -> Result<&str, CircuitError> {
         if id.is_ground() {
             return Ok("0");
         }
@@ -222,13 +223,14 @@ impl Circuit {
         Ok(src)
     }
 
-    /// Total capacitance attached to `node` (grounded plus coupling), a
-    /// convenience for effective-load calculations.
+    /// Total capacitance attached to `node` (grounded plus coupling). A
+    /// test helper.
     ///
     /// # Errors
     ///
     /// [`CircuitError::UnknownNode`] for foreign node ids.
-    pub fn total_capacitance_at(&self, node: NodeId) -> Result<f64, CircuitError> {
+    #[cfg(test)]
+    pub(crate) fn total_capacitance_at(&self, node: NodeId) -> Result<f64, CircuitError> {
         let idx = self.check(node)?;
         Ok(self
             .capacitors
@@ -238,8 +240,9 @@ impl Circuit {
             .sum())
     }
 
-    /// Element counts `(resistors, capacitors, vsources)`.
-    pub fn element_counts(&self) -> (usize, usize, usize) {
+    /// Element counts `(resistors, capacitors, vsources)`. A test helper.
+    #[cfg(test)]
+    pub(crate) fn element_counts(&self) -> (usize, usize, usize) {
         (
             self.resistors.len(),
             self.capacitors.len(),

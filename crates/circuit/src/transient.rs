@@ -491,8 +491,9 @@ impl FactoredSystem {
     }
 
     /// Number of voltage sources — `run_with_vsources`/`run_nodes` expect
-    /// exactly this many replacement waveforms.
-    pub fn source_count(&self) -> usize {
+    /// exactly this many replacement waveforms. A test helper.
+    #[cfg(test)]
+    pub(crate) fn source_count(&self) -> usize {
         self.nd
     }
 

@@ -133,14 +133,17 @@ impl GateModel for AnalyticInverterGate {
 /// shaped by its transition table, looked up at the input's measured slew
 /// and the configured output load. Only single-arc (inverter-like) cells
 /// are supported; the arc's unateness decides the output polarity.
+///
+/// The gate borrows its cell from the library: building one per victim
+/// transition copies no table.
 #[derive(Debug, Clone)]
-pub struct TableGate {
-    cell: nsta_liberty::Cell,
+pub struct TableGate<'a> {
+    cell: &'a nsta_liberty::Cell,
     load: f64,
     thresholds: Thresholds,
 }
 
-impl TableGate {
+impl<'a> TableGate<'a> {
     /// Wraps a characterized cell driving `load` farads.
     ///
     /// # Errors
@@ -148,7 +151,7 @@ impl TableGate {
     /// [`SgdpError::InvalidParameter`] if the cell has no output arc or the
     /// load is not positive and finite.
     pub fn new(
-        cell: &nsta_liberty::Cell,
+        cell: &'a nsta_liberty::Cell,
         load: f64,
         thresholds: Thresholds,
     ) -> Result<Self, SgdpError> {
@@ -164,7 +167,7 @@ impl TableGate {
             ));
         }
         Ok(TableGate {
-            cell: cell.clone(),
+            cell,
             load,
             thresholds,
         })
@@ -176,7 +179,7 @@ impl TableGate {
     }
 }
 
-impl GateModel for TableGate {
+impl GateModel for TableGate<'_> {
     fn response(&self, input: &Waveform) -> Result<Waveform, SgdpError> {
         let th = self.thresholds;
         let in_pol = input.polarity(th)?;
@@ -196,13 +199,8 @@ impl GateModel for TableGate {
         } else {
             (&arc.cell_fall, &arc.fall_transition)
         };
-        let delay = delay_table
-            .lookup(slew_in, self.load)
-            .map_err(|_| SgdpError::InvalidParameter("nldm delay lookup failed"))?;
-        let slew_out = slew_table
-            .lookup(slew_in, self.load)
-            .map_err(|_| SgdpError::InvalidParameter("nldm slew lookup failed"))?
-            .max(1e-12);
+        let delay = delay_table.lookup(slew_in, self.load);
+        let slew_out = slew_table.lookup(slew_in, self.load).max(1e-12);
         let out = SaturatedRamp::with_slew(t50_in + delay, slew_out, th, out_rises)?;
         let t_end = input.t_end().max(t50_in + delay + 2.0 * slew_out);
         let dt = (slew_out / 40.0).max(1e-13);

@@ -8,12 +8,15 @@
 //! the noisy voltage at `tᵢ`.
 //!
 //! [`SensitivityCurve::from_noiseless`] takes both derivatives by central
-//! differences at 400 points across the noiseless critical region. It
-//! samples the waveforms with [`Waveform::sample_on_grid`]: one forward
-//! pass per waveform over each of the ascending grids `t − h` and `t + h`,
-//! plus one over `t` for the input voltage — five passes in all, where a
-//! `value_at` query per value would make 2000 binary searches. Each sample
-//! equals the `value_at` query bit for bit.
+//! differences at 400 points `t` across the noiseless critical region. It
+//! reads each waveform in one forward pass of a
+//! [`Sampler`](nsta_waveform::Sampler): the input at `t − h`, `t` and
+//! `t + h`, the output at `t − h` and `t + h`, point after point. The
+//! curve's spacing exceeds `2h`, so these times ascend and each pass walks
+//! its record once, where a `value_at` query per value would make 2000
+//! binary searches. Each sample equals the `value_at` query bit for bit.
+//! [`effective_sensitivity`] reads the noisy input at its `P` ascending
+//! times the same way.
 
 use crate::context::PropagationContext;
 use crate::gate::{transition_gap, transitions_overlap};
@@ -51,6 +54,9 @@ impl SensitivityCurve {
     /// `polarity` is the *input* transition direction. The magnitude of the
     /// derivative ratio is used, so the output may transition either way.
     ///
+    /// Each waveform is read in one forward pass, every value equal to its
+    /// [`Waveform::value_at`] query bit for bit (module docs).
+    ///
     /// # Errors
     ///
     /// [`SgdpError::DegenerateFit`] if the input is flat across its
@@ -73,32 +79,26 @@ impl SensitivityCurve {
             ));
         }
         let slope_floor = 1e-3 * mean_slope;
-        // Both waveforms on the grids `t − h` and `t + h`, the input on `t`:
-        // the five forward passes of the module docs.
-        let times: Vec<f64> = (0..n)
-            .map(|k| t0 + (t1 - t0) * k as f64 / (n - 1) as f64)
-            .collect();
-        let before: Vec<f64> = times.iter().map(|&t| t - h).collect();
-        let after: Vec<f64> = times.iter().map(|&t| t + h).collect();
-        let sample = |w: &Waveform, grid: &[f64]| {
-            let mut out = Vec::with_capacity(n);
-            w.sample_on_grid(grid, &mut out);
-            out
-        };
-        let (in_before, in_after) = (sample(v_in, &before), sample(v_in, &after));
-        let (out_before, out_after) = (sample(v_out, &before), sample(v_out, &after));
-        let volts = sample(v_in, &times);
-        let rho: Vec<f64> = (0..n)
-            .map(|k| {
-                let din = (in_after[k] - in_before[k]) / (2.0 * h);
-                let dout = (out_after[k] - out_before[k]) / (2.0 * h);
-                if din.abs() < slope_floor {
-                    0.0
-                } else {
-                    (dout / din).abs().min(RHO_CLAMP)
-                }
-            })
-            .collect();
+        // One forward pass per waveform (module docs): the input at t − h,
+        // t and t + h, the output at t − h and t + h.
+        let (mut input, mut output) = (v_in.sampler(t0 - h), v_out.sampler(t0 - h));
+        let mut times = Vec::with_capacity(n);
+        let mut volts = Vec::with_capacity(n);
+        let mut rho = Vec::with_capacity(n);
+        for k in 0..n {
+            let t = t0 + (t1 - t0) * k as f64 / (n - 1) as f64;
+            let in_before = input.value_at(t - h);
+            volts.push(input.value_at(t));
+            let din = (input.value_at(t + h) - in_before) / (2.0 * h);
+            let out_before = output.value_at(t - h);
+            let dout = (output.value_at(t + h) - out_before) / (2.0 * h);
+            times.push(t);
+            rho.push(if din.abs() < slope_floor {
+                0.0
+            } else {
+                (dout / din).abs().min(RHO_CLAMP)
+            });
+        }
         // Voltage-indexed view: keep a strictly monotone voltage envelope
         // (noiseless inputs are monotone up to numerical wiggle).
         let mut map: Vec<(f64, f64)> = Vec::with_capacity(n);
@@ -235,7 +235,8 @@ pub fn effective_sensitivity(
 ) -> Result<EffectiveSensitivity, SgdpError> {
     let (t0, t1) = ctx.noisy_critical_region()?;
     let times = ctx.sample_times(t0, t1);
-    let noisy = ctx.noisy_input();
+    // The times ascend: one forward pass over the noisy input.
+    let mut noisy = ctx.noisy_input().sampler(t0);
     let mut voltages = Vec::with_capacity(times.len());
     let mut rho = Vec::with_capacity(times.len());
     for &t in &times {
@@ -265,6 +266,34 @@ mod tests {
             .unwrap()
             .to_waveform(0.0, 4e-9, 1e-12)
             .unwrap()
+    }
+
+    /// A golden-length record: 4001 samples at jittered steps of about
+    /// 1 ps, holding a logistic edge at `t50` whose 10–90% span, `width`,
+    /// covers a few hundred of them.
+    fn golden_like(t50: f64, width: f64, rising: bool) -> Waveform {
+        let vdd = th().vdd();
+        let tau = width / (2.0 * 9f64.ln());
+        let mut t = 0.0;
+        let ts: Vec<f64> = (0..4001)
+            .map(|k| {
+                let now = t;
+                t += 1e-12 * (1.0 + 0.3 * (k as f64 * 0.7).sin());
+                now
+            })
+            .collect();
+        let vs = ts
+            .iter()
+            .map(|&t| {
+                let v = vdd / (1.0 + (-(t - t50) / tau).exp());
+                if rising {
+                    v
+                } else {
+                    vdd - v
+                }
+            })
+            .collect();
+        Waveform::new(ts, vs).unwrap()
     }
 
     /// The curve over `v_in`'s own critical region.
@@ -425,6 +454,20 @@ mod tests {
                 ramp_wave(1.03e-9, 80e-12, true),
                 Polarity::Fall,
             ),
+            // Golden-length records: the 400 points span ≈365 of 4001
+            // samples, so t − h and t + h mostly straddle a sample.
+            (
+                "golden rising",
+                wiggly(golden_like(1.0e-9, 365e-12, true)),
+                golden_like(1.08e-9, 250e-12, false),
+                Polarity::Rise,
+            ),
+            (
+                "golden falling",
+                wiggly(golden_like(1.0e-9, 365e-12, false)),
+                golden_like(1.07e-9, 200e-12, true),
+                Polarity::Fall,
+            ),
         ];
         for (name, v_in, v_out, polarity) in cases {
             let c = curve(&v_in, &v_out, polarity);
@@ -450,6 +493,50 @@ mod tests {
             assert_bits_eq(&s.curve.rho, &rho, "shifted rho");
             assert_bits_eq(&s.curve.map_volts, &map_volts, "shifted map volts");
             assert_bits_eq(&s.curve.map_rho, &map_rho, "shifted map rho");
+        }
+    }
+
+    /// `effective_sensitivity`'s forward pass over the noisy input equals
+    /// one `value_at` query per sample time, bit for bit, and so do the
+    /// ρ values looked up from those voltages.
+    #[test]
+    fn effective_sensitivity_equals_per_point_queries() {
+        let cases = [
+            (
+                golden_like(1.0e-9, 365e-12, true),
+                golden_like(1.08e-9, 250e-12, false),
+            ),
+            (
+                golden_like(1.0e-9, 365e-12, false),
+                golden_like(1.07e-9, 200e-12, true),
+            ),
+            (
+                ramp_wave(1.0e-9, 150e-12, true),
+                ramp_wave(1.04e-9, 90e-12, false),
+            ),
+        ];
+        for (case, (quiet, out)) in cases.into_iter().enumerate() {
+            let rising = quiet.v_end() > quiet.v_start();
+            let sign = if rising { -1.0 } else { 1.0 };
+            let noisy = quiet
+                .with_triangular_pulse(1.02e-9, 120e-12, 0.4 * sign)
+                .unwrap()
+                .with_triangular_pulse(1.3e-9, 200e-12, 0.3 * sign)
+                .unwrap();
+            let ctx = PropagationContext::new(quiet, noisy.clone(), Some(out), th()).unwrap();
+            let curve = noiseless_sensitivity(&ctx).unwrap().curve;
+            for samples in [5, 35, 140] {
+                let ctx = ctx.clone().with_samples(samples).unwrap();
+                let eff = effective_sensitivity(&curve, &ctx).unwrap();
+                let (t0, t1) = ctx.noisy_critical_region().unwrap();
+                let times = ctx.sample_times(t0, t1);
+                let volts: Vec<f64> = times.iter().map(|&t| noisy.value_at(t)).collect();
+                let rho: Vec<f64> = volts.iter().map(|&v| curve.rho_at_voltage(v)).collect();
+                let what = format!("case {case}, P = {samples}");
+                assert_bits_eq(&eff.times, &times, &format!("{what} times"));
+                assert_bits_eq(&eff.voltages, &volts, &format!("{what} voltages"));
+                assert_bits_eq(&eff.rho, &rho, &format!("{what} rho"));
+            }
         }
     }
 

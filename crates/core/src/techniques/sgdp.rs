@@ -81,10 +81,14 @@ impl EquivalentWaveform for Sgdp {
         let th = ctx.thresholds();
         let mid_first = ctx.noisy_input().first_crossing(th.mid());
         let mid_last = ctx.noisy_input().last_crossing(th.mid());
+        // Half the noiseless `slew_first_to_first`, whose start-level
+        // crossing opens the noiseless critical region the context holds.
+        let (_, end_level) = th.slew_levels(ctx.polarity());
+        let (start, _) = ctx.noiseless_critical_region()?;
         let margin = ctx
             .noiseless_input()
-            .slew_first_to_first(th, ctx.polarity())
-            .unwrap_or(width)
+            .first_crossing_from(end_level, start)
+            .map_or(width, |t| t - start)
             / 2.0;
         let arrival_ok = |fit: &LineFit| -> bool {
             if fit.a == 0.0 || (rising && fit.a < 0.0) || (!rising && fit.a > 0.0) {

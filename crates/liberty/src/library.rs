@@ -78,19 +78,10 @@ impl NldmTable {
     }
 
     /// Bilinear lookup with linear extrapolation outside the grid — the
-    /// conventional NLDM behaviour.
-    ///
-    /// # Errors
-    ///
-    /// [`LibertyError::Table`] only on internal shape corruption.
-    pub fn lookup(&self, slew: f64, load: f64) -> Result<f64, LibertyError> {
-        Ok(interp::bilinear(
-            &self.index1,
-            &self.index2,
-            &self.values,
-            slew,
-            load,
-        )?)
+    /// conventional NLDM behaviour. [`NldmTable::new`] validated the axes
+    /// and the shape, so a lookup only interpolates.
+    pub fn lookup(&self, slew: f64, load: f64) -> f64 {
+        interp::bilinear(&self.index1, &self.index2, &self.values, slew, load)
     }
 }
 
@@ -471,10 +462,10 @@ mod tests {
     fn table_validation_and_lookup() {
         let t = demo_table();
         // Exact corners.
-        assert!((t.lookup(10e-12, 1e-15).unwrap() - 20e-12).abs() < 1e-18);
-        assert!((t.lookup(100e-12, 10e-15).unwrap() - 60e-12).abs() < 1e-18);
+        assert!((t.lookup(10e-12, 1e-15) - 20e-12).abs() < 1e-18);
+        assert!((t.lookup(100e-12, 10e-15) - 60e-12).abs() < 1e-18);
         // Center: bilinear average.
-        let mid = t.lookup(55e-12, 5.5e-15).unwrap();
+        let mid = t.lookup(55e-12, 5.5e-15);
         assert!((mid - 37.5e-12).abs() < 1e-15);
         // Bad shapes rejected.
         assert!(NldmTable::new(vec![1.0], vec![1.0, 2.0], vec![0.0, 0.0]).is_err());

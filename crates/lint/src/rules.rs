@@ -826,9 +826,7 @@ fn min_edge_delay(input: &LintInput<'_>, edge: &Edge) -> f64 {
         let (Some(&slew), Some(&load)) = (table.slews().first(), table.loads().first()) else {
             continue;
         };
-        if let Ok(delay) = table.lookup(slew, load) {
-            best = best.min(delay);
-        }
+        best = best.min(table.lookup(slew, load));
     }
     if best.is_finite() {
         best.max(0.0)

@@ -70,25 +70,15 @@ pub fn interp1_clamped(xs: &[f64], ys: &[f64], x: f64) -> f64 {
 /// corresponds to `(xs[i], ys[j])`. Queries outside the grid extrapolate
 /// linearly along each axis (the conventional NLDM behaviour).
 ///
-/// # Errors
+/// # Panics
 ///
-/// Returns [`NumericError::ShapeMismatch`] if `values.len() != xs.len() *
-/// ys.len()`, or [`NumericError::InvalidGrid`] for degenerate axes.
-pub fn bilinear(
-    xs: &[f64],
-    ys: &[f64],
-    values: &[f64],
-    x: f64,
-    y: f64,
-) -> Result<f64, NumericError> {
-    validate_grid(xs, 2)?;
-    validate_grid(ys, 2)?;
-    if values.len() != xs.len() * ys.len() {
-        return Err(NumericError::ShapeMismatch {
-            got: values.len(),
-            expected: xs.len() * ys.len(),
-        });
-    }
+/// Panics if an axis has fewer than two points, and debug-panics if
+/// `values.len() != xs.len() * ys.len()`; callers validate both axes via
+/// [`validate_grid`] and the shape once, at construction, rather than on
+/// every query.
+#[inline]
+pub fn bilinear(xs: &[f64], ys: &[f64], values: &[f64], x: f64, y: f64) -> f64 {
+    debug_assert_eq!(values.len(), xs.len() * ys.len());
     let i = segment_index(xs, x);
     let j = segment_index(ys, y);
     let (x0, x1) = (xs[i], xs[i + 1]);
@@ -98,7 +88,7 @@ pub fn bilinear(
     let v = |ii: usize, jj: usize| values[ii * ys.len() + jj];
     let a = v(i, j) * (1.0 - tx) + v(i + 1, j) * tx;
     let b = v(i, j + 1) * (1.0 - tx) + v(i + 1, j + 1) * tx;
-    Ok(a * (1.0 - ty) + b * ty)
+    a * (1.0 - ty) + b * ty
 }
 
 /// Finds all parameter values `x` in `[xs[k], xs[k+1]]` segments where the
@@ -175,19 +165,12 @@ mod tests {
             }
         }
         for (x, y) in [(0.5, 1.0), (1.7, 0.3), (2.0, 2.0), (-0.5, 3.0)] {
-            let v = bilinear(&xs, &ys, &values, x, y).unwrap();
+            let v = bilinear(&xs, &ys, &values, x, y);
             assert!(
                 (v - (2.0 * x + 3.0 * y + 1.0)).abs() < 1e-12,
                 "at ({x},{y})"
             );
         }
-    }
-
-    #[test]
-    fn bilinear_validates_shapes() {
-        assert!(bilinear(&[0.0, 1.0], &[0.0, 1.0], &[0.0; 3], 0.0, 0.0).is_err());
-        assert!(bilinear(&[0.0], &[0.0, 1.0], &[0.0; 2], 0.0, 0.0).is_err());
-        assert!(bilinear(&[1.0, 0.0], &[0.0, 1.0], &[0.0; 4], 0.0, 0.0).is_err());
     }
 
     #[test]

@@ -5,7 +5,7 @@ use crate::graph::TimingGraph;
 use crate::netlist::{Design, NetId};
 use crate::report::{NetTiming, PathPoint, PointTiming, TimingReport};
 use crate::StaError;
-use nsta_liberty::{Library, TimingSense};
+use nsta_liberty::{Library, NldmTable, TimingSense};
 use nsta_waveform::Polarity;
 
 /// Uniform analysis constraints: one arrival/slew/required/load applied to
@@ -167,32 +167,34 @@ impl Sta {
         load
     }
 
-    /// `(delay, out_slew)` of edge `k` for the given source transition.
-    pub(crate) fn edge_timing(
-        &self,
-        k: usize,
-        from_pol: Polarity,
-        from_slew: f64,
-        load: f64,
-    ) -> Result<(Polarity, f64, f64), StaError> {
+    /// The output polarity of edge `k` for a source transition of
+    /// `from_pol`, with the arc's `(delay, out_slew)` tables for it.
+    fn edge_tables(&self, k: usize, from_pol: Polarity) -> (Polarity, &NldmTable, &NldmTable) {
         let EdgeArc { cell, pin, arc } = self.arcs[k];
         let arc = &self.library.cells()[cell].pins[pin].timing[arc];
         let out_pol = match arc.sense {
             TimingSense::NegativeUnate => from_pol.inverted(),
             TimingSense::PositiveUnate => from_pol,
         };
-        let (delay_t, slew_t) = match out_pol {
-            Polarity::Rise => (&arc.cell_rise, &arc.rise_transition),
-            Polarity::Fall => (&arc.cell_fall, &arc.fall_transition),
-        };
-        let delay = delay_t
-            .lookup(from_slew, load)
-            .map_err(|e| StaError::Library(format!("delay lookup: {e}")))?;
-        let slew = slew_t
-            .lookup(from_slew, load)
-            .map_err(|e| StaError::Library(format!("slew lookup: {e}")))?
-            .max(1e-13);
-        Ok((out_pol, delay, slew))
+        match out_pol {
+            Polarity::Rise => (out_pol, &arc.cell_rise, &arc.rise_transition),
+            Polarity::Fall => (out_pol, &arc.cell_fall, &arc.fall_transition),
+        }
+    }
+
+    /// `(out_pol, delay, out_slew)` of edge `k` for the given source
+    /// transition.
+    pub(crate) fn edge_timing(
+        &self,
+        k: usize,
+        from_pol: Polarity,
+        from_slew: f64,
+        load: f64,
+    ) -> (Polarity, f64, f64) {
+        let (out_pol, delay_t, slew_t) = self.edge_tables(k, from_pol);
+        let delay = delay_t.lookup(from_slew, load);
+        let slew = slew_t.lookup(from_slew, load).max(1e-13);
+        (out_pol, delay, slew)
     }
 
     /// The initial sweep states of cone `cone`, in cone order: its primary
@@ -229,7 +231,7 @@ impl Sta {
         cone: &[NetState],
         bc: &BoundaryConditions,
         minimize: bool,
-    ) -> Result<NetState, StaError> {
+    ) -> NetState {
         let at = |net: NetId| cone[self.graph.cone_slot(net)];
         let mut state = at(net);
         let load = self.net_load(net, bc);
@@ -240,7 +242,7 @@ impl Sta {
                 if !from.valid {
                     continue;
                 }
-                let (out_pol, delay, slew) = self.edge_timing(k, from_pol, from.slew, load)?;
+                let (out_pol, delay, slew) = self.edge_timing(k, from_pol, from.slew, load);
                 let candidate = from.arrival + delay;
                 let p = state.get_mut(out_pol);
                 let better = if minimize {
@@ -256,14 +258,11 @@ impl Sta {
                 }
             }
         }
-        Ok(state)
+        state
     }
 
     /// The nominal (latest-arrival, single-thread) forward sweep.
-    pub(crate) fn forward_sweep(
-        &self,
-        bc: &BoundaryConditions,
-    ) -> Result<PerCone<NetState>, StaError> {
+    pub(crate) fn forward_sweep(&self, bc: &BoundaryConditions) -> PerCone<NetState> {
         self.forward_sweep_scoped(bc, false, 1, None)
     }
 
@@ -286,7 +285,7 @@ impl Sta {
         minimize: bool,
         threads: usize,
         scope: Option<&[bool]>,
-    ) -> Result<PerCone<NetState>, StaError> {
+    ) -> PerCone<NetState> {
         let mut sweep_span = nsta_obs::span!("sta.forward_sweep");
         sweep_span.set_arg("minimize", minimize as u8 as f64);
         sweep_span.set_arg("threads", threads.max(1) as f64);
@@ -298,15 +297,15 @@ impl Sta {
             cone_span.set_arg("nets", nets.len() as f64);
             let mut local = self.seed_cone(bc, minimize, cone);
             for (j, &net) in nets.iter().enumerate() {
-                local[j] = self.propagate_net(net, &local, bc, minimize)?;
+                local[j] = self.propagate_net(net, &local, bc, minimize);
             }
-            Ok::<_, StaError>(local)
+            local
         });
         let mut states = vec![Vec::new(); self.graph.components().len()];
         for (&cone, outcome) in active.iter().zip(outcomes) {
-            states[cone] = outcome?;
+            states[cone] = outcome;
         }
-        Ok(states)
+        states
     }
 
     /// Runs the nominal (crosstalk-free, latest-arrival) analysis.
@@ -316,16 +315,17 @@ impl Sta {
     ///
     /// # Errors
     ///
-    /// Propagates table-lookup failures; construction errors were already
-    /// caught in [`Sta::new`].
+    /// None: [`Sta::new`] already caught every construction error, and a
+    /// table lookup cannot fail. The `Result` is kept so callers need not
+    /// change.
     pub fn analyze(
         &self,
         constraints: impl Into<BoundaryConditions>,
     ) -> Result<TimingReport, StaError> {
         let bc = constraints.into();
-        let states = self.forward_sweep(&bc)?;
+        let states = self.forward_sweep(&bc);
         let mask = self.false_edge_mask(&bc);
-        self.finish_report(&bc, states, mask.as_ref())
+        Ok(self.finish_report(&bc, states, mask.as_ref()))
     }
 
     /// Runs the earliest-arrival analysis: the forward sweep minimizes
@@ -345,9 +345,9 @@ impl Sta {
         constraints: impl Into<BoundaryConditions>,
     ) -> Result<TimingReport, StaError> {
         let bc = constraints.into();
-        let states = self.forward_sweep_scoped(&bc, true, 1, None)?;
+        let states = self.forward_sweep_scoped(&bc, true, 1, None);
         let mask = self.false_edge_mask(&bc);
-        self.finish_report(&bc, states, mask.as_ref())
+        Ok(self.finish_report(&bc, states, mask.as_ref()))
     }
 
     /// Builds the false-path exemption mask for this graph, or `None` when
@@ -460,9 +460,9 @@ impl Sta {
         bc: &BoundaryConditions,
         states: PerCone<NetState>,
         mask: Option<&FalsePathMask>,
-    ) -> Result<TimingReport, StaError> {
-        let rows = self.report_rows(bc, &states, mask, None)?;
-        Ok(self.report_from_rows(self.net_rows(rows), &states))
+    ) -> TimingReport {
+        let rows = self.report_rows(bc, &states, mask, None);
+        self.report_from_rows(self.net_rows(rows), &states)
     }
 
     /// The per-cone rows of [`Sta::finish_report`] for the cones a
@@ -479,12 +479,12 @@ impl Sta {
         states: &[Vec<NetState>],
         mask: Option<&FalsePathMask>,
         scope: Option<&[bool]>,
-    ) -> Result<PerCone<NetTiming>, StaError> {
+    ) -> PerCone<NetTiming> {
         let mut rows = vec![Vec::new(); self.graph.components().len()];
         for cone in self.graph.scoped_cones(scope) {
-            rows[cone] = self.cone_rows(bc, cone, &states[cone], mask)?;
+            rows[cone] = self.cone_rows(bc, cone, &states[cone], mask);
         }
-        Ok(rows)
+        rows
     }
 
     /// The report rows of cone `cone` from its sweep `states` (in cone
@@ -496,7 +496,7 @@ impl Sta {
         cone: usize,
         states: &[NetState],
         mask: Option<&FalsePathMask>,
-    ) -> Result<Vec<NetTiming>, StaError> {
+    ) -> Vec<NetTiming> {
         let nets = &self.graph.components()[cone];
         let slot = |net: NetId| self.graph.cone_slot(net);
         let mut required = vec![[f64::INFINITY; 2]; nets.len()];
@@ -522,7 +522,9 @@ impl Sta {
                     if !from.valid {
                         continue;
                     }
-                    let (out_pol, delay, _) = self.edge_timing(k, from_pol, from.slew, load)?;
+                    // Required times need the delay only, not the slew.
+                    let (out_pol, delay_t, _) = self.edge_tables(k, from_pol);
+                    let delay = delay_t.lookup(from.slew, load);
                     let req = required[slot(net)][idx(out_pol)] - delay;
                     let entry = &mut required[slot(edge.from)][idx(from_pol)];
                     if req < *entry {
@@ -564,7 +566,7 @@ impl Sta {
             }
             rows.push(timing);
         }
-        Ok(rows)
+        rows
     }
 
     /// Per-cone rows covering every cone, rearranged into net-id order —
@@ -704,12 +706,8 @@ mod tests {
             let load = sta.net_load(net, &bc);
             let edge = sta.graph().fanin_edges(net)[0];
             // Negative unate inverter: out rise from in fall and vice versa.
-            let (_, d_r, s_r) = sta
-                .edge_timing(edge, Polarity::Fall, slew[1], load)
-                .unwrap();
-            let (_, d_f, s_f) = sta
-                .edge_timing(edge, Polarity::Rise, slew[0], load)
-                .unwrap();
+            let (_, d_r, s_r) = sta.edge_timing(edge, Polarity::Fall, slew[1], load);
+            let (_, d_f, s_f) = sta.edge_timing(edge, Polarity::Rise, slew[0], load);
             let next_rise = arr[1] + d_r;
             let next_fall = arr[0] + d_f;
             arr = [next_rise, next_fall];

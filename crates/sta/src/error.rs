@@ -19,7 +19,7 @@ pub enum StaError {
         /// Name of a net on the cycle.
         net: String,
     },
-    /// A library lookup failed.
+    /// The library lacks a timing arc an instance needs.
     Library(String),
     /// A coupled victim's extracted parasitics are electrically
     /// degenerate (zero capacitance, disconnected node…): the mesh has

@@ -1074,7 +1074,7 @@ impl Sta {
                 let mut local = self.seed_cone(cx.bc, false, cone);
                 let mut out = Resolved::default();
                 for (j, &net) in nets.iter().enumerate() {
-                    local[j] = self.propagate_net(net, &local, cx.bc, false)?;
+                    local[j] = self.propagate_net(net, &local, cx.bc, false);
                     let Some(spec) = spec_at[j] else { continue };
                     let units = VictimTransition::of_net(spec, &local[j]);
                     let results = self.victim_gammas(cx, &units, &mut out.degrades);
@@ -1360,7 +1360,7 @@ impl Sta {
         // constraint-set arrival ranges instead of a single point.
         let base = {
             let _sweep_span = nsta_obs::span!("si.nominal_sweep");
-            self.forward_sweep_scoped(bc, false, threads, scope)?
+            self.forward_sweep_scoped(bc, false, threads, scope)
         };
         let deadline = options.deadline.as_ref();
         let cones = self.graph().components().len();
@@ -1380,9 +1380,9 @@ impl Sta {
 
         let min_states = {
             let _sweep_span = nsta_obs::span!("si.min_sweep");
-            self.forward_sweep_scoped(bc, true, threads, scope)?
+            self.forward_sweep_scoped(bc, true, threads, scope)
         };
-        let clean = self.report_rows(bc, &base, mask, scope)?;
+        let clean = self.report_rows(bc, &base, mask, scope);
         let nominal_windows = Self::windows_from(&min_states, &clean);
         let mut windows = nominal_windows.clone();
         // The fixed point's running result, into which each pass splices
@@ -1434,7 +1434,7 @@ impl Sta {
             let (pass_states, pass_adjustments, recomputed, mut degrades) =
                 self.crosstalk_pass(&cx, &filtered, Some(&pass_cones))?;
             degrade_events.append(&mut degrades);
-            let pass_rows = self.report_rows(bc, &pass_states, mask, Some(&pass_cones))?;
+            let pass_rows = self.report_rows(bc, &pass_states, mask, Some(&pass_cones));
             let fresh = pass_adjustments.len();
             let moved = self.splice_cones(
                 (&mut states, &mut rows, &mut adjustments),
@@ -1987,7 +1987,7 @@ mod tests {
         method: MethodKind,
     ) -> Result<(TimingReport, Vec<SiAdjustment>), StaError> {
         let bc = constraints.into();
-        let base = sta.forward_sweep(&bc)?;
+        let base = sta.forward_sweep(&bc);
         let factors = Factorizations::default();
         let cx = PassContext {
             method,
@@ -1995,7 +1995,7 @@ mod tests {
         };
         let (states, adjustments, _, _) = sta.crosstalk_pass(&cx, couplings, None)?;
         let mask = sta.false_edge_mask(&bc);
-        Ok((sta.finish_report(&bc, states, mask.as_ref())?, adjustments))
+        Ok((sta.finish_report(&bc, states, mask.as_ref()), adjustments))
     }
 
     #[test]
@@ -2291,9 +2291,7 @@ mod tests {
         let _guard = crate::obs_test_guard();
         let sta = Sta::new(windowed_design(), lib().clone()).unwrap();
         let c = Constraints::default();
-        let min_states = sta
-            .forward_sweep_scoped(&BoundaryConditions::from(&c), true, 1, None)
-            .unwrap();
+        let min_states = sta.forward_sweep_scoped(&BoundaryConditions::from(&c), true, 1, None);
         let report = sta.analyze(c).unwrap();
         let rows = sta
             .graph()
@@ -2510,7 +2508,7 @@ mod tests {
         let mut specs = multi_group_specs(&sta, 4);
         specs[1] = specs[1].restricted(&[0]);
         specs[2].quiet_cm = 20e-15;
-        let base = sta.forward_sweep(&bc).unwrap();
+        let base = sta.forward_sweep(&bc);
         let groups = group_count(&nominal_stages(
             &sta,
             &pass_context(&bc, &base, 1, None),
@@ -2522,7 +2520,7 @@ mod tests {
                 sta.crosstalk_pass(&cx, &specs, None).unwrap();
             assert!(degrades.is_empty());
             let mask = sta.false_edge_mask(&bc);
-            let report = sta.finish_report(&bc, states, mask.as_ref()).unwrap();
+            let report = sta.finish_report(&bc, states, mask.as_ref());
             (report, adjustments, stats)
         };
         let unshared = pass(1, None);
@@ -2599,7 +2597,7 @@ mod tests {
         let _guard = crate::obs_test_guard();
         let sta = Sta::new(multi_group_design_with(&[3, 5, 7, 3]), lib().clone()).unwrap();
         let bc = BoundaryConditions::from(&Constraints::default());
-        let base = sta.forward_sweep(&bc).unwrap();
+        let base = sta.forward_sweep(&bc);
         let mut specs = multi_group_specs(&sta, 4);
         // Group 1 loses every aggressor: one column per transition.
         specs[1] = specs[1].restricted(&[]);
@@ -2657,7 +2655,7 @@ mod tests {
         // transition reduced on the whole cap, bit for bit.
         let sta = Sta::new(multi_group_design_with(&[7]), lib().clone()).unwrap();
         let bc = BoundaryConditions::from(&Constraints::default());
-        let base = sta.forward_sweep(&bc).unwrap();
+        let base = sta.forward_sweep(&bc);
         let mut specs = multi_group_specs(&sta, 1);
         let line = specs[0].line;
         specs[0].line = RcLineSpec::new(line.r_total, line.c_total, 48).unwrap();
@@ -2716,7 +2714,7 @@ mod tests {
             ..Constraints::default()
         };
         let bc = BoundaryConditions::from(&constraints(-0.3e-9));
-        let base = sta.forward_sweep(&bc).unwrap();
+        let base = sta.forward_sweep(&bc);
         let stages = nominal_stages(&sta, &pass_context(&bc, &base, 1, None), &specs);
         assert!(stages.iter().flatten().all(|s| s.t_start == -0.5e-9));
         let run = |input_arrival: f64| {

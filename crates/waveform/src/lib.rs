@@ -41,4 +41,4 @@ mod wave;
 pub use edge::{Polarity, Thresholds};
 pub use error::WaveformError;
 pub use ramp::SaturatedRamp;
-pub use wave::Waveform;
+pub use wave::{Sampler, Waveform};

@@ -46,10 +46,11 @@ pub fn band_area(
             knots.push(ts[k]);
         }
         let Some(&t_next) = ts.get(k + 1) else { break };
-        let mut cross = [v_lo, v_hi].map(|level| {
+        let crossing = |level: f64| {
             let (y0, y1) = (vs[k] - level, vs[k + 1] - level);
             (y0 * y1 < 0.0).then(|| ts[k] + y0 / (y0 - y1) * (t_next - ts[k]))
-        });
+        };
+        let mut cross = [crossing(v_lo), crossing(v_hi)];
         if let [Some(a), Some(b)] = cross {
             if b < a {
                 cross = [Some(b), Some(a)];

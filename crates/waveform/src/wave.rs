@@ -150,42 +150,27 @@ impl Waveform {
     }
 
     /// Samples the waveform at every point of an ascending time grid with
-    /// one binary search for the first point's segment and one forward
-    /// pass from there — `O(log samples + grid + covered samples)` instead
-    /// of one binary search per grid point. The transient steppers use
-    /// this to tabulate source values over their whole time axis.
+    /// one [`Sampler`]: one binary search for the first point's segment and
+    /// one forward pass from there — `O(log samples + grid + covered
+    /// samples)` instead of one binary search per grid point. The transient
+    /// steppers use this to tabulate source values over their whole time
+    /// axis.
     ///
-    /// Grid points outside the recorded span hold the end values, exactly
-    /// like [`Waveform::value_at`].
+    /// Each value equals [`Waveform::value_at`] bit for bit; grid points
+    /// outside the recorded span hold the end values.
     pub fn sample_on_grid(&self, grid: &[f64], out: &mut Vec<f64>) {
-        debug_assert!(
-            grid.windows(2).all(|w| w[0] <= w[1]),
-            "grid must be ascending"
-        );
         out.clear();
         out.reserve(grid.len());
-        let last = self.ts.len() - 1;
-        let mut seg = grid
-            .first()
-            .map_or(0, |&t| interp::segment_index(&self.ts, t));
-        for &t in grid {
-            if t <= self.ts[0] {
-                out.push(self.vs[0]);
-                continue;
-            }
-            if t >= self.ts[last] {
-                out.push(self.vs[last]);
-                continue;
-            }
-            // `<=` matches `segment_index`'s choice for exact sample hits,
-            // keeping these tables bit-identical to `value_at` queries.
-            while self.ts[seg + 1] <= t {
-                seg += 1;
-            }
-            let (t0, t1) = (self.ts[seg], self.ts[seg + 1]);
-            let (v0, v1) = (self.vs[seg], self.vs[seg + 1]);
-            let frac = (t - t0) / (t1 - t0);
-            out.push(v0 + frac * (v1 - v0));
+        let mut sampler = self.sampler(grid.first().copied().unwrap_or(self.ts[0]));
+        out.extend(grid.iter().map(|&t| sampler.value_at(t)));
+    }
+
+    /// A [`Sampler`] whose first segment is the one holding `from`, found
+    /// by one binary search.
+    pub fn sampler(&self, from: f64) -> Sampler<'_> {
+        Sampler {
+            wave: self,
+            seg: interp::segment_index(&self.ts, from),
         }
     }
 
@@ -194,9 +179,13 @@ impl Waveform {
         interp::crossings(&self.ts, &self.vs, level)
     }
 
-    /// Earliest crossing of `level`, if any: `crossings(level).first()`.
+    /// Earliest crossing of `level`, if any: `crossings(level).first()`,
+    /// or on a record holding infinite samples (see
+    /// [`Waveform::first_crossing_from`]) its first entry that is not NaN.
     ///
-    /// Scans forward from the first sample and stops at the first hit.
+    /// Scans forward from the first sample and stops at the first hit,
+    /// after fast-forwarding over the samples that open the record
+    /// strictly on one side of `level`.
     pub fn first_crossing(&self, level: f64) -> Option<f64> {
         self.first_crossing_from(level, f64::NEG_INFINITY)
     }
@@ -207,11 +196,19 @@ impl Waveform {
     /// interpolated crossing it meets. An exact sample hit met before that
     /// is the answer unless the interpolated crossing does not precede it
     /// — the rule by which [`Waveform::crossings`] drops such a hit.
+    ///
+    /// The scan first fast-forwards over the run of samples that close the
+    /// record strictly on the last sample's side of `level` (none if that
+    /// sample sits on the level or is NaN), eight samples per step and then
+    /// one at a time. A segment between two such samples has no crossing,
+    /// no exact hit and nothing to dedupe, so the exact loop, started at
+    /// the run's first sample, returns what it returns from the last one.
     pub fn last_crossing(&self, level: f64) -> Option<f64> {
         let n = self.vs.len();
         let mut hit = (self.vs[n - 1] == level).then_some(self.ts[n - 1]);
-        let mut y1 = self.vs[n - 1] - level;
-        for (k, &v0) in self.vs[..n - 1].iter().enumerate().rev() {
+        let end = n - trailing_run(&self.vs, level).max(1);
+        let mut y1 = self.vs[end] - level;
+        for (k, &v0) in self.vs[..end].iter().enumerate().rev() {
             let y0 = v0 - level;
             if y0 == 0.0 {
                 hit = hit.or(Some(self.ts[k]));
@@ -226,12 +223,22 @@ impl Waveform {
 
     /// The first entry of `crossings(level)` at or after `t_min`, found by
     /// a forward scan that stops there. Exact sample hits dedupe against
-    /// the previous entry as in [`Waveform::crossings`].
-    fn first_crossing_from(&self, level: f64, t_min: f64) -> Option<f64> {
+    /// the previous entry as in [`Waveform::crossings`]. A NaN entry is
+    /// never at or after `t_min`; only a record holding infinite samples
+    /// (a sum that overflowed, or its derivative) interpolates one.
+    ///
+    /// The scan first fast-forwards over the run of samples that open the
+    /// record strictly on the first sample's side of `level` (none if that
+    /// sample sits on the level or is NaN), eight samples per step and then
+    /// one at a time. A segment between two such samples has no crossing,
+    /// no exact hit and nothing to dedupe, so the exact loop, started at
+    /// the run's last sample, returns what it returns from the first one.
+    pub fn first_crossing_from(&self, level: f64, t_min: f64) -> Option<f64> {
         let n = self.vs.len();
+        let start = leading_run(&self.vs, level).max(1) - 1;
         let mut last: Option<f64> = None;
-        let mut y0 = self.vs[0] - level;
-        for (k, &v1) in self.vs[1..].iter().enumerate() {
+        let mut y0 = self.vs[start] - level;
+        for (k, &v1) in (start..).zip(&self.vs[start + 1..]) {
             let y1 = v1 - level;
             let t = if y0 == 0.0 {
                 Some(self.ts[k]).filter(|&t| last.is_none_or(|l| l < t))
@@ -302,7 +309,9 @@ impl Waveform {
 
     /// The *noisy critical region* of the paper: from the **first** crossing
     /// of the transition's start level to the **last** crossing of its end
-    /// level (`0.1·Vdd` → `0.9·Vdd` for a rise).
+    /// level (`0.1·Vdd` → `0.9·Vdd` for a rise), each found by a scan from
+    /// its own end of the record ([`Waveform::first_crossing`],
+    /// [`Waveform::last_crossing`]).
     ///
     /// # Errors
     ///
@@ -330,9 +339,11 @@ impl Waveform {
     /// **first** subsequent crossing of the end level (the noiseless
     /// convention used by P1).
     ///
-    /// Both crossings come from forward scans that stop at their hit; the
-    /// result equals the first `crossings(end)` entry at or after the
-    /// first `crossings(start)` entry, minus that entry.
+    /// Both crossings come from forward scans that fast-forward to the
+    /// transition and stop at their hit
+    /// ([`Waveform::first_crossing_from`]); the result equals the first
+    /// `crossings(end)` entry at or after the first `crossings(start)`
+    /// entry, minus that entry.
     ///
     /// # Errors
     ///
@@ -494,6 +505,101 @@ impl Waveform {
         }
         acc
     }
+}
+
+/// A forward reader of one waveform's values at a run of query times:
+/// [`Waveform::value_at`] bit for bit, at the cost of one forward walk
+/// over the record when the queries ascend.
+///
+/// It keeps the segment of its last query. A query inside the record walks
+/// forward from there to the last sample at or before it — the segment
+/// `value_at`'s binary search picks — and interpolates it with
+/// `value_at`'s formula; a query before that segment finds its segment by
+/// binary search again, so any query order gives `value_at`'s values.
+#[derive(Debug, Clone)]
+pub struct Sampler<'a> {
+    wave: &'a Waveform,
+    seg: usize,
+}
+
+impl Sampler<'_> {
+    /// The waveform's value at `t`, equal to [`Waveform::value_at`] bit
+    /// for bit: linear between samples, the end values outside the span.
+    #[inline]
+    pub fn value_at(&mut self, t: f64) -> f64 {
+        let (ts, vs) = (&self.wave.ts, &self.wave.vs);
+        let last = ts.len() - 1;
+        if t <= ts[0] {
+            return vs[0];
+        }
+        if t >= ts[last] {
+            return vs[last];
+        }
+        if t < ts[self.seg] {
+            self.seg = interp::segment_index(ts, t);
+        }
+        // `<=` matches `segment_index`'s choice for exact sample hits.
+        while ts[self.seg + 1] <= t {
+            self.seg += 1;
+        }
+        let k = self.seg;
+        let (t0, t1) = (ts[k], ts[k + 1]);
+        let (v0, v1) = (vs[k], vs[k + 1]);
+        let frac = (t - t0) / (t1 - t0);
+        v0 + frac * (v1 - v0)
+    }
+}
+
+/// How many samples open `vs` strictly on `vs[0]`'s side of `level`; 0 if
+/// `vs[0]` sits on the level or is NaN. The crossing scans skip these.
+fn leading_run(vs: &[f64], level: f64) -> usize {
+    let Some(on_side) = side_of(vs[0], level) else {
+        return 0;
+    };
+    let mut run = 0;
+    for block in vs.chunks_exact(8) {
+        // Branch-free: all eight compares, then one test.
+        if !block.iter().fold(true, |all, &v| all & on_side(v)) {
+            break;
+        }
+        run += 8;
+    }
+    run + vs[run..].iter().take_while(|&&v| on_side(v)).count()
+}
+
+/// How many samples close `vs` strictly on its last sample's side of
+/// `level`: [`leading_run`] from the other end.
+fn trailing_run(vs: &[f64], level: f64) -> usize {
+    let Some(on_side) = side_of(vs[vs.len() - 1], level) else {
+        return 0;
+    };
+    let mut run = 0;
+    for block in vs.rchunks_exact(8) {
+        if !block.iter().fold(true, |all, &v| all & on_side(v)) {
+            break;
+        }
+        run += 8;
+    }
+    run + vs[..vs.len() - run]
+        .iter()
+        .rev()
+        .take_while(|&&v| on_side(v))
+        .count()
+}
+
+/// The test "`v − level` is nonzero, not NaN and of the sign of
+/// `anchor − level`", or `None` when `anchor − level` is zero or NaN.
+/// Multiplying by ±1 is exact, so the test reads the scans' own `y`.
+fn side_of(anchor: f64, level: f64) -> Option<impl Fn(f64) -> bool> {
+    let y = anchor - level;
+    let sign = if y > 0.0 {
+        1.0
+    } else if y < 0.0 {
+        -1.0
+    } else {
+        return None;
+    };
+    Some(move |v: f64| (v - level) * sign > 0.0)
 }
 
 /// The uniform grid of [`Waveform::from_fn`] — `t0 + i·dt`, clipped to

@@ -200,8 +200,109 @@ fn record_with_hits(rng: &mut Rng, levels: &[f64]) -> Waveform {
     Waveform::new(ts, vs).expect("valid record")
 }
 
+/// A random record built like a golden transient: a same-side run of
+/// 0–70 samples, a few samples from [`record_with_hits`]'s mix, and another
+/// run. Each run holds its values in a narrow band drawn anywhere across
+/// the levels, so a run is strictly on one side of most levels and sits on
+/// or straddles the others; run lengths are rarely a multiple of eight.
+fn record_with_runs(rng: &mut Rng, levels: &[f64]) -> Waveform {
+    let run = |rng: &mut Rng| {
+        let band = rng.range(-0.3, 1.5);
+        let len = rng.usize_range(0, 71);
+        (0..len)
+            .map(|_| band + rng.range(0.0, 0.02))
+            .collect::<Vec<_>>()
+    };
+    let mut vs = run(rng);
+    let middle = record_with_hits(rng, levels);
+    let keep = rng.usize_range(0, 12).min(middle.len());
+    vs.extend_from_slice(&middle.values()[..keep]);
+    vs.extend(run(rng));
+    while vs.len() < 2 {
+        vs.push(rng.range(-0.3, 1.5));
+    }
+    let mut t = rng.range(-2.0, 2.0) * 1e-9;
+    let ts = vs
+        .iter()
+        .map(|_| {
+            t += rng.range(0.01, 1.0) * 1e-12;
+            t
+        })
+        .collect();
+    Waveform::new(ts, vs).expect("valid record")
+}
+
+/// Asserts that every early-exit scan of `w` returns what its
+/// `crossings()` definition returns, bit for bit: `first_crossing`,
+/// `last_crossing` and `first_crossing_from` at each of `levels`, and
+/// `critical_region` and `slew_first_to_first` at `th`'s slew levels.
+///
+/// The forward definitions take the first entry *at or after* a time,
+/// which a NaN entry never is. Only a record holding infinite samples has
+/// one (an interpolated time `inf / inf`); on any other record the first
+/// entry at or after `-inf` is simply the first.
+fn assert_scans_match_definitions(w: &Waveform, th: Thresholds, levels: &[f64], what: &str) {
+    let bits = |t: Option<f64>| t.map(f64::to_bits);
+    let from = |all: &[f64], t_min: f64| all.iter().copied().find(|&t| t >= t_min);
+    for &level in levels {
+        let all = w.crossings(level);
+        if w.values().iter().all(|v| v.is_finite()) {
+            assert_eq!(from(&all, f64::NEG_INFINITY), all.first().copied());
+        }
+        assert_eq!(
+            bits(w.first_crossing(level)),
+            bits(from(&all, f64::NEG_INFINITY)),
+            "{what}, level {level}: first of {all:?}"
+        );
+        assert_eq!(
+            bits(w.last_crossing(level)),
+            bits(all.last().copied()),
+            "{what}, level {level}: last of {all:?}"
+        );
+        // From every sample time and every crossing, and just past each.
+        let starts = w.times().iter().chain(&all).flat_map(|&t| [t, t + 1e-15]);
+        for t_min in starts {
+            assert_eq!(
+                bits(w.first_crossing_from(level, t_min)),
+                bits(from(&all, t_min)),
+                "{what}, level {level}: first from {t_min:e} of {all:?}"
+            );
+        }
+    }
+    for polarity in [Polarity::Rise, Polarity::Fall] {
+        let (start, end) = th.slew_levels(polarity);
+        let first_start = from(&w.crossings(start), f64::NEG_INFINITY);
+        let ends = w.crossings(end);
+        let expected = first_start.and_then(|t0| from(&ends, t0).map(|t1| t1 - t0));
+        let got = w.slew_first_to_first(th, polarity).ok();
+        assert_eq!(
+            bits(got),
+            bits(expected),
+            "{what}, {polarity:?}: slew {got:?} vs {expected:?}"
+        );
+        let expected = match (first_start, ends.last()) {
+            (Some(a), Some(&b)) if !(b <= a) => Some((a, b)),
+            _ => None,
+        };
+        let got = w.critical_region(th, polarity).ok();
+        let pair = |r: Option<(f64, f64)>| r.map(|(a, b)| (a.to_bits(), b.to_bits()));
+        assert_eq!(
+            pair(got),
+            pair(expected),
+            "{what}, {polarity:?}: region {got:?} vs {expected:?}"
+        );
+    }
+}
+
+/// A record on a 1 ps grid from 0 with the given samples.
+fn record(vs: Vec<f64>) -> Waveform {
+    let ts = (0..vs.len()).map(|k| k as f64 * 1e-12).collect();
+    Waveform::new(ts, vs).expect("valid record")
+}
+
 /// The early-exit scans return exactly what their `crossings()`
-/// definitions return, bit for bit, on records full of exact hits.
+/// definitions return, bit for bit, on records full of exact hits and on
+/// records whose long same-side runs the scans fast-forward over.
 #[test]
 fn early_exit_crossings_equal_their_definitions() {
     let th = Thresholds::cmos(1.2);
@@ -215,37 +316,128 @@ fn early_exit_crossings_equal_their_definitions() {
             th.vdd(),
             rng.range(-0.2, 1.4),
         ];
-        let w = record_with_hits(&mut rng, &levels);
-        for level in levels {
-            let all = w.crossings(level);
-            let bits = |t: Option<f64>| t.map(f64::to_bits);
-            assert_eq!(
-                bits(w.first_crossing(level)),
-                bits(all.first().copied()),
-                "case {case}, level {level}: first of {all:?}"
-            );
-            assert_eq!(
-                bits(w.last_crossing(level)),
-                bits(all.last().copied()),
-                "case {case}, level {level}: last of {all:?}"
-            );
-        }
-        for polarity in [Polarity::Rise, Polarity::Fall] {
-            let (start, end) = th.slew_levels(polarity);
-            let expected = w.crossings(start).first().and_then(|&t0| {
-                w.crossings(end)
-                    .into_iter()
-                    .find(|&t| t >= t0)
-                    .map(|t1| t1 - t0)
-            });
-            let got = w.slew_first_to_first(th, polarity).ok();
-            assert_eq!(
-                got.map(f64::to_bits),
-                expected.map(f64::to_bits),
-                "case {case}, {polarity:?}: {got:?} vs {expected:?}"
-            );
+        let w = if case % 2 == 0 {
+            record_with_hits(&mut rng, &levels)
+        } else {
+            record_with_runs(&mut rng, &levels)
+        };
+        assert_scans_match_definitions(&w, th, &levels, &format!("case {case}"));
+    }
+
+    // Records the fast-forward must stop exactly on, each scanned at the
+    // slew levels, 0, Vdd and NaN.
+    let levels = [th.low(), th.mid(), th.high(), 0.0, th.vdd(), f64::NAN];
+    let (lo, mid, hi) = (th.low(), th.mid(), th.high());
+    let rise = |pre: usize, post: usize| {
+        let mut vs = vec![0.0; pre];
+        vs.extend([0.05, 0.3, mid, 0.9, 1.15]);
+        vs.extend(vec![1.2; post]);
+        vs
+    };
+    let mut records = Vec::new();
+    // Same-side runs longer than one block, mostly not multiples of 8,
+    // before and after a transition.
+    for pre in [1, 7, 8, 9, 13, 16, 17, 23, 31, 37, 64, 65] {
+        for post in [1, 8, 9, 15, 29] {
+            records.push((format!("rise {pre}+{post}"), rise(pre, post)));
+            let fall = rise(pre, post).iter().map(|v| 1.2 - v).collect();
+            records.push((format!("fall {pre}+{post}"), fall));
         }
     }
+    // An exact hit right after a run, at each end.
+    records.push((
+        "hit after run".into(),
+        [vec![0.0; 19], vec![lo, 0.5, hi], vec![1.2; 21]].concat(),
+    ));
+    records.push((
+        "hit before run".into(),
+        [vec![0.0; 21], vec![0.5, hi], vec![1.2; 19]].concat(),
+    ));
+    records.push((
+        "flat hit after run".into(),
+        [vec![0.0; 11], vec![mid; 4], vec![1.2; 11]].concat(),
+    ));
+    // The level on the first or the last sample.
+    records.push((
+        "starts on low".into(),
+        [vec![lo], vec![0.0; 12], vec![1.2; 12]].concat(),
+    ));
+    records.push((
+        "ends on high".into(),
+        [vec![0.0; 12], vec![1.2; 12], vec![hi]].concat(),
+    ));
+    records.push((
+        "starts on 0".into(),
+        [vec![0.0; 10], vec![1.2; 10]].concat(),
+    ));
+    records.push((
+        "ends on vdd".into(),
+        [vec![0.0; 10], vec![1.2; 10]].concat(),
+    ));
+    // Sign changes whose product underflows to -0.0 at level 0, which
+    // `crossings` counts as no crossing, after and before long runs.
+    let tiny = 1e-200;
+    records.push((
+        "underflow only".into(),
+        [vec![tiny; 12], vec![-tiny; 12]].concat(),
+    ));
+    records.push((
+        "underflow then crossing".into(),
+        [vec![tiny; 20], vec![-tiny; 15], vec![0.5; 10]].concat(),
+    ));
+    records.push((
+        "crossing then underflow".into(),
+        [vec![-0.5; 10], vec![tiny; 15], vec![-tiny; 20]].concat(),
+    ));
+    // A transition in the last block and in the first.
+    records.push((
+        "transition last".into(),
+        [vec![0.0; 37], vec![0.4, 0.8, 1.2]].concat(),
+    ));
+    records.push((
+        "transition first".into(),
+        [vec![0.0, 0.4, 0.8], vec![1.2; 37]].concat(),
+    ));
+    records.push((
+        "crossing on last sample".into(),
+        [vec![0.0; 23], vec![mid]].concat(),
+    ));
+    records.push((
+        "crossing on first sample".into(),
+        [vec![mid], vec![1.2; 23]].concat(),
+    ));
+    for (what, vs) in records {
+        assert_scans_match_definitions(&record(vs), th, &levels, &what);
+    }
+
+    // NaN and infinite samples: `Waveform::new` rejects them, but the
+    // derivative of a sum that overflows holds both. Runs of finite
+    // slopes surround them.
+    let huge = [
+        vec![0.0; 10],
+        vec![1e308; 6],
+        vec![0.5; 10],
+        vec![1e308; 3],
+        vec![0.0; 9],
+    ]
+    .concat();
+    let sum = record(huge.clone()).plus(&record(huge));
+    let slopes = sum.derivative();
+    assert!(slopes.values().iter().any(|v| v.is_nan()));
+    assert!(slopes.values().iter().any(|v| v.is_infinite()));
+    let slope_levels = [0.0, 1e12, -1e12, f64::NAN, f64::INFINITY];
+    assert_scans_match_definitions(&slopes, th, &slope_levels, "slopes");
+    for k in [0, 1, 9, 12] {
+        let tail = Waveform::new(slopes.times()[k..].to_vec(), slopes.values()[k..].to_vec());
+        // Only finite records construct; the others are covered above.
+        if let Ok(w) = tail {
+            assert_scans_match_definitions(&w, th, &slope_levels, "slope tail");
+        }
+    }
+    let starts_nan = record([vec![1e308; 3], vec![0.0; 12]].concat());
+    let w = starts_nan.plus(&starts_nan).derivative();
+    assert!(w.v_start().is_nan(), "{:?}", w.values());
+    assert_scans_match_definitions(&w, th, &slope_levels, "starts on NaN");
 }
 
 /// `sample_on_grid` on an ascending grid that starts inside the record
@@ -274,6 +466,32 @@ fn sample_on_grid_equals_value_at_from_inside_the_record() {
         assert_eq!(out.len(), grid.len());
         for (&t, &v) in grid.iter().zip(&out) {
             assert_eq!(v.to_bits(), w.value_at(t).to_bits(), "case {case}, t={t:e}");
+        }
+    }
+}
+
+/// A `Sampler` equals `value_at` bit for bit in any query order: walking
+/// forward through ascending runs (repeats and exact sample times
+/// included) and finding its segment again after a step back.
+#[test]
+fn sampler_equals_value_at_in_any_order() {
+    let th = Thresholds::cmos(1.2);
+    let levels = [th.low(), th.mid(), th.high()];
+    let mut rng = Rng::new(0x5A3B1E);
+    for case in 0..1000 {
+        let w = record_with_hits(&mut rng, &levels);
+        let span = w.t_end() - w.t_start();
+        let mut t = w.t_start() + rng.range(-0.2, 1.2) * span;
+        let mut sampler = w.sampler(t);
+        for _ in 0..rng.usize_range(1, 80) {
+            let v = sampler.value_at(t);
+            assert_eq!(v.to_bits(), w.value_at(t).to_bits(), "case {case}, t={t:e}");
+            t = match rng.usize_range(0, 5) {
+                0 => t,
+                1 => w.times()[rng.usize_range(0, w.len())],
+                2 => t - rng.range(0.0, 0.3) * span,
+                _ => t + rng.range(0.0, 0.1) * span,
+            };
         }
     }
 }
