@@ -6,6 +6,7 @@
 use nsta_bench::microbench::bench;
 use nsta_circuit::{Circuit, NodeId, RcLineSpec, StarCoupledLines, TransientOptions};
 use nsta_numeric::{DenseMatrix, LuFactors};
+use nsta_spice::fig1::{self, Fig1Config};
 use nsta_spice::{cells, Netlist, Process, SimOptions};
 use nsta_waveform::{SaturatedRamp, Thresholds, Waveform};
 use std::iter::{once, repeat_n};
@@ -146,6 +147,56 @@ fn bench_spice_inverter() {
     });
 }
 
+/// The golden engine: the paper's Figure-1 bench with one skewed
+/// aggressor case per configuration (1 ps steps to 4 ns, as `table1` runs
+/// it), and one grid point of library characterization (a 1× inverter,
+/// 150 ps input ramp, 10 fF load, 2 ps steps, as
+/// `nsta_liberty::characterize` simulates it with `Options::fast_test()`).
+/// Each run times the simulation only; the netlist is built once.
+fn bench_spice_golden() {
+    for (name, cfg, skews) in [
+        (
+            "spice_fig1_config_i",
+            Fig1Config::config_i(),
+            vec![Some(60e-12)],
+        ),
+        (
+            "spice_fig1_config_ii",
+            Fig1Config::config_ii(),
+            vec![Some(-40e-12), Some(90e-12)],
+        ),
+    ] {
+        let (net, nodes) = fig1::build(&cfg, &skews).expect("bench");
+        let opts = SimOptions::new(0.0, cfg.t_stop, cfg.dt).expect("opts");
+        bench(name, || {
+            let res = net.run_transient(opts).expect("run");
+            res.voltage(nodes.out_u).expect("trace")
+        });
+    }
+
+    let proc = Process::c013();
+    let (slew, load, dt) = (150e-12, 10e-15, 2e-12);
+    let full = slew / 0.8;
+    let mid = 0.2e-9 + full / 2.0;
+    let t_stop = mid + full / 2.0 + 2.0e-9;
+    let mut net = Netlist::new(proc.vdd);
+    let inp = net.node("in");
+    let out = net.node("out");
+    cells::add_inverter(&mut net, &proc, 1.0, inp, out, "dut").expect("cell");
+    cells::add_load_cap(&mut net, out, load).expect("load");
+    let ramp = Waveform::new(
+        vec![0.0, mid - full / 2.0, mid + full / 2.0, t_stop],
+        vec![0.0, 0.0, proc.vdd, proc.vdd],
+    )
+    .expect("ramp");
+    net.vsource(inp, ramp).expect("source");
+    let opts = SimOptions::new(0.0, t_stop, dt).expect("opts");
+    bench("spice_characterize_point", || {
+        let res = net.run_transient(opts).expect("run");
+        res.voltage(out).expect("trace")
+    });
+}
+
 fn bench_liberty_parse() {
     // A realistic library text produced by the serializer (constructed
     // once, outside the timed loop).
@@ -199,5 +250,6 @@ fn main() {
     bench_linear_transient();
     bench_block_width();
     bench_spice_inverter();
+    bench_spice_golden();
     bench_liberty_parse();
 }

@@ -88,8 +88,11 @@ impl RcLineSpec {
         self.c_total / self.segments as f64
     }
 
-    /// Builds this line into `ckt` from `input`, creating internal nodes
-    /// named `{prefix}_s{k}`. Returns the far-end node.
+    /// Builds this line into `ckt` from `input`, creating one anonymous
+    /// node per segment boundary ([`Circuit::anon_node`]: no name is
+    /// formatted and no name table is scanned, so a line costs O(segments)).
+    /// Returns the far-end node. `_prefix` is not used; it keeps the call
+    /// sites that label their lines unchanged.
     ///
     /// Each π-segment places half its capacitance on the near node and half
     /// on the far node; adjacent halves merge naturally.
@@ -101,9 +104,9 @@ impl RcLineSpec {
         &self,
         ckt: &mut Circuit,
         input: NodeId,
-        prefix: &str,
+        _prefix: &str,
     ) -> Result<NodeId, CircuitError> {
-        let nodes = self.build_nodes(ckt, input, prefix)?;
+        let nodes = self.build_nodes(ckt, input, "")?;
         Ok(nodes.last().copied().unwrap_or(input))
     }
 
@@ -118,14 +121,14 @@ impl RcLineSpec {
         &self,
         ckt: &mut Circuit,
         input: NodeId,
-        prefix: &str,
+        _prefix: &str,
     ) -> Result<Vec<NodeId>, CircuitError> {
         let half_c = self.c_segment() / 2.0;
         let mut nodes = Vec::with_capacity(self.segments);
         let mut prev = input;
-        for k in 0..self.segments {
+        for _ in 0..self.segments {
             ckt.capacitor(prev, Circuit::GROUND, half_c)?;
-            let next = ckt.node(&format!("{prefix}_s{}", k + 1));
+            let next = ckt.anon_node();
             ckt.resistor(prev, next, self.r_segment())?;
             ckt.capacitor(next, Circuit::GROUND, half_c)?;
             nodes.push(next);
@@ -172,8 +175,8 @@ impl StarCoupledLines {
 
     /// Builds the bundle into `ckt`: the victim from `victim_in`, each
     /// aggressor from its entry in `aggressor_ins` (lengths must match).
-    /// Internal nodes are named `{prefix}v_s{k}` / `{prefix}a{i}_s{k}`.
-    /// Returns `(victim_far, aggressor_fars)`.
+    /// Segment nodes are anonymous, as in [`RcLineSpec::build`]; `_prefix`
+    /// is not used. Returns `(victim_far, aggressor_fars)`.
     ///
     /// Each victim/aggressor coupling total is spread uniformly over the
     /// segment-boundary pairs the two lines share; when segment counts
@@ -189,20 +192,18 @@ impl StarCoupledLines {
         ckt: &mut Circuit,
         victim_in: NodeId,
         aggressor_ins: &[NodeId],
-        prefix: &str,
+        _prefix: &str,
     ) -> Result<(NodeId, Vec<NodeId>), CircuitError> {
         if aggressor_ins.len() != self.aggressors.len() {
             return Err(CircuitError::InvalidElement(
                 "one input node required per aggressor",
             ));
         }
-        let victim_nodes = self
-            .victim
-            .build_nodes(ckt, victim_in, &format!("{prefix}v"))?;
+        let victim_nodes = self.victim.build_nodes(ckt, victim_in, "")?;
         let victim_far = *victim_nodes.last().unwrap_or(&victim_in);
         let mut fars = Vec::with_capacity(self.aggressors.len());
-        for (i, ((spec, cm), &input)) in self.aggressors.iter().zip(aggressor_ins).enumerate() {
-            let agg_nodes = spec.build_nodes(ckt, input, &format!("{prefix}a{i}"))?;
+        for ((spec, cm), &input) in self.aggressors.iter().zip(aggressor_ins) {
+            let agg_nodes = spec.build_nodes(ckt, input, "")?;
             fars.push(*agg_nodes.last().unwrap_or(&input));
             let shared = victim_nodes.len().min(agg_nodes.len());
             let cm_each = cm / shared as f64;

@@ -6,8 +6,10 @@
 //! sparsity; the dense kernels remain as the small-system and
 //! partial-pivoting fallback:
 //!
-//! * [`sparse`] — [`TripletMatrix`] assembly, [`CsrMatrix`] storage/mat-vec
-//!   and the no-pivot [`SparseLu`] with reusable symbolic factorization.
+//! * [`sparse`] — [`TripletMatrix`] assembly, [`CsrMatrix`] storage/mat-vec,
+//!   [`ChunkedRows`] (row products summed exactly as [`dot`] sums a dense
+//!   row) and the no-pivot [`SparseLu`] with reusable symbolic
+//!   factorization.
 //!   Elimination is in **natural order without pivoting**, which is valid
 //!   exactly for the diagonally dominant stamps the engines produce (see
 //!   the module docs for the ordering assumptions); O(nnz) factor and step
@@ -44,4 +46,4 @@ pub mod stats;
 pub use error::NumericError;
 pub use fit::LineFit;
 pub use matrix::{dot, DenseMatrix, LuFactors};
-pub use sparse::{CsrMatrix, SparseLu, TripletMatrix};
+pub use sparse::{ChunkedRows, CsrMatrix, SparseLu, TripletMatrix};

@@ -31,9 +31,16 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
 
 /// A dense, row-major, square-or-rectangular matrix of `f64`.
 ///
-/// The circuit engines assemble modified-nodal-analysis systems of at most a
-/// few hundred unknowns, for which a dense representation is both simpler and
-/// faster than sparse bookkeeping.
+/// Both circuit engines assemble and solve their modified-nodal-analysis
+/// systems in sparse form ([`crate::sparse`]): the stamped RC meshes store
+/// a few entries per row, so even at the 24 and 27 free nodes of the
+/// paper's Figure-1 bench (configurations I and II) an `nf × nf` dense
+/// product does about ten times the work of the stored entries
+/// (`G_UU` of configuration I stores 60 of 576). Dense matrices remain
+/// for small blocks (the linear engine's source-coupling columns), for
+/// [`LuFactors`], the partial-pivoting fallback of a sparse factorization
+/// that loses a pivot, and for the dense solver backend kept as a parity
+/// baseline.
 ///
 /// ```
 /// use nsta_numeric::DenseMatrix;

@@ -60,6 +60,12 @@
 //! unchanged bit for bit. Callers rely on this to skip exactly-zero terms:
 //! the transient kernel adds source terms only on the rows a source
 //! reaches instead of adding `+0.0` to every other row.
+//!
+//! [`ChunkedRows`] rests on the same argument: it reproduces
+//! [`crate::dot`] of a dense row, whose four partial sums start at `+0.0`,
+//! while skipping the row's all-zero four-column chunks. For finite inputs
+//! a skipped chunk only adds `±0.0` products to those sums, so the result
+//! is bit-identical to the dense `dot` at the cost of the stored chunks.
 
 use crate::{DenseMatrix, NumericError};
 
@@ -411,6 +417,121 @@ impl CsrMatrix {
             && self.cols == other.cols
             && self.row_ptr == other.row_ptr
             && self.col_idx == other.col_idx
+    }
+}
+
+/// A matrix's rows regrouped for products summed exactly as
+/// [`crate::dot`] sums a dense row with a vector: one `[f64; 4]` block per
+/// four-column chunk in which a row stores an entry (zeros in its other
+/// lanes), plus the row's entries past its last whole chunk.
+///
+/// `dot` keeps four partial sums, one per column residue mod 4, over the
+/// whole chunks, a remainder sum after them, and returns
+/// `(s0 + s2) + (s1 + s3) + rest`. [`ChunkedRows::dot_into`] performs the
+/// same operations in the same order on the stored chunks and skips the
+/// others. A skipped chunk holds exact zeros whose `±0.0` products leave
+/// every partial sum unchanged (see the module docs), so for finite `x`
+/// each result is bit-identical to `dot` on the densified row, at the cost
+/// of the stored chunks, not `cols`.
+#[derive(Debug, Clone)]
+pub struct ChunkedRows {
+    cols: usize,
+    /// Row `r`'s blocks are `block_ptr[r]..block_ptr[r + 1]`.
+    block_ptr: Vec<usize>,
+    /// First column of each block: a multiple of 4.
+    block_col: Vec<usize>,
+    block_vals: Vec<[f64; 4]>,
+    /// Row `r`'s entries past its last whole chunk are
+    /// `tail_ptr[r]..tail_ptr[r + 1]`.
+    tail_ptr: Vec<usize>,
+    tail_col: Vec<usize>,
+    tail_vals: Vec<f64>,
+}
+
+impl ChunkedRows {
+    /// Regroups the stored entries of `a`.
+    pub fn new(a: &CsrMatrix) -> Self {
+        let chunked = a.cols - a.cols % 4;
+        let mut out = ChunkedRows {
+            cols: a.cols,
+            block_ptr: vec![0],
+            block_col: Vec::new(),
+            block_vals: Vec::new(),
+            tail_ptr: vec![0],
+            tail_col: Vec::new(),
+            tail_vals: Vec::new(),
+        };
+        for r in 0..a.rows {
+            let first = out.block_col.len();
+            let (cols, vals) = a.row(r);
+            for (&c, &v) in cols.iter().zip(vals) {
+                if c >= chunked {
+                    out.tail_col.push(c);
+                    out.tail_vals.push(v);
+                    continue;
+                }
+                let base = c - c % 4;
+                if out.block_col.len() == first || out.block_col.last() != Some(&base) {
+                    out.block_col.push(base);
+                    out.block_vals.push([0.0; 4]);
+                }
+                if let Some(block) = out.block_vals.last_mut() {
+                    block[c % 4] = v;
+                }
+            }
+            out.block_ptr.push(out.block_col.len());
+            out.tail_ptr.push(out.tail_col.len());
+        }
+        out
+    }
+
+    fn rows(&self) -> usize {
+        self.block_ptr.len() - 1
+    }
+
+    /// `y[r] = dot(row r, x)` for every row, into a caller-provided buffer
+    /// without allocating; an empty row yields `+0.0`.
+    ///
+    /// # Errors
+    ///
+    /// [`NumericError::ShapeMismatch`] unless `x.len() == cols` and
+    /// `y.len() == rows`.
+    pub fn dot_into(&self, x: &[f64], y: &mut [f64]) -> Result<(), NumericError> {
+        if x.len() != self.cols {
+            return Err(NumericError::ShapeMismatch {
+                got: x.len(),
+                expected: self.cols,
+            });
+        }
+        if y.len() != self.rows() {
+            return Err(NumericError::ShapeMismatch {
+                got: y.len(),
+                expected: self.rows(),
+            });
+        }
+        for (r, out) in y.iter_mut().enumerate() {
+            let blocks = self.block_ptr[r]..self.block_ptr[r + 1];
+            let mut s = [0.0f64; 4];
+            for (&c, v) in self.block_col[blocks.clone()]
+                .iter()
+                .zip(&self.block_vals[blocks])
+            {
+                let xs = &x[c..c + 4];
+                for j in 0..4 {
+                    s[j] += v[j] * xs[j];
+                }
+            }
+            let tail = self.tail_ptr[r]..self.tail_ptr[r + 1];
+            let mut rest = 0.0;
+            for (&c, &v) in self.tail_col[tail.clone()]
+                .iter()
+                .zip(&self.tail_vals[tail])
+            {
+                rest += v * x[c];
+            }
+            *out = (s[0] + s[2]) + (s[1] + s[3]) + rest;
+        }
+        Ok(())
     }
 }
 

@@ -8,7 +8,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use nsta_numeric::interp;
-use nsta_numeric::{DenseMatrix, LineFit, LuFactors};
+use nsta_numeric::{dot, ChunkedRows, DenseMatrix, LineFit, LuFactors, TripletMatrix};
 
 /// Deterministic xorshift64 sampler shared by the sweeps below.
 struct Rng(u64);
@@ -152,4 +152,59 @@ fn lu_inverse_columns() {
             }
         }
     }
+}
+
+/// `ChunkedRows::dot_into` equals `dot` on each densified row bit for bit:
+/// widths of every residue mod 4 (0 to 13 columns), empty rows, explicit
+/// zeros, `-0.0` entries, `±0.0` and exactly cancelling terms in `x`, so a
+/// partial sum meets `+0.0`, `-0.0` and exact cancellation.
+#[test]
+fn chunked_rows_dot_equals_dense_dot() {
+    let mut rng = Rng::new(0xD07);
+    // Few distinct magnitudes, so products cancel exactly now and then.
+    let pick = |rng: &mut Rng| match rng.usize_range(0, 6) {
+        0 => 0.0,
+        1 => -0.0,
+        2 => 1.0,
+        3 => -1.0,
+        4 => 0.5,
+        _ => rng.range(-3.0, 3.0),
+    };
+    for case in 0..4000 {
+        let (rows, cols) = (rng.usize_range(0, 6), case % 14);
+        let mut t = TripletMatrix::new(rows, cols);
+        for r in 0..rows {
+            if rng.next_unit() < 0.2 {
+                continue; // an empty row
+            }
+            for c in 0..cols {
+                if rng.next_unit() < 0.5 {
+                    t.add(r, c, pick(&mut rng));
+                }
+            }
+        }
+        let mut a = t.to_csr();
+        // Assembly sums from +0.0, so a stored -0.0 is set directly.
+        for v in a.values_mut() {
+            if *v == 0.0 && rng.next_unit() < 0.5 {
+                *v = -0.0;
+            }
+        }
+        let x: Vec<f64> = (0..cols).map(|_| pick(&mut rng)).collect();
+        let mut y = vec![f64::NAN; rows];
+        ChunkedRows::new(&a).dot_into(&x, &mut y).expect("shapes");
+        for (r, got) in y.iter().enumerate() {
+            let mut dense = vec![0.0; cols];
+            let (cs, vs) = a.row(r);
+            for (&c, &v) in cs.iter().zip(vs) {
+                dense[c] = v;
+            }
+            let want = dot(&dense, &x);
+            assert_eq!(got.to_bits(), want.to_bits(), "case {case}, row {r}");
+        }
+    }
+    let a = TripletMatrix::new(2, 3).to_csr();
+    let rows = ChunkedRows::new(&a);
+    assert!(rows.dot_into(&[0.0; 2], &mut [0.0; 2]).is_err());
+    assert!(rows.dot_into(&[0.0; 3], &mut [0.0; 3]).is_err());
 }

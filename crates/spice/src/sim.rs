@@ -1,6 +1,7 @@
+use crate::device::{DeviceEval, Mosfet};
 use crate::netlist::{Netlist, NodeId};
 use crate::SpiceError;
-use nsta_numeric::{CsrMatrix, DenseMatrix, LuFactors, NumericError, SparseLu, TripletMatrix};
+use nsta_numeric::{ChunkedRows, CsrMatrix, LuFactors, NumericError, SparseLu, TripletMatrix};
 use nsta_waveform::Waveform;
 
 /// Node-to-ground leakage conductance of a transient run (S): 1 pS.
@@ -101,36 +102,225 @@ impl SimResult {
     }
 }
 
-/// A Jacobian stamp sink: `(r, c, v)` accumulation plus the scale applied
-/// to device derivatives (1 for DC, ½ for the trapezoidal residual).
-type JacStamp<'a> = Option<(&'a mut dyn FnMut(usize, usize, f64), f64)>;
+/// Where a node's voltage lives in a solve.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Slot {
+    /// The reference node: 0 V.
+    Ground,
+    /// Pinned by voltage source `k`: `w[k]`.
+    Driven(usize),
+    /// Unknown `i` of the Newton system: `x[i]`.
+    Free(usize),
+}
+
+impl Slot {
+    /// The slot of `node` given every non-ground node's slot.
+    #[inline]
+    fn of(slots: &[Slot], node: usize) -> Slot {
+        if node == NodeId::GROUND_SENTINEL {
+            Slot::Ground
+        } else {
+            slots[node]
+        }
+    }
+
+    #[inline]
+    fn volt(self, x: &[f64], w: &[f64]) -> f64 {
+        match self {
+            Slot::Ground => 0.0,
+            Slot::Driven(k) => w[k],
+            Slot::Free(i) => x[i],
+        }
+    }
+
+    fn free(self) -> Option<usize> {
+        match self {
+            Slot::Free(i) => Some(i),
+            _ => None,
+        }
+    }
+}
 
 /// Assembled linear portion of the MNA system, shared by DC and transient.
+///
+/// Every stamp lives in CSR form only, so a residual costs the stored
+/// entries of its rows. The CSR values are the sums of the triplet stamps
+/// in element order, bit-identical to stamping the same sequence into
+/// dense matrices (see `nsta_numeric::sparse`).
 struct Assembled {
     nf: usize,
-    nd: usize,
-    is_driven: Vec<bool>,
-    position: Vec<usize>,
-    driven_slot: Vec<usize>,
-    g_uu: DenseMatrix,
-    g_uk: DenseMatrix,
-    c_uu: DenseMatrix,
-    c_uk: DenseMatrix,
-    /// The same UU stamps in assembly (triplet) form, kept so the Newton
-    /// loops can build sparse Jacobian patterns without re-walking the
-    /// element lists.
+    /// Each node's slot; ground has none (see [`Slot::of`]).
+    slots: Vec<Slot>,
+    /// Conductances among free nodes, gmin on every diagonal (`nf × nf`).
+    g_uu: CsrMatrix,
+    /// Conductances from free to driven nodes (`nf × nd`).
+    g_uk: CsrMatrix,
+    /// The same two in four-column chunks: the transient's static
+    /// currents sum them as `nsta_numeric::dot` sums a dense row.
+    g_uu_chunks: ChunkedRows,
+    g_uk_chunks: ChunkedRows,
+    /// Capacitances among free nodes and from free to driven nodes.
+    c_uu: CsrMatrix,
+    c_uk: CsrMatrix,
+    /// The UU stamps in assembly (triplet) form: the Newton loops combine
+    /// them into their Jacobian patterns.
     g_trip: TripletMatrix,
     c_trip: TripletMatrix,
+    /// Free rows that current sources inject into, in order of first
+    /// injection.
+    inj_rows: Vec<usize>,
+}
+
+/// Source values on one time grid, time-major: row `ti` holds every
+/// driven voltage (one per voltage source, in netlist order) and every
+/// injected row's summed current (aligned with [`Assembled::inj_rows`],
+/// summed from `0.0` in netlist order). Each sample is
+/// [`Waveform::sample_on_grid`]'s, which equals `value_at` bit for bit.
+struct SourceTable {
+    nd: usize,
+    ni: usize,
+    w: Vec<f64>,
+    inj: Vec<f64>,
+}
+
+impl SourceTable {
+    fn new(net: &Netlist, asm: &Assembled, grid: &[f64]) -> Self {
+        let (nd, ni) = (net.vsources.len(), asm.inj_rows.len());
+        let mut w = vec![0.0; grid.len() * nd];
+        let mut inj = vec![0.0; grid.len() * ni];
+        let mut samples = Vec::with_capacity(grid.len());
+        for (k, (_, wf)) in net.vsources.iter().enumerate() {
+            wf.sample_on_grid(grid, &mut samples);
+            for (row, &v) in w.chunks_exact_mut(nd).zip(&samples) {
+                row[k] = v;
+            }
+        }
+        for (node, wf) in &net.isources {
+            let Some(r) = asm.slots[*node].free() else {
+                continue;
+            };
+            let Some(j) = asm.inj_rows.iter().position(|&i| i == r) else {
+                continue;
+            };
+            wf.sample_on_grid(grid, &mut samples);
+            for (row, &v) in inj.chunks_exact_mut(ni).zip(&samples) {
+                row[j] += v;
+            }
+        }
+        SourceTable { nd, ni, w, inj }
+    }
+
+    /// Driven voltages at grid point `ti`.
+    fn w(&self, ti: usize) -> &[f64] {
+        &self.w[ti * self.nd..(ti + 1) * self.nd]
+    }
+
+    /// Injected currents at grid point `ti`.
+    fn inj(&self, ti: usize) -> &[f64] {
+        &self.inj[ti * self.ni..(ti + 1) * self.ni]
+    }
+}
+
+/// A MOSFET resolved against one assembly and one Jacobian pattern.
+struct DeviceStamp<'a> {
+    mos: &'a Mosfet,
+    /// Gate, drain and source slots: the order of the derivative triple.
+    terms: [Slot; 3],
+    /// Free KCL rows of the drain (the current leaves it) and the source.
+    drain_row: Option<usize>,
+    source_row: Option<usize>,
+    /// Jacobian value index of `(drain row, terms[j])` at `j` and of
+    /// `(source row, terms[j])` at `3 + j`; `None` where the row or the
+    /// column is not free.
+    jac: [Option<usize>; 6],
+    /// The last evaluation and the terminal voltages it was made at. The
+    /// model is a pure function of those voltages, so a pass that finds
+    /// them unchanged bit for bit reuses it: a transient step's first
+    /// Newton iteration starts at the point the previous step's closing
+    /// current pass evaluated, so every device whose driven terminals held
+    /// still skips its model there.
+    memo: Option<([f64; 3], DeviceEval)>,
+}
+
+impl<'a> DeviceStamp<'a> {
+    fn new(mos: &'a Mosfet, asm: &Assembled) -> Self {
+        let terms = [mos.gate, mos.drain, mos.source].map(|n| Slot::of(&asm.slots, n));
+        DeviceStamp {
+            mos,
+            terms,
+            drain_row: terms[1].free(),
+            source_row: terms[2].free(),
+            jac: [None; 6],
+            memo: None,
+        }
+    }
+
+    /// The `(row, column)` of each Jacobian entry the device stamps, in
+    /// stamping order (the layout of [`DeviceStamp::jac`]). The positions
+    /// are fixed by topology, not by the operating point.
+    fn entries(&self) -> [Option<(usize, usize)>; 6] {
+        let mut out = [None; 6];
+        for (half, row) in [self.drain_row, self.source_row].into_iter().enumerate() {
+            for (j, term) in self.terms.iter().enumerate() {
+                out[3 * half + j] = row.zip(term.free());
+            }
+        }
+        out
+    }
+}
+
+/// One evaluation of every MOSFET at `(x, w)`, in netlist order. Adds
+/// each drain current to `i` (leaving the drain row, entering the source
+/// row) and, with `jac = (values, scale)`, `scale·∂I/∂v` to the drain
+/// row's slots and `−scale·∂I/∂v` to the source row's.
+fn device_pass(
+    devices: &mut [DeviceStamp],
+    x: &[f64],
+    w: &[f64],
+    i: &mut [f64],
+    mut jac: Option<(&mut [f64], f64)>,
+) {
+    for dev in devices {
+        let v = dev.terms.map(|t| t.volt(x, w));
+        let e = match dev.memo {
+            Some((at, e)) if at.map(f64::to_bits) == v.map(f64::to_bits) => e,
+            _ => {
+                let e = dev.mos.eval(v[0], v[1], v[2]);
+                dev.memo = Some((v, e));
+                e
+            }
+        };
+        if let Some(r) = dev.drain_row {
+            i[r] += e.i_drain;
+        }
+        if let Some(r) = dev.source_row {
+            i[r] -= e.i_drain;
+        }
+        if let Some((values, scale)) = jac.as_mut() {
+            let d = [e.di_dvg, e.di_dvd, e.di_dvs];
+            for (j, slot) in dev.jac.iter().enumerate() {
+                if let Some(k) = *slot {
+                    values[k] += if j < 3 {
+                        *scale * d[j]
+                    } else {
+                        -*scale * d[j - 3]
+                    };
+                }
+            }
+        }
+    }
 }
 
 /// Reusable sparse Newton-system solver.
 ///
 /// The Jacobian of every Newton iteration shares one sparsity pattern: the
 /// linear `G`/`C` stamps plus each device's fixed terminal positions. The
-/// pattern is analyzed (symbolic factorization) once; every iteration
-/// resets the stored values to the precomputed linear base, stamps the
-/// device derivatives on top, and re-eliminates **numerically only** with
-/// zero allocation ([`SparseLu::refactor`]).
+/// pattern is analyzed (symbolic factorization) once, and each device's
+/// value slots are resolved once. Every iteration resets the stored values
+/// to the precomputed linear base, adds the device derivatives at their
+/// slots ([`device_pass`]) and re-eliminates **numerically only** with
+/// zero allocation ([`SparseLu::refactor`]): one iteration costs the
+/// pattern's stored entries and the factor's, not `nf²`.
 ///
 /// The no-pivot elimination is valid while the Jacobian stays diagonally
 /// dominant — true near the CMOS operating points the damped Newton walks
@@ -150,25 +340,32 @@ struct SparseJacobian {
 }
 
 impl SparseJacobian {
-    /// Builds the solver from the fully stamped assembly buffer (linear
-    /// values plus zero-valued device positions).
-    fn new(pattern: &TripletMatrix) -> Self {
+    /// Builds the solver from the linear stamps: appends every device's
+    /// entries with value zero to complete the pattern, then resolves each
+    /// device's value slots in it.
+    fn new(mut pattern: TripletMatrix, devices: &mut [DeviceStamp]) -> Self {
+        for dev in devices.iter() {
+            for (r, c) in dev.entries().into_iter().flatten() {
+                pattern.add(r, c, 0.0);
+            }
+        }
         let csr = pattern.to_csr();
+        for dev in devices.iter_mut() {
+            dev.jac = dev
+                .entries()
+                .map(|e| e.and_then(|(r, c)| csr.value_index(r, c)));
+        }
         let base = csr.values().to_vec();
         let lu = SparseLu::factor(&csr).ok();
         SparseJacobian { csr, base, lu }
     }
 
-    /// Resets the stored values to the linear base; device stamps go on
-    /// top via [`SparseJacobian::add`].
-    fn reset(&mut self) {
-        self.csr.values_mut().copy_from_slice(&self.base);
-    }
-
-    /// Adds `v` at `(r, c)` — must lie inside the analyzed pattern.
-    #[inline]
-    fn add(&mut self, r: usize, c: usize, v: f64) {
-        self.csr.add_at(r, c, v);
+    /// Resets the stored values to the linear base and returns them for
+    /// the device stamps.
+    fn reset(&mut self) -> &mut [f64] {
+        let values = self.csr.values_mut();
+        values.copy_from_slice(&self.base);
+        values
     }
 
     /// Factors the current values and solves `J·x = b`, preferring the
@@ -195,160 +392,106 @@ impl SparseJacobian {
 
 impl Netlist {
     fn assemble(&self, gmin: f64) -> Assembled {
-        let n = self.node_count();
-        let mut is_driven = vec![false; n];
-        for (node, _) in &self.vsources {
-            is_driven[*node] = true;
-        }
-        let mut position = vec![usize::MAX; n];
-        let mut nf = 0;
-        for i in 0..n {
-            if !is_driven[i] {
-                position[i] = nf;
-                nf += 1;
-            }
-        }
-        let nd = self.vsources.len();
-        let mut driven_slot = vec![usize::MAX; n];
+        let mut slots = vec![None; self.node_count()];
         for (k, (node, _)) in self.vsources.iter().enumerate() {
-            driven_slot[*node] = k;
+            slots[*node] = Some(Slot::Driven(k));
         }
-        let mut g_uu = DenseMatrix::zeros(nf, nf);
-        let mut g_uk = DenseMatrix::zeros(nf, nd.max(1));
-        let mut c_uu = DenseMatrix::zeros(nf, nf);
-        let mut c_uk = DenseMatrix::zeros(nf, nd.max(1));
+        let mut nf = 0;
+        let slots: Vec<Slot> = slots
+            .into_iter()
+            .map(|s| {
+                s.unwrap_or_else(|| {
+                    nf += 1;
+                    Slot::Free(nf - 1)
+                })
+            })
+            .collect();
+        let nd = self.vsources.len();
         let mut g_trip = TripletMatrix::new(nf, nf);
+        let mut g_uk = TripletMatrix::new(nf, nd);
         let mut c_trip = TripletMatrix::new(nf, nf);
+        let mut c_uk = TripletMatrix::new(nf, nd);
 
-        let ground = NodeId::GROUND_SENTINEL;
-        let stamp = |uu: &mut DenseMatrix,
-                     trip: &mut TripletMatrix,
-                     uk: &mut DenseMatrix,
-                     a: usize,
-                     b: usize,
-                     v: f64| {
-            for node in [a, b] {
-                if node == ground || is_driven[node] {
+        let slot = |node: usize| Slot::of(&slots, node);
+        let stamp = |uu: &mut TripletMatrix, uk: &mut TripletMatrix, a: usize, b: usize, v: f64| {
+            for (node, other) in [(a, b), (b, a)] {
+                let Slot::Free(r) = slot(node) else {
                     continue;
-                }
-                let r = position[node];
+                };
                 uu.add(r, r, v);
-                trip.add(r, r, v);
-                let other = if node == a { b } else { a };
-                if other == ground {
-                    continue;
-                }
-                if is_driven[other] {
-                    uk.add(r, driven_slot[other], -v);
-                } else {
-                    uu.add(r, position[other], -v);
-                    trip.add(r, position[other], -v);
+                match slot(other) {
+                    Slot::Ground => {}
+                    Slot::Driven(k) => uk.add(r, k, -v),
+                    Slot::Free(c) => uu.add(r, c, -v),
                 }
             }
         };
         for &(a, b, g) in &self.resistors {
-            stamp(&mut g_uu, &mut g_trip, &mut g_uk, a, b, g);
+            stamp(&mut g_trip, &mut g_uk, a, b, g);
         }
         for &(a, b, c) in &self.capacitors {
-            stamp(&mut c_uu, &mut c_trip, &mut c_uk, a, b, c);
+            stamp(&mut c_trip, &mut c_uk, a, b, c);
         }
         for r in 0..nf {
-            g_uu.add(r, r, gmin);
             g_trip.add(r, r, gmin);
         }
+        let mut inj_rows = Vec::new();
+        for (node, _) in &self.isources {
+            if let Some(r) = slots[*node].free() {
+                if !inj_rows.contains(&r) {
+                    inj_rows.push(r);
+                }
+            }
+        }
+        let (g_uu, g_uk) = (g_trip.to_csr(), g_uk.to_csr());
         Assembled {
             nf,
-            nd,
-            is_driven,
-            position,
-            driven_slot,
+            g_uu_chunks: ChunkedRows::new(&g_uu),
+            g_uk_chunks: ChunkedRows::new(&g_uk),
             g_uu,
             g_uk,
-            c_uu,
-            c_uk,
+            c_uu: c_trip.to_csr(),
+            c_uk: c_uk.to_csr(),
+            slots,
             g_trip,
             c_trip,
+            inj_rows,
         }
     }
 
-    /// Appends every `(row, col)` a device Jacobian can ever stamp (the
-    /// positions are fixed by topology, not by the operating point) to
-    /// `trip` with value zero, completing a Newton Jacobian pattern.
-    fn device_pattern(&self, asm: &Assembled, trip: &mut TripletMatrix) {
-        let zeros_x = vec![0.0; asm.nf];
-        let zeros_w = vec![0.0; asm.nd];
-        let mut scratch = vec![0.0; asm.nf];
-        self.device_currents(
-            asm,
-            &zeros_x,
-            &zeros_w,
-            &mut scratch,
-            Some((&mut |r, c, _v| trip.add(r, c, 0.0), 1.0)),
-        );
+    /// Every MOSFET resolved against `asm`, slots not yet resolved.
+    fn device_stamps(&self, asm: &Assembled) -> Vec<DeviceStamp<'_>> {
+        self.mosfets
+            .iter()
+            .map(|m| DeviceStamp::new(m, asm))
+            .collect()
     }
 
-    /// Voltage of `node_index` given the free vector `x` and driven values
-    /// `w`; ground reads zero.
-    fn volt(asm: &Assembled, x: &[f64], w: &[f64], node: usize) -> f64 {
-        if node == NodeId::GROUND_SENTINEL {
-            0.0
-        } else if asm.is_driven[node] {
-            w[asm.driven_slot[node]]
-        } else {
-            x[asm.position[node]]
-        }
-    }
-
-    /// Accumulates device currents into `f` (KCL: current leaving each free
-    /// node) and, when `jac` is provided, the device Jacobian scaled by
-    /// `jac_scale`.
-    fn device_currents(
-        &self,
+    /// Static currents leaving each free node at `(x, w)`:
+    /// `G_UU·x + G_UK·w − inj + I_dev(x, w)`, given `gx = G_UU·x`. Both
+    /// linear terms are summed as `nsta_numeric::dot` sums a dense row
+    /// ([`ChunkedRows::dot_into`]). With `jac`, the same device pass
+    /// stamps the Jacobian.
+    #[allow(clippy::too_many_arguments)]
+    fn static_currents(
         asm: &Assembled,
+        devices: &mut [DeviceStamp],
+        gx: &[f64],
         x: &[f64],
         w: &[f64],
-        f: &mut [f64],
-        mut jac: JacStamp,
-    ) {
-        let ground = NodeId::GROUND_SENTINEL;
-        for dev in &self.mosfets {
-            let vg = Self::volt(asm, x, w, dev.gate);
-            let vd = Self::volt(asm, x, w, dev.drain);
-            let vs = Self::volt(asm, x, w, dev.source);
-            let e = dev.eval(vg, vd, vs);
-            // Current into the drain leaves the drain node; current into
-            // the source is the negative.
-            if dev.drain != ground && !asm.is_driven[dev.drain] {
-                f[asm.position[dev.drain]] += e.i_drain;
-            }
-            if dev.source != ground && !asm.is_driven[dev.source] {
-                f[asm.position[dev.source]] -= e.i_drain;
-            }
-            if let Some((a, scale)) = jac.as_mut() {
-                let scale = *scale;
-                let entries = [
-                    (dev.gate, e.di_dvg),
-                    (dev.drain, e.di_dvd),
-                    (dev.source, e.di_dvs),
-                ];
-                if dev.drain != ground && !asm.is_driven[dev.drain] {
-                    let r = asm.position[dev.drain];
-                    for (node, d) in entries {
-                        if node != ground && !asm.is_driven[node] {
-                            a(r, asm.position[node], scale * d);
-                        }
-                    }
-                }
-                if dev.source != ground && !asm.is_driven[dev.source] {
-                    let r = asm.position[dev.source];
-                    for (node, d) in entries {
-                        if node != ground && !asm.is_driven[node] {
-                            a(r, asm.position[node], -scale * d);
-                        }
-                    }
-                }
-            }
+        inj: &[f64],
+        out: &mut [f64],
+        jac: Option<(&mut [f64], f64)>,
+    ) -> Result<(), SpiceError> {
+        asm.g_uk_chunks.dot_into(w, out)?;
+        for (o, &g) in out.iter_mut().zip(gx) {
+            *o += g;
         }
+        for (&r, &v) in asm.inj_rows.iter().zip(inj) {
+            out[r] -= v;
+        }
+        device_pass(devices, x, w, out, jac);
+        Ok(())
     }
 
     /// Solves the nonlinear DC operating point at time `at_time` (sources
@@ -364,32 +507,21 @@ impl Netlist {
     /// * [`SpiceError::Numeric`] on a singular Jacobian.
     pub fn dc_operating_point(&self, at_time: f64) -> Result<Vec<f64>, SpiceError> {
         let asm = self.assemble(1e-9); // stronger gmin for the DC solve
-        let (x, _) = self.dc_solve(&asm, at_time)?;
-        let w: Vec<f64> = self
-            .vsources
-            .iter()
-            .map(|(_, wf)| wf.value_at(at_time))
-            .collect();
-        let mut out = vec![0.0; self.node_count()];
-        for i in 0..self.node_count() {
-            out[i] = Self::volt(&asm, &x, &w, i);
-        }
-        Ok(out)
+        let sources = SourceTable::new(self, &asm, &[at_time]);
+        let (x, _) = self.dc_solve(&asm, sources.w(0), sources.inj(0))?;
+        Ok(asm.slots.iter().map(|s| s.volt(&x, sources.w(0))).collect())
     }
 
-    fn dc_solve(&self, asm: &Assembled, at_time: f64) -> Result<(Vec<f64>, usize), SpiceError> {
+    /// Damped Newton for `G_UU·x + G_UK·w − inj + I_dev = 0`; returns the
+    /// free-node solution and the iterations it took. One iteration costs
+    /// the stored entries of `G` and the Jacobian plus one device pass.
+    fn dc_solve(
+        &self,
+        asm: &Assembled,
+        w: &[f64],
+        inj: &[f64],
+    ) -> Result<(Vec<f64>, usize), SpiceError> {
         let nf = asm.nf;
-        let w: Vec<f64> = self
-            .vsources
-            .iter()
-            .map(|(_, wf)| wf.value_at(at_time))
-            .collect();
-        let mut inj = vec![0.0; nf];
-        for (node, wf) in &self.isources {
-            if !asm.is_driven[*node] {
-                inj[asm.position[*node]] += wf.value_at(at_time);
-            }
-        }
         // Initial guess: half-rail everywhere — a neutral start from which
         // damped Newton reliably falls into the unique static-CMOS solution.
         let mut x = vec![self.vdd() * 0.5; nf];
@@ -397,32 +529,27 @@ impl Netlist {
         let mut delta = vec![0.0; nf];
         // Newton Jacobian G_UU + ∂I_dev/∂v on the union sparsity pattern:
         // symbolic factorization once, numeric refactor per iteration.
-        let mut jac_pattern = asm.g_trip.clone();
-        self.device_pattern(asm, &mut jac_pattern);
-        let mut jac = SparseJacobian::new(&jac_pattern);
+        let mut devices = self.device_stamps(asm);
+        let mut jac = SparseJacobian::new(asm.g_trip.clone(), &mut devices);
         let max_iter = 200;
         let mut last_update = f64::INFINITY;
         for iter in 0..max_iter {
-            // Residual F = G_UU x + G_UK w + I_dev − inj.
-            f.iter_mut().for_each(|v| *v = 0.0);
-            for r in 0..nf {
+            // Residual F = G_UU x + G_UK w − inj + I_dev, each row summed
+            // in column order.
+            for (r, fr) in f.iter_mut().enumerate() {
                 let mut acc = 0.0;
-                for c in 0..nf {
-                    acc += asm.g_uu.get(r, c) * x[c];
+                for (g, c) in [(&asm.g_uu, &x[..]), (&asm.g_uk, w)] {
+                    let (cols, vals) = g.row(r);
+                    for (&k, &v) in cols.iter().zip(vals) {
+                        acc += v * c[k];
+                    }
                 }
-                for k in 0..asm.nd {
-                    acc += asm.g_uk.get(r, k) * w[k];
-                }
-                f[r] = acc - inj[r];
+                *fr = acc;
             }
-            jac.reset();
-            self.device_currents(
-                asm,
-                &x,
-                &w,
-                &mut f,
-                Some((&mut |r, c, v| jac.add(r, c, v), 1.0)),
-            );
+            for (&r, &v) in asm.inj_rows.iter().zip(inj) {
+                f[r] -= v;
+            }
+            device_pass(&mut devices, &x, w, &mut f, Some((jac.reset(), 1.0)));
             jac.solve_into(&f, &mut delta)?;
             // Newton step is x ← x − Δ with per-component damping.
             let mut worst = 0.0f64;
@@ -449,6 +576,14 @@ impl Netlist {
     /// `t_start`. Each step solves the trapezoidal residual with Newton
     /// iterations seeded from the previous accepted state.
     ///
+    /// One Newton iteration costs O(nnz + devices): the static and
+    /// capacitive residuals read only the stored entries of the stamped
+    /// CSR matrices, one device pass adds every MOSFET's current to the
+    /// residual and its derivatives to the Jacobian at slots resolved once
+    /// per run, and the sparse LU re-eliminates numerically in the pattern
+    /// analyzed once. Source values are tabulated once per run, in one
+    /// flat time-major table.
+    ///
     /// # Errors
     ///
     /// * [`SpiceError::NewtonDiverged`] with the failing timestamp if a step
@@ -460,71 +595,56 @@ impl Netlist {
         let h = opts.dt;
         let steps = ((opts.t_stop - opts.t_start) / h).round() as usize;
         let times: Vec<f64> = (0..=steps).map(|k| opts.t_start + k as f64 * h).collect();
-
-        // Precompute driven voltages and injections at each time point.
-        let w_at: Vec<Vec<f64>> = times
-            .iter()
-            .map(|&t| self.vsources.iter().map(|(_, wf)| wf.value_at(t)).collect())
-            .collect();
-        let mut inj_at = vec![vec![0.0; nf]; times.len()];
-        for (node, wf) in &self.isources {
-            if asm.is_driven[*node] {
-                continue;
-            }
-            let r = asm.position[*node];
-            for (ti, &t) in times.iter().enumerate() {
-                inj_at[ti][r] += wf.value_at(t);
-            }
-        }
+        let sources = SourceTable::new(self, &asm, &times);
 
         // Initial state: DC at t_start.
-        let (mut x, dc_iters) = self.dc_solve(&asm, opts.t_start)?;
+        let (mut x, dc_iters) = self.dc_solve(&asm, sources.w(0), sources.inj(0))?;
         let mut newton_total = dc_iters;
 
-        // Device + conductive currents at the old time point:
-        // i_old = G_UU x + G_UK w + I_dev(x, w) − inj.
-        let eval_static = |x: &[f64], w: &[f64], inj: &[f64], out: &mut Vec<f64>| {
-            out.iter_mut().for_each(|v| *v = 0.0);
-            for r in 0..nf {
-                let acc = nsta_numeric::dot(asm.g_uu.row(r), x)
-                    + nsta_numeric::dot(&asm.g_uk.row(r)[..asm.nd], w);
-                out[r] = acc - inj[r];
-            }
-            self.device_currents(&asm, x, w, out, None);
-        };
-
-        let mut i_old = vec![0.0; nf];
-        eval_static(&x, &w_at[0], &inj_at[0], &mut i_old);
-
-        let mut voltages: Vec<Vec<f64>> = vec![Vec::with_capacity(times.len()); self.node_count()];
-        let record = |voltages: &mut Vec<Vec<f64>>, x: &[f64], w: &[f64]| {
-            for i in 0..self.node_count() {
-                voltages[i].push(Self::volt(&asm, x, w, i));
-            }
-        };
-        record(&mut voltages, &x, &w_at[0]);
-
-        let mut f = vec![0.0; nf];
-        let mut x_new = x.clone();
-        let mut i_new = vec![0.0; nf];
-        let mut delta = vec![0.0; nf];
-        let mut dev_scratch = vec![0.0; nf];
         // The linear part of the Jacobian, C_UU/h + ½ G_UU, never changes:
         // stamp it once (together with every device's fixed Jacobian
         // positions) into the union sparsity pattern, analyze the symbolic
         // factorization once, and per Newton iteration only reset the
         // values, stamp the device derivatives and refactor numerically.
+        let mut devices = self.device_stamps(&asm);
         let mut jac = {
             let mut pattern = TripletMatrix::new(nf, nf);
             pattern.extend_scaled(&asm.c_trip, 1.0 / h);
             pattern.extend_scaled(&asm.g_trip, 0.5);
-            self.device_pattern(&asm, &mut pattern);
-            SparseJacobian::new(&pattern)
+            SparseJacobian::new(pattern, &mut devices)
         };
 
+        // Device + conductive currents at the old time point:
+        // i_old = G_UU x + G_UK w − inj + I_dev(x, w). `gx` holds G_UU·x
+        // for the point last evaluated.
+        let mut gx = vec![0.0; nf];
+        let mut i_old = vec![0.0; nf];
+        asm.g_uu_chunks.dot_into(&x, &mut gx)?;
+        Self::static_currents(
+            &asm,
+            &mut devices,
+            &gx,
+            &x,
+            sources.w(0),
+            sources.inj(0),
+            &mut i_old,
+            None,
+        )?;
+
+        let mut voltages: Vec<Vec<f64>> = vec![Vec::with_capacity(times.len()); self.node_count()];
+        let record = |voltages: &mut Vec<Vec<f64>>, x: &[f64], w: &[f64]| {
+            for (trace, s) in voltages.iter_mut().zip(&asm.slots) {
+                trace.push(s.volt(x, w));
+            }
+        };
+        record(&mut voltages, &x, sources.w(0));
+
+        let mut f = vec![0.0; nf];
+        let mut x_new = x.clone();
+        let mut i_new = vec![0.0; nf];
+        let mut delta = vec![0.0; nf];
         for ti in 1..times.len() {
-            let w_prev = &w_at[ti - 1];
-            let w_now = &w_at[ti];
+            let (w_prev, w_now, inj_now) = (sources.w(ti - 1), sources.w(ti), sources.inj(ti));
             // Newton iterations for the trapezoidal residual:
             // F(x) = C_UU (x − x_n)/h + C_UK Δw/h + ½(i_static(x) + i_old).
             x_new.copy_from_slice(&x);
@@ -533,28 +653,34 @@ impl Netlist {
             let mut iters = 0;
             while iters < MAX_NEWTON {
                 iters += 1;
-                eval_static(&x_new, w_now, &inj_at[ti], &mut i_new);
-                for r in 0..nf {
-                    let mut acc = 0.0;
-                    let row = asm.c_uu.row(r);
-                    for c in 0..nf {
-                        acc += row[c] * (x_new[c] - x[c]);
-                    }
-                    let ck = &asm.c_uk.row(r)[..asm.nd];
-                    for k in 0..asm.nd {
-                        acc += ck[k] * (w_now[k] - w_prev[k]);
-                    }
-                    f[r] = acc / h + 0.5 * (i_new[r] + i_old[r]);
+                // The first iteration starts at x, whose G_UU·x the closing
+                // pass of the previous step left in `gx`.
+                if iters > 1 {
+                    asm.g_uu_chunks.dot_into(&x_new, &mut gx)?;
                 }
-                jac.reset();
-                dev_scratch.iter_mut().for_each(|v| *v = 0.0);
-                self.device_currents(
+                Self::static_currents(
                     &asm,
+                    &mut devices,
+                    &gx,
                     &x_new,
                     w_now,
-                    &mut dev_scratch,
-                    Some((&mut |r, c, v| jac.add(r, c, v), 0.5)),
-                );
+                    inj_now,
+                    &mut i_new,
+                    Some((jac.reset(), 0.5)),
+                )?;
+                for (r, fr) in f.iter_mut().enumerate() {
+                    // Each row summed in column order.
+                    let mut acc = 0.0;
+                    let (cols, vals) = asm.c_uu.row(r);
+                    for (&c, &v) in cols.iter().zip(vals) {
+                        acc += v * (x_new[c] - x[c]);
+                    }
+                    let (cols, vals) = asm.c_uk.row(r);
+                    for (&k, &v) in cols.iter().zip(vals) {
+                        acc += v * (w_now[k] - w_prev[k]);
+                    }
+                    *fr = acc / h + 0.5 * (i_new[r] + i_old[r]);
+                }
                 jac.solve_into(&f, &mut delta)?;
                 worst = 0.0;
                 for i in 0..nf {
@@ -576,7 +702,17 @@ impl Netlist {
                 });
             }
             x.copy_from_slice(&x_new);
-            eval_static(&x, w_now, &inj_at[ti], &mut i_old);
+            asm.g_uu_chunks.dot_into(&x, &mut gx)?;
+            Self::static_currents(
+                &asm,
+                &mut devices,
+                &gx,
+                &x,
+                w_now,
+                inj_now,
+                &mut i_old,
+                None,
+            )?;
             record(&mut voltages, &x, w_now);
         }
 
@@ -587,6 +723,9 @@ impl Netlist {
         })
     }
 }
+
+#[cfg(test)]
+mod dense_reference;
 
 #[cfg(test)]
 mod tests {

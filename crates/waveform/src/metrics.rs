@@ -37,11 +37,24 @@ pub fn band_area(
     // clamp is integrated exactly. One forward pass builds the grid in
     // order: each sample, then its segment's crossings (the formula of
     // `Waveform::crossings`; an exact hit is the sample itself).
+    //
+    // Only knots inside (t0, t1) are kept, so the pass covers only the
+    // segments that can hold one. A crossing of segment k is never before
+    // ts[k] (the fraction is ≥ 0), so the pass stops at the first sample at
+    // or past t1. Rounding can put a crossing past its segment's end, by at
+    // most ≈4ε·max|t| (the fraction is ≤ 1, and the difference, product and
+    // sum each round once), so the pass starts at the first segment ending
+    // within twice that of t0, found by binary search.
     let (ts, vs) = (w.times(), w.values());
     let inside = |t: f64| t > t0 && t < t1;
-    let mut knots = Vec::with_capacity(ts.len() + 2);
+    let slack = 8.0 * f64::EPSILON * ts[0].abs().max(ts[ts.len() - 1].abs());
+    let first = ts.partition_point(|&t| t <= t0 - slack).saturating_sub(1);
+    let mut knots = Vec::with_capacity(ts.len() - first + 2);
     knots.push(t0);
-    for k in 0..ts.len() {
+    for k in first..ts.len() {
+        if ts[k] >= t1 {
+            break;
+        }
         if inside(ts[k]) {
             knots.push(ts[k]);
         }

@@ -561,3 +561,142 @@ fn to_waveform_equals_the_reference_construction() {
         }
     }
 }
+
+/// `metrics::band_area` as it was before it started its walk at `t0`'s
+/// segment: every segment of the record is walked.
+fn band_area_full_walk(w: &Waveform, t0: f64, t1: f64, v_lo: f64, v_hi: f64) -> f64 {
+    let (ts, vs) = (w.times(), w.values());
+    let inside = |t: f64| t > t0 && t < t1;
+    let mut knots = Vec::with_capacity(ts.len() + 2);
+    knots.push(t0);
+    for k in 0..ts.len() {
+        if inside(ts[k]) {
+            knots.push(ts[k]);
+        }
+        let Some(&t_next) = ts.get(k + 1) else { break };
+        let crossing = |level: f64| {
+            let (y0, y1) = (vs[k] - level, vs[k + 1] - level);
+            (y0 * y1 < 0.0).then(|| ts[k] + y0 / (y0 - y1) * (t_next - ts[k]))
+        };
+        let mut cross = [crossing(v_lo), crossing(v_hi)];
+        if let [Some(a), Some(b)] = cross {
+            if b < a {
+                cross = [Some(b), Some(a)];
+            }
+        }
+        knots.extend(cross.into_iter().flatten().filter(|&t| inside(t)));
+    }
+    knots.push(t1);
+    knots.sort_by(f64::total_cmp);
+    knots.dedup_by(|a, b| (*a - *b).abs() < f64::EPSILON * t1.abs().max(1.0));
+    let mut values = Vec::new();
+    w.sample_on_grid(&knots, &mut values);
+    let clamp = |v: f64| v.clamp(v_lo, v_hi) - v_lo;
+    let mut area = 0.0;
+    for (t, v) in knots.windows(2).zip(values.windows(2)) {
+        area += 0.5 * (clamp(v[0]) + clamp(v[1])) * (t[1] - t[0]);
+    }
+    area
+}
+
+/// A record whose samples sit a few ulps apart in places, so a crossing
+/// that rounds past its segment's end can pass the next sample too.
+fn record_with_ulp_steps(rng: &mut Rng) -> Waveform {
+    let n = rng.usize_range(2, 40);
+    let mut t = rng.range(-2.0, 2.0) * 1e-9;
+    let mut ts = Vec::with_capacity(n);
+    for _ in 0..n {
+        ts.push(t);
+        t = if rng.next_unit() < 0.5 {
+            (0..rng.usize_range(1, 4)).fold(t, |t, _| t.next_up())
+        } else {
+            t + rng.range(0.01, 1.0) * 1e-12
+        };
+    }
+    let vs = (0..n).map(|_| rng.range(-0.3, 1.5)).collect();
+    Waveform::new(ts, vs).expect("valid record")
+}
+
+/// `band_area`'s walk from `t0`'s segment to `t1` returns exactly what the
+/// walk over the whole record returns, bit for bit (and fails on the same
+/// inputs): windows opening before the record, on a sample, an ulp either
+/// side of one or between samples, and closing on a sample, past the end
+/// or in between, on records with exact level hits, long same-side runs
+/// and ulp-spaced samples.
+#[test]
+fn band_area_walk_from_t0_equals_the_full_walk() {
+    let th = Thresholds::cmos(1.2);
+    let levels = [th.low(), th.mid(), th.high()];
+    let mut rng = Rng::new(0xBA4DA);
+    for case in 0..3000 {
+        let w = match case % 3 {
+            0 => record_with_hits(&mut rng, &levels),
+            1 => record_with_runs(&mut rng, &levels),
+            _ => record_with_ulp_steps(&mut rng),
+        };
+        let ts = w.times();
+        let span = w.t_end() - w.t_start();
+        let sample = |rng: &mut Rng| ts[rng.usize_range(0, ts.len())];
+        let nudge = |t: f64, rng: &mut Rng| match rng.usize_range(0, 3) {
+            0 => t,
+            1 => t.next_up(),
+            _ => t.next_down(),
+        };
+        let t0 = match rng.usize_range(0, 4) {
+            0 => w.t_start() - rng.range(0.0, 0.5) * span,
+            1 => sample(&mut rng),
+            2 => {
+                let t = sample(&mut rng);
+                nudge(t, &mut rng)
+            }
+            _ => w.t_start() + rng.range(0.0, 1.0) * span,
+        };
+        let t1 = match rng.usize_range(0, 4) {
+            0 => w.t_end(),
+            1 => sample(&mut rng),
+            2 => w.t_end() + rng.range(0.0, 0.5) * span,
+            _ => t0 + rng.range(0.0, 1.0) * span,
+        };
+        let (v_lo, v_hi) = match rng.usize_range(0, 3) {
+            0 => (th.low(), th.high()),
+            1 => (th.mid(), th.high()),
+            _ => {
+                let lo = rng.range(-0.3, 1.5);
+                (lo, lo + rng.range(0.0, 1.0))
+            }
+        };
+        let got = metrics::band_area(&w, t0, t1, v_lo, v_hi);
+        if !(t1 > t0 && v_hi > v_lo) {
+            assert!(got.is_err(), "case {case}");
+            continue;
+        }
+        let want = band_area_full_walk(&w, t0, t1, v_lo, v_hi);
+        assert_eq!(
+            got.expect("valid window").to_bits(),
+            want.to_bits(),
+            "case {case}: t0={t0:e} t1={t1:e} levels=({v_lo}, {v_hi})"
+        );
+    }
+
+    // A crossing that rounds past its segment's end: segment 0 crosses 0 V
+    // at its very end (the fraction rounds to 1), and `t0 + 1·(t1 − t0)`
+    // rounds 3 ulps past the sample at its end. With `t0` on that sample,
+    // the crossing is a knot inside the window, far enough from `t0` to
+    // survive the knot dedup, and the window is short enough that the
+    // knot changes the area's rounding: the walk must start a segment
+    // before `t0`'s.
+    let (ta, tb) = (-3945.198897893299, 912.2364511886664);
+    let w = Waveform::new(vec![ta, tb, tb + 1.0], vec![0.5, -1e-30, 0.7]).expect("record");
+    let crossing = ta + 0.5 / (0.5 + 1e-30) * (tb - ta);
+    assert!(
+        crossing > tb,
+        "the crossing must round past its segment's end"
+    );
+    let (t0, t1) = (tb, tb + 1e-12);
+    assert_eq!(
+        metrics::band_area(&w, t0, t1, 0.0, 1.0)
+            .expect("area")
+            .to_bits(),
+        band_area_full_walk(&w, t0, t1, 0.0, 1.0).to_bits()
+    );
+}
