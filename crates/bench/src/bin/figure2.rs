@@ -11,7 +11,7 @@
 use nsta_bench::cli::Cli;
 use nsta_spice::fig1::{self, Fig1Config};
 use nsta_waveform::Thresholds;
-use sgdp::sensitivity::{effective_sensitivity, noiseless_sensitivity};
+use sgdp::sensitivity::{effective_sensitivity, rho_at_times};
 use sgdp::{MethodKind, PropagationContext};
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -41,8 +41,8 @@ fn main() {
     )
     .expect("context");
 
-    let sens = noiseless_sensitivity(&ctx).expect("rho extraction");
-    let eff = effective_sensitivity(&sens.curve, &ctx).expect("rho transfer");
+    let sens = ctx.sensitivity().expect("rho extraction");
+    let eff = effective_sensitivity(&ctx).expect("rho transfer");
     let gamma = MethodKind::Sgdp.equivalent(&ctx).expect("sgdp");
     let gamma_wave = gamma
         .to_waveform(0.0, cfg.t_stop, 1e-12)
@@ -57,15 +57,18 @@ fn main() {
     let t_start = r0 - 0.3e-9;
     let t_end = r1 + 0.5e-9;
     let n = 1200;
-    for k in 0..=n {
-        let t = t_start + (t_end - t_start) * k as f64 / n as f64;
+    let times: Vec<f64> = (0..=n)
+        .map(|k| t_start + (t_end - t_start) * k as f64 / n as f64)
+        .collect();
+    let rho = rho_at_times(&ctx, &times).expect("rho");
+    for (&t, &rho) in times.iter().zip(&rho) {
         writeln!(
             fa,
             "{:.2},{:.5},{:.5},{:.5}",
             t * 1e12,
             quiet.in_u.value_at(t),
             quiet.out_u.value_at(t),
-            0.2 * sens.curve.rho_at_time(t)
+            0.2 * rho
         )
         .expect("write");
     }
@@ -79,8 +82,7 @@ fn main() {
         "t_ps,v_in_noisy,v_out_noisy,gamma_eff,v_out_eff,rho_eff_scaled"
     )
     .expect("write");
-    for k in 0..=n {
-        let t = t_start + (t_end - t_start) * k as f64 / n as f64;
+    for &t in &times {
         // ρeff is sampled at P points; interpolate piecewise for plotting.
         let rho_eff = {
             let ts = &eff.times;

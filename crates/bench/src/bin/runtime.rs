@@ -8,9 +8,13 @@
 //! P-linearity are the reproducible claims.
 //!
 //! Every method row times `equivalent` on one context, so SGDP and WLS5
-//! reuse the ρ the warm-up call cached, as the paper's per-arc ρ would be.
-//! The `SGDP (fresh context)` row times what a pipeline pays per noisy
-//! input instead: building the context, extracting ρ, then the fit.
+//! find cached every ρ curve point they read: the context caches ρ per
+//! point, and the warm-up call evaluated each point its method reads, as
+//! the paper's per-arc ρ would be. A cached row still pays for finding
+//! those points (one search per sample) and for the fit. The
+//! `SGDP (fresh context)` row times what a pipeline pays per noisy input
+//! instead: building the context and the curve's points and voltage
+//! envelope, evaluating the points step 2 reads, then the fit.
 //!
 //! The rows are timed in [`ROUNDS`] interleaved rounds, every row once per
 //! round, so a change in the host's speed during the run lands on every
@@ -80,10 +84,11 @@ fn main() {
             }),
         ));
     }
-    // The rows above reuse the context, so SGDP and WLS5 find ρ cached.
-    // A pipeline builds one context per noisy input and pays all three
-    // steps: the context, ρ and the fit. The inputs are cloned outside
-    // the clock, as a pipeline moves its own waveforms in.
+    // The rows above reuse the context, so SGDP and WLS5 find the ρ
+    // points they read cached. A pipeline builds one context per noisy
+    // input and pays all three steps: the context, ρ and the fit. The
+    // inputs are cloned outside the clock, as a pipeline moves its own
+    // waveforms in.
     rows.push((
         "SGDP (fresh context)".to_string(),
         Box::new(|calls| {

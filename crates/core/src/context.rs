@@ -28,12 +28,14 @@ pub struct PropagationContext {
     noiseless_region: (f64, f64),
     noisy_region: (f64, f64),
     samples: usize,
-    /// Lazily computed noiseless sensitivity. In a production flow `ρ` is
-    /// per-arc characterization data, computed once and reused across every
-    /// noise case; the cache reproduces that amortization. The `runtime`
-    /// bin reports SGDP's and WLS5's cost relative to P1 with `ρ` cached
-    /// (the paper reports ≈1.5× for both), and SGDP's with a fresh context
-    /// that extracts `ρ` too.
+    /// Lazily built noiseless sensitivity: the curve's points and voltage
+    /// envelope on first use, and `ρ` cached per curve point, on the first
+    /// query that reads that point. In a production flow `ρ` is per-arc
+    /// characterization data, computed once and reused across every noise
+    /// case; the cache reproduces that amortization. The `runtime` bin
+    /// reports SGDP's and WLS5's cost relative to P1 with the `ρ` points
+    /// they read cached (the paper reports ≈1.5× for both), and SGDP's
+    /// with a fresh context that builds the curve and evaluates them too.
     sensitivity: OnceCell<Result<ShiftedSensitivity, SgdpError>>,
 }
 
@@ -76,7 +78,10 @@ impl PropagationContext {
     }
 
     /// The noiseless sensitivity (`ρ_noiseless` with non-overlap pre-shift
-    /// handling), computed on first use and cached.
+    /// handling): its curve points and voltage envelope, built on first use
+    /// and cached. `ρ` itself is evaluated per point when a query first
+    /// reads it ([`effective_sensitivity`](crate::sensitivity::effective_sensitivity),
+    /// [`rho_at_times`](crate::sensitivity::rho_at_times)) and cached too.
     ///
     /// # Errors
     ///

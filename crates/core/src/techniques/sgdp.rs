@@ -56,9 +56,10 @@ impl EquivalentWaveform for Sgdp {
     }
 
     fn equivalent(&self, ctx: &PropagationContext) -> Result<SaturatedRamp, SgdpError> {
-        // Steps 1 (+ non-overlap pre-shift) and 2; ρ is cached on the
-        // context, mirroring its per-arc nature in a production flow.
-        let eff = effective_sensitivity(&ctx.sensitivity()?.curve, ctx)?;
+        // Steps 1 (+ non-overlap pre-shift) and 2; each ρ point step 2
+        // reads is cached on the context, mirroring ρ's per-arc nature in
+        // a production flow.
+        let eff = effective_sensitivity(ctx)?;
 
         // Normalize for conditioning: times to the unit interval across the
         // noisy critical region, voltages to units of Vdd.

@@ -14,6 +14,7 @@
 
 use crate::context::PropagationContext;
 use crate::gate::{transition_gap, transitions_overlap};
+use crate::sensitivity::rho_at_times;
 use crate::techniques::{ramp_from_fit, EquivalentWaveform};
 use crate::SgdpError;
 use nsta_numeric::LineFit;
@@ -36,23 +37,17 @@ impl EquivalentWaveform for Wls5 {
             let gap = transition_gap(v_in, v_out, th)?;
             return Err(SgdpError::NonOverlapping { gap });
         }
-        // Overlap established, so the cached curve is unshifted (δ = 0).
-        let shifted = ctx.sensitivity()?;
-        let curve = &shifted.curve;
         // Eq. 2: sample across the *noiseless* critical region; the weight
-        // ρ² vanishes outside it by construction.
+        // ρ² vanishes outside it by construction. Overlap is established,
+        // so ρ reads the unshifted output (δ = 0). The times ascend: one
+        // forward pass over the noisy input.
         let (t0, t1) = ctx.noiseless_critical_region()?;
         let times = ctx.sample_times(t0, t1);
-        let values: Vec<f64> = times
-            .iter()
-            .map(|&t| ctx.noisy_input().value_at(t))
-            .collect();
-        let weights: Vec<f64> = times
-            .iter()
-            .map(|&t| {
-                let r = curve.rho_at_time(t);
-                r * r
-            })
+        let mut noisy = ctx.noisy_input().sampler(t0);
+        let values: Vec<f64> = times.iter().map(|&t| noisy.value_at(t)).collect();
+        let weights: Vec<f64> = rho_at_times(ctx, &times)?
+            .into_iter()
+            .map(|r| r * r)
             .collect();
         let fit = LineFit::weighted_least_squares(&times, &values, &weights)?;
         ramp_from_fit(fit.a, fit.b, ctx)

@@ -49,19 +49,39 @@ pub fn validate_grid(grid: &[f64], min_len: usize) -> Result<(), NumericError> {
 #[inline]
 pub fn interp1(xs: &[f64], ys: &[f64], x: f64) -> f64 {
     debug_assert_eq!(xs.len(), ys.len());
-    let i = segment_index(xs, x);
+    interp1_on(xs, ys, segment_index(xs, x), x)
+}
+
+/// Linear interpolation clamped to the table range (no extrapolation):
+/// [`interp1_on`] at the segment [`clamped_segment`] finds.
+#[inline]
+pub fn interp1_clamped(xs: &[f64], ys: &[f64], x: f64) -> f64 {
+    let (i, x) = clamped_segment(xs, x);
+    interp1_on(xs, ys, i, x)
+}
+
+/// The first step of [`interp1_clamped`]: `x` clamped to the table range
+/// `[xs[0], xs[last]]`, and the segment holding it ([`segment_index`]).
+///
+/// A caller that must compute the `ys` a lookup reads before it can
+/// interpolate takes the two steps apart: `interp1_clamped` then reads
+/// `ys` at this segment's two ends and nowhere else, and
+/// [`interp1_on`] there returns its result bit for bit.
+#[inline]
+pub fn clamped_segment(xs: &[f64], x: f64) -> (usize, f64) {
+    let x = x.clamp(xs[0], xs[xs.len() - 1]);
+    (segment_index(xs, x), x)
+}
+
+/// Linear interpolation of `(xs, ys)` at `x` on segment `i`, the line
+/// through `(xs[i], ys[i])` and `(xs[i + 1], ys[i + 1])`; it reads no
+/// other entry. [`interp1`] is this on `segment_index(xs, x)`.
+#[inline]
+pub fn interp1_on(xs: &[f64], ys: &[f64], i: usize, x: f64) -> f64 {
     let (x0, x1) = (xs[i], xs[i + 1]);
     let (y0, y1) = (ys[i], ys[i + 1]);
     let t = (x - x0) / (x1 - x0);
     y0 + t * (y1 - y0)
-}
-
-/// Linear interpolation clamped to the table range (no extrapolation).
-#[inline]
-pub fn interp1_clamped(xs: &[f64], ys: &[f64], x: f64) -> f64 {
-    let lo = xs[0];
-    let hi = xs[xs.len() - 1];
-    interp1(xs, ys, x.clamp(lo, hi))
 }
 
 /// Bilinear interpolation on a rectangular grid.

@@ -248,20 +248,6 @@ impl CsrMatrix {
         span.binary_search(&c).ok().map(|k| self.row_ptr[r] + k)
     }
 
-    /// Adds `v` to the stored entry at `(r, c)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pattern has no entry at `(r, c)` — re-valuing must
-    /// stay inside the analyzed pattern.
-    #[inline]
-    pub fn add_at(&mut self, r: usize, c: usize, v: f64) {
-        let k = self
-            .value_index(r, c)
-            .unwrap_or_else(|| panic!("entry ({r}, {c}) outside the assembled sparsity pattern"));
-        self.values[k] += v;
-    }
-
     /// Reads `(r, c)` — zero for entries outside the pattern.
     pub fn get(&self, r: usize, c: usize) -> f64 {
         self.value_index(r, c).map_or(0.0, |k| self.values[k])
@@ -760,7 +746,8 @@ impl SparseLu {
         lu.u_vals = vec![0.0; lu.u_cols.len()];
         lu.l_cols_orig = lu.l_cols.iter().map(|&c| lu.perm[c]).collect();
         lu.u_cols_orig = lu.u_cols.iter().map(|&c| lu.perm[c]).collect();
-        lu.refactor(a)?;
+        // `a` is the analyzed matrix itself: no pattern to compare.
+        lu.refactor_values(&a.values)?;
         // Full symbolic-plus-numeric factorizations, as opposed to the
         // pattern-reusing `refactors` counter (which also ticks once here).
         nsta_obs::count!("numeric.sparse_lu.factors");
@@ -830,7 +817,8 @@ impl SparseLu {
 
     /// Re-eliminates new values into the existing symbolic pattern without
     /// allocating. `a` must have the **identical pattern** to the matrix
-    /// this factorization was analyzed from (same topology, new values).
+    /// this factorization was analyzed from (same topology, new values);
+    /// both parts of the pattern are compared on every call.
     ///
     /// # Errors
     ///
@@ -848,12 +836,35 @@ impl SparseLu {
                 expected: self.a_col_idx.len(),
             });
         }
-        if a.values.iter().any(|v| !v.is_finite()) {
-            return Err(NumericError::NonFinite("matrix entries"));
+        self.refactor_values(&a.values)
+    }
+
+    /// [`SparseLu::refactor`] for a caller that owns the analyzed matrix
+    /// and only changes its values, so the pattern needs no comparison:
+    /// `values` are the stored entries in the analyzed matrix's CSR order
+    /// ([`CsrMatrix::values`]). Each value is checked for finiteness as it
+    /// is scattered into the elimination.
+    ///
+    /// After any error the factors are invalid until the next successful
+    /// refactor; the elimination workspace is left clean, so that refactor
+    /// starts as a fresh one would.
+    ///
+    /// # Errors
+    ///
+    /// * [`NumericError::ShapeMismatch`] if `values` does not hold one
+    ///   value per stored entry of the analyzed pattern.
+    /// * [`NumericError::NonFinite`] if a value is NaN/inf.
+    /// * [`NumericError::SingularMatrix`] on a vanishing pivot.
+    pub fn refactor_values(&mut self, values: &[f64]) -> Result<(), NumericError> {
+        if values.len() != self.a_col_idx.len() {
+            return Err(NumericError::ShapeMismatch {
+                got: values.len(),
+                expected: self.a_col_idx.len(),
+            });
         }
         // Fault-injection site: pretend the no-pivot elimination lost its
-        // pivot, as a genuinely singular mesh would. `factor` funnels
-        // through here, so both first-factor and refactor paths are
+        // pivot, as a genuinely singular mesh would. `factor` and
+        // `refactor` funnel through here, so every factoring path is
         // covered. Inert (one relaxed load) unless a plan is armed.
         if nsta_obs::fault::should_fire(nsta_obs::fault::PIVOT_LOSS) {
             return Err(NumericError::SingularMatrix {
@@ -866,8 +877,16 @@ impl SparseLu {
             // Scatter the permuted A row into the dense workspace. Entries
             // of the factored pattern not present in A start at zero — `w`
             // is restored to zeros after every row below.
-            for t in self.ap_ptr[i]..self.ap_ptr[i + 1] {
-                w[self.ap_cols[t]] = a.values[self.ap_src[t]];
+            let row = self.ap_ptr[i]..self.ap_ptr[i + 1];
+            for t in row.clone() {
+                let v = values[self.ap_src[t]];
+                if !v.is_finite() {
+                    for t in row {
+                        w[self.ap_cols[t]] = 0.0;
+                    }
+                    return Err(NumericError::NonFinite("matrix entries"));
+                }
+                w[self.ap_cols[t]] = v;
             }
             // Up-looking elimination along this row's L pattern
             // (ascending): divide by the pivot of row k, then subtract its
@@ -1309,14 +1328,53 @@ mod tests {
     }
 
     #[test]
-    fn value_index_and_add_at() {
+    fn values_only_refactor_matches_refactor() {
+        let good = reverse_arrow(9);
+        let mut other = good.clone();
+        for (k, v) in other.values_mut().iter_mut().enumerate() {
+            *v *= 1.0 + 0.01 * k as f64;
+        }
+        let b: Vec<f64> = (0..9).map(|i| (i as f64 * 0.7).cos()).collect();
+        let bits = |x: Vec<f64>| x.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        let fresh = bits(SparseLu::factor(&other).unwrap().solve(&b).unwrap());
+        let mut lu = SparseLu::factor(&good).unwrap();
+        lu.refactor_values(other.values()).unwrap();
+        assert_eq!(bits(lu.solve(&b).unwrap()), fresh);
+        assert!(matches!(
+            lu.refactor_values(&other.values()[1..]),
+            Err(NumericError::ShapeMismatch { .. })
+        ));
+        // A non-finite value fails as it is scattered, wherever it sits,
+        // and leaves the workspace clean: the next refactor solves exactly
+        // like a fresh factorization. `refactor` reports the same error.
+        for k in 0..other.nnz() {
+            for bad_value in [f64::NAN, f64::INFINITY] {
+                let mut bad = other.clone();
+                bad.values_mut()[k] = bad_value;
+                assert!(matches!(
+                    lu.refactor_values(bad.values()),
+                    Err(NumericError::NonFinite(_))
+                ));
+                assert!(lu.work.iter().all(|&w| w == 0.0), "value {k}");
+                assert!(matches!(lu.refactor(&bad), Err(NumericError::NonFinite(_))));
+                assert!(lu.work.iter().all(|&w| w == 0.0), "value {k}");
+                lu.refactor_values(other.values()).unwrap();
+                assert_eq!(bits(lu.solve(&b).unwrap()), fresh, "value {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn value_index_get_and_same_pattern() {
         let a = tridiagonal(4, 2.0, -1.0);
         assert!(a.value_index(0, 0).is_some());
         assert!(a.value_index(0, 2).is_none());
         assert!(a.value_index(9, 0).is_none());
         let mut b = a.clone();
-        b.add_at(1, 2, 0.5);
+        let k = b.value_index(1, 2).unwrap();
+        b.values_mut()[k] += 0.5;
         assert_eq!(b.get(1, 2), -0.5);
+        assert_eq!(b.get(0, 2), 0.0, "outside the pattern");
         assert!(a.same_pattern(&b));
         assert!(!a.same_pattern(&tridiagonal(5, 2.0, -1.0)));
     }

@@ -319,7 +319,8 @@ fn device_pass(
 /// value slots are resolved once. Every iteration resets the stored values
 /// to the precomputed linear base, adds the device derivatives at their
 /// slots ([`device_pass`]) and re-eliminates **numerically only** with
-/// zero allocation ([`SparseLu::refactor`]): one iteration costs the
+/// zero allocation ([`SparseLu::refactor_values`]: the solver owns the
+/// analyzed matrix, so no pattern comparison): one iteration costs the
 /// pattern's stored entries and the factor's, not `nf²`.
 ///
 /// The no-pivot elimination is valid while the Jacobian stays diagonally
@@ -373,7 +374,7 @@ impl SparseJacobian {
     /// a vanishing pivot.
     fn solve_into(&mut self, b: &[f64], x: &mut [f64]) -> Result<(), SpiceError> {
         if let Some(lu) = self.lu.as_mut() {
-            match lu.refactor(&self.csr) {
+            match lu.refactor_values(self.csr.values()) {
                 Ok(()) => {
                     x.copy_from_slice(b);
                     lu.solve_in_place(x).map_err(SpiceError::from)?;

@@ -96,6 +96,69 @@ fn sgdp_beats_the_field_on_average_at_tight_alignment() {
     );
 }
 
+/// SGDP's and WLS5's `Γeff` on Fig. 1 configuration I (Table 1's bench)
+/// at an early, an overlapping and a late aggressor skew, pinned bit for
+/// bit. CI's Table 1 pin compares cells rounded to 0.1 ps, which a smaller
+/// drift passes; a change meant to be bit-identical keeps these. A change
+/// meant to move accuracy (ROADMAP item 1) re-pins them.
+#[test]
+fn gamma_eff_bits_are_pinned_on_config_i() {
+    let cfg = Fig1Config::config_i();
+    let th = Thresholds::cmos(cfg.proc.vdd);
+    let quiet = fig1::run_noiseless(&cfg).expect("noiseless simulation");
+    // Per skew: SGDP's arrival and slew, then WLS5's, as `f64::to_bits`.
+    let pinned: [(f64, [u64; 4]); 3] = [
+        // 2273.59 / 433.94 ps, 2296.00 / 285.59 ps.
+        (
+            -200e-12,
+            [
+                0x3e2387ade7dacf38,
+                0x3dfdd1e050dd514d,
+                0x3e23b8f6a05c0ac1,
+                0x3df3a0380f694272,
+            ],
+        ),
+        // 2326.53 / 577.55 ps, 2329.10 / 615.50 ps.
+        (
+            40e-12,
+            [
+                0x3e23fc168d7153b0,
+                0x3e03d839a76a8e44,
+                0x3e2401bf099c71a6,
+                0x3e052606fe21b661,
+            ],
+        ),
+        // 2174.23 / 13135.11 ps (SGDP's late-glitch slew, ROADMAP item
+        // 1), 2123.78 / 520.15 ps.
+        (
+            250e-12,
+            [
+                0x3e22ad2ef5d0ecd1,
+                0x3e4c3519cb456766,
+                0x3e223e3d570a5d7e,
+                0x3e01df499b80298b,
+            ],
+        ),
+    ];
+    for (skew, want) in pinned {
+        let noisy = fig1::run_case(&cfg, &[skew]).expect("noisy simulation");
+        let ctx = PropagationContext::new(
+            quiet.in_u.clone(),
+            noisy.in_u.clone(),
+            Some(quiet.out_u.clone()),
+            th,
+        )
+        .expect("context");
+        let mut got = Vec::new();
+        for method in [MethodKind::Sgdp, MethodKind::Wls5] {
+            let gamma = method.equivalent(&ctx).expect("reduction");
+            got.extend([gamma.arrival_mid().to_bits(), gamma.slew(th).to_bits()]);
+        }
+        let seconds: Vec<f64> = got.iter().map(|&b| f64::from_bits(b)).collect();
+        assert_eq!(got, want, "skew {skew:e}: got {got:#x?} ({seconds:?} s)");
+    }
+}
+
 #[test]
 fn characterize_write_parse_sta_pipeline() {
     use noisy_sta::liberty::characterize::{inverter_family, Options};
