@@ -46,7 +46,8 @@
 //!   6. The final state is then reanalysed from scratch five times: each
 //!   run must equal the retained report exactly, and their median time is
 //!   the denominator of the per-edit speedup CI gates on. The `eco` JSON
-//!   section archives the outcome.
+//!   section archives the outcome, including `merge_fallbacks`: the
+//!   commits whose merge folded every report row for the worst point.
 //!
 //! A failed gate is exit code 1: the run deletes any stale JSON at the
 //! target path and exits without writing a new one, so CI cannot upload
@@ -162,6 +163,9 @@ struct EcoSummary {
     dirty_cones_per_edit: f64,
     dirty_nets_per_edit: f64,
     swept_cones_per_edit: f64,
+    /// Commits whose merge folded every report row for the worst point
+    /// instead of the points near the smallest slack.
+    merge_fallbacks: usize,
     audits_run: u64,
     audit_max_divergence: f64,
 }
@@ -398,6 +402,7 @@ fn main() {
         let mut dirty_cone_total = 0usize;
         let mut dirty_net_total = 0usize;
         let mut swept_cone_total = 0usize;
+        let mut merge_fallbacks = 0usize;
         for i in 0..edits {
             let g = rng.next_below(groups as u64) as usize;
             let edit = match i % 3 {
@@ -439,6 +444,7 @@ fn main() {
                     dirty_cone_total += info.dirty_cones;
                     dirty_net_total += info.dirty_nets;
                     swept_cone_total += info.swept_cones;
+                    merge_fallbacks += info.merge_fallbacks;
                 }
                 EditOutcome::AuditFailed(f) | EditOutcome::ReadOnly(f) => {
                     eprintln!("spefbus: shadow audit diverged mid-stream: {f}");
@@ -508,6 +514,7 @@ fn main() {
             dirty_cones_per_edit: dirty_cone_total as f64 / committed.max(1) as f64,
             dirty_nets_per_edit: dirty_net_total as f64 / committed.max(1) as f64,
             swept_cones_per_edit: swept_cone_total as f64 / committed.max(1) as f64,
+            merge_fallbacks,
             audits_run: session.audits_run(),
             audit_max_divergence: session.max_audit_divergence(),
         }
@@ -791,6 +798,7 @@ fn main() {
                         "swept_cones_per_edit",
                         Json::Num((eco.swept_cones_per_edit * 1e2).round() / 1e2),
                     ),
+                    ("merge_fallbacks", Json::from(eco.merge_fallbacks)),
                     (
                         "audit",
                         Json::obj([

@@ -32,7 +32,9 @@
 //! * Shadow audit ([`SessionOptions::audit_every_n`]): every N commits
 //!   the session re-runs the *full batch* analysis and verifies the
 //!   incremental state matches within 1e-6 ps, with never-dirtied nets
-//!   bit-identical. A divergence is a first-class [`AuditFailure`] that
+//!   bit-identical, and that the report's worst arrival and worst slack
+//!   match within 1e-6 ps and its critical path step for step (net and
+//!   transition). A divergence is a first-class [`AuditFailure`] that
 //!   quarantines the session read-only — wrong timing is never served
 //!   silently.
 //! * Epoch counters: each commit bumps the session epoch and the dirty
@@ -86,8 +88,9 @@ pub struct SessionOptions {
     /// rolls the edit back); the shadow audit always runs undeadlined.
     pub si: SiOptions,
     /// Run the full batch analysis and verify the incremental state
-    /// against it, within 1e-6 ps on arrivals, slews and slacks, after
-    /// every N commits (`None`: only on [`TimingSession::audit_now`]).
+    /// against it, within 1e-6 ps on arrivals, slews, slacks and the
+    /// report's two worst values, and step for step on its critical path,
+    /// after every N commits (`None`: only on [`TimingSession::audit_now`]).
     pub audit_every_n: Option<usize>,
 }
 
@@ -158,7 +161,8 @@ impl fmt::Display for RollbackCause {
 pub struct AuditReport {
     /// Session epoch the audit certified.
     pub epoch: u64,
-    /// Worst |incremental − batch| over arrivals/slews/slacks (s).
+    /// Worst |incremental − batch| over arrivals/slews/slacks and the
+    /// report's worst arrival and worst slack (s).
     pub max_divergence: f64,
     /// Whether every never-dirtied net compared bit-identical.
     pub untouched_identical: bool,
@@ -215,6 +219,11 @@ pub struct CommitInfo {
     pub swept_cones: usize,
     /// Coupling specs re-simulated: those of the victims in the closure.
     pub specs_resolved: usize,
+    /// 1 when the merge derived the report's worst point by folding every
+    /// report row, else 0. It folds only the points near the smallest
+    /// slack unless that slack is not finite (an unconstrained design) or
+    /// lies 1 s or more from zero ([`Sta::session_merge`]).
+    pub merge_fallbacks: usize,
     /// Always 0: each re-solve shares factorizations only within itself,
     /// so an edit has nothing to release. Kept only because the
     /// `perfbench` benchmark reads it.
@@ -715,7 +724,8 @@ impl TimingSession {
             // same name, so the replacement cannot miss.
             let _ = self.spef.replace_net(section);
         }
-        self.sta
+        let full_fold = self
+            .sta
             .session_merge(&mut self.retained, patch, next_epoch);
         let info = CommitInfo {
             epoch: next_epoch,
@@ -723,6 +733,7 @@ impl TimingSession {
             dirty_nets,
             swept_cones,
             specs_resolved: dirty_specs.len(),
+            merge_fallbacks: usize::from(full_fold),
             released_cache_entries: 0,
             audit: None,
         };
@@ -900,9 +911,36 @@ impl TimingSession {
                 }
             }
         }
+        // The report summary, which a merge derives from per-cone extremes
+        // rather than from the rows: both worst values within the
+        // tolerance, and the critical path step for step.
+        let gap = |a: f64, b: f64| if a == b { 0.0 } else { (a - b).abs() };
+        let summary_div = gap(incremental.worst_arrival(), reference.worst_arrival())
+            .max(gap(incremental.worst_slack(), reference.worst_slack()));
+        let (path, reference_path) = (incremental.critical_path(), reference.critical_path());
+        let path_matches = path.len() == reference_path.len()
+            && path
+                .iter()
+                .zip(reference_path)
+                .all(|(a, b)| a.net == b.net && a.polarity == b.polarity);
+        if max_div <= AUDIT_TOLERANCE && (summary_div > AUDIT_TOLERANCE || !path_matches) {
+            detail.get_or_insert_with(|| {
+                format!(
+                    "report summary differs from batch: worst arrival {:e} vs {:e} s, worst \
+                     slack {:e} vs {:e} s, critical path ending at {:?} vs {:?}",
+                    incremental.worst_arrival(),
+                    reference.worst_arrival(),
+                    incremental.worst_slack(),
+                    reference.worst_slack(),
+                    path.last().map(|p| (&p.name, p.polarity)),
+                    reference_path.last().map(|p| (&p.name, p.polarity)),
+                )
+            });
+        }
+        max_div = max_div.max(summary_div);
         self.max_audit_divergence = self.max_audit_divergence.max(max_div);
         let within_tol = max_div <= AUDIT_TOLERANCE;
-        if within_tol && untouched_identical {
+        if within_tol && untouched_identical && path_matches {
             return Ok(AuditReport {
                 epoch: self.epoch,
                 max_divergence: max_div,
@@ -1333,5 +1371,141 @@ mod tests {
             "replay must be bit-identical"
         );
         assert_eq!(replayed.journal(), s.journal());
+    }
+
+    /// The retained report keeps one row per net, in net-id order, and
+    /// [`TimingReport::net`] reads each one back by index.
+    fn assert_rows_by_net_id(s: &TimingSession) {
+        let report = s.report();
+        assert_eq!(report.nets().len(), s.sta().design().net_count());
+        for row in report.nets() {
+            let found = report.net(row.net).expect("every row's net is found");
+            assert!(std::ptr::eq(found, row), "{} is not at its id", row.name);
+        }
+    }
+
+    #[test]
+    fn worst_point_moves_into_a_swept_cone_and_back_out() {
+        let mut s = open(SessionOptions::default());
+        let opened = s.report().clone();
+        let cone = |s: &TimingSession, net| s.sta().graph().cone_of(net).expect("a design net");
+        let end = |s: &TimingSession| s.report().critical_path().last().expect("a path").net;
+        // Load the output of the group the worst point is not in: its cone
+        // is the one each load edit sweeps.
+        let (port, victim) = ["y0", "y1"]
+            .into_iter()
+            .zip(["v0", "v1"])
+            .find(|&(port, _)| {
+                let net = s.sta().design().find_net(port).expect("port");
+                cone(&s, net) != cone(&s, end(&s))
+            })
+            .expect("a group without the worst point");
+        let loaded = s.sta().design().find_net(port).expect("port");
+        let edits = [
+            // Into the swept cone, deeper while it stays there (its path
+            // must be re-walked), back out, and a drive edit in that cone
+            // that leaves the worst point out (its path is kept).
+            (
+                Edit::SetLoad {
+                    port: port.into(),
+                    farads: 400e-15,
+                },
+                true,
+            ),
+            (
+                Edit::SetLoad {
+                    port: port.into(),
+                    farads: 600e-15,
+                },
+                true,
+            ),
+            (
+                Edit::SetLoad {
+                    port: port.into(),
+                    farads: Constraints::default().output_load,
+                },
+                false,
+            ),
+            (
+                Edit::SetDriveResistance {
+                    net: victim.into(),
+                    ohms: 150.0,
+                },
+                false,
+            ),
+        ];
+        for (edit, in_loaded_cone) in edits {
+            let outcome = s.apply(edit.clone());
+            let EditOutcome::Committed(info) = outcome else {
+                panic!("{edit:?} did not commit: {outcome:?}");
+            };
+            assert_eq!(info.merge_fallbacks, 0, "{edit:?}");
+            assert_eq!(
+                cone(&s, end(&s)) == cone(&s, loaded),
+                in_loaded_cone,
+                "{edit:?}"
+            );
+            let batch = s
+                .sta()
+                .analyze_with_crosstalk_windows(
+                    s.boundary().clone(),
+                    s.couplings(),
+                    &SiOptions::default(),
+                )
+                .expect("batch");
+            assert_eq!(s.report(), &batch.report, "{edit:?}");
+            assert_rows_by_net_id(&s);
+            if edit.kind() == "set_load" && !in_loaded_cone {
+                assert_eq!(s.report(), &opened, "the load is back to its opening value");
+            }
+        }
+    }
+
+    #[test]
+    fn audit_quarantines_a_report_summary_the_rows_do_not_show() {
+        // Each doctored report keeps every row of the merged one and
+        // changes only the summary a merge derives.
+        type Doctor = fn(&TimingReport) -> TimingReport;
+        let doctors: [(&str, Doctor); 3] = [
+            ("worst arrival", |r| {
+                let path = r.critical_path().to_vec();
+                TimingReport::new(
+                    r.nets().to_vec(),
+                    path,
+                    r.worst_slack(),
+                    r.worst_arrival() + 1e-15,
+                )
+            }),
+            ("worst slack", |r| {
+                let path = r.critical_path().to_vec();
+                TimingReport::new(
+                    r.nets().to_vec(),
+                    path,
+                    r.worst_slack() - 1e-15,
+                    r.worst_arrival(),
+                )
+            }),
+            ("critical path", |r| {
+                let path = r.critical_path()[1..].to_vec();
+                TimingReport::new(r.nets().to_vec(), path, r.worst_slack(), r.worst_arrival())
+            }),
+        ];
+        let edit = Edit::SetDriveResistance {
+            net: "v1".into(),
+            ohms: 240.0,
+        };
+        for (what, doctor) in doctors {
+            let mut s = open(SessionOptions::default());
+            assert!(s.apply(edit.clone()).is_committed());
+            assert!(s.audit_now().is_ok(), "the merged report passes");
+            s.retained.analysis.report = doctor(s.report());
+            let failure = s.audit_now().expect_err(what);
+            assert!(
+                failure.detail.contains("report summary differs"),
+                "{what}: {failure}"
+            );
+            assert!(s.quarantined().is_some());
+            assert!(matches!(s.apply(edit.clone()), EditOutcome::ReadOnly(_)));
+        }
     }
 }

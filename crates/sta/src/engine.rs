@@ -583,59 +583,138 @@ impl Sta {
     }
 
     /// Builds a [`TimingReport`] from finished per-net rows and their
-    /// propagation states: the worst arrival/slack, the worst point and the
-    /// critical path. Rows spliced from two analyses (a session merge, a
-    /// fixed-point pass over the cones that changed) need nothing more:
-    /// required times never cross cone boundaries (cones are
-    /// weakly-connected components), so a re-solved cone's rows and an
-    /// untouched cone's rows are each bit-identical to a full run's.
+    /// propagation states: the worst arrival, the worst point and its
+    /// slack ([`WorstPoint`], folded over every point) and the critical
+    /// path. Rows spliced from two analyses (a fixed-point pass over the
+    /// cones that changed) need nothing more: required times never cross
+    /// cone boundaries (cones are weakly-connected components), so a
+    /// re-solved cone's rows and an untouched cone's rows are each
+    /// bit-identical to a full run's. A session merge derives the same
+    /// summary from per-cone extremes instead ([`Sta::session_merge`]).
     pub(crate) fn report_from_rows(
         &self,
         nets: Vec<NetTiming>,
         states: &[Vec<NetState>],
     ) -> TimingReport {
-        let mut worst_arrival = f64::NEG_INFINITY;
-        let mut worst_slack = f64::INFINITY;
-        // The worst point and its arrival (a row's arrival is its state's).
-        let mut worst_point: Option<(NetId, Polarity, f64)> = None;
-        for t in &nets {
-            for (pol, pt) in [(Polarity::Rise, &t.rise), (Polarity::Fall, &t.fall)] {
-                let Some(p) = pt else { continue };
-                worst_arrival = worst_arrival.max(p.arrival);
-                // Prefer the latest-arriving point among equal slacks so the
-                // critical path is reported from its endpoint, not from an
-                // intermediate net sharing the same slack.
-                let better = p.slack < worst_slack - 1e-15
-                    || (p.slack <= worst_slack + 1e-15
-                        && worst_point.is_none_or(|(_, _, arrival)| p.arrival > arrival));
-                if better {
-                    worst_slack = worst_slack.min(p.slack);
-                    worst_point = Some((t.net, pol, p.arrival));
-                }
-            }
-        }
+        let worst_arrival = nets
+            .iter()
+            .flat_map(NetTiming::points)
+            .fold(f64::NEG_INFINITY, |latest, (_, p)| later(latest, p.arrival));
+        let worst = WorstPoint::of_rows(&nets);
+        let critical = self.critical_path(worst.point(), states);
+        TimingReport::new(nets, critical, worst.slack, worst_arrival)
+    }
+
+    /// The critical path ending at `worst`, startpoint first: the
+    /// predecessor walk through `states`, which never leaves the worst
+    /// point's cone. Empty when there is no worst point.
+    pub(crate) fn critical_path(
+        &self,
+        worst: Option<(NetId, Polarity)>,
+        states: &[Vec<NetState>],
+    ) -> Vec<PathPoint> {
         let mut critical = Vec::new();
-        if let Some((mut net, mut pol, _)) = worst_point {
-            while let Some(state) = self.graph.at(states, net) {
-                let p = *state.get(pol);
-                critical.push(PathPoint {
-                    net,
-                    name: self.design.net_name(net).to_string(),
-                    polarity: pol,
-                    arrival: p.arrival,
-                    slew: p.slew,
-                });
-                match p.pred {
-                    Some((k, from_pol)) => {
-                        net = self.graph.edges()[k].from;
-                        pol = from_pol;
-                    }
-                    None => break,
+        let Some((mut net, mut pol)) = worst else {
+            return critical;
+        };
+        while let Some(state) = self.graph.at(states, net) {
+            let p = *state.get(pol);
+            critical.push(PathPoint {
+                net,
+                name: self.design.net_name(net).to_string(),
+                polarity: pol,
+                arrival: p.arrival,
+                slew: p.slew,
+            });
+            match p.pred {
+                Some((k, from_pol)) => {
+                    net = self.graph.edges()[k].from;
+                    pol = from_pol;
                 }
+                None => break,
             }
-            critical.reverse();
         }
-        TimingReport::new(nets, critical, worst_slack, worst_arrival)
+        critical.reverse();
+        critical
+    }
+}
+
+/// Tie tolerance of the worst-point fold (s): slacks this close count as
+/// equal, and the later arrival wins ([`TimingReport::worst_slack`]).
+pub(crate) const SLACK_TIE: f64 = 1e-15;
+
+/// The worst-point fold of a report, whose contract
+/// [`TimingReport::worst_slack`] states: fed every point in net-id order,
+/// rise first, it settles the worst slack and the worst point. The
+/// tie-break is not associative, so a fold over part of the points
+/// matches it only where a proof says so (a session merge's restricted
+/// fold, [`Sta::session_merge`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct WorstPoint {
+    /// The smallest slack among the points that became the worst point;
+    /// `+inf` before any did.
+    pub slack: f64,
+    /// The worst point so far, with its arrival.
+    point: Option<(NetId, Polarity, f64)>,
+}
+
+impl Default for WorstPoint {
+    fn default() -> Self {
+        WorstPoint {
+            slack: f64::INFINITY,
+            point: None,
+        }
+    }
+}
+
+impl WorstPoint {
+    /// The fold over every point of `rows`, in order.
+    pub(crate) fn of_rows(rows: &[NetTiming]) -> Self {
+        let mut worst = WorstPoint::default();
+        for row in rows {
+            for (pol, p) in row.points() {
+                worst.push(row.net, pol, p);
+            }
+        }
+        worst
+    }
+
+    /// Folds in point `p`, transition `polarity` of `net`. It becomes the
+    /// worst point when its slack lies more than [`SLACK_TIE`] below the
+    /// running slack, or within it and it arrives later than the worst
+    /// point (so the critical path is reported from its endpoint, not
+    /// from an intermediate net sharing the same slack). A NaN slack never
+    /// does.
+    pub(crate) fn push(&mut self, net: NetId, polarity: Polarity, p: &PointTiming) {
+        let better = p.slack < self.slack - SLACK_TIE
+            || (p.slack <= self.slack + SLACK_TIE
+                && self.point.is_none_or(|(_, _, arrival)| p.arrival > arrival));
+        if better {
+            // Keep the running slack on a tie, ±0.0 included, where
+            // `f64::min` may return either operand.
+            if p.slack < self.slack {
+                self.slack = p.slack;
+            }
+            self.point = Some((net, polarity, p.arrival));
+        }
+    }
+
+    /// The worst point's net and transition.
+    pub(crate) fn point(&self) -> Option<(NetId, Polarity)> {
+        self.point.map(|(net, pol, _)| (net, pol))
+    }
+}
+
+/// The later of two arrivals: NaN never wins, and +0.0 is later than
+/// −0.0. That is a total order, so the latest arrival of a set does not
+/// depend on the order it is folded in (`f64::max` may return either
+/// zero), and a maximum of per-cone maxima equals the maximum over every
+/// point, bit for bit.
+pub(crate) fn later(a: f64, b: f64) -> f64 {
+    if b > a || (b == a && b.is_sign_positive()) {
+        b
+    } else {
+        a
     }
 }
 
@@ -761,6 +840,51 @@ mod tests {
         c.required_at_outputs = 0.0;
         let tight = sta.analyze(c).unwrap();
         assert!(tight.worst_slack() < 0.0);
+    }
+
+    #[test]
+    fn report_rows_are_one_per_net_in_id_order() {
+        let _guard = crate::obs_test_guard();
+        let sta = Sta::new(chain(4), lib().clone()).unwrap();
+        let report = sta.analyze(Constraints::default()).unwrap();
+        assert_eq!(report.nets().len(), sta.design().net_count());
+        for (i, row) in report.nets().iter().enumerate() {
+            assert_eq!(row.net, NetId(i));
+            assert!(std::ptr::eq(report.net(row.net).unwrap(), row));
+        }
+        assert!(report.net(NetId(sta.design().net_count())).is_none());
+    }
+
+    #[test]
+    fn worst_slack_settles_within_the_tie_tolerance() {
+        let _guard = crate::obs_test_guard();
+        // Row A (slack 0, arrival 5 ps) then row B (slack −0.5 fs, arrival
+        // 1 ps): B is within the tolerance of A and arrives earlier, so A
+        // stays the worst point and the worst slack reads 0.0, not B's.
+        let sta = Sta::new(chain(1), lib().clone()).unwrap();
+        let states = sta.forward_sweep(&BoundaryConditions::from(&Constraints::default()));
+        let row = |net: usize, slack: f64, arrival: f64| NetTiming {
+            net: NetId(net),
+            name: sta.design().net_name(NetId(net)).to_string(),
+            rise: Some(PointTiming {
+                arrival,
+                slew: 50e-12,
+                required: slack + arrival,
+                slack,
+            }),
+            fall: None,
+        };
+        let a_then_b = vec![row(0, 0.0, 5e-12), row(1, -0.5e-15, 1e-12)];
+        let report = sta.report_from_rows(a_then_b, &states);
+        assert_eq!(report.worst_slack().to_bits(), 0.0f64.to_bits());
+        assert_eq!(report.critical_path().last().unwrap().net, NetId(0));
+        assert_eq!(report.worst_arrival(), 5e-12);
+        // B before A: the running slack keeps B's −0.5 fs, while the later
+        // A still becomes the worst point.
+        let b_then_a = vec![row(0, -0.5e-15, 1e-12), row(1, 0.0, 5e-12)];
+        let report = sta.report_from_rows(b_then_a, &states);
+        assert_eq!(report.worst_slack(), -0.5e-15);
+        assert_eq!(report.critical_path().last().unwrap().net, NetId(1));
     }
 
     #[test]

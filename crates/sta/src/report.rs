@@ -30,6 +30,24 @@ pub struct NetTiming {
     pub fall: Option<PointTiming>,
 }
 
+impl NetTiming {
+    /// The timing of one transition, when reachable.
+    pub(crate) fn point(&self, polarity: Polarity) -> Option<&PointTiming> {
+        match polarity {
+            Polarity::Rise => self.rise.as_ref(),
+            Polarity::Fall => self.fall.as_ref(),
+        }
+    }
+
+    /// The reachable transitions, rise first: the order the worst-point
+    /// fold visits them in.
+    pub(crate) fn points(&self) -> impl Iterator<Item = (Polarity, &PointTiming)> {
+        [Polarity::Rise, Polarity::Fall]
+            .into_iter()
+            .filter_map(|pol| Some((pol, self.point(pol)?)))
+    }
+}
+
 /// One step of the critical path.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PathPoint {
@@ -46,6 +64,11 @@ pub struct PathPoint {
 }
 
 /// Complete result of a timing run.
+///
+/// **Row invariant:** the report holds one row per net of the design, in
+/// net-id order: `nets()[i].net == NetId(i)`. Every analysis builds its
+/// rows that way, a session merge splices rows by net id, and
+/// [`TimingReport::net`] looks a row up by index.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TimingReport {
     nets: Vec<NetTiming>,
@@ -55,12 +78,21 @@ pub struct TimingReport {
 }
 
 impl TimingReport {
-    pub(crate) fn new(
+    /// Assembles a report from its parts: the per-net rows (which must
+    /// keep the row invariant above), the critical path, and the worst
+    /// slack and arrival. The analyses derive the last three from the
+    /// rows; this constructor also lets a consumer such as a session's
+    /// shadow audit be exercised on a doctored report.
+    pub fn new(
         nets: Vec<NetTiming>,
         critical: Vec<PathPoint>,
         worst_slack: f64,
         worst_arrival: f64,
     ) -> Self {
+        debug_assert!(
+            nets.iter().enumerate().all(|(i, row)| row.net == NetId(i)),
+            "report rows must be one per net, in net-id order"
+        );
         TimingReport {
             nets,
             critical,
@@ -69,9 +101,10 @@ impl TimingReport {
         }
     }
 
-    /// Timing of a specific net.
+    /// Timing of a specific net: its row, read by index (the row
+    /// invariant). `None` for a net the report holds no row for.
     pub fn net(&self, net: NetId) -> Option<&NetTiming> {
-        self.nets.iter().find(|n| n.net == net)
+        self.nets.get(net.0).filter(|row| row.net == net)
     }
 
     /// Timing of a net looked up by name.
@@ -84,26 +117,45 @@ impl TimingReport {
         &self.nets
     }
 
-    /// Moves the per-net rows out, leaving the report without rows (for
-    /// splicing rows between reports without copying them).
-    pub(crate) fn take_rows(&mut self) -> Vec<NetTiming> {
-        std::mem::take(&mut self.nets)
+    /// Moves the rows and the critical path out, leaving the report
+    /// without them (for splicing rows between reports and reusing the
+    /// path without copying them).
+    pub(crate) fn take_parts(&mut self) -> (Vec<NetTiming>, Vec<PathPoint>) {
+        (
+            std::mem::take(&mut self.nets),
+            std::mem::take(&mut self.critical),
+        )
     }
 
-    /// The worst (smallest) slack in the design.
+    /// The worst slack, as the report's worst-point fold settles it.
     ///
-    /// **Contract:** the value is `+inf` exactly when no constraint
-    /// reaches any analyzed point — an output-free design, unconstrained
-    /// outputs (`required = +inf`), or every path declared false. It is
-    /// never NaN, so `worst_slack() < 0.0` is always a well-defined
-    /// violation test and `worst_slack().is_finite()` distinguishes a
-    /// constrained run. [`TimingReport`]'s `Display` renders the infinite
-    /// case as `unconstrained` rather than printing `inf ps`.
+    /// **Contract:** the fold visits every analyzed point in net-id
+    /// order, rise first, and compares slacks with a 1e-15 s tie
+    /// tolerance. A point becomes the worst point when its slack lies
+    /// more than the tolerance below the running value, or within the
+    /// tolerance and it arrives later, so the critical path is reported
+    /// from its endpoint rather than from an intermediate net sharing the
+    /// same slack. The running value is the smallest slack among the
+    /// points that became the worst point. It therefore lies within the
+    /// tolerance (up to rounding) above the smallest slack in the design,
+    /// not always on it: a row A (slack 0, arrival 5 ps) followed by a row
+    /// B (slack −0.5 fs, arrival 1 ps) reports 0.0, with A the worst
+    /// point; B before A reports −0.5 fs, still with A the worst point.
+    /// So `worst_slack() < 0.0` can miss a violation smaller than
+    /// 1e-15 s.
+    ///
+    /// The value is `+inf` exactly when no constraint reaches any
+    /// analyzed point — an output-free design, unconstrained outputs
+    /// (`required = +inf`), or every path declared false. It is never
+    /// NaN, and `worst_slack().is_finite()` distinguishes a constrained
+    /// run. [`TimingReport`]'s `Display` renders the infinite case as
+    /// `unconstrained` rather than printing `inf ps`.
     pub fn worst_slack(&self) -> f64 {
         self.worst_slack
     }
 
-    /// The latest arrival anywhere in the design.
+    /// The latest arrival anywhere in the design (+0.0 when the latest
+    /// is a zero of either sign).
     pub fn worst_arrival(&self) -> f64 {
         self.worst_arrival
     }

@@ -23,15 +23,22 @@
 //!    factorizations only within itself, so an edit leaves nothing behind
 //!    to invalidate.
 //! 3. **Per-cone merge** ([`Sta::session_merge`]): the retained analysis
-//!    keeps its final propagation states and nominal windows cone by
+//!    keeps its final propagation states, nominal windows and report
+//!    extremes (each cone's smallest slack and latest arrival) cone by
 //!    cone; the merge moves the patch's states, rows, windows and victim
 //!    records into it, cone by cone in place (patch for the swept cones,
-//!    retained for all others) and re-derives the worst point and
-//!    critical path from the spliced states. Required times and slacks never cross a cone
-//!    boundary, so every row is exact, and the worst point tie-break and
-//!    the critical-path predecessor walk come from one consistent state
-//!    vector — the merged report is bit-identical to a full batch
-//!    re-analysis, not merely close to it.
+//!    retained for all others), and re-derives the report's summary from
+//!    the extremes: the worst arrival is the latest cone maximum, and the
+//!    worst point is folded over the few points near the smallest slack
+//!    only (a restricted fold, which the proof on
+//!    `Sta::restricted_worst` shows exact). The critical path is kept
+//!    when the worst point did not move and its cone was not swept (the
+//!    predecessor walk never leaves a cone), and re-walked otherwise.
+//!    Required times and slacks never cross a cone boundary, so every
+//!    row is exact — the merged report is bit-identical to a full batch
+//!    re-analysis, not merely close to it, and a merge costs the swept
+//!    cones plus one pass over the per-cone extremes, not a scan of
+//!    every report row.
 //!
 //! Why the splice is exact: aggressor ramps are taken from the
 //! iteration-invariant nominal sweep, a net's windows depend only on its
@@ -66,13 +73,14 @@
 //! rows, so every pass would recompute exactly those windows for it, and
 //! a governed update unions them with themselves, which changes nothing.
 
-use crate::engine::{NetState, PerCone, Sta};
+use crate::engine::{later, NetState, PerCone, Sta, WorstPoint, SLACK_TIE};
 use crate::graph::find_root;
 use crate::netlist::NetId;
-use crate::report::NetTiming;
+use crate::report::{NetTiming, PathPoint, TimingReport};
 use crate::si::{
     ArrivalWindow, CouplingSpec, PrunedAggressor, SiAdjustment, SiAnalysis, SiDiagnostics,
 };
+use nsta_waveform::Polarity;
 
 /// A converged analysis plus what a later edit's re-solve reads of it,
 /// cone by cone — the retained value of one session epoch. The per-cone
@@ -88,6 +96,48 @@ pub struct RetainedAnalysis {
     /// Each net's nominal window: the first pass's window, from the min
     /// sweep and the nominal rows, before any governed widening.
     pub(crate) windows: PerCone<Option<ArrivalWindow>>,
+    /// Each cone's report extremes, from which a merge re-derives the
+    /// report's worst arrival and worst point.
+    pub(crate) extremes: Vec<ConeExtremes>,
+}
+
+/// One cone's report extremes (16 B): the smallest slack and the latest
+/// arrival among its points. A [`RetainedAnalysis`] keeps them for every
+/// cone, and [`Sta::session_merge`] refreshes those of the cones it
+/// replaces.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct ConeExtremes {
+    /// The smallest slack, NaN ignored; `+inf` for a cone without one.
+    min_slack: f64,
+    /// The latest arrival by [`later`]; `-inf` for a cone without points.
+    max_arrival: f64,
+}
+
+impl ConeExtremes {
+    /// The extremes of the points of `rows`, one cone's report rows.
+    pub(crate) fn of(rows: &[NetTiming]) -> Self {
+        let mut extremes = ConeExtremes {
+            min_slack: f64::INFINITY,
+            max_arrival: f64::NEG_INFINITY,
+        };
+        for (_, p) in rows.iter().flat_map(NetTiming::points) {
+            if p.slack < extremes.min_slack {
+                extremes.min_slack = p.slack;
+            }
+            extremes.max_arrival = later(extremes.max_arrival, p.arrival);
+        }
+        extremes
+    }
+}
+
+/// The slack gap G of a merge's restricted fold (s): three worst-point
+/// tie tolerances ([`Sta::restricted_worst`]).
+const FOLD_GAP: f64 = 3.0 * SLACK_TIE;
+
+/// A point's position in the worst-point fold's order: net id, rise
+/// first.
+fn point_key(net: NetId, polarity: Polarity) -> usize {
+    2 * net.0 + usize::from(!polarity.is_rise())
 }
 
 /// What an edit's re-solve ([`Sta::session_resolve`]) covers, and the
@@ -190,15 +240,25 @@ impl Sta {
     }
 
     /// Splices a re-solve's `patch` into `retained`, in place: every cone
-    /// the patch swept takes the patch's states, rows, nominal windows and
-    /// victim records (adjustments and pruned aggressors), all others keep
-    /// their own, and the report's worst point and critical path are
-    /// re-derived from the spliced states — bit-identical to a batch run
-    /// over the edited design (module docs). `epoch` stamps the merged
-    /// diagnostics. States, rows and windows are moved, not copied, so the
-    /// cost scales with the swept cones' nets plus one scan of the report
-    /// for its worst point.
-    pub fn session_merge(&self, retained: &mut RetainedAnalysis, patch: ConePatch, epoch: u64) {
+    /// the patch swept takes the patch's states, rows, nominal windows,
+    /// report extremes and victim records (adjustments and pruned
+    /// aggressors), all others keep their own, and the report's summary is
+    /// re-derived — bit-identical to a batch run over the edited design
+    /// (module docs). `epoch` stamps the merged diagnostics. States, rows
+    /// and windows are moved, not copied, so the cost scales with the
+    /// swept cones' nets plus one pass over the per-cone extremes, and
+    /// with the points near the smallest slack, which the restricted fold
+    /// (`Sta::restricted_worst`, with its proof of exactness) visits.
+    ///
+    /// Returns whether the merge fell back to folding every report row:
+    /// only when the smallest slack is not finite (an unconstrained
+    /// design) or lies 1 s or more from zero.
+    pub fn session_merge(
+        &self,
+        retained: &mut RetainedAnalysis,
+        patch: ConePatch,
+        epoch: u64,
+    ) -> bool {
         let graph = self.graph();
         let ConePatch {
             mut diagnostics,
@@ -210,9 +270,10 @@ impl Sta {
             pruned,
         } = patch;
         let analysis = &mut retained.analysis;
-        let mut report_rows = analysis.report.take_rows();
+        let (mut report_rows, critical) = analysis.report.take_parts();
         for cone in graph.scoped_cones(Some(&cones)) {
             let nets = &graph.components()[cone];
+            retained.extremes[cone] = ConeExtremes::of(&rows[cone]);
             for (&net, row) in nets.iter().zip(std::mem::take(&mut rows[cone])) {
                 report_rows[net.0] = row;
             }
@@ -220,7 +281,14 @@ impl Sta {
             retained.windows[cone] = std::mem::take(&mut windows[cone]);
         }
         self.splice_adjustments(&mut analysis.adjustments, adjustments, &cones);
-        analysis.report = self.report_from_rows(report_rows, &retained.states);
+        let (report, full_fold) = self.merged_report(
+            report_rows,
+            &retained.states,
+            &retained.extremes,
+            &cones,
+            critical,
+        );
+        analysis.report = report;
 
         let dirty = |net: NetId| graph.in_cones(&cones, net);
         let retained_pruned = &mut analysis.pruned;
@@ -230,6 +298,149 @@ impl Sta {
 
         diagnostics.epoch = epoch;
         analysis.diagnostics = diagnostics;
+        full_fold
+    }
+
+    /// The merged report of `nets` (every row, spliced) with `states`,
+    /// `extremes` (every cone's) and `previous`, the critical path of the
+    /// report before the merge: the summary [`Sta::report_from_rows`]
+    /// would derive, bit for bit. The worst arrival is the latest cone
+    /// maximum ([`later`] is a total order). The worst point comes from
+    /// the restricted fold, or from the fold over every row when that
+    /// declines; the returned flag says it did. `previous` is kept when
+    /// it ends at the new worst point and that point's cone is not one
+    /// `swept` marks, since the predecessor walk reads that cone's states
+    /// only, and re-walked otherwise.
+    fn merged_report(
+        &self,
+        nets: Vec<NetTiming>,
+        states: &[Vec<NetState>],
+        extremes: &[ConeExtremes],
+        swept: &[bool],
+        previous: Vec<PathPoint>,
+    ) -> (TimingReport, bool) {
+        let worst_arrival = extremes
+            .iter()
+            .fold(f64::NEG_INFINITY, |latest, e| later(latest, e.max_arrival));
+        let restricted = self.restricted_worst(&nets, extremes);
+        let full_fold = restricted.is_none();
+        let worst = restricted.unwrap_or_else(|| WorstPoint::of_rows(&nets));
+        let point = worst.point();
+        let kept = previous.last().is_some_and(|end| {
+            point == Some((end.net, end.polarity)) && !self.graph().in_cones(swept, end.net)
+        });
+        let critical = if kept {
+            previous
+        } else {
+            self.critical_path(point, states)
+        };
+        (
+            TimingReport::new(nets, critical, worst.slack, worst_arrival),
+            full_fold,
+        )
+    }
+
+    /// The worst point of `nets` ([`WorstPoint`] over every point),
+    /// folded over the points near the smallest slack only, or `None`
+    /// when the caller must fold every point. `extremes` holds every
+    /// cone's.
+    ///
+    /// With m the smallest cone minimum, τ = [`SLACK_TIE`] and
+    /// G = [`FOLD_GAP`] = 3τ: T starts at m and grows through the cones
+    /// whose minimum is ≤ T + G until none of their points lies in
+    /// (T, T + G]. A point of any other cone lies above its cone's
+    /// minimum, hence above T + G. So every point is then either ≤ T or
+    /// above T + G (a NaN slack is neither), and the fold runs over the
+    /// points ≤ T, in the full fold's order (net id, rise first).
+    ///
+    /// **Exactness.** Let S be the full fold's running slack and q the
+    /// first point with slack ≤ T. Every point before q lies above T + G
+    /// or has a NaN slack, which never becomes the worst point, so S is
+    /// `+inf` or above T + G when q arrives. Then q's slack ≤ T < S − τ:
+    /// q passes the first clause of [`WorstPoint::push`], and the full
+    /// fold's state becomes (q's slack, q), exactly the state the
+    /// restricted fold has after its first point, q. From then on both
+    /// folds see the same points in the same order, except the excluded
+    /// ones, and S ≤ T. An excluded point's slack exceeds
+    /// T + G = T + 3τ ≥ S + 3τ, more than two tolerances above S, so it
+    /// fails both clauses (it is neither below S − τ nor within S + τ)
+    /// and changes nothing. Both folds end in the same state.
+    ///
+    /// Rounding: T lies in (−1 s, 1 s), where half an ulp is at most
+    /// 1.1e-16 s ≈ 0.11τ. So the computed T + G exceeds T + 2.8τ, and as
+    /// rounding is monotone, the computed S − τ exceeds T + 1.7τ before
+    /// q, while after q the computed S + τ stays below T + 1.2τ and the
+    /// computed S − τ at most T: every comparison keeps a margin of more
+    /// than 1.5τ. With G = τ the first margin is lost: near zero, a point
+    /// just above T + τ can round S − τ back to T, and q then fails both
+    /// clauses.
+    ///
+    /// Each round of the growth passes over the extremes and the points
+    /// taken. Rounds are few: T grows to the largest slack within G, so
+    /// every two rounds move it by more than G, through a ladder of
+    /// points less than G apart.
+    ///
+    /// Declines when m is not finite (no constrained point, or an
+    /// infinitely late one), when |m| ≥ 1 s, or when T reaches 1 s
+    /// (which takes more than 10^14 points).
+    pub(crate) fn restricted_worst(
+        &self,
+        nets: &[NetTiming],
+        extremes: &[ConeExtremes],
+    ) -> Option<WorstPoint> {
+        let graph = self.graph();
+        let m = extremes
+            .iter()
+            .map(|e| e.min_slack)
+            .fold(f64::INFINITY, f64::min);
+        if m.abs() >= 1.0 {
+            return None;
+        }
+        // The finite-slack points of the cones taken so far, as (slack,
+        // point key).
+        let mut points: Vec<(f64, usize)> = Vec::new();
+        let mut taken = vec![false; extremes.len()];
+        let mut t = m;
+        loop {
+            let reach = t + FOLD_GAP;
+            for (cone, e) in extremes.iter().enumerate() {
+                if taken[cone] || e.min_slack > reach {
+                    continue;
+                }
+                taken[cone] = true;
+                for &net in &graph.components()[cone] {
+                    let finite = nets[net.0].points().filter(|(_, p)| p.slack.is_finite());
+                    points.extend(finite.map(|(pol, p)| (p.slack, point_key(net, pol))));
+                }
+            }
+            // Grow T to the largest slack in (T, T + G], if any.
+            let next = points
+                .iter()
+                .map(|&(slack, _)| slack)
+                .filter(|&slack| slack > t && slack <= reach)
+                .fold(t, f64::max);
+            if next == t {
+                break;
+            }
+            t = next;
+            if t >= 1.0 {
+                return None;
+            }
+        }
+        let mut picked: Vec<usize> = points
+            .iter()
+            .filter(|&&(slack, _)| slack <= t)
+            .map(|&(_, key)| key)
+            .collect();
+        picked.sort_unstable();
+        let mut worst = WorstPoint::default();
+        for key in picked {
+            let (net, pol) = (NetId(key / 2), [Polarity::Rise, Polarity::Fall][key % 2]);
+            if let Some(p) = nets[net.0].point(pol) {
+                worst.push(net, pol, p);
+            }
+        }
+        Some(worst)
     }
 
     /// Splices a re-solve's per-cone `(states, report rows, adjustments)`
@@ -396,13 +607,14 @@ mod tests {
             .unwrap();
         let swept = patch.swept_cones();
         let mut merged = retained.clone();
-        sta.session_merge(&mut merged, patch, 3);
+        assert!(!sta.session_merge(&mut merged, patch, 3), "a full fold");
         assert_eq!(merged.analysis.diagnostics.epoch, 3);
         let batch = sta.session_analyze(bc.clone(), specs, &opts).unwrap();
         assert_eq!(merged.analysis.report, batch.analysis.report);
         assert_eq!(merged.analysis.adjustments, batch.analysis.adjustments);
         assert_eq!(merged.analysis.pruned, batch.analysis.pruned);
         assert_eq!(merged.windows, batch.windows);
+        assert_eq!(merged.extremes, batch.extremes);
         swept
     }
 
@@ -497,5 +709,222 @@ mod tests {
             assert_merge_equals_batch(&sta, &bc, &[], &retained, edit),
             1
         );
+    }
+
+    /// Five independent inverter chains of 1–4 stages: five cones of
+    /// 2–5 nets, so points of one cone interleave with others' in net-id
+    /// order.
+    fn five_chains() -> Sta {
+        let lengths = [1, 3, 2, 4, 1];
+        let mut ports = Vec::new();
+        let mut body = String::new();
+        for (c, &len) in lengths.iter().enumerate() {
+            ports.extend([format!("a{c}"), format!("y{c}")]);
+            body.push_str(&format!("input a{c}; output y{c};\n"));
+            let mut prev = format!("a{c}");
+            for s in 1..=len {
+                let out = if s == len {
+                    format!("y{c}")
+                } else {
+                    body.push_str(&format!("wire w{c}_{s};\n"));
+                    format!("w{c}_{s}")
+                };
+                body.push_str(&format!("INVX1 u{c}_{s} (.A({prev}), .Y({out}));\n"));
+                prev = out;
+            }
+        }
+        let src = format!("module m ({});\n{body}endmodule\n", ports.join(", "));
+        Sta::new(parse_design(&src).unwrap(), lib().clone()).unwrap()
+    }
+
+    /// Per-cone report rows whose every point takes `(slack, arrival)`
+    /// from `point` (`None`: unreachable).
+    fn rows_with(
+        sta: &Sta,
+        mut point: impl FnMut(NetId, Polarity) -> Option<(f64, f64)>,
+    ) -> PerCone<NetTiming> {
+        let timing = |(slack, arrival)| crate::report::PointTiming {
+            arrival,
+            slew: 50e-12,
+            required: 2e-9,
+            slack,
+        };
+        sta.graph()
+            .components()
+            .iter()
+            .map(|cone| {
+                cone.iter()
+                    .map(|&net| NetTiming {
+                        net,
+                        name: sta.design().net_name(net).to_string(),
+                        rise: point(net, Polarity::Rise).map(timing),
+                        fall: point(net, Polarity::Fall).map(timing),
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Derives the report of `rows` both ways, the batch fold over every
+    /// row and a merge's (per-cone extremes, restricted fold, `previous`
+    /// kept unless its end moved or its cone is `swept`), asserts them
+    /// equal bit for bit, and returns the batch report and whether the
+    /// merge folded every row.
+    fn assert_summaries_match(
+        sta: &Sta,
+        states: &PerCone<NetState>,
+        rows: PerCone<NetTiming>,
+        swept: &[bool],
+        previous: Vec<PathPoint>,
+    ) -> (TimingReport, bool) {
+        let extremes: Vec<ConeExtremes> = rows.iter().map(|cone| ConeExtremes::of(cone)).collect();
+        let nets = sta.net_rows(rows);
+        let batch = sta.report_from_rows(nets.clone(), states);
+        let (merged, full_fold) = sta.merged_report(nets, states, &extremes, swept, previous);
+        assert_eq!(
+            merged.worst_slack().to_bits(),
+            batch.worst_slack().to_bits(),
+            "worst slack {:e} vs batch {:e}",
+            merged.worst_slack(),
+            batch.worst_slack()
+        );
+        assert_eq!(
+            merged.worst_arrival().to_bits(),
+            batch.worst_arrival().to_bits(),
+            "worst arrival {:e} vs batch {:e}",
+            merged.worst_arrival(),
+            batch.worst_arrival()
+        );
+        assert_eq!(merged.critical_path(), batch.critical_path());
+        (batch, full_fold)
+    }
+
+    #[test]
+    fn restricted_fold_matches_the_full_fold_bit_for_bit() {
+        let _guard = crate::obs_test_guard();
+        let sta = five_chains();
+        let bc = BoundaryConditions::uniform(&crate::Constraints::default());
+        let states = sta.forward_sweep(&bc);
+        let cones = sta.graph().components().len();
+        let mut rng = nsta_obs::XorShift64::new(0x5eed);
+        let mut pick = |n: usize| rng.next_below(n as u64) as usize;
+        let mut previous = Vec::new();
+        let (mut restricted, mut full) = (0, 0);
+        for trial in 0..4000 {
+            // A base slack near zero (where G = τ loses its margin), at
+            // picosecond scale, near the 1 s bound, or past it (a fallback).
+            let base = [
+                0.0, -2e-15, 1e-15, -282e-12, 3.7e-10, 0.999_999, -0.5, 1.5, -3.0,
+            ][pick(9)];
+            let step = [1e-15, 0.5e-15, 1.5e-15, 2e-15, 2.9e-15, 3e-15, 3.1e-15][pick(7)];
+            let unconstrained = trial % 97 == 0;
+            let mut drawn: Vec<f64> = Vec::new();
+            let mut slack = |pick: &mut dyn FnMut(usize) -> usize| -> f64 {
+                if unconstrained {
+                    return f64::INFINITY;
+                }
+                let value = match pick(16) {
+                    // An exact tie with an earlier draw.
+                    0 | 1 if !drawn.is_empty() => drawn[pick(drawn.len())],
+                    2 => [0.0, -0.0, 5e-324, -5e-324][pick(4)],
+                    3 => f64::INFINITY,
+                    4 if pick(8) == 0 => f64::NEG_INFINITY,
+                    5 if pick(8) == 0 => f64::NAN,
+                    6 => base + 5e-12 * pick(4) as f64,
+                    // A near-tie chain in steps of about τ, nudged by a few
+                    // ulps either way.
+                    _ => {
+                        let mut v = base + step * (pick(7) as f64 - 3.0);
+                        for _ in 0..pick(3) {
+                            v = if pick(2) == 0 {
+                                v.next_up()
+                            } else {
+                                v.next_down()
+                            };
+                        }
+                        v
+                    }
+                };
+                drawn.push(value);
+                value
+            };
+            let arrivals = [0.0, -0.0, 1e-12, 2e-12, 5e-12, 5e-12, 2.282e-9];
+            let rows = rows_with(&sta, |_, _| {
+                (pick(6) != 0).then(|| (slack(&mut pick), arrivals[pick(arrivals.len())]))
+            });
+            let swept: Vec<bool> = (0..cones).map(|_| pick(2) == 0).collect();
+            let (batch, full_fold) = assert_summaries_match(&sta, &states, rows, &swept, previous);
+            if unconstrained {
+                assert!(full_fold, "an unconstrained design folds every row");
+            }
+            if full_fold {
+                full += 1;
+            } else {
+                restricted += 1;
+            }
+            previous = batch.critical_path().to_vec();
+        }
+        assert!(
+            restricted > 1000 && full > 100,
+            "{restricted} restricted, {full} full"
+        );
+    }
+
+    #[test]
+    fn restricted_fold_handles_the_tie_break_edge_cases() {
+        let _guard = crate::obs_test_guard();
+        let sta = five_chains();
+        let bc = BoundaryConditions::uniform(&crate::Constraints::default());
+        let states = sta.forward_sweep(&bc);
+        let cones = sta.graph().components();
+        let none = vec![false; cones.len()];
+        // Two points, on the first net of cone 0 and the last net of cone
+        // 4, so the first comes first in the fold.
+        let (first, second) = (cones[0][0], *cones[4].last().unwrap());
+        assert!(first < second);
+        let two = |a: (f64, f64), b: (f64, f64)| {
+            rows_with(&sta, move |net, pol| match (net, pol) {
+                (n, Polarity::Rise) if n == first => Some(a),
+                (n, Polarity::Rise) if n == second => Some(b),
+                _ => None,
+            })
+        };
+        let end = |report: &TimingReport| report.critical_path().last().map(|p| p.net);
+        // T must grow: the later, within-tolerance point A (slack 0) wins
+        // over B (slack −0.5 fs) and the worst slack stays 0.0.
+        let (report, full) = assert_summaries_match(
+            &sta,
+            &states,
+            two((0.0, 5e-12), (-0.5e-15, 1e-12)),
+            &none,
+            vec![],
+        );
+        assert!(!full);
+        assert_eq!(report.worst_slack().to_bits(), 0.0f64.to_bits());
+        assert_eq!(end(&report), Some(first));
+        // G must exceed τ: the smallest subnormal lies above T + τ = 0, but
+        // it rounds S − τ back to T, so B (slack −τ, earlier arrival) does
+        // not take over from it.
+        let (report, full) = assert_summaries_match(
+            &sta,
+            &states,
+            two((5e-324, 2e-12), (-1e-15, 1e-12)),
+            &none,
+            vec![],
+        );
+        assert!(!full);
+        assert_eq!(report.worst_slack(), 5e-324);
+        assert_eq!(end(&report), Some(first));
+        // Unconstrained, and a smallest slack 1 s or more from zero: every
+        // row is folded.
+        for (a, b) in [(f64::INFINITY, f64::INFINITY), (-1.0, 0.0), (1.0, 2.0)] {
+            let (_, full) =
+                assert_summaries_match(&sta, &states, two((a, 1e-12), (b, 2e-12)), &none, vec![]);
+            assert!(full, "slacks {a}, {b}");
+        }
+        // No point at all.
+        let (report, full) =
+            assert_summaries_match(&sta, &states, rows_with(&sta, |_, _| None), &none, vec![]);
+        assert!(full && report.critical_path().is_empty());
     }
 }

@@ -113,7 +113,7 @@ use crate::engine::{NetState, PerCone, Sta};
 use crate::graph::TimingGraph;
 use crate::netlist::NetId;
 use crate::report::{NetTiming, TimingReport};
-use crate::session::{ConePatch, EditScope, RetainedAnalysis};
+use crate::session::{ConeExtremes, ConePatch, EditScope, RetainedAnalysis};
 use crate::StaError;
 use nsta_circuit::{
     Circuit, FactoredSystem, NodeId as CktNode, RcLineSpec, SolverBackend, StarCoupledLines,
@@ -1271,15 +1271,28 @@ impl Sta {
         couplings: &[CouplingSpec],
         options: &SiOptions,
     ) -> Result<SiAnalysis, StaError> {
-        self.session_analyze(constraints, couplings, options)
-            .map(|retained| retained.analysis)
+        let ConePatch {
+            diagnostics,
+            states,
+            rows,
+            adjustments,
+            pruned,
+            ..
+        } = self.session_resolve(constraints, couplings, options, None)?;
+        Ok(SiAnalysis {
+            report: self.report_from_rows(self.net_rows(rows), &states),
+            adjustments,
+            pruned,
+            diagnostics,
+        })
     }
 
     /// [`Sta::analyze_with_crosstalk_windows`], retaining the final
-    /// propagation states and every net's nominal window, so that a later
-    /// re-solve ([`Sta::session_resolve`]) can read the cones it does not
-    /// sweep and [`Sta::session_merge`] can splice it into the result at
-    /// the state level (see [`crate::session`]). A session opens with it.
+    /// propagation states, every net's nominal window and every cone's
+    /// report extremes, so that a later re-solve ([`Sta::session_resolve`])
+    /// can read the cones it does not sweep and [`Sta::session_merge`] can
+    /// splice it into the result at the state level (see
+    /// [`crate::session`]). A session opens with it.
     ///
     /// # Errors
     ///
@@ -1299,6 +1312,7 @@ impl Sta {
             pruned,
             ..
         } = self.session_resolve(constraints, couplings, options, None)?;
+        let extremes = rows.iter().map(|cone| ConeExtremes::of(cone)).collect();
         Ok(RetainedAnalysis {
             analysis: SiAnalysis {
                 report: self.report_from_rows(self.net_rows(rows), &states),
@@ -1308,6 +1322,7 @@ impl Sta {
             },
             states,
             windows,
+            extremes,
         })
     }
 
